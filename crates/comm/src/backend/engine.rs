@@ -1,0 +1,535 @@
+//! The one matching engine under every transport.
+//!
+//! Every in-tree world — threads, serial, proc, socket, and the
+//! single-rank loopback — is the same [`Engine`]: a per-rank [`Mailbox`]
+//! of arrivals (FIFO per peer), one blocking primitive
+//! ([`Mailbox::wait_on`]) and one router ([`Mailbox::dispatch`]). What
+//! differs between transports is two small plug-ins:
+//!
+//! * a [`Carrier`] — "hand this [`Frame`] to peer `p`". In memory that is
+//!   a direct `dispatch` into the destination rank's mailbox; across
+//!   processes it is the writer/reader threads of the `wire` module over
+//!   a `UnixStream` or `TcpStream`. A world of one rank has no carrier.
+//! * a [`Park`] policy — what a rank does while a wait cannot complete:
+//!   sleep on the mailbox condvar for at most one heartbeat
+//!   ([`Heartbeat`]), or yield the serial scheduler's baton.
+//!
+//! # Ordering and matching
+//!
+//! A carrier delivers each peer's frames in send order. Collectives need
+//! no extra synchronization: the `k`-th gather (or all-to-all) frame
+//! popped from a peer's queue belongs to the `k`-th gather this rank
+//! performs, and barriers are generation-stamped. Point-to-point matching
+//! is [`PostQueue`]: post `k` claims arrival `k`.
+//!
+//! # Liveness
+//!
+//! A rank that finishes cleanly announces `Bye` to every peer; a rank
+//! that unwinds, or is killed by fault injection, announces `Dead` (and
+//! a stream carrier reports EOF without `Bye` as a death). A wait whose
+//! probe fails re-checks the peer table before parking and unwinds with
+//! [`RankFailure::PeerDead`] when any rank is `Dead`, or when a peer the
+//! wait depends on has said `Bye` — it finished its program, so the data
+//! can never arrive (a diverged schedule). The session recovery loop
+//! catches that typed panic and rebuilds the world at the surviving size.
+
+use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
+use crate::backend::{CommBackend, P2pMsg, PostQueue, RecvOp, SendOp};
+use crate::fault::RankFailure;
+use crate::stats::RankStats;
+
+/// Frame kinds. `Hello` belongs to the stream rendezvous, before a world
+/// exists; the engine routes the rest.
+pub(crate) const KIND_HELLO: u8 = 0;
+pub(crate) const KIND_P2P: u8 = 1;
+pub(crate) const KIND_GATHER: u8 = 2;
+pub(crate) const KIND_A2A: u8 = 3;
+pub(crate) const KIND_BARRIER: u8 = 4;
+pub(crate) const KIND_DEAD: u8 = 5;
+pub(crate) const KIND_BYE: u8 = 6;
+
+/// The unit a [`Carrier`] moves between ranks (and the `wire` module
+/// serializes).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Frame {
+    pub kind: u8,
+    pub src: u32,
+    /// P2p tag, barrier generation, or dead-rank id, depending on `kind`.
+    pub tag: u64,
+    /// Collective label (`Gather`) or rendezvous address payload (`Hello`).
+    pub label: Cow<'static, str>,
+    pub data: Vec<f64>,
+}
+
+impl Frame {
+    /// A frame with empty label and payload.
+    pub(crate) fn control(kind: u8, src: u32, tag: u64) -> Frame {
+        Frame {
+            kind,
+            src,
+            tag,
+            label: Cow::Borrowed(""),
+            data: Vec::new(),
+        }
+    }
+}
+
+/// How frames reach a peer's mailbox.
+pub(crate) trait Carrier: Send + Sync {
+    /// Hand `frame` to rank `dst` without blocking; frames to one peer
+    /// arrive in the order they were handed over. `done`, when given, is
+    /// dropped once the payload has left this rank (or never will).
+    fn deliver(&self, dst: usize, frame: Frame, done: Option<SendDone>);
+}
+
+/// What a rank does while a wait on its mailbox cannot complete.
+pub(crate) trait Park: Send + Sync {
+    /// Suspend the rank owning `mailbox` until its arrivals may have
+    /// changed; takes the arrival lock and hands it back.
+    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a>;
+
+    /// A wait completed.
+    fn progressed(&self) {}
+
+    /// `rank` is about to run its SPMD closure.
+    fn rank_started(&self, _rank: usize) {}
+
+    /// `rank`'s closure returned or unwound (its `Bye`/`Dead` is out).
+    fn rank_finished(&self, _rank: usize) {}
+
+    /// See [`CommBackend::is_cooperative`].
+    fn is_cooperative(&self) -> bool {
+        false
+    }
+}
+
+/// Condvar-with-heartbeat parking for worlds with real concurrency: a
+/// parked rank is woken by the next arrival, and at the latest after one
+/// heartbeat so a death its carrier could not announce is still noticed.
+pub(crate) struct Heartbeat(Duration);
+
+impl Heartbeat {
+    /// The liveness probe period from `CGNN_FAULT_HEARTBEAT_MS` (default
+    /// 25 ms; registered in the `cgnn-core` knob registry).
+    pub(crate) fn from_env() -> Arc<dyn Park> {
+        let ms = std::env::var("CGNN_FAULT_HEARTBEAT_MS")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(25)
+            .max(1);
+        Arc::new(Heartbeat(Duration::from_millis(ms)))
+    }
+}
+
+impl Park for Heartbeat {
+    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
+        let (arrivals, _) = mailbox
+            .cv
+            .wait_timeout(arrivals, self.0)
+            .unwrap_or_else(PoisonError::into_inner);
+        arrivals
+    }
+}
+
+/// What this rank last heard from a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PeerStatus {
+    Alive,
+    /// Clean protocol finish: its remaining queued data is still valid,
+    /// but waiting for *new* data from it can never complete.
+    Bye,
+    /// Crash: explicit `Dead` frame, EOF without `Bye`, or a write error.
+    Dead,
+}
+
+/// Everything one peer has sent this rank and this rank has not consumed.
+pub(crate) struct PeerState {
+    gathers: VecDeque<(Cow<'static, str>, Vec<f64>)>,
+    a2as: VecDeque<Vec<f64>>,
+    posts: PostQueue,
+    /// Highest barrier generation heard from this peer.
+    barrier_gen: u64,
+    status: PeerStatus,
+}
+
+/// The locked arrival table of a [`Mailbox`], indexed by peer rank.
+pub(crate) type Arrivals<'a> = MutexGuard<'a, Vec<PeerState>>;
+
+/// One rank's receive side: per-peer arrival state behind one mutex,
+/// the condvar arrivals signal, and the park policy for blocked waits.
+pub(crate) struct Mailbox {
+    rank: usize,
+    size: usize,
+    peers: Mutex<Vec<PeerState>>,
+    cv: Condvar,
+    park: Arc<dyn Park>,
+}
+
+impl Mailbox {
+    pub(crate) fn new(rank: usize, size: usize, park: Arc<dyn Park>) -> Arc<Mailbox> {
+        assert!(rank < size, "rank {rank} outside a world of {size}");
+        Arc::new(Mailbox {
+            rank,
+            size,
+            peers: Mutex::new(
+                (0..size)
+                    .map(|_| PeerState {
+                        gathers: VecDeque::new(),
+                        a2as: VecDeque::new(),
+                        posts: PostQueue::default(),
+                        barrier_gen: 0,
+                        status: PeerStatus::Alive,
+                    })
+                    .collect(),
+            ),
+            cv: Condvar::new(),
+            park,
+        })
+    }
+
+    pub(crate) fn rank(&self) -> usize {
+        self.rank
+    }
+
+    pub(crate) fn lock(&self) -> Arrivals<'_> {
+        self.peers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Route one frame that arrived from `peer`.
+    pub(crate) fn dispatch(&self, peer: usize, frame: Frame) {
+        let mut g = self.lock();
+        match frame.kind {
+            KIND_P2P => g[peer].posts.deliver((frame.tag as u32, frame.data)),
+            KIND_GATHER => g[peer].gathers.push_back((frame.label, frame.data)),
+            KIND_A2A => g[peer].a2as.push_back(frame.data),
+            KIND_BARRIER => g[peer].barrier_gen = g[peer].barrier_gen.max(frame.tag),
+            KIND_DEAD => {
+                let d = frame.tag as usize;
+                if d < self.size && d != self.rank {
+                    g[d].status = PeerStatus::Dead;
+                }
+            }
+            KIND_BYE if g[peer].status == PeerStatus::Alive => g[peer].status = PeerStatus::Bye,
+            // Hello frames belong to rendezvous, before the world exists;
+            // anything unknown from a checksummed stream is ignored so a
+            // newer peer version cannot wedge an older one.
+            _ => {}
+        }
+        drop(g);
+        self.cv.notify_all();
+    }
+
+    /// A carrier lost its link to `peer`: without a prior `Bye` (or with
+    /// an unclean end) the peer crashed.
+    pub(crate) fn hangup(&self, peer: usize, clean: bool) {
+        let mut g = self.lock();
+        if !(clean && g[peer].status == PeerStatus::Bye) {
+            g[peer].status = PeerStatus::Dead;
+        }
+        drop(g);
+        self.cv.notify_all();
+    }
+
+    /// Block until `probe` yields. `deps` are the peers this wait cannot
+    /// complete without.
+    ///
+    /// # Panics
+    ///
+    /// With [`RankFailure::PeerDead`] when the probe fails and any rank
+    /// is `Dead` or a dep has said `Bye`: the wait can never complete, so
+    /// unwinding (into the session recovery loop) is the liveness
+    /// mechanism itself.
+    fn wait_on<T>(
+        &self,
+        deps: &[usize],
+        mut probe: impl FnMut(&mut [PeerState]) -> Option<T>,
+    ) -> T {
+        let mut g = self.lock();
+        loop {
+            if let Some(v) = probe(&mut g) {
+                drop(g);
+                self.park.progressed();
+                return v;
+            }
+            let dead: Vec<usize> = (0..self.size)
+                .filter(|&p| {
+                    g[p].status == PeerStatus::Dead
+                        || (g[p].status == PeerStatus::Bye && deps.contains(&p))
+                })
+                .collect();
+            if !dead.is_empty() {
+                drop(g);
+                // detlint: allow(unwrap-in-lib, "liveness abort: unwinding into the recovery loop is how peers escape a dead world")
+                std::panic::panic_any(RankFailure::PeerDead {
+                    rank: self.rank,
+                    dead,
+                });
+            }
+            g = self.park.park(self, g);
+        }
+    }
+}
+
+/// Completion token of a non-blocking send: the carrier drops it once the
+/// payload has left this rank, which disconnects the op's receiver.
+pub(crate) type SendDone = Sender<()>;
+
+/// The send op of [`Engine::isend`]: complete at once over the in-memory
+/// carrier, genuinely deferred (until the writer thread has handed the
+/// frame to the OS) over a stream.
+struct DeferredSend(Receiver<()>);
+
+impl SendOp for DeferredSend {
+    fn try_complete(&mut self) -> bool {
+        self.0.try_recv() != Err(TryRecvError::Empty)
+    }
+
+    fn complete(&mut self) {
+        // Nothing is ever sent: this returns when the token is dropped.
+        let _ = self.0.recv();
+    }
+}
+
+/// A posted receive against a peer's [`PostQueue`].
+struct PostedRecv {
+    mailbox: Arc<Mailbox>,
+    src: usize,
+    seq: u64,
+}
+
+impl RecvOp for PostedRecv {
+    fn try_take(&mut self) -> Option<P2pMsg> {
+        self.mailbox.lock()[self.src].posts.claim(self.seq)
+    }
+
+    fn take(&mut self) -> P2pMsg {
+        let (src, seq) = (self.src, self.seq);
+        self.mailbox
+            .wait_on(&[src], |peers| peers[src].posts.claim(seq))
+    }
+}
+
+/// The in-memory carrier: every rank's mailbox is one `Arc` away.
+struct Memory(Vec<Arc<Mailbox>>);
+
+impl Carrier for Memory {
+    fn deliver(&self, dst: usize, frame: Frame, _done: Option<SendDone>) {
+        self.0[dst].dispatch(frame.src as usize, frame);
+    }
+}
+
+/// One rank of an SPMD world: the [`CommBackend`] every transport hands
+/// to [`Comm`](crate::Comm).
+pub(crate) struct Engine {
+    label: &'static str,
+    mailbox: Arc<Mailbox>,
+    /// `None` in a world of one rank (nothing ever leaves it).
+    carrier: Option<Arc<dyn Carrier>>,
+    /// This rank's own barrier generation counter.
+    barrier_gen: AtomicU64,
+    stats: RankStats,
+}
+
+impl Engine {
+    pub(crate) fn new(
+        label: &'static str,
+        mailbox: Arc<Mailbox>,
+        carrier: Option<Arc<dyn Carrier>>,
+    ) -> Arc<Engine> {
+        Arc::new(Engine {
+            label,
+            mailbox,
+            carrier,
+            barrier_gen: AtomicU64::new(0),
+            stats: RankStats::default(),
+        })
+    }
+
+    /// `size` ranks wired to each other through the in-memory carrier.
+    pub(crate) fn memory_world(
+        size: usize,
+        label: &'static str,
+        park: Arc<dyn Park>,
+    ) -> Vec<Arc<Engine>> {
+        assert!(size > 0, "world size must be positive");
+        let mailboxes: Vec<Arc<Mailbox>> = (0..size)
+            .map(|rank| Mailbox::new(rank, size, Arc::clone(&park)))
+            .collect();
+        let carrier: Arc<dyn Carrier> = Arc::new(Memory(mailboxes.clone()));
+        mailboxes
+            .into_iter()
+            .map(|mailbox| Engine::new(label, mailbox, Some(Arc::clone(&carrier))))
+            .collect()
+    }
+
+    /// # Panics
+    ///
+    /// In a world of one rank: there is no peer to address.
+    fn post(
+        &self,
+        dst: usize,
+        kind: u8,
+        tag: u64,
+        label: &'static str,
+        data: Vec<f64>,
+        done: Option<SendDone>,
+    ) {
+        let frame = Frame {
+            kind,
+            src: self.mailbox.rank as u32,
+            tag,
+            label: Cow::Borrowed(label),
+            data,
+        };
+        self.carrier
+            .as_ref()
+            .expect("no peers in a single-rank world")
+            .deliver(dst, frame, done);
+    }
+
+    fn others(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.mailbox.size).filter(move |&p| p != self.mailbox.rank)
+    }
+}
+
+impl CommBackend for Engine {
+    fn rank(&self) -> usize {
+        self.mailbox.rank
+    }
+
+    fn size(&self) -> usize {
+        self.mailbox.size
+    }
+
+    fn label(&self) -> &'static str {
+        self.label
+    }
+
+    fn barrier(&self) {
+        let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed) + 1;
+        for p in self.others() {
+            self.post(p, KIND_BARRIER, gen, "", Vec::new(), None);
+        }
+        for p in self.others() {
+            self.mailbox
+                .wait_on(&[p], |peers| (peers[p].barrier_gen >= gen).then_some(()));
+        }
+    }
+
+    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
+        for p in self.others() {
+            self.post(p, KIND_GATHER, 0, label, data.clone(), None);
+        }
+        let me = self.mailbox.rank;
+        let mut mine = Some(data);
+        (0..self.mailbox.size)
+            .map(|p| {
+                if p == me {
+                    return mine.take().expect("own slot is visited once");
+                }
+                let (got, buf) = self
+                    .mailbox
+                    .wait_on(&[p], |peers| peers[p].gathers.pop_front());
+                assert_eq!(
+                    got, label,
+                    "collective mismatch: rank {me} is in `{label}` while rank {p} sent `{got}`"
+                );
+                buf
+            })
+            .collect()
+    }
+
+    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let me = self.mailbox.rank;
+        assert_eq!(
+            send.len(),
+            self.mailbox.size,
+            "all_to_all needs one buffer per rank"
+        );
+        let mut mine = None;
+        for (dst, buf) in send.into_iter().enumerate() {
+            if dst == me {
+                mine = Some(buf);
+            } else {
+                // Empty buffers still travel: the exchange is lockstep, so
+                // every rank pops exactly one frame per peer per call.
+                self.post(dst, KIND_A2A, 0, "", buf, None);
+            }
+        }
+        (0..self.mailbox.size)
+            .map(|p| {
+                if p == me {
+                    mine.take().expect("own slot is visited once")
+                } else {
+                    self.mailbox
+                        .wait_on(&[p], |peers| peers[p].a2as.pop_front())
+                }
+            })
+            .collect()
+    }
+
+    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
+        self.post(dst, KIND_P2P, tag as u64, "", data, None);
+    }
+
+    fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Box<dyn SendOp> {
+        let (done, gone) = channel();
+        self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
+        Box::new(DeferredSend(gone))
+    }
+
+    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
+        let seq = self.mailbox.lock()[src].posts.post();
+        Box::new(PostedRecv {
+            mailbox: Arc::clone(&self.mailbox),
+            src,
+            seq,
+        })
+    }
+
+    fn stats(&self) -> &RankStats {
+        &self.stats
+    }
+
+    fn on_rank_start(&self) {
+        self.mailbox.park.rank_started(self.mailbox.rank);
+    }
+
+    fn on_rank_finish(&self, panicked: bool) {
+        if panicked {
+            // Any unwind — injected kill or genuine bug — makes this rank
+            // dead to the world, so peers blocked on it fail fast.
+            self.mark_dead();
+        } else {
+            for p in self.others() {
+                self.post(p, KIND_BYE, 0, "", Vec::new(), None);
+            }
+        }
+        self.mailbox.park.rank_finished(self.mailbox.rank);
+    }
+
+    fn mark_dead(&self) {
+        // This rank's own slot in its own table holds its own status.
+        self.mailbox.lock()[self.mailbox.rank].status = PeerStatus::Dead;
+        for p in self.others() {
+            self.post(p, KIND_DEAD, self.mailbox.rank as u64, "", Vec::new(), None);
+        }
+    }
+
+    fn dead_ranks(&self) -> Vec<usize> {
+        let g = self.mailbox.lock();
+        (0..self.mailbox.size)
+            .filter(|&p| g[p].status == PeerStatus::Dead)
+            .collect()
+    }
+
+    fn is_cooperative(&self) -> bool {
+        self.mailbox.park.is_cooperative()
+    }
+}

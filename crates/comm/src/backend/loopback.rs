@@ -1,5 +1,7 @@
-//! Single-rank loopback transport: collectives are identities, there are
-//! no peers, and everything executes on the calling thread.
+//! Single-rank loopback transport: the shared `engine` at world
+//! size one. With no peers every collective is the identity, nothing
+//! ever waits, and there is no carrier — everything executes on the
+//! calling thread.
 //!
 //! This is the transport behind *persistent* single-rank trainers — code
 //! that owns a [`Trainer`](../../cgnn_core) outside any
@@ -13,10 +15,8 @@
 //! computes all reductions rank-ordered from gathered contributions, and
 //! at world size one that gathering is the identity everywhere.
 
-use crate::backend::{CommBackend, RecvOp};
+use crate::backend::engine::{Engine, Heartbeat, Mailbox};
 use crate::comm::Comm;
-use crate::stats::RankStats;
-use std::sync::Arc;
 
 /// A world of exactly one rank on the calling thread. Collectives return
 /// their input; point-to-point operations have no possible peer and abort.
@@ -29,57 +29,15 @@ use std::sync::Arc;
 /// assert_eq!(comm.all_reduce_scalar(2.5), 2.5);
 /// assert_eq!(comm.backend_label(), "loopback");
 /// ```
-#[derive(Default)]
-pub struct LoopbackBackend {
-    stats: RankStats,
-}
+pub struct LoopbackBackend;
 
 impl LoopbackBackend {
     /// A fresh single-rank communicator handle over this transport — the
     /// entry point for persistent trainers that live outside an SPMD
     /// launch.
     pub fn comm() -> Comm {
-        Comm::from_backend(Arc::new(LoopbackBackend::default()))
-    }
-}
-
-impl CommBackend for LoopbackBackend {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn size(&self) -> usize {
-        1
-    }
-
-    fn label(&self) -> &'static str {
-        "loopback"
-    }
-
-    fn barrier(&self) {}
-
-    fn all_gather(&self, _label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        vec![data]
-    }
-
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        send
-    }
-
-    /// # Panics
-    /// Always: a single-rank world has no peer to send to.
-    fn send(&self, dst: usize, _tag: u32, _data: Vec<f64>) {
-        unreachable!("loopback send to rank {dst}: no peers in a single-rank world")
-    }
-
-    /// # Panics
-    /// Always: a single-rank world has no peer to receive from.
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        unreachable!("loopback irecv from rank {src}: no peers in a single-rank world")
-    }
-
-    fn stats(&self) -> &RankStats {
-        &self.stats
+        let mailbox = Mailbox::new(0, 1, Heartbeat::from_env());
+        Comm::from_backend(Engine::new("loopback", mailbox, None))
     }
 }
 

@@ -3,29 +3,30 @@
 //! The front-end [`Comm`] handle is backend-agnostic: every
 //! collective, point-to-point, and accounting path goes through the
 //! object-safe [`CommBackend`] trait, so a new transport (a real MPI/NCCL
-//! binding, a cross-process shared-memory world, a network simulator) is a
-//! new `impl`, not a rewrite of `cgnn-core`. Five backends ship in-tree:
+//! binding, a network simulator) is a new `impl`, not a rewrite of
+//! `cgnn-core`.
 //!
-//! * [`ThreadWorld`](threads::ThreadWorld) — one OS thread per rank with
-//!   real concurrency, the default (mirrors the paper's one-GPU-per-rank
-//!   SPMD setup),
-//! * [`SerialBackend`](serial::SerialBackend) — a loopback world that
-//!   executes ranks one at a time in deterministic round-robin order:
-//!   zero-concurrency reference semantics for debugging and CI,
-//! * [`ProcWorld`](proc::ProcWorld) — one OS *process* per rank
-//!   (re-exec plus a Unix-domain-socket mesh): true address-space
-//!   isolation, real serialization cost, per-rank thread budgets that
-//!   actually hold,
-//! * [`SocketWorld`](socket::SocketWorld) — one process per rank over a
-//!   full TCP mesh, spanning machines via a rank-0 rendezvous listener,
-//! * [`LoopbackBackend`](loopback::LoopbackBackend) — a world of exactly
-//!   one rank on the calling thread, for persistent single-rank trainers
-//!   (the `cgnn-serve` replica pool, the Criterion step benchmarks).
+//! In-tree there is exactly one implementation — the matching engine in
+//! the `engine` module: a per-rank mailbox with FIFO-per-peer arrival
+//! queues, one blocking wait, and the `Bye`/`Dead` liveness lifecycle.
+//! Every world below is that engine plus two plug-ins, a **carrier**
+//! (how a frame reaches a peer's mailbox) and a **park policy** (what a
+//! blocked rank does), so per-peer ordering, collective matching and
+//! failure detection cannot differ between transports:
 //!
-//! The two cross-process transports share the checksummed `CGNW` frame
-//! engine in the `wire` module. Backends provide raw transport primitives only;
-//! traffic accounting and the deterministic reduction arithmetic live
-//! once, in [`Comm`], so all backends are bit-identical by construction.
+//! | world | carrier | park policy | launcher adds |
+//! |---|---|---|---|
+//! | [`ThreadWorld`](threads::ThreadWorld) (default) | in-memory | heartbeat | one OS thread per rank, real concurrency (the paper's one-GPU-per-rank SPMD setup) |
+//! | [`SerialBackend`](serial::SerialBackend) | in-memory | baton | deterministic round-robin scheduler with a deadlock supervisor: zero-concurrency reference semantics for debugging and CI |
+//! | [`ProcWorld`](proc::ProcWorld) | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank: address-space isolation, real serialization cost, per-rank thread budgets that actually hold |
+//! | [`SocketWorld`](socket::SocketWorld) | `CGNW` frames over TCP | heartbeat | the same launch over a full TCP mesh, spanning machines via a rank-0 rendezvous listener |
+//! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, the Criterion step benchmarks) |
+//!
+//! The engine provides raw transport primitives only; traffic accounting
+//! and the deterministic reduction arithmetic live once, in [`Comm`], so
+//! all worlds are bit-identical by construction.
+//! [`FaultInjector`](crate::FaultInjector) is the one other
+//! [`CommBackend`]: a decorator that wraps any of them.
 //!
 //! # Implementing a custom backend
 //!
@@ -75,6 +76,8 @@
 //! assert_eq!(comm.backend_label(), "loopback");
 //! ```
 
+pub(crate) mod budget;
+pub(crate) mod engine;
 pub mod loopback;
 pub mod proc;
 pub mod serial;
@@ -139,9 +142,11 @@ pub trait CommBackend: Send + Sync {
     /// [`RecvOp::try_take`].
     fn irecv(&self, src: usize) -> Box<dyn RecvOp>;
 
-    /// Begin a non-blocking send. Both in-tree transports buffer sends, so
-    /// the default completes immediately; a zero-copy or rendezvous
-    /// transport would return a deferred op instead.
+    /// Begin a non-blocking send. The default completes immediately,
+    /// which is correct for any transport whose `send` buffers; the
+    /// in-tree engine returns an op that completes once its carrier has
+    /// taken the payload off this rank (at once in memory, after the
+    /// socket write over a stream).
     fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Box<dyn SendOp> {
         self.send(dst, tag, data);
         Box::new(CompletedSend)
@@ -168,7 +173,7 @@ pub trait CommBackend: Send + Sync {
 
     /// Liveness probe, write side: declare this rank dead to the world.
     ///
-    /// Transports with peer tracking (both in-tree multi-rank transports)
+    /// Transports with peer tracking (every in-tree multi-rank world)
     /// record the death so peers blocked in collectives or receives abort
     /// with [`RankFailure::PeerDead`](crate::RankFailure::PeerDead) instead
     /// of hanging. The default is a no-op, correct for transports without
@@ -180,6 +185,15 @@ pub trait CommBackend: Send + Sync {
     /// in ascending order. Default: none.
     fn dead_ranks(&self) -> Vec<usize> {
         Vec::new()
+    }
+
+    /// Whether ranks of this world are scheduled cooperatively: one runs
+    /// at a time and control changes hands only inside a *blocking* comm
+    /// call (the serial world's baton). A caller must then never spin on
+    /// [`RecvOp::try_take`] or [`SendOp::try_complete`] — no peer runs
+    /// until it blocks. Default: `false` (real concurrency).
+    fn is_cooperative(&self) -> bool {
+        false
     }
 }
 
@@ -394,7 +408,7 @@ where
                 // ranks share the cores instead of contending for all of
                 // them (a pure scheduling decision: kernels are
                 // bit-identical at every worker count).
-                let _budget = proc::BudgetGuard::arm(budget);
+                let _budget = budget::BudgetGuard::arm(budget);
                 let backend = backend_for(rank);
                 backend.on_rank_start();
                 // Runs on both return and unwind, so a panicking rank
@@ -454,16 +468,5 @@ mod tests {
         q.deliver((2, vec![2.0]));
         assert_eq!(q.claim(b), Some((2, vec![2.0])));
         assert_eq!(q.claim(a), Some((1, vec![1.0])));
-    }
-
-    #[test]
-    fn every_backend_launches_an_spmd_world() {
-        for backend in Backend::all() {
-            let sums = backend.launch(4, |comm| {
-                assert_eq!(comm.backend_label(), backend.label());
-                comm.all_reduce_scalar(comm.rank() as f64)
-            });
-            assert_eq!(sums, vec![6.0; 4], "{backend}");
-        }
     }
 }

@@ -28,20 +28,8 @@
 //! with [`reexec_scope`], which also restarts the launch numbering so
 //! parent and child count launches identically.
 //!
-//! # Thread budget
-//!
-//! Multi-rank worlds on one machine oversubscribe the cores if every rank
-//! keeps the full kernel worker pool: `ranks × workers` threads contend
-//! for `cores`. Unless the worker count is explicitly pinned
-//! (`CGNN_NUM_THREADS` / `RAYON_NUM_THREADS`), every launcher in this
-//! crate budgets each rank to `max(1, cores / world_size)` workers
-//! (`budget_for`), which the process launchers export to children as an
-//! explicit `CGNN_NUM_THREADS` pin. `CGNN_THREAD_BUDGET=off` disables the
-//! clamp, `CGNN_THREAD_BUDGET=<n>` forces a per-rank worker count.
-//!
-//! Kernel results are bit-identical at every worker count (chunk
-//! boundaries never depend on it), so the budget is purely a scheduling
-//! decision — it cannot change a trajectory.
+//! Every launcher exports the per-rank kernel thread budget of the
+//! `budget` module to its children as an explicit `CGNN_NUM_THREADS` pin.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -53,8 +41,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::backend::budget::{budget_for, BudgetGuard};
+use crate::backend::engine::{Engine, Frame, Heartbeat, Mailbox, KIND_HELLO};
 use crate::backend::serial::SerialBackend;
-use crate::backend::wire::{self, Conn, Frame, StreamRank, StreamWorld, KIND_HELLO};
+use crate::backend::wire::{self, Conn, StreamCarrier};
 use crate::backend::CommBackend;
 use crate::comm::Comm;
 use crate::fault::RankFailure;
@@ -165,63 +155,6 @@ fn role_for(seq: u64) -> Role {
         Role::Join { rank }
     } else {
         Role::Replay
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread budget
-// ---------------------------------------------------------------------
-
-/// The per-rank kernel worker budget for a world of `world` ranks, or
-/// `None` when the worker count is explicitly pinned (the pin wins) or
-/// budgeting is disabled (`CGNN_THREAD_BUDGET=off`).
-///
-/// Default policy: `max(1, cores / world)`, so
-/// `ranks × workers ≤ cores` — kernel parallelism and rank parallelism
-/// compose instead of contending. `CGNN_THREAD_BUDGET=<n>` forces a
-/// per-rank count.
-///
-/// # Panics
-///
-/// Panics when `CGNN_THREAD_BUDGET` is set to something other than
-/// `auto`, `off`, or a worker count — a configuration error at launch,
-/// surfaced loudly rather than silently mis-budgeting the kernel pool.
-pub(crate) fn budget_for(world: usize) -> Option<usize> {
-    for var in ["CGNN_NUM_THREADS", "RAYON_NUM_THREADS"] {
-        // detlint: allow(env-var-registry, "both names are registered knobs; the loop only probes whether either pin is present")
-        if std::env::var(var).map(|v| !v.is_empty()).unwrap_or(false) {
-            return None;
-        }
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    match std::env::var("CGNN_THREAD_BUDGET") {
-        Ok(v) if v.eq_ignore_ascii_case("off") => None,
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => match v.parse::<usize>() {
-            Ok(n) => Some(n.max(1)),
-            Err(_) => {
-                // detlint: allow(unwrap-in-lib, "config error at startup: fail loudly rather than silently mis-budgeting the kernel pool")
-                panic!("CGNN_THREAD_BUDGET must be `auto`, `off`, or a per-rank worker count, got `{v}`")
-            }
-        },
-        _ => Some((cores / world.max(1)).max(1)),
-    }
-}
-
-/// RAII application of a worker budget to the current thread's kernel
-/// pool; restores the previous budget on drop.
-pub(crate) struct BudgetGuard(Option<usize>);
-
-impl BudgetGuard {
-    pub(crate) fn arm(budget: Option<usize>) -> Option<BudgetGuard> {
-        budget.map(|b| BudgetGuard(rayon::set_thread_budget(Some(b))))
-    }
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        rayon::set_thread_budget(self.0);
     }
 }
 
@@ -374,6 +307,11 @@ fn decode_failure(text: &str, child_rank: usize) -> Box<dyn Any + Send> {
         "genuine" => return Box::new(rest.to_string()),
         _ => {}
     }
+    process_gone(child_rank)
+}
+
+/// All the spawner (rank 0) knows: the child's process is gone.
+fn process_gone(child_rank: usize) -> Box<dyn Any + Send> {
     Box::new(RankFailure::PeerDead {
         rank: 0,
         dead: vec![child_rank],
@@ -388,12 +326,8 @@ fn fail_path(dir: &Path, rank: usize) -> PathBuf {
 fn child_payload(dir: &Path, rank: usize) -> Box<dyn Any + Send> {
     match std::fs::read_to_string(fail_path(dir, rank)) {
         Ok(text) => decode_failure(&text, rank),
-        // Died without writing a report (SIGKILL, OOM, ...): all the
-        // spawner knows is that the process is gone.
-        Err(_) => Box::new(RankFailure::PeerDead {
-            rank: 0,
-            dead: vec![rank],
-        }),
+        // Died without writing a report (SIGKILL, OOM, ...).
+        Err(_) => process_gone(rank),
     }
 }
 
@@ -401,11 +335,13 @@ fn child_payload(dir: &Path, rank: usize) -> Box<dyn Any + Send> {
 // The launcher
 // ---------------------------------------------------------------------
 
-/// Run one rank against an established mesh: decorate, run the start /
-/// finish hooks, tear the world down, and hand back the closure result
-/// or the unwind payload.
+/// Run one rank over an established mesh: start the engine on a stream
+/// carrier, decorate, run the start / finish hooks, tear the carrier
+/// down, and hand back the closure result or the unwind payload.
 fn run_local_rank<T, F, D>(
-    world: Arc<StreamWorld>,
+    rank: usize,
+    label: &'static str,
+    conns: Vec<Option<Conn>>,
     f: &F,
     decorate: &D,
 ) -> Result<T, Box<dyn Any + Send>>
@@ -414,14 +350,16 @@ where
     F: Fn(&Comm) -> T + Sync,
     D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
 {
-    let backend = decorate(Arc::new(StreamRank(Arc::clone(&world))) as Arc<dyn CommBackend>);
+    let mailbox = Mailbox::new(rank, conns.len(), Heartbeat::from_env());
+    let carrier = StreamCarrier::start(&mailbox, conns).expect("start this rank's stream carrier");
+    let backend = decorate(Engine::new(label, mailbox, Some(carrier.clone())));
     backend.on_rank_start();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let comm = Comm::from_backend(Arc::clone(&backend));
         f(&comm)
     }));
     backend.on_rank_finish(result.is_err());
-    world.teardown();
+    carrier.teardown();
     result
 }
 
@@ -469,10 +407,15 @@ where
         .ok()
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
+    // `seq` restarts in every `reexec_scope`, so concurrent scopes of one
+    // process (parallel tests) need the counter to keep their
+    // directories apart.
+    static SPAWNED: AtomicU64 = AtomicU64::new(0);
     let dir = base.join(format!(
-        "cgnn-{}-{}-{seq}",
+        "cgnn-{}-{}-{seq}-{}",
         transport.label(),
-        std::process::id()
+        std::process::id(),
+        SPAWNED.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("create the cross-process rendezvous directory");
     let extra_env = transport
@@ -515,9 +458,7 @@ where
     let conns = transport
         .connect(0, size, &dir)
         .expect("establish rank 0's connection mesh");
-    let world =
-        StreamWorld::start(0, size, transport.label(), conns).expect("start rank 0's stream world");
-    let result = run_local_rank(world, &f, &decorate);
+    let result = run_local_rank(0, transport.label(), conns, &f, &decorate);
 
     // Reap the children; collect failure reports.
     let mut payloads: Vec<Box<dyn Any + Send>> = Vec::new();
@@ -586,9 +527,7 @@ where
     let conns = transport
         .connect(rank, size, &dir)
         .expect("establish this rank's connection mesh");
-    let world = StreamWorld::start(rank, size, transport.label(), conns)
-        .expect("start this rank's stream world");
-    let result = run_local_rank(world, &f, &decorate);
+    let result = run_local_rank(rank, transport.label(), conns, &f, &decorate);
     match result {
         Ok(t) => {
             if launched {

@@ -11,54 +11,117 @@
 //! semantics for CI, and a cross-check that nothing in the stack depends on
 //! the thread world's real concurrency.
 //!
+//! Matching, collectives and `Bye`/`Dead` liveness are the shared
+//! `engine` over its in-memory carrier; this module is only the
+//! scheduler, plugged in as the engine's park policy: where a thread rank
+//! would sleep on its mailbox, a serial rank passes the baton.
+//!
 //! Liveness is supervised: if the baton completes several full cycles with
 //! every live rank blocked, the world is deadlocked (mismatched collective
 //! schedules, a receive whose send never comes) and the backend panics with
-//! a diagnostic instead of hanging — and a rank that panics poisons the
-//! scheduler so its peers fail fast too.
+//! a diagnostic instead of hanging — and a rank that panics announces its
+//! death like on every other transport, so its peers fail fast too.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::backend::{run_ranks, CommBackend, P2pMsg, PostQueue, RecvOp};
+use crate::backend::engine::{Arrivals, Engine, Mailbox, Park};
+use crate::backend::{run_ranks, CommBackend};
 use crate::comm::Comm;
-use crate::fault::RankFailure;
-use crate::stats::RankStats;
 
-/// Scheduler + transport state, all behind one lock (uncontended by
-/// construction: only the baton holder mutates it).
-struct State {
+/// Scheduler state (uncontended by construction: only the baton holder
+/// and ranks waking to check for their turn touch it).
+struct Turns {
     /// Whose turn it is to execute.
     turn: usize,
-    /// Ranks whose SPMD closure has returned.
+    /// Ranks whose SPMD closure has returned or unwound.
     done: Vec<bool>,
-    /// Ranks declared dead via the liveness probe (`mark_dead`): their
-    /// death is a *fault*, distinct from an orderly finish, and peers
-    /// abort with a typed [`RankFailure::PeerDead`] payload.
-    dead: Vec<bool>,
-    /// Set when a rank panics or a deadlock is detected; wakes every
-    /// waiter into a panic instead of an infinite sleep.
-    poisoned: bool,
-    /// Consecutive baton passes without any operation completing; a full
+    /// Consecutive baton passes without any wait completing; a full
     /// cycle of these means every live rank is blocked.
     idle_passes: usize,
-    /// Cooperative barrier: arrival count and completion generation.
-    barrier_arrived: usize,
-    barrier_gen: u64,
-    /// All-gather contribution slots (label + payload), one per rank.
-    gather: Vec<Option<(&'static str, Vec<f64>)>>,
-    /// All-to-all slots: `a2a[src][dst]`.
-    a2a: Vec<Vec<Option<Vec<f64>>>>,
-    /// Point-to-point inboxes: `mail[dst][src]`.
-    mail: Vec<Vec<PostQueue>>,
 }
 
-/// Shared world of a [`SerialBackend`] run.
-pub struct SerialBackend {
-    size: usize,
-    state: Mutex<State>,
-    baton: Condvar,
-    stats: Vec<RankStats>,
+/// The round-robin scheduler of a serial world: the engine's park policy.
+struct Baton {
+    turns: Mutex<Turns>,
+    cv: Condvar,
 }
+
+impl Baton {
+    fn lock(&self) -> MutexGuard<'_, Turns> {
+        self.turns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hand the baton to the next rank after `from` whose closure has not
+    /// finished (back to `from` itself when it is the last one running).
+    fn pass(&self, t: &mut Turns, from: usize) {
+        let size = t.done.len();
+        t.turn = (1..=size)
+            .map(|k| (from + k) % size)
+            .find(|&r| !t.done[r])
+            .unwrap_or(from);
+        self.cv.notify_all();
+    }
+
+    fn wait_for_turn(&self, mut t: MutexGuard<'_, Turns>, rank: usize) {
+        while t.turn != rank {
+            t = self.cv.wait(t).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Park for Baton {
+    /// Yield to the next live rank and return when the baton comes back.
+    ///
+    /// # Panics
+    ///
+    /// When every live rank has been blocked for a full supervision
+    /// window (mismatched collective schedules, or a receive whose send
+    /// never comes): panicking is the mechanism that unwedges the run.
+    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
+        // Peers deliver into this mailbox while they hold the baton.
+        drop(arrivals);
+        let mut t = self.lock();
+        t.idle_passes += 1;
+        if t.idle_passes > 4 * t.done.len() + 16 {
+            drop(t);
+            // detlint: allow(unwrap-in-lib, "deadlock supervisor: panicking is the mechanism that unwedges the test run")
+            panic!(
+                "serial backend deadlock: every live rank is blocked \
+                 (mismatched collective schedules or a receive whose send never comes)"
+            );
+        }
+        self.pass(&mut t, mailbox.rank());
+        self.wait_for_turn(t, mailbox.rank());
+        mailbox.lock()
+    }
+
+    fn progressed(&self) {
+        self.lock().idle_passes = 0;
+    }
+
+    /// Wait for the baton before running any user code: rank 0 starts,
+    /// everyone else queues in index order.
+    fn rank_started(&self, rank: usize) {
+        self.wait_for_turn(self.lock(), rank);
+    }
+
+    fn rank_finished(&self, rank: usize) {
+        let mut t = self.lock();
+        t.done[rank] = true;
+        if t.turn == rank {
+            self.pass(&mut t, rank);
+        }
+    }
+
+    fn is_cooperative(&self) -> bool {
+        true
+    }
+}
+
+/// The serial launcher. Usually reached through
+/// [`Backend::Serial`](crate::Backend::Serial); the type exists so the
+/// launcher can be named directly.
+pub struct SerialBackend;
 
 impl SerialBackend {
     /// Run `f` on `size` ranks over the serial transport, returning each
@@ -80,307 +143,23 @@ impl SerialBackend {
         F: Fn(&Comm) -> T + Sync,
         D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
     {
-        assert!(size > 0, "world size must be positive");
-        let world = Arc::new(SerialBackend {
-            size,
-            state: Mutex::new(State {
+        let baton = Arc::new(Baton {
+            turns: Mutex::new(Turns {
                 turn: 0,
                 done: vec![false; size],
-                dead: vec![false; size],
-                poisoned: false,
                 idle_passes: 0,
-                barrier_arrived: 0,
-                barrier_gen: 0,
-                gather: (0..size).map(|_| None).collect(),
-                a2a: (0..size)
-                    .map(|_| (0..size).map(|_| None).collect())
-                    .collect(),
-                mail: (0..size)
-                    .map(|_| (0..size).map(|_| PostQueue::default()).collect())
-                    .collect(),
             }),
-            baton: Condvar::new(),
-            stats: (0..size).map(|_| RankStats::default()).collect(),
+            cv: Condvar::new(),
         });
+        let world = Engine::memory_world(size, "serial", baton);
         // No thread budget: the baton means only one rank computes at a
         // time, so each may use the full kernel pool.
         run_ranks(
             size,
             f,
-            |rank| {
-                decorate(Arc::new(SerialRank {
-                    rank,
-                    world: Arc::clone(&world),
-                }))
-            },
+            |rank| decorate(Arc::clone(&world[rank]) as Arc<dyn CommBackend>),
             None,
         )
-    }
-}
-
-/// One rank's view of a [`SerialBackend`] world.
-#[derive(Clone)]
-struct SerialRank {
-    rank: usize,
-    world: Arc<SerialBackend>,
-}
-
-impl SerialRank {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.world
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// # Panics
-    ///
-    /// Aborts this rank when a peer has already panicked or the deadlock
-    /// supervisor poisoned the world: continuing would block forever on
-    /// a collective that can never complete. Every blocking comm entry
-    /// point inherits this abort contract. When the poison traces back to
-    /// a declared rank death (the liveness probe), the panic payload is
-    /// the typed [`RankFailure::PeerDead`] so the session recovery loop
-    /// can classify it; an undiagnosed peer panic keeps the plain message.
-    fn check_poison(&self, st: &State) {
-        if st.poisoned {
-            let dead: Vec<usize> = (0..self.world.size).filter(|&r| st.dead[r]).collect();
-            if !dead.is_empty() {
-                // detlint: allow(unwrap-in-lib, "liveness abort: unwinding into the recovery loop is how peers escape a dead world")
-                std::panic::panic_any(RankFailure::PeerDead {
-                    rank: self.rank,
-                    dead,
-                });
-            }
-            // detlint: allow(unwrap-in-lib, "deliberate abort: continuing after a peer died would hang this rank forever")
-            panic!("serial backend: a peer rank panicked or deadlocked");
-        }
-    }
-
-    /// Next rank after `from` whose closure has not finished.
-    fn next_live(st: &State, from: usize, size: usize) -> usize {
-        for k in 1..=size {
-            let r = (from + k) % size;
-            if !st.done[r] {
-                return r;
-            }
-        }
-        from
-    }
-
-    /// Hand the baton to the next live rank. Called while blocked, so it
-    /// also feeds the deadlock supervisor.
-    ///
-    /// # Panics
-    ///
-    /// When every live rank has been blocked for a full supervision
-    /// window (mismatched collective schedules, or a receive whose send
-    /// never comes): panicking is the mechanism that unwedges the run.
-    fn yield_turn(&self, st: &mut State) {
-        st.idle_passes += 1;
-        if st.idle_passes > 4 * self.world.size + 16 {
-            st.poisoned = true;
-            self.world.baton.notify_all();
-            // detlint: allow(unwrap-in-lib, "deadlock supervisor: panicking is the mechanism that unwedges the test run")
-            panic!(
-                "serial backend deadlock: every live rank is blocked \
-                 (mismatched collective schedules or a receive whose send never comes)"
-            );
-        }
-        st.turn = Self::next_live(st, self.rank, self.world.size);
-        self.world.baton.notify_all();
-    }
-
-    /// Cooperatively block until `ready` produces a value. Must be called
-    /// while this rank holds the baton (the invariant for all user code on
-    /// a serial world); the baton is retained on return, so the rank
-    /// continues executing.
-    fn wait_until<R>(&self, mut ready: impl FnMut(&mut State) -> Option<R>) -> R {
-        let mut st = self.lock();
-        debug_assert_eq!(
-            st.turn, self.rank,
-            "serial backend invariant broken: comm op issued off-turn"
-        );
-        loop {
-            self.check_poison(&st);
-            if let Some(r) = ready(&mut st) {
-                st.idle_passes = 0;
-                return r;
-            }
-            self.yield_turn(&mut st);
-            while st.turn != self.rank {
-                self.check_poison(&st);
-                st = self
-                    .world
-                    .baton
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// A non-blocking state mutation performed while holding the baton.
-    fn with_state<R>(&self, op: impl FnOnce(&mut State) -> R) -> R {
-        let mut st = self.lock();
-        self.check_poison(&st);
-        debug_assert_eq!(
-            st.turn, self.rank,
-            "serial backend invariant broken: comm op issued off-turn"
-        );
-        op(&mut st)
-    }
-}
-
-impl CommBackend for SerialRank {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.world.size
-    }
-
-    fn label(&self) -> &'static str {
-        "serial"
-    }
-
-    fn barrier(&self) {
-        let size = self.world.size;
-        // First visit registers the arrival; later visits (after yielding)
-        // watch for the generation to advance. The last arriver completes
-        // the barrier and keeps the baton.
-        let mut registered: Option<u64> = None;
-        self.wait_until(|st| match registered {
-            None => {
-                let gen = st.barrier_gen;
-                st.barrier_arrived += 1;
-                if st.barrier_arrived == size {
-                    st.barrier_arrived = 0;
-                    st.barrier_gen += 1;
-                    Some(())
-                } else {
-                    registered = Some(gen);
-                    None
-                }
-            }
-            Some(gen) => (st.barrier_gen != gen).then_some(()),
-        })
-    }
-
-    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        self.with_state(|st| st.gather[self.rank] = Some((label, data)));
-        self.barrier();
-        let out = self.with_state(|st| {
-            let mut out = Vec::with_capacity(st.gather.len());
-            for slot in &st.gather {
-                let (op, data) = slot.as_ref().expect("collective slot empty");
-                assert_eq!(
-                    *op, label,
-                    "collective mismatch: rank {} is in `{}` while another rank is in `{}`",
-                    self.rank, label, op
-                );
-                out.push(data.clone());
-            }
-            out
-        });
-        // Second barrier: nobody may overwrite slots until everyone has read.
-        self.barrier();
-        out
-    }
-
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.with_state(|st| {
-            for (dst, buf) in send.into_iter().enumerate() {
-                st.a2a[self.rank][dst] = Some(buf);
-            }
-        });
-        self.barrier();
-        let out = self.with_state(|st| {
-            (0..self.world.size)
-                .map(|src| {
-                    st.a2a[src][self.rank]
-                        .take()
-                        .expect("all_to_all slot empty: mismatched collective sequence")
-                })
-                .collect()
-        });
-        self.barrier();
-        out
-    }
-
-    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        self.with_state(|st| st.mail[dst][self.rank].deliver((tag, data)));
-    }
-
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        let seq = self.with_state(|st| st.mail[self.rank][src].post());
-        Box::new(SerialRecvOp {
-            rank: self.clone(),
-            src,
-            seq,
-        })
-    }
-
-    fn stats(&self) -> &RankStats {
-        &self.world.stats[self.rank]
-    }
-
-    fn on_rank_start(&self) {
-        // Wait for the baton before running any user code: rank 0 starts,
-        // everyone else queues in index order.
-        let mut st = self.lock();
-        while st.turn != self.rank {
-            self.check_poison(&st);
-            st = self
-                .world
-                .baton
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn on_rank_finish(&self, panicked: bool) {
-        let mut st = self.lock();
-        st.done[self.rank] = true;
-        if panicked {
-            st.poisoned = true;
-        }
-        if st.turn == self.rank {
-            st.turn = Self::next_live(&st, self.rank, self.world.size);
-        }
-        self.world.baton.notify_all();
-    }
-
-    fn mark_dead(&self) {
-        // No turn assertion: the marking rank is about to unwind and may
-        // legitimately be the baton holder mid-operation.
-        let mut st = self.lock();
-        st.dead[self.rank] = true;
-        self.world.baton.notify_all();
-    }
-
-    fn dead_ranks(&self) -> Vec<usize> {
-        let st = self.lock();
-        (0..self.world.size).filter(|&r| st.dead[r]).collect()
-    }
-}
-
-/// A posted receive against a serial-world inbox.
-struct SerialRecvOp {
-    rank: SerialRank,
-    src: usize,
-    seq: u64,
-}
-
-impl RecvOp for SerialRecvOp {
-    fn try_take(&mut self) -> Option<P2pMsg> {
-        let (me, src, seq) = (self.rank.rank, self.src, self.seq);
-        self.rank.with_state(|st| st.mail[me][src].claim(seq))
-    }
-
-    fn take(&mut self) -> P2pMsg {
-        let (me, src, seq) = (self.rank.rank, self.src, self.seq);
-        self.rank.wait_until(|st| st.mail[me][src].claim(seq))
     }
 }
 

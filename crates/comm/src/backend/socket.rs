@@ -18,9 +18,9 @@
 //! `wire` module): length-prefixed little-endian `f64` frames
 //! with a trailing FNV-1a digest — the same hand-rolled
 //! length-prefix-then-verify discipline `cgnn-serve` uses on its client
-//! sockets — and tagged point-to-point matching is FIFO per peer with
-//! [`PostQueue`](crate::PostQueue) semantics, identical to the
-//! in-process transports.
+//! sockets. Matching and liveness are the shared `engine`'s, so tagged
+//! point-to-point traffic is FIFO per peer with
+//! [`PostQueue`](crate::PostQueue) semantics, exactly as in process.
 //!
 //! # Launch model
 //!
@@ -35,8 +35,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::backend::engine::{Frame, KIND_HELLO};
 use crate::backend::proc::{launch_stream, ProcTransport};
-use crate::backend::wire::{self, Conn, Frame, KIND_HELLO};
+use crate::backend::wire::{self, Conn};
 use crate::backend::CommBackend;
 use crate::comm::Comm;
 
@@ -125,7 +126,7 @@ impl ProcTransport for TcpTransport {
                         if conns[src].is_some() {
                             return Err(bad_frame("duplicate Hello for one rank"));
                         }
-                        table[src] = hello.label;
+                        table[src] = hello.label.into_owned();
                         conns[src] = Some(Conn::Tcp(s));
                         pending -= 1;
                     }
@@ -152,7 +153,7 @@ impl ProcTransport for TcpTransport {
                         kind: KIND_HELLO,
                         src: 0,
                         tag: 0,
-                        label: joined.clone(),
+                        label: joined.clone().into(),
                         data: Vec::new(),
                     },
                 )?;
@@ -170,7 +171,7 @@ impl ProcTransport for TcpTransport {
                 kind: KIND_HELLO,
                 src: rank as u32,
                 tag: 0,
-                label: mesh.local_addr()?.to_string(),
+                label: mesh.local_addr()?.to_string().into(),
                 data: Vec::new(),
             },
         )?;

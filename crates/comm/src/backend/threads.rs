@@ -1,108 +1,26 @@
-//! The default transport: one OS thread per rank sharing slot tables,
-//! barriers, and buffered channels — mirroring the paper's
-//! one-GPU-per-MPI-rank setup with real in-process concurrency.
+//! The default transport: one OS thread per rank with real in-process
+//! concurrency — mirroring the paper's one-GPU-per-MPI-rank setup.
 //!
-//! # Liveness
-//!
-//! Every blocking wait in this transport (barrier arrival, point-to-point
-//! receive) is a **heartbeat loop**: the waiter sleeps at most
-//! `CGNN_FAULT_HEARTBEAT_MS` (default 25 ms) at a time, re-checking the
-//! world's dead-rank set between sleeps. A rank that dies — killed by
-//! fault injection via [`CommBackend::mark_dead`], or unwinding from a
-//! genuine panic (recorded by `on_rank_finish`) — is therefore detected by
-//! every peer within one heartbeat, and the peers abort with
-//! [`RankFailure::PeerDead`] instead of hanging on a barrier that can
-//! never complete. The recovery loop in `cgnn-session` catches that typed
-//! panic and rebuilds the world at the surviving size.
+//! The world is the shared `engine` over its in-memory carrier
+//! with heartbeat parking: a blocked rank sleeps on its mailbox condvar,
+//! is woken by the next arrival, and at the latest every
+//! `CGNN_FAULT_HEARTBEAT_MS` (default 25 ms) re-checks the peer table, so
+//! a rank that dies — killed by fault injection, or unwinding from a
+//! genuine panic — or that finished without sending what a peer waits for
+//! aborts the waiter with [`RankFailure`](crate::RankFailure)`::PeerDead`
+//! instead of hanging it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex as PlMutex;
-
-use crate::backend::{run_ranks, CommBackend, P2pMsg, PostQueue, RecvOp};
+use crate::backend::budget::budget_for;
+use crate::backend::engine::{Engine, Heartbeat};
+use crate::backend::{run_ranks, CommBackend};
 use crate::comm::Comm;
-use crate::fault::RankFailure;
-use crate::stats::RankStats;
 
-/// Per-source inbox: the buffered channel plus the FIFO matcher between
-/// posted receives and arrivals. Only the owning (destination) rank ever
-/// locks it; senders go through the paired [`Sender`].
-struct Mailbox {
-    rx: Receiver<P2pMsg>,
-    queue: PostQueue,
-}
-
-impl Mailbox {
-    /// Pull everything currently buffered in the channel into the matcher.
-    fn drain(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.queue.deliver(msg);
-        }
-    }
-}
-
-/// A death-aware rendezvous barrier: like `std::sync::Barrier`, but
-/// waiters sleep in heartbeat-bounded intervals and abort with
-/// [`RankFailure::PeerDead`] as soon as any rank in the world is dead —
-/// a dead rank will never arrive, so waiting longer only hides the hang.
-struct LiveBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl LiveBarrier {
-    fn new() -> Self {
-        LiveBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Shared state backing one world of `size` thread-ranks.
-pub struct ThreadWorld {
-    size: usize,
-    barrier: LiveBarrier,
-    /// Liveness set: `dead[r]` is raised by `mark_dead` / a panicking
-    /// unwind on rank `r`, and checked by every heartbeat loop.
-    dead: Vec<AtomicBool>,
-    /// How long a blocking wait may sleep before re-probing liveness.
-    heartbeat: Duration,
-    /// All-reduce / all-gather contribution slots, one per rank. Each entry
-    /// carries the op label so mismatched collective sequences fail loudly
-    /// instead of producing garbage.
-    gather_slots: Vec<PlMutex<Option<(&'static str, Vec<f64>)>>>,
-    /// All-to-all slots: `a2a_slots[src][dst]`.
-    a2a_slots: Vec<Vec<PlMutex<Option<Vec<f64>>>>>,
-    /// Point-to-point senders, indexed `[src][dst]`.
-    senders: Vec<Vec<Sender<P2pMsg>>>,
-    /// Point-to-point inboxes, indexed `[dst][src]`.
-    mailboxes: Vec<Vec<PlMutex<Mailbox>>>,
-    stats: Vec<RankStats>,
-}
-
-/// The liveness probe period: how long any blocking wait may sleep before
-/// re-checking the dead-rank set. Overridable via `CGNN_FAULT_HEARTBEAT_MS`
-/// (registered in the `cgnn-core` knob registry).
-fn heartbeat_from_env() -> Duration {
-    let ms = std::env::var("CGNN_FAULT_HEARTBEAT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(25)
-        .max(1);
-    Duration::from_millis(ms)
-}
+/// The thread-per-rank launcher. Usually reached through
+/// [`Backend::Threads`](crate::Backend::Threads); the type exists so the
+/// launcher can be named directly.
+pub struct ThreadWorld;
 
 impl ThreadWorld {
     /// Run `f` on `size` ranks (one OS thread each) over this transport,
@@ -123,265 +41,14 @@ impl ThreadWorld {
         F: Fn(&Comm) -> T + Sync,
         D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
     {
-        let world = Arc::new(ThreadWorld::new(size));
+        let world = Engine::memory_world(size, "threads", Heartbeat::from_env());
         // Ranks run concurrently: budget each rank's kernel pool so
         // `ranks × workers` stays within the machine.
         run_ranks(
             size,
             f,
-            |rank| {
-                decorate(Arc::new(ThreadRank {
-                    rank,
-                    world: Arc::clone(&world),
-                }))
-            },
-            crate::backend::proc::budget_for(size),
+            |rank| decorate(Arc::clone(&world[rank]) as Arc<dyn CommBackend>),
+            budget_for(size),
         )
-    }
-
-    fn new(size: usize) -> Self {
-        assert!(size > 0, "world size must be positive");
-        let mut senders: Vec<Vec<Sender<P2pMsg>>> = (0..size).map(|_| Vec::new()).collect();
-        let mut mailboxes: Vec<Vec<PlMutex<Mailbox>>> = (0..size).map(|_| Vec::new()).collect();
-        for src in 0..size {
-            for dst in 0..size {
-                let (tx, rx) = unbounded();
-                senders[src].push(tx);
-                // mailboxes[dst][src]: pushing in src-major order into each
-                // dst list gives exactly the by-source layout.
-                mailboxes[dst].push(PlMutex::new(Mailbox {
-                    rx,
-                    queue: PostQueue::default(),
-                }));
-            }
-        }
-        ThreadWorld {
-            size,
-            barrier: LiveBarrier::new(),
-            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            heartbeat: heartbeat_from_env(),
-            gather_slots: (0..size).map(|_| PlMutex::new(None)).collect(),
-            a2a_slots: (0..size)
-                .map(|_| (0..size).map(|_| PlMutex::new(None)).collect())
-                .collect(),
-            senders,
-            mailboxes,
-            stats: (0..size).map(|_| RankStats::default()).collect(),
-        }
-    }
-
-    /// The dead-rank set, ascending. Empty in a healthy world.
-    fn dead_list(&self) -> Vec<usize> {
-        (0..self.size)
-            .filter(|&r| self.dead[r].load(Ordering::Acquire))
-            .collect()
-    }
-
-    /// Record `rank` as dead and wake every barrier waiter so the death is
-    /// observed immediately rather than after a heartbeat.
-    fn mark_rank_dead(&self, rank: usize) {
-        self.dead[rank].store(true, Ordering::Release);
-        // Taking the barrier lock orders the store before any waiter's
-        // re-check; the notify converts heartbeat latency into immediate
-        // wakeup for barrier sleepers.
-        drop(
-            self.barrier
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        self.barrier.cv.notify_all();
-    }
-
-    /// Abort the calling rank when any peer is dead.
-    ///
-    /// # Panics
-    ///
-    /// With [`RankFailure::PeerDead`] when the dead set is non-empty: a
-    /// blocked collective or receive can never complete once a
-    /// participant is gone, so unwinding (into the session recovery loop)
-    /// is the liveness mechanism itself.
-    fn check_alive(&self, me: usize) {
-        let dead = self.dead_list();
-        if !dead.is_empty() {
-            // detlint: allow(unwrap-in-lib, "liveness abort: unwinding into the recovery loop is how peers escape a dead world")
-            std::panic::panic_any(RankFailure::PeerDead { rank: me, dead });
-        }
-    }
-
-    /// Heartbeat-supervised barrier arrival for rank `me`.
-    fn barrier_wait(&self, me: usize) {
-        let mut st = self
-            .barrier
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        st.arrived += 1;
-        if st.arrived == self.size {
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            drop(st);
-            self.barrier.cv.notify_all();
-            return;
-        }
-        let generation = st.generation;
-        while st.generation == generation {
-            // Re-probe liveness between bounded sleeps: a dead peer will
-            // never arrive, so this barrier would otherwise hang forever.
-            drop(st);
-            self.check_alive(me);
-            st = self
-                .barrier
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if st.generation != generation {
-                break;
-            }
-            let (guard, _) = self
-                .barrier
-                .cv
-                .wait_timeout(st, self.heartbeat)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
-    }
-}
-
-/// One rank's view of a [`ThreadWorld`].
-struct ThreadRank {
-    rank: usize,
-    world: Arc<ThreadWorld>,
-}
-
-impl CommBackend for ThreadRank {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.world.size
-    }
-
-    fn label(&self) -> &'static str {
-        "threads"
-    }
-
-    fn barrier(&self) {
-        self.world.barrier_wait(self.rank);
-    }
-
-    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        *self.world.gather_slots[self.rank].lock() = Some((label, data));
-        self.world.barrier_wait(self.rank);
-        let mut out = Vec::with_capacity(self.world.size);
-        for slot in &self.world.gather_slots {
-            let guard = slot.lock();
-            let (op, data) = guard.as_ref().expect("collective slot empty");
-            assert_eq!(
-                *op, label,
-                "collective mismatch: rank {} is in `{}` while another rank is in `{}`",
-                self.rank, label, op
-            );
-            out.push(data.clone());
-        }
-        // Second barrier: nobody may overwrite slots until everyone has read.
-        self.world.barrier_wait(self.rank);
-        out
-    }
-
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        for (dst, buf) in send.into_iter().enumerate() {
-            *self.world.a2a_slots[self.rank][dst].lock() = Some(buf);
-        }
-        self.world.barrier_wait(self.rank);
-        let mut out = Vec::with_capacity(self.world.size);
-        for src in 0..self.world.size {
-            let buf = self.world.a2a_slots[src][self.rank]
-                .lock()
-                .take()
-                .expect("all_to_all slot empty: mismatched collective sequence");
-            out.push(buf);
-        }
-        self.world.barrier_wait(self.rank);
-        out
-    }
-
-    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        self.world.senders[self.rank][dst]
-            .send((tag, data))
-            .expect("p2p channel closed");
-    }
-
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        let seq = self.world.mailboxes[self.rank][src].lock().queue.post();
-        Box::new(ThreadRecvOp {
-            world: Arc::clone(&self.world),
-            me: self.rank,
-            src,
-            seq,
-        })
-    }
-
-    fn stats(&self) -> &RankStats {
-        &self.world.stats[self.rank]
-    }
-
-    fn on_rank_finish(&self, panicked: bool) {
-        if panicked {
-            // Any unwind — injected kill or genuine bug — makes this rank
-            // dead to the world, so peers blocked on it fail fast.
-            self.world.mark_rank_dead(self.rank);
-        }
-    }
-
-    fn mark_dead(&self) {
-        self.world.mark_rank_dead(self.rank);
-    }
-
-    fn dead_ranks(&self) -> Vec<usize> {
-        self.world.dead_list()
-    }
-}
-
-/// A posted receive against a [`ThreadWorld`] mailbox. Must be completed on
-/// the posting rank (the mailbox is single-consumer).
-struct ThreadRecvOp {
-    world: Arc<ThreadWorld>,
-    me: usize,
-    src: usize,
-    seq: u64,
-}
-
-impl RecvOp for ThreadRecvOp {
-    fn try_take(&mut self) -> Option<P2pMsg> {
-        let mut mb = self.world.mailboxes[self.me][self.src].lock();
-        mb.drain();
-        mb.queue.claim(self.seq)
-    }
-
-    fn take(&mut self) -> P2pMsg {
-        loop {
-            // Holding the mailbox lock across the bounded channel wait is
-            // fine: only the owning rank ever locks its own mailbox.
-            let mut mb = self.world.mailboxes[self.me][self.src].lock();
-            mb.drain();
-            if let Some(msg) = mb.queue.claim(self.seq) {
-                return msg;
-            }
-            match mb.rx.recv_timeout(self.world.heartbeat) {
-                Ok(msg) => {
-                    mb.queue.deliver(msg);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Heartbeat: a dead peer's message may never come.
-                    drop(mb);
-                    self.world.check_alive(self.me);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("p2p channel closed while the world is alive")
-                }
-            }
-        }
     }
 }

@@ -1,14 +1,15 @@
-//! Shared stream-transport engine for the cross-process backends.
+//! The stream carrier: checksummed `CGNW` frames over one byte stream
+//! per peer.
 //!
 //! Both [`Backend::Proc`](crate::Backend::Proc) (Unix-domain sockets) and
 //! [`Backend::Socket`](crate::Backend::Socket) (TCP) reduce to the same
-//! shape once their rendezvous has produced one byte stream per peer:
-//! a full mesh of connections carrying checksummed `CGNW` frames, with a
-//! per-peer reader thread routing arrivals into shared queues and a
-//! per-peer writer thread draining an unbounded job channel (so `send`
-//! stays buffered-and-non-blocking even when OS socket buffers fill).
-//! [`StreamWorld`] is that engine; the transport modules only differ in
-//! how they dial the mesh.
+//! shape once their rendezvous has produced a full mesh of connections.
+//! [`StreamCarrier`] runs that mesh for the `engine` module: a per-peer
+//! writer thread drains an unbounded job queue (so `send` stays
+//! buffered-and-non-blocking even when OS socket buffers fill), and a
+//! per-peer reader thread decodes frames and `dispatch`es them into this
+//! rank's mailbox. Matching, collectives and liveness are the engine's;
+//! the transport modules only differ in how they dial the mesh.
 //!
 //! # Wire format
 //!
@@ -21,36 +22,19 @@
 //! truncated or corrupted stream fails loudly instead of deserializing
 //! garbage.
 //!
-//! # Ordering and matching
-//!
-//! Each connection is a FIFO byte stream, so per-peer frame order equals
-//! send order. Collectives need no extra synchronization: the `k`-th
-//! gather (or all-to-all) frame popped from a peer's queue belongs to the
-//! `k`-th gather this rank performs, and barriers are generation-stamped.
-//! Point-to-point matching reuses [`PostQueue`] — identical FIFO-per-peer
-//! semantics to the in-process transports.
-//!
 //! # Liveness
 //!
-//! A rank that finishes cleanly announces `Bye` before closing; EOF
-//! without `Bye` (a crashed or SIGKILLed process) marks the peer dead, as
-//! does an explicit `Dead` frame from fault injection. Every blocking
-//! wait re-checks the peer table at `CGNN_FAULT_HEARTBEAT_MS` intervals
-//! and aborts with [`RankFailure::PeerDead`] instead of hanging — the
-//! same contract as the threads backend, but detected through the socket
-//! rather than shared memory.
+//! Each connection is a FIFO byte stream, so per-peer frame order equals
+//! send order — the one thing the engine asks of a carrier. EOF without a
+//! preceding `Bye` frame (a crashed or SIGKILLed process), a corrupt
+//! frame, or a failed write is reported to the mailbox as a hang-up,
+//! which marks the peer dead.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-
-use crate::backend::{CommBackend, P2pMsg, PostQueue, RecvOp, SendOp};
-use crate::fault::RankFailure;
-use crate::stats::RankStats;
+use crate::backend::engine::{Carrier, Frame, Mailbox, SendDone, KIND_BYE};
 
 /// FNV-1a-64 offset basis (the `CGNC` checkpoint-container discipline).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -63,40 +47,6 @@ const MAGIC: [u8; 4] = *b"CGNW";
 const MAX_FRAME_ELEMS: u64 = 1 << 26;
 /// Bound on label bytes.
 const MAX_LABEL_BYTES: u64 = 1 << 16;
-
-/// Frame kinds on the wire.
-pub(crate) const KIND_HELLO: u8 = 0;
-const KIND_P2P: u8 = 1;
-const KIND_GATHER: u8 = 2;
-const KIND_A2A: u8 = 3;
-const KIND_BARRIER: u8 = 4;
-const KIND_DEAD: u8 = 5;
-const KIND_BYE: u8 = 6;
-
-/// One decoded wire frame.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Frame {
-    pub kind: u8,
-    pub src: u32,
-    /// P2p tag, barrier generation, or dead-rank id, depending on `kind`.
-    pub tag: u64,
-    /// Collective label (`Gather`) or rendezvous address payload (`Hello`).
-    pub label: String,
-    pub data: Vec<f64>,
-}
-
-impl Frame {
-    /// A frame with empty label and payload.
-    pub(crate) fn control(kind: u8, src: u32, tag: u64) -> Frame {
-        Frame {
-            kind,
-            src,
-            tag,
-            label: String::new(),
-            data: Vec::new(),
-        }
-    }
-}
 
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -187,7 +137,7 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
         kind,
         src,
         tag,
-        label,
+        label: label.into(),
         data,
     }))
 }
@@ -215,179 +165,56 @@ impl Conn {
     }
 }
 
-/// What this rank last heard from a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PeerStatus {
-    Alive,
-    /// Clean protocol finish: its remaining queued data is still valid,
-    /// but waiting for *new* data from it can never complete.
-    Bye,
-    /// Crash: explicit `Dead` frame, EOF without `Bye`, or a write error.
-    Dead,
-}
-
-/// Per-peer arrival state, all behind one mutex (see [`Shared`]).
-struct PeerState {
-    gathers: VecDeque<(String, Vec<f64>)>,
-    a2as: VecDeque<Vec<f64>>,
-    posts: PostQueue,
-    /// Highest barrier generation heard from this peer.
-    barrier_gen: u64,
-    status: PeerStatus,
-}
-
-struct Shared {
-    peers: Vec<PeerState>,
-}
-
-/// Completion flag for a deferred send: raised by the writer thread once
-/// the frame has been handed to the OS.
-struct SendFlag {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl SendFlag {
-    fn new() -> Self {
-        SendFlag {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn mark(&self) {
-        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.cv.notify_all();
-    }
-
-    fn poll(&self) -> bool {
-        *self.done.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait(&self) {
-        let mut g = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*g {
-            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
 enum WriteJob {
-    Frame(Frame, Option<Arc<SendFlag>>),
+    Frame(Frame, Option<SendDone>),
     Shutdown,
 }
 
-/// The liveness probe period, same knob and default as the threads
-/// backend (`CGNN_FAULT_HEARTBEAT_MS`, registered in the `cgnn-core`
-/// knob registry).
-pub(crate) fn heartbeat_from_env() -> Duration {
-    let ms = std::env::var("CGNN_FAULT_HEARTBEAT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(25)
-        .max(1);
-    Duration::from_millis(ms)
-}
-
-/// One rank's view of a stream-connected SPMD world. Built by the
-/// transport modules from an established full mesh; owns the reader and
-/// writer threads until [`StreamWorld::teardown`].
-pub(crate) struct StreamWorld {
-    rank: usize,
-    size: usize,
-    label: &'static str,
-    heartbeat: Duration,
-    shared: Mutex<Shared>,
-    cv: Condvar,
-    /// This rank's own barrier generation counter.
-    my_barrier_gen: AtomicU64,
-    self_dead: AtomicBool,
+/// One rank's end of an established full mesh: owns the reader and writer
+/// threads until [`StreamCarrier::teardown`].
+pub(crate) struct StreamCarrier {
     writers: Vec<Option<Sender<WriteJob>>>,
-    writer_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    reader_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// `(writer, reader)` thread handles, taken by teardown.
+    threads: Mutex<(
+        Vec<std::thread::JoinHandle<()>>,
+        Vec<std::thread::JoinHandle<()>>,
+    )>,
     conns: Vec<Option<Conn>>,
-    stats: RankStats,
 }
 
-impl StreamWorld {
-    /// Wire an established mesh (`conns[p]` for every peer `p != rank`,
-    /// `None` at `rank`) into a running world: spawns one reader and one
-    /// writer thread per peer.
+impl StreamCarrier {
+    /// Wire an established mesh (`conns[p]` for every peer `p`, `None` at
+    /// this rank) to `mailbox`: spawns one reader and one writer thread
+    /// per peer.
     pub(crate) fn start(
-        rank: usize,
-        size: usize,
-        label: &'static str,
+        mailbox: &Arc<Mailbox>,
         conns: Vec<Option<Conn>>,
-    ) -> io::Result<Arc<StreamWorld>> {
-        assert_eq!(conns.len(), size, "one connection slot per rank");
-        let mut writers: Vec<Option<Sender<WriteJob>>> = Vec::with_capacity(size);
-        let mut halves: Vec<Option<(Box<dyn Read + Send>, Box<dyn Write + Send>)>> =
-            Vec::with_capacity(size);
-        let mut receivers: Vec<Option<Receiver<WriteJob>>> = Vec::with_capacity(size);
-        for (p, conn) in conns.iter().enumerate() {
-            match conn {
-                Some(c) => {
-                    assert_ne!(p, rank, "no connection to self");
-                    let (tx, rx) = unbounded();
-                    writers.push(Some(tx));
-                    receivers.push(Some(rx));
-                    halves.push(Some(c.split()?));
-                }
-                None => {
-                    writers.push(None);
-                    receivers.push(None);
-                    halves.push(None);
-                }
-            }
-        }
-        let world = Arc::new(StreamWorld {
-            rank,
-            size,
-            label,
-            heartbeat: heartbeat_from_env(),
-            shared: Mutex::new(Shared {
-                peers: (0..size)
-                    .map(|_| PeerState {
-                        gathers: VecDeque::new(),
-                        a2as: VecDeque::new(),
-                        posts: PostQueue::default(),
-                        barrier_gen: 0,
-                        status: PeerStatus::Alive,
-                    })
-                    .collect(),
-            }),
-            cv: Condvar::new(),
-            my_barrier_gen: AtomicU64::new(0),
-            self_dead: AtomicBool::new(false),
-            writers,
-            writer_threads: Mutex::new(Vec::new()),
-            reader_threads: Mutex::new(Vec::new()),
-            conns,
-            stats: RankStats::default(),
-        });
+    ) -> io::Result<Arc<StreamCarrier>> {
+        let halves = conns
+            .iter()
+            .map(|c| c.as_ref().map(Conn::split).transpose())
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut writers = Vec::with_capacity(conns.len());
         let mut writer_threads = Vec::new();
         let mut reader_threads = Vec::new();
         for (p, half) in halves.into_iter().enumerate() {
             let Some((reader, writer)) = half else {
+                writers.push(None);
                 continue;
             };
-            let rx = receivers[p]
-                .take()
-                .expect("writer channel allocated alongside the connection");
-            let w = Arc::clone(&world);
-            reader_threads.push(std::thread::spawn(move || reader_loop(w, p, reader)));
-            let w = Arc::clone(&world);
-            writer_threads.push(std::thread::spawn(move || writer_loop(w, p, writer, rx)));
+            assert_ne!(p, mailbox.rank(), "no connection to self");
+            let (tx, rx) = channel();
+            writers.push(Some(tx));
+            let mb = Arc::clone(mailbox);
+            reader_threads.push(std::thread::spawn(move || reader_loop(&mb, p, reader)));
+            let mb = Arc::clone(mailbox);
+            writer_threads.push(std::thread::spawn(move || writer_loop(&mb, p, writer, rx)));
         }
-        *world
-            .writer_threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = writer_threads;
-        *world
-            .reader_threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = reader_threads;
-        Ok(world)
+        Ok(Arc::new(StreamCarrier {
+            writers,
+            threads: Mutex::new((writer_threads, reader_threads)),
+            conns,
+        }))
     }
 
     /// Flush and stop the writer threads, close the connections, and join
@@ -397,15 +224,11 @@ impl StreamWorld {
         for tx in self.writers.iter().flatten() {
             let _ = tx.send(WriteJob::Shutdown);
         }
+        let (writers, readers) =
+            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
         // Join the writers first: that guarantees every queued frame
         // (Bye / Dead included) is flushed to the wire before the
         // sockets close under the peers' readers.
-        let writers = std::mem::take(
-            &mut *self
-                .writer_threads
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
         for t in writers {
             let _ = t.join();
         }
@@ -414,388 +237,64 @@ impl StreamWorld {
         for conn in self.conns.iter().flatten() {
             conn.shutdown();
         }
-        let readers = std::mem::take(
-            &mut *self
-                .reader_threads
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
         for t in readers {
             let _ = t.join();
         }
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Shared> {
-        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
+impl Carrier for StreamCarrier {
     /// Queue a frame to `dst`. Never blocks: the writer thread owns the
     /// actual socket write.
-    fn post(&self, dst: usize, frame: Frame, flag: Option<Arc<SendFlag>>) {
+    fn deliver(&self, dst: usize, frame: Frame, done: Option<SendDone>) {
         let tx = self.writers[dst]
             .as_ref()
             .expect("posting to self or to a torn-down world");
-        if tx.send(WriteJob::Frame(frame, flag.clone())).is_err() {
-            // Writer already gone (teardown raced a late send): the
-            // payload cannot leave, but nobody may hang on it either.
-            if let Some(flag) = flag {
-                flag.mark();
-            }
-        }
-    }
-
-    /// Block until `probe` yields, re-checking liveness every heartbeat.
-    /// `deps` are the peers this wait cannot complete without: a `Dead`
-    /// peer anywhere in the world aborts the wait, and so does a `Bye`
-    /// from a dep (it finished its program; the data this wait wants can
-    /// never arrive — a diverged schedule or a death we missed).
-    fn wait_on<T>(&self, deps: &[usize], mut probe: impl FnMut(&mut Shared) -> Option<T>) -> T {
-        let mut g = self.lock();
-        loop {
-            if let Some(v) = probe(&mut g) {
-                return v;
-            }
-            let dead: Vec<usize> = (0..self.size)
-                .filter(|&p| {
-                    g.peers[p].status == PeerStatus::Dead
-                        || (g.peers[p].status == PeerStatus::Bye && deps.contains(&p))
-                })
-                .collect();
-            if !dead.is_empty() {
-                drop(g);
-                // detlint: allow(unwrap-in-lib, "liveness abort: unwinding into the recovery loop is how peers escape a dead world")
-                std::panic::panic_any(RankFailure::PeerDead {
-                    rank: self.rank,
-                    dead,
-                });
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(g, self.heartbeat)
-                .unwrap_or_else(PoisonError::into_inner);
-            g = guard;
-        }
-    }
-
-    fn others(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.size).filter(move |&p| p != self.rank)
-    }
-
-    /// Route one arrived frame into the shared state.
-    fn dispatch(&self, peer: usize, frame: Frame) {
-        let mut g = self.lock();
-        match frame.kind {
-            KIND_P2P => g.peers[peer].posts.deliver((frame.tag as u32, frame.data)),
-            KIND_GATHER => g.peers[peer].gathers.push_back((frame.label, frame.data)),
-            KIND_A2A => g.peers[peer].a2as.push_back(frame.data),
-            KIND_BARRIER => {
-                let p = &mut g.peers[peer];
-                p.barrier_gen = p.barrier_gen.max(frame.tag);
-            }
-            KIND_DEAD => {
-                let d = frame.tag as usize;
-                if d < self.size && d != self.rank {
-                    g.peers[d].status = PeerStatus::Dead;
-                }
-            }
-            KIND_BYE if g.peers[peer].status == PeerStatus::Alive => {
-                g.peers[peer].status = PeerStatus::Bye;
-            }
-            // Hello frames belong to rendezvous, before the world exists;
-            // anything unknown from a checksummed stream is ignored so a
-            // newer peer version cannot wedge an older one.
-            _ => {}
-        }
-        drop(g);
-        self.cv.notify_all();
-    }
-
-    /// Reader saw EOF or an error: without a prior `Bye` (or `Dead`
-    /// already recorded) the peer crashed.
-    fn peer_hangup(&self, peer: usize, clean: bool) {
-        let mut g = self.lock();
-        let p = &mut g.peers[peer];
-        if !(clean && p.status == PeerStatus::Bye) && p.status != PeerStatus::Dead {
-            p.status = PeerStatus::Dead;
-        }
-        drop(g);
-        self.cv.notify_all();
-    }
-
-    fn dead_list(&self) -> Vec<usize> {
-        let g = self.lock();
-        let mut dead: Vec<usize> = (0..self.size)
-            .filter(|&p| g.peers[p].status == PeerStatus::Dead)
-            .collect();
-        if self.self_dead.load(Ordering::Acquire) {
-            dead.push(self.rank);
-            dead.sort_unstable();
-        }
-        dead
+        // A writer that is already gone (teardown raced a late send)
+        // hands the job back: the payload cannot leave, and dropping it
+        // with its token means nobody hangs on it either.
+        let _ = tx.send(WriteJob::Frame(frame, done));
     }
 }
 
-fn reader_loop(world: Arc<StreamWorld>, peer: usize, mut r: Box<dyn Read + Send>) {
+fn reader_loop(mailbox: &Mailbox, peer: usize, mut r: Box<dyn Read + Send>) {
     loop {
         match read_frame(&mut r) {
             Ok(Some(frame)) => {
                 let bye = frame.kind == KIND_BYE;
-                world.dispatch(peer, frame);
+                mailbox.dispatch(peer, frame);
                 if bye {
                     // Nothing meaningful follows a Bye; exit without
                     // waiting for the EOF so teardown joins promptly.
                     return;
                 }
             }
-            Ok(None) => {
-                world.peer_hangup(peer, true);
-                return;
-            }
-            Err(_) => {
-                // Truncated or corrupt stream: the peer (or the link) is
-                // gone; surfacing it as a death is the only safe reading.
-                world.peer_hangup(peer, false);
-                return;
-            }
+            // EOF at a frame boundary is clean; a truncated or corrupt
+            // stream means the peer (or the link) is gone, and surfacing
+            // it as a death is the only safe reading.
+            Ok(None) => return mailbox.hangup(peer, true),
+            Err(_) => return mailbox.hangup(peer, false),
         }
     }
 }
 
-fn writer_loop(
-    world: Arc<StreamWorld>,
-    peer: usize,
-    w: Box<dyn Write + Send>,
-    rx: Receiver<WriteJob>,
-) {
+fn writer_loop(mailbox: &Mailbox, peer: usize, w: Box<dyn Write + Send>, rx: Receiver<WriteJob>) {
     let mut w = io::BufWriter::new(w);
-    while let Ok(job) = rx.recv() {
-        match job {
-            WriteJob::Frame(frame, flag) => {
-                let res = write_frame(&mut w, &frame).and_then(|_| w.flush());
-                if let Some(flag) = flag {
-                    flag.mark();
-                }
-                if res.is_err() {
-                    world.peer_hangup(peer, false);
-                    break;
-                }
-            }
-            WriteJob::Shutdown => return,
+    while let Ok(WriteJob::Frame(frame, done)) = rx.recv() {
+        let res = write_frame(&mut w, &frame).and_then(|_| w.flush());
+        drop(done);
+        if res.is_err() {
+            // Returning drops the queue, and with it the token of every
+            // send still waiting in it.
+            return mailbox.hangup(peer, false);
         }
-    }
-    // Drain whatever is still queued so no SendOp ever hangs on a flag.
-    while let Ok(job) = rx.try_recv() {
-        if let WriteJob::Frame(_, Some(flag)) = job {
-            flag.mark();
-        }
-    }
-}
-
-/// The [`CommBackend`] face of a [`StreamWorld`].
-pub(crate) struct StreamRank(pub(crate) Arc<StreamWorld>);
-
-impl CommBackend for StreamRank {
-    fn rank(&self) -> usize {
-        self.0.rank
-    }
-
-    fn size(&self) -> usize {
-        self.0.size
-    }
-
-    fn label(&self) -> &'static str {
-        self.0.label
-    }
-
-    fn barrier(&self) {
-        let w = &self.0;
-        let gen = w.my_barrier_gen.fetch_add(1, Ordering::Relaxed) + 1;
-        for p in w.others() {
-            w.post(p, Frame::control(KIND_BARRIER, w.rank as u32, gen), None);
-        }
-        for p in w.others() {
-            w.wait_on(&[p], |sh| (sh.peers[p].barrier_gen >= gen).then_some(()));
-        }
-    }
-
-    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        let w = &self.0;
-        for p in w.others() {
-            w.post(
-                p,
-                Frame {
-                    kind: KIND_GATHER,
-                    src: w.rank as u32,
-                    tag: 0,
-                    label: label.to_string(),
-                    data: data.clone(),
-                },
-                None,
-            );
-        }
-        let mut out = Vec::with_capacity(w.size);
-        for p in 0..w.size {
-            if p == w.rank {
-                out.push(data.clone());
-            } else {
-                let (got, buf) = w.wait_on(&[p], |sh| sh.peers[p].gathers.pop_front());
-                assert_eq!(
-                    got, label,
-                    "collective mismatch: rank {} is in `{label}` while rank {p} sent `{got}`",
-                    w.rank
-                );
-                out.push(buf);
-            }
-        }
-        out
-    }
-
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        let w = &self.0;
-        assert_eq!(send.len(), w.size, "all_to_all needs one buffer per rank");
-        let mut out: Vec<Option<Vec<f64>>> = (0..w.size).map(|_| None).collect();
-        for (dst, buf) in send.into_iter().enumerate() {
-            if dst == w.rank {
-                out[dst] = Some(buf);
-            } else {
-                // Empty buffers still travel: the exchange is lockstep, so
-                // every rank pops exactly one frame per peer per call.
-                w.post(
-                    dst,
-                    Frame {
-                        kind: KIND_A2A,
-                        src: w.rank as u32,
-                        tag: 0,
-                        label: String::new(),
-                        data: buf,
-                    },
-                    None,
-                );
-            }
-        }
-        for p in 0..w.size {
-            if p != w.rank {
-                out[p] = Some(w.wait_on(&[p], |sh| sh.peers[p].a2as.pop_front()));
-            }
-        }
-        out.into_iter()
-            .map(|b| b.expect("every all_to_all slot filled"))
-            .collect()
-    }
-
-    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        let w = &self.0;
-        w.post(
-            dst,
-            Frame {
-                kind: KIND_P2P,
-                src: w.rank as u32,
-                tag: tag as u64,
-                label: String::new(),
-                data,
-            },
-            None,
-        );
-    }
-
-    fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Box<dyn SendOp> {
-        let w = &self.0;
-        let flag = Arc::new(SendFlag::new());
-        w.post(
-            dst,
-            Frame {
-                kind: KIND_P2P,
-                src: w.rank as u32,
-                tag: tag as u64,
-                label: String::new(),
-                data,
-            },
-            Some(Arc::clone(&flag)),
-        );
-        Box::new(StreamSendOp { flag })
-    }
-
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        let seq = self.0.lock().peers[src].posts.post();
-        Box::new(StreamRecvOp {
-            world: Arc::clone(&self.0),
-            src,
-            seq,
-        })
-    }
-
-    fn stats(&self) -> &RankStats {
-        &self.0.stats
-    }
-
-    fn on_rank_finish(&self, panicked: bool) {
-        if panicked {
-            self.mark_dead();
-        } else {
-            let w = &self.0;
-            for p in w.others() {
-                w.post(p, Frame::control(KIND_BYE, w.rank as u32, 0), None);
-            }
-        }
-    }
-
-    fn mark_dead(&self) {
-        let w = &self.0;
-        w.self_dead.store(true, Ordering::Release);
-        for p in w.others() {
-            w.post(
-                p,
-                Frame::control(KIND_DEAD, w.rank as u32, w.rank as u64),
-                None,
-            );
-        }
-    }
-
-    fn dead_ranks(&self) -> Vec<usize> {
-        self.0.dead_list()
-    }
-}
-
-/// A genuinely deferred send: completes when the writer thread has handed
-/// the frame to the OS — the "true isend latency" the in-process
-/// transports cannot exhibit.
-struct StreamSendOp {
-    flag: Arc<SendFlag>,
-}
-
-impl SendOp for StreamSendOp {
-    fn try_complete(&mut self) -> bool {
-        self.flag.poll()
-    }
-
-    fn complete(&mut self) {
-        self.flag.wait();
-    }
-}
-
-/// A posted receive against a peer's [`PostQueue`].
-struct StreamRecvOp {
-    world: Arc<StreamWorld>,
-    src: usize,
-    seq: u64,
-}
-
-impl RecvOp for StreamRecvOp {
-    fn try_take(&mut self) -> Option<P2pMsg> {
-        self.world.lock().peers[self.src].posts.claim(self.seq)
-    }
-
-    fn take(&mut self) -> P2pMsg {
-        let src = self.src;
-        let seq = self.seq;
-        self.world
-            .wait_on(&[src], |sh| sh.peers[src].posts.claim(seq))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::engine::{KIND_GATHER, KIND_P2P};
 
     #[test]
     fn frame_round_trips_bit_exactly() {
@@ -803,7 +302,7 @@ mod tests {
             kind: KIND_GATHER,
             src: 3,
             tag: 42,
-            label: "all_reduce_sum".to_string(),
+            label: "all_reduce_sum".into(),
             data: vec![1.5, -0.0, f64::MIN_POSITIVE, 1e300],
         };
         let bytes = encode_frame(&frame);
@@ -833,7 +332,7 @@ mod tests {
             kind: KIND_P2P,
             src: 1,
             tag: 7,
-            label: String::new(),
+            label: "".into(),
             data: vec![2.0; 16],
         });
         let mid = bytes.len() / 2;

@@ -133,9 +133,9 @@ pub enum FaultKind {
         at_send: u64,
     },
     /// Silently drop the rank's `at_send`-th point-to-point send. The
-    /// receiver's stall deadline (threads backend) or the deadlock
-    /// supervisor (serial backend) converts the resulting hang into a
-    /// typed failure.
+    /// receiver's stall deadline (every concurrent transport) or the
+    /// deadlock supervisor (serial backend) converts the resulting hang
+    /// into a failure.
     DropSend {
         /// Per-rank p2p-send index to drop.
         at_send: u64,
@@ -234,8 +234,8 @@ impl FaultPlan {
 
     /// Arm a stall deadline on receives: a blocking receive that does not
     /// complete within `deadline` aborts with [`RankFailure::Stalled`].
-    /// Applied only on transports with real concurrency (the threads
-    /// backend); the serial backend's deadlock supervisor already bounds
+    /// Applied on every transport with real concurrency (threads, proc,
+    /// socket); the serial backend's deadlock supervisor already bounds
     /// its stalls.
     pub fn stall_after(mut self, deadline: Duration) -> Self {
         self.stall = Some(deadline);
@@ -432,12 +432,12 @@ impl CommBackend for FaultInjector {
     fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
         self.tick_op();
         let op = self.inner.irecv(src);
-        // Stall supervision needs real concurrency to poll usefully: on
-        // the serial backend a polling waiter would hold the baton and
-        // starve the very sender it waits for, so the serial deadlock
-        // supervisor keeps that job.
+        // Stall supervision needs real concurrency to poll usefully: in a
+        // cooperative world (the serial backend) a polling waiter would
+        // hold the baton and starve the very sender it waits for, so the
+        // serial deadlock supervisor keeps that job.
         match self.stall {
-            Some(deadline) if self.inner.label() == "threads" => Box::new(StalledRecvOp {
+            Some(deadline) if !self.inner.is_cooperative() => Box::new(StalledRecvOp {
                 inner: op,
                 rank: self.inner.rank(),
                 src,
@@ -466,6 +466,10 @@ impl CommBackend for FaultInjector {
     fn dead_ranks(&self) -> Vec<usize> {
         self.inner.dead_ranks()
     }
+
+    fn is_cooperative(&self) -> bool {
+        self.inner.is_cooperative()
+    }
 }
 
 /// A send deferred by [`FaultKind::DelaySend`]: the payload leaves this op
@@ -489,7 +493,7 @@ impl SendOp for DeferredSend {
 }
 
 /// A receive supervised by a stall deadline (armed by
-/// [`FaultPlan::stall_after`] on the threads backend).
+/// [`FaultPlan::stall_after`] on every non-cooperative transport).
 struct StalledRecvOp {
     inner: Box<dyn RecvOp>,
     rank: usize,

@@ -1,4 +1,8 @@
-//! Raw-transport tests for the cross-process backends.
+//! Launcher tests for the cross-process backends: what only a world of
+//! real OS processes can show (typed failures crossing the process
+//! boundary, the size-1 shortcut). The transport contract itself —
+//! collectives, matching, liveness — is `tests/conformance.rs`, run over
+//! all four transports.
 //!
 //! Each test pins its own name as the re-exec argv (via `reexec_scope`),
 //! so the child rank processes re-run *exactly this test*, reach the same
@@ -6,9 +10,9 @@
 
 use std::panic::AssertUnwindSafe;
 
-use cgnn_comm::{
-    reexec_scope, Backend, Comm, FaultInjector, FaultPlan, ProcWorld, RankFailure, SocketWorld,
-};
+use std::time::Duration;
+
+use cgnn_comm::{reexec_scope, Backend, FaultInjector, FaultPlan, ProcWorld, RankFailure};
 
 const WORLD: usize = 3;
 
@@ -19,92 +23,6 @@ fn worker_args(test_name: &str) -> [String; 4] {
         "--test-threads=1".to_string(),
         "--quiet".to_string(),
     ]
-}
-
-/// The SPMD body shared by the proc and socket collectives tests:
-/// exercises every primitive, asserts on every rank, and returns a
-/// digest the spawner checks on rank 0.
-fn collectives_and_p2p(comm: &Comm) -> Vec<f64> {
-    let size = comm.size();
-    let rank = comm.rank();
-    let r = rank as f64;
-    assert_eq!(size, WORLD);
-
-    let sum = comm.all_reduce_scalar(r + 1.0);
-    assert_eq!(sum, 6.0, "1 + 2 + 3 across the world");
-    comm.barrier();
-
-    let gathered = comm.all_gather(vec![r, r * 10.0]);
-    for (src, buf) in gathered.iter().enumerate() {
-        assert_eq!(buf, &vec![src as f64, src as f64 * 10.0]);
-    }
-
-    // One buffer per destination, including an empty one to self's
-    // successor: empty frames must still keep the exchange in lockstep.
-    let send: Vec<Vec<f64>> = (0..size)
-        .map(|dst| {
-            if dst == (rank + 1) % size {
-                Vec::new()
-            } else {
-                vec![r * 10.0 + dst as f64]
-            }
-        })
-        .collect();
-    let received = comm.all_to_all(send);
-    for (src, buf) in received.iter().enumerate() {
-        if rank == (src + 1) % size {
-            assert!(buf.is_empty(), "src {src} sent an empty buffer here");
-        } else {
-            assert_eq!(buf, &vec![src as f64 * 10.0 + r]);
-        }
-    }
-
-    // Point-to-point ring with two tags and deliberately out-of-order
-    // completion: FIFO-per-peer matching must pair post k with arrival k.
-    let next = (rank + 1) % size;
-    let prev = (rank + size - 1) % size;
-    let isend = comm.isend(next, 7, vec![r, 1.0]);
-    comm.send(next, 8, vec![r, 2.0]);
-    let first = comm.irecv(prev, 7);
-    let second = comm.irecv(prev, 8);
-    let tagged8 = second.wait();
-    let tagged7 = first.wait();
-    isend.wait();
-    assert_eq!(tagged7, vec![prev as f64, 1.0]);
-    assert_eq!(tagged8, vec![prev as f64, 2.0]);
-
-    comm.barrier();
-    let snap = comm.stats_snapshot();
-    vec![
-        sum,
-        gathered[2][1],
-        received[(rank + size - 1) % size]
-            .first()
-            .copied()
-            .unwrap_or(-1.0),
-        snap.sends as f64,
-        snap.recvs as f64,
-    ]
-}
-
-#[test]
-fn proc_world_collectives_and_p2p() {
-    let _scope = reexec_scope(worker_args("proc_world_collectives_and_p2p"));
-    let out = ProcWorld::launch(WORLD, collectives_and_p2p);
-    assert_eq!(out.len(), 1, "cross-process launch returns rank 0 only");
-    assert_eq!(out[0][0], 6.0);
-    assert_eq!(out[0][1], 20.0);
-    assert_eq!(out[0][3], 2.0, "rank 0 posted two p2p sends");
-    assert_eq!(out[0][4], 2.0, "rank 0 completed two p2p receives");
-}
-
-#[test]
-fn socket_world_collectives_and_p2p() {
-    let _scope = reexec_scope(worker_args("socket_world_collectives_and_p2p"));
-    let out = SocketWorld::launch(WORLD, collectives_and_p2p);
-    assert_eq!(out.len(), 1, "cross-process launch returns rank 0 only");
-    assert_eq!(out[0][0], 6.0);
-    assert_eq!(out[0][1], 20.0);
 }
 
 #[test]
@@ -144,6 +62,40 @@ fn proc_child_kill_surfaces_typed_failure() {
         Some(RankFailure::Killed { rank: 1, op: 3 }) => {}
         other => {
             panic!("expected Killed{{rank:1,op:3}} across the process boundary, got {other:?}")
+        }
+    }
+}
+
+#[test]
+fn proc_dropped_send_surfaces_typed_stall() {
+    let _scope = reexec_scope(worker_args("proc_dropped_send_surfaces_typed_stall"));
+    // Rank 0's send is swallowed and rank 0 stays alive in a barrier, so
+    // nothing but the plan's stall deadline can end rank 1's receive.
+    // Rank 1 (a child process) must give up there and the spawner must
+    // see its typed `Stalled` — not the echo (`PeerDead`) it causes on
+    // rank 0, and not a hang.
+    let plan = FaultPlan::new()
+        .drop_send(0, 0, 0)
+        .stall_after(Duration::from_millis(100));
+    let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        Backend::Proc.launch_with(
+            2,
+            |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 7, vec![1.0]);
+                } else {
+                    comm.recv(0, 7);
+                }
+                comm.barrier();
+            },
+            FaultInjector::decorator(plan.clone(), 0),
+        );
+    }))
+    .expect_err("a stalled child rank must tear the launch down");
+    match RankFailure::from_payload(payload.as_ref()) {
+        Some(RankFailure::Stalled { rank: 1, src: 0 }) => {}
+        other => {
+            panic!("expected Stalled{{rank:1,src:0}} across the process boundary, got {other:?}")
         }
     }
 }

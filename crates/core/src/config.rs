@@ -319,13 +319,15 @@ pub const CGNN_SERVE_BENCH_REQS: EnvKnob = EnvKnob {
           example defaults to 20.",
 };
 
-/// Liveness-probe heartbeat of the threads comm backend: how often a
-/// blocked barrier/receive re-checks the dead set.
+/// Liveness-probe heartbeat of the comm engine's heartbeat park policy
+/// (threads, proc, socket): how often a blocked collective/receive
+/// re-checks the peer table.
 pub const CGNN_FAULT_HEARTBEAT_MS: EnvKnob = EnvKnob {
     name: "CGNN_FAULT_HEARTBEAT_MS",
     default: "25",
-    doc: "Threads-backend liveness heartbeat (ms): how often blocked \
-          barriers and receives re-check for dead peers.",
+    doc: "Comm liveness heartbeat (ms): how often a rank blocked in a \
+          collective or receive re-checks for dead peers (threads, proc \
+          and socket transports).",
 };
 
 /// Elastic-recovery budget: how many world rebuilds
