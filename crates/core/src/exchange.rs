@@ -3,7 +3,11 @@
 //! Every consistent strategy is the same three steps — **pack** the
 //! shared rows per neighbour, **transfer** the buffers, **accumulate**
 //! what came back into the owner rows (Eq. 4c-d) — and the strategies
-//! differ only in the transfer. This module is that one core (`pack`,
+//! differ only in the transfer. The exchange is **in place**: every pack
+//! reads the tensor before any accumulate writes it, so the caller's
+//! tensor goes in as `a` and comes out as `a*` with no copy made here
+//! (the one copy lives in the [`halo_exchange_apply`] convenience, for
+//! callers that keep `a`). This module is that one core (`pack`,
 //! `accumulate_halos`, the split-phase [`PendingExchange`]) plus five
 //! transfer plans, each an implementation of the object-safe
 //! [`HaloExchange`] trait a few lines long, so a new schedule is a new
@@ -69,11 +73,13 @@ pub struct ExchangeTraffic {
 /// An object-safe halo exchange strategy: one synchronization of shared
 /// node rows across partition boundaries (paper Eqs. 4c-4d).
 ///
-/// Contract for consistent strategies: after [`HaloExchange::exchange`],
-/// every coincident copy of a shared node holds the **sum** of all
-/// pre-exchange copies, and interior rows are untouched. The operator is
-/// globally symmetric (`H = H^T`), which is why the backward pass of the
-/// differentiable swap is the same exchange applied to the adjoints.
+/// Contract for consistent strategies: [`HaloExchange::exchange`] works
+/// **in place** — when it returns, every coincident copy of a shared node
+/// holds the **sum** of all pre-exchange copies, and interior rows are
+/// untouched. Implementations must finish reading `a` (packing) before
+/// they write it (accumulating). The operator is globally symmetric
+/// (`H = H^T`), which is why the backward pass of the differentiable swap
+/// is the same exchange applied to the adjoints.
 ///
 /// Implementations that need a communication plan (buffer sizes, peer
 /// offsets) compute it in their constructor, which is then a *collective*
@@ -87,14 +93,15 @@ pub trait HaloExchange: Send + Sync {
     fn is_consistent(&self) -> bool;
 
     /// Execute one halo swap + synchronization on a `[n_local, cols]`
-    /// tensor, returning `a*` with shared rows summed across ranks.
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor;
+    /// tensor, turning `a` into `a*`: shared rows summed across ranks.
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm);
 
     /// Split-phase variant for strategies that can expose a compute/comm
     /// overlap window: post every send and receive of the exchange of `a`
     /// and return the in-flight handle **without waiting**. The caller runs
-    /// independent compute, then [`PendingExchange::finish`]es, which must
-    /// leave `a` exactly as [`HaloExchange::exchange`] would have.
+    /// independent compute that leaves the shared rows of `a` alone, then
+    /// [`PendingExchange::finish`]es into `a`, which must leave it exactly
+    /// as [`HaloExchange::exchange`] would have.
     ///
     /// The default (`None`) marks a strategy whose schedule cannot be
     /// split; callers fall back to the blocking [`HaloExchange::exchange`].
@@ -247,6 +254,19 @@ impl HaloContext {
     pub fn is_consistent(&self) -> bool {
         self.strategy.is_consistent()
     }
+
+    /// Start one exchange of `a` in place. A split-phase strategy returns
+    /// its in-flight handle — the overlap window is open until the caller
+    /// [`PendingExchange::finish`]es into `a`; any other strategy has
+    /// nothing to leave in flight and completes the exchange before
+    /// returning `None`.
+    pub(crate) fn begin(&self, a: &mut Tensor, graph: &LocalGraph) -> Option<PendingExchange> {
+        let pending = self.strategy.begin(a, graph, &self.comm);
+        if pending.is_none() {
+            self.strategy.exchange(a, graph, &self.comm);
+        }
+        pending
+    }
 }
 
 /// Execute one halo swap + synchronization (paper Eqs. 4c-4d) on a raw
@@ -264,7 +284,9 @@ pub fn halo_exchange_apply(a: &Tensor, graph: &LocalGraph, ctx: &HaloContext) ->
         graph.n_local(),
         "halo exchange expects local rows only"
     );
-    ctx.strategy.exchange(a, graph, &ctx.comm)
+    let mut out = a.clone();
+    ctx.strategy.exchange(&mut out, graph, &ctx.comm);
+    out
 }
 
 /// Pack: the rows shared with neighbours `nis` (in neighbour order) in
@@ -273,7 +295,7 @@ pub fn halo_exchange_apply(a: &Tensor, graph: &LocalGraph, ctx: &HaloContext) ->
 fn pack(a: &Tensor, graph: &LocalGraph, nis: Range<usize>, min_len: usize) -> Vec<f64> {
     let ids = &graph.halo.send_ids[nis];
     let len = (ids.iter().map(Vec::len).sum::<usize>() * a.cols()).max(min_len);
-    // detlint: allow(hotpath-reachability, "owned-Vec wire contract: the comm API takes each message by value, so a fresh send buffer per call is the protocol; pooled reuse needs the compressed-wire API tracked in ROADMAP")
+    // detlint: allow(hotpath-reachability, "owned-Vec wire contract: the comm API takes each message by value and the receiver keeps it, so a fresh send buffer per message is the protocol")
     let mut buf = Vec::with_capacity(len);
     for &lid in ids.iter().flatten() {
         buf.extend_from_slice(a.row(lid));
@@ -313,7 +335,7 @@ fn accumulate_halos<'a>(
 /// The collective plan: one `all_to_all` carrying each neighbour's
 /// payload, every buffer to another rank padded to `pad` values (0: none,
 /// so non-neighbours get the empty buffer the collective skips).
-fn all_to_all(a: &Tensor, graph: &LocalGraph, comm: &Comm, pad: usize) -> Tensor {
+fn all_to_all(a: &mut Tensor, graph: &LocalGraph, comm: &Comm, pad: usize) {
     let send = (0..comm.size())
         .map(|dst| match graph.halo.neighbors.binary_search(&dst) {
             Ok(ni) => pack(a, graph, ni..ni + 1, pad),
@@ -322,9 +344,7 @@ fn all_to_all(a: &Tensor, graph: &LocalGraph, comm: &Comm, pad: usize) -> Tensor
         })
         .collect();
     let recv = comm.all_to_all(send);
-    let mut out = a.clone();
-    accumulate_halos(&mut out, graph, |_, s| recv[s].as_slice());
-    out
+    accumulate_halos(a, graph, |_, s| recv[s].as_slice());
 }
 
 /// An in-flight point-to-point halo exchange: every isend/irecv posted,
@@ -332,8 +352,8 @@ fn all_to_all(a: &Tensor, graph: &LocalGraph, comm: &Comm, pad: usize) -> Tensor
 ///
 /// Between construction ([`HaloExchange::begin`]) and
 /// [`PendingExchange::finish`] lies the **overlap window** — the stretch
-/// where the NMP layer runs the interior-node MLP while halos travel (the
-/// restructuring ROADMAP item #1 called for). `finish` completes receives
+/// where the NMP layer runs the interior-node MLP while halos travel.
+/// `finish` completes receives
 /// in posted neighbour order (not arrival order), so the accumulation
 /// order — and therefore every bit of the result — is the same however
 /// long the window was.
@@ -366,13 +386,6 @@ impl PendingExchange {
         }
         accumulate_halos(out, graph, |ni, _| recvs[ni].as_slice());
     }
-
-    /// The blocking form: post and finish with nothing in between.
-    fn exchange(a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
-        let mut out = a.clone();
-        PendingExchange::post(a, graph, comm).finish(&mut out, graph);
-        out
-    }
 }
 
 /// The inconsistent baseline: no synchronization at all ("standard NMP").
@@ -388,9 +401,7 @@ impl HaloExchange for NoExchange {
         false
     }
 
-    fn exchange(&self, a: &Tensor, _graph: &LocalGraph, _comm: &Comm) -> Tensor {
-        a.clone()
-    }
+    fn exchange(&self, _a: &mut Tensor, _graph: &LocalGraph, _comm: &Comm) {}
 
     fn traffic_per_exchange(
         &self,
@@ -433,7 +444,7 @@ impl HaloExchange for DenseAllToAll {
         true
     }
 
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
         all_to_all(a, graph, comm, self.max_shared * a.cols())
     }
 
@@ -464,7 +475,7 @@ impl HaloExchange for NeighborAllToAll {
         true
     }
 
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
         all_to_all(a, graph, comm, 0)
     }
 }
@@ -485,8 +496,8 @@ impl HaloExchange for SendRecvExchange {
         true
     }
 
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
-        PendingExchange::exchange(a, graph, comm)
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
+        PendingExchange::post(a, graph, comm).finish(a, graph)
     }
 }
 
@@ -514,8 +525,8 @@ impl HaloExchange for OverlappedNeighborExchange {
         true
     }
 
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
-        PendingExchange::exchange(a, graph, comm)
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
+        PendingExchange::post(a, graph, comm).finish(a, graph)
     }
 
     fn begin(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Option<PendingExchange> {
@@ -580,18 +591,16 @@ impl HaloExchange for CoalescedAllGather {
         true
     }
 
-    fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
-        let mut out = a.clone();
+    fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
         let cols = a.cols();
         // Every neighbour's payload in one buffer, in neighbour order
         // (matching `HaloPlan::halo_offset`).
         let fused = pack(a, graph, 0..graph.halo.neighbors.len(), 0);
         let gathered = comm.all_gather(fused);
-        accumulate_halos(&mut out, graph, |ni, s| {
+        accumulate_halos(a, graph, |ni, s| {
             let start = self.offsets[ni] * cols;
             &gathered[s][start..start + graph.halo.send_ids[ni].len() * cols]
         });
-        out
     }
 
     fn traffic_per_exchange(&self, g: &LocalGraph, world: usize, cols: usize) -> ExchangeTraffic {
@@ -826,7 +835,7 @@ mod tests {
             fn is_consistent(&self) -> bool {
                 true
             }
-            fn exchange(&self, a: &Tensor, graph: &LocalGraph, comm: &Comm) -> Tensor {
+            fn exchange(&self, a: &mut Tensor, graph: &LocalGraph, comm: &Comm) {
                 self.calls.fetch_add(1, Ordering::Relaxed);
                 self.inner.exchange(a, graph, comm)
             }

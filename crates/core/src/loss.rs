@@ -29,16 +29,17 @@ impl CustomOp for AllReduceSumOp {
     }
 
     fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        // detlint: allow(hotpath-reachability, "CustomOp::backward returns owned gradients by contract; an aliased pass-through gradient fast path is tracked in ROADMAP")
+        // detlint: allow(hotpath-reachability, "CustomOp::backward returns owned gradients by contract; this one is a 1x1 scalar")
         vec![Some(grad_out.clone())]
     }
 }
 
 /// Record a scalar sum-all-reduce on the tape.
 pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
-    let local = tape.value(v).item();
-    let global = comm.all_reduce_scalar(local);
-    tape.custom(vec![v], Tensor::scalar(global), Box::new(AllReduceSumOp))
+    let global = comm.all_reduce_scalar(tape.value(v).item());
+    let mut value = tape.value_copy(v);
+    value.data_mut()[0] = global;
+    tape.custom(vec![v], value, Box::new(AllReduceSumOp))
 }
 
 /// Consistent MSE between prediction `pred` (`[n_local, F_y]` on the tape)
@@ -66,7 +67,7 @@ pub fn consistent_mse(
     );
 
     // S_r (Eq. 6b): degree-weighted sum of squared errors.
-    let t = tape.leaf(target.clone());
+    let t = tape.leaf_copy(target);
     let diff = tape.sub(pred, t);
     let s_r = tape.weighted_sq_sum(diff, inv_degree.clone());
 
@@ -84,7 +85,7 @@ pub fn consistent_mse(
 /// demonstrate the violation of Eq. 2.
 pub fn local_mse(tape: &mut Tape, pred: VarId, target: &Tensor) -> VarId {
     let (n, fy) = target.shape();
-    let t = tape.leaf(target.clone());
+    let t = tape.leaf_copy(target);
     let diff = tape.sub(pred, t);
     let w = Arc::new(vec![1.0; n]);
     let s = tape.weighted_sq_sum(diff, w);

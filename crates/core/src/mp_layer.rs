@@ -135,17 +135,35 @@ impl CustomOp for HaloSyncOp {
     }
 }
 
-/// Record a halo-sync node with an already-computed `a*` value — shared by
-/// the blocking and the overlapped (split-phase) schedules, so both paths
-/// always record the identical gradient graph.
-fn record_halo_sync(
+/// Record the differentiable halo sync of `a` (Eq. 4c-d) and, after it,
+/// whatever `consume` records from the synchronized `a*`; returns
+/// `consume`'s result.
+///
+/// One recording for every plan: `a*` starts as a pooled copy of `a`
+/// recorded under a [`HaloSyncOp`], and the exchange then completes it in
+/// place. A split-phase strategy ([`crate::exchange::HaloExchange::begin`],
+/// i.e. `Ovl-SR`) runs `consume` inside the post→wait window under a row
+/// mask — interior rows, which the exchange cannot touch, are computed
+/// while halos travel, boundary rows are backfilled once they arrived —
+/// so `consume` may then record row-separable ops only. Any other
+/// strategy exchanges first and runs `consume` on all rows. The recorded
+/// ops, their final values, and therefore the entire backward pass are
+/// bit-identical between the two — only the execution order differs.
+///
+/// Identity (nothing recorded, `consume` reads `a`) on inconsistent
+/// strategies and single-rank worlds.
+fn halo_sync_then(
     tape: &mut Tape,
     a: VarId,
-    value: Tensor,
     graph: &Arc<LocalGraph>,
     ctx: &HaloContext,
+    consume: impl FnOnce(&mut Tape, VarId) -> VarId,
 ) -> VarId {
-    tape.custom(
+    if !ctx.is_consistent() || ctx.comm.size() == 1 {
+        return consume(tape, a);
+    }
+    let value = tape.value_copy(a);
+    let a_star = tape.custom(
         // detlint: allow(hotpath-alloc, "1-element parent list per halo-sync record; the tape API takes an owned Vec")
         vec![a],
         value,
@@ -153,17 +171,27 @@ fn record_halo_sync(
             graph: Arc::clone(graph),
             ctx: ctx.clone(),
         }),
-    )
+    );
+    let Some(pending) = ctx.begin(tape.value_mut(a_star), graph) else {
+        return consume(tape, a_star);
+    };
+    // --- Overlap window: interior rows while halos are in flight.
+    let t_window = std::time::Instant::now();
+    tape.begin_row_mask(Arc::clone(&graph.interior_rows));
+    let out = consume(tape, a_star);
+    let window_ns = t_window.elapsed().as_nanos() as u64;
+    // --- Close the window: wait + accumulate halos (Eq. 4d) into the sync
+    // node's boundary rows, then backfill those rows through the chain.
+    let t_wait = std::time::Instant::now();
+    pending.finish(tape.value_mut(a_star), graph);
+    overlap_stats::record(window_ns, t_wait.elapsed().as_nanos() as u64);
+    tape.end_row_mask(&graph.boundary_rows);
+    out
 }
 
 /// Record the halo sync on the tape (performs the forward exchange).
 pub fn halo_sync(tape: &mut Tape, a: VarId, graph: &Arc<LocalGraph>, ctx: &HaloContext) -> VarId {
-    if !ctx.is_consistent() || ctx.comm.size() == 1 {
-        // Identity; nothing to record.
-        return a;
-    }
-    let value = halo_exchange_apply(tape.value(a), graph, ctx);
-    record_halo_sync(tape, a, value, graph, ctx)
+    halo_sync_then(tape, a, graph, ctx, |_, a_star| a_star)
 }
 
 /// One consistent neural message passing layer.
@@ -245,75 +273,14 @@ impl ConsistentMpLayer {
         let scaled = tape.row_scale(e_new, idx.edge_inv_degree.clone());
         let a = tape.scatter_add_rows(scaled, idx.dst.clone(), idx.n_local);
 
-        // (3)+(4)+(5): halo swap, synchronization, node update.
-        let x_upd = self.node_update(tape, bound, x, a, graph, ctx);
+        // (3)+(4)+(5): halo swap, synchronization, node update — the node
+        // MLP is what runs in the overlap window when there is one.
+        let x_upd = halo_sync_then(tape, a, graph, ctx, |tape, a_star| {
+            let cat = tape.gather_concat(&[(a_star, None), (x, None)]);
+            self.node_mlp.forward(tape, bound, cat)
+        });
         let x_new = tape.add(x_upd, x);
         (x_new, e_new)
-    }
-
-    /// Stages (3)–(5): exchange the aggregates and run the node MLP,
-    /// overlapping interior compute with the exchange when the strategy
-    /// exposes a split-phase window.
-    fn node_update(
-        &self,
-        tape: &mut Tape,
-        bound: &BoundParams,
-        x: VarId,
-        a: VarId,
-        graph: &Arc<LocalGraph>,
-        ctx: &HaloContext,
-    ) -> VarId {
-        let exchanging = ctx.is_consistent() && ctx.comm.size() > 1;
-        if exchanging {
-            if let Some(pending) = ctx.strategy().begin(tape.value(a), graph, &ctx.comm) {
-                return self.overlapped_node_update(tape, bound, x, a, graph, ctx, pending);
-            }
-        }
-        // Blocking path: full exchange, then the node MLP on all rows.
-        let a_star = halo_sync(tape, a, graph, ctx);
-        let cat = tape.gather_concat(&[(a_star, None), (x, None)]);
-        self.node_mlp.forward(tape, bound, cat)
-    }
-
-    /// The overlapped schedule: isends/irecvs are already posted. The
-    /// node-MLP chain is recorded **monolithically** under a tape row mask:
-    /// interior rows (which the exchange cannot touch) are computed inside
-    /// the post→wait window, boundary rows are backfilled after the halos
-    /// arrive. The recorded ops, their final values, and therefore the
-    /// entire backward pass are bit-identical to the blocking Send-Recv
-    /// schedule — only the execution order differs.
-    #[allow(clippy::too_many_arguments)]
-    fn overlapped_node_update(
-        &self,
-        tape: &mut Tape,
-        bound: &BoundParams,
-        x: VarId,
-        a: VarId,
-        graph: &Arc<LocalGraph>,
-        ctx: &HaloContext,
-        pending: crate::exchange::PendingExchange,
-    ) -> VarId {
-        // Record the differentiable sync node now; its interior rows are
-        // already final (the exchange only adds into boundary rows), the
-        // boundary rows complete when the window closes.
-        let a_star_val = tape.value_copy(a);
-        let a_star = record_halo_sync(tape, a, a_star_val, graph, ctx);
-
-        // --- Overlap window: interior-node MLP while halos are in flight.
-        let t_window = std::time::Instant::now();
-        tape.begin_row_mask(Arc::clone(&graph.interior_rows));
-        let cat = tape.gather_concat(&[(a_star, None), (x, None)]);
-        let x_upd = self.node_mlp.forward(tape, bound, cat);
-        let window_ns = t_window.elapsed().as_nanos() as u64;
-
-        // --- Close the window: wait + accumulate halos (Eq. 4d) into the
-        // sync node's boundary rows, then backfill those rows through the
-        // recorded chain.
-        let t_wait = std::time::Instant::now();
-        pending.finish(tape.value_mut(a_star), graph);
-        overlap_stats::record(window_ns, t_wait.elapsed().as_nanos() as u64);
-        tape.end_row_mask(&graph.boundary_rows);
-        x_upd
     }
 
     /// Total trainable scalars in this layer's two MLPs.

@@ -87,12 +87,11 @@ pub struct Trainer {
     batch_cache: std::cell::RefCell<BatchCache>,
 }
 
-/// Memoized `LocalGraph::replicated` results for one base graph
-/// (address-keyed: [`RankData`] holds its graph behind an `Arc`, so the
-/// address is stable for the graph's lifetime).
+/// Memoized `LocalGraph::replicated` results for one base graph, which
+/// the cache keeps alive so that its identity cannot be reused.
 #[derive(Default)]
 struct BatchCache {
-    base: usize,
+    base: Option<Arc<LocalGraph>>,
     per_size: std::collections::BTreeMap<usize, (Arc<LocalGraph>, GraphIndices)>,
 }
 
@@ -127,6 +126,13 @@ impl Trainer {
         cgnn_tensor::restore_into(&mut self.params, params)?;
         self.opt.set_state(opt.clone());
         Ok(())
+    }
+
+    /// Number of `f64`s parked in this trainer's tape workspace
+    /// ([`Tape::pooled_len`]): flat from step to step, whatever mix of
+    /// training, evaluation and inference runs on it.
+    pub fn pooled_len(&self) -> usize {
+        self.tape.borrow().pooled_len()
     }
 
     /// Number of optimizer steps this trainer has taken (checkpoint
@@ -213,9 +219,8 @@ impl Trainer {
         // Memoized disjoint union of `b` copies of the base graph.
         {
             let mut cache = self.batch_cache.borrow_mut();
-            let key = Arc::as_ptr(base) as usize;
-            if cache.base != key {
-                cache.base = key;
+            if !cache.base.as_ref().is_some_and(|g| Arc::ptr_eq(g, base)) {
+                cache.base = Some(Arc::clone(base));
                 cache.per_size.clear();
             }
             cache.per_size.entry(b).or_insert_with(|| {
@@ -506,6 +511,32 @@ mod tests {
         let batch: Vec<&RankData> = samples.iter().take(2).collect();
         let again = trainer.predict_batch(&batch);
         assert_eq!(again[1].data(), trainer.predict(&samples[1]).data());
+    }
+
+    /// The union-graph cache is keyed on the base graph's identity, so it
+    /// must keep that graph alive: an allocation whose last outside
+    /// reference is gone can come back holding a different graph (here by
+    /// `Arc::make_mut`, which writes in place when the `Arc` is unique; in
+    /// the wild by the allocator reusing the address), and an address-keyed
+    /// cache would serve that graph the old one's unions.
+    #[test]
+    fn predict_batch_cache_is_not_fooled_by_a_recycled_graph_allocation() {
+        let field = TaylorGreen::new(0.01);
+        let ctx = HaloContext::single(cgnn_comm::LoopbackBackend::comm());
+        let trainer = Trainer::new(GnnConfig::small(), 42, 1e-3, ctx);
+        let pair = |g: &Arc<LocalGraph>| {
+            [0.0, 0.1].map(|t| RankData::tgv_autoencode(Arc::clone(g), &field, t))
+        };
+        let mut graph = Arc::new(build_global_graph(&BoxMesh::tgv_cube(2, 2)));
+        let old = pair(&graph);
+        trainer.predict_batch(&[&old[0], &old[1]]);
+        drop(old);
+        *Arc::make_mut(&mut graph) = build_global_graph(&BoxMesh::tgv_cube(3, 1));
+        let new = pair(&graph);
+        let stacked = trainer.predict_batch(&[&new[0], &new[1]]);
+        for (k, d) in new.iter().enumerate() {
+            assert_eq!(stacked[k].data(), trainer.predict(d).data(), "sample {k}");
+        }
     }
 
     /// Distributed (halo-carrying) data takes the per-sample fallback and

@@ -19,6 +19,12 @@
 //! heap allocation in the tensor hot path. Arithmetic is unaffected:
 //! recycled buffers are fully overwritten (or zeroed where kernels
 //! accumulate), so a reset tape replays bit-identically to a fresh one.
+//!
+//! The pool is **closed**: it takes back only as many buffers of a length
+//! as it has handed out. A tensor that entered from outside
+//! ([`Tape::leaf`], a [`CustomOp`] gradient) is dropped at `reset` /
+//! `recycle` unless a pool-born buffer of its length left for good, so
+//! the pool never holds more than the high-water mark of one step.
 
 use std::sync::Arc;
 
@@ -75,8 +81,8 @@ pub(crate) enum Op {
     AddRow(VarId, VarId),
     /// `C = alpha * A`
     Scale(VarId, f64),
-    /// Column-wise concatenation; stores parent column widths.
-    ConcatCols(Vec<(VarId, usize)>),
+    /// Column-wise concatenation (parts carry no gather indices).
+    ConcatCols(Vec<GatherPart>),
     /// Fused gather + column concatenation:
     /// `C[i, :] = [P0[idx0[i]] | P1[idx1[i]] | ...]` (`None` index = row i).
     GatherConcat(Vec<GatherPart>),
@@ -84,9 +90,6 @@ pub(crate) enum Op {
     GatherRows(VarId, Arc<Vec<usize>>, usize),
     /// `C[idx[i]] += A[i]`, C has `out_rows` rows.
     ScatterAddRows(VarId, Arc<Vec<usize>>),
-    /// Disjoint row merge: `C[idx_p[i]] = P_p[i]` over all parts `p`; the
-    /// index lists partition the output rows.
-    MergeRows(Vec<(VarId, Arc<Vec<usize>>)>),
     /// `C[i, :] = w[i] * A[i, :]` with constant weights.
     RowScale(VarId, Arc<Vec<f64>>),
     /// ELU activation (alpha = 1).
@@ -120,22 +123,37 @@ pub(crate) struct Node {
 /// same op sequence every iteration, so every request finds a bucket with a
 /// buffer of exactly the right size — no reallocation, no zero-fill of
 /// grown tails, steady-state steps allocate nothing.
+///
+/// Each bucket counts the buffers it has lent and [`BufPool::put`] takes a
+/// buffer back only against that count, so `free + lent` of a length grows
+/// only when a `take` finds the bucket empty: the pool holds at most one
+/// step's high-water mark however many foreign tensors pass through.
 #[derive(Default)]
 struct BufPool {
-    by_len: std::collections::HashMap<usize, Vec<Vec<f64>>>,
+    by_len: std::collections::BTreeMap<usize, Bucket>,
+}
+
+#[derive(Default)]
+struct Bucket {
+    free: Vec<Vec<f64>>,
+    lent: usize,
 }
 
 impl BufPool {
     fn take(&mut self, len: usize) -> Vec<f64> {
-        self.by_len
-            .get_mut(&len)
-            .and_then(Vec::pop)
-            .unwrap_or_default()
+        let bucket = self.by_len.entry(len).or_default();
+        bucket.lent += 1;
+        bucket.free.pop().unwrap_or_default()
     }
 
+    /// The only way into the pool: `buf` is kept if a buffer of its length
+    /// is still out on loan, dropped otherwise.
     fn put(&mut self, buf: Vec<f64>) {
-        if buf.capacity() > 0 {
-            self.by_len.entry(buf.len()).or_default().push(buf);
+        if let Some(bucket) = self.by_len.get_mut(&buf.len()) {
+            if bucket.lent > 0 {
+                bucket.lent -= 1;
+                bucket.free.push(buf);
+            }
         }
     }
 
@@ -145,6 +163,12 @@ impl BufPool {
 
     fn zeroed(&mut self, rows: usize, cols: usize) -> Tensor {
         Tensor::from_pool_zeroed(rows, cols, self.take(rows * cols))
+    }
+
+    fn scalar(&mut self, value: f64) -> Tensor {
+        let mut out = self.uninit(1, 1);
+        out.data_mut()[0] = value;
+        out
     }
 
     fn copy_of(&mut self, t: &Tensor) -> Tensor {
@@ -240,15 +264,28 @@ impl Tape {
         let mask = self.mask.take().expect("no row mask active");
         for i in mask.first_node..self.nodes.len() {
             let (before, rest) = self.nodes.split_at_mut(i);
-            compute_node_rows(before, &mut rest[0], complement);
+            let Node { value, op } = &mut rest[0];
+            RowKernel::of(before, op).fill(value, complement);
         }
     }
 
-    /// Fill the mask rows of a freshly pushed masked node.
-    fn masked_fill(&mut self, id: VarId) {
-        let rows = Arc::clone(&self.mask.as_ref().expect("mask active").rows);
-        let (before, rest) = self.nodes.split_at_mut(id.0);
-        compute_node_rows(before, &mut rest[0], &rows);
+    /// Record a row-separable op with a `[rows, cols]` value: every row is
+    /// computed now, or only the mask rows while a row mask is active
+    /// ([`Tape::end_row_mask`] computes the rest) — by the same kernel, so
+    /// a value assembled from any partition of its rows is bit-identical
+    /// to the one computed whole.
+    fn record_rows(&mut self, rows: usize, cols: usize, op: Op) -> VarId {
+        let mut out = self.pool.uninit(rows, cols);
+        {
+            let kernel = RowKernel::of(&self.nodes, &op);
+            match &self.mask {
+                Some(mask) => kernel.fill(&mut out, &mask.rows),
+                None => for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
+                    kernel.run(chunk, cols, first_row, nrows);
+                }),
+            }
+        }
+        self.push(out, op)
     }
 
     /// Guard for ops that cannot participate in a row-masked region.
@@ -295,11 +332,15 @@ impl Tape {
     /// Copy of a recorded value, drawn from the workspace pool (for callers
     /// that need an owned tensor to mutate, e.g. halo accumulation).
     pub fn value_copy(&mut self, id: VarId) -> Tensor {
-        let buf = self.pool.take(self.nodes[id.0].value.len());
-        let v = &self.nodes[id.0].value;
-        let mut out = Tensor::from_pool_uninit(v.rows(), v.cols(), buf);
-        v.copy_into(&mut out);
-        out
+        self.pool.copy_of(&self.nodes[id.0].value)
+    }
+
+    /// Number of `f64`s parked in the workspace pool, i.e. held for reuse
+    /// and not part of any recorded value or outstanding gradient. Flat
+    /// from step to step once the pool has seen one full step.
+    pub fn pooled_len(&self) -> usize {
+        let parked = |(len, bucket): (&usize, &Bucket)| len * bucket.free.len();
+        self.pool.by_len.iter().map(parked).sum()
     }
 
     /// Mutable access to a recorded value — the completion hook of the
@@ -355,7 +396,6 @@ impl Tape {
     }
 
     fn linear_impl(&mut self, x: VarId, w: VarId, b: VarId, elu: bool) -> VarId {
-        let buf = self.pool.take(self.value(x).rows() * self.value(w).cols());
         let (vx, vw, vb) = (self.value(x), self.value(w), self.value(b));
         assert_eq!(
             vx.cols(),
@@ -367,31 +407,7 @@ impl Tape {
             vw.cols()
         );
         assert_eq!(vb.shape(), (1, vw.cols()), "linear bias shape");
-        let (k, n) = (vx.cols(), vw.cols());
-        if self.mask.is_some() {
-            let out = Tensor::from_pool_uninit(vx.rows(), n, buf);
-            let id = self.push(out, Op::Linear { x, w, b, elu });
-            self.masked_fill(id);
-            return id;
-        }
-        let mut out = Tensor::from_pool_uninit(vx.rows(), n, buf);
-        let x_data = vx.data();
-        let w_data = vw.data();
-        let bias = vb.data();
-        for_row_chunks(out.data_mut(), n, |first_row, nrows, chunk| {
-            crate::tensor::gemm_rows(
-                x_data,
-                w_data,
-                chunk,
-                first_row,
-                nrows,
-                k,
-                n,
-                Some(bias),
-                elu,
-            );
-        });
-        self.push(out, Op::Linear { x, w, b, elu })
+        self.record_rows(vx.rows(), vw.cols(), Op::Linear { x, w, b, elu })
     }
 
     /// `a + b` elementwise.
@@ -469,11 +485,10 @@ impl Tape {
     /// Concatenate along columns.
     pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
         self.assert_unmasked("concat_cols");
-        let meta: Vec<(VarId, usize)> = parts.iter().map(|&p| (p, self.value(p).cols())).collect();
-        let fused: Vec<(VarId, Option<Arc<Vec<usize>>>)> =
-            parts.iter().map(|&p| (p, None)).collect();
-        let v = self.gather_concat_value(&fused);
-        self.push(v, Op::ConcatCols(meta))
+        let fused: Vec<_> = parts.iter().map(|&p| (p, None)).collect();
+        let (rows, meta) = self.gather_parts(&fused);
+        let cols = meta.iter().map(|p| p.cols).sum();
+        self.record_rows(rows, cols, Op::ConcatCols(meta))
     }
 
     /// Fused gather + column concatenation — the message-passing prologue
@@ -483,80 +498,34 @@ impl Tape {
     /// All gathered index lists must share one length; `None` parts must
     /// have exactly that many rows.
     pub fn gather_concat(&mut self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> VarId {
-        let meta: Vec<GatherPart> = parts
+        let (rows, meta) = self.gather_parts(parts);
+        let cols = meta.iter().map(|p| p.cols).sum();
+        self.record_rows(rows, cols, Op::GatherConcat(meta))
+    }
+
+    /// Validate the parts of a [`Tape::concat_cols`] / [`Tape::gather_concat`]
+    /// and return the output row count with the recorded part list.
+    fn gather_parts(&self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> (usize, Vec<GatherPart>) {
+        assert!(!parts.is_empty(), "gather_concat needs at least one part");
+        let rows = match &parts[0] {
+            (_, Some(ix)) => ix.len(),
+            (p, None) => self.value(*p).rows(),
+        };
+        let meta = parts
             .iter()
-            .map(|(p, idx)| GatherPart {
-                src: *p,
-                idx: idx.clone(),
-                cols: self.value(*p).cols(),
-            })
-            .collect();
-        if self.mask.is_some() {
-            assert!(!parts.is_empty(), "gather_concat needs at least one part");
-            let rows = parts
-                .iter()
-                .map(|(p, idx)| idx.as_ref().map_or(self.value(*p).rows(), |ix| ix.len()))
-                .next()
-                .expect("non-empty parts");
-            // Same validation contract as the unmasked path.
-            for (p, idx) in parts {
+            .map(|(p, idx)| {
                 match idx {
                     Some(ix) => assert_eq!(ix.len(), rows, "gather_concat index length mismatch"),
                     None => assert_eq!(self.value(*p).rows(), rows, "gather_concat row mismatch"),
                 }
-            }
-            let cols: usize = meta.iter().map(|p| p.cols).sum();
-            let out = Tensor::from_pool_uninit(rows, cols, self.pool.take(rows * cols));
-            let id = self.push(out, Op::GatherConcat(meta));
-            self.masked_fill(id);
-            return id;
-        }
-        let v = self.gather_concat_value(parts);
-        self.push(v, Op::GatherConcat(meta))
-    }
-
-    /// Shared forward kernel of [`Tape::concat_cols`] / [`Tape::gather_concat`].
-    fn gather_concat_value(&mut self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> Tensor {
-        assert!(!parts.is_empty(), "gather_concat needs at least one part");
-        let rows = parts
-            .iter()
-            .map(|(p, idx)| idx.as_ref().map_or(self.value(*p).rows(), |ix| ix.len()))
-            .next()
-            .expect("non-empty parts");
-        let cols: usize = parts.iter().map(|(p, _)| self.value(*p).cols()).sum();
-        let buf = self.pool.take(rows * cols);
-        let views: Vec<(&Tensor, Option<&[usize]>)> = parts
-            .iter()
-            .map(|(p, idx)| {
-                let t = &self.nodes[p.0].value;
-                let ix = idx.as_ref().map(|a| a.as_slice());
-                if let Some(ix) = ix {
-                    assert_eq!(ix.len(), rows, "gather_concat index length mismatch");
-                } else {
-                    assert_eq!(t.rows(), rows, "gather_concat row mismatch");
+                GatherPart {
+                    src: *p,
+                    idx: idx.clone(),
+                    cols: self.value(*p).cols(),
                 }
-                (t, ix)
             })
             .collect();
-        let mut out = Tensor::from_pool_uninit(rows, cols, buf);
-        for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let r = first_row + i;
-                let o_row = &mut chunk[i * cols..(i + 1) * cols];
-                let mut off = 0;
-                for (t, ix) in &views {
-                    let src = ix.map_or(r, |ix| ix[r]);
-                    let w = t.cols();
-                    // Element loop, not copy_from_slice: a per-row memcpy
-                    // call dominates these narrow (~8-wide) copies.
-                    for (o, &v) in o_row[off..off + w].iter_mut().zip(t.row(src).iter()) {
-                        *o = v;
-                    }
-                    off += w;
-                }
-            }
-        });
-        out
+        (rows, meta)
     }
 
     /// `out[i] = a[idx[i]]`.
@@ -580,32 +549,6 @@ impl Tape {
         self.push(out, Op::ScatterAddRows(a, idx))
     }
 
-    /// Disjoint row merge: `out[idx_p[i]] = part_p[i]` for every part. The
-    /// index lists must partition `0..out_rows` (each output row written
-    /// exactly once) — the inverse of splitting a tensor with
-    /// [`Tape::gather_rows`] into disjoint row blocks and processing each
-    /// independently.
-    pub fn merge_rows(&mut self, parts: &[(VarId, Arc<Vec<usize>>)], out_rows: usize) -> VarId {
-        self.assert_unmasked("merge_rows");
-        assert!(!parts.is_empty(), "merge_rows needs at least one part");
-        let cols = self.value(parts[0].0).cols();
-        let buf = self.pool.take(out_rows * cols);
-        let total: usize = parts.iter().map(|(_, idx)| idx.len()).sum();
-        assert_eq!(total, out_rows, "merge_rows index lists must cover output");
-        let mut out = Tensor::from_pool_uninit(out_rows, cols, buf);
-        for (p, idx) in parts {
-            let t = &self.nodes[p.0].value;
-            assert_eq!(t.cols(), cols, "merge_rows column mismatch");
-            assert_eq!(t.rows(), idx.len(), "merge_rows part row mismatch");
-            for (i, &dst) in idx.iter().enumerate() {
-                debug_assert!(dst < out_rows);
-                out.row_mut(dst).copy_from_slice(t.row(i));
-            }
-        }
-        let meta = parts.iter().map(|(p, idx)| (*p, Arc::clone(idx))).collect();
-        self.push(out, Op::MergeRows(meta))
-    }
-
     /// Scale row `i` by the constant `weights[i]` (no gradient w.r.t.
     /// weights — these are the geometric 1/d consistency factors).
     pub fn row_scale(&mut self, a: VarId, weights: Arc<Vec<f64>>) -> VarId {
@@ -619,89 +562,32 @@ impl Tape {
 
     /// ELU activation with alpha = 1.
     pub fn elu(&mut self, a: VarId) -> VarId {
-        let buf = self.pool.take(self.value(a).len());
-        let va = self.value(a);
-        if self.mask.is_some() {
-            let out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-            let id = self.push(out, Op::Elu(a));
-            self.masked_fill(id);
-            return id;
-        }
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_map(va.data(), va.cols(), out.data_mut(), |x| {
-            if x < 0.0 {
-                x.exp() - 1.0
-            } else {
-                x
-            }
-        });
-        self.push(out, Op::Elu(a))
+        let (rows, cols) = self.value(a).shape();
+        self.record_rows(rows, cols, Op::Elu(a))
     }
 
     /// tanh activation.
     pub fn tanh(&mut self, a: VarId) -> VarId {
-        let buf = self.pool.take(self.value(a).len());
-        let va = self.value(a);
-        if self.mask.is_some() {
-            let out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-            let id = self.push(out, Op::Tanh(a));
-            self.masked_fill(id);
-            return id;
-        }
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_map(va.data(), va.cols(), out.data_mut(), f64::tanh);
-        self.push(out, Op::Tanh(a))
+        let (rows, cols) = self.value(a).shape();
+        self.record_rows(rows, cols, Op::Tanh(a))
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta` (`[1, F]`).
     pub fn layer_norm(&mut self, x: VarId, gamma: VarId, beta: VarId, eps: f64) -> VarId {
-        let buf = self.pool.take(self.value(x).len());
-        let vx = self.value(x);
-        let (rows, cols) = vx.shape();
-        let vg = self.value(gamma);
-        let vb = self.value(beta);
-        assert_eq!(vg.shape(), (1, cols), "layer_norm gamma shape");
-        assert_eq!(vb.shape(), (1, cols), "layer_norm beta shape");
-        if self.mask.is_some() {
-            let out = Tensor::from_pool_uninit(rows, cols, buf);
-            let id = self.push(
-                out,
-                Op::LayerNorm {
-                    x,
-                    gamma,
-                    beta,
-                    eps,
-                },
-            );
-            self.masked_fill(id);
-            return id;
-        }
-        let mut out = Tensor::from_pool_uninit(rows, cols, buf);
-        let n = cols as f64;
-        let x_data = vx.data();
-        let g = vg.data();
-        let b = vb.data();
-        for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let xr = &x_data[(first_row + i) * cols..(first_row + i + 1) * cols];
-                let mean = xr.iter().sum::<f64>() / n;
-                let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
-                let inv = 1.0 / (var + eps).sqrt();
-                let o_row = &mut chunk[i * cols..(i + 1) * cols];
-                for c in 0..cols {
-                    o_row[c] = g[c] * (xr[c] - mean) * inv + b[c];
-                }
-            }
-        });
-        self.push(
-            out,
-            Op::LayerNorm {
-                x,
-                gamma,
-                beta,
-                eps,
-            },
-        )
+        let (rows, cols) = self.value(x).shape();
+        assert_eq!(
+            self.value(gamma).shape(),
+            (1, cols),
+            "layer_norm gamma shape"
+        );
+        assert_eq!(self.value(beta).shape(), (1, cols), "layer_norm beta shape");
+        let op = Op::LayerNorm {
+            x,
+            gamma,
+            beta,
+            eps,
+        };
+        self.record_rows(rows, cols, op)
     }
 
     /// Scalar `sum_i w[i] * sum_j a[i,j]^2` with constant row weights — the
@@ -715,14 +601,16 @@ impl Tape {
             let row = va.row(r);
             acc += w * row.iter().map(|&u| u * u).sum::<f64>();
         }
-        self.push(Tensor::scalar(acc), Op::WeightedSqSum(a, weights))
+        let out = self.pool.scalar(acc);
+        self.push(out, Op::WeightedSqSum(a, weights))
     }
 
     /// Scalar sum over all entries.
     pub fn sum(&mut self, a: VarId) -> VarId {
         self.assert_unmasked("sum");
         let s = self.value(a).sum();
-        self.push(Tensor::scalar(s), Op::Sum(a))
+        let out = self.pool.scalar(s);
+        self.push(out, Op::Sum(a))
     }
 
     /// Record a user-defined differentiable op with an already-computed
@@ -749,7 +637,7 @@ impl Tape {
             "backward root must be a scalar"
         );
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[root.0] = Some(Tensor::scalar(1.0));
+        grads[root.0] = Some(self.pool.scalar(1.0));
 
         let Tape { nodes, pool, .. } = self;
         let nodes: &[Node] = nodes;
@@ -860,11 +748,11 @@ fn accumulate(
         }
         Op::ConcatCols(parts) => {
             let mut off = 0;
-            for (id, w) in parts {
-                let mut part = pool.uninit(g.rows(), *w);
-                slice_cols_into(g, off, *w, &mut part);
-                add(*id, part, pool);
-                off += w;
+            for p in parts {
+                let mut part = pool.uninit(g.rows(), p.cols);
+                slice_cols_into(g, off, p.cols, &mut part);
+                add(p.src, part, pool);
+                off += p.cols;
             }
         }
         Op::GatherConcat(parts) => {
@@ -895,13 +783,6 @@ fn accumulate(
             let mut contrib = pool.uninit(idx.len(), g.cols());
             g.gather_rows_into(idx, &mut contrib);
             add(*a, contrib, pool);
-        }
-        Op::MergeRows(parts) => {
-            for (id, idx) in parts {
-                let mut contrib = pool.uninit(idx.len(), g.cols());
-                g.gather_rows_into(idx, &mut contrib);
-                add(*id, contrib, pool);
-            }
         }
         Op::RowScale(a, w) => {
             let mut contrib = pool.uninit(g.rows(), g.cols());
@@ -1024,98 +905,148 @@ fn accumulate(
     }
 }
 
-/// Recompute the value rows `rows` of a masked-recorded node from its
-/// parents — both the in-window fill and the closing backfill of the
-/// row-mask mechanism. Every row's arithmetic is exactly the full kernel's
-/// row computation, so a value assembled from any partition of its rows is
-/// bit-identical to the monolithically computed one.
-///
-/// # Panics
-///
-/// If the node's op is not row-separable: recording under a row mask is
-/// only legal for ops whose rows compute independently, and reaching
-/// here with any other op is a programming error in the op registry.
-fn compute_node_rows(parents: &[Node], node: &mut Node, rows: &[usize]) {
-    let Node { value, op } = node;
-    match &*op {
-        Op::Linear { x, w, b, elu } => {
-            let vx = &parents[x.0].value;
-            let vw = &parents[w.0].value;
-            let vb = &parents[b.0].value;
-            let n = vw.cols();
-            let w_data = vw.data();
-            let bias = vb.data();
-            for &r in rows {
-                let x_row = vx.row(r);
-                let o_row = value.row_mut(r);
-                o_row.copy_from_slice(bias);
-                for (p, &a) in x_row.iter().enumerate() {
-                    let w_row = &w_data[p * n..(p + 1) * n];
-                    for (o, &wv) in o_row.iter_mut().zip(w_row.iter()) {
-                        *o += a * wv;
+/// The forward body of a row-separable op — the only kind that may be
+/// recorded under a row mask — over its operands' raw buffers: it computes
+/// any contiguous range of output rows, each row from its own inputs
+/// alone. Full-tensor recording runs it over [`for_row_chunks`], masked
+/// recording over the runs of the mask rows and of their complement.
+enum RowKernel<'a> {
+    Linear {
+        x: &'a Tensor,
+        w: &'a [f64],
+        bias: &'a [f64],
+        elu: bool,
+    },
+    Elu(&'a [f64]),
+    Tanh(&'a [f64]),
+    LayerNorm {
+        x: &'a [f64],
+        gamma: &'a [f64],
+        beta: &'a [f64],
+        eps: f64,
+    },
+    /// `(source, gather indices or None for row i)` per column block.
+    GatherConcat(Vec<(&'a Tensor, Option<&'a [usize]>)>),
+}
+
+impl<'a> RowKernel<'a> {
+    /// # Panics
+    ///
+    /// If `op` is not row-separable: reaching here with any other op is a
+    /// programming error in the op registry.
+    fn of(nodes: &'a [Node], op: &'a Op) -> Self {
+        let val = |id: &VarId| &nodes[id.0].value;
+        match op {
+            Op::Linear { x, w, b, elu } => RowKernel::Linear {
+                x: val(x),
+                w: val(w).data(),
+                bias: val(b).data(),
+                elu: *elu,
+            },
+            Op::Elu(a) => RowKernel::Elu(val(a).data()),
+            Op::Tanh(a) => RowKernel::Tanh(val(a).data()),
+            Op::LayerNorm {
+                x,
+                gamma,
+                beta,
+                eps,
+            } => RowKernel::LayerNorm {
+                x: val(x).data(),
+                gamma: val(gamma).data(),
+                beta: val(beta).data(),
+                eps: *eps,
+            },
+            Op::GatherConcat(parts) | Op::ConcatCols(parts) => RowKernel::GatherConcat(
+                parts
+                    .iter()
+                    .map(|p| (val(&p.src), p.idx.as_deref().map(Vec::as_slice)))
+                    .collect(),
+            ),
+            // detlint: allow(unwrap-in-lib, "programming error in the op registry; masked recording is only reachable for row-separable ops")
+            _ => panic!("op is not row-separable and cannot be recorded under a row mask"),
+        }
+    }
+
+    /// Compute output rows `first_row..first_row + nrows` into `chunk`
+    /// (those rows of the `cols`-wide output, row-major).
+    fn run(&self, chunk: &mut [f64], cols: usize, first_row: usize, nrows: usize) {
+        let span = first_row * cols..(first_row + nrows) * cols;
+        match self {
+            RowKernel::Linear { x, w, bias, elu } => crate::tensor::gemm_rows(
+                x.data(),
+                w,
+                chunk,
+                first_row,
+                nrows,
+                x.cols(),
+                cols,
+                Some(bias),
+                *elu,
+            ),
+            RowKernel::Elu(src) => {
+                for (o, &u) in chunk.iter_mut().zip(&src[span]) {
+                    *o = crate::tensor::elu_scalar(u);
+                }
+            }
+            RowKernel::Tanh(src) => {
+                for (o, &u) in chunk.iter_mut().zip(&src[span]) {
+                    *o = u.tanh();
+                }
+            }
+            RowKernel::LayerNorm {
+                x,
+                gamma,
+                beta,
+                eps,
+            } => {
+                let n = cols as f64;
+                for i in 0..nrows {
+                    let xr = &x[(first_row + i) * cols..(first_row + i + 1) * cols];
+                    let o_row = &mut chunk[i * cols..(i + 1) * cols];
+                    let mean = xr.iter().sum::<f64>() / n;
+                    let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
+                    let inv = 1.0 / (var + eps).sqrt();
+                    for c in 0..cols {
+                        o_row[c] = gamma[c] * (xr[c] - mean) * inv + beta[c];
                     }
                 }
-                if *elu {
-                    for o in o_row.iter_mut() {
-                        *o = crate::tensor::elu_scalar(*o);
+            }
+            RowKernel::GatherConcat(parts) => {
+                for i in 0..nrows {
+                    let r = first_row + i;
+                    let o_row = &mut chunk[i * cols..(i + 1) * cols];
+                    let mut off = 0;
+                    for (t, ix) in parts {
+                        let src = ix.map_or(r, |ix| ix[r]);
+                        let w = t.cols();
+                        // Element loop, not copy_from_slice: a per-row memcpy
+                        // call dominates these narrow (~8-wide) copies.
+                        for (o, &v) in o_row[off..off + w].iter_mut().zip(t.row(src).iter()) {
+                            *o = v;
+                        }
+                        off += w;
                     }
                 }
             }
         }
-        Op::Elu(a) => {
-            let va = &parents[a.0].value;
-            for &r in rows {
-                let src = va.row(r);
-                for (o, &xv) in value.row_mut(r).iter_mut().zip(src.iter()) {
-                    *o = if xv < 0.0 { xv.exp() - 1.0 } else { xv };
-                }
+    }
+
+    /// Compute the listed rows of `value`, one [`RowKernel::run`] per
+    /// maximal run of consecutive row ids.
+    fn fill(&self, value: &mut Tensor, rows: &[usize]) {
+        let cols = value.cols();
+        let mut i = 0;
+        while i < rows.len() {
+            let first = rows[i];
+            let mut end = first + 1;
+            i += 1;
+            while rows.get(i) == Some(&end) {
+                end += 1;
+                i += 1;
             }
+            let chunk = &mut value.data_mut()[first * cols..end * cols];
+            self.run(chunk, cols, first, end - first);
         }
-        Op::Tanh(a) => {
-            let va = &parents[a.0].value;
-            for &r in rows {
-                let src = va.row(r);
-                for (o, &xv) in value.row_mut(r).iter_mut().zip(src.iter()) {
-                    *o = xv.tanh();
-                }
-            }
-        }
-        Op::LayerNorm {
-            x,
-            gamma,
-            beta,
-            eps,
-        } => {
-            let vx = &parents[x.0].value;
-            let g = parents[gamma.0].value.data();
-            let b = parents[beta.0].value.data();
-            let cols = vx.cols();
-            let n = cols as f64;
-            for &r in rows {
-                let xr = vx.row(r);
-                let mean = xr.iter().sum::<f64>() / n;
-                let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
-                let inv = 1.0 / (var + eps).sqrt();
-                let o_row = value.row_mut(r);
-                for c in 0..cols {
-                    o_row[c] = g[c] * (xr[c] - mean) * inv + b[c];
-                }
-            }
-        }
-        Op::GatherConcat(parts) => {
-            for &r in rows {
-                let o_row = value.row_mut(r);
-                let mut off = 0;
-                for p in parts {
-                    let t = &parents[p.src.0].value;
-                    let src = p.idx.as_ref().map_or(r, |ix| ix[r]);
-                    o_row[off..off + p.cols].copy_from_slice(t.row(src));
-                    off += p.cols;
-                }
-            }
-        }
-        // detlint: allow(unwrap-in-lib, "programming error in the op registry; masked recording is only reachable for row-separable ops")
-        _ => panic!("op is not row-separable and cannot be recorded under a row mask"),
     }
 }
 
@@ -1290,24 +1221,6 @@ mod tests {
         assert_eq!(fused.value(cat).data(), split.value(cat2).data());
         assert_eq!(gf.get(x).unwrap().data(), gs.get(x2).unwrap().data());
         assert_eq!(gf.get(e).unwrap().data(), gs.get(e2).unwrap().data());
-    }
-
-    #[test]
-    fn merge_rows_inverts_gather_split() {
-        let xv = Tensor::from_fn(7, 2, |r, c| (10 * r + c) as f64);
-        let lo = Arc::new(vec![0usize, 2, 4, 6]);
-        let hi = Arc::new(vec![1usize, 3, 5]);
-        let mut tape = Tape::new();
-        let x = tape.leaf(xv.clone());
-        let a = tape.gather_rows(x, Arc::clone(&lo));
-        let b = tape.gather_rows(x, Arc::clone(&hi));
-        let merged = tape.merge_rows(&[(a, Arc::clone(&lo)), (b, Arc::clone(&hi))], 7);
-        assert_eq!(tape.value(merged).data(), xv.data());
-        let sq = tape.mul(merged, merged);
-        let s = tape.sum(sq);
-        let g = tape.backward(s);
-        let expect: Vec<f64> = xv.data().iter().map(|&v| 2.0 * v).collect();
-        assert_eq!(g.get(x).unwrap().data(), expect.as_slice());
     }
 
     #[test]

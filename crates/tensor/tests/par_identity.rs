@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use cgnn_tensor::{Tape, Tensor};
+use cgnn_tensor::{Tape, Tensor, VarId};
 
 /// Worker counts to compare against the serial path: an even split, an odd
 /// split (uneven chunk distribution), and more workers than chunks.
@@ -25,8 +25,98 @@ fn assert_worker_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
     }
 }
 
+/// `count` deterministic pseudo-random values in `-1..1`.
+fn noise(seed: u64, count: usize) -> Vec<f64> {
+    (0..count)
+        .map(|i| ((seed + i as u64) as f64 * 0.618).sin())
+        .collect()
+}
+
+/// Record `gather_concat → linear_elu → linear → layer_norm → tanh` over
+/// `edges` gathered rows of an `[nodes, width]` source, reduce it to a
+/// scalar and run backward. With `mask = Some((rows, complement))` the
+/// chain is recorded under `begin_row_mask(rows)` and closed with
+/// `end_row_mask(complement)`. Returns every node's value and gradient.
+fn row_chain(
+    (nodes, edges, width, hidden): (usize, usize, usize, usize),
+    seed: u64,
+    mask: Option<(&[usize], &[usize])>,
+) -> Vec<(Vec<f64>, Option<Vec<f64>>)> {
+    let mut tape = Tape::new();
+    let mut leaf = |rows: usize, cols: usize, salt: u64| {
+        tape.leaf(Tensor::from_vec(
+            rows,
+            cols,
+            noise(seed + salt, rows * cols),
+        ))
+    };
+    let x = leaf(nodes, width, 0);
+    let e = leaf(edges, width, 1);
+    let (w1, b1) = (leaf(3 * width, hidden, 2), leaf(1, hidden, 3));
+    let (w2, b2) = (leaf(hidden, hidden, 4), leaf(1, hidden, 5));
+    let (gamma, beta) = (leaf(1, hidden, 6), leaf(1, hidden, 7));
+    let index = |stride: usize| Arc::new((0..edges).map(|i| (i * stride + 1) % nodes).collect());
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
+    let cat = tape.gather_concat(&[(x, Some(index(3))), (x, Some(index(7))), (e, None)]);
+    let h1 = tape.linear_elu(cat, w1, b1);
+    let h2 = tape.linear(h1, w2, b2);
+    let ln = tape.layer_norm(h2, gamma, beta, 1e-5);
+    let out = tape.tanh(ln);
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
+    let loss = tape.weighted_sq_sum(out, Arc::new(noise(seed + 8, edges)));
+    let grads = tape.backward(loss);
+    let vars: [VarId; 14] = [
+        x, e, w1, b1, w2, b2, gamma, beta, cat, h1, h2, ln, out, loss,
+    ];
+    vars.iter()
+        .map(|&v| {
+            let grad = grads.get(v).map(|g| g.data().to_vec());
+            (tape.value(v).data().to_vec(), grad)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Row-masked recording is the unmasked recording, bit for bit, in
+    /// every node value and every gradient: the masked fill and the
+    /// closing backfill run the same range kernel as the full-tensor path,
+    /// over the runs of an arbitrary row subset and of its complement.
+    #[test]
+    fn masked_chain_is_bit_identical_to_unmasked(
+        nodes in 1usize..40,
+        edges in 1usize..90,
+        width in 1usize..6,
+        hidden in 1usize..20,
+        seed in 0u64..1000,
+    ) {
+        let shape = (nodes, edges, width, hidden);
+        let scatter = |r: usize| (r as u64 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+        let subsets: [(&str, &dyn Fn(usize) -> bool); 6] = [
+            ("empty", &|_| false),
+            ("full", &|_| true),
+            ("single row", &|r| r == seed as usize % edges),
+            ("alternating", &|r| r % 2 == 0),
+            ("random half", &|r| scatter(r) < 8),
+            ("random eighth", &|r| scatter(r) < 2),
+        ];
+        for (name, in_mask) in subsets {
+            let (rows, complement): (Vec<usize>, Vec<usize>) =
+                (0..edges).partition(|&r| in_mask(r));
+            for workers in [1, 2] {
+                let (whole, masked) = rayon::with_num_threads(workers, || (
+                    row_chain(shape, seed, None),
+                    row_chain(shape, seed, Some((&rows, &complement))),
+                ));
+                prop_assert!(whole == masked, "{name} mask {rows:?}, {workers} workers");
+            }
+        }
+    }
 
     /// `A * B` over shapes that straddle the fixed chunk boundary and the
     /// 4x8 register-tile edges.

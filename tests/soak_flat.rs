@@ -1,0 +1,129 @@
+//! Soak test of the tape workspace: the pool is closed (it takes back only
+//! what it handed out), so the memory a trainer parks between steps — and
+//! with it the process's resident set and the step time — is flat however
+//! long it runs and whatever mix of training, evaluation and inference
+//! shares the tape.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use cgnn::comm::World;
+use cgnn::core::{GnnConfig, HaloContext, HaloExchangeMode, RankData, Trainer};
+use cgnn::graph::{build_distributed_graph, build_global_graph, LocalGraph};
+use cgnn::mesh::{BoxMesh, TaylorGreen};
+use cgnn::partition::{Partition, Strategy};
+
+/// `(world size, exchange mode)`: one rank, two thread ranks on the
+/// collective N-A2A plan, two on the split-phase Ovl-SR plan (row-masked
+/// recording, in-place completion).
+const CONFIGS: [(usize, HaloExchangeMode); 3] = [
+    (1, HaloExchangeMode::NeighborAllToAll),
+    (2, HaloExchangeMode::NeighborAllToAll),
+    (2, HaloExchangeMode::Overlapped),
+];
+
+/// What one rank observed right after one training step.
+#[derive(Clone, Copy)]
+struct Sample {
+    /// `Trainer::pooled_len`.
+    parked: usize,
+    step_secs: f64,
+    /// Resident set of the whole process (`None` off Linux).
+    rss_kb: Option<u64>,
+}
+
+fn rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Train `steps` steps per rank; after every step, sample, then run an
+/// evaluation, a prediction and a batch of two on the same tape. Returns
+/// one trace per rank.
+fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> {
+    let mesh = BoxMesh::tgv_cube(2, 2);
+    let field = TaylorGreen::new(0.01);
+    let graphs: Vec<LocalGraph> = if world == 1 {
+        vec![build_global_graph(&mesh)]
+    } else {
+        build_distributed_graph(&mesh, &Partition::new(&mesh, world, Strategy::Slab))
+    };
+    let graphs: Arc<Vec<Arc<LocalGraph>>> = Arc::new(graphs.into_iter().map(Arc::new).collect());
+    World::run(world, move |comm| {
+        let g = Arc::clone(&graphs[comm.rank()]);
+        let ctx = HaloContext::new(comm.clone(), &g, mode);
+        let mut trainer = Trainer::new(GnnConfig::small(), 7, 1e-3, ctx);
+        let a = RankData::tgv_autoencode(Arc::clone(&g), &field, 0.0);
+        let b = RankData::tgv_autoencode(g, &field, 0.1);
+        (0..steps)
+            .map(|_| {
+                let t = Instant::now();
+                trainer.step(&a);
+                let sample = Sample {
+                    parked: trainer.pooled_len(),
+                    step_secs: t.elapsed().as_secs_f64(),
+                    rss_kb: rss_kb(),
+                };
+                trainer.eval_loss(&b);
+                trainer.predict(&a);
+                trainer.predict_batch(&[&a, &b]);
+                sample
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn parked_workspace_is_exactly_flat_from_step_3_to_step_60() {
+    for (world, mode) in CONFIGS {
+        for (rank, trace) in soak(world, mode, 60).iter().enumerate() {
+            assert!(trace[2].parked > 0, "R={world} {mode}: nothing pooled");
+            assert_eq!(
+                trace[59].parked, trace[2].parked,
+                "R={world} {mode} rank {rank}: parked f64s after step 60 vs after step 3"
+            );
+        }
+    }
+}
+
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// The long form: over 2 000 steps the parked length stays exact, the
+/// resident set stays within a few allocator pages' worth of where it was
+/// at step 100, and the median step time of the last block is that of the
+/// first.
+#[test]
+#[ignore = "release soak: cargo test --release --test soak_flat -- --ignored"]
+fn two_thousand_steps_keep_rss_and_step_time_flat() {
+    const STEPS: usize = 2000;
+    const BLOCK: usize = 200;
+    for (world, mode) in CONFIGS {
+        for (rank, trace) in soak(world, mode, STEPS).iter().enumerate() {
+            let what = format!("R={world} {mode} rank {rank}");
+            assert_eq!(trace[STEPS - 1].parked, trace[2].parked, "{what}: parked");
+            if let (Some(early), Some(late)) = (trace[99].rss_kb, trace[STEPS - 1].rss_kb) {
+                assert!(
+                    late <= early + 8 * 1024,
+                    "{what}: VmRSS grew from {early} kB at step 100 to {late} kB"
+                );
+            }
+            let block = |from: usize| median(trace[from..from + BLOCK].iter().map(|s| s.step_secs));
+            let (first, last) = (block(100), block(STEPS - BLOCK));
+            println!(
+                "{what}: parked {}, VmRSS {:?} -> {:?} kB, step {first:.6} -> {last:.6} s",
+                trace[2].parked,
+                trace[99].rss_kb,
+                trace[STEPS - 1].rss_kb
+            );
+            assert!(
+                last <= 1.5 * first,
+                "{what}: block-median step time {first:.6} s -> {last:.6} s"
+            );
+        }
+    }
+}
