@@ -685,33 +685,19 @@ fn accumulate(
         }
         Op::Linear { x, w, b, elu } => {
             let (vx, vw) = (value(nodes, *x), value(nodes, *w));
-            // Fused activation: fold elu'(u) into the adjoint first; the
-            // stored value is y = elu(u), and elu'(u) = y + 1 for y < 0.
-            let gp = if *elu {
-                let mut t = pool.uninit(g.rows(), g.cols());
-                ew_zip(
-                    g.data(),
-                    node.value.data(),
-                    g.cols(),
-                    t.data_mut(),
-                    |gv, y| {
-                        if y < 0.0 {
-                            gv * (y + 1.0)
-                        } else {
-                            gv
-                        }
-                    },
-                );
-                Some(t)
+            // Fused activation: one pass folds elu'(u) into the adjoint and
+            // sums the bias gradient from it, rows in order.
+            let (gp, gb) = if *elu {
+                let (t, gb) = elu_adjoint_with_col_sums(pool, g, &node.value);
+                (Some(t), gb)
             } else {
-                None
+                (None, col_sums(pool, g))
             };
             let gref = gp.as_ref().unwrap_or(g);
             add(*x, times_transposed(pool, gref, vw), pool);
             let mut gw = pool.uninit(vx.cols(), gref.cols());
             vx.matmul_tn_into(gref, &mut gw);
             add(*w, gw, pool);
-            let gb = col_sums(pool, gref);
             add(*b, gb, pool);
             if let Some(t) = gp {
                 pool.put(t.into_vec());
@@ -825,6 +811,8 @@ fn accumulate(
             let mut gx = pool.uninit(rows, cols);
             let mut ggamma = pool.zeroed(1, cols);
             let mut gbeta = pool.zeroed(1, cols);
+            let mut xhat_row = pool.uninit(1, cols);
+            let (gg, gb, xhat) = (ggamma.data_mut(), gbeta.data_mut(), xhat_row.data_mut());
             let x_data = vx.data();
             let g_data = g.data();
             let gam = vg.data();
@@ -842,21 +830,23 @@ fn accumulate(
                 // dx = inv/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
                 let mut sum_dxhat = 0.0;
                 let mut sum_dxhat_xhat = 0.0;
-                for c in 0..cols {
-                    let xhat = (xr[c] - mean) * inv;
-                    let dxhat = gr[c] * gam[c];
-                    sum_dxhat += dxhat;
-                    sum_dxhat_xhat += dxhat * xhat;
-                    ggamma.data_mut()[c] += gr[c] * xhat;
-                    gbeta.data_mut()[c] += gr[c];
-                }
+                // `out` holds dxhat until the row's two sums are known.
                 let out = gx.row_mut(r);
                 for c in 0..cols {
-                    let xhat = (xr[c] - mean) * inv;
+                    let xh = (xr[c] - mean) * inv;
                     let dxhat = gr[c] * gam[c];
-                    out[c] = inv / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
+                    sum_dxhat += dxhat;
+                    sum_dxhat_xhat += dxhat * xh;
+                    gg[c] += gr[c] * xh;
+                    gb[c] += gr[c];
+                    xhat[c] = xh;
+                    out[c] = dxhat;
+                }
+                for (o, &xh) in out.iter_mut().zip(xhat.iter()) {
+                    *o = inv / n * (n * *o - sum_dxhat - xh * sum_dxhat_xhat);
                 }
             }
+            pool.put(xhat_row.into_vec());
             add(*x, gx, pool);
             add(*gamma, ggamma, pool);
             add(*beta, gbeta, pool);
@@ -1052,8 +1042,8 @@ impl<'a> RowKernel<'a> {
 
 /// `g * w^T` via an explicit (pooled) transpose of the small weight matrix
 /// `w`, so the adjoint product runs through the register-tiled row GEMM.
-/// Term order per output element is the `k`-index order — identical to
-/// [`Tensor::matmul_nt_into`]'s dot products, bit for bit.
+/// Each output element is the dot product of a row of `g` with a row of
+/// `w`, its terms summed in index order.
 fn times_transposed(pool: &mut BufPool, g: &Tensor, w: &Tensor) -> Tensor {
     let mut wt = pool.uninit(w.cols(), w.rows());
     w.transpose_into(&mut wt);
@@ -1073,6 +1063,23 @@ fn col_sums(pool: &mut BufPool, g: &Tensor) -> Tensor {
         }
     }
     out
+}
+
+/// The adjoint prologue of a fused `linear_elu`: `t = g ⊙ elu'(u)` from the
+/// stored `y = elu(u)` (`elu'(u) = y + 1` for `y < 0`, else 1) together
+/// with `t`'s column sums, in one pass over `g`. Row order is that of
+/// [`col_sums`], so the sums are the bits `col_sums(t)` would give.
+fn elu_adjoint_with_col_sums(pool: &mut BufPool, g: &Tensor, y: &Tensor) -> (Tensor, Tensor) {
+    let mut t = pool.uninit(g.rows(), g.cols());
+    let mut sums = pool.zeroed(1, g.cols());
+    for r in 0..g.rows() {
+        let row = t.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r));
+        for (((o, &gv), &yv), s) in row.zip(sums.data_mut().iter_mut()) {
+            *o = if yv < 0.0 { gv * (yv + 1.0) } else { gv };
+            *s += *o;
+        }
+    }
+    (t, sums)
 }
 
 /// Copy the column window `[off, off + w)` of `g` into `out` (`[rows, w]`).

@@ -257,64 +257,6 @@ impl Tensor {
         });
     }
 
-    /// `self * rhs^T` (`[m,k] x [n,k] -> [m,n]`), without materializing the
-    /// transpose. Used by matmul backward: `dA = dC * B^T`.
-    pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::from_pool_uninit(self.rows, rhs.rows, Vec::new());
-        self.matmul_nt_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt`] writing into `out` (must be `[m, n]`).
-    ///
-    /// Each output element is a length-`k` dot product accumulated in the
-    /// serial order; four dots run as independent chains per iteration so
-    /// the FMA pipeline stays full without reassociating any sum.
-    pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_nt inner dims: {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        assert_eq!(out.shape(), (m, n), "matmul_nt_into output shape");
-        let a_data = &self.data;
-        let b_data = &rhs.data;
-        for_row_chunks(&mut out.data, n, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let a_row = &a_data[(first_row + i) * k..(first_row + i + 1) * k];
-                let o_row = &mut chunk[i * n..(i + 1) * n];
-                let mut j = 0;
-                while j + 4 <= n {
-                    let b0 = &b_data[j * k..(j + 1) * k];
-                    let b1 = &b_data[(j + 1) * k..(j + 2) * k];
-                    let b2 = &b_data[(j + 2) * k..(j + 3) * k];
-                    let b3 = &b_data[(j + 3) * k..(j + 4) * k];
-                    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-                    for (p, &a) in a_row.iter().enumerate() {
-                        s0 += a * b0[p];
-                        s1 += a * b1[p];
-                        s2 += a * b2[p];
-                        s3 += a * b3[p];
-                    }
-                    o_row[j] = s0;
-                    o_row[j + 1] = s1;
-                    o_row[j + 2] = s2;
-                    o_row[j + 3] = s3;
-                    j += 4;
-                }
-                for (jj, o) in o_row.iter_mut().enumerate().skip(j) {
-                    let b_row = &b_data[jj * k..(jj + 1) * k];
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-    }
-
     /// `self^T * rhs` (`[k,m]^T x [k,n] -> [m,n]`), without materializing the
     /// transpose. Used by matmul backward: `dB = A^T * dC`.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
@@ -326,11 +268,14 @@ impl Tensor {
     /// [`Tensor::matmul_tn`] writing into `out` (must be `[m, n]`).
     ///
     /// The reduction runs over the shared `k` rows (`k` is the tall
-    /// dimension here). Output tiles of up to `4 x 8` stay in registers
-    /// across the **entire** `k` loop, so the huge operands stream through
-    /// once per tile column-band while each output element still sums its
-    /// `k` terms in the serial order — per-chunk (and per-tile) sequential
-    /// accumulation, no atomics.
+    /// dimension here), walked in panels of `tn_panel_rows(m, n)` rows that
+    /// fit in L1: every output tile of up to `4 x 8` is loaded from `out`,
+    /// accumulates the panel's terms in registers and is stored back, so
+    /// the huge operands stream through L1 once per panel instead of
+    /// through the outer caches once per tile. Each output element still
+    /// sums its `k` terms in the serial `p` order (an `f64` passes through
+    /// memory unchanged, so where a panel ends cannot alter a bit) —
+    /// per-chunk sequential accumulation, no atomics.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, rhs.rows,
@@ -339,33 +284,34 @@ impl Tensor {
         );
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_tn_into output shape");
-        let a_data = &self.data;
-        let b_data = &rhs.data;
+        let panel = tn_panel_rows(m, n);
         for_row_chunks(&mut out.data, n, |first_row, nrows, chunk| {
-            if k == 0 {
-                chunk.fill(0.0);
-                return;
-            }
-            let mut i0 = 0;
-            while i0 + 4 <= nrows {
-                let mut j0 = 0;
-                while j0 + 8 <= n {
-                    gemm_tn_tile_4x8(a_data, b_data, chunk, first_row, i0, j0, k, m, n);
-                    j0 += 8;
-                }
-                while j0 < n {
-                    for r in 0..4 {
-                        gemm_tn_elem(a_data, b_data, chunk, first_row, i0 + r, j0, k, m, n);
+            chunk.fill(0.0);
+            for p0 in (0..k).step_by(panel) {
+                let kp = panel.min(k - p0);
+                let a = &self.data[p0 * m..(p0 + kp) * m];
+                let b = &rhs.data[p0 * n..(p0 + kp) * n];
+                let mut i0 = 0;
+                while i0 + 4 <= nrows {
+                    let mut j0 = 0;
+                    while j0 + 8 <= n {
+                        gemm_tn_tile_4x8(a, b, chunk, first_row, i0, j0, kp, m, n);
+                        j0 += 8;
                     }
-                    j0 += 1;
+                    while j0 < n {
+                        for r in 0..4 {
+                            gemm_tn_elem(a, b, chunk, first_row, i0 + r, j0, kp, m, n);
+                        }
+                        j0 += 1;
+                    }
+                    i0 += 4;
                 }
-                i0 += 4;
-            }
-            while i0 < nrows {
-                for j0 in 0..n {
-                    gemm_tn_elem(a_data, b_data, chunk, first_row, i0, j0, k, m, n);
+                while i0 < nrows {
+                    for j0 in 0..n {
+                        gemm_tn_elem(a, b, chunk, first_row, i0, j0, kp, m, n);
+                    }
+                    i0 += 1;
                 }
-                i0 += 1;
             }
         });
     }
@@ -547,22 +493,69 @@ impl Tensor {
     }
 }
 
+/// ELU with alpha = 1: the store-time post-op of the fused linear kernel
+/// and the body of the unfused [`crate::Tape::elu`] — the one definition
+/// behind the fused, unfused, masked and backfill paths.
+#[inline(always)]
+pub(crate) fn elu_scalar(x: f64) -> f64 {
+    if x < 0.0 {
+        exp_nonpos(x) - 1.0
+    } else {
+        x
+    }
+}
+
+/// `e^x` for `x <= 0` within 2 ULP, in plain IEEE multiplies and adds: no
+/// branch, so the 8-wide store loops around it vectorize, and no libm
+/// call (or FMA), so the value is a function of this source alone — the
+/// same bits on every host and target feature level.
+///
+/// `x = k ln2 + r` with `k` rounded to nearest by the add-and-subtract of
+/// `1.5 * 2^52` and `|r| <= ln2 / 2` by a two-part `ln2` (the high part
+/// has 32 trailing zero bits, so `k * LN2_HI` is exact); `e^r` is the
+/// degree-13 Taylor polynomial in Horner form; `2^k` is built by shifting
+/// `k + 1023`, still in the low bits of the shifted sum, into the
+/// exponent field. Arguments below -708 are clamped there (the result
+/// stays a normal number).
+#[inline(always)]
+fn exp_nonpos(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    const LN2_HI: f64 = 0.693_147_180_369_123_8;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    /// `1/i!` for `i` in `0..=13`.
+    const INV_FACT: [f64; 14] = [
+        1.0,
+        1.0,
+        1.0 / 2.0,
+        1.0 / 6.0,
+        1.0 / 24.0,
+        1.0 / 120.0,
+        1.0 / 720.0,
+        1.0 / 5_040.0,
+        1.0 / 40_320.0,
+        1.0 / 362_880.0,
+        1.0 / 3_628_800.0,
+        1.0 / 39_916_800.0,
+        1.0 / 479_001_600.0,
+        1.0 / 6_227_020_800.0,
+    ];
+    let x = x.max(-708.0);
+    let shifted = x * std::f64::consts::LOG2_E + SHIFT;
+    let k = shifted - SHIFT;
+    let r = (x - k * LN2_HI) - k * LN2_LO;
+    let mut poly = INV_FACT[13];
+    for c in INV_FACT[..13].iter().rev() {
+        poly = poly * r + c;
+    }
+    poly * f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52)
+}
+
 /// Register-blocked row-band GEMM shared by [`Tensor::matmul_into`] and the
 /// tape's fused linear kernel: computes `nrows` rows of `A * B` (rows
 /// `first_row..` of `A`, `[k, n]` `B`) into `chunk`, with accumulator tiles
 /// of up to `4 x 8` initialized to `bias` (or zero) and held in registers
 /// across the whole `k` loop. Every output element accumulates its `k`
 /// terms in the serial order, so tiling never changes a bit.
-/// ELU with alpha = 1, the store-time post-op of the fused linear kernel.
-#[inline(always)]
-pub(crate) fn elu_scalar(x: f64) -> f64 {
-    if x < 0.0 {
-        x.exp() - 1.0
-    } else {
-        x
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_rows(
     a: &[f64],
@@ -660,9 +653,18 @@ fn gemm_tile_4x8(
     }
 }
 
-/// Fixed `4 x 8` register tile of [`Tensor::matmul_tn_into`]: the tile
-/// stays in registers across the whole `k` reduction, each output element
-/// accumulating its terms in the serial `p` order.
+/// Rows of the shared `k` dimension per panel of
+/// [`Tensor::matmul_tn_into`]: a panel of both operands (`m + n` values per
+/// row) stays within 16 KiB, half of the smallest L1 data cache in use. A
+/// pure function of the shape — and no function of it can change a bit.
+fn tn_panel_rows(m: usize, n: usize) -> usize {
+    (2048 / (m + n).max(1)).max(8)
+}
+
+/// Fixed `4 x 8` register tile of [`Tensor::matmul_tn_into`]: adds one
+/// `k`-row panel's terms to the tile of `chunk`, which stays in registers
+/// across the panel, each output element accumulating in the serial `p`
+/// order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_tn_tile_4x8(
@@ -677,6 +679,9 @@ fn gemm_tn_tile_4x8(
     n: usize,
 ) {
     let mut acc = [[0.0f64; 8]; 4];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        acc_row.copy_from_slice(&chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8]);
+    }
     let col = first_row + i0;
     for p in 0..k {
         let a_col: &[f64; 4] = a[p * m + col..p * m + col + 4]
@@ -696,7 +701,8 @@ fn gemm_tn_tile_4x8(
     }
 }
 
-/// Scalar edge element of [`Tensor::matmul_tn_into`], same term order.
+/// Scalar edge element of [`Tensor::matmul_tn_into`]: one panel's terms
+/// added to `chunk[i, j]`, same term order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_tn_elem(
@@ -710,7 +716,7 @@ fn gemm_tn_elem(
     m: usize,
     n: usize,
 ) {
-    let mut acc = 0.0;
+    let mut acc = chunk[i * n + j];
     for p in 0..k {
         acc += a[p * m + first_row + i] * b[p * n + j];
     }
@@ -767,17 +773,46 @@ mod tests {
     }
 
     #[test]
-    fn matmul_variants_agree_with_explicit_transpose() {
+    fn matmul_tn_agrees_with_explicit_transpose() {
         let a = Tensor::from_fn(4, 3, |r, c| (r * 3 + c) as f64 * 0.5 - 1.0);
-        let b = Tensor::from_fn(5, 3, |r, c| (r as f64 - c as f64) * 0.25);
-        let nt = a.matmul_nt(&b);
-        let reference = a.matmul(&b.transpose());
-        assert!(nt.max_rel_diff(&reference) < 1e-14);
-
         let c = Tensor::from_fn(4, 5, |r, c| ((r + c) as f64).sin());
         let tn = a.matmul_tn(&c);
         let reference = a.transpose().matmul(&c);
         assert!(tn.max_rel_diff(&reference) < 1e-14);
+    }
+
+    #[test]
+    fn exp_nonpos_is_within_two_ulp_of_libm() {
+        let ulps = |x: f64| (exp_nonpos(x).to_bits() as i64 - x.exp().to_bits() as i64).abs();
+        let mut worst = 0;
+        // Dense sweeps of the whole domain and of the range activations
+        // live in, then seeded random points of both.
+        for i in 0..=1_000_000 {
+            let t = i as f64 / 1e6;
+            worst = worst.max(ulps(-708.0 * t)).max(ulps(-40.0 * t));
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let t = (state >> 11) as f64 / (1u64 << 53) as f64;
+            worst = worst.max(ulps(-708.0 * t)).max(ulps(-t));
+        }
+        assert!(worst <= 2, "exp_nonpos is {worst} ULP from f64::exp");
+    }
+
+    #[test]
+    fn exp_nonpos_edges() {
+        assert_eq!(exp_nonpos(0.0), 1.0);
+        assert_eq!(exp_nonpos(-0.0), 1.0);
+        let floor = exp_nonpos(-708.0);
+        assert!(floor.is_normal() && floor > 0.0);
+        for x in [-708.000_000_1, -709.0, -745.2, -1e300, f64::NEG_INFINITY] {
+            assert_eq!(exp_nonpos(x), floor, "x={x}");
+        }
+        assert_eq!(elu_scalar(f64::NEG_INFINITY), floor - 1.0);
+        assert!(elu_scalar(f64::NAN).is_nan());
     }
 
     #[test]

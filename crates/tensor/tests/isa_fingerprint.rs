@@ -1,0 +1,91 @@
+//! One line that names the bits the kernels produce, for CI to compare
+//! across instruction sets.
+//!
+//! `.cargo/config.toml` builds for `x86-64-v3` and promises that removing
+//! the flag changes speed only. That holds because the kernels use plain
+//! IEEE multiplies and adds in a fixed order (no FMA contraction, no
+//! reassociation) and because nothing on the path calls libm: ELU's `exp`
+//! is in-crate and layer norm's `sqrt` is correctly rounded by IEEE-754.
+//! This test runs forward and backward through two chained MLPs (fused
+//! linear+ELU, layer norm, ragged `4 x 8` tiles) on inputs derived from
+//! integers and prints an FNV-1a hash of every value and gradient bit. CI
+//! runs it under the default flags and under `-C target-cpu=x86-64` and
+//! diffs the two lines.
+
+use std::sync::Arc;
+
+use cgnn_tensor::{Mlp, ParamSet, Tape, Tensor};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// `count` values in `(-scale / 2, scale / 2)` from integer arithmetic and
+/// one exact conversion — no transcendental.
+fn lattice(salt: u64, count: usize, scale: f64) -> Vec<f64> {
+    (0..count as u64)
+        .map(|i| {
+            let bits = (i + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            (bits as f64 / (1u64 << 53) as f64 - 0.5) * scale
+        })
+        .collect()
+}
+
+fn fnv1a(hash: &mut u64, values: &[f64]) {
+    for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+#[test]
+fn isa_fingerprint() {
+    let (rows, in_dim, hidden, out_dim) = (37, 5, 12, 3);
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(0);
+    let first = Mlp::new(
+        &mut params,
+        "first",
+        in_dim,
+        hidden,
+        hidden,
+        2,
+        true,
+        &mut rng,
+    );
+    let second = Mlp::new(
+        &mut params,
+        "second",
+        hidden,
+        hidden,
+        out_dim,
+        1,
+        true,
+        &mut rng,
+    );
+    for (salt, t) in params.tensors_mut().iter_mut().enumerate() {
+        let values = lattice(1000 * salt as u64, t.len(), 1.5);
+        t.data_mut().copy_from_slice(&values);
+    }
+
+    let mut tape = Tape::new();
+    let bound = params.bind(&mut tape);
+    let x = tape.leaf(Tensor::from_vec(
+        rows,
+        in_dim,
+        lattice(7, rows * in_dim, 4.0),
+    ));
+    let h = first.forward(&mut tape, &bound, x);
+    let y = second.forward(&mut tape, &bound, h);
+    let weights = lattice(11, rows, 1.0).iter().map(|w| w + 1.0).collect();
+    let loss = tape.weighted_sq_sum(y, Arc::new(weights));
+    let grads = tape.backward(loss);
+
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    fnv1a(&mut hash, tape.value(y).data());
+    fnv1a(&mut hash, tape.value(loss).data());
+    for &var in bound.vars().iter().chain([&x]) {
+        let grad = grads.get(var).expect("every leaf takes part").data();
+        assert!(grad.iter().all(|g| g.is_finite()));
+        fnv1a(&mut hash, grad);
+    }
+    assert!(tape.value(loss).item() > 0.0);
+    println!("isa-fingerprint {hash:016x}");
+}

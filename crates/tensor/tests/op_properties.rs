@@ -27,15 +27,45 @@ proptest! {
         prop_assert!(left.max_rel_diff(&right) < 1e-10);
     }
 
-    /// Fused-transpose products agree with explicit transposes.
+    /// The two adjoint products: `a * b^T` through the explicit transpose
+    /// (the tape's route) is the row-by-row dot product, terms in index
+    /// order, bit for bit; the fused `a^T * c` agrees with the explicit
+    /// transpose.
     #[test]
     fn matmul_transpose_variants_agree(
         a in tensor_strategy(4, 3),
         b in tensor_strategy(5, 3),
         c in tensor_strategy(4, 5),
     ) {
-        prop_assert!(a.matmul_nt(&b).max_rel_diff(&a.matmul(&b.transpose())) < 1e-12);
+        let dots = Tensor::from_fn(4, 5, |i, j| {
+            a.row(i).iter().zip(b.row(j)).fold(0.0, |acc, (u, v)| acc + u * v)
+        });
+        prop_assert_eq!(a.matmul(&b.transpose()), dots);
         prop_assert!(a.matmul_tn(&c).max_rel_diff(&a.transpose().matmul(&c)) < 1e-12);
+    }
+
+    /// ELU through the tape (the in-crate `exp` underneath): the identity,
+    /// bit for bit, on non-negative inputs (either zero included); within
+    /// `[-1, 0]` and within 2 ULP of `exp` (an absolute `2^-52` after the
+    /// `- 1`) of libm's value on negative ones, however far out.
+    #[test]
+    fn elu_is_bounded_and_exact_where_linear(
+        body in proptest::collection::vec(-50.0f64..50.0, 24),
+        tail in proptest::collection::vec(-1e4f64..1e4, 8),
+    ) {
+        let edges = [0.0, -0.0, -1e-300, -708.0, -709.0, -1e300, f64::NEG_INFINITY, f64::MAX];
+        let xs: Vec<f64> = body.into_iter().chain(tail).chain(edges).collect();
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(5, 8, xs.clone()));
+        let y = tape.elu(x);
+        for (&x, &y) in xs.iter().zip(tape.value(y).data()) {
+            if x >= 0.0 {
+                prop_assert_eq!(y.to_bits(), x.to_bits(), "elu({}) = {}", x, y);
+            } else {
+                prop_assert!((-1.0..=0.0).contains(&y), "elu({}) = {}", x, y);
+                prop_assert!((y - (x.exp() - 1.0)).abs() <= f64::EPSILON, "elu({}) = {}", x, y);
+            }
+        }
     }
 
     /// <gather(x, idx), y> == <x, scatter_add(y, idx)>: gather and

@@ -132,7 +132,8 @@ proptest! {
         assert_worker_invariant(|| a.matmul(&b).into_vec());
     }
 
-    /// The fused-transpose adjoint products.
+    /// The adjoint products: `g * w^T` through the explicit transpose (the
+    /// route the tape's backward takes) and the fused `x^T * g`.
     #[test]
     fn matmul_transpose_variants_are_worker_invariant(
         rows in 1usize..150,
@@ -142,7 +143,7 @@ proptest! {
     ) {
         let g = Tensor::from_fn(rows, k, |r, c| ((seed + (r * k + c) as u64) as f64 * 0.11).sin());
         let w = Tensor::from_fn(n, k, |r, c| ((seed + (r * k + c) as u64) as f64 * 0.23).cos());
-        assert_worker_invariant(|| g.matmul_nt(&w).into_vec());
+        assert_worker_invariant(|| g.matmul(&w.transpose()).into_vec());
         let x = Tensor::from_fn(rows, n, |r, c| ((seed + (r * n + c) as u64) as f64 * 0.31).sin());
         assert_worker_invariant(|| g.matmul_tn(&x).into_vec());
     }
@@ -206,5 +207,145 @@ proptest! {
             )
         };
         assert_worker_invariant(run);
+    }
+}
+
+/// `x^T * g` by the definition: each element sums its `k` terms from zero
+/// in serial `p` order.
+fn naive_tn(x: &Tensor, g: &Tensor) -> Vec<f64> {
+    let (k, m, n) = (x.rows(), x.cols(), g.cols());
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for p in 0..k {
+                acc += x.get(p, i) * g.get(p, j);
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// The `k`-panelled `matmul_tn_into` is the serial-order sum, bit for bit:
+/// panels only decide when a partial sum passes through memory. Shapes
+/// cover full and ragged `4 x 8` tiles and several row chunks; `k` sits on
+/// and around the panel height (mirrored from `tn_panel_rows`), so panels
+/// of every fill level occur, the empty product included.
+#[test]
+fn matmul_tn_is_the_serial_order_sum_at_every_panel_boundary() {
+    let shapes = [
+        (1, 1),
+        (4, 8),
+        (8, 16),
+        (5, 8),
+        (4, 11),
+        (7, 13),
+        (33, 3),
+        (70, 33),
+        (96, 32),
+    ];
+    for (m, n) in shapes {
+        let panel = (2048 / (m + n)).max(8);
+        for k in [0, 1, panel - 1, panel, panel + 1, 3 * panel + 5] {
+            let x = Tensor::from_vec(k, m, noise(k as u64, k * m));
+            let g = Tensor::from_vec(k, n, noise(7 + k as u64, k * n));
+            let want = naive_tn(&x, &g);
+            for workers in [1, 2, 3] {
+                // A dirty output buffer: the kernel must not read it.
+                let mut out = Tensor::full(m, n, f64::NAN);
+                rayon::with_num_threads(workers, || x.matmul_tn_into(&g, &mut out));
+                let same = out
+                    .data()
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "m={m} n={n} k={k} workers={workers}");
+            }
+        }
+    }
+}
+
+/// One hidden layer three ways — fused `linear_elu`, `linear` then `elu`,
+/// and the fused op filled under a row mask and backfilled — reduced to a
+/// scalar and differentiated. Returns the activation and the gradients of
+/// `x`, `w`, `b`, plus (unfused only) the adjoint of the pre-activation.
+fn hidden_layer(
+    (rows, in_dim, out_dim): (usize, usize, usize),
+    route: &str,
+) -> (Vec<Vec<f64>>, Option<Tensor>) {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::from_vec(rows, in_dim, noise(1, rows * in_dim)));
+    let w = tape.leaf(Tensor::from_vec(
+        in_dim,
+        out_dim,
+        noise(2, in_dim * out_dim),
+    ));
+    let b = tape.leaf(Tensor::from_vec(1, out_dim, noise(3, out_dim)));
+    let (pre, h) = match route {
+        "fused" => (None, tape.linear_elu(x, w, b)),
+        "unfused" => {
+            let u = tape.linear(x, w, b);
+            (Some(u), tape.elu(u))
+        }
+        "masked" => {
+            let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
+            tape.begin_row_mask(Arc::new(mask));
+            let h = tape.linear_elu(x, w, b);
+            tape.end_row_mask(&rest);
+            (None, h)
+        }
+        other => panic!("unknown route {other}"),
+    };
+    let loss = tape.weighted_sq_sum(h, Arc::new(noise(4, rows)));
+    let grads = tape.backward(loss);
+    let mut out = vec![tape.value(h).data().to_vec()];
+    out.extend([x, w, b].map(|v| grads.get(v).expect("leaf gradient").data().to_vec()));
+    (
+        out,
+        pre.map(|u| grads.get(u).expect("pre-activation adjoint").clone()),
+    )
+}
+
+/// `linear_elu` ≡ `linear` → `elu` ≡ masked fill + backfill, values and
+/// every gradient bit-equal, over shapes with and without tile remainders;
+/// and the fused adjoint prologue's bias gradient is the row-ordered
+/// column sum of the separately computed `elu'`-scaled adjoint.
+#[test]
+fn linear_elu_routes_agree_bit_for_bit() {
+    let shapes = [
+        (1, 1, 1),
+        (4, 3, 8),
+        (5, 3, 8),
+        (7, 5, 9),
+        (37, 6, 13),
+        (130, 4, 16),
+        (67, 32, 32),
+    ];
+    for shape in shapes {
+        for workers in [1, 2] {
+            rayon::with_num_threads(workers, || {
+                let (fused, _) = hidden_layer(shape, "fused");
+                let (unfused, pre_adjoint) = hidden_layer(shape, "unfused");
+                let (masked, _) = hidden_layer(shape, "masked");
+                assert!(
+                    fused == unfused,
+                    "fused vs unfused, {shape:?}, {workers} workers"
+                );
+                assert!(
+                    fused == masked,
+                    "fused vs masked, {shape:?}, {workers} workers"
+                );
+
+                let scaled = pre_adjoint.expect("unfused route returns it");
+                let mut sums = vec![0.0; shape.2];
+                for r in 0..scaled.rows() {
+                    for (s, &v) in sums.iter_mut().zip(scaled.row(r)) {
+                        *s += v;
+                    }
+                }
+                assert!(fused[3] == sums, "bias gradient, {shape:?}");
+            });
+        }
     }
 }
