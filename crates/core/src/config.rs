@@ -247,20 +247,13 @@ pub const CGNN_SERVE_REPLICAS: EnvKnob = EnvKnob {
           and pooled tape).",
 };
 
-/// `cgnn-serve`: micro-batch size cap per forward pass.
+/// `cgnn-serve`: cap on the requests one forward pass stacks.
 pub const CGNN_SERVE_MAX_BATCH: EnvKnob = EnvKnob {
     name: "CGNN_SERVE_MAX_BATCH",
     default: "32",
-    doc: "`cgnn-serve` micro-batching cap: a replica drains up to this \
-          many queued requests into one stacked forward pass.",
-};
-
-/// `cgnn-serve`: how long a partial micro-batch waits for more requests.
-pub const CGNN_SERVE_BATCH_WAIT_US: EnvKnob = EnvKnob {
-    name: "CGNN_SERVE_BATCH_WAIT_US",
-    default: "2000",
-    doc: "`cgnn-serve` micro-batch deadline in microseconds: a partial \
-          batch launches after waiting this long for more work.",
+    doc: "`cgnn-serve` stacking cap: a forward pass stacks as many queued \
+          requests as stay cache-resident on the served mesh \
+          (`stack_limit`, 1 on the default mesh), never more than this.",
 };
 
 /// `cgnn-serve`: bounded request-queue capacity (backpressure point).
@@ -381,7 +374,6 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_SERVE_ADDR,
     &CGNN_SERVE_REPLICAS,
     &CGNN_SERVE_MAX_BATCH,
-    &CGNN_SERVE_BATCH_WAIT_US,
     &CGNN_SERVE_QUEUE_CAP,
     &CGNN_SERVE_POLL_MS,
     &CGNN_SERVE_CKPT_DIR,

@@ -33,7 +33,11 @@
 //! (default 400) that the largest cap fills at saturation. Predictions
 //! are bit-identical at every cap
 //! ([`cgnn_core::Trainer::predict_batch`]); the sweep is a pure
-//! throughput comparison under one fixed server configuration.
+//! throughput comparison under one fixed server configuration. The cap is
+//! the upper clamp of [`cgnn_serve::pool::stack_limit`], which on this
+//! 108-edge mesh reaches 32; on a larger `CGNN_SERVE_ELEMS` passes stop
+//! stacking where they would leave cache (9 on the 2³ mesh, 1 from 4³ up)
+//! and the higher caps measure the same server.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -93,7 +97,6 @@ fn run_case(max_batch: usize, clients: usize, reqs: usize, elems: usize) -> Case
         addr: "127.0.0.1:0".to_string(),
         replicas: 1,
         max_batch,
-        batch_wait_us: 2000,
         queue_cap: 1024,
         http_workers: clients + 2,
         elems,
@@ -230,7 +233,6 @@ fn main() {
             "clients": clients,
             "requests_per_client": reqs,
             "replicas": 1,
-            "batch_wait_us": 2000,
             "reps": REPS,
             "metric": "best-of-reps pipelined-saturation requests/sec, caps \
                        interleaved across reps (shared-VM noise filter); latency \

@@ -1,6 +1,6 @@
 //! The serving control plane: owns the published parameter set, watches a
 //! checkpoint directory, and hot-swaps new parameters into the replica
-//! pool **between** micro-batches.
+//! pool **between** forward passes.
 //!
 //! Publication is a generation-stamped `Arc<ParamSet>` slot: the control
 //! plane validates a candidate checkpoint against the served architecture

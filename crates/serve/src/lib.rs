@@ -6,23 +6,27 @@
 //! Three planes, one per module:
 //!
 //! * **data plane** ([`pool`]) — a bounded request queue drained by warm
-//!   model replicas with *dynamic micro-batching*: up to
-//!   `CGNN_SERVE_MAX_BATCH` requests are stacked into one forward pass
-//!   over a disjoint-union graph ([`cgnn_core::Trainer::predict_batch`]),
-//!   amortizing per-pass fixed costs while staying **bit-identical** to
+//!   model replicas. A request waits only for a busy replica: an idle one
+//!   claims what is queued at once and runs it as one forward pass,
+//!   stacking as many requests as stay cache-resident on the served mesh
+//!   ([`pool::stack_limit`]: one on the default mesh, up to
+//!   `CGNN_SERVE_MAX_BATCH` on a small one) over a disjoint-union graph
+//!   ([`cgnn_core::Trainer::predict_batch`]) — **bit-identical** to
 //!   singleton inference for every request;
 //! * **control plane** ([`control`]) — owns the published parameter set,
 //!   watches a checkpoint directory, validates new checkpoints against
-//!   the served architecture, and hot-swaps them in *between* batches so
+//!   the served architecture, and hot-swaps them in *between* passes so
 //!   in-flight requests are never torn across a reload;
 //! * **telemetry** ([`stats`]) — lock-free counters and fixed-bucket
-//!   histograms (batch sizes, latency percentiles) folded into JSON at
-//!   `/metrics`, on the same snapshot pattern as [`cgnn_comm::stats`].
+//!   histograms (pass sizes; latency and its queue / forward parts)
+//!   folded into JSON at `/metrics`, on the same snapshot pattern as
+//!   [`cgnn_comm::stats`].
 //!
 //! The HTTP layer ([`http`]) is a hand-rolled subset over [`std::net`]
 //! (this workspace has no network registry, so no hyper/tokio): a
-//! thread-per-acceptor feeding a fixed worker pool over keep-alive
-//! connections. `/predict` frames are raw little-endian `f64` matrices —
+//! thread-per-acceptor feeding a fixed worker pool over keep-alive,
+//! pipelined connections, each read and written by its own thread so a
+//! request is admitted when it arrives. `/predict` frames are raw little-endian `f64` matrices —
 //! binary in, binary out — so served predictions can be compared
 //! bit-for-bit against in-process inference.
 //!

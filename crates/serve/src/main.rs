@@ -17,14 +17,13 @@ fn main() {
     };
     println!(
         "cgnn-serve listening on {} (model={} elems={} nodes={} replicas={} max_batch={} \
-         batch_wait={}us queue_cap={} ckpt_dir={})",
+         queue_cap={} ckpt_dir={})",
         server.addr(),
         config.model_name,
         config.elems,
         server.n_local(),
         config.replicas,
         config.max_batch,
-        config.batch_wait_us,
         config.queue_cap,
         config
             .ckpt_dir

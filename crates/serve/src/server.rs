@@ -5,21 +5,21 @@
 //!             ┌──────────── control plane ────────────┐
 //!             │ checkpoint watcher → validate → swap  │
 //!             └───────────────┬───────────────────────┘
-//!   TCP accept → workers ─ bounded queue ─ replicas (micro-batch forward)
+//!   TCP accept → workers ─ bounded queue ─ replicas (one pass per claim)
 //!             └── /health /info /metrics /admin/* ──→ telemetry
 //! ```
 //!
-//! Connections are served with HTTP/1.1 **pipelining**: a worker admits
-//! requests as fast as the peer streams them (enqueueing `/predict` work
-//! immediately) and writes responses strictly in request order as replica
-//! replies settle. One streaming connection can therefore keep whole
-//! micro-batches in flight — the bulk-query shape of a solver process
-//! driving the surrogate.
+//! Connections are served with HTTP/1.1 **pipelining**, each by a reader
+//! and a writer: the reader parses requests as their bytes arrive and
+//! enqueues `/predict` work at once — admission never waits for an
+//! earlier reply — and the writer sends responses strictly in request
+//! order as replica replies settle. One streaming connection can
+//! therefore keep a replica busy back to back — the bulk-query shape of a
+//! solver process driving the surrogate.
 //!
-//! See `docs/SERVING.md` for the endpoint reference and batching
-//! semantics.
+//! See `docs/SERVING.md` for the endpoint reference and when a forward
+//! pass stacks requests.
 
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -47,10 +47,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Warm replica count.
     pub replicas: usize,
-    /// Micro-batch size cap.
+    /// Cap on the requests one forward pass stacks (the upper clamp of
+    /// [`crate::pool::stack_limit`], which the served shape decides).
     pub max_batch: usize,
-    /// Micro-batch deadline in microseconds.
-    pub batch_wait_us: u64,
     /// Bounded request-queue capacity.
     pub queue_cap: usize,
     /// Checkpoint poll period in milliseconds.
@@ -75,7 +74,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             replicas: 1,
             max_batch: 32,
-            batch_wait_us: 2000,
             queue_cap: 256,
             poll_ms: 500,
             ckpt_dir: None,
@@ -93,7 +91,7 @@ impl ServeConfig {
     /// with the documented defaults for unset variables.
     pub fn from_env() -> Self {
         let defaults = ServeConfig::default();
-        let model_name = knobs::CGNN_SERVE_MODEL.string_or("small");
+        let model_name = knobs::CGNN_SERVE_MODEL.string_or(&defaults.model_name);
         let model = if model_name == "large" {
             GnnConfig::large()
         } else {
@@ -103,9 +101,8 @@ impl ServeConfig {
             addr: knobs::CGNN_SERVE_ADDR.string_or(&defaults.addr),
             replicas: knobs::CGNN_SERVE_REPLICAS.usize_or(defaults.replicas),
             max_batch: knobs::CGNN_SERVE_MAX_BATCH.usize_or(defaults.max_batch),
-            batch_wait_us: knobs::CGNN_SERVE_BATCH_WAIT_US.usize_or(2000) as u64,
             queue_cap: knobs::CGNN_SERVE_QUEUE_CAP.usize_or(defaults.queue_cap),
-            poll_ms: knobs::CGNN_SERVE_POLL_MS.usize_or(500) as u64,
+            poll_ms: knobs::CGNN_SERVE_POLL_MS.usize_or(defaults.poll_ms as usize) as u64,
             ckpt_dir: knobs::CGNN_SERVE_CKPT_DIR.lookup().map(PathBuf::from),
             model,
             model_name,
@@ -168,7 +165,6 @@ impl Server {
             Arc::clone(&stats),
             config.replicas,
             config.max_batch,
-            Duration::from_micros(config.batch_wait_us),
             config.queue_cap,
         );
         let watcher = config.ckpt_dir.is_some().then(|| {
@@ -323,9 +319,10 @@ fn worker_loop(router: Router, conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
     }
 }
 
-/// Cap on buffered pipelined requests per connection: bounds the reply
-/// backlog a single connection can hold open while still letting one
-/// streaming client fill the largest micro-batch many times over.
+/// Cap on responses owed to one connection: the reader stops admitting at
+/// this many unanswered requests (the channel to the writer is full) and
+/// resumes as the writer retires them, which bounds the reply backlog a
+/// single connection can hold open.
 const MAX_PIPELINE: usize = 256;
 
 /// One response owed to the connection, in request order.
@@ -337,128 +334,104 @@ enum Pending {
     InFlight(mpsc::Receiver<PredictReply>, Instant),
 }
 
-/// Serve one connection with HTTP/1.1 pipelining: requests are admitted
-/// (and `/predict` work enqueued) as fast as the peer sends them, and
-/// responses are written strictly in request order as they settle. A
-/// single streaming connection can therefore keep whole micro-batches in
-/// flight — the bulk-query shape a solver process produces — instead of
-/// one request per round-trip.
+/// A [`Pending`] response and whether the connection stays open after it.
+type Owed = (Pending, bool);
+
+/// Serve one connection with HTTP/1.1 pipelining, as two threads joined
+/// by a channel of [`MAX_PIPELINE`] owed responses: this one reads and
+/// admits, a scoped writer answers in request order. A request is
+/// therefore queued for the replicas when it reaches the socket, whatever
+/// replies the connection is still owed.
 fn handle_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TICK))?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    let mut pending: VecDeque<(Pending, bool)> = VecDeque::new();
-    let mut closing = false;
+    let (owed_tx, owed_rx) = mpsc::sync_channel::<Owed>(MAX_PIPELINE);
+    std::thread::scope(|scope| {
+        let write_side = std::thread::Builder::new()
+            .name("cgnn-serve-write".to_string())
+            .spawn_scoped(scope, move || write_responses(router, writer, owed_rx))?;
+        admit_requests(router, &mut reader, owed_tx);
+        write_side
+            .join()
+            .expect("a connection writer thread panicked")
+    })
+}
+
+/// The read side of a connection: parse each request as its bytes arrive,
+/// route it (which enqueues `/predict` work) and hand what it is owed to
+/// the writer. Returns — dropping `owed`, which lets the writer finish —
+/// when the peer closes or asks to, on a malformed request, on shutdown,
+/// or when the writer is gone.
+fn admit_requests(
+    router: &Router,
+    reader: &mut BufReader<TcpStream>,
+    owed: mpsc::SyncSender<Owed>,
+) {
     loop {
-        // A settled burst of responses leaves the buffered writer here,
-        // before admission can park waiting on the peer (which may itself
-        // be waiting on these responses).
-        writer.flush()?;
-        // Admission: with no reply owed, park in a blocking read (bounded
-        // by READ_TICK so shutdown is observed); with replies owed, only
-        // consume input that is already buffered — a pipelining client's
-        // next request — and never wait on a slow sender.
-        while !closing && pending.len() < MAX_PIPELINE {
-            if !pending.is_empty() && !input_available(&mut reader)? {
-                break;
+        let (pending, keep) = match http::read_request(reader) {
+            Ok(ReadOutcome::Request(req)) => (route(router, &req), !req.wants_close()),
+            Ok(ReadOutcome::Closed) => return,
+            // READ_TICK elapsed with nothing to read.
+            Ok(ReadOutcome::Idle) => {
+                if router.shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                continue;
             }
-            match http::read_request(&mut reader) {
-                Ok(ReadOutcome::Request(req)) => {
-                    let keep = !req.wants_close();
-                    pending.push_back((route(router, &req), keep));
-                    if !keep {
-                        closing = true;
-                    }
-                }
-                Ok(ReadOutcome::Closed) => closing = true,
-                Ok(ReadOutcome::Idle) => {
-                    if router.shared.shutdown.load(Ordering::Acquire) {
-                        closing = true;
-                    }
-                    break;
-                }
-                Err(e) => {
-                    let resp = Response::json(400, format!("{{ \"error\": \"{e}\" }}\n"));
-                    pending.push_back((Pending::Ready(resp), false));
-                    closing = true;
-                }
+            Err(e) => {
+                let resp = Response::json(400, format!("{{ \"error\": \"{e}\" }}\n"));
+                (Pending::Ready(resp), false)
             }
-        }
-        if pending.is_empty() {
-            if closing {
-                return writer.flush();
-            }
-            continue;
-        }
-        // Settlement: block for the front reply, then flush every further
-        // response that is already settled — a replica finishing a batch
-        // retires this connection's share of it in one wake-up.
-        let mut block_for_front = true;
-        while let Some((front, keep)) = pending.pop_front() {
-            let settled = if block_for_front {
-                Ok(settle(router, front))
-            } else {
-                try_settle(router, front)
-            };
-            block_for_front = false;
-            match settled {
-                Ok(resp) => {
-                    http::write_response(&mut writer, &resp, keep)?;
-                    if !keep {
-                        return writer.flush();
-                    }
-                }
-                Err(not_ready) => {
-                    pending.push_front((not_ready, keep));
-                    break;
-                }
-            }
+        };
+        // Blocks while MAX_PIPELINE responses are owed; fails once the
+        // writer has stopped (the peer no longer reads).
+        if owed.send((pending, keep)).is_err() || !keep {
+            return;
         }
     }
 }
 
-/// Whether another pipelined request (or EOF) can be consumed without
-/// waiting on the peer: bytes already sit in the read buffer, or the
-/// socket has data right now.
-fn input_available(reader: &mut BufReader<TcpStream>) -> std::io::Result<bool> {
-    if !reader.buffer().is_empty() {
-        return Ok(true);
+/// The write side of a connection: answer in request order, waiting on
+/// each in-flight reply in turn. Responses that are already settled when
+/// their turn comes share one buffered write; the buffer is flushed before
+/// every wait and when the reader is done.
+fn write_responses(
+    router: &Router,
+    mut writer: BufWriter<TcpStream>,
+    owed: mpsc::Receiver<Owed>,
+) -> std::io::Result<()> {
+    while let Some((pending, keep)) = recv_flushing(&owed, &mut writer)? {
+        let resp = match pending {
+            Pending::Ready(resp) => resp,
+            Pending::InFlight(reply, enqueued) => match recv_flushing(&reply, &mut writer)? {
+                Some(reply) => finish_predict(router, reply, enqueued),
+                None => pool_gone(router),
+            },
+        };
+        http::write_response(&mut writer, &resp, keep)?;
+        if !keep {
+            break;
+        }
     }
-    let stream = reader.get_ref();
-    stream.set_nonblocking(true)?;
-    let mut probe = [0u8; 1];
-    let peeked = stream.peek(&mut probe);
-    stream.set_nonblocking(false)?;
-    match peeked {
-        // Data — or EOF, which the next read_request reports as Closed.
-        Ok(_) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(false),
-        Err(e) => Err(e),
-    }
+    writer.flush()
 }
 
-/// Resolve a pending response, blocking on an in-flight replica reply.
-fn settle(router: &Router, p: Pending) -> Response {
-    match p {
-        Pending::Ready(resp) => resp,
-        Pending::InFlight(rx, enqueued) => match rx.recv() {
-            Ok(reply) => finish_predict(router, reply, enqueued),
-            Err(_) => pool_gone(router),
-        },
-    }
-}
-
-/// Resolve a pending response only if it is already settled; hands the
-/// pending entry back otherwise.
-fn try_settle(router: &Router, p: Pending) -> Result<Response, Pending> {
-    match p {
-        Pending::Ready(resp) => Ok(resp),
-        Pending::InFlight(rx, enqueued) => match rx.try_recv() {
-            Ok(reply) => Ok(finish_predict(router, reply, enqueued)),
-            Err(mpsc::TryRecvError::Empty) => Err(Pending::InFlight(rx, enqueued)),
-            Err(mpsc::TryRecvError::Disconnected) => Ok(pool_gone(router)),
-        },
+/// The next value of `rx`, or `None` once its sender is gone; `writer` is
+/// flushed first if the value is not there yet, so that the peer is never
+/// kept waiting for bytes this side is holding while it waits itself.
+fn recv_flushing<T>(
+    rx: &mpsc::Receiver<T>,
+    writer: &mut BufWriter<TcpStream>,
+) -> std::io::Result<Option<T>> {
+    match rx.try_recv() {
+        Ok(value) => Ok(Some(value)),
+        Err(mpsc::TryRecvError::Disconnected) => Ok(None),
+        Err(mpsc::TryRecvError::Empty) => {
+            writer.flush()?;
+            Ok(rx.recv().ok())
+        }
     }
 }
 
@@ -581,7 +554,7 @@ fn info_response(router: &Router) -> Response {
 
 /// Validate and enqueue a `/predict` request. Acceptance is decided here
 /// (backpressure, draining, frame validation); the forward pass settles
-/// later, in request order, via the connection's pending queue.
+/// later, in request order, at the connection's writer.
 fn predict(router: &Router, req: &Request) -> Pending {
     let stats = &router.stats;
     if router.shared.draining.load(Ordering::Acquire) {
@@ -605,12 +578,16 @@ fn predict(router: &Router, req: &Request) -> Pending {
             ));
         }
     };
-    let started = Instant::now();
+    let enqueued = Instant::now();
     let (resp_tx, resp_rx) = mpsc::channel();
-    let job = PredictJob { x, resp: resp_tx };
+    let job = PredictJob {
+        x,
+        enqueued,
+        resp: resp_tx,
+    };
     stats.queue_depth.fetch_add(1, Ordering::Relaxed);
     match router.pool_tx.try_send(job) {
-        Ok(()) => Pending::InFlight(resp_rx, started),
+        Ok(()) => Pending::InFlight(resp_rx, enqueued),
         Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
             stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
             stats.predict_rejected.fetch_add(1, Ordering::Relaxed);

@@ -3,11 +3,18 @@
 //! [`ServeSnapshot`] on demand (the `/metrics` endpoint).
 //!
 //! Everything here is allocation-free on the hot path: batch sizes and
-//! latencies land in **fixed-width histograms** (a direct-indexed array for
-//! batch sizes, power-of-two microsecond buckets for latency), so recording
+//! times land in **fixed-width histograms** (a direct-indexed array for
+//! batch sizes, power-of-two microsecond buckets for times), so recording
 //! a request is a handful of relaxed atomic increments. Percentiles are
 //! computed from the histogram only when a snapshot is taken, and are
 //! upper bounds (the top edge of the bucket holding the requested rank).
+//!
+//! A served request's time is recorded whole and in its two parts:
+//! `latency_us` (enqueue → reply taken up by the connection's writer),
+//! `queue_us` (enqueue → claimed by a replica) and `forward_us` (claimed →
+//! reply sent, i.e. input set-up plus the forward pass). What `latency_us`
+//! has beyond their sum is the reply waiting its turn in the connection's
+//! response order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,10 +22,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// count exactly, larger batches clamp into the last bucket.
 pub const BATCH_BUCKETS: usize = 64;
 
-/// Number of power-of-two latency buckets: bucket `i` counts requests
-/// whose latency in microseconds lies in `[2^i, 2^(i+1))`; the top bucket
-/// absorbs everything slower (`2^31` µs is over half an hour).
+/// Number of power-of-two time buckets: bucket `i` counts requests whose
+/// time in microseconds lies in `[2^i, 2^(i+1))`; the top bucket absorbs
+/// everything slower (`2^31` µs is over half an hour).
 pub const LAT_BUCKETS: usize = 32;
+
+/// A live power-of-two microsecond histogram.
+type TimeHist = [AtomicU64; LAT_BUCKETS];
+
+fn record_us(hist: &TimeHist, us: u64) {
+    let bucket = (63 - us.max(1).leading_zeros() as usize).min(LAT_BUCKETS - 1);
+    hist[bucket].fetch_add(1, Ordering::Relaxed);
+}
+
+fn load_hist<const N: usize>(hist: &[AtomicU64; N]) -> [u64; N] {
+    std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
+}
+
+fn new_hist<const N: usize>() -> [AtomicU64; N] {
+    std::array::from_fn(|_| AtomicU64::new(0))
+}
 
 /// Lock-free serving counters shared by the HTTP workers, the replica
 /// pool, and the control plane. One instance per server.
@@ -55,7 +78,9 @@ pub struct ServeStats {
     /// Forward passes executed by the replica pool.
     pub batches: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS],
-    lat_hist: [AtomicU64; LAT_BUCKETS],
+    lat_hist: TimeHist,
+    queue_hist: TimeHist,
+    forward_hist: TimeHist,
 }
 
 impl Default for ServeStats {
@@ -75,14 +100,16 @@ impl Default for ServeStats {
             admin_drain: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            lat_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+            batch_hist: new_hist(),
+            lat_hist: new_hist(),
+            queue_hist: new_hist(),
+            forward_hist: new_hist(),
         }
     }
 }
 
 impl ServeStats {
-    /// Record one executed micro-batch of `size` requests.
+    /// Record one executed forward pass over `size` requests.
     pub fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let bucket = size.clamp(1, BATCH_BUCKETS) - 1;
@@ -91,8 +118,18 @@ impl ServeStats {
 
     /// Record one served `/predict` latency (enqueue to reply) in µs.
     pub fn record_latency_us(&self, us: u64) {
-        let bucket = (63 - us.max(1).leading_zeros() as usize).min(LAT_BUCKETS - 1);
-        self.lat_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        record_us(&self.lat_hist, us);
+    }
+
+    /// Record how long one request sat queued (enqueue to claimed) in µs.
+    pub fn record_queue_us(&self, us: u64) {
+        record_us(&self.queue_hist, us);
+    }
+
+    /// Record one request's share of a replica's time (claimed to reply
+    /// sent) in µs.
+    pub fn record_forward_us(&self, us: u64) {
+        record_us(&self.forward_hist, us);
     }
 
     /// Fold the live counters into a plain-old-data snapshot.
@@ -112,8 +149,10 @@ impl ServeStats {
             admin_drain: self.admin_drain.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            batch_hist: std::array::from_fn(|i| self.batch_hist[i].load(Ordering::Relaxed)),
-            lat_hist: std::array::from_fn(|i| self.lat_hist[i].load(Ordering::Relaxed)),
+            batch_hist: load_hist(&self.batch_hist),
+            lat_hist: load_hist(&self.lat_hist),
+            queue_hist: load_hist(&self.queue_hist),
+            forward_hist: load_hist(&self.forward_hist),
         }
     }
 }
@@ -154,6 +193,47 @@ pub struct ServeSnapshot {
     pub batch_hist: [u64; BATCH_BUCKETS],
     /// `lat_hist[i]` = requests with latency in `[2^i, 2^(i+1))` µs.
     pub lat_hist: [u64; LAT_BUCKETS],
+    /// `queue_hist[i]` = requests queued for `[2^i, 2^(i+1))` µs.
+    pub queue_hist: [u64; LAT_BUCKETS],
+    /// `forward_hist[i]` = requests a replica held for `[2^i, 2^(i+1))` µs.
+    pub forward_hist: [u64; LAT_BUCKETS],
+}
+
+/// Upper bound in µs at quantile `q` in `[0, 1]` of a power-of-two
+/// histogram: the top edge of the bucket holding the requested rank (0
+/// when nothing was recorded).
+fn quantile_us(hist: &[u64; LAT_BUCKETS], q: f64) -> u64 {
+    let total: u64 = hist.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    for (i, &c) in hist.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return (1u64 << (i + 1)) - 1;
+        }
+    }
+    (1u64 << LAT_BUCKETS) - 1
+}
+
+/// `{ "p50": .., "p90": .., "p99": .., "hist_le": [[bound, count], ..] }`
+/// over the non-empty buckets of a power-of-two histogram.
+fn time_hist_json(hist: &[u64; LAT_BUCKETS]) -> String {
+    let pairs: Vec<String> = hist
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| format!("[{}, {}]", (1u64 << (i + 1)) - 1, c))
+        .collect();
+    format!(
+        "{{ \"p50\": {}, \"p90\": {}, \"p99\": {}, \"hist_le\": [{}] }}",
+        quantile_us(hist, 0.50),
+        quantile_us(hist, 0.90),
+        quantile_us(hist, 0.99),
+        pairs.join(", "),
+    )
 }
 
 impl ServeSnapshot {
@@ -184,19 +264,7 @@ impl ServeSnapshot {
     /// of the histogram bucket holding the requested rank (0 when no
     /// latency was recorded).
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        let total: u64 = self.lat_hist.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.lat_hist.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (1u64 << (i + 1)) - 1;
-            }
-        }
-        (1u64 << LAT_BUCKETS) - 1
+        quantile_us(&self.lat_hist, q)
     }
 
     /// Render the snapshot as a self-describing JSON object (the
@@ -209,13 +277,6 @@ impl ServeSnapshot {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| format!("[{}, {}]", i + 1, c))
-            .collect();
-        let lat_pairs: Vec<String> = self
-            .lat_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("[{}, {}]", (1u64 << (i + 1)) - 1, c))
             .collect();
         format!(
             concat!(
@@ -236,8 +297,9 @@ impl ServeSnapshot {
                 "  \"queue_depth\": {},\n",
                 "  \"batches\": {{ \"count\": {}, \"mean\": {:.3}, \"max\": {}, ",
                 "\"hist\": [{}] }},\n",
-                "  \"latency_us\": {{ \"p50\": {}, \"p90\": {}, \"p99\": {}, ",
-                "\"hist_le\": [{}] }}\n",
+                "  \"latency_us\": {},\n",
+                "  \"queue_us\": {},\n",
+                "  \"forward_us\": {}\n",
                 "}}\n",
             ),
             self.predict_ok,
@@ -257,10 +319,9 @@ impl ServeSnapshot {
             self.mean_batch(),
             self.max_batch(),
             batch_pairs.join(", "),
-            self.latency_quantile_us(0.50),
-            self.latency_quantile_us(0.90),
-            self.latency_quantile_us(0.99),
-            lat_pairs.join(", "),
+            time_hist_json(&self.lat_hist),
+            time_hist_json(&self.queue_hist),
+            time_hist_json(&self.forward_hist),
         )
     }
 }
@@ -278,6 +339,8 @@ mod tests {
         for _ in 0..10 {
             s.record_latency_us(1000); // bucket [512, 1024)
         }
+        s.record_queue_us(3); // bucket [2, 4)
+        s.record_forward_us(5000); // bucket [4096, 8192)
         s.record_batch(1);
         s.record_batch(4);
         s.record_batch(4);
@@ -289,7 +352,13 @@ mod tests {
         assert_eq!(snap.latency_quantile_us(0.90), 15);
         assert_eq!(snap.latency_quantile_us(0.99), 1023);
         let json = snap.to_json();
-        assert!(json.contains("\"p50\": 15"));
+        assert!(json.contains("\"latency_us\": { \"p50\": 15"));
+        assert!(json.contains(
+            "\"queue_us\": { \"p50\": 3, \"p90\": 3, \"p99\": 3, \"hist_le\": [[3, 1]] }"
+        ));
+        assert!(json.contains("\"forward_us\": { \"p50\": 8191"));
+        assert_eq!(snap.queue_hist.iter().sum::<u64>(), 1);
+        assert_eq!(snap.forward_hist[12], 1);
         assert!(json.contains("\"predict_ok\": 0"));
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the serving plane over real TCP: bit-identity of
-//! served predictions, hot checkpoint reload under concurrent load, and
-//! queue-overflow backpressure.
+//! served predictions (stacked passes on a small mesh, singleton passes on
+//! the default one), hot checkpoint reload under concurrent load,
+//! queue-overflow backpressure, and admission on arrival.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,13 +28,18 @@ fn test_config() -> ServeConfig {
     }
 }
 
-/// A reference trainer with the same graph/architecture/seed the server
-/// uses, for computing expected predictions in-process.
-fn reference_trainer(seed: u64) -> (Trainer, Arc<cgnn_graph::LocalGraph>) {
-    let mesh = BoxMesh::new((ELEMS, ELEMS, ELEMS), 2, (1.0, 1.0, 1.0), false);
+/// A reference trainer with the same graph/architecture/seed a server of
+/// `elems` elements per axis uses, for computing expected predictions
+/// in-process.
+fn reference_trainer_on(seed: u64, elems: usize) -> (Trainer, Arc<cgnn_graph::LocalGraph>) {
+    let mesh = BoxMesh::new((elems, elems, elems), 2, (1.0, 1.0, 1.0), false);
     let graph = Arc::new(build_global_graph(&mesh));
     let ctx = HaloContext::single(LoopbackBackend::comm());
     (Trainer::new(GnnConfig::small(), seed, 1e-3, ctx), graph)
+}
+
+fn reference_trainer(seed: u64) -> (Trainer, Arc<cgnn_graph::LocalGraph>) {
+    reference_trainer_on(seed, ELEMS)
 }
 
 fn sample_inputs(graph: &Arc<cgnn_graph::LocalGraph>, count: usize) -> Vec<RankData> {
@@ -43,77 +49,115 @@ fn sample_inputs(graph: &Arc<cgnn_graph::LocalGraph>, count: usize) -> Vec<RankD
         .collect()
 }
 
+/// What `trainer` predicts in-process for each sample.
+fn expected_outputs(trainer: &Trainer, samples: &[RankData]) -> Vec<Vec<f64>> {
+    samples
+        .iter()
+        .map(|sample| trainer.predict(sample).into_vec())
+        .collect()
+}
+
+/// Write one `/predict` per sample down `client` without reading.
+fn send_all<'a>(client: &mut HttpClient, samples: impl IntoIterator<Item = &'a RankData>) {
+    for sample in samples {
+        client
+            .send_request("POST", "/predict", &encode_f64(sample.x.data()))
+            .expect("pipelined send");
+    }
+}
+
+/// Read one response per expected output, in order, and require each to
+/// be a 200 from seeded weights (step 0) carrying exactly those bits.
+fn read_and_check<'a>(client: &mut HttpClient, expected: impl IntoIterator<Item = &'a Vec<f64>>) {
+    for expected in expected {
+        let resp = client.read_response().expect("pipelined read");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("x-model-step"), Some("0"), "seeded weights");
+        let served = decode_f64(&resp.body).expect("f64 frame");
+        assert_eq!(served.len(), expected.len());
+        for (a, b) in served.iter().zip(expected) {
+            assert_eq!(a.to_bits(), b.to_bits(), "served prediction diverged");
+        }
+    }
+}
+
 #[test]
 fn served_predictions_are_bit_identical_to_in_process_inference() {
+    // On the 2^3 mesh (600 edges) a pass stacks up to this cap.
     let config = ServeConfig {
         max_batch: 8,
-        // Generous assembly window so the concurrent burst below lands in
-        // one stacked forward pass.
-        batch_wait_us: 200_000,
         ..test_config()
     };
     let seed = config.seed;
     let server = Server::start(config).expect("server start");
     let addr = server.addr();
     let (trainer, graph) = reference_trainer(seed);
-    let samples = sample_inputs(&graph, 6);
+    let samples = sample_inputs(&graph, 7);
 
-    let responses: Vec<(u16, Option<u64>, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = samples
-            .iter()
-            .map(|sample| {
-                scope.spawn(move || {
-                    let mut client =
-                        HttpClient::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-                    let body = encode_f64(sample.x.data());
-                    let resp = client.request("POST", "/predict", &body).expect("predict");
-                    let step = resp
-                        .header("x-model-step")
-                        .and_then(|v| v.parse::<u64>().ok());
-                    let y = decode_f64(&resp.body).expect("f64 frame");
-                    (resp.status, step, y)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
+    // Nothing but a busy replica forms a batch: one request occupies the
+    // replica, and the six pipelined behind it on the same connection are
+    // admitted as they arrive and claimed together when its pass ends.
+    let mut client = HttpClient::connect_retry(addr, Duration::from_secs(5)).expect("connect");
+    send_all(&mut client, &samples[..1]);
+    common::wait_until(common::generous(), "the replica to claim the first", || {
+        server.stats().snapshot().batches == 1
     });
+    send_all(&mut client, &samples[1..]);
+    read_and_check(&mut client, &expected_outputs(&trainer, &samples));
 
-    for (sample, (status, step, served)) in samples.iter().zip(&responses) {
-        assert_eq!(*status, 200);
-        assert_eq!(*step, Some(0), "seeded weights serve as step 0");
-        let expected = trainer.predict(sample);
-        assert_eq!(served.len(), expected.data().len());
-        for (a, b) in served.iter().zip(expected.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "served prediction diverged");
-        }
-    }
-
-    // The burst was served by stacked forward passes: fewer passes than
-    // requests, i.e. micro-batching actually engaged.
     let snap = server.stats().snapshot();
-    assert_eq!(snap.predict_ok, 6);
+    assert_eq!(snap.predict_ok, 7);
     assert!(
         snap.max_batch() >= 2,
-        "expected at least one stacked batch, got max {}",
+        "expected at least one stacked pass, got max {}",
         snap.max_batch()
     );
+    // Every served request was timed in both parts.
+    assert_eq!(snap.queue_hist.iter().sum::<u64>(), 7);
+    assert_eq!(snap.forward_hist.iter().sum::<u64>(), 7);
 
     // Telemetry sanity over the wire.
     let mut client = HttpClient::connect(addr).expect("connect");
     let metrics = client.request("GET", "/metrics", &[]).expect("metrics");
     assert_eq!(metrics.status, 200);
     let text = String::from_utf8(metrics.body).expect("utf8 metrics");
-    assert!(text.contains("\"predict_ok\": 6"), "metrics: {text}");
-    assert!(text.contains("\"latency_us\""));
+    assert!(text.contains("\"predict_ok\": 7"), "metrics: {text}");
+    for part in ["\"latency_us\"", "\"queue_us\"", "\"forward_us\""] {
+        assert!(text.contains(part), "metrics lack {part}: {text}");
+    }
 
     let info = client.request("GET", "/info", &[]).expect("info");
     assert_eq!(
         info.header("x-n-nodes"),
         Some(graph.n_local().to_string().as_ref())
     );
+    server.shutdown();
+}
+
+#[test]
+fn default_mesh_serves_singleton_passes() {
+    // The default 4^3 mesh under the default cap of 32: a stacked pass
+    // would leave cache, so every pass serves one request however deep the
+    // queue behind it.
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeConfig::default()
+    };
+    let (seed, elems, burst) = (config.seed, config.elems, 3 * config.max_batch);
+    let server = Server::start(config).expect("server start");
+    let (trainer, graph) = reference_trainer_on(seed, elems);
+    let samples = sample_inputs(&graph, 8);
+    let expected = expected_outputs(&trainer, &samples);
+
+    let mut client =
+        HttpClient::connect_retry(server.addr(), Duration::from_secs(5)).expect("connect");
+    send_all(&mut client, samples.iter().cycle().take(burst));
+    read_and_check(&mut client, expected.iter().cycle().take(burst));
+
+    let snap = server.stats().snapshot();
+    assert_eq!(snap.predict_ok, burst as u64);
+    assert_eq!(snap.max_batch(), 1, "a pass stacked on the default mesh");
+    assert_eq!(snap.batches, snap.predict_ok);
     server.shutdown();
 }
 
@@ -299,4 +343,41 @@ fn saturated_queue_rejects_with_503_instead_of_hanging() {
     if let Ok(resp) = hung.join().expect("hung client thread") {
         assert_eq!(resp.status, 500);
     }
+}
+
+#[test]
+fn admission_does_not_wait_for_settlement() {
+    let config = ServeConfig {
+        // No replicas: the first request's reply never settles.
+        replicas: 0,
+        queue_cap: 4,
+        ..test_config()
+    };
+    let server = Server::start(config).expect("server start");
+    let n_vals = server.n_local() * cgnn_graph::NODE_FEATS;
+    let body = encode_f64(&vec![0.25; n_vals]);
+
+    // One client writes six requests a few milliseconds apart — each
+    // reaches the socket while the ones before it are still owed — and
+    // reads nothing.
+    let mut client =
+        HttpClient::connect_retry(server.addr(), Duration::from_secs(5)).expect("connect");
+    for _ in 0..6 {
+        client
+            .send_request("POST", "/predict", &body)
+            .expect("pipelined send");
+        std::thread::sleep(Duration::from_millis(3));
+    }
+    // Every one of them met the queue on arrival: four fill it, two are
+    // refused. (A connection that admitted only after settling what it
+    // owed would stop at one queued and none refused.)
+    common::wait_until(
+        common::generous(),
+        "all six requests to be admitted",
+        || {
+            let snap = server.stats().snapshot();
+            snap.queue_depth == 4 && snap.predict_rejected == 2
+        },
+    );
+    server.shutdown();
 }

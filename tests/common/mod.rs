@@ -1,5 +1,5 @@
 //! Shared integration-test helpers: bounded deadline polling instead of
-//! fixed sleeps.
+//! fixed sleeps, and the resident-set reading of the soak tests.
 //!
 //! Fixed `thread::sleep(...)` waits are either too short (flaky under CI
 //! load) or too long (slow everywhere). These helpers poll a probe with a
@@ -51,6 +51,13 @@ pub fn wait_until(deadline: Duration, what: &str, mut probe: impl FnMut() -> boo
 /// conditions in these tests normally hold within milliseconds.
 pub fn generous() -> Duration {
     Duration::from_secs(10)
+}
+
+/// Resident set of the whole process in kB (`VmRSS`; `None` off Linux).
+pub fn rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// A watchdog that aborts the whole test process if it is still armed

@@ -7,6 +7,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+mod common;
+use common::rss_kb;
+
 use cgnn::comm::World;
 use cgnn::core::{GnnConfig, HaloContext, HaloExchangeMode, RankData, Trainer};
 use cgnn::graph::{build_distributed_graph, build_global_graph, LocalGraph};
@@ -30,12 +33,6 @@ struct Sample {
     step_secs: f64,
     /// Resident set of the whole process (`None` off Linux).
     rss_kb: Option<u64>,
-}
-
-fn rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// Train `steps` steps per rank; after every step, sample, then run an
