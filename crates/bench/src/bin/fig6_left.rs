@@ -6,7 +6,7 @@
 //! `CGNN_ELEMS` sets the cubic element count per axis (paper: 32, default
 //! here 12 to stay fast on laptops); `CGNN_MAXR` caps the rank sweep.
 
-use cgnn_bench::{demo_loss, env_usize, write_json};
+use cgnn_bench::{demo_loss, write_json};
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
@@ -17,8 +17,8 @@ use serde_json::json;
 const SEED: u64 = 2024;
 
 fn main() {
-    let elems = env_usize(&config::CGNN_ELEMS, 12);
-    let max_r = env_usize(&config::CGNN_MAXR, 64);
+    let elems = config::CGNN_ELEMS.usize_or(12);
+    let max_r = config::CGNN_MAXR.usize_or(64);
     let mesh = BoxMesh::new((elems, elems, elems), 1, (1.0, 1.0, 1.0), false);
     println!(
         "Fig. 6 (left): mean dataset loss vs number of ranks; {}^3 elements p=1, {} nodes",

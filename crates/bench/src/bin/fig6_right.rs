@@ -7,7 +7,7 @@
 //! `CGNN_ITERS` sets the epoch count (default 100), `CGNN_ELEMS` the cubic
 //! element count (paper: 32 at p=1; default 8).
 
-use cgnn_bench::{env_usize, write_json};
+use cgnn_bench::write_json;
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
@@ -19,8 +19,8 @@ const SEED: u64 = 99;
 const LR: f64 = 1e-3;
 
 fn main() {
-    let epochs = env_usize(&config::CGNN_ITERS, 100) as u64;
-    let elems = env_usize(&config::CGNN_ELEMS, 8);
+    let epochs = config::CGNN_ITERS.usize_or(100) as u64;
+    let elems = config::CGNN_ELEMS.usize_or(8);
     let mesh = BoxMesh::new((elems, elems, elems), 1, (1.0, 1.0, 1.0), false);
     let field = TaylorGreen::new(0.01);
     // Four snapshots of the decaying field, two per optimizer step.

@@ -1,6 +1,6 @@
-//! Shared helpers for the benchmark harness: every table and figure of the
-//! paper's evaluation section has a regeneration binary in `src/bin/`, and
-//! the kernel-level Criterion benches live in `benches/`.
+//! Shared helpers for the paper's regeneration binaries: every table and
+//! figure of the evaluation section has one in `src/bin/`. Timings come
+//! from `sysbench/` (see `sysbench/README.md`), not from this crate.
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -11,7 +11,6 @@
 //! | Fig. 7 (weak scaling)               | `fig7` |
 //! | Fig. 8 (relative throughput)        | `fig8` |
 
-use cgnn_core::config::EnvKnob;
 use cgnn_mesh::TaylorGreen;
 use cgnn_session::Session;
 
@@ -28,15 +27,6 @@ pub fn demo_loss(session: &Session) -> f64 {
     }
 }
 
-/// Parse a registered env knob override with a binary-specific default
-/// (used by the figure binaries to switch between quick and paper-scale
-/// runs). Taking an [`EnvKnob`] rather than a bare name means every
-/// override a binary honors is declared in the central registry
-/// (`cgnn_core::config`) and therefore documented in the README table.
-pub fn env_usize(knob: &EnvKnob, default: usize) -> usize {
-    knob.usize_or(default)
-}
-
 /// Write a serializable result as pretty JSON under `results/`.
 pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
     let dir = std::path::Path::new("results");
@@ -50,12 +40,3 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
 /// serde bridge: serde is re-exported through serde_json's dependency; the
 /// bound above needs the real crate.
 pub use serde;
-pub use serde_json;
-
-/// Pre-PR single-rank training-step throughput at the `hotpath` bench's
-/// default size (6^3 elements, p = 2, small model), measured on the
-/// tracking machine as the best of five 10-step runs at commit `2c6dbcf`
-/// (before the parallel-kernel / tape-workspace / overlap work). Recorded
-/// into `BENCH_hotpath.json` so the speedup the hot-path overhaul claims
-/// stays auditable against a fixed reference.
-pub const BASELINE_STEPS_PER_SEC: f64 = 9.56;

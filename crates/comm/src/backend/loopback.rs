@@ -7,8 +7,8 @@
 //! that owns a [`Trainer`](../../cgnn_core) outside any
 //! [`Backend::launch`](crate::Backend::launch) SPMD region. The inference
 //! serving plane (`cgnn-serve`) keeps one loopback-backed trainer warm per
-//! replica, and the Criterion step benchmarks time the trainer on the
-//! benchmark thread through the same transport.
+//! replica, and `sysbench`'s kernel probes time a trainer on the
+//! measuring thread through the same transport.
 //!
 //! Arithmetic over a loopback world is bit-identical to a launched
 //! single-rank world of any other backend: the [`Comm`] layer

@@ -20,7 +20,7 @@
 //! | [`SerialBackend`](serial::SerialBackend) | in-memory | baton | deterministic round-robin scheduler with a deadlock supervisor: zero-concurrency reference semantics for debugging and CI |
 //! | [`ProcWorld`](proc::ProcWorld) | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank: address-space isolation, real serialization cost, per-rank thread budgets that actually hold |
 //! | [`SocketWorld`](socket::SocketWorld) | `CGNW` frames over TCP | heartbeat | the same launch over a full TCP mesh, spanning machines via a rank-0 rendezvous listener |
-//! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, the Criterion step benchmarks) |
+//! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, `sysbench`'s kernel probes) |
 //!
 //! The engine provides raw transport primitives only; traffic accounting
 //! and the deterministic reduction arithmetic live once, in [`Comm`], so

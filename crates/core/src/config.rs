@@ -42,11 +42,20 @@ impl EnvKnob {
         std::env::var(self.name).ok().filter(|v| !v.is_empty())
     }
 
-    /// The knob parsed as `usize`, or `default` when unset or unparsable.
+    /// The knob parsed as `usize`, or `default` when unset.
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set to something that is not a `usize`: a
+    /// mistyped value must not silently become the default.
     pub fn usize_or(&self, default: usize) -> usize {
-        self.lookup()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+        match self.lookup() {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default")
+                panic!("{} must be a non-negative integer, got `{v}`", self.name)
+            }),
+        }
     }
 
     /// The knob as a string, or `default` when unset.
@@ -122,25 +131,14 @@ pub const CGNN_SOCKET_ADDR: EnvKnob = EnvKnob {
           listens; required for manual multi-machine launches.",
 };
 
-/// Per-rank kernel worker budget applied by every multi-rank launcher
-/// when no explicit worker count is pinned.
-pub const CGNN_THREAD_BUDGET: EnvKnob = EnvKnob {
-    name: "CGNN_THREAD_BUDGET",
-    default: "auto (max(1, cores/world))",
-    doc: "Per-rank kernel worker budget: `auto` clamps each rank to \
-          `max(1, cores/world)`, `off` disables the clamp, `<n>` forces \
-          a count; an explicit `CGNN_NUM_THREADS` pin always wins.",
-};
-
 /// Kernel worker count for the parallel tensor kernels (results are
 /// worker-count-invariant by construction; this only changes timing).
 pub const CGNN_NUM_THREADS: EnvKnob = EnvKnob {
     name: "CGNN_NUM_THREADS",
     default: "all cores, thread-budgeted per rank",
     doc: "Tensor-kernel worker count; results are bit-identical at any \
-          value (see docs/PERFORMANCE.md). Falls back to \
-          `RAYON_NUM_THREADS`; when unset, multi-rank launchers budget \
-          each rank to `max(1, cores/world)` (`CGNN_THREAD_BUDGET`).",
+          value (see docs/PERFORMANCE.md). When unset, multi-rank \
+          launchers budget each rank to `max(1, cores/world)`.",
 };
 
 /// Epoch/iteration count used by the examples and figure binaries.
@@ -163,72 +161,6 @@ pub const CGNN_MAXR: EnvKnob = EnvKnob {
     name: "CGNN_MAXR",
     default: "64",
     doc: "Largest rank count swept by `fig6_left`.",
-};
-
-/// `hotpath` bench: elements per axis.
-pub const CGNN_BENCH_ELEMS: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_ELEMS",
-    default: "6",
-    doc: "`hotpath` bench mesh size (elements per axis).",
-};
-
-/// `hotpath` bench: polynomial order.
-pub const CGNN_BENCH_POLY: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_POLY",
-    default: "2",
-    doc: "`hotpath` bench GLL polynomial order.",
-};
-
-/// `hotpath` bench: timed steps per repetition.
-pub const CGNN_BENCH_STEPS: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_STEPS",
-    default: "10",
-    doc: "`hotpath` bench timed training steps per repetition.",
-};
-
-/// `hotpath` bench: warmup steps per cell.
-pub const CGNN_BENCH_WARMUP: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_WARMUP",
-    default: "2",
-    doc: "`hotpath` bench warmup steps before timing.",
-};
-
-/// `hotpath` bench: repetitions (best is reported).
-pub const CGNN_BENCH_REPS: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_REPS",
-    default: "3",
-    doc: "`hotpath` bench repetitions; the fastest is recorded.",
-};
-
-/// `hotpath` bench: comma-separated rank counts to sweep.
-pub const CGNN_BENCH_RANKS: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_RANKS",
-    default: "1,2,4,8",
-    doc: "`hotpath` bench comma-separated rank counts.",
-};
-
-/// `hotpath` bench: model size preset.
-pub const CGNN_BENCH_MODEL: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_MODEL",
-    default: "small",
-    doc: "`hotpath` bench model preset (`small` or `large`).",
-};
-
-/// `hotpath` bench: comma-separated backends for the weak-scaling sweep.
-pub const CGNN_BENCH_BACKENDS: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_BACKENDS",
-    default: "threads,proc",
-    doc: "`hotpath` bench backends swept by the weak-scaling section \
-          (any of `threads`, `serial`, `proc`, `socket`).",
-};
-
-/// `hotpath` bench: internal parameter channel for re-exec'd weak-scaling
-/// worker ranks (set by the bench itself, not by operators).
-pub const CGNN_BENCH_WEAK: EnvKnob = EnvKnob {
-    name: "CGNN_BENCH_WEAK",
-    default: "unset (internal)",
-    doc: "`hotpath` bench internal: weak-scaling cell parameters passed \
-          to re-exec'd worker ranks; not set by hand.",
 };
 
 /// `cgnn-serve`: TCP bind address of the inference server.
@@ -288,28 +220,12 @@ pub const CGNN_SERVE_MODEL: EnvKnob = EnvKnob {
           checkpoints being served.",
 };
 
-/// `cgnn-serve` / `servebench`: elements per axis of the served mesh.
+/// `cgnn-serve`: elements per axis of the served mesh.
 pub const CGNN_SERVE_ELEMS: EnvKnob = EnvKnob {
     name: "CGNN_SERVE_ELEMS",
     default: "4",
-    doc: "Elements per axis of the mesh `cgnn-serve` and the `servebench` \
-          binary serve predictions on (GLL order fixed at 2).",
-};
-
-/// `serve_client` / `servebench`: concurrent load-generator connections.
-pub const CGNN_SERVE_BENCH_CLIENTS: EnvKnob = EnvKnob {
-    name: "CGNN_SERVE_BENCH_CLIENTS",
-    default: "2",
-    doc: "`servebench` concurrent load-generator connections (pipelined at \
-          saturation); the `serve_client` example defaults to 4.",
-};
-
-/// `serve_client` / `servebench`: requests issued per client connection.
-pub const CGNN_SERVE_BENCH_REQS: EnvKnob = EnvKnob {
-    name: "CGNN_SERVE_BENCH_REQS",
-    default: "400",
-    doc: "`servebench` requests per client connection; the `serve_client` \
-          example defaults to 20.",
+    doc: "Elements per axis of the mesh `cgnn-serve` serves predictions \
+          on (GLL order fixed at 2).",
 };
 
 /// Liveness-probe heartbeat of the comm engine's heartbeat park policy
@@ -340,14 +256,6 @@ pub const CGNN_FAULT_SEED: EnvKnob = EnvKnob {
           rank and kill op); any fixed value replays the same failure.",
 };
 
-/// Fallback worker-count knob honored by the vendored rayon shim when
-/// `CGNN_NUM_THREADS` is unset (upstream rayon compatibility).
-pub const RAYON_NUM_THREADS: EnvKnob = EnvKnob {
-    name: "RAYON_NUM_THREADS",
-    default: "unset",
-    doc: "Upstream-rayon-compatible fallback for `CGNN_NUM_THREADS`.",
-};
-
 /// Every declared knob, in presentation order (the README table order).
 pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_BACKEND,
@@ -358,19 +266,9 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_PROC_DIR,
     &CGNN_SOCKET_ADDR,
     &CGNN_NUM_THREADS,
-    &CGNN_THREAD_BUDGET,
     &CGNN_ITERS,
     &CGNN_ELEMS,
     &CGNN_MAXR,
-    &CGNN_BENCH_ELEMS,
-    &CGNN_BENCH_POLY,
-    &CGNN_BENCH_STEPS,
-    &CGNN_BENCH_WARMUP,
-    &CGNN_BENCH_REPS,
-    &CGNN_BENCH_RANKS,
-    &CGNN_BENCH_MODEL,
-    &CGNN_BENCH_BACKENDS,
-    &CGNN_BENCH_WEAK,
     &CGNN_SERVE_ADDR,
     &CGNN_SERVE_REPLICAS,
     &CGNN_SERVE_MAX_BATCH,
@@ -379,27 +277,10 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_SERVE_CKPT_DIR,
     &CGNN_SERVE_MODEL,
     &CGNN_SERVE_ELEMS,
-    &CGNN_SERVE_BENCH_CLIENTS,
-    &CGNN_SERVE_BENCH_REQS,
     &CGNN_FAULT_HEARTBEAT_MS,
     &CGNN_FAULT_MAX_RETRIES,
     &CGNN_FAULT_SEED,
-    &RAYON_NUM_THREADS,
 ];
-
-/// The default per-rank kernel worker budget for `world` concurrent
-/// ranks on `cores` hardware threads: `max(1, cores / world)`, so
-/// `ranks × workers ≤ cores` and kernel parallelism composes with rank
-/// parallelism instead of contending.
-///
-/// This is the policy the multi-rank launchers in `cgnn-comm` apply
-/// (re-derived there because `cgnn-comm` sits below this crate); this
-/// copy is the documented, cross-checked formula. It is a pure function
-/// — the launchers resolve `cores` and the `CGNN_THREAD_BUDGET` /
-/// `CGNN_NUM_THREADS` overrides themselves.
-pub fn per_rank_thread_budget(cores: usize, world: usize) -> usize {
-    (cores / world.max(1)).max(1)
-}
 
 /// Render the registry as the markdown table embedded in the README
 /// ("Environment knobs" section). A unit test asserts the README copy is
@@ -425,7 +306,7 @@ mod tests {
         assert_eq!(before, names.len(), "duplicate knob names");
         for k in KNOBS {
             assert!(
-                k.name.starts_with("CGNN_") || k.name == "RAYON_NUM_THREADS",
+                k.name.starts_with("CGNN_"),
                 "unexpected knob prefix: {}",
                 k.name
             );
@@ -448,18 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_formula() {
-        assert_eq!(per_rank_thread_budget(8, 4), 2);
-        assert_eq!(per_rank_thread_budget(8, 8), 1);
-        assert_eq!(per_rank_thread_budget(1, 8), 1, "never below one worker");
-        assert_eq!(per_rank_thread_budget(7, 2), 3, "floor division");
-        assert_eq!(per_rank_thread_budget(4, 0), 4, "degenerate world");
-        // The headline constraint: ranks x workers never exceeds cores.
-        for cores in 1..=16 {
-            for world in 1..=16 {
-                assert!(world * per_rank_thread_budget(cores, world) <= cores.max(world));
-            }
-        }
+    #[should_panic(expected = "CGNN_TEST_MISTYPED_KNOB must be a non-negative integer")]
+    fn usize_or_rejects_an_unparsable_value_by_name() {
+        // A name no other test reads, so setting it races with nothing.
+        let knob = EnvKnob {
+            name: "CGNN_TEST_MISTYPED_KNOB",
+            default: "1",
+            doc: "test",
+        };
+        std::env::set_var(knob.name, "two");
+        knob.usize_or(1);
     }
 
     #[test]

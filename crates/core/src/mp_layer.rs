@@ -53,67 +53,6 @@ impl GraphIndices {
     }
 }
 
-/// Cumulative per-thread (= per-rank) timers of the overlapped forward:
-/// how long the interior-node MLP ran inside the post→wait window, and how
-/// long the completion wait took afterwards. The `hotpath` bench derives
-/// the *exchange-hidden fraction* `window / (window + wait)` from these.
-pub mod overlap_stats {
-    use std::cell::Cell;
-
-    thread_local! {
-        static WINDOW_NS: Cell<u64> = const { Cell::new(0) };
-        static WAIT_NS: Cell<u64> = const { Cell::new(0) };
-        static WINDOWS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// One rank's accumulated overlap timing.
-    #[derive(Debug, Clone, Copy, Default, PartialEq)]
-    pub struct OverlapWindow {
-        /// Nanoseconds of interior-node compute executed inside open
-        /// post→wait windows.
-        pub window_ns: u64,
-        /// Nanoseconds spent completing receives after the window closed.
-        pub wait_ns: u64,
-        /// Number of overlap windows opened.
-        pub windows: u64,
-    }
-
-    impl OverlapWindow {
-        /// Fraction of the exchange latency hidden behind compute:
-        /// `window / (window + wait)`; zero when no window ever opened.
-        pub fn hidden_fraction(&self) -> f64 {
-            let total = self.window_ns + self.wait_ns;
-            if total == 0 {
-                0.0
-            } else {
-                self.window_ns as f64 / total as f64
-            }
-        }
-    }
-
-    /// Zero this thread's counters.
-    pub fn reset() {
-        WINDOW_NS.with(|c| c.set(0));
-        WAIT_NS.with(|c| c.set(0));
-        WINDOWS.with(|c| c.set(0));
-    }
-
-    /// Snapshot this thread's counters.
-    pub fn snapshot() -> OverlapWindow {
-        OverlapWindow {
-            window_ns: WINDOW_NS.with(Cell::get),
-            wait_ns: WAIT_NS.with(Cell::get),
-            windows: WINDOWS.with(Cell::get),
-        }
-    }
-
-    pub(crate) fn record(window_ns: u64, wait_ns: u64) {
-        WINDOW_NS.with(|c| c.set(c.get() + window_ns));
-        WAIT_NS.with(|c| c.set(c.get() + wait_ns));
-        WINDOWS.with(|c| c.set(c.get() + 1));
-    }
-}
-
 /// Differentiable halo swap + synchronization as a tape op.
 ///
 /// Forward: `a* = H a` where `H = I + sum of neighbour swaps`.
@@ -176,15 +115,11 @@ fn halo_sync_then(
         return consume(tape, a_star);
     };
     // --- Overlap window: interior rows while halos are in flight.
-    let t_window = std::time::Instant::now();
     tape.begin_row_mask(Arc::clone(&graph.interior_rows));
     let out = consume(tape, a_star);
-    let window_ns = t_window.elapsed().as_nanos() as u64;
     // --- Close the window: wait + accumulate halos (Eq. 4d) into the sync
     // node's boundary rows, then backfill those rows through the chain.
-    let t_wait = std::time::Instant::now();
     pending.finish(tape.value_mut(a_star), graph);
-    overlap_stats::record(window_ns, t_wait.elapsed().as_nanos() as u64);
     tape.end_row_mask(&graph.boundary_rows);
     out
 }
@@ -532,5 +467,42 @@ mod tests {
         // One layer of message passing only corrupts nodes within one hop of
         // the cut; most interior nodes remain exact.
         assert!(max_interior_dev < max_boundary_dev);
+    }
+
+    /// `halo_sync_then` runs `consume` inside the exchange window exactly
+    /// when the strategy is split-phase: under Ovl-SR the tape's row mask
+    /// is active while `consume` records (the tape refuses `sum`, which is
+    /// not row-separable, only under a mask), under Send-Recv the exchange
+    /// is over by then and nothing is masked. Either way the mask is
+    /// closed again on return.
+    #[test]
+    fn consume_records_under_the_row_mask_only_inside_a_window() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mesh = BoxMesh::new((2, 2, 2), 1, (1.0, 1.0, 1.0), false);
+        let part = Partition::new(&mesh, 2, Strategy::Slab);
+        let graphs: Vec<Arc<LocalGraph>> = build_distributed_graph(&mesh, &part)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        for (mode, windowed) in [
+            (HaloExchangeMode::SendRecv, false),
+            (HaloExchangeMode::Overlapped, true),
+        ] {
+            let graphs = graphs.clone();
+            World::run(2, move |comm| {
+                let g = &graphs[comm.rank()];
+                let ctx = HaloContext::new(comm.clone(), g, mode);
+                let mut tape = Tape::new();
+                let a = tape.leaf(Tensor::from_fn(g.n_local(), 3, |r, c| (r + c) as f64));
+                let mut masked = None;
+                let a_star = halo_sync_then(&mut tape, a, g, &ctx, |tape, a_star| {
+                    let refused = catch_unwind(AssertUnwindSafe(|| tape.sum(a_star))).is_err();
+                    masked = Some(refused);
+                    a_star
+                });
+                assert_eq!(masked, Some(windowed), "{mode}: mask while consuming");
+                tape.sum(a_star);
+            });
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal blocking HTTP/1.1 client for the serving plane — shared by the
-//! integration tests, the `serve_client` example, and the `servebench`
-//! load generator.
+//! integration tests, the `serve_client` example, and `sysbench`'s load
+//! generator.
 //!
 //! Intentionally tiny: keep-alive requests over one `TcpStream`, response
 //! framing by `Content-Length` only. Because the workspace's `serde_json`
@@ -75,7 +75,7 @@ impl HttpClient {
     /// Write one request without waiting for its response. Pairing `n`
     /// sends with `n` [`HttpClient::read_response`] calls pipelines the
     /// connection (responses come back in request order), which is how
-    /// `servebench` measures saturation throughput without a client
+    /// `sysbench` measures saturation throughput without a client
     /// round-trip on every request's critical path.
     pub fn send_request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
         let head = format!(

@@ -83,10 +83,9 @@ const STACK_BUDGET_BYTES: usize = 1 << 20;
 /// predictions are the same bits at every value.
 ///
 /// On the 1-element, 108-edge mesh (20 KiB per sample, small model) that
-/// is the whole default `max_batch` of 32, and stacking 32 more than
-/// doubles throughput there (`BENCH_serve.json`: per-pass overhead
-/// dominates a 27-node pass). On the default 4³ mesh (3 888 edges,
-/// 729 KiB per sample) it is 1: measured on the reference box a stacked
+/// is the whole default `max_batch` of 32: per-pass overhead dominates a
+/// 27-node pass. On the default 4³ mesh (3 888 edges, 729 KiB per
+/// sample) it is 1: measured on the reference box a stacked
 /// pass of 8 costs 4.7 ms per sample against 4.1 ms for singleton passes,
 /// because its intermediates leave L2, and each stacked size ever run
 /// keeps a union graph and buffer set (13 MB per stacked sample) resident.
@@ -276,10 +275,12 @@ mod tests {
         // The default 4^3 order-2 mesh: 9^3 nodes, 3 888 directed edges.
         assert_eq!(stack_limit(3888, small, 32), 1);
         assert_eq!(stack_limit(3888, large, 32), 1);
-        // The 1-element `servebench` mesh: the whole default cap.
+        // The 1-element mesh: the whole default cap.
         assert_eq!(stack_limit(108, small, 32), 32);
-        // The 2^3 mesh of the HTTP tests reaches their cap of 8.
+        // The 2^3 mesh of the HTTP tests reaches their cap of 8, and a cap
+        // of 1 turns stacking off even where passes would stack.
         assert_eq!(stack_limit(600, small, 8), 8);
+        assert_eq!(stack_limit(600, small, 1), 1);
         // Never below one request, never above the cap.
         assert_eq!(stack_limit(10_000_000, large, 32), 1);
         assert_eq!(stack_limit(0, small, 4), 4);

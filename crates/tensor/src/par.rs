@@ -14,8 +14,8 @@
 //!
 //! Chunk boundaries are a pure function of the matrix shape (see
 //! [`row_chunk`]) — worker count only decides which thread runs which
-//! chunk. `CGNN_NUM_THREADS` (or `RAYON_NUM_THREADS`) pins the worker
-//! count; see `docs/PERFORMANCE.md`.
+//! chunk. `CGNN_NUM_THREADS` pins the worker count; see
+//! `docs/PERFORMANCE.md`.
 
 use rayon::ParallelSliceMut;
 

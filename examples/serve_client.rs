@@ -10,9 +10,9 @@
 //!
 //! Either way: discover the frame size from `/info` response headers
 //! (the vendored `serde_json` shim cannot parse bodies), fire
-//! `CGNN_SERVE_BENCH_CLIENTS` concurrent keep-alive connections issuing
-//! `CGNN_SERVE_BENCH_REQS` binary `/predict` requests each, then print
-//! throughput, latency percentiles, and the server's own `/metrics`.
+//! `CLIENTS` concurrent keep-alive connections issuing `REQS` binary
+//! `/predict` requests each, then print throughput, latency percentiles,
+//! and the server's own `/metrics`.
 //!
 //! ```sh
 //! cargo run --release --example serve_client
@@ -28,10 +28,12 @@ use cgnn::core::config as knobs;
 use cgnn::serve::http::encode_f64;
 use cgnn::serve::{HttpClient, ServeConfig, Server};
 
-fn main() {
-    let clients = knobs::CGNN_SERVE_BENCH_CLIENTS.usize_or(4);
-    let reqs = knobs::CGNN_SERVE_BENCH_REQS.usize_or(20);
+/// Concurrent keep-alive connections.
+const CLIENTS: usize = 4;
+/// Requests issued per connection.
+const REQS: usize = 20;
 
+fn main() {
     // External server when CGNN_SERVE_ADDR is set, self-contained
     // otherwise.
     let (addr, local_server) = match knobs::CGNN_SERVE_ADDR.lookup() {
@@ -81,7 +83,7 @@ fn main() {
     // Closed-loop load: every client its own connection and frame.
     let t0 = Instant::now();
     let mut lats: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
+        let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 scope.spawn(move || {
                     let x: Vec<f64> = (0..n_nodes * node_feats)
@@ -90,8 +92,8 @@ fn main() {
                     let body = encode_f64(&x);
                     let mut client =
                         HttpClient::connect_retry(addr, Duration::from_secs(15)).expect("connect");
-                    let mut lats = Vec::with_capacity(reqs);
-                    for _ in 0..reqs {
+                    let mut lats = Vec::with_capacity(REQS);
+                    for _ in 0..REQS {
                         let s = Instant::now();
                         let resp = client
                             .request("POST", "/predict", &body)
@@ -114,10 +116,10 @@ fn main() {
     let pct = |q: f64| lats[((q * (lats.len() - 1) as f64).round() as usize).min(lats.len() - 1)];
     println!(
         "{} requests over {} connections in {:.2}s -> {:.1} req/s (p50 {}us, p99 {}us)",
-        clients * reqs,
-        clients,
+        CLIENTS * REQS,
+        CLIENTS,
         wall,
-        (clients * reqs) as f64 / wall,
+        (CLIENTS * REQS) as f64 / wall,
         pct(0.50),
         pct(0.99),
     );

@@ -13,12 +13,12 @@
 //!   count), which is what keeps chunk-local arithmetic bit-identical at
 //!   every thread count.
 //!
-//! Worker count resolution (cached): `CGNN_NUM_THREADS`, then
-//! `RAYON_NUM_THREADS`, then `std::thread::available_parallelism()` capped
-//! by the thread-local *budget* ([`set_thread_budget`]) if one is armed —
-//! an explicit environment pin always wins over the budget. Tests can pin
-//! a count for one closure with [`with_num_threads`], which wins over
-//! everything on the current thread.
+//! Worker count resolution (cached): `CGNN_NUM_THREADS`
+//! ([`env_num_threads`]), then `std::thread::available_parallelism()`
+//! capped by the thread-local *budget* ([`set_thread_budget`]) if one is
+//! armed — an explicit environment pin always wins over the budget. Tests
+//! can pin a count for one closure with [`with_num_threads`], which wins
+//! over everything on the current thread.
 //!
 //! The budget is how multi-rank launchers stop in-process ranks from
 //! oversubscribing the machine: each rank thread gets
@@ -35,20 +35,25 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSliceMut};
 }
 
-/// Cached explicit worker-count pin from the environment, if any.
-fn explicit_env_threads() -> Option<usize> {
-    static EXPLICIT: OnceLock<Option<usize>> = OnceLock::new();
-    *EXPLICIT.get_or_init(|| {
-        for var in ["CGNN_NUM_THREADS", "RAYON_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                return Some(n.max(1));
-            }
-        }
-        None
-    })
+/// The explicit worker-count pin `CGNN_NUM_THREADS`, if set (cached; an
+/// empty value counts as unset). The one resolver of that variable: the
+/// adaptors here and `cgnn-comm`'s per-rank budget both ask it, so a value
+/// is a pin to both or to neither.
+///
+/// # Panics
+///
+/// When the variable holds something that is not a worker count.
+pub fn env_num_threads() -> Option<usize> {
+    static PIN: OnceLock<Option<usize>> = OnceLock::new();
+    *PIN.get_or_init(|| parse_pin(std::env::var("CGNN_NUM_THREADS").ok().as_deref()))
+}
+
+fn parse_pin(raw: Option<&str>) -> Option<usize> {
+    let raw = raw.filter(|v| !v.is_empty())?;
+    match raw.parse::<usize>() {
+        Ok(n) => Some(n.max(1)),
+        Err(_) => panic!("CGNN_NUM_THREADS must be a worker count, got `{raw}`"),
+    }
 }
 
 /// Cached hardware parallelism.
@@ -67,14 +72,13 @@ thread_local! {
 }
 
 /// Worker count used by every adaptor on this thread: the
-/// [`with_num_threads`] override, else the explicit `CGNN_NUM_THREADS` /
-/// `RAYON_NUM_THREADS` pin, else hardware parallelism capped by the
-/// thread-local budget.
+/// [`with_num_threads`] override, else the explicit `CGNN_NUM_THREADS`
+/// pin, else hardware parallelism capped by the thread-local budget.
 pub fn current_num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n;
     }
-    if let Some(n) = explicit_env_threads() {
+    if let Some(n) = env_num_threads() {
         return n;
     }
     match THREAD_BUDGET.with(Cell::get) {
@@ -319,7 +323,7 @@ mod tests {
     fn thread_budget_caps_default_but_not_overrides() {
         let prev = super::set_thread_budget(Some(1));
         // The budget caps the hardware default on this thread...
-        if super::explicit_env_threads().is_none() {
+        if super::env_num_threads().is_none() {
             assert_eq!(super::current_num_threads(), 1);
         }
         // ...but an explicit per-closure override still wins.
@@ -327,6 +331,16 @@ mod tests {
         // Restoring the previous budget round-trips.
         assert_eq!(super::set_thread_budget(prev), Some(1));
         assert_eq!(super::set_thread_budget(None), prev);
+    }
+
+    #[test]
+    #[should_panic(expected = "CGNN_NUM_THREADS must be a worker count, got `abc`")]
+    fn pin_is_a_count_or_unset_and_anything_else_is_rejected_by_name() {
+        assert_eq!(super::parse_pin(None), None);
+        assert_eq!(super::parse_pin(Some("")), None);
+        assert_eq!(super::parse_pin(Some("3")), Some(3));
+        assert_eq!(super::parse_pin(Some("0")), Some(1));
+        super::parse_pin(Some("abc"));
     }
 
     #[test]

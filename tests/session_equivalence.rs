@@ -149,6 +149,24 @@ fn overlapped_is_arithmetically_identical_to_send_recv() {
     }
 }
 
+/// The collective and the point-to-point plans ship the same payloads and
+/// accumulate them in the same neighbour order: A2A, N-A2A and Send-Recv
+/// train the same bits. With the two tests above that closes the chain —
+/// every consistent mode is bit-identical to every other at each R.
+#[test]
+fn collective_and_point_to_point_plans_are_arithmetically_identical() {
+    for ranks in [2usize, 4, 8] {
+        let na2a = session(ranks, HaloExchangeMode::NeighborAllToAll);
+        for mode in [HaloExchangeMode::AllToAll, HaloExchangeMode::SendRecv] {
+            assert_eq!(
+                na2a,
+                session(ranks, mode),
+                "R={ranks}: {mode} and N-A2A trajectories must be bit-identical"
+            );
+        }
+    }
+}
+
 /// A custom strategy plugged in through the builder's `exchange_with`
 /// extension point participates in training like a built-in one.
 #[test]
