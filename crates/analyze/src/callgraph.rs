@@ -29,9 +29,8 @@ pub struct NodeRef {
 /// The resolved call graph.
 pub struct CallGraph {
     nodes: Vec<NodeRef>,
-    /// Per node: per call site, the resolved target node ids (sorted).
-    call_targets: Vec<Vec<Vec<usize>>>,
-    /// Per node: union of all targets (sorted, deduped).
+    /// Per node: union of its call sites' resolved targets (sorted,
+    /// deduped).
     edges: Vec<Vec<usize>>,
 }
 
@@ -86,25 +85,19 @@ impl CallGraph {
             }
         }
         let fn_of = |n: &NodeRef| -> &FnInfo { &files[n.file].parsed.fns[n.f] };
-        let mut call_targets = Vec::with_capacity(nodes.len());
-        let mut edges = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            let caller = fn_of(node);
-            let mut per_call = Vec::with_capacity(caller.calls.len());
-            let mut union: BTreeSet<usize> = BTreeSet::new();
-            for call in &caller.calls {
-                let targets = resolve(call, caller, node.file, &by_name, &nodes, files);
-                union.extend(targets.iter().copied());
-                per_call.push(targets);
-            }
-            call_targets.push(per_call);
-            edges.push(union.into_iter().collect());
-        }
-        CallGraph {
-            nodes,
-            call_targets,
-            edges,
-        }
+        let edges = nodes
+            .iter()
+            .map(|node| {
+                let caller = fn_of(node);
+                let union: BTreeSet<usize> = caller
+                    .calls
+                    .iter()
+                    .flat_map(|call| resolve(call, caller, node.file, &by_name, &nodes, files))
+                    .collect();
+                union.into_iter().collect()
+            })
+            .collect();
+        CallGraph { nodes, edges }
     }
 
     /// Number of nodes.
@@ -120,12 +113,6 @@ impl CallGraph {
     /// The `(file, fn)` reference of node `n`.
     pub fn node(&self, n: usize) -> NodeRef {
         self.nodes[n]
-    }
-
-    /// Resolved targets of call `c` of node `n` (indices follow
-    /// `parsed.fns[..].calls`).
-    pub fn targets(&self, n: usize, c: usize) -> &[usize] {
-        &self.call_targets[n][c]
     }
 
     /// All outgoing edges of node `n`.

@@ -1,7 +1,7 @@
 //! Per-file analysis context: the token stream plus the lightweight
-//! structure every rule needs — `#[cfg(test)]`/`#[test]` regions, function
-//! spans (for per-function rules and constructor exemptions), and parsed
-//! `// detlint: allow(rule, "reason")` suppressions.
+//! structure every rule needs — `#[cfg(test)]`/`#[test]` regions, parsed
+//! `// detlint: allow(rule, "reason")` suppressions, and the fn items the
+//! call graph is built from.
 
 use crate::lexer::{lex, Comment, Tok, Token};
 
@@ -32,15 +32,6 @@ impl Span {
     pub fn contains(&self, i: usize) -> bool {
         self.start <= i && i < self.end
     }
-}
-
-/// A function item recovered from the token stream.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Span covering the whole item from the `fn` keyword.
-    pub span: Span,
 }
 
 /// One parsed suppression comment.
@@ -75,14 +66,12 @@ pub struct FileContext {
     pub lines: Vec<String>,
     /// Token spans under `#[cfg(test)]` / `#[test]` items.
     pub test_spans: Vec<Span>,
-    /// All function items, outermost first.
-    pub fns: Vec<FnSpan>,
     /// Well-formed suppression comments.
     pub suppressions: Vec<Suppression>,
     /// Malformed suppression comments.
     pub bad_suppressions: Vec<BadSuppression>,
-    /// Structural recovery: fn items with calls/panics, rank-conditioned
-    /// branch spans (see [`crate::parser`]).
+    /// Structural recovery: fn items with their calls and panic sites
+    /// (see [`crate::parser`]).
     pub parsed: crate::parser::ParsedFile,
 }
 
@@ -91,7 +80,6 @@ impl FileContext {
     pub fn new(path: &str, kind: FileKind, src: &str) -> Self {
         let (tokens, comments) = lex(src);
         let test_spans = find_test_spans(&tokens);
-        let fns = find_fns(&tokens);
         let (suppressions, bad_suppressions) = parse_suppressions(&comments);
         let parsed = crate::parser::parse(&tokens, &comments);
         FileContext {
@@ -100,7 +88,6 @@ impl FileContext {
             tokens,
             lines: src.lines().map(|l| l.to_string()).collect(),
             test_spans,
-            fns,
             suppressions,
             bad_suppressions,
             parsed,
@@ -110,16 +97,6 @@ impl FileContext {
     /// Whether token index `i` is inside test-only code.
     pub fn in_test(&self, i: usize) -> bool {
         self.kind == FileKind::Test || self.test_spans.iter().any(|s| s.contains(i))
-    }
-
-    /// Innermost function containing token index `i`, if any.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSpan> {
-        // fns is in source order; the innermost match is the one with the
-        // largest start among those containing i.
-        self.fns
-            .iter()
-            .filter(|f| f.span.contains(i))
-            .max_by_key(|f| f.span.start)
     }
 
     /// Whether a finding of `rule` at `line` is suppressed: a suppression
@@ -248,46 +225,6 @@ fn find_test_spans(tokens: &[Token]) -> Vec<Span> {
     spans
 }
 
-/// Recover all `fn name … { … }` items (including nested ones).
-fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
-    let mut fns = Vec::new();
-    for i in 0..tokens.len() {
-        if !is_ident(&tokens[i], "fn") {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1).and_then(ident_of) else {
-            continue;
-        };
-        // First `{` outside parens/brackets opens the body (skips the
-        // parameter list, return type, and where clauses).
-        let mut depth = 0i32;
-        let mut open = None;
-        for (j, t) in tokens.iter().enumerate().skip(i + 2) {
-            match t.kind {
-                Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-                Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-                Tok::Punct('{') if depth == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                // A `;` at depth 0 means a body-less fn (trait method).
-                Tok::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-        }
-        if let Some(open) = open {
-            fns.push(FnSpan {
-                name: name.to_string(),
-                span: Span {
-                    start: i,
-                    end: matching_brace_end(tokens, open),
-                },
-            });
-        }
-    }
-    fns
-}
-
 /// Parse `detlint: allow(rule, "reason")` comments. The reason is
 /// mandatory and must be a non-empty quoted string.
 fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<BadSuppression>) {
@@ -379,26 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn enclosing_fn_finds_innermost() {
-        let src = "fn outer() { fn inner() { body(); } }";
-        let ctx = FileContext::new("a.rs", FileKind::Lib, src);
-        let body_idx = ctx
-            .tokens
-            .iter()
-            .position(|t| is_ident(t, "body"))
-            .expect("body token present");
-        assert_eq!(
-            ctx.enclosing_fn(body_idx).map(|f| f.name.as_str()),
-            Some("inner")
-        );
-    }
-
-    #[test]
     fn suppressions_require_reasons() {
         let src = "\
 // detlint: allow(nondet-iteration, \"keys sorted on the next line\")\n\
 // detlint: allow(unwrap-in-lib)\n\
-// detlint: allow(hotpath-alloc, \"\")\n";
+// detlint: allow(hotpath-reachability, \"\")\n";
         let ctx = FileContext::new("a.rs", FileKind::Lib, src);
         assert_eq!(ctx.suppressions.len(), 1);
         assert_eq!(ctx.bad_suppressions.len(), 2);

@@ -18,15 +18,9 @@
 //! | rule | invariant |
 //! |---|---|
 //! | `nondet-iteration` | no HashMap/HashSet iteration in lib code |
-//! | `atomic-in-kernel` | tensor kernels stay atomics- and `unsafe`-free |
-//! | `float-reduction-order` | parallel float reductions only in audited kernels |
-//! | `hotpath-alloc` | no ad-hoc allocation in hot modules (use the pool) |
 //! | `unwrap-in-lib` | no `unwrap()`/`panic!` without a documented invariant |
 //! | `env-var-registry` | every env read names a registered knob |
-//! | `lock-discipline` | no lock acquisition-order cycles in cgnn-comm |
-//! | `collective-divergence` | no collective reachable under a rank-conditioned branch |
-//! | `blocking-in-overlap-window` | no blocking comm between `begin` and `finish` |
-//! | `hotpath-reachability` | no per-call allocation reachable from hot-path code |
+//! | `hotpath-reachability` | no per-call allocation in or reachable from hot-path code |
 //! | `panic-reachability` | public API reaching a panic documents `# Panics` |
 //!
 //! False positives are silenced *per site* with
@@ -45,8 +39,6 @@ pub mod rules;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use serde_json::Value;
 
 pub use callgraph::{CallGraph, Workspace};
 use context::{FileContext, FileKind};
@@ -90,42 +82,21 @@ pub struct Report {
 }
 
 impl Report {
-    /// Keep only diagnostics whose path is in `keep`, for
-    /// `--changed-only` mode. The full workspace is still *analyzed*
-    /// (so the call graph stays sound); this filters what is reported.
-    /// `files_scanned` is unchanged — it counts analysis, not output.
-    pub fn retain_paths(&mut self, keep: &std::collections::BTreeSet<String>) {
-        self.diagnostics.retain(|d| keep.contains(&d.path));
-    }
-
-    /// Render the report as a JSON value tree (stable field order).
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            (
-                "files_scanned".into(),
-                Value::Int(self.files_scanned as i64),
-            ),
-            ("count".into(), Value::Int(self.diagnostics.len() as i64)),
-            (
-                "diagnostics".into(),
-                Value::Array(
-                    self.diagnostics
-                        .iter()
-                        .map(|d| {
-                            Value::Object(vec![
-                                ("rule".into(), Value::String(d.rule.clone())),
-                                ("path".into(), Value::String(d.path.clone())),
-                                ("line".into(), Value::Int(d.line as i64)),
-                                ("col".into(), Value::Int(d.col as i64)),
-                                ("snippet".into(), Value::String(d.snippet.clone())),
-                                ("message".into(), Value::String(d.message.clone())),
-                                ("docs".into(), Value::String(d.docs.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Render the whole report as the CLI prints it: every diagnostic
+    /// followed by a blank line, then the summary line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for d in &self.diagnostics {
+            out.push_str(&d.render());
+            out.push_str("\n\n");
+        }
+        let n = self.diagnostics.len();
+        out.push_str(&format!(
+            "detlint: scanned {} files, {n} diagnostic{}\n",
+            self.files_scanned,
+            if n == 1 { "" } else { "s" }
+        ));
+        out
     }
 }
 
@@ -202,7 +173,7 @@ impl Engine {
     }
 
     /// The shared rule pipeline: per-file checks, the workspace
-    /// call-graph pass, finalizers, rendering, suppression application.
+    /// call-graph pass, rendering, suppression application.
     fn run_rules(&self, ctxs: &[FileContext]) -> Vec<Diagnostic> {
         let mut rules = rules::all_rules();
         let mut findings = Vec::new();
@@ -214,9 +185,6 @@ impl Engine {
         let ws = Workspace::new(ctxs);
         for r in rules.iter_mut() {
             r.check_workspace(&ws, &self.cfg, &mut findings);
-        }
-        for r in rules.iter_mut() {
-            r.finalize(&self.cfg, &mut findings);
         }
         let mut diagnostics = render(findings, |p| ctxs.iter().find(|c| c.path == p));
         for ctx in ctxs {
@@ -327,7 +295,7 @@ mod tests {
         assert_eq!(classify("crates/core/tests/consistency.rs"), FileKind::Test);
         assert_eq!(classify("tests/integration.rs"), FileKind::Test);
         assert_eq!(classify("examples/tgv_surrogate.rs"), FileKind::Example);
-        assert_eq!(classify("crates/bench/src/bin/hotpath.rs"), FileKind::Bin);
+        assert_eq!(classify("crates/bench/src/bin/table1.rs"), FileKind::Bin);
         assert_eq!(classify("src/main.rs"), FileKind::Bin);
     }
 
@@ -350,7 +318,7 @@ fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
     }
 
     #[test]
-    fn json_report_shape() {
+    fn report_renders_diagnostics_then_summary() {
         let report = Report {
             diagnostics: vec![Diagnostic {
                 rule: "unwrap-in-lib".into(),
@@ -363,9 +331,10 @@ fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
             }],
             files_scanned: 1,
         };
-        let json = serde_json::to_string(&report.to_json()).expect("value tree always serializes");
-        assert!(json.contains("\"files_scanned\":1"));
-        assert!(json.contains("\"rule\":\"unwrap-in-lib\""));
-        assert!(json.contains("\"line\":3"));
+        assert_eq!(
+            report.render(),
+            "a.rs:3:7: [unwrap-in-lib] m\n    | x.unwrap()\n    = docs: \
+             docs/ANALYSIS.md#unwrap-in-lib\n\ndetlint: scanned 1 files, 1 diagnostic\n"
+        );
     }
 }

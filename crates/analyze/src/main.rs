@@ -1,19 +1,13 @@
 //! detlint CLI.
 //!
 //! ```text
-//! cargo run -p cgnn-analyze -- --workspace [--deny] [--json] [--root <path>]
-//!                              [--changed-only [--changed-base <ref>]]
+//! cargo run -p cgnn-analyze -- --workspace [--deny] [--root <path>]
 //! ```
 //!
-//! Human mode prints one rich diagnostic per finding plus a summary line;
-//! `--json` prints a machine-readable report. With `--deny`, any finding
-//! makes the process exit 1 (the CI gate). `--changed-only` still scans
-//! the whole workspace (the interprocedural rules need the full call
-//! graph) but reports only diagnostics in files that differ from
-//! `--changed-base` (default `HEAD`) or are untracked.
+//! Prints one rich diagnostic per finding plus a summary line. With
+//! `--deny`, any finding makes the process exit 1 (the CI gate).
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cgnn_analyze::{Config, Engine};
@@ -21,75 +15,27 @@ use cgnn_analyze::{Config, Engine};
 fn usage() -> &'static str {
     "detlint — determinism & hot-path lints for the cgnn workspace\n\
      \n\
-     USAGE: cgnn-analyze --workspace [--deny] [--json] [--root <path>]\n\
-     \u{20}                           [--changed-only [--changed-base <ref>]]\n\
+     USAGE: cgnn-analyze --workspace [--deny] [--root <path>]\n\
      \n\
      OPTIONS:\n\
        --workspace           scan every crate in the workspace (required)\n\
        --deny                exit nonzero when any diagnostic is produced\n\
-       --json                emit the report as JSON instead of human text\n\
        --root <path>         workspace root (default: the checkout containing\n\
                              this crate, via CARGO_MANIFEST_DIR)\n\
-       --changed-only        report only diagnostics in files changed vs the\n\
-                             base ref (plus untracked files); the full\n\
-                             workspace is still analyzed so call-graph rules\n\
-                             stay sound. Falls back to the full report when\n\
-                             git is unavailable.\n\
-       --changed-base <ref>  base ref for --changed-only (default: HEAD)\n\
      \n\
      Rules and suppression syntax: docs/ANALYSIS.md"
-}
-
-/// Files changed relative to `base`, plus untracked files, as paths
-/// relative to `root` with forward slashes — the same shape diagnostics
-/// carry. `None` when git can't answer (not a repo, no git binary).
-fn changed_paths(root: &Path, base: &str) -> Option<BTreeSet<String>> {
-    let mut keep = BTreeSet::new();
-    for extra_args in [
-        vec!["diff", "--name-only", base],
-        vec!["ls-files", "--others", "--exclude-standard"],
-    ] {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(&extra_args)
-            .output()
-            .ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                keep.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Some(keep)
 }
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut deny = false;
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut changed_only = false;
-    let mut changed_base = String::from("HEAD");
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--deny" => deny = true,
-            "--json" => json = true,
-            "--changed-only" => changed_only = true,
-            "--changed-base" => match args.next() {
-                Some(r) => changed_base = r,
-                None => {
-                    eprintln!("error: --changed-base requires a git ref\n\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -121,7 +67,7 @@ fn main() -> ExitCode {
     });
 
     let mut engine = Engine::new(Config::default());
-    let mut report = match engine.analyze_workspace(&root) {
+    let report = match engine.analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: failed to scan {}: {e}", root.display());
@@ -129,39 +75,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if changed_only {
-        match changed_paths(&root, &changed_base) {
-            Some(keep) => report.retain_paths(&keep),
-            None => eprintln!(
-                "warning: --changed-only: git diff against `{changed_base}` \
-                 failed; reporting the full workspace"
-            ),
-        }
-    }
-
-    if json {
-        match serde_json::to_string_pretty(&report.to_json()) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("error: JSON rendering failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        for d in &report.diagnostics {
-            println!("{}\n", d.render());
-        }
-        println!(
-            "detlint: scanned {} files, {} diagnostic{}",
-            report.files_scanned,
-            report.diagnostics.len(),
-            if report.diagnostics.len() == 1 {
-                ""
-            } else {
-                "s"
-            }
-        );
-    }
+    print!("{}", report.render());
 
     if deny && !report.diagnostics.is_empty() {
         ExitCode::FAILURE

@@ -1,19 +1,16 @@
-//! Structure recovery over the token stream: items, call expressions,
-//! and branch structure — the "recursive descent" layer detlint v2's
+//! Structure recovery over the token stream: items, call expressions
+//! and panic sites — the "recursive descent" layer detlint v2's
 //! interprocedural rules are built on.
 //!
 //! This is deliberately **not** a full Rust parser. It recovers exactly
 //! what the call-graph rules need:
 //!
 //! - every `fn` item with its name, enclosing `impl` type, visibility,
-//!   parameter/body spans, and whether its doc comment has a `# Panics`
-//!   section;
+//!   span, and whether its doc comment has a `# Panics` section;
 //! - every call expression inside each fn, classified by receiver shape
 //!   (`free()`, `self.method()`, `var.method()`, `Type::assoc()`);
 //! - every direct panic site (`panic!`/`todo!`/`unimplemented!`,
-//!   `.unwrap()`);
-//! - every branch body whose condition mentions `rank` (the spans the
-//!   `collective-divergence` rule treats as rank-conditioned).
+//!   `.unwrap()`).
 //!
 //! Anything it cannot confidently classify it drops, so downstream rules
 //! degrade to fewer findings rather than wrong ones.
@@ -26,10 +23,6 @@ use crate::lexer::{Comment, Tok, Token};
 pub struct ParsedFile {
     /// All function items with bodies, in source order.
     pub fns: Vec<FnInfo>,
-    /// Token spans of branch bodies guarded by a rank-dependent
-    /// condition (`if comm.rank() == 0 { … }`, `match rank { … }`,
-    /// including the `else`/`else if` arms of a rank-guarded `if`).
-    pub rank_spans: Vec<Span>,
 }
 
 /// One recovered `fn` item.
@@ -48,10 +41,6 @@ pub struct FnInfo {
     pub doc_has_panics: bool,
     /// Whole item span, from the `fn` keyword to the closing brace.
     pub span: Span,
-    /// Parameter-list tokens (inside the parens).
-    pub params: Span,
-    /// Body tokens (inside the braces).
-    pub body: Span,
     /// Call expressions lexically inside this fn (innermost-fn wins for
     /// nested items; closure bodies belong to the enclosing fn).
     pub calls: Vec<CallSite>,
@@ -81,14 +70,6 @@ pub struct CallSite {
     pub callee: String,
     /// Receiver shape, for heuristic resolution.
     pub recv: Receiver,
-    /// Token index of the callee identifier.
-    pub tok: usize,
-    /// Argument tokens (inside the parens).
-    pub args: Span,
-    /// 1-based line of the callee identifier.
-    pub line: u32,
-    /// 1-based column of the callee identifier.
-    pub col: u32,
 }
 
 /// One direct panic site.
@@ -117,9 +98,8 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 pub fn parse(tokens: &[Token], comments: &[Comment]) -> ParsedFile {
     let impls = find_impl_spans(tokens);
     let mut fns = find_fn_items(tokens, comments, &impls);
-    let rank_spans = find_rank_spans(tokens);
     attribute_calls(tokens, &mut fns);
-    ParsedFile { fns, rank_spans }
+    ParsedFile { fns }
 }
 
 /// Index one past the token matching the opener at `open` (`open_c` …
@@ -344,10 +324,6 @@ fn find_fn_items(tokens: &[Token], comments: &[Comment], impls: &[(String, Span)
             continue;
         }
         let params_end = matching_group_end(tokens, j, '(', ')');
-        let params = Span {
-            start: j + 1,
-            end: params_end.saturating_sub(1),
-        };
         // First `{` outside parens/brackets opens the body; a `;` first
         // means a body-less trait method — skipped (nothing to analyze).
         let mut depth = 0i32;
@@ -373,90 +349,11 @@ fn find_fn_items(tokens: &[Token], comments: &[Comment], impls: &[(String, Span)
             is_pub,
             doc_has_panics: doc_block_has_panics(comments, tokens[start_tok].line),
             span: Span { start: i, end },
-            params,
-            body: Span {
-                start: open + 1,
-                end: end.saturating_sub(1),
-            },
             calls: Vec::new(),
             panics: Vec::new(),
         });
     }
     fns
-}
-
-/// Token span of a condition: from `start` to the first `{` at
-/// paren/bracket depth 0. Returns `(cond_span, brace_index)`.
-fn cond_span(tokens: &[Token], start: usize) -> Option<(Span, usize)> {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(start) {
-        match t.kind {
-            Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-            Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-            Tok::Punct('{') if depth == 0 => {
-                return Some((Span { start, end: j }, j));
-            }
-            Tok::Punct(';') if depth == 0 => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Whether any token in `span` is the exact identifier `rank` (the
-/// conventional spelling across the workspace: `comm.rank()`,
-/// `self.rank`, a `rank` local).
-fn mentions_rank(tokens: &[Token], span: Span) -> bool {
-    tokens[span.start..span.end.min(tokens.len())]
-        .iter()
-        .any(|t| is_ident(t, "rank"))
-}
-
-/// Branch bodies guarded by a rank-dependent condition. For `if` chains,
-/// the `else`/`else if` arms of a rank-guarded `if` are rank-conditioned
-/// too (they execute on the complementary rank set).
-fn find_rank_spans(tokens: &[Token]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    for i in 0..tokens.len() {
-        let Some(kw) = ident_of(&tokens[i]) else {
-            continue;
-        };
-        if kw != "if" && kw != "while" && kw != "match" {
-            continue;
-        }
-        let Some((cond, open)) = cond_span(tokens, i + 1) else {
-            continue;
-        };
-        if !mentions_rank(tokens, cond) {
-            continue;
-        }
-        let mut end = matching_group_end(tokens, open, '{', '}');
-        spans.push(Span { start: open, end });
-        if kw != "if" {
-            continue;
-        }
-        // Chain the else arms.
-        while tokens.get(end).is_some_and(|t| is_ident(t, "else")) {
-            if tokens.get(end + 1).is_some_and(|t| is_punct(t, '{')) {
-                let e = matching_group_end(tokens, end + 1, '{', '}');
-                spans.push(Span {
-                    start: end + 1,
-                    end: e,
-                });
-                end = e;
-            } else if tokens.get(end + 1).is_some_and(|t| is_ident(t, "if")) {
-                let Some((_, o2)) = cond_span(tokens, end + 2) else {
-                    break;
-                };
-                let e = matching_group_end(tokens, o2, '{', '}');
-                spans.push(Span { start: o2, end: e });
-                end = e;
-            } else {
-                break;
-            }
-        }
-    }
-    spans
 }
 
 /// Find every call expression and panic site, attributing each to the
@@ -530,18 +427,10 @@ fn attribute_calls(tokens: &[Token], fns: &mut [FnInfo]) {
         } else {
             Receiver::Free
         };
-        let args_end = matching_group_end(tokens, i + 1, '(', ')');
         let Some(o) = owner(i, fns) else { continue };
         fns[o].calls.push(CallSite {
             callee: name.to_string(),
             recv,
-            tok: i,
-            args: Span {
-                start: i + 2,
-                end: args_end.saturating_sub(1),
-            },
-            line: tokens[i].line,
-            col: tokens[i].col,
         });
     }
 }
@@ -620,33 +509,6 @@ pub fn undocumented() { panic!(\"boom\"); }
         assert_eq!(doc.panics[0].what, "`.unwrap()`");
         assert!(!undoc.doc_has_panics);
         assert_eq!(undoc.panics[0].what, "`panic!`");
-    }
-
-    #[test]
-    fn rank_spans_cover_if_chains_and_match() {
-        let src = "
-            fn f(comm: &Comm) {
-                if comm.rank() == 0 { a(); } else { b(); }
-                if ready { c(); }
-                match comm.rank() { 0 => d(), _ => e() }
-                while x < comm.rank() { g(); }
-            }
-        ";
-        let p = parse_src(src);
-        let (tokens, _) = lex(src);
-        let in_rank = |name: &str| {
-            let i = tokens
-                .iter()
-                .position(|t| is_ident(t, name))
-                .expect("token present");
-            p.rank_spans.iter().any(|s| s.contains(i))
-        };
-        assert!(in_rank("a"), "if body is rank-conditioned");
-        assert!(in_rank("b"), "else arm of a rank if is rank-conditioned");
-        assert!(!in_rank("c"), "unrelated branch is not");
-        assert!(in_rank("d"), "match on rank is rank-conditioned");
-        assert!(in_rank("e"));
-        assert!(in_rank("g"), "while guarded on rank is rank-conditioned");
     }
 
     #[test]

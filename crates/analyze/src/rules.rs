@@ -8,27 +8,24 @@
 //! `// detlint: allow(<rule>, "<why>")` suppression, which doubles as
 //! in-source documentation of the hazard analysis.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::callgraph::Workspace;
 use crate::context::{ident_of, is_ident, is_punct, FileContext, FileKind};
 use crate::lexer::{Tok, Token};
-use crate::parser::FnInfo;
 
 /// Engine configuration: which files play which role, and the env-var
 /// registry contents.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Path suffixes of tensor-kernel modules: no atomics/unsafe allowed
-    /// inside, and float reductions over parallel adaptors are allowed
-    /// only here.
+    /// Path suffixes of the audited tensor-kernel modules:
+    /// `hotpath-reachability` does not walk into or report them unless
+    /// they are also hot.
     pub kernel_modules: Vec<String>,
-    /// Path suffixes of hot-path modules where ad-hoc allocation is
+    /// Path suffixes of hot-path modules: their fns seed
+    /// `hotpath-reachability`, and their own ad-hoc allocations are
     /// flagged (route through the tape buffer pool instead).
     pub hot_modules: Vec<String>,
-    /// Path fragments of the crate(s) whose lock acquisition order is
-    /// graphed for cycles.
-    pub lock_modules: Vec<String>,
     /// Path suffixes of the env-knob registry: the only files allowed to
     /// read `std::env::var` with a non-literal name.
     pub registry_files: Vec<String>,
@@ -36,14 +33,6 @@ pub struct Config {
     pub registered_env: BTreeSet<String>,
     /// Names exempt from registration (cargo/tooling variables).
     pub env_allowlist: BTreeSet<String>,
-    /// Method names that are collectives: every rank must execute the
-    /// same sequence of these, so reaching one under a rank-conditioned
-    /// branch is a cross-rank deadlock hazard (`collective-divergence`).
-    pub collectives: BTreeSet<String>,
-    /// Method names that block on communication (collectives plus
-    /// blocking point-to-point and request waits) — forbidden inside the
-    /// halo overlap window (`blocking-in-overlap-window`).
-    pub blocking_comm: BTreeSet<String>,
     /// Path fragments of the wire layer: allocation inside these files
     /// is the comm API's owned-buffer contract, audited separately, so
     /// `hotpath-reachability` does not traverse into or report them.
@@ -65,37 +54,9 @@ impl Default for Config {
                 "crates/tensor/src/nn.rs".into(),
                 "crates/core/src/mp_layer.rs".into(),
             ],
-            lock_modules: vec!["crates/comm/src/".into()],
             registry_files: vec!["crates/core/src/config.rs".into()],
             registered_env: BTreeSet::new(),
             env_allowlist: ["CARGO_MANIFEST_DIR"].map(String::from).into(),
-            collectives: [
-                "barrier",
-                "all_gather",
-                "all_to_all",
-                "all_reduce",
-                "all_reduce_sum",
-                "all_reduce_max",
-                "all_reduce_scalar",
-            ]
-            .map(String::from)
-            .into(),
-            blocking_comm: [
-                "barrier",
-                "all_gather",
-                "all_to_all",
-                "all_reduce",
-                "all_reduce_sum",
-                "all_reduce_max",
-                "all_reduce_scalar",
-                "send",
-                "recv",
-                "wait",
-                "exchange",
-                "halo_exchange_apply",
-            ]
-            .map(String::from)
-            .into(),
             wire_modules: vec!["crates/comm/src/".into()],
         }
     }
@@ -108,10 +69,6 @@ impl Config {
 
     fn is_hot(&self, path: &str) -> bool {
         self.hot_modules.iter().any(|m| path.ends_with(m))
-    }
-
-    fn is_lock_scoped(&self, path: &str) -> bool {
-        self.lock_modules.iter().any(|m| path.contains(m))
     }
 
     fn is_registry(&self, path: &str) -> bool {
@@ -140,8 +97,7 @@ pub struct Finding {
 }
 
 /// A detlint rule: scanned per file, then once over the workspace call
-/// graph, finalized after all files (for rules that aggregate cross-file
-/// state, like the lock graph).
+/// graph.
 pub trait Rule {
     /// The rule's kebab-case name (diagnostic tag + suppression key +
     /// docs anchor).
@@ -151,22 +107,14 @@ pub trait Rule {
     /// Scan the whole workspace with the call graph available — the hook
     /// the interprocedural rules implement.
     fn check_workspace(&mut self, _ws: &Workspace<'_>, _cfg: &Config, _out: &mut Vec<Finding>) {}
-    /// Emit whole-workspace findings after every file was scanned.
-    fn finalize(&mut self, _cfg: &Config, _out: &mut Vec<Finding>) {}
 }
 
 /// The full rule set, in documentation order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NondetIteration),
-        Box::new(AtomicInKernel),
-        Box::new(FloatReductionOrder),
-        Box::new(HotpathAlloc),
         Box::new(UnwrapInLib),
         Box::new(EnvVarRegistry),
-        Box::new(LockDiscipline::default()),
-        Box::new(CollectiveDivergence),
-        Box::new(BlockingInOverlapWindow),
         Box::new(HotpathReachability),
         Box::new(PanicReachability),
     ]
@@ -214,26 +162,6 @@ pub(crate) fn receiver_name(tokens: &[Token], dot: usize) -> Option<String> {
             _ => return None,
         }
     }
-}
-
-/// Bracket-nesting depth before each token (counting `(`, `[`, `{`).
-fn depths(tokens: &[Token]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(tokens.len());
-    let mut d = 0u32;
-    for t in tokens {
-        match t.kind {
-            Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => {
-                out.push(d);
-                d += 1;
-            }
-            Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => {
-                d = d.saturating_sub(1);
-                out.push(d);
-            }
-            _ => out.push(d),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -376,199 +304,7 @@ fn bound_name(tokens: &[Token], hash_idx: usize) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Rule 2: atomic-in-kernel
-// ---------------------------------------------------------------------
-
-/// Kernel modules must stay atomics-free (and `unsafe`-free): the
-/// worker-count-invariance proof in docs/PERFORMANCE.md rests on
-/// chunk-local writes with input-order reductions — an atomic RMW would
-/// reintroduce schedule-dependent float ordering invisibly.
-struct AtomicInKernel;
-
-const ATOMIC_RMW: &[&str] = &[
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "compare_and_swap",
-];
-
-impl Rule for AtomicInKernel {
-    fn name(&self) -> &'static str {
-        "atomic-in-kernel"
-    }
-
-    fn check(&mut self, ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-        if !cfg.is_kernel(&ctx.path) {
-            return;
-        }
-        for (i, t) in ctx.tokens.iter().enumerate() {
-            if ctx.in_test(i) {
-                continue;
-            }
-            let Some(s) = ident_of(t) else { continue };
-            let msg = if s.starts_with("Atomic") && s.len() > 6 {
-                format!(
-                    "`{s}` in a kernel module: kernels must use chunk-local writes, not atomics"
-                )
-            } else if ATOMIC_RMW.contains(&s) {
-                format!("atomic RMW `{s}` in a kernel module breaks schedule-invariant reductions")
-            } else if s == "unsafe" {
-                "`unsafe` in a kernel module: kernels must stay safe, bounds-checked Rust".into()
-            } else {
-                continue;
-            };
-            out.push(finding(self.name(), ctx, t, msg));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 3: float-reduction-order
-// ---------------------------------------------------------------------
-
-/// A `.sum()`/`.fold()`/`.reduce()` directly chained onto a parallel
-/// adaptor outside the audited kernel modules: float addition is not
-/// associative, so the reduction order must be fixed by construction
-/// (the kernel modules do this; ad-hoc call sites usually don't).
-struct FloatReductionOrder;
-
-const PAR_ADAPTORS: &[&str] = &[
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_bridge",
-];
-
-const REDUCERS: &[&str] = &["sum", "product", "fold", "reduce"];
-
-impl Rule for FloatReductionOrder {
-    fn name(&self) -> &'static str {
-        "float-reduction-order"
-    }
-
-    fn check(&mut self, ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-        if ctx.kind == FileKind::Test || cfg.is_kernel(&ctx.path) {
-            return;
-        }
-        let toks = &ctx.tokens;
-        let depth = depths(toks);
-        for (i, t) in toks.iter().enumerate() {
-            if ctx.in_test(i) {
-                continue;
-            }
-            let Some(s) = ident_of(t) else { continue };
-            if !PAR_ADAPTORS.contains(&s) || i == 0 || !is_punct(&toks[i - 1], '.') {
-                continue;
-            }
-            let d0 = depth[i];
-            // Scan the rest of the method chain at the same depth.
-            for j in i + 1..toks.len() {
-                if depth[j] < d0 || (is_punct(&toks[j], ';') && depth[j] == d0) {
-                    break;
-                }
-                if depth[j] == d0
-                    && is_punct(&toks[j - 1], '.')
-                    && ident_of(&toks[j]).is_some_and(|r| REDUCERS.contains(&r))
-                {
-                    let r = ident_of(&toks[j]).unwrap_or_default();
-                    out.push(finding(
-                        self.name(),
-                        ctx,
-                        &toks[j],
-                        format!(
-                            "`.{r}()` chained onto `.{s}()` outside the kernel modules: \
-                             parallel float reduction order is schedule-dependent; use a \
-                             sequential reduction over a deterministically ordered \
-                             collect, or move it into an audited kernel"
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: hotpath-alloc
-// ---------------------------------------------------------------------
-
-/// Fresh heap allocation inside the training hot path: steady-state
-/// steps are designed to allocate nothing (tape buffer pool, PR 5), and
-/// a stray `vec![…]`/`to_vec()` per step costs page faults and memset
-/// churn. Constructors (`new`/`default`/`with_*`/`from_*`) are exempt —
-/// setup-time allocation is fine.
-struct HotpathAlloc;
-
-impl Rule for HotpathAlloc {
-    fn name(&self) -> &'static str {
-        "hotpath-alloc"
-    }
-
-    fn check(&mut self, ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-        if !cfg.is_hot(&ctx.path) {
-            return;
-        }
-        let toks = &ctx.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            if ctx.in_test(i) {
-                continue;
-            }
-            let ctor = ctx.enclosing_fn(i).is_some_and(|f| {
-                f.name == "new"
-                    || f.name == "default"
-                    || f.name.starts_with("with_")
-                    || f.name.starts_with("from_")
-            });
-            if ctor {
-                continue;
-            }
-            let Some(s) = ident_of(t) else { continue };
-            let msg = match s {
-                "Vec"
-                    if toks.get(i + 1).is_some_and(|a| is_punct(a, ':'))
-                        && toks.get(i + 2).is_some_and(|a| is_punct(a, ':'))
-                        && toks
-                            .get(i + 3)
-                            .and_then(ident_of)
-                            .is_some_and(|m| m == "new" || m == "with_capacity") =>
-                {
-                    format!(
-                        "`Vec::{}` in a hot-path module; draw scratch from the tape \
-                         buffer pool instead",
-                        ident_of(&toks[i + 3]).unwrap_or_default()
-                    )
-                }
-                "vec" if toks.get(i + 1).is_some_and(|a| is_punct(a, '!')) => {
-                    "`vec![…]` in a hot-path module; draw scratch from the tape buffer \
-                     pool instead"
-                        .into()
-                }
-                "to_vec"
-                    if i > 0
-                        && is_punct(&toks[i - 1], '.')
-                        && toks.get(i + 1).is_some_and(|a| is_punct(a, '(')) =>
-                {
-                    "`.to_vec()` in a hot-path module copies per call; reuse a pooled \
-                     buffer instead"
-                        .into()
-                }
-                _ => continue,
-            };
-            out.push(finding(self.name(), ctx, t, msg));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 5: unwrap-in-lib
+// Rule 2: unwrap-in-lib
 // ---------------------------------------------------------------------
 
 /// `unwrap()` / `panic!` (and terse `expect`s) in library code: every
@@ -632,7 +368,7 @@ impl Rule for UnwrapInLib {
 }
 
 // ---------------------------------------------------------------------
-// Rule 6: env-var-registry
+// Rule 3: env-var-registry
 // ---------------------------------------------------------------------
 
 /// Every `std::env::var` read must name a knob declared in the central
@@ -694,131 +430,19 @@ impl Rule for EnvVarRegistry {
 }
 
 // ---------------------------------------------------------------------
-// Rule 7: lock-discipline
-// ---------------------------------------------------------------------
-
-/// Static deadlock smell: build the per-function lock acquisition-order
-/// graph of the comm crate (receiver field names of `.lock()` /
-/// `.borrow_mut()` sites) and report cycles. Complements SerialBackend's
-/// runtime deadlock detection — this one fires before any schedule does.
-///
-/// Known approximation: repeated acquisitions of the *same* field name
-/// (e.g. per-peer mailbox arrays) are not self-edges, because the static
-/// pass cannot distinguish instances.
-#[derive(Default)]
-struct LockDiscipline {
-    /// edge a→b: b acquired while (syntactically after) a, with one
-    /// example site per edge.
-    edges: BTreeMap<String, BTreeMap<String, Finding>>,
-}
-
-impl Rule for LockDiscipline {
-    fn name(&self) -> &'static str {
-        "lock-discipline"
-    }
-
-    fn check(&mut self, ctx: &FileContext, cfg: &Config, _out: &mut Vec<Finding>) {
-        if !cfg.is_lock_scoped(&ctx.path) || ctx.kind != FileKind::Lib {
-            return;
-        }
-        let toks = &ctx.tokens;
-        for f in &ctx.fns {
-            let mut order: Vec<String> = Vec::new();
-            for i in f.span.start..f.span.end.min(toks.len()) {
-                if ctx.in_test(i) {
-                    continue;
-                }
-                let Some(s) = ident_of(&toks[i]) else {
-                    continue;
-                };
-                if (s != "lock" && s != "borrow_mut")
-                    || i == 0
-                    || !is_punct(&toks[i - 1], '.')
-                    || !toks.get(i + 1).is_some_and(|t| is_punct(t, '('))
-                {
-                    continue;
-                }
-                let Some(recv) = receiver_name(toks, i - 1) else {
-                    continue;
-                };
-                if !order.contains(&recv) {
-                    for held in order.clone() {
-                        self.edges
-                            .entry(held)
-                            .or_default()
-                            .entry(recv.clone())
-                            .or_insert(finding(
-                                "lock-discipline",
-                                ctx,
-                                &toks[i],
-                                format!(
-                                    "`{recv}` acquired while a lock on `{}` may be held \
-                                     (fn `{}`)",
-                                    order.join("`, `"),
-                                    f.name
-                                ),
-                            ));
-                    }
-                    order.push(recv);
-                }
-            }
-        }
-    }
-
-    fn finalize(&mut self, _cfg: &Config, out: &mut Vec<Finding>) {
-        // DFS cycle detection over the (deterministic) BTreeMap graph.
-        let nodes: Vec<&String> = self.edges.keys().collect();
-        let mut reported: BTreeSet<String> = BTreeSet::new();
-        for start in nodes {
-            let mut stack = vec![(start.clone(), vec![start.clone()])];
-            let mut visited: BTreeSet<String> = BTreeSet::new();
-            while let Some((node, path)) = stack.pop() {
-                let Some(nexts) = self.edges.get(&node) else {
-                    continue;
-                };
-                for (next, site) in nexts {
-                    if next == start {
-                        // Normalize the cycle to dedupe rotations.
-                        let mut cyc: Vec<String> = path.clone();
-                        cyc.sort();
-                        let key = cyc.join("->");
-                        if reported.insert(key) {
-                            let mut f = site.clone();
-                            f.message = format!(
-                                "lock-order cycle: `{}` → `{start}` — a concurrent \
-                                 schedule can deadlock; impose a global acquisition \
-                                 order ({})",
-                                path.join("` → `"),
-                                site.message
-                            );
-                            out.push(f);
-                        }
-                    } else if visited.insert(next.clone()) {
-                        let mut p = path.clone();
-                        p.push(next.clone());
-                        stack.push((next.clone(), p));
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Interprocedural rules (detlint v2): built on crate::parser +
 // crate::callgraph. Each fires on *reachability* of a hazard, so the
 // diagnostics carry the call chain that proves the claim.
 // ---------------------------------------------------------------------
 
 /// Whether a fn name marks setup-time code exempt from hot-path
-/// allocation reasoning (mirrors the `hotpath-alloc` ctor exemption).
+/// allocation reasoning: building the pool is not using it.
 fn is_ctor_named(name: &str) -> bool {
     name == "new" || name == "default" || name.starts_with("with_") || name.starts_with("from_")
 }
 
 /// Ad-hoc allocation pattern at token `i`, as a short label for
-/// messages: `Vec::new`/`Vec::with_capacity`, `vec![…]`, `.to_vec()` —
-/// the same patterns `hotpath-alloc` matches lexically.
+/// messages: `Vec::new`/`Vec::with_capacity`, `vec![…]`, `.to_vec()`.
 fn alloc_site_label(toks: &[Token], i: usize) -> Option<String> {
     let s = ident_of(&toks[i])?;
     match s {
@@ -847,303 +471,19 @@ fn alloc_site_label(toks: &[Token], i: usize) -> Option<String> {
     }
 }
 
-/// Per-node flag: does the fn directly call any method in `names`?
-fn direct_call_flags(ws: &Workspace<'_>, names: &BTreeSet<String>) -> Vec<bool> {
-    (0..ws.graph.len())
-        .map(|n| {
-            ws.fn_info(n)
-                .calls
-                .iter()
-                .any(|c| names.contains(&c.callee))
-        })
-        .collect()
-}
-
-/// First direct call in node `n` naming a method in `names`.
-fn first_named_call<'w>(
-    ws: &'w Workspace<'_>,
-    n: usize,
-    names: &BTreeSet<String>,
-) -> Option<&'w str> {
-    ws.fn_info(n)
-        .calls
-        .iter()
-        .find(|c| names.contains(&c.callee))
-        .map(|c| c.callee.as_str())
-}
-
 // ---------------------------------------------------------------------
-// Rule 8: collective-divergence
+// Rule 4: hotpath-reachability
 // ---------------------------------------------------------------------
 
-/// A collective (barrier/all_gather/all_reduce…) executed — directly or
-/// through the call graph — under a branch conditioned on the rank.
-/// Collectives are rendezvous points: if rank 0 takes the branch and
-/// rank 1 does not, rank 0 blocks forever in the collective while rank 1
-/// runs ahead (or blocks in a *different* collective — same deadlock,
-/// harder log). The consistency proof assumes every rank executes the
-/// identical collective sequence.
-struct CollectiveDivergence;
-
-impl Rule for CollectiveDivergence {
-    fn name(&self) -> &'static str {
-        "collective-divergence"
-    }
-
-    fn check(&mut self, _ctx: &FileContext, _cfg: &Config, _out: &mut Vec<Finding>) {}
-
-    fn check_workspace(&mut self, ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-        let has_collective = direct_call_flags(ws, &cfg.collectives);
-        for n in 0..ws.graph.len() {
-            let ctx = ws.ctx(n);
-            let f = ws.fn_info(n);
-            for (ci, call) in f.calls.iter().enumerate() {
-                if !ctx.parsed.rank_spans.iter().any(|s| s.contains(call.tok)) {
-                    continue;
-                }
-                if cfg.collectives.contains(&call.callee) {
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: ctx.path.clone(),
-                        line: call.line,
-                        col: call.col,
-                        message: format!(
-                            "collective `{}` is called under a rank-conditioned branch: \
-                             ranks that skip the branch never reach the rendezvous \
-                             (cross-rank deadlock); hoist it so every rank executes the \
-                             same collective sequence",
-                            call.callee
-                        ),
-                    });
-                    continue;
-                }
-                for &t in ws.graph.targets(n, ci) {
-                    if let Some(path) = ws.graph.find_path(t, |m| has_collective[m], |_| false) {
-                        let coll = path
-                            .last()
-                            .and_then(|&m| first_named_call(ws, m, &cfg.collectives))
-                            .unwrap_or("collective");
-                        out.push(Finding {
-                            rule: self.name(),
-                            path: ctx.path.clone(),
-                            line: call.line,
-                            col: call.col,
-                            message: format!(
-                                "`{}` is called under a rank-conditioned branch and \
-                                 reaches collective `{coll}` via `{}`: ranks that skip \
-                                 the branch never reach the rendezvous (cross-rank \
-                                 deadlock); every rank must execute the same collective \
-                                 sequence",
-                                call.callee,
-                                ws.chain(&path),
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 9: blocking-in-overlap-window
-// ---------------------------------------------------------------------
-
-/// Blocking communication between `HaloExchange::begin` and
-/// `PendingExchange::finish`. The Ovl-SR overlap window exists to hide
-/// the halo exchange behind interior compute; a blocking collective,
-/// send/recv, or request wait inside the window serializes exactly the
-/// latency the split-phase API was built to hide — silently, since the
-/// result stays correct.
-struct BlockingInOverlapWindow;
-
-/// The binding a `… = x.begin(…)` result is stored into: the ident
-/// before the `=` (or the last ident inside a `Some(pending)`-style
-/// pattern). `None` when the result is chained or discarded.
-fn begin_binding(toks: &[Token], begin_tok: usize, stmt_floor: usize) -> Option<String> {
-    let mut k = begin_tok;
-    while k > stmt_floor {
-        k -= 1;
-        match &toks[k].kind {
-            Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => return None,
-            Tok::Punct('=') => {
-                let before = k.checked_sub(1)?;
-                if let Some(name) = ident_of(&toks[before]) {
-                    // Exclude `==`/`!=`/`<=`/`>=` comparisons.
-                    if matches!(toks[k - 1].kind, Tok::Punct('=' | '!' | '<' | '>')) {
-                        continue;
-                    }
-                    return Some(name.to_string());
-                }
-                if is_punct(&toks[before], ')') {
-                    // `let Some(pending) = …`: last ident inside parens.
-                    let mut depth = 1usize;
-                    let mut j = before;
-                    let mut last = None;
-                    while j > stmt_floor && depth > 0 {
-                        j -= 1;
-                        match &toks[j].kind {
-                            Tok::Punct(')') => depth += 1,
-                            Tok::Punct('(') => depth -= 1,
-                            Tok::Ident(s) if last.is_none() => last = Some(s.clone()),
-                            _ => {}
-                        }
-                    }
-                    return last;
-                }
-                return None;
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Overlap windows inside fn `f`: `(open_tok, close_tok)` pairs. A
-/// window opens after a `begin(…)` call (or at body start when the fn
-/// receives a `PendingExchange` parameter — the delegated half of a
-/// split window) and closes at the first use of the pending binding, or
-/// at the `finish(…)` call when the result is chained.
-fn overlap_windows(ctx: &FileContext, f: &FnInfo) -> Vec<(usize, usize)> {
-    let toks = &ctx.tokens;
-    let mut windows = Vec::new();
-    let close_at = |binding: Option<&str>, open: usize| -> usize {
-        if let Some(b) = binding {
-            for (j, t) in toks
-                .iter()
-                .enumerate()
-                .take(f.span.end.min(toks.len()))
-                .skip(open + 1)
-            {
-                if is_ident(t, b) {
-                    return j;
-                }
-            }
-        }
-        f.calls
-            .iter()
-            .find(|c| c.callee == "finish" && c.tok > open)
-            .map(|c| c.tok)
-            .unwrap_or(f.span.end)
-    };
-    for call in &f.calls {
-        if call.callee != "begin" {
-            continue;
-        }
-        let binding = begin_binding(toks, call.tok, f.body.start.max(f.span.start));
-        let open = call.args.end; // the `)` — the exchange is in flight after it
-        windows.push((open, close_at(binding.as_deref(), open)));
-    }
-    // Delegated window: a `PendingExchange`-typed parameter means this fn
-    // owns an in-flight exchange from its first token.
-    for p in f.params.start..f.params.end.min(toks.len()) {
-        if !is_ident(&toks[p], "PendingExchange") {
-            continue;
-        }
-        // The parameter name is the ident before the single `:` that
-        // precedes the type path (`pending: crate::…::PendingExchange`).
-        let mut k = p;
-        let mut binding = None;
-        while k > f.params.start {
-            k -= 1;
-            if is_punct(&toks[k], ':') {
-                if k > 0 && is_punct(&toks[k - 1], ':') {
-                    k -= 1; // `::` path separator
-                    continue;
-                }
-                binding = k.checked_sub(1).and_then(|b| ident_of(&toks[b]));
-                break;
-            }
-        }
-        if let Some(b) = binding {
-            windows.push((f.body.start, close_at(Some(b), f.body.start)));
-        }
-        break;
-    }
-    windows
-}
-
-impl Rule for BlockingInOverlapWindow {
-    fn name(&self) -> &'static str {
-        "blocking-in-overlap-window"
-    }
-
-    fn check(&mut self, _ctx: &FileContext, _cfg: &Config, _out: &mut Vec<Finding>) {}
-
-    fn check_workspace(&mut self, ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-        let has_blocking = direct_call_flags(ws, &cfg.blocking_comm);
-        for n in 0..ws.graph.len() {
-            let ctx = ws.ctx(n);
-            let f = ws.fn_info(n);
-            for (open, close) in overlap_windows(ctx, f) {
-                for (ci, call) in f.calls.iter().enumerate() {
-                    if call.tok <= open || call.tok >= close {
-                        continue;
-                    }
-                    if call.callee == "begin" || call.callee == "finish" {
-                        continue;
-                    }
-                    // The call the pending value is handed to closes the
-                    // window by delegation, it does not sit inside it.
-                    if call.args.contains(close) {
-                        continue;
-                    }
-                    if cfg.blocking_comm.contains(&call.callee) {
-                        out.push(Finding {
-                            rule: self.name(),
-                            path: ctx.path.clone(),
-                            line: call.line,
-                            col: call.col,
-                            message: format!(
-                                "blocking `{}` inside the halo overlap window (after \
-                                 `begin`, before `finish`): it stalls the compute that \
-                                 is supposed to hide the exchange; move it out of the \
-                                 window or use the nonblocking variant",
-                                call.callee
-                            ),
-                        });
-                        continue;
-                    }
-                    for &t in ws.graph.targets(n, ci) {
-                        if let Some(path) = ws.graph.find_path(t, |m| has_blocking[m], |_| false) {
-                            let what = path
-                                .last()
-                                .and_then(|&m| first_named_call(ws, m, &cfg.blocking_comm))
-                                .unwrap_or("blocking comm");
-                            out.push(Finding {
-                                rule: self.name(),
-                                path: ctx.path.clone(),
-                                line: call.line,
-                                col: call.col,
-                                message: format!(
-                                    "`{}` reaches blocking `{what}` via `{}` inside the \
-                                     halo overlap window (after `begin`, before \
-                                     `finish`); keep the window free of blocking comm \
-                                     so the exchange stays hidden",
-                                    call.callee,
-                                    ws.chain(&path),
-                                ),
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 10: hotpath-reachability
-// ---------------------------------------------------------------------
-
-/// `hotpath-alloc`, propagated through the call graph: helpers in
-/// NON-hot files that allocate per call are flagged when they are
-/// reachable from hot-module code — the file-path allowlist stops being
-/// a loophole ("move the alloc into a helper one file over"). The wire
-/// layer (`crates/comm`) and the audited kernels are boundaries: the
-/// comm API's owned-`Vec` contract is audited separately.
+/// Fresh heap allocation on the training hot path: steady-state steps
+/// are designed to allocate nothing (tape buffer pool), and a stray
+/// `vec![…]`/`to_vec()` per step costs page faults and memset churn.
+/// Every non-constructor fn in a hot module is an entry and reports its
+/// own allocation sites; helpers in other files are reported when an
+/// entry reaches them, so "move the alloc into a helper one file over"
+/// is no loophole. The wire layer (`crates/comm`, whose owned-`Vec`
+/// contract is audited separately) and kernel modules that are not hot
+/// themselves are boundaries.
 struct HotpathReachability;
 
 impl Rule for HotpathReachability {
@@ -1154,23 +494,20 @@ impl Rule for HotpathReachability {
     fn check(&mut self, _ctx: &FileContext, _cfg: &Config, _out: &mut Vec<Finding>) {}
 
     fn check_workspace(&mut self, ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-        let entries: Vec<usize> = (0..ws.graph.len())
-            .filter(|&n| cfg.is_hot(&ws.ctx(n).path) && !is_ctor_named(&ws.fn_info(n).name))
-            .collect();
-        let reached = ws.graph.reach_from(&entries, |n| {
+        let boundary = |n: usize| {
             let p = &ws.ctx(n).path;
-            is_ctor_named(&ws.fn_info(n).name) || cfg.is_kernel(p) || cfg.is_wire(p)
-        });
+            is_ctor_named(&ws.fn_info(n).name)
+                || (cfg.is_kernel(p) && !cfg.is_hot(p))
+                || cfg.is_wire(p)
+        };
+        let entries: Vec<usize> = (0..ws.graph.len())
+            .filter(|&n| cfg.is_hot(&ws.ctx(n).path) && !boundary(n))
+            .collect();
+        let reached = ws.graph.reach_from(&entries, boundary);
         for &n in reached.keys() {
             let ctx = ws.ctx(n);
             let f = ws.fn_info(n);
-            let p = &ctx.path;
-            if cfg.is_hot(p)
-                || cfg.is_kernel(p)
-                || cfg.is_wire(p)
-                || is_ctor_named(&f.name)
-                || ctx.kind != FileKind::Lib
-            {
+            if boundary(n) || ctx.kind != FileKind::Lib {
                 continue;
             }
             // Reconstruct one hot entry → n chain from the BFS parents.
@@ -1181,6 +518,15 @@ impl Rule for HotpathReachability {
                 cur = parent;
             }
             chain.reverse();
+            let whose = if chain.len() == 1 {
+                format!("hot-path fn `{}`", ws.label(n))
+            } else {
+                format!(
+                    "`{}`, which hot-path code reaches via `{}`",
+                    ws.label(n),
+                    ws.chain(&chain)
+                )
+            };
             for i in f.span.start..f.span.end.min(ctx.tokens.len()) {
                 let Some(label) = alloc_site_label(&ctx.tokens, i) else {
                     continue;
@@ -1191,12 +537,9 @@ impl Rule for HotpathReachability {
                     line: ctx.tokens[i].line,
                     col: ctx.tokens[i].col,
                     message: format!(
-                        "{label} allocates per call in `{}`, which hot-path code \
-                         reaches via `{}`: the steady-state step is designed to \
-                         allocate nothing; pool the buffer or suppress with the \
-                         ownership story",
-                        ws.label(n),
-                        ws.chain(&chain),
+                        "{label} allocates per call in {whose}: the steady-state \
+                         step is designed to allocate nothing; pool the buffer or \
+                         suppress with the ownership story"
                     ),
                 });
             }
@@ -1205,7 +548,7 @@ impl Rule for HotpathReachability {
 }
 
 // ---------------------------------------------------------------------
-// Rule 11: panic-reachability
+// Rule 5: panic-reachability
 // ---------------------------------------------------------------------
 
 /// A public library fn whose call graph (within its own crate) reaches a

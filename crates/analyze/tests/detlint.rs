@@ -1,4 +1,4 @@
-//! detlint integration tests: per-rule fixtures with a golden JSON
+//! detlint integration tests: per-rule fixtures with a golden rendered
 //! report, plus the meta-test that the live workspace itself is clean
 //! under `--deny`.
 
@@ -15,15 +15,9 @@ use cgnn_analyze::{Config, Engine, Report};
 /// (must not). `hotpath-reachability` needs two files: the hot entry
 /// and the helper it reaches live a file apart by construction.
 const FIXTURE_GROUPS: &[&[&str]] = &[
-    &["atomic_in_kernel.rs"],
     &["bad_suppression.rs"],
-    &["blocking_in_overlap_window.rs"],
-    &["collective_divergence.rs"],
     &["env_var_registry.rs"],
-    &["float_reduction_order.rs"],
-    &["hotpath_alloc.rs"],
     &["hotpath_reachability.rs", "hotpath_reachability_hot.rs"],
-    &["lock_discipline.rs"],
     &["nondet_iteration.rs"],
     &["panic_reachability.rs"],
     &["unwrap_in_lib.rs"],
@@ -32,12 +26,7 @@ const FIXTURE_GROUPS: &[&[&str]] = &[
 /// Map fixture basenames into the roles the path-scoped rules look for.
 fn fixture_config() -> Config {
     Config {
-        kernel_modules: vec!["atomic_in_kernel.rs".into()],
-        hot_modules: vec![
-            "hotpath_alloc.rs".into(),
-            "hotpath_reachability_hot.rs".into(),
-        ],
-        lock_modules: vec!["lock_discipline.rs".into()],
+        hot_modules: vec!["hotpath_reachability_hot.rs".into()],
         registry_files: vec![],
         registered_env: ["CGNN_REGISTERED"].map(String::from).into(),
         env_allowlist: ["CARGO_MANIFEST_DIR"].map(String::from).into(),
@@ -74,24 +63,21 @@ fn fixture_report() -> Report {
 }
 
 /// Every rule's positive fires, every suppressed negative stays quiet,
-/// and the full rendered JSON matches the checked-in golden byte for
-/// byte.
+/// and the report as the CLI renders it matches the checked-in golden
+/// byte for byte.
 #[test]
 fn fixture_report_matches_golden() {
-    let report = fixture_report();
-    let json = serde_json::to_string_pretty(&report.to_json())
-        .expect("value tree always serializes")
-        + "\n";
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fixtures.json");
+    let rendered = fixture_report().render();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fixtures.txt");
     if std::env::var("DETLINT_BLESS").is_ok() {
-        std::fs::write(&path, &json).expect("golden must be writable under DETLINT_BLESS");
+        std::fs::write(&path, &rendered).expect("golden must be writable under DETLINT_BLESS");
         return;
     }
     let golden = std::fs::read_to_string(&path)
         .expect("golden missing: regenerate with DETLINT_BLESS=1 cargo test -p cgnn-analyze");
     assert_eq!(
-        json, golden,
-        "fixture diagnostics drifted from tests/golden/fixtures.json; \
+        rendered, golden,
+        "fixture diagnostics drifted from tests/golden/fixtures.txt; \
          if the change is intended, regenerate with DETLINT_BLESS=1"
     );
 }
@@ -104,14 +90,8 @@ fn every_rule_fires_on_its_fixture() {
     let report = fixture_report();
     for rule in [
         "nondet-iteration",
-        "atomic-in-kernel",
-        "float-reduction-order",
-        "hotpath-alloc",
         "unwrap-in-lib",
         "env-var-registry",
-        "lock-discipline",
-        "collective-divergence",
-        "blocking-in-overlap-window",
         "hotpath-reachability",
         "panic-reachability",
         "suppression-syntax",
@@ -129,9 +109,9 @@ fn every_rule_fires_on_its_fixture() {
 fn interprocedural_diagnostics_carry_chains() {
     let report = fixture_report();
     for (rule, via) in [
-        ("collective-divergence", "write_and_sync"),
-        ("blocking-in-overlap-window", "drain_stragglers"),
         ("hotpath-reachability", "step_epoch → refresh_buffers"),
+        // A hot-module fn is its own entry: the chain is the fn itself.
+        ("hotpath-reachability", "hot-path fn `positive`"),
         ("panic-reachability", "lookup → deep_get"),
     ] {
         assert!(
@@ -203,24 +183,4 @@ fn workspace_is_clean_under_deny() {
         "the workspace must stay detlint-clean:\n{}",
         rendered.join("\n")
     );
-}
-
-/// `Report::retain_paths` filters what is *reported* without touching
-/// `files_scanned` — the contract `--changed-only` depends on.
-#[test]
-fn retain_paths_filters_report_only() {
-    let mut report = fixture_report();
-    let total = report.diagnostics.len();
-    let scanned = report.files_scanned;
-    assert!(total > 0, "fixtures must produce diagnostics");
-    let keep: std::collections::BTreeSet<String> =
-        ["unwrap_in_lib.rs".to_string()].into_iter().collect();
-    report.retain_paths(&keep);
-    assert!(report.diagnostics.len() < total);
-    assert!(!report.diagnostics.is_empty());
-    assert!(report
-        .diagnostics
-        .iter()
-        .all(|d| d.path == "unwrap_in_lib.rs"));
-    assert_eq!(report.files_scanned, scanned);
 }

@@ -1,7 +1,7 @@
-// Fixture: hotpath-reachability, helper half. NOT in `hot_modules` —
-// the lexical hotpath-alloc rule never looks here, which is exactly the
-// loophole: hot code in `hotpath_reachability_hot.rs` calls into these
-// helpers, so their per-call allocations still land on the hot path.
+// Fixture: hotpath-reachability, helper half. NOT in `hot_modules` — a
+// file-path check never looks here, which is exactly the loophole: hot
+// code in `hotpath_reachability_hot.rs` calls into these helpers, so
+// their per-call allocations still land on the hot path.
 
 // POSITIVE: reachable from the hot entry `step_epoch`, allocates per
 // call. The diagnostic must carry the hot-entry chain.

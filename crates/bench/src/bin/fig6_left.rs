@@ -6,13 +6,12 @@
 //! `CGNN_ELEMS` sets the cubic element count per axis (paper: 32, default
 //! here 12 to stay fast on laptops); `CGNN_MAXR` caps the rank sweep.
 
-use cgnn_bench::{demo_loss, write_json};
+use cgnn_bench::{demo_loss, write_json, Json};
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
 use cgnn_partition::Strategy;
 use cgnn_session::{Dataset, Session};
-use serde_json::json;
 
 const SEED: u64 = 2024;
 
@@ -48,7 +47,14 @@ fn main() {
         "R", "standard NMP", "consistent NMP", "std relerr", "cons relerr"
     );
 
-    let mut rows = vec![json!({"ranks": 1, "standard": reference, "consistent": reference})];
+    let row = |ranks: usize, standard: f64, consistent: f64| {
+        Json::Obj(vec![
+            ("ranks", ranks.into()),
+            ("standard", standard.into()),
+            ("consistent", consistent.into()),
+        ])
+    };
+    let mut rows = vec![row(1, reference, reference)];
     let mut r = 2;
     while r <= max_r && mesh.num_elements() >= r {
         let wired = session(r);
@@ -64,12 +70,18 @@ fn main() {
             (losses[0] - reference).abs() / reference,
             (losses[1] - reference).abs() / reference
         );
-        rows.push(json!({"ranks": r, "standard": losses[0], "consistent": losses[1]}));
+        rows.push(row(r, losses[0], losses[1]));
         r *= 2;
     }
     println!(
         "\nPaper claim check: consistent NMP is rank-count invariant (relerr at\n\
          machine precision); standard NMP deviation grows roughly linearly in R."
     );
-    write_json("fig6_left", &json!({"reference": reference, "rows": rows}));
+    write_json(
+        "fig6_left",
+        &Json::Obj(vec![
+            ("reference", reference.into()),
+            ("rows", Json::Arr(rows)),
+        ]),
+    );
 }

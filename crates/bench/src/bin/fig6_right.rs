@@ -7,13 +7,12 @@
 //! `CGNN_ITERS` sets the epoch count (default 100), `CGNN_ELEMS` the cubic
 //! element count (paper: 32 at p=1; default 8).
 
-use cgnn_bench::write_json;
+use cgnn_bench::{write_json, Json};
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
 use cgnn_partition::Strategy;
 use cgnn_session::{Dataset, Session};
-use serde_json::json;
 
 const SEED: u64 = 99;
 const LR: f64 = 1e-3;
@@ -88,6 +87,10 @@ fn main() {
     );
     write_json(
         "fig6_right",
-        &json!({"target": target, "consistent": curves[0], "standard": curves[1]}),
+        &Json::Obj(vec![
+            ("target", target.into_iter().collect()),
+            ("consistent", curves[0].iter().copied().collect()),
+            ("standard", curves[1].iter().copied().collect()),
+        ]),
     );
 }

@@ -3,7 +3,7 @@
 //! x {None, A2A, N-A2A}, using the Frontier machine model plus a real
 //! host calibration of this repository's GNN kernels.
 
-use cgnn_bench::write_json;
+use cgnn_bench::{write_json, Json};
 use cgnn_core::GnnConfig;
 use cgnn_perf::{measure_single_rank, paper_sweep, MachineModel};
 
@@ -53,5 +53,27 @@ fn main() {
          - dense A2A scaling collapses; N-A2A stays efficient\n\
          - smaller loading (256k) and smaller model degrade beyond ~512 ranks"
     );
-    write_json("fig7", &series);
+    let json = series
+        .iter()
+        .map(|s| {
+            let points = s.points.iter().map(|p| {
+                Json::Obj(vec![
+                    ("ranks", p.ranks.into()),
+                    ("total_nodes", p.total_nodes.into()),
+                    ("iter_time", p.iter_time.into()),
+                    ("throughput", p.throughput.into()),
+                    ("t_compute", p.t_compute.into()),
+                    ("t_halo", p.t_halo.into()),
+                    ("t_allreduce", p.t_allreduce.into()),
+                ])
+            });
+            Json::Obj(vec![
+                ("model", Json::Str(s.model.clone())),
+                ("loading", Json::Str(s.loading.clone())),
+                ("mode", Json::Str(s.mode.clone())),
+                ("points", points.collect()),
+            ])
+        })
+        .collect();
+    write_json("fig7", &json);
 }

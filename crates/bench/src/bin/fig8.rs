@@ -2,9 +2,8 @@
 //! (A2A and N-A2A halo exchanges) relative to the inconsistent no-exchange
 //! baseline, isolating the cost of the 8 all-to-all calls per iteration.
 
-use cgnn_bench::write_json;
+use cgnn_bench::{write_json, Json};
 use cgnn_perf::{paper_sweep, relative_throughput, MachineModel};
-use serde_json::json;
 
 fn main() {
     let machine = MachineModel::frontier();
@@ -39,11 +38,13 @@ fn main() {
             println!();
         }
         for (model, mode, rel, points) in &curves {
-            out.push(json!({
-                "loading": loading, "model": model, "mode": mode,
-                "ranks": points.iter().map(|p| p.ranks).collect::<Vec<_>>(),
-                "relative_throughput": rel,
-            }));
+            out.push(Json::Obj(vec![
+                ("loading", Json::Str(loading.into())),
+                ("model", Json::Str(model.to_string())),
+                ("mode", Json::Str(mode.to_string())),
+                ("ranks", points.iter().map(|p| p.ranks).collect()),
+                ("relative_throughput", rel.iter().copied().collect()),
+            ]));
         }
         println!();
     }
@@ -60,5 +61,5 @@ fn main() {
            waiting) dominates blocking N-A2A — the machine model's overlap\n\
            fraction of its transfer time hides behind the node MLP"
     );
-    write_json("fig8", &out);
+    write_json("fig8", &Json::Arr(out));
 }

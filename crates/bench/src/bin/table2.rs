@@ -6,11 +6,10 @@
 //! graph builder in the test suite), so the 2048-rank / 1.1e9-node case
 //! runs in milliseconds.
 
-use cgnn_bench::write_json;
+use cgnn_bench::{write_json, Json};
 use cgnn_graph::{analytic_block_stats, summarize};
 use cgnn_mesh::BoxMesh;
 use cgnn_perf::cubic_layout;
-use serde_json::json;
 
 fn main() {
     // 16^3 elements per rank at p = 5 -> (5*16+1)^3 = 531k local nodes.
@@ -25,6 +24,13 @@ fn main() {
         "{:>6} | {:>26} | {:>26} | {:>20}",
         "", "(min, max, avg)", "(min, max, avg)", "(min, max, avg)"
     );
+    let min_max_avg = |(min, max, avg): (usize, usize, f64)| {
+        Json::Obj(vec![
+            ("min", min.into()),
+            ("max", max.into()),
+            ("avg", avg.into()),
+        ])
+    };
     let mut rows = Vec::new();
     for ranks in [8usize, 64, 512, 2048] {
         let layout = cubic_layout(ranks);
@@ -50,14 +56,17 @@ fn main() {
             s.neighbors.1,
             s.neighbors.2,
         );
-        rows.push(json!({
-            "ranks": ranks,
-            "layout": [layout.rx, layout.ry, layout.rz],
-            "total_local_nodes": total,
-            "local_nodes": {"min": s.local_nodes.0, "max": s.local_nodes.1, "avg": s.local_nodes.2},
-            "halo_nodes": {"min": s.halo_nodes.0, "max": s.halo_nodes.1, "avg": s.halo_nodes.2},
-            "neighbors": {"min": s.neighbors.0, "max": s.neighbors.1, "avg": s.neighbors.2},
-        }));
+        rows.push(Json::Obj(vec![
+            ("ranks", ranks.into()),
+            (
+                "layout",
+                [layout.rx, layout.ry, layout.rz].into_iter().collect(),
+            ),
+            ("total_local_nodes", total.into()),
+            ("local_nodes", min_max_avg(s.local_nodes)),
+            ("halo_nodes", min_max_avg(s.halo_nodes)),
+            ("neighbors", min_max_avg(s.neighbors)),
+        ]));
     }
     println!(
         "\nPaper (NekRS partitioner):  R=8: 518k nodes, 12.8k halo, 2 nbrs;\n\
@@ -67,5 +76,5 @@ fn main() {
          paper's load-balance claim; exact neighbour counts differ because the\n\
          NekRS recursive-spectral-bisection partitioner produces different cuts."
     );
-    write_json("table2", &rows);
+    write_json("table2", &Json::Arr(rows));
 }

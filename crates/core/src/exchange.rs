@@ -254,19 +254,6 @@ impl HaloContext {
     pub fn is_consistent(&self) -> bool {
         self.strategy.is_consistent()
     }
-
-    /// Start one exchange of `a` in place. A split-phase strategy returns
-    /// its in-flight handle — the overlap window is open until the caller
-    /// [`PendingExchange::finish`]es into `a`; any other strategy has
-    /// nothing to leave in flight and completes the exchange before
-    /// returning `None`.
-    pub(crate) fn begin(&self, a: &mut Tensor, graph: &LocalGraph) -> Option<PendingExchange> {
-        let pending = self.strategy.begin(a, graph, &self.comm);
-        if pending.is_none() {
-            self.strategy.exchange(a, graph, &self.comm);
-        }
-        pending
-    }
 }
 
 /// Execute one halo swap + synchronization (paper Eqs. 4c-4d) on a raw

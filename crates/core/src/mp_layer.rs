@@ -69,7 +69,7 @@ impl CustomOp for HaloSyncOp {
     }
 
     fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        // detlint: allow(hotpath-alloc, "one 1-element Vec per halo-sync backward, amortized over the whole layer's gradient work")
+        // detlint: allow(hotpath-reachability, "one 1-element Vec per halo-sync backward, amortized over the whole layer's gradient work")
         vec![Some(halo_exchange_apply(grad_out, &self.graph, &self.ctx))]
     }
 }
@@ -103,7 +103,7 @@ fn halo_sync_then(
     }
     let value = tape.value_copy(a);
     let a_star = tape.custom(
-        // detlint: allow(hotpath-alloc, "1-element parent list per halo-sync record; the tape API takes an owned Vec")
+        // detlint: allow(hotpath-reachability, "1-element parent list per halo-sync record; the tape API takes an owned Vec")
         vec![a],
         value,
         Box::new(HaloSyncOp {
@@ -111,7 +111,10 @@ fn halo_sync_then(
             ctx: ctx.clone(),
         }),
     );
-    let Some(pending) = ctx.begin(tape.value_mut(a_star), graph) else {
+    let strategy = ctx.strategy();
+    let Some(pending) = strategy.begin(tape.value(a_star), graph, &ctx.comm) else {
+        // Nothing left in flight: exchange in place now, consume all rows.
+        strategy.exchange(tape.value_mut(a_star), graph, &ctx.comm);
         return consume(tape, a_star);
     };
     // --- Overlap window: interior rows while halos are in flight.

@@ -1,10 +1,8 @@
 //! Machine model parameters — Frontier (OLCF) by default, per the hardware
 //! description in the paper's Sec. III-B and the Frontier system paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic machine model for one homogeneous GPU system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MachineModel {
     pub name: String,
     /// MPI ranks (GPU dies) per node — 8 GCDs on Frontier.

@@ -11,7 +11,6 @@ use cgnn_core::{GnnConfig, HaloExchangeMode};
 use cgnn_graph::{analytic_block_profiles, RankProfile};
 use cgnn_mesh::BoxMesh;
 use cgnn_partition::Layout;
-use serde::Serialize;
 
 use crate::collective_model::{
     all_gather_time, all_reduce_time, dense_all_to_all_time, neighbor_all_to_all_time,
@@ -22,7 +21,7 @@ use crate::machine::MachineModel;
 
 /// A per-rank loading (paper: nominally 256k or 512k nodes per sub-graph,
 /// p = 5 hexahedral elements).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Loading {
     pub name: String,
     /// Elements per rank per axis (cubic block).
@@ -53,7 +52,7 @@ impl Loading {
 }
 
 /// One point of a weak-scaling series.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     pub ranks: usize,
     /// Sum of per-rank local nodes (the paper's "total graph nodes").
@@ -69,7 +68,7 @@ pub struct ScalingPoint {
 }
 
 /// A full weak-scaling curve for one configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingSeries {
     pub model: String,
     pub loading: String,

@@ -3,9 +3,10 @@
 //! generator.
 //!
 //! Intentionally tiny: keep-alive requests over one `TcpStream`, response
-//! framing by `Content-Length` only. Because the workspace's `serde_json`
-//! shim cannot *parse* JSON, machine-readable response fields are read
-//! from headers (`X-Model-Step`, `X-N-Nodes`, ...) rather than bodies.
+//! framing by `Content-Length` only. `/predict` bodies are raw `f64`
+//! frames, which keeps served ≡ in-process checkable bit for bit; the few
+//! other fields a client needs are read from headers (`X-Model-Step`,
+//! `X-N-Nodes`, ...), so nothing here parses JSON.
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -541,8 +541,8 @@ fn info_response(router: &Router) -> Response {
         router.config.max_batch,
         router.config.replicas,
     );
-    // Machine-readable copies in headers: the workspace's serde_json shim
-    // cannot parse, so clients frame on these instead of the JSON body.
+    // Machine-readable copies in headers: clients size their raw `f64`
+    // frames (served ≡ in-process, bit for bit) from these, not the body.
     Response::json(200, body)
         .with_header("X-N-Nodes", router.graph.n_local().to_string())
         .with_header("X-Node-Feats", NODE_FEATS.to_string())

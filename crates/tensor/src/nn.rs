@@ -81,7 +81,7 @@ impl ParamSet {
 
     /// Flatten all parameters into a single vector (for checksums/tests).
     pub fn flatten(&self) -> Vec<f64> {
-        // detlint: allow(hotpath-alloc, "checkpoint/diagnostic path, called once per save or assertion — not the per-step training loop")
+        // detlint: allow(hotpath-reachability, "checkpoint/diagnostic path, called once per save or assertion — not the per-step training loop")
         let mut out = Vec::with_capacity(self.num_scalars());
         for t in &self.tensors {
             out.extend_from_slice(t.data());

@@ -8,8 +8,9 @@
 //! * unset — start an in-process server on an ephemeral port and drive
 //!   that, so the example is self-contained.
 //!
-//! Either way: discover the frame size from `/info` response headers
-//! (the vendored `serde_json` shim cannot parse bodies), fire
+//! Either way: discover the raw `f64` frame size from `/info` response
+//! headers (binary frames keep served ≡ in-process checkable bit for
+//! bit, and the headers spare the client a JSON parser), fire
 //! `CLIENTS` concurrent keep-alive connections issuing `REQS` binary
 //! `/predict` requests each, then print throughput, latency percentiles,
 //! and the server's own `/metrics`.
