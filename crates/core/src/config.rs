@@ -179,15 +179,6 @@ pub const CGNN_SERVE_REPLICAS: EnvKnob = EnvKnob {
           and pooled tape).",
 };
 
-/// `cgnn-serve`: cap on the requests one forward pass stacks.
-pub const CGNN_SERVE_MAX_BATCH: EnvKnob = EnvKnob {
-    name: "CGNN_SERVE_MAX_BATCH",
-    default: "32",
-    doc: "`cgnn-serve` stacking cap: a forward pass stacks as many queued \
-          requests as stay cache-resident on the served mesh \
-          (`stack_limit`, 1 on the default mesh), never more than this.",
-};
-
 /// `cgnn-serve`: bounded request-queue capacity (backpressure point).
 pub const CGNN_SERVE_QUEUE_CAP: EnvKnob = EnvKnob {
     name: "CGNN_SERVE_QUEUE_CAP",
@@ -271,7 +262,6 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_MAXR,
     &CGNN_SERVE_ADDR,
     &CGNN_SERVE_REPLICAS,
-    &CGNN_SERVE_MAX_BATCH,
     &CGNN_SERVE_QUEUE_CAP,
     &CGNN_SERVE_POLL_MS,
     &CGNN_SERVE_CKPT_DIR,

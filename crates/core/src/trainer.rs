@@ -80,19 +80,6 @@ pub struct Trainer {
     /// because evaluation entry points take `&self`; each rank owns its
     /// trainer, so the borrow is never contended.
     tape: std::cell::RefCell<Tape>,
-    /// Cached disjoint-union graphs for [`Trainer::predict_batch`], keyed
-    /// by batch size and invalidated when the base graph changes. Serving
-    /// replicas predict over one immutable graph forever, so after warmup
-    /// every batch size hits the cache.
-    batch_cache: std::cell::RefCell<BatchCache>,
-}
-
-/// Memoized `LocalGraph::replicated` results for one base graph, which
-/// the cache keeps alive so that its identity cannot be reused.
-#[derive(Default)]
-struct BatchCache {
-    base: Option<Arc<LocalGraph>>,
-    per_size: std::collections::BTreeMap<usize, (Arc<LocalGraph>, GraphIndices)>,
 }
 
 impl Trainer {
@@ -106,7 +93,6 @@ impl Trainer {
             opt: Adam::new(lr),
             ctx,
             tape: std::cell::RefCell::new(Tape::new()),
-            batch_cache: std::cell::RefCell::new(BatchCache::default()),
         }
     }
 
@@ -183,83 +169,10 @@ impl Trainer {
         tape.value(y).clone()
     }
 
-    /// Micro-batched inference: the predictions of every sample in
-    /// `batch`, **bit-identical** to calling [`Trainer::predict`] on each
-    /// sample alone, with one forward pass amortized over the whole batch.
-    ///
-    /// On an identity exchange (single-rank / halo-free graph — the
-    /// serving configuration) the samples are stacked into one
-    /// `[B * n_local, F]` tensor over the disjoint-union graph
-    /// ([`LocalGraph::replicated`], memoized per batch size) and the model
-    /// runs **once**: one parameter bind, one kernel dispatch per op, rows
-    /// partitioned per sample. Per-sample results cannot differ from the
-    /// singleton pass because every kernel is row-local or reduces per
-    /// destination node in input order, and the union adds no cross-sample
-    /// edges (the determinism contract of `docs/PERFORMANCE.md`).
-    ///
-    /// Distributed (halo-carrying) data falls back to per-sample passes on
-    /// the shared tape workspace — same results, per-pass exchanges kept
-    /// collective-correct.
-    ///
-    /// # Panics
-    /// If the batch is empty or its samples reference different graphs.
+    /// [`Trainer::predict`] on every sample of `batch`, in order (what
+    /// `sysbench`'s `core.predict_batch8_ms_per_sample` probe times).
     pub fn predict_batch(&self, batch: &[&RankData]) -> Vec<Tensor> {
-        assert!(!batch.is_empty(), "empty inference batch");
-        let base = &batch[0].graph;
-        assert!(
-            batch.iter().all(|d| Arc::ptr_eq(&d.graph, base)),
-            "predict_batch samples must share one graph"
-        );
-        if batch.len() == 1 || base.n_halo() != 0 || self.ctx.comm.size() > 1 {
-            return batch.iter().map(|d| self.predict(d)).collect();
-        }
-        let b = batch.len();
-        let (n, node_in) = batch[0].x.shape();
-        let (m, edge_in) = batch[0].e.shape();
-        // Memoized disjoint union of `b` copies of the base graph.
-        {
-            let mut cache = self.batch_cache.borrow_mut();
-            if !cache.base.as_ref().is_some_and(|g| Arc::ptr_eq(g, base)) {
-                cache.base = Some(Arc::clone(base));
-                cache.per_size.clear();
-            }
-            cache.per_size.entry(b).or_insert_with(|| {
-                let g = Arc::new(base.replicated(b));
-                let idx = GraphIndices::from_graph(&g);
-                (g, idx)
-            });
-        }
-        let cache = self.batch_cache.borrow();
-        let (graph, idx) = &cache.per_size[&b];
-        // Stack the batch sample-major; each copy's rows line up with its
-        // copy of the union graph.
-        let mut x_cat = Vec::with_capacity(b * n * node_in);
-        let mut e_cat = Vec::with_capacity(b * m * edge_in);
-        for d in batch {
-            debug_assert_eq!(d.x.shape(), (n, node_in));
-            debug_assert_eq!(d.e.shape(), (m, edge_in));
-            x_cat.extend_from_slice(d.x.data());
-            e_cat.extend_from_slice(d.e.data());
-        }
-        let mut tape = self.tape.borrow_mut();
-        tape.reset();
-        let bound = self.params.bind(&mut tape);
-        let x = tape.leaf(Tensor::from_vec(b * n, node_in, x_cat));
-        let e = tape.leaf(Tensor::from_vec(b * m, edge_in, e_cat));
-        let y = self
-            .model
-            .forward(&mut tape, &bound, x, e, graph, idx, &self.ctx);
-        let out = tape.value(y);
-        let node_out = out.cols();
-        (0..b)
-            .map(|k| {
-                Tensor::from_vec(
-                    n,
-                    node_out,
-                    out.data()[k * n * node_out..(k + 1) * n * node_out].to_vec(),
-                )
-            })
-            .collect()
+        batch.iter().map(|d| self.predict(d)).collect()
     }
 
     /// One training iteration (forward, backward, DDP reduce, Adam step).
@@ -477,87 +390,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The serving contract: stacked micro-batched inference returns the
-    /// same bits as one singleton `predict` per sample, at every batch
-    /// size, including after training updates the parameters.
-    #[test]
-    fn predict_batch_bit_identical_to_looped_predict() {
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let g = Arc::new(build_global_graph(&mesh));
-        let field = TaylorGreen::new(0.01);
-        let ctx = HaloContext::single(cgnn_comm::LoopbackBackend::comm());
-        let mut trainer = Trainer::new(GnnConfig::small(), 42, 1e-3, ctx);
-        let samples: Vec<RankData> = [0.0, 0.1, 0.2, 0.3, 0.4]
-            .iter()
-            .map(|&t| RankData::tgv_autoencode(Arc::clone(&g), &field, t))
-            .collect();
-        trainer.train(&samples[0], 3); // non-seed parameters
-        for b in [1usize, 2, 3, 5] {
-            let batch: Vec<&RankData> = samples.iter().take(b).collect();
-            let stacked = trainer.predict_batch(&batch);
-            assert_eq!(stacked.len(), b);
-            for (k, d) in batch.iter().enumerate() {
-                let single = trainer.predict(d);
-                assert_eq!(
-                    stacked[k].data(),
-                    single.data(),
-                    "batch size {b}, sample {k}: stacked prediction diverged"
-                );
-            }
-        }
-        // Interleaving batch sizes reuses the memoized union graphs.
-        let batch: Vec<&RankData> = samples.iter().take(2).collect();
-        let again = trainer.predict_batch(&batch);
-        assert_eq!(again[1].data(), trainer.predict(&samples[1]).data());
-    }
-
-    /// The union-graph cache is keyed on the base graph's identity, so it
-    /// must keep that graph alive: an allocation whose last outside
-    /// reference is gone can come back holding a different graph (here by
-    /// `Arc::make_mut`, which writes in place when the `Arc` is unique; in
-    /// the wild by the allocator reusing the address), and an address-keyed
-    /// cache would serve that graph the old one's unions.
-    #[test]
-    fn predict_batch_cache_is_not_fooled_by_a_recycled_graph_allocation() {
-        let field = TaylorGreen::new(0.01);
-        let ctx = HaloContext::single(cgnn_comm::LoopbackBackend::comm());
-        let trainer = Trainer::new(GnnConfig::small(), 42, 1e-3, ctx);
-        let pair = |g: &Arc<LocalGraph>| {
-            [0.0, 0.1].map(|t| RankData::tgv_autoencode(Arc::clone(g), &field, t))
-        };
-        let mut graph = Arc::new(build_global_graph(&BoxMesh::tgv_cube(2, 2)));
-        let old = pair(&graph);
-        trainer.predict_batch(&[&old[0], &old[1]]);
-        drop(old);
-        *Arc::make_mut(&mut graph) = build_global_graph(&BoxMesh::tgv_cube(3, 1));
-        let new = pair(&graph);
-        let stacked = trainer.predict_batch(&[&new[0], &new[1]]);
-        for (k, d) in new.iter().enumerate() {
-            assert_eq!(stacked[k].data(), trainer.predict(d).data(), "sample {k}");
-        }
-    }
-
-    /// Distributed (halo-carrying) data takes the per-sample fallback and
-    /// still matches looped singleton predictions.
-    #[test]
-    fn predict_batch_falls_back_on_distributed_graphs() {
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let part = Partition::new(&mesh, 2, Strategy::Slab);
-        let graphs = Arc::new(build_distributed_graph(&mesh, &part));
-        let field = TaylorGreen::new(0.01);
-        let ok = World::run(2, |comm| {
-            let g = Arc::new(graphs[comm.rank()].clone());
-            let ctx = HaloContext::new(comm.clone(), &g, HaloExchangeMode::NeighborAllToAll);
-            let trainer = Trainer::new(GnnConfig::small(), 7, 1e-3, ctx);
-            let a = RankData::tgv_autoencode(Arc::clone(&g), &field, 0.0);
-            let b = RankData::tgv_autoencode(Arc::clone(&g), &field, 0.2);
-            let batched = trainer.predict_batch(&[&a, &b]);
-            let singles = [trainer.predict(&a), trainer.predict(&b)];
-            batched[0].data() == singles[0].data() && batched[1].data() == singles[1].data()
-        });
-        assert_eq!(ok, vec![true, true]);
     }
 
     #[test]

@@ -102,70 +102,6 @@ impl LocalGraph {
         self.node_inv_degree[local] < 1.0
     }
 
-    /// The disjoint union of `copies` replicas of this graph: copy `k`'s
-    /// rows occupy `[k * n_local, (k + 1) * n_local)` and its edges are
-    /// offset accordingly, with no edges between copies.
-    ///
-    /// This is the index structure behind *micro-batched inference*
-    /// (`Trainer::predict_batch`): stacking `B` independent samples into
-    /// one `[B * n_local, F]` tensor and running the forward pass once
-    /// over the union is bit-identical per sample to `B` singleton passes,
-    /// because every kernel is row-local or reduces per destination node
-    /// in input order (see `docs/PERFORMANCE.md`) and the union adds no
-    /// cross-sample edges. Global ids are shifted by a per-copy stride so
-    /// they stay strictly ascending; consistency weights are replicated
-    /// unchanged.
-    ///
-    /// Only identity-exchange graphs can be replicated: a graph with halo
-    /// rows interleaves per-sample state with communication, which a
-    /// stacked batch cannot preserve.
-    ///
-    /// # Panics
-    /// If `copies` is zero or this graph has a non-empty halo plan.
-    pub fn replicated(&self, copies: usize) -> LocalGraph {
-        assert!(copies > 0, "a batched graph needs at least one copy");
-        assert_eq!(
-            self.n_halo(),
-            0,
-            "only identity-exchange (halo-free) graphs can be replicated \
-             into a batched disjoint union"
-        );
-        let n = self.n_local();
-        let m = self.n_edges();
-        // Strictly ascending gids across copies: shift copy k by k * stride.
-        let stride = self.gids.last().map_or(1, |g| g + 1);
-        let mut gids = Vec::with_capacity(copies * n);
-        let mut pos = Vec::with_capacity(copies * n);
-        let mut edge_src = Vec::with_capacity(copies * m);
-        let mut edge_dst = Vec::with_capacity(copies * m);
-        let mut edge_disp = Vec::with_capacity(copies * m);
-        let mut edge_inv_degree = Vec::with_capacity(copies * m);
-        let mut node_inv_degree = Vec::with_capacity(copies * n);
-        for k in 0..copies {
-            gids.extend(self.gids.iter().map(|g| g + k as u64 * stride));
-            pos.extend_from_slice(&self.pos);
-            edge_src.extend(self.edge_src.iter().map(|s| s + k * n));
-            edge_dst.extend(self.edge_dst.iter().map(|d| d + k * n));
-            edge_disp.extend_from_slice(&self.edge_disp);
-            edge_inv_degree.extend_from_slice(&self.edge_inv_degree);
-            node_inv_degree.extend_from_slice(&self.node_inv_degree);
-        }
-        LocalGraph {
-            rank: self.rank,
-            n_ranks: self.n_ranks,
-            gids,
-            pos,
-            edge_src: Arc::new(edge_src),
-            edge_dst: Arc::new(edge_dst),
-            edge_disp,
-            edge_inv_degree: Arc::new(edge_inv_degree),
-            node_inv_degree: Arc::new(node_inv_degree),
-            interior_rows: Arc::new((0..copies * n).collect()),
-            boundary_rows: Arc::new(Vec::new()),
-            halo: HaloPlan::default(),
-        }
-    }
-
     /// Basic structural sanity checks; used by tests and debug builds.
     pub fn validate(&self) {
         let n = self.n_local();
@@ -240,48 +176,4 @@ pub fn split_interior_boundary(
         }
     }
     (interior, boundary)
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::build_global_graph;
-    use cgnn_mesh::BoxMesh;
-
-    #[test]
-    fn replicated_is_a_disjoint_union() {
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let g = build_global_graph(&mesh);
-        let b = 3;
-        let r = g.replicated(b);
-        r.validate();
-        assert_eq!(r.n_local(), b * g.n_local());
-        assert_eq!(r.n_edges(), b * g.n_edges());
-        assert_eq!(r.n_halo(), 0);
-        let (n, m) = (g.n_local(), g.n_edges());
-        for k in 0..b {
-            for e in 0..m {
-                // Copy k's edges connect copy k's rows only, same topology.
-                assert_eq!(r.edge_src[k * m + e], g.edge_src[e] + k * n);
-                assert_eq!(r.edge_dst[k * m + e], g.edge_dst[e] + k * n);
-                assert_eq!(r.edge_inv_degree[k * m + e], g.edge_inv_degree[e]);
-            }
-            for i in 0..n {
-                assert_eq!(r.pos[k * n + i], g.pos[i]);
-                assert_eq!(r.node_inv_degree[k * n + i], g.node_inv_degree[i]);
-            }
-        }
-        assert!(
-            r.gids.windows(2).all(|w| w[0] < w[1]),
-            "replicated gids must stay strictly ascending"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "halo-free")]
-    fn replicated_rejects_halo_graphs() {
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let part = cgnn_partition::Partition::new(&mesh, 2, cgnn_partition::Strategy::Slab);
-        let graphs = crate::build_distributed_graph(&mesh, &part);
-        let _ = graphs[0].replicated(2);
-    }
 }

@@ -6,7 +6,7 @@
 //! plane validates a candidate checkpoint against the served architecture
 //! (the same eager probe [`cgnn_session::Session::restore`] uses), then
 //! atomically bumps the generation. Replicas compare generations between
-//! batches and install the new parameters before their next forward pass,
+//! passes and install the new parameters before their next forward pass,
 //! so every individual request is served by exactly one parameter set —
 //! in-flight requests are never torn across a reload.
 

@@ -7,20 +7,16 @@
 //!
 //! * **data plane** ([`pool`]) — a bounded request queue drained by warm
 //!   model replicas. A request waits only for a busy replica: an idle one
-//!   claims what is queued at once and runs it as one forward pass,
-//!   stacking as many requests as stay cache-resident on the served mesh
-//!   ([`pool::stack_limit`]: one on the default mesh, up to
-//!   `CGNN_SERVE_MAX_BATCH` on a small one) over a disjoint-union graph
-//!   ([`cgnn_core::Trainer::predict_batch`]) — **bit-identical** to
-//!   singleton inference for every request;
+//!   claims the oldest queued request at once and serves it with one
+//!   [`cgnn_core::Trainer::predict`] on the served graph, so every
+//!   response is **bit-identical** to in-process inference;
 //! * **control plane** ([`control`]) — owns the published parameter set,
 //!   watches a checkpoint directory, validates new checkpoints against
 //!   the served architecture, and hot-swaps them in *between* passes so
 //!   in-flight requests are never torn across a reload;
 //! * **telemetry** ([`stats`]) — lock-free counters and fixed-bucket
-//!   histograms (pass sizes; latency and its queue / forward parts)
-//!   folded into JSON at `/metrics`, on the same snapshot pattern as
-//!   [`cgnn_comm::stats`].
+//!   histograms (latency and its queue / forward parts) folded into JSON
+//!   at `/metrics`, on the same snapshot pattern as [`cgnn_comm::stats`].
 //!
 //! The HTTP layer ([`http`]) is a hand-rolled subset over [`std::net`]
 //! (this workspace has no network registry, so no hyper/tokio): a

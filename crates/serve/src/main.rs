@@ -16,14 +16,13 @@ fn main() {
         }
     };
     println!(
-        "cgnn-serve listening on {} (model={} elems={} nodes={} replicas={} max_batch={} \
-         queue_cap={} ckpt_dir={})",
+        "cgnn-serve listening on {} (model={} elems={} nodes={} replicas={} queue_cap={} \
+         ckpt_dir={})",
         server.addr(),
         config.model_name,
         config.elems,
         server.n_local(),
         config.replicas,
-        config.max_batch,
         config.queue_cap,
         config
             .ckpt_dir

@@ -5,7 +5,7 @@
 //!             ┌──────────── control plane ────────────┐
 //!             │ checkpoint watcher → validate → swap  │
 //!             └───────────────┬───────────────────────┘
-//!   TCP accept → workers ─ bounded queue ─ replicas (one pass per claim)
+//!   TCP accept → workers ─ bounded queue ─ replicas (one pass per request)
 //!             └── /health /info /metrics /admin/* ──→ telemetry
 //! ```
 //!
@@ -17,8 +17,7 @@
 //! therefore keep a replica busy back to back — the bulk-query shape of a
 //! solver process driving the surrogate.
 //!
-//! See `docs/SERVING.md` for the endpoint reference and when a forward
-//! pass stacks requests.
+//! See `docs/SERVING.md` for the architecture and the endpoint reference.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,8 +46,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Warm replica count.
     pub replicas: usize,
-    /// Cap on the requests one forward pass stacks (the upper clamp of
-    /// [`crate::pool::stack_limit`], which the served shape decides).
+    /// Read by nothing: every forward pass serves one request. Kept only
+    /// because the frozen `sysbench` still sets it; ROADMAP item 2 (the
+    /// sysbench re-baseline) removes both sides.
     pub max_batch: usize,
     /// Bounded request-queue capacity.
     pub queue_cap: usize,
@@ -73,7 +73,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7878".to_string(),
             replicas: 1,
-            max_batch: 32,
+            max_batch: 1,
             queue_cap: 256,
             poll_ms: 500,
             ckpt_dir: None,
@@ -89,26 +89,34 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Read the configuration from the registered `CGNN_SERVE_*` knobs,
     /// with the documented defaults for unset variables.
+    ///
+    /// # Panics
+    ///
+    /// When a knob is set to a value it cannot take (see
+    /// [`knobs::EnvKnob::usize_or`]), or `CGNN_SERVE_MODEL` names no
+    /// preset: a mistyped value must not silently serve the default.
     pub fn from_env() -> Self {
         let defaults = ServeConfig::default();
         let model_name = knobs::CGNN_SERVE_MODEL.string_or(&defaults.model_name);
-        let model = if model_name == "large" {
-            GnnConfig::large()
-        } else {
-            GnnConfig::small()
+        let model = match model_name.as_str() {
+            "small" => GnnConfig::small(),
+            "large" => GnnConfig::large(),
+            // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped preset fails loudly, naming the knob, rather than serving the small model under the mistyped name")
+            other => panic!(
+                "{} must be `small` or `large`, got `{other}`",
+                knobs::CGNN_SERVE_MODEL.name
+            ),
         };
         ServeConfig {
             addr: knobs::CGNN_SERVE_ADDR.string_or(&defaults.addr),
             replicas: knobs::CGNN_SERVE_REPLICAS.usize_or(defaults.replicas),
-            max_batch: knobs::CGNN_SERVE_MAX_BATCH.usize_or(defaults.max_batch),
             queue_cap: knobs::CGNN_SERVE_QUEUE_CAP.usize_or(defaults.queue_cap),
             poll_ms: knobs::CGNN_SERVE_POLL_MS.usize_or(defaults.poll_ms as usize) as u64,
             ckpt_dir: knobs::CGNN_SERVE_CKPT_DIR.lookup().map(PathBuf::from),
             model,
             model_name,
             elems: knobs::CGNN_SERVE_ELEMS.usize_or(defaults.elems),
-            seed: defaults.seed,
-            http_workers: defaults.http_workers,
+            ..defaults
         }
     }
 }
@@ -142,8 +150,21 @@ struct Router {
 impl Server {
     /// Build the served graph, load/validate initial parameters, and
     /// start every thread. Returns once the listener is bound (the
-    /// actual address is [`Server::addr`]).
+    /// actual address is [`Server::addr`]); a zero `elems` or `queue_cap`
+    /// is an [`InvalidInput`](std::io::ErrorKind::InvalidInput) error
+    /// naming the field.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        for (field, knob, value) in [
+            ("elems", knobs::CGNN_SERVE_ELEMS, config.elems),
+            ("queue_cap", knobs::CGNN_SERVE_QUEUE_CAP, config.queue_cap),
+        ] {
+            if value == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{field} ({}) must be at least 1, got 0", knob.name),
+                ));
+            }
+        }
         let mesh = BoxMesh::new(
             (config.elems, config.elems, config.elems),
             2,
@@ -164,7 +185,6 @@ impl Server {
             Arc::clone(&shared),
             Arc::clone(&stats),
             config.replicas,
-            config.max_batch,
             config.queue_cap,
         );
         let watcher = config.ckpt_dir.is_some().then(|| {
@@ -527,7 +547,6 @@ fn info_response(router: &Router) -> Response {
             "  \"n_edges\": {},\n",
             "  \"node_feats\": {},\n",
             "  \"node_out\": {},\n",
-            "  \"max_batch\": {},\n",
             "  \"replicas\": {}\n",
             "}}\n",
         ),
@@ -538,7 +557,6 @@ fn info_response(router: &Router) -> Response {
         g.n_edges(),
         NODE_FEATS,
         router.config.model.node_out,
-        router.config.max_batch,
         router.config.replicas,
     );
     // Machine-readable copies in headers: clients size their raw `f64`
@@ -596,5 +614,19 @@ fn predict(router: &Router, req: &Request) -> Pending {
                     .with_header("Retry-After", "1".to_string()),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "CGNN_SERVE_MODEL must be `small` or `large`, got `big`")]
+    fn from_env_rejects_an_unknown_model_preset_by_name() {
+        // No other test in this binary reads the knob, so setting it races
+        // with nothing.
+        std::env::set_var(knobs::CGNN_SERVE_MODEL.name, "big");
+        ServeConfig::from_env();
     }
 }

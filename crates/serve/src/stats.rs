@@ -2,10 +2,9 @@
 //! counters updated on the request path, folded into a plain-old-data
 //! [`ServeSnapshot`] on demand (the `/metrics` endpoint).
 //!
-//! Everything here is allocation-free on the hot path: batch sizes and
-//! times land in **fixed-width histograms** (a direct-indexed array for
-//! batch sizes, power-of-two microsecond buckets for times), so recording
-//! a request is a handful of relaxed atomic increments. Percentiles are
+//! Everything here is allocation-free on the hot path: times land in
+//! **fixed-width histograms** (power-of-two microsecond buckets), so
+//! recording a request is a handful of relaxed atomic increments. Percentiles are
 //! computed from the histogram only when a snapshot is taken, and are
 //! upper bounds (the top edge of the bucket holding the requested rank).
 //!
@@ -17,10 +16,6 @@
 //! response order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of direct-indexed batch-size buckets: sizes `1..=BATCH_BUCKETS`
-/// count exactly, larger batches clamp into the last bucket.
-pub const BATCH_BUCKETS: usize = 64;
 
 /// Number of power-of-two time buckets: bucket `i` counts requests whose
 /// time in microseconds lies in `[2^i, 2^(i+1))`; the top bucket absorbs
@@ -35,11 +30,11 @@ fn record_us(hist: &TimeHist, us: u64) {
     hist[bucket].fetch_add(1, Ordering::Relaxed);
 }
 
-fn load_hist<const N: usize>(hist: &[AtomicU64; N]) -> [u64; N] {
+fn load_hist(hist: &TimeHist) -> [u64; LAT_BUCKETS] {
     std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
 }
 
-fn new_hist<const N: usize>() -> [AtomicU64; N] {
+fn new_hist() -> TimeHist {
     std::array::from_fn(|_| AtomicU64::new(0))
 }
 
@@ -75,9 +70,8 @@ pub struct ServeStats {
     pub admin_drain: AtomicU64,
     /// Requests currently enqueued for the replica pool (gauge).
     pub queue_depth: AtomicU64,
-    /// Forward passes executed by the replica pool.
+    /// Forward passes executed by the replica pool, one per request.
     pub batches: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
     lat_hist: TimeHist,
     queue_hist: TimeHist,
     forward_hist: TimeHist,
@@ -100,7 +94,6 @@ impl Default for ServeStats {
             admin_drain: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            batch_hist: new_hist(),
             lat_hist: new_hist(),
             queue_hist: new_hist(),
             forward_hist: new_hist(),
@@ -109,11 +102,9 @@ impl Default for ServeStats {
 }
 
 impl ServeStats {
-    /// Record one executed forward pass over `size` requests.
-    pub fn record_batch(&self, size: usize) {
+    /// Record one executed forward pass.
+    pub fn record_batch(&self) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let bucket = size.clamp(1, BATCH_BUCKETS) - 1;
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one served `/predict` latency (enqueue to reply) in µs.
@@ -149,7 +140,6 @@ impl ServeStats {
             admin_drain: self.admin_drain.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            batch_hist: load_hist(&self.batch_hist),
             lat_hist: load_hist(&self.lat_hist),
             queue_hist: load_hist(&self.queue_hist),
             forward_hist: load_hist(&self.forward_hist),
@@ -186,11 +176,8 @@ pub struct ServeSnapshot {
     pub admin_drain: u64,
     /// Requests enqueued at snapshot time.
     pub queue_depth: u64,
-    /// Forward passes executed.
+    /// Forward passes executed, one per request.
     pub batches: u64,
-    /// `batch_hist[i]` = batches of exactly `i + 1` requests (last bucket
-    /// clamps larger batches).
-    pub batch_hist: [u64; BATCH_BUCKETS],
     /// `lat_hist[i]` = requests with latency in `[2^i, 2^(i+1))` µs.
     pub lat_hist: [u64; LAT_BUCKETS],
     /// `queue_hist[i]` = requests queued for `[2^i, 2^(i+1))` µs.
@@ -237,29 +224,6 @@ fn time_hist_json(hist: &[u64; LAT_BUCKETS]) -> String {
 }
 
 impl ServeSnapshot {
-    /// Largest batch size observed (0 when no batch ran yet).
-    pub fn max_batch(&self) -> usize {
-        self.batch_hist
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, |i| i + 1)
-    }
-
-    /// Mean executed batch size (0.0 when no batch ran yet).
-    pub fn mean_batch(&self) -> f64 {
-        let total: u64 = self
-            .batch_hist
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u64 + 1) * c)
-            .sum();
-        if self.batches == 0 {
-            0.0
-        } else {
-            total as f64 / self.batches as f64
-        }
-    }
-
     /// Latency upper bound in µs at quantile `q` in `[0, 1]`: the top edge
     /// of the histogram bucket holding the requested rank (0 when no
     /// latency was recorded).
@@ -271,13 +235,6 @@ impl ServeSnapshot {
     /// `/metrics` response body). Histograms are emitted sparsely as
     /// `[bound, count]` pairs over non-empty buckets.
     pub fn to_json(&self) -> String {
-        let batch_pairs: Vec<String> = self
-            .batch_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("[{}, {}]", i + 1, c))
-            .collect();
         format!(
             concat!(
                 "{{\n",
@@ -295,8 +252,7 @@ impl ServeSnapshot {
                 "  }},\n",
                 "  \"reloads\": {{ \"applied\": {}, \"errors\": {} }},\n",
                 "  \"queue_depth\": {},\n",
-                "  \"batches\": {{ \"count\": {}, \"mean\": {:.3}, \"max\": {}, ",
-                "\"hist\": [{}] }},\n",
+                "  \"batches\": {},\n",
                 "  \"latency_us\": {},\n",
                 "  \"queue_us\": {},\n",
                 "  \"forward_us\": {}\n",
@@ -316,9 +272,6 @@ impl ServeSnapshot {
             self.reload_errors,
             self.queue_depth,
             self.batches,
-            self.mean_batch(),
-            self.max_batch(),
-            batch_pairs.join(", "),
             time_hist_json(&self.lat_hist),
             time_hist_json(&self.queue_hist),
             time_hist_json(&self.forward_hist),
@@ -341,13 +294,10 @@ mod tests {
         }
         s.record_queue_us(3); // bucket [2, 4)
         s.record_forward_us(5000); // bucket [4096, 8192)
-        s.record_batch(1);
-        s.record_batch(4);
-        s.record_batch(4);
-        s.record_batch(10_000); // clamps into the last bucket
+        s.record_batch();
+        s.record_batch();
         let snap = s.snapshot();
-        assert_eq!(snap.batches, 4);
-        assert_eq!(snap.max_batch(), BATCH_BUCKETS);
+        assert_eq!(snap.batches, 2);
         assert_eq!(snap.latency_quantile_us(0.50), 15);
         assert_eq!(snap.latency_quantile_us(0.90), 15);
         assert_eq!(snap.latency_quantile_us(0.99), 1023);
@@ -360,13 +310,13 @@ mod tests {
         assert_eq!(snap.queue_hist.iter().sum::<u64>(), 1);
         assert_eq!(snap.forward_hist[12], 1);
         assert!(json.contains("\"predict_ok\": 0"));
+        assert!(json.contains("\"batches\": 2,"));
     }
 
     #[test]
     fn empty_snapshot_is_well_formed() {
         let snap = ServeStats::default().snapshot();
-        assert_eq!(snap.max_batch(), 0);
-        assert_eq!(snap.mean_batch(), 0.0);
+        assert_eq!(snap.batches, 0);
         assert_eq!(snap.latency_quantile_us(0.99), 0);
         assert!(snap.to_json().contains("\"queue_depth\": 0"));
     }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the serving plane over real TCP: bit-identity of
-//! served predictions (stacked passes on a small mesh, singleton passes on
-//! the default one), hot checkpoint reload under concurrent load,
-//! queue-overflow backpressure, and admission on arrival.
+//! served predictions at one request per pass, hot checkpoint reload under
+//! concurrent load, queue-overflow backpressure, admission on arrival, and
+//! startup refusing an invalid configuration.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,10 +36,6 @@ fn reference_trainer_on(seed: u64, elems: usize) -> (Trainer, Arc<cgnn_graph::Lo
     let graph = Arc::new(build_global_graph(&mesh));
     let ctx = HaloContext::single(LoopbackBackend::comm());
     (Trainer::new(GnnConfig::small(), seed, 1e-3, ctx), graph)
-}
-
-fn reference_trainer(seed: u64) -> (Trainer, Arc<cgnn_graph::LocalGraph>) {
-    reference_trainer_on(seed, ELEMS)
 }
 
 fn sample_inputs(graph: &Arc<cgnn_graph::LocalGraph>, count: usize) -> Vec<RankData> {
@@ -83,82 +79,82 @@ fn read_and_check<'a>(client: &mut HttpClient, expected: impl IntoIterator<Item 
 
 #[test]
 fn served_predictions_are_bit_identical_to_in_process_inference() {
-    // On the 2^3 mesh (600 edges) a pass stacks up to this cap.
-    let config = ServeConfig {
-        max_batch: 8,
-        ..test_config()
-    };
-    let seed = config.seed;
-    let server = Server::start(config).expect("server start");
-    let addr = server.addr();
-    let (trainer, graph) = reference_trainer(seed);
-    let samples = sample_inputs(&graph, 7);
+    // (elems, requests sent first, requests pipelined behind them): on the
+    // 2^3 mesh one request holds the replica busy while six queue behind
+    // it; on the default 4^3 mesh a burst queues at once. Either way every
+    // pass serves one request.
+    for (elems, head, tail) in [(ELEMS, 1, 6), (ServeConfig::default().elems, 0, 24)] {
+        let config = ServeConfig {
+            elems,
+            ..test_config()
+        };
+        let seed = config.seed;
+        let server = Server::start(config).expect("server start");
+        let addr = server.addr();
+        let (trainer, graph) = reference_trainer_on(seed, elems);
+        let samples = sample_inputs(&graph, 8);
+        let expected = expected_outputs(&trainer, &samples);
+        let served = head + tail;
 
-    // Nothing but a busy replica forms a batch: one request occupies the
-    // replica, and the six pipelined behind it on the same connection are
-    // admitted as they arrive and claimed together when its pass ends.
-    let mut client = HttpClient::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-    send_all(&mut client, &samples[..1]);
-    common::wait_until(common::generous(), "the replica to claim the first", || {
-        server.stats().snapshot().batches == 1
-    });
-    send_all(&mut client, &samples[1..]);
-    read_and_check(&mut client, &expected_outputs(&trainer, &samples));
+        let mut client = HttpClient::connect_retry(addr, Duration::from_secs(5)).expect("connect");
+        send_all(&mut client, samples.iter().cycle().take(head));
+        common::wait_until(common::generous(), "the replica to claim the head", || {
+            server.stats().snapshot().batches == head as u64
+        });
+        send_all(&mut client, samples.iter().cycle().skip(head).take(tail));
+        read_and_check(&mut client, expected.iter().cycle().take(served));
 
-    let snap = server.stats().snapshot();
-    assert_eq!(snap.predict_ok, 7);
-    assert!(
-        snap.max_batch() >= 2,
-        "expected at least one stacked pass, got max {}",
-        snap.max_batch()
-    );
-    // Every served request was timed in both parts.
-    assert_eq!(snap.queue_hist.iter().sum::<u64>(), 7);
-    assert_eq!(snap.forward_hist.iter().sum::<u64>(), 7);
+        let snap = server.stats().snapshot();
+        assert_eq!(snap.predict_ok, served as u64, "elems {elems}");
+        assert_eq!(
+            snap.batches, snap.predict_ok,
+            "elems {elems}: a pass served more than one request"
+        );
+        // Every served request was timed in both parts.
+        assert_eq!(snap.queue_hist.iter().sum::<u64>(), served as u64);
+        assert_eq!(snap.forward_hist.iter().sum::<u64>(), served as u64);
 
-    // Telemetry sanity over the wire.
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let metrics = client.request("GET", "/metrics", &[]).expect("metrics");
-    assert_eq!(metrics.status, 200);
-    let text = String::from_utf8(metrics.body).expect("utf8 metrics");
-    assert!(text.contains("\"predict_ok\": 7"), "metrics: {text}");
-    for part in ["\"latency_us\"", "\"queue_us\"", "\"forward_us\""] {
-        assert!(text.contains(part), "metrics lack {part}: {text}");
+        // Telemetry sanity over the wire.
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let metrics = client.request("GET", "/metrics", &[]).expect("metrics");
+        assert_eq!(metrics.status, 200);
+        let text = String::from_utf8(metrics.body).expect("utf8 metrics");
+        for part in [
+            format!("\"predict_ok\": {served}"),
+            format!("\"batches\": {served}"),
+            "\"latency_us\"".to_string(),
+            "\"queue_us\"".to_string(),
+            "\"forward_us\"".to_string(),
+        ] {
+            assert!(text.contains(&part), "metrics lack {part}: {text}");
+        }
+
+        let info = client.request("GET", "/info", &[]).expect("info");
+        assert_eq!(
+            info.header("x-n-nodes"),
+            Some(graph.n_local().to_string().as_ref())
+        );
+        server.shutdown();
     }
-
-    let info = client.request("GET", "/info", &[]).expect("info");
-    assert_eq!(
-        info.header("x-n-nodes"),
-        Some(graph.n_local().to_string().as_ref())
-    );
-    server.shutdown();
 }
 
 #[test]
-fn default_mesh_serves_singleton_passes() {
-    // The default 4^3 mesh under the default cap of 32: a stacked pass
-    // would leave cache, so every pass serves one request however deep the
-    // queue behind it.
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
+fn invalid_config_is_an_error_naming_the_field() {
+    let zero_elems = ServeConfig {
+        elems: 0,
+        ..test_config()
     };
-    let (seed, elems, burst) = (config.seed, config.elems, 3 * config.max_batch);
-    let server = Server::start(config).expect("server start");
-    let (trainer, graph) = reference_trainer_on(seed, elems);
-    let samples = sample_inputs(&graph, 8);
-    let expected = expected_outputs(&trainer, &samples);
-
-    let mut client =
-        HttpClient::connect_retry(server.addr(), Duration::from_secs(5)).expect("connect");
-    send_all(&mut client, samples.iter().cycle().take(burst));
-    read_and_check(&mut client, expected.iter().cycle().take(burst));
-
-    let snap = server.stats().snapshot();
-    assert_eq!(snap.predict_ok, burst as u64);
-    assert_eq!(snap.max_batch(), 1, "a pass stacked on the default mesh");
-    assert_eq!(snap.batches, snap.predict_ok);
-    server.shutdown();
+    let zero_queue = ServeConfig {
+        queue_cap: 0,
+        ..test_config()
+    };
+    for (config, field) in [(zero_elems, "elems"), (zero_queue, "queue_cap")] {
+        let Err(err) = Server::start(config) else {
+            panic!("a zero {field} must not start");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(field), "{err}");
+    }
 }
 
 #[test]
@@ -168,7 +164,7 @@ fn hot_reload_swaps_parameters_without_dropping_requests() {
     let policy = CheckpointPolicy::every(1, &dir);
 
     // Train a reference model and save two distinct checkpoints.
-    let (mut trainer, graph) = reference_trainer(7);
+    let (mut trainer, graph) = reference_trainer_on(7, ELEMS);
     let samples = sample_inputs(&graph, 1);
     for _ in 0..3 {
         trainer.step(&samples[0]);

@@ -1,8 +1,6 @@
 //! Soak test of the serving plane's memory: a replica's resident state
 //! depends on the served shape alone, never on how deep the queue behind
-//! it has been. On the default mesh every pass is a singleton on the base
-//! graph, so no union graph or stacked buffer set is ever built whatever
-//! the pipeline depth.
+//! it has been, because every pass is one request on the served graph.
 
 use std::time::Duration;
 
@@ -13,13 +11,11 @@ use cgnn_serve::{HttpClient, ServeConfig, Server};
 mod common;
 use common::rss_kb;
 
-/// 400 requests on the default mesh under the default cap of 32, in
-/// bursts whose pipeline depth cycles through 1..=64 (1, 6, 11, …: the
-/// first 55 requests stay at depth 21 and below, the rest reach 61) over
-/// two alternating connections: the resident set after the last is within
-/// 4 MB of where it was after the first 55. (A replica that kept a union
-/// graph and buffer set per stacked size grew by 13 MB × size at every
-/// new size.)
+/// 400 requests on the default mesh, in bursts whose pipeline depth
+/// cycles through 1..=64 (1, 6, 11, …: the first 55 requests stay at depth
+/// 21 and below, the rest reach 61) over two alternating connections: the
+/// resident set after the last is within 4 MB of where it was after the
+/// first 55.
 #[test]
 #[ignore = "release soak: cargo test --release -p cgnn-serve --test serve_soak -- --ignored"]
 fn replica_memory_is_flat_across_pipeline_depths() {

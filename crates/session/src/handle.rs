@@ -217,19 +217,6 @@ impl RankHandle {
         self.trainer.predict(data)
     }
 
-    /// Micro-batched inference: predictions for every sample of `batch`,
-    /// bit-identical to calling [`RankHandle::predict`] on each sample in
-    /// turn. On single-rank identity-exchange graphs the samples are
-    /// stacked into one forward pass over a disjoint-union graph (the
-    /// `cgnn-serve` data-plane amortization); otherwise this falls back to
-    /// per-sample passes. Collective when the exchange is consistent.
-    ///
-    /// # Panics
-    /// If `batch` is empty or its samples reference different graphs.
-    pub fn predict_batch(&self, batch: &[&RankData]) -> Vec<Tensor> {
-        self.trainer.predict_batch(batch)
-    }
-
     /// Autoregressive rollout of `steps` model applications.
     pub fn rollout(&self, data: &RankData, steps: usize) -> Vec<Tensor> {
         self.trainer.rollout(data, steps)

@@ -455,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn session_predict_matches_batched_handle_predict() {
+    fn session_predict_matches_handle_predict() {
         let field = TaylorGreen::new(0.01);
         let times = [0.0, 0.1, 0.2];
         let s = Session::builder()
@@ -466,16 +466,17 @@ mod tests {
             .unwrap();
         // Session-level convenience, one sample at a time...
         let singles: Vec<_> = (0..times.len()).map(|i| s.predict(i)[0].clone()).collect();
-        // ...must be bit-identical to one stacked micro-batch per rank.
-        let stacked = s.run(|h| {
-            let refs: Vec<_> = (0..times.len()).map(|i| h.dataset_sample(i)).collect();
-            h.predict_batch(&refs)
+        // ...must be bit-identical to the per-rank handle's predictions.
+        let handled = s.run(|h| {
+            (0..times.len())
+                .map(|i| h.predict(h.dataset_sample(i)))
+                .collect::<Vec<_>>()
         });
         for (i, single) in singles.iter().enumerate() {
             assert_eq!(
                 single.data(),
-                stacked[0][i].data(),
-                "sample {i} diverged between singleton and batched predict"
+                handled[0][i].data(),
+                "sample {i} diverged between session and handle predict"
             );
         }
     }

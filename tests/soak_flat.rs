@@ -36,8 +36,8 @@ struct Sample {
 }
 
 /// Train `steps` steps per rank; after every step, sample, then run an
-/// evaluation, a prediction and a batch of two on the same tape. Returns
-/// one trace per rank.
+/// evaluation and a prediction on the same tape. Returns one trace per
+/// rank.
 fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> {
     let mesh = BoxMesh::tgv_cube(2, 2);
     let field = TaylorGreen::new(0.01);
@@ -64,7 +64,6 @@ fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> 
                 };
                 trainer.eval_loss(&b);
                 trainer.predict(&a);
-                trainer.predict_batch(&[&a, &b]);
                 sample
             })
             .collect()
