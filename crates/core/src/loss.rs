@@ -56,18 +56,18 @@ pub fn consistent_mse(
 ) -> VarId {
     let fy = target.cols();
     assert_eq!(
-        tape.value(pred).shape(),
-        target.shape(),
-        "pred/target shape mismatch"
-    );
-    assert_eq!(
         target.rows(),
         graph.n_local(),
         "target must cover local nodes"
     );
+    assert_eq!(
+        tape.value(pred).shape(),
+        target.shape(),
+        "pred/target shape mismatch"
+    );
 
     // S_r (Eq. 6b): degree-weighted sum of squared errors.
-    let t = tape.leaf_copy(target);
+    let t = tape.constant_copy(target);
     let diff = tape.sub(pred, t);
     let s_r = tape.weighted_sq_sum(diff, inv_degree.clone());
 
@@ -85,7 +85,7 @@ pub fn consistent_mse(
 /// demonstrate the violation of Eq. 2.
 pub fn local_mse(tape: &mut Tape, pred: VarId, target: &Tensor) -> VarId {
     let (n, fy) = target.shape();
-    let t = tape.leaf_copy(target);
+    let t = tape.constant_copy(target);
     let diff = tape.sub(pred, t);
     let w = Arc::new(vec![1.0; n]);
     let s = tape.weighted_sq_sum(diff, w);

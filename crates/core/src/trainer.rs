@@ -25,21 +25,33 @@ pub struct RankData {
     pub x: Tensor,
     /// `[n_edges, 7]` input edge features.
     pub e: Tensor,
-    /// `[n_local, 3]` regression target.
+    /// `[n_local, 3]` regression target (`[0, 3]` on
+    /// [`RankData::for_inference`] data).
     pub target: Tensor,
 }
 
 impl RankData {
     /// Build from raw feature buffers.
     pub fn new(graph: Arc<LocalGraph>, x: Vec<f64>, target: Vec<f64>) -> Self {
-        let n = graph.n_local();
+        let target = Tensor::from_vec(graph.n_local(), NODE_FEATS, target);
+        Self::with_target(graph, x, target)
+    }
+
+    /// Input for [`Trainer::predict`]: features only, with a `[0, 3]`
+    /// target where a training sample holds its target. No loss accepts
+    /// it: training or evaluating on this data panics with "target must
+    /// cover local nodes".
+    pub fn for_inference(graph: Arc<LocalGraph>, x: Vec<f64>) -> Self {
+        Self::with_target(graph, x, Tensor::zeros(0, NODE_FEATS))
+    }
+
+    fn with_target(graph: Arc<LocalGraph>, x: Vec<f64>, target: Tensor) -> Self {
         let e_buf = edge_features(&graph, &x, NODE_FEATS);
-        let idx = GraphIndices::from_graph(&graph);
         RankData {
-            idx,
-            x: Tensor::from_vec(n, NODE_FEATS, x),
+            idx: GraphIndices::from_graph(&graph),
+            x: Tensor::from_vec(graph.n_local(), NODE_FEATS, x),
             e: Tensor::from_vec(graph.n_edges(), EDGE_FEATS, e_buf),
-            target: Tensor::from_vec(n, NODE_FEATS, target),
+            target,
             graph,
         }
     }
@@ -132,8 +144,8 @@ impl Trainer {
     /// returning the loss variable. Shared by evaluation, single-sample
     /// steps, and mini-batch accumulation.
     fn loss_graph(&self, tape: &mut Tape, bound: &BoundParams, data: &RankData) -> VarId {
-        let x = tape.leaf_copy(&data.x);
-        let e = tape.leaf_copy(&data.e);
+        let x = tape.constant_copy(&data.x);
+        let e = tape.constant_copy(&data.e);
         let y = self
             .model
             .forward(tape, bound, x, e, &data.graph, &data.idx, &self.ctx);
@@ -161,8 +173,8 @@ impl Trainer {
         let mut tape = self.tape.borrow_mut();
         tape.reset();
         let bound = self.params.bind(&mut tape);
-        let x = tape.leaf_copy(&data.x);
-        let e = tape.leaf_copy(&data.e);
+        let x = tape.constant_copy(&data.x);
+        let e = tape.constant_copy(&data.e);
         let y = self
             .model
             .forward(&mut tape, &bound, x, e, &data.graph, &data.idx, &self.ctx);
@@ -308,11 +320,7 @@ impl Trainer {
         let mut states = Vec::with_capacity(steps);
         let mut current = data.x.clone();
         for _ in 0..steps {
-            let step_data = RankData::new(
-                Arc::clone(&data.graph),
-                current.data().to_vec(),
-                vec![0.0; current.len()], // target unused during inference
-            );
+            let step_data = RankData::for_inference(Arc::clone(&data.graph), current.into_vec());
             current = self.predict(&step_data);
             states.push(current.clone());
         }
@@ -390,6 +398,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Inference data predicts what full data does, and refuses to train.
+    #[test]
+    fn inference_data_predicts_but_cannot_train() {
+        let mesh = BoxMesh::tgv_cube(2, 2);
+        let g = Arc::new(build_global_graph(&mesh));
+        let field = TaylorGreen::new(0.01);
+        let x = node_velocity_features(&g, &field, 0.0);
+        let predictions = World::run(1, |comm| {
+            let ctx = HaloContext::single(comm.clone());
+            let trainer = Trainer::new(GnnConfig::small(), 4, 1e-3, ctx);
+            let full = RankData::new(Arc::clone(&g), x.clone(), x.clone());
+            let bare = RankData::for_inference(Arc::clone(&g), x.clone());
+            assert_eq!(bare.target.shape(), (0, NODE_FEATS));
+            (trainer.predict(&full), trainer.predict(&bare))
+        });
+        let (full, bare) = &predictions[0];
+        assert_eq!(full.data(), bare.data());
+
+        let step = std::panic::catch_unwind(|| {
+            World::run(1, |comm| {
+                let ctx = HaloContext::single(comm.clone());
+                let mut trainer = Trainer::new(GnnConfig::small(), 4, 1e-3, ctx);
+                trainer.step(&RankData::for_inference(Arc::clone(&g), x.clone()))
+            })
+        });
+        let err = step.expect_err("training on inference data must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("target must cover local nodes"), "{msg}");
     }
 
     #[test]

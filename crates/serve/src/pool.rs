@@ -180,8 +180,7 @@ fn serve_pass(
         ))
     } else {
         stats.record_batch();
-        let x = job.x;
-        let y = trainer.predict(&RankData::new(Arc::clone(graph), x.clone(), x));
+        let y = trainer.predict(&RankData::for_inference(Arc::clone(graph), job.x));
         // Recorded ahead of the send, so that whoever has the reply also
         // finds it counted.
         stats.record_forward_us(claimed.elapsed().as_micros() as u64);

@@ -61,6 +61,9 @@ pub(crate) struct GatherPart {
 pub(crate) enum Op {
     /// Input / parameter: no parents.
     Leaf,
+    /// Input that takes no gradient: no parents, and no adjoint is ever
+    /// computed for it (see [`Tape::constant_copy`]).
+    Constant,
     /// `C = A * B`
     Matmul(VarId, VarId),
     /// `C[i, :] = b[0, :] + A[i, :] * W`, optionally passed through ELU at
@@ -370,6 +373,16 @@ impl Tape {
         self.push(v, Op::Leaf)
     }
 
+    /// [`Tape::leaf_copy`] for an input nothing differentiates against
+    /// (features, a loss target): [`Tape::backward`] computes no adjoint
+    /// for it — the ops that read it skip that product — so its
+    /// [`Gradients::get`] is `None`. Every other gradient is bit-equal to
+    /// the one the same pass gives with the input recorded as a leaf.
+    pub fn constant_copy(&mut self, t: &Tensor) -> VarId {
+        let v = self.pool.copy_of(t);
+        self.push(v, Op::Constant)
+    }
+
     /// `a * b` (matrix product).
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
         self.assert_unmasked("matmul");
@@ -623,7 +636,8 @@ impl Tape {
     /// Run reverse-mode accumulation from scalar variable `root`.
     ///
     /// The adjoint of `root` is seeded with 1. Returns gradients for every
-    /// participating variable (leaves included). Gradient tensors draw from
+    /// participating variable (leaves included, [`Tape::constant_copy`]
+    /// inputs not). Gradient tensors draw from
     /// the tape's buffer pool; hand them back with [`Tape::recycle`] once
     /// consumed to keep steady-state steps allocation-free.
     pub fn backward(&mut self, root: VarId) -> Gradients {
@@ -667,7 +681,11 @@ fn accumulate(
     node: &Node,
     g: &Tensor,
 ) {
+    // Constants take no adjoint: the ops below skip the products that
+    // would only feed one, and `add` drops whatever else reaches one.
+    let wants = |id: VarId| !matches!(nodes[id.0].op, Op::Constant);
     let mut add = |id: VarId, contrib: Tensor, pool: &mut BufPool| match &mut grads[id.0] {
+        _ if !wants(id) => pool.put(contrib.into_vec()),
         Some(acc) => {
             acc.add_assign(&contrib);
             pool.put(contrib.into_vec());
@@ -675,13 +693,17 @@ fn accumulate(
         slot @ None => *slot = Some(contrib),
     };
     match &node.op {
-        Op::Leaf => {}
+        Op::Leaf | Op::Constant => {}
         Op::Matmul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
-            add(*a, times_transposed(pool, g, vb), pool);
-            let mut gb = pool.uninit(va.cols(), g.cols());
-            va.matmul_tn_into(g, &mut gb);
-            add(*b, gb, pool);
+            if wants(*a) {
+                add(*a, times_transposed(pool, g, vb), pool);
+            }
+            if wants(*b) {
+                let mut gb = pool.uninit(va.cols(), g.cols());
+                va.matmul_tn_into(g, &mut gb);
+                add(*b, gb, pool);
+            }
         }
         Op::Linear { x, w, b, elu } => {
             let (vx, vw) = (value(nodes, *x), value(nodes, *w));
@@ -694,7 +716,9 @@ fn accumulate(
                 (None, col_sums(pool, g))
             };
             let gref = gp.as_ref().unwrap_or(g);
-            add(*x, times_transposed(pool, gref, vw), pool);
+            if wants(*x) {
+                add(*x, times_transposed(pool, gref, vw), pool);
+            }
             let mut gw = pool.uninit(vx.cols(), gref.cols());
             vx.matmul_tn_into(gref, &mut gw);
             add(*w, gw, pool);
@@ -708,10 +732,14 @@ fn accumulate(
             add(*b, pool.copy_of(g), pool);
         }
         Op::Sub(a, b) => {
-            add(*a, pool.copy_of(g), pool);
-            let mut gb = pool.uninit(g.rows(), g.cols());
-            ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
-            add(*b, gb, pool);
+            if wants(*a) {
+                add(*a, pool.copy_of(g), pool);
+            }
+            if wants(*b) {
+                let mut gb = pool.uninit(g.rows(), g.cols());
+                ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
+                add(*b, gb, pool);
+            }
         }
         Op::Mul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
@@ -745,6 +773,10 @@ fn accumulate(
             let mut off = 0;
             for p in parts {
                 let w = p.cols;
+                if !wants(p.src) {
+                    off += w;
+                    continue;
+                }
                 let mut gp = pool.uninit(g.rows(), w);
                 slice_cols_into(g, off, w, &mut gp);
                 match &p.idx {
@@ -805,48 +837,22 @@ fn accumulate(
             eps,
         } => {
             let vx = value(nodes, *x);
-            let vg = value(nodes, *gamma);
             let (rows, cols) = vx.shape();
-            let n = cols as f64;
             let mut gx = pool.uninit(rows, cols);
             let mut ggamma = pool.zeroed(1, cols);
             let mut gbeta = pool.zeroed(1, cols);
-            let mut xhat_row = pool.uninit(1, cols);
-            let (gg, gb, xhat) = (ggamma.data_mut(), gbeta.data_mut(), xhat_row.data_mut());
-            let x_data = vx.data();
-            let g_data = g.data();
-            let gam = vg.data();
-            let eps = *eps;
-            // One fused pass: the gamma/beta reductions keep their exact
-            // (serial, row-ordered) summation order, and each row's mean /
-            // variance is computed once for all three gradients.
-            for r in 0..rows {
-                let xr = &x_data[r * cols..(r + 1) * cols];
-                let gr = &g_data[r * cols..(r + 1) * cols];
-                let mean = xr.iter().sum::<f64>() / n;
-                let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
-                let inv = 1.0 / (var + eps).sqrt();
-                // xhat = (x - mean) * inv ; dxhat = g * gamma
-                // dx = inv/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-                let mut sum_dxhat = 0.0;
-                let mut sum_dxhat_xhat = 0.0;
-                // `out` holds dxhat until the row's two sums are known.
-                let out = gx.row_mut(r);
-                for c in 0..cols {
-                    let xh = (xr[c] - mean) * inv;
-                    let dxhat = gr[c] * gam[c];
-                    sum_dxhat += dxhat;
-                    sum_dxhat_xhat += dxhat * xh;
-                    gg[c] += gr[c] * xh;
-                    gb[c] += gr[c];
-                    xhat[c] = xh;
-                    out[c] = dxhat;
-                }
-                for (o, &xh) in out.iter_mut().zip(xhat.iter()) {
-                    *o = inv / n * (n * *o - sum_dxhat - xh * sum_dxhat_xhat);
-                }
-            }
-            pool.put(xhat_row.into_vec());
+            let mut xhat = pool.uninit(4, cols);
+            layer_norm_adjoint(
+                vx.data(),
+                g.data(),
+                value(nodes, *gamma).data(),
+                *eps,
+                gx.data_mut(),
+                ggamma.data_mut(),
+                gbeta.data_mut(),
+                xhat.data_mut(),
+            );
+            pool.put(xhat.into_vec());
             add(*x, gx, pool);
             add(*gamma, ggamma, pool);
             add(*beta, gbeta, pool);
@@ -988,19 +994,7 @@ impl<'a> RowKernel<'a> {
                 gamma,
                 beta,
                 eps,
-            } => {
-                let n = cols as f64;
-                for i in 0..nrows {
-                    let xr = &x[(first_row + i) * cols..(first_row + i + 1) * cols];
-                    let o_row = &mut chunk[i * cols..(i + 1) * cols];
-                    let mean = xr.iter().sum::<f64>() / n;
-                    let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
-                    let inv = 1.0 / (var + eps).sqrt();
-                    for c in 0..cols {
-                        o_row[c] = gamma[c] * (xr[c] - mean) * inv + beta[c];
-                    }
-                }
-            }
+            } => layer_norm_forward(&x[span], gamma, beta, *eps, chunk, cols),
             RowKernel::GatherConcat(parts) => {
                 for i in 0..nrows {
                     let r = first_row + i;
@@ -1080,6 +1074,209 @@ fn elu_adjoint_with_col_sums(pool: &mut BufPool, g: &Tensor, y: &Tensor) -> (Ten
         }
     }
     (t, sums)
+}
+
+/// Layer norm's forward over a band of whole rows: `out` gets
+/// `gamma * (x - mean) * inv + beta` for the same rows of `x` (`cols`
+/// wide). At the widths with a constant-shaped block (8 and 32: the
+/// model's hidden widths) rows go four at a time, the
+/// rest one at a time; either way a row's bits are those of the one-row
+/// path ([`layer_norm_lanes`] with one lane), so grouping, chunking and
+/// masking change none of them.
+fn layer_norm_forward(
+    x: &[f64],
+    gamma: &[f64],
+    beta: &[f64],
+    eps: f64,
+    out: &mut [f64],
+    cols: usize,
+) {
+    let done = match cols {
+        0 => return,
+        8 => layer_norm_forward_quads::<8>(x, gamma, beta, eps, out),
+        32 => layer_norm_forward_quads::<32>(x, gamma, beta, eps, out),
+        _ => 0,
+    };
+    let rest = done * cols..;
+    for (xr, o) in x[rest.clone()]
+        .chunks_exact(cols)
+        .zip(out[rest].chunks_exact_mut(cols))
+    {
+        layer_norm_lanes([xr], gamma, beta, eps, [o]);
+    }
+}
+
+/// The lockstep part of [`layer_norm_forward`] at width `W`: every whole
+/// quad of rows. Returns the number of rows done.
+fn layer_norm_forward_quads<const W: usize>(
+    x: &[f64],
+    gamma: &[f64],
+    beta: &[f64],
+    eps: f64,
+    out: &mut [f64],
+) -> usize {
+    let quads = row_quads::<W>(x);
+    for (xs, os) in quads.iter().zip(row_quads_mut::<W>(out)) {
+        let xs = xs.each_ref().map(|r| r.as_slice());
+        let os = os.each_mut().map(|r| r.as_mut_slice());
+        layer_norm_lanes(xs, &gamma[..W], &beta[..W], eps, os);
+    }
+    4 * quads.len()
+}
+
+/// Layer norm's adjoint: `dx` into `gx` and, summed over rows in row
+/// order, `g * x̂` into `gg` and `g` into `gb` (the gamma and beta
+/// gradients, zeroed by the caller); `xhat` (four rows) is scratch. Rows
+/// are grouped as in [`layer_norm_forward`], and each row's `dx` is the
+/// one-row path's.
+fn layer_norm_adjoint(
+    x: &[f64],
+    g: &[f64],
+    gamma: &[f64],
+    eps: f64,
+    gx: &mut [f64],
+    gg: &mut [f64],
+    gb: &mut [f64],
+    xhat: &mut [f64],
+) {
+    let cols = gamma.len();
+    let done = match cols {
+        0 => return,
+        8 => layer_norm_adjoint_quads::<8>(x, g, gamma, eps, gx, gg, gb, xhat),
+        32 => layer_norm_adjoint_quads::<32>(x, g, gamma, eps, gx, gg, gb, xhat),
+        _ => 0,
+    };
+    let rest = done * cols..;
+    let rows = x[rest.clone()]
+        .chunks_exact(cols)
+        .zip(g[rest.clone()].chunks_exact(cols));
+    for ((xr, gr), o) in rows.zip(gx[rest].chunks_exact_mut(cols)) {
+        let xh = &mut xhat[..cols];
+        layer_norm_adjoint_lanes([xr], [gr], gamma, eps, [o], gg, gb, [xh]);
+    }
+}
+
+/// The lockstep part of [`layer_norm_adjoint`] at width `W`: every whole
+/// quad of rows, in order. Returns the number of rows done.
+fn layer_norm_adjoint_quads<const W: usize>(
+    x: &[f64],
+    g: &[f64],
+    gamma: &[f64],
+    eps: f64,
+    gx: &mut [f64],
+    gg: &mut [f64],
+    gb: &mut [f64],
+    xhat: &mut [f64],
+) -> usize {
+    let quads = row_quads::<W>(x);
+    let rows = quads.iter().zip(row_quads::<W>(g));
+    let xhat = &mut row_quads_mut::<W>(xhat)[0];
+    for ((xs, gs), os) in rows.zip(row_quads_mut::<W>(gx)) {
+        let xs = xs.each_ref().map(|r| r.as_slice());
+        let gs = gs.each_ref().map(|r| r.as_slice());
+        let os = os.each_mut().map(|r| r.as_mut_slice());
+        let xh = xhat.each_mut().map(|r| r.as_mut_slice());
+        let (gg, gb) = (&mut gg[..W], &mut gb[..W]);
+        layer_norm_adjoint_lanes(xs, gs, &gamma[..W], eps, os, gg, gb, xh);
+    }
+    4 * quads.len()
+}
+
+/// The leading whole quads of `W`-wide rows of a row-major buffer.
+fn row_quads<const W: usize>(buf: &[f64]) -> &[[[f64; W]; 4]] {
+    buf.as_chunks::<W>().0.as_chunks::<4>().0
+}
+
+/// [`row_quads`], mutably.
+fn row_quads_mut<const W: usize>(buf: &mut [f64]) -> &mut [[[f64; W]; 4]] {
+    buf.as_chunks_mut::<W>().0.as_chunks_mut::<4>().0
+}
+
+/// Mean and `1 / sqrt(var + eps)` of `L` equally long rows in lockstep.
+/// Each lane adds its own row's terms in column order starting from
+/// `-0.0` — the fold of `Iterator::<f64>::sum`, which is how a row alone
+/// (`L = 1`) is summed — so a lane's bits never depend on its neighbours,
+/// while the `L` dependency chains overlap instead of running back to back.
+#[inline(always)]
+fn layer_norm_moments<const L: usize>(xs: &[&[f64]; L], eps: f64) -> ([f64; L], [f64; L]) {
+    let cols = xs[0].len();
+    let n = cols as f64;
+    let mut sum = [-0.0; L];
+    for c in 0..cols {
+        for l in 0..L {
+            sum[l] += xs[l][c];
+        }
+    }
+    let mean = sum.map(|s| s / n);
+    let mut sq = [-0.0; L];
+    for c in 0..cols {
+        for l in 0..L {
+            let d = xs[l][c] - mean[l];
+            sq[l] += d * d;
+        }
+    }
+    (mean, sq.map(|s| 1.0 / (s / n + eps).sqrt()))
+}
+
+/// Layer norm's forward on `L` rows in lockstep (see [`layer_norm_moments`]).
+#[inline(always)]
+fn layer_norm_lanes<const L: usize>(
+    xs: [&[f64]; L],
+    gamma: &[f64],
+    beta: &[f64],
+    eps: f64,
+    out: [&mut [f64]; L],
+) {
+    let (mean, inv) = layer_norm_moments(&xs, eps);
+    for (l, (xr, o)) in xs.iter().zip(out).enumerate() {
+        let terms = xr.iter().zip(gamma).zip(beta);
+        for (o, ((&u, &ga), &be)) in o.iter_mut().zip(terms) {
+            *o = ga * (u - mean[l]) * inv[l] + be;
+        }
+    }
+}
+
+/// Layer norm's adjoint on `L` rows in lockstep: each lane's two sums run
+/// in its own row's column order from `0.0`, and `gg` / `gb` take the
+/// lanes' terms in row order, column by column — the bits of the rows done
+/// one after another. `xhat` holds each row's `x̂` between the two passes.
+#[inline(always)]
+fn layer_norm_adjoint_lanes<const L: usize>(
+    xs: [&[f64]; L],
+    gs: [&[f64]; L],
+    gamma: &[f64],
+    eps: f64,
+    out: [&mut [f64]; L],
+    gg: &mut [f64],
+    gb: &mut [f64],
+    xhat: [&mut [f64]; L],
+) {
+    let (mean, inv) = layer_norm_moments(&xs, eps);
+    let cols = gamma.len();
+    let n = cols as f64;
+    // xhat = (x - mean) * inv ; dxhat = g * gamma
+    // dx = inv/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
+    let mut sum_dxhat = [0.0; L];
+    let mut sum_dxhat_xhat = [0.0; L];
+    // `out` holds dxhat until the row's two sums are known.
+    for c in 0..cols {
+        for l in 0..L {
+            let xh = (xs[l][c] - mean[l]) * inv[l];
+            let dxhat = gs[l][c] * gamma[c];
+            sum_dxhat[l] += dxhat;
+            sum_dxhat_xhat[l] += dxhat * xh;
+            gg[c] += gs[l][c] * xh;
+            gb[c] += gs[l][c];
+            xhat[l][c] = xh;
+            out[l][c] = dxhat;
+        }
+    }
+    for l in 0..L {
+        for c in 0..cols {
+            let xh = xhat[l][c];
+            out[l][c] = inv[l] / n * (n * out[l][c] - sum_dxhat[l] - xh * sum_dxhat_xhat[l]);
+        }
+    }
 }
 
 /// Copy the column window `[off, off + w)` of `g` into `out` (`[rows, w]`).
@@ -1167,6 +1364,48 @@ mod tests {
         let s = tape.sum(x);
         let g = tape.backward(s);
         assert!(g.get(y).is_none());
+    }
+
+    /// One graph reading its input `x` and target `t` through every op
+    /// that skips constant parents — `gather_concat`, `linear_elu`,
+    /// `matmul`, `sub` — recorded with the two as leaves or as constants.
+    /// Returns the bits of the loss and of the parameter gradients, and the
+    /// gradients of `x` / `t`.
+    fn input_graph(constant: bool) -> (Vec<Vec<u64>>, [Option<Tensor>; 2]) {
+        let mut tape = Tape::new();
+        let xv = Tensor::from_fn(6, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
+        let tv = Tensor::from_fn(6, 4, |r, c| ((r + 5 * c) as f64 * 0.23).cos());
+        let (x, t) = if constant {
+            (tape.constant_copy(&xv), tape.constant_copy(&tv))
+        } else {
+            (tape.leaf_copy(&xv), tape.leaf_copy(&tv))
+        };
+        let w1 = tape.leaf(Tensor::from_fn(6, 4, |r, c| {
+            ((r * 4 + c) as f64 * 0.41).cos()
+        }));
+        let b1 = tape.leaf(Tensor::from_fn(1, 4, |_, c| 0.1 * c as f64 - 0.2));
+        let w2 = tape.leaf(Tensor::from_fn(3, 4, |r, c| ((r + c) as f64 * 0.19).sin()));
+        let idx = Arc::new(vec![5usize, 0, 3, 3, 1, 2]);
+        let cat = tape.gather_concat(&[(x, Some(idx)), (x, None)]);
+        let h = tape.linear_elu(cat, w1, b1);
+        let m = tape.matmul(x, w2);
+        let hm = tape.add(h, m);
+        let d = tape.sub(hm, t);
+        let loss = tape.weighted_sq_sum(d, Arc::new(vec![1.0; 6]));
+        let mut grads = tape.backward(loss);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        let mut out = vec![bits(tape.value(loss))];
+        out.extend([w1, b1, w2].map(|p| bits(grads.get(p).expect("parameter gradient"))));
+        (out, [grads.take(x), grads.take(t)])
+    }
+
+    #[test]
+    fn constants_take_no_gradient_and_change_no_other() {
+        let (leaf_bits, leaf_inputs) = input_graph(false);
+        let (const_bits, const_inputs) = input_graph(true);
+        assert!(leaf_inputs.iter().all(Option::is_some));
+        assert!(const_inputs.iter().all(Option::is_none));
+        assert_eq!(leaf_bits, const_bits);
     }
 
     #[test]

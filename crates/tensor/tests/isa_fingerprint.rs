@@ -8,9 +8,9 @@
 //! is in-crate and layer norm's `sqrt` is correctly rounded by IEEE-754.
 //! This test runs forward and backward through two chained MLPs (fused
 //! linear+ELU, layer norm, ragged `4 x 8` tiles) on inputs derived from
-//! integers and prints an FNV-1a hash of every value and gradient bit. CI
-//! runs it under the default flags and under `-C target-cpu=x86-64` and
-//! diffs the two lines.
+//! integers and prints an FNV-1a hash of every value and gradient bit, one
+//! line per shape. CI runs it under the default flags and under
+//! `-C target-cpu=x86-64` and diffs the lines.
 
 use std::sync::Arc;
 
@@ -35,9 +35,11 @@ fn fnv1a(hash: &mut u64, values: &[f64]) {
     }
 }
 
-#[test]
-fn isa_fingerprint() {
-    let (rows, in_dim, hidden, out_dim) = (37, 5, 12, 3);
+/// FNV-1a of every value and gradient bit of a forward + backward pass
+/// through two chained MLPs on `rows` rows: the first has layer norm at
+/// width `hidden`, the second at width 3.
+fn fingerprint(rows: usize, in_dim: usize, hidden: usize) -> u64 {
+    let out_dim = 3;
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
     let first = Mlp::new(
@@ -87,5 +89,16 @@ fn isa_fingerprint() {
         fnv1a(&mut hash, grad);
     }
     assert!(tape.value(loss).item() > 0.0);
-    println!("isa-fingerprint {hash:016x}");
+    hash
+}
+
+/// One line per shape. Width 12 takes layer norm's one-row path; 8 and 32
+/// take its four-row lockstep, and an odd row count leaves a remainder row
+/// to the one-row path as well.
+#[test]
+fn isa_fingerprint() {
+    for (rows, in_dim, hidden) in [(37, 5, 12), (37, 5, 8), (21, 7, 32)] {
+        let hash = fingerprint(rows, in_dim, hidden);
+        println!("isa-fingerprint rows={rows} hidden={hidden} {hash:016x}");
+    }
 }

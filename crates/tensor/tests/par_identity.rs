@@ -266,6 +266,112 @@ fn matmul_tn_is_the_serial_order_sum_at_every_panel_boundary() {
     }
 }
 
+/// Layer norm one row at a time, as the one-row kernel computes it: the
+/// row's mean and variance are `Iterator::sum`s in column order, the
+/// adjoint's two row sums run in column order from `0.0`, and the
+/// gamma/beta gradients add the rows in order. Returns the values and the
+/// adjoints of `x`, gamma and beta for the upstream gradient `up`.
+fn naive_layer_norm(x: &Tensor, gamma: &[f64], beta: &[f64], up: &Tensor) -> [Vec<f64>; 4] {
+    let (rows, cols) = x.shape();
+    let n = cols as f64;
+    let (mut y, mut dx) = (Vec::new(), Vec::new());
+    let (mut dgamma, mut dbeta) = (vec![0.0; cols], vec![0.0; cols]);
+    for r in 0..rows {
+        let (xr, ur) = (x.row(r), up.row(r));
+        let mean = xr.iter().sum::<f64>() / n;
+        let var = xr.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
+        let inv = 1.0 / (var + LN_EPS).sqrt();
+        let xhat: Vec<f64> = xr.iter().map(|&u| (u - mean) * inv).collect();
+        let dxhat: Vec<f64> = ur.iter().zip(gamma).map(|(&u, &g)| u * g).collect();
+        let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0, 0.0);
+        for c in 0..cols {
+            y.push(gamma[c] * (xr[c] - mean) * inv + beta[c]);
+            sum_dxhat += dxhat[c];
+            sum_dxhat_xhat += dxhat[c] * xhat[c];
+            dgamma[c] += ur[c] * xhat[c];
+            dbeta[c] += ur[c];
+        }
+        for c in 0..cols {
+            dx.push(inv / n * (n * dxhat[c] - sum_dxhat - xhat[c] * sum_dxhat_xhat));
+        }
+    }
+    [y, dx, dgamma, dbeta]
+}
+
+const LN_EPS: f64 = 1e-5;
+
+/// [`naive_layer_norm`]'s outputs from the tape: `layer_norm`, optionally
+/// recorded under `begin_row_mask(mask)` and backfilled, then `sum(y ⊙ up)`
+/// so that the adjoint reaching `y` is exactly `up`.
+fn taped_layer_norm(
+    x: &Tensor,
+    gamma: &[f64],
+    beta: &[f64],
+    up: &Tensor,
+    mask: Option<(&[usize], &[usize])>,
+) -> [Vec<f64>; 4] {
+    let cols = x.cols();
+    let mut tape = Tape::new();
+    let xv = tape.leaf_copy(x);
+    let g = tape.leaf(Tensor::from_vec(1, cols, gamma.to_vec()));
+    let b = tape.leaf(Tensor::from_vec(1, cols, beta.to_vec()));
+    let u = tape.constant_copy(up);
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
+    let y = tape.layer_norm(xv, g, b, LN_EPS);
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
+    let yu = tape.mul(y, u);
+    let loss = tape.sum(yu);
+    let grads = tape.backward(loss);
+    let grad = |v| grads.get(v).expect("leaf gradient").data().to_vec();
+    [tape.value(y).data().to_vec(), grad(xv), grad(g), grad(b)]
+}
+
+/// The layer-norm kernels — four rows in lockstep at widths 8 and 32,
+/// one at a time elsewhere and for the rows left over — are the one-row
+/// kernel bit for bit in values and in the x, gamma and beta gradients:
+/// whole, under two row masks with their backfills, at 1–3 workers, over
+/// widths on and off the lockstep ones and row counts around a quad and
+/// across a chunk boundary.
+#[test]
+fn layer_norm_is_the_one_row_kernel_bit_for_bit() {
+    let bits = |v: &[Vec<f64>; 4]| {
+        v.each_ref()
+            .map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+    };
+    for cols in [1, 3, 8, 12, 16, 32, 33] {
+        for rows in [0, 1, 3, 4, 5, 37, 133] {
+            let seed = (rows * 64 + cols) as u64;
+            let x = Tensor::from_vec(rows, cols, noise(seed, rows * cols));
+            let up = Tensor::from_vec(rows, cols, noise(seed + 1, rows * cols));
+            let gamma: Vec<f64> = noise(seed + 2, cols).iter().map(|g| 1.0 + g).collect();
+            let beta = noise(seed + 3, cols);
+            let want = bits(&naive_layer_norm(&x, &gamma, &beta, &up));
+            let masks: [(Vec<usize>, Vec<usize>); 2] = [
+                (0..rows).partition(|r| r % 3 != 1),
+                (0..rows).partition(|r| (r / 5) % 2 == 0),
+            ];
+            for workers in [1, 2, 3] {
+                rayon::with_num_threads(workers, || {
+                    let whole = taped_layer_norm(&x, &gamma, &beta, &up, None);
+                    assert_eq!(bits(&whole), want, "{rows}x{cols}, {workers} workers");
+                    for (mask, rest) in &masks {
+                        let masked = taped_layer_norm(&x, &gamma, &beta, &up, Some((mask, rest)));
+                        assert_eq!(
+                            bits(&masked),
+                            want,
+                            "{rows}x{cols} masked {mask:?}, {workers} workers"
+                        );
+                    }
+                });
+            }
+        }
+    }
+}
+
 /// One hidden layer three ways — fused `linear_elu`, `linear` then `elu`,
 /// and the fused op filled under a row mask and backfilled — reduced to a
 /// scalar and differentiated. Returns the activation and the gradients of
