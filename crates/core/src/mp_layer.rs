@@ -197,14 +197,16 @@ impl ConsistentMpLayer {
         idx: &GraphIndices,
         ctx: &HaloContext,
     ) -> (VarId, VarId) {
-        // (1) Edge update with residual (Eq. 4a); the gather→concat
-        // prologue `[x_i | x_j | e]` is one fused kernel.
-        let cat = tape.gather_concat(&[
+        // (1) Edge update with residual (Eq. 4a). The input layer's
+        // `[x_i | x_j | e] * W` is never concatenated: `x` is multiplied by
+        // its two blocks of `W` once per node and the products gathered
+        // per edge (`Tape::gather_linear`).
+        let parts = [
             (x, Some(idx.src.clone())),
             (x, Some(idx.dst.clone())),
             (e, None),
-        ]);
-        let e_upd = self.edge_mlp.forward(tape, bound, cat);
+        ];
+        let e_upd = self.edge_mlp.forward_gathered(tape, bound, &parts);
         let e_new = tape.add(e_upd, e);
 
         // (2) Degree-weighted local aggregation at the receiver (Eq. 4b).

@@ -28,6 +28,30 @@ fn mlp_bytes_per_row(inp: usize, hidden: usize, out: usize, n_hidden: usize) -> 
     8.0 * (inp + out + (n_hidden + 1) * hidden) as f64
 }
 
+/// Forward work of one message-passing layer. The edge MLP's input layer
+/// `[x_i | x_j | e] * W` runs as `Tape::gather_linear`: `x` times its two
+/// `h`-row blocks of `W` once per node (two `h -> h` node-row products),
+/// `e` through an `h -> h` product per edge, and the two gathered `h`-wide
+/// product rows added per edge — no `3h`-wide concatenation. The node MLP
+/// runs on `[a* | x]` (2h) per node.
+fn mp_layer_work(config: &GnnConfig, nodes: f64, edges: f64) -> RankWork {
+    let h = config.hidden;
+    let nh = config.mlp_hidden;
+    let hf = h as f64;
+    let node_products = nodes * 2.0 * (2.0 * hf * hf);
+    let edge_mlp = edges * (mlp_flops_per_row(h, h, h, nh) + 2.0 * hf);
+    let node_mlp = nodes * mlp_flops_per_row(2 * h, h, h, nh);
+    // Node products read `x` and write two products per node; each edge
+    // reads its two gathered product rows.
+    let bytes = nodes * 8.0 * (3.0 * hf)
+        + edges * (mlp_bytes_per_row(h, h, h, nh) + 8.0 * 2.0 * hf)
+        + nodes * mlp_bytes_per_row(2 * h, h, h, nh);
+    RankWork {
+        flops: node_products + edge_mlp + node_mlp,
+        bytes,
+    }
+}
+
 /// Per-iteration work for a rank holding `nodes` local nodes and `edges`
 /// directed edges. `fwd+bwd` is costed as 3x the forward pass (the standard
 /// accounting: backward does roughly two forward-equivalents).
@@ -43,14 +67,9 @@ pub fn iteration_work(config: &GnnConfig, nodes: f64, edges: f64) -> RankWork {
     bytes += nodes * mlp_bytes_per_row(config.node_in, h, h, nh);
     bytes += edges * mlp_bytes_per_row(config.edge_in, h, h, nh);
 
-    // Message passing layers: edge MLP on 3h, node MLP on 2h, plus
-    // gather/scatter traffic of 3 h-wide rows per edge.
-    let per_layer_flops =
-        edges * mlp_flops_per_row(3 * h, h, h, nh) + nodes * mlp_flops_per_row(2 * h, h, h, nh);
-    let per_layer_bytes = edges * (mlp_bytes_per_row(3 * h, h, h, nh) + 8.0 * (3 * h) as f64)
-        + nodes * mlp_bytes_per_row(2 * h, h, h, nh);
-    flops += config.n_mp_layers as f64 * per_layer_flops;
-    bytes += config.n_mp_layers as f64 * per_layer_bytes;
+    let layer = mp_layer_work(config, nodes, edges);
+    flops += config.n_mp_layers as f64 * layer.flops;
+    bytes += config.n_mp_layers as f64 * layer.bytes;
 
     // Decoder.
     flops += nodes * mlp_flops_per_row(h, h, config.node_out, nh);
@@ -99,6 +118,24 @@ mod tests {
         let w = iteration_work(&GnnConfig::large(), 531_441.0, 6.0 * 531_441.0);
         let t = compute_time(&m, &w);
         assert!(t > 0.01 && t < 1.0, "t = {t}");
+    }
+
+    /// The large model's layer on the `train_r1_compute` mesh (729 nodes,
+    /// 3 888 edges), counted by hand: h = 32, five `h -> h` interior
+    /// layers, 2.2 flops per MAC in the MLPs.
+    #[test]
+    fn large_layer_flops_match_a_hand_count() {
+        let (nodes, edges) = (729.0, 3888.0);
+        // Node products: 729 nodes x 2 blocks x 32 x 32 MACs x 2 flops.
+        let node_products = 729.0 * 2.0 * 1024.0 * 2.0;
+        // Edge MLP: (1 + 5 + 1) x 32 x 32 = 7 x 1024 MACs per row at
+        // 2.2 flops, plus 2 x 32 gathered adds.
+        let edge_mlp = 3888.0 * (2.2 * 7.0 * 1024.0 + 64.0);
+        // Node MLP: (64 + 5 x 32 + 32) x 32 = 8 x 1024 MACs per row.
+        let node_mlp = 729.0 * 2.2 * 8.0 * 1024.0;
+        let want = node_products + edge_mlp + node_mlp;
+        let got = mp_layer_work(&GnnConfig::large(), nodes, edges).flops;
+        assert!((got - want).abs() <= 1e-9 * want, "{got} vs {want}");
     }
 
     #[test]

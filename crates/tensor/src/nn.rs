@@ -232,9 +232,42 @@ impl Mlp {
     }
 
     pub fn forward(&self, tape: &mut Tape, bound: &BoundParams, x: VarId) -> VarId {
-        let mut h = x;
+        self.forward_from(tape, bound, 0, x)
+    }
+
+    /// [`Mlp::forward`] over the [`Tape::gather_concat`] of `parts`, with
+    /// the first layer as one [`Tape::gather_linear`] (same parameters, no
+    /// concatenated input): equal to `forward(gather_concat(parts))` to
+    /// rounding.
+    ///
+    /// # Panics
+    /// If the activation is not ELU.
+    pub fn forward_gathered(
+        &self,
+        tape: &mut Tape,
+        bound: &BoundParams,
+        parts: &[(VarId, Option<Arc<Vec<usize>>>)],
+    ) -> VarId {
+        let (w, b) = (bound.var(self.layers[0].w), bound.var(self.layers[0].b));
+        assert_eq!(
+            self.activation,
+            Activation::Elu,
+            "forward_gathered runs ELU MLPs only"
+        );
+        let h = tape.gather_linear(parts, w, b);
+        self.forward_from(tape, bound, 1, h)
+    }
+
+    /// Layers `start..` (and the layer norm) applied to `h`.
+    fn forward_from(
+        &self,
+        tape: &mut Tape,
+        bound: &BoundParams,
+        start: usize,
+        mut h: VarId,
+    ) -> VarId {
         let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (i, layer) in self.layers.iter().enumerate().skip(start) {
             if i != last && self.activation == Activation::Elu {
                 // Hidden ELU layers run as the fused linear+ELU kernel.
                 h = tape.linear_elu(h, bound.var(layer.w), bound.var(layer.b));

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use crate::par::{ew_map, ew_zip, for_row_chunks};
-use crate::tensor::Tensor;
+use crate::tensor::{elu_scalar, gemm_rows, gemm_tn, transpose, Tensor};
 
 /// Handle to a variable on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,9 +49,10 @@ pub trait CustomOp: Send {
     fn backward(&self, grad_out: &Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>>;
 }
 
-/// One input of a fused gather-concatenate (see [`Tape::gather_concat`]):
-/// a source variable and, optionally, the row indices to gather from it
-/// (`None` streams the source's rows through directly).
+/// One input of a fused gather-concatenate (see [`Tape::gather_concat`])
+/// or gather-linear ([`Tape::gather_linear`]): a source variable and,
+/// optionally, the row indices to gather from it (`None` streams the
+/// source's rows through directly).
 pub(crate) struct GatherPart {
     src: VarId,
     idx: Option<Arc<Vec<usize>>>,
@@ -89,6 +90,14 @@ pub(crate) enum Op {
     /// Fused gather + column concatenation:
     /// `C[i, :] = [P0[idx0[i]] | P1[idx1[i]] | ...]` (`None` index = row i).
     GatherConcat(Vec<GatherPart>),
+    /// [`Op::Linear`] over the [`Op::GatherConcat`] of `parts`, without the
+    /// concatenation: `C[i, :] = b + sum_p P_p[idx_p[i], :] * W_p`, `W_p` the
+    /// row block of `w` part `p` owns; ELU at store time.
+    GatherLinear {
+        parts: Vec<GatherPart>,
+        w: VarId,
+        b: VarId,
+    },
     /// `C[i] = A[idx[i]]`
     GatherRows(VarId, Arc<Vec<usize>>, usize),
     /// `C[idx[i]] += A[i]`, C has `out_rows` rows.
@@ -516,6 +525,96 @@ impl Tape {
         self.record_rows(rows, cols, Op::GatherConcat(meta))
     }
 
+    /// The first layer of an ELU MLP over a [`Tape::gather_concat`] of
+    /// `parts` — `linear_elu(gather_concat(parts), w, b)` — without the
+    /// concatenation: a part gathered by `idx` is
+    /// multiplied by its row block `W_p` of `w` once per *source* row and
+    /// the products are gathered, so the message-passing edge update
+    /// `[x[src] | x[dst] | e] * W` costs two node-row products and one
+    /// edge-row product instead of one edge-row product three times as
+    /// wide.
+    ///
+    /// Each output row is summed in one fixed order: the bias, then the
+    /// terms of the (at most one) part without indices, in the order of
+    /// [`Tape::linear`]'s tile kernel, then the gathered products in part
+    /// order, then ELU at store time — so chunking and worker count change
+    /// no bit. The result equals `linear_elu(gather_concat(parts), ..)` to
+    /// rounding, not bit for bit.
+    ///
+    /// # Panics
+    /// Under a row mask; if more than one part has no indices; if the
+    /// parts' widths do not sum to `w`'s rows, or `b` is not `[1, w.cols]`;
+    /// on the shape checks of [`Tape::gather_concat`].
+    pub fn gather_linear(
+        &mut self,
+        parts: &[(VarId, Option<Arc<Vec<usize>>>)],
+        w: VarId,
+        b: VarId,
+    ) -> VarId {
+        self.assert_unmasked("gather_linear");
+        let (rows, meta) = self.gather_parts(parts);
+        let Tape { nodes, pool, .. } = self;
+        let (vw, bias) = (value(nodes, w), value(nodes, b).data());
+        let h = vw.cols();
+        let in_dim: usize = meta.iter().map(|p| p.cols).sum();
+        assert_eq!(
+            in_dim,
+            vw.rows(),
+            "gather_linear: parts {in_dim} wide, w has {} rows",
+            vw.rows()
+        );
+        assert_eq!(bias.len(), h, "gather_linear bias shape");
+        assert!(
+            meta.iter().filter(|p| p.idx.is_none()).count() <= 1,
+            "gather_linear takes at most one part without indices"
+        );
+        let (sx, sw, sk) = match weight_blocks(&meta, h).find(|(p, _)| p.idx.is_none()) {
+            Some((p, block)) => (value(nodes, p.src).data(), &vw.data()[block], p.cols),
+            None => (&[][..], &[][..], 0),
+        };
+        // `x_p * W_p` over the source rows of every gathered part.
+        let gathered: Vec<(Tensor, &[usize])> = weight_blocks(&meta, h)
+            .filter_map(|(p, block)| {
+                let idx = p.idx.as_deref()?;
+                let x = value(nodes, p.src);
+                let mut prod = pool.uninit(x.rows(), h);
+                let w_p = &vw.data()[block];
+                for_row_chunks(prod.data_mut(), h, |first_row, nrows, chunk| {
+                    gemm_rows(
+                        x.data(),
+                        w_p,
+                        chunk,
+                        first_row,
+                        nrows,
+                        p.cols,
+                        h,
+                        None,
+                        false,
+                    );
+                });
+                Some((prod, idx.as_slice()))
+            })
+            .collect();
+        let mut out = pool.uninit(rows, h);
+        for_row_chunks(out.data_mut(), h, |first_row, nrows, chunk| {
+            gemm_rows(sx, sw, chunk, first_row, nrows, sk, h, Some(bias), false);
+            for (i, o_row) in chunk.chunks_exact_mut(h).enumerate() {
+                for (prod, idx) in &gathered {
+                    for (o, &v) in o_row.iter_mut().zip(prod.row(idx[first_row + i])) {
+                        *o += v;
+                    }
+                }
+                for o in o_row.iter_mut() {
+                    *o = elu_scalar(*o);
+                }
+            }
+        });
+        for (prod, _) in gathered {
+            pool.put(prod.into_vec());
+        }
+        self.push(out, Op::GatherLinear { parts: meta, w, b })
+    }
+
     /// Validate the parts of a [`Tape::concat_cols`] / [`Tape::gather_concat`]
     /// and return the output row count with the recorded part list.
     fn gather_parts(&self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> (usize, Vec<GatherPart>) {
@@ -697,7 +796,7 @@ fn accumulate(
         Op::Matmul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             if wants(*a) {
-                add(*a, times_transposed(pool, g, vb), pool);
+                add(*a, times_transposed(pool, g, vb.data(), vb.rows()), pool);
             }
             if wants(*b) {
                 let mut gb = pool.uninit(va.cols(), g.cols());
@@ -717,7 +816,7 @@ fn accumulate(
             };
             let gref = gp.as_ref().unwrap_or(g);
             if wants(*x) {
-                add(*x, times_transposed(pool, gref, vw), pool);
+                add(*x, times_transposed(pool, gref, vw.data(), vw.rows()), pool);
             }
             let mut gw = pool.uninit(vx.cols(), gref.cols());
             vx.matmul_tn_into(gref, &mut gw);
@@ -791,6 +890,45 @@ fn accumulate(
                 }
                 off += w;
             }
+        }
+        Op::GatherLinear { parts, w, b } => {
+            let vw = value(nodes, *w);
+            let h = vw.cols();
+            let (t, gb) = elu_adjoint_with_col_sums(pool, g, &node.value);
+            // Every part writes its own row block of the one weight gradient.
+            let mut gw = pool.uninit(vw.rows(), h);
+            for (p, block) in weight_blocks(parts, h) {
+                let x = value(nodes, p.src);
+                // The adjoint at the part's own rows: `t`, or `t` summed
+                // back onto the source rows it was gathered from.
+                let scattered = p.idx.as_ref().map(|idx| {
+                    let mut s = pool.uninit(x.rows(), h);
+                    t.scatter_add_rows_into(idx, &mut s);
+                    s
+                });
+                let s = scattered.as_ref().unwrap_or(&t);
+                if wants(p.src) {
+                    add(
+                        p.src,
+                        times_transposed(pool, s, &vw.data()[block.clone()], p.cols),
+                        pool,
+                    );
+                }
+                gemm_tn(
+                    x.data(),
+                    s.data(),
+                    &mut gw.data_mut()[block],
+                    x.rows(),
+                    p.cols,
+                    h,
+                );
+                if let Some(s) = scattered {
+                    pool.put(s.into_vec());
+                }
+            }
+            add(*w, gw, pool);
+            add(*b, gb, pool);
+            pool.put(t.into_vec());
         }
         Op::GatherRows(a, idx, src_rows) => {
             let mut contrib = pool.uninit(*src_rows, g.cols());
@@ -1034,17 +1172,31 @@ impl<'a> RowKernel<'a> {
     }
 }
 
-/// `g * w^T` via an explicit (pooled) transpose of the small weight matrix
-/// `w`, so the adjoint product runs through the register-tiled row GEMM.
-/// Each output element is the dot product of a row of `g` with a row of
-/// `w`, its terms summed in index order.
-fn times_transposed(pool: &mut BufPool, g: &Tensor, w: &Tensor) -> Tensor {
-    let mut wt = pool.uninit(w.cols(), w.rows());
-    w.transpose_into(&mut wt);
-    let mut out = pool.uninit(g.rows(), w.rows());
+/// `g * w^T` for a row-major `[rows, g.cols]` weight `w`, via an explicit
+/// (pooled) transpose of the small matrix, so the adjoint product runs
+/// through the register-tiled row GEMM. Each output element is the dot
+/// product of a row of `g` with a row of `w`, its terms summed in index
+/// order.
+fn times_transposed(pool: &mut BufPool, g: &Tensor, w: &[f64], rows: usize) -> Tensor {
+    let mut wt = pool.uninit(g.cols(), rows);
+    transpose(w, rows, g.cols(), wt.data_mut());
+    let mut out = pool.uninit(g.rows(), rows);
     g.matmul_into(&wt, &mut out);
     pool.put(wt.into_vec());
     out
+}
+
+/// Each part with the rows of a weight matrix it owns, as a range of that
+/// matrix's row-major data: consecutive blocks in part order.
+fn weight_blocks(
+    parts: &[GatherPart],
+    h: usize,
+) -> impl Iterator<Item = (&GatherPart, std::ops::Range<usize>)> {
+    parts.iter().scan(0, move |row, p| {
+        let block = *row * h..(*row + p.cols) * h;
+        *row += p.cols;
+        Some((p, block))
+    })
 }
 
 /// Column sums of `g` as a `[1, cols]` tensor (bias gradients).

@@ -284,36 +284,7 @@ impl Tensor {
         );
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_tn_into output shape");
-        let panel = tn_panel_rows(m, n);
-        for_row_chunks(&mut out.data, n, |first_row, nrows, chunk| {
-            chunk.fill(0.0);
-            for p0 in (0..k).step_by(panel) {
-                let kp = panel.min(k - p0);
-                let a = &self.data[p0 * m..(p0 + kp) * m];
-                let b = &rhs.data[p0 * n..(p0 + kp) * n];
-                let mut i0 = 0;
-                while i0 + 4 <= nrows {
-                    let mut j0 = 0;
-                    while j0 + 8 <= n {
-                        gemm_tn_tile_4x8(a, b, chunk, first_row, i0, j0, kp, m, n);
-                        j0 += 8;
-                    }
-                    while j0 < n {
-                        for r in 0..4 {
-                            gemm_tn_elem(a, b, chunk, first_row, i0 + r, j0, kp, m, n);
-                        }
-                        j0 += 1;
-                    }
-                    i0 += 4;
-                }
-                while i0 < nrows {
-                    for j0 in 0..n {
-                        gemm_tn_elem(a, b, chunk, first_row, i0, j0, kp, m, n);
-                    }
-                    i0 += 1;
-                }
-            }
-        });
+        gemm_tn(&self.data, &rhs.data, &mut out.data, k, m, n);
     }
 
     /// Explicit transpose. The backward pass materializes transposes of the
@@ -332,11 +303,7 @@ impl Tensor {
             (self.cols, self.rows),
             "transpose_into output shape"
         );
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        transpose(&self.data, self.rows, self.cols, &mut out.data);
     }
 
     /// Concatenate tensors along columns; all must have the same row count.
@@ -655,6 +622,56 @@ fn gemm_tile_4x8(
             o.copy_from_slice(acc_row);
         }
     }
+}
+
+/// The body of [`Tensor::transpose_into`] over raw row-major buffers:
+/// `out = srcᵀ` for a `[rows, cols]` `src`; `src` may be a row block of a
+/// larger `cols`-wide tensor.
+pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
+    debug_assert_eq!((src.len(), out.len()), (rows * cols, rows * cols));
+    for r in 0..rows {
+        for c in 0..cols {
+            out[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
+/// The body of [`Tensor::matmul_tn_into`] over raw row-major buffers:
+/// `out = aᵀ * b` for `[k, m]` `a` and `[k, n]` `b`; `out` may be a row
+/// block of a larger `n`-wide tensor.
+pub(crate) fn gemm_tn(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    debug_assert_eq!((a.len(), b.len()), (k * m, k * n));
+    debug_assert_eq!(out.len(), m * n);
+    let panel = tn_panel_rows(m, n);
+    for_row_chunks(out, n, |first_row, nrows, chunk| {
+        chunk.fill(0.0);
+        for p0 in (0..k).step_by(panel) {
+            let kp = panel.min(k - p0);
+            let a = &a[p0 * m..(p0 + kp) * m];
+            let b = &b[p0 * n..(p0 + kp) * n];
+            let mut i0 = 0;
+            while i0 + 4 <= nrows {
+                let mut j0 = 0;
+                while j0 + 8 <= n {
+                    gemm_tn_tile_4x8(a, b, chunk, first_row, i0, j0, kp, m, n);
+                    j0 += 8;
+                }
+                while j0 < n {
+                    for r in 0..4 {
+                        gemm_tn_elem(a, b, chunk, first_row, i0 + r, j0, kp, m, n);
+                    }
+                    j0 += 1;
+                }
+                i0 += 4;
+            }
+            while i0 < nrows {
+                for j0 in 0..n {
+                    gemm_tn_elem(a, b, chunk, first_row, i0, j0, kp, m, n);
+                }
+                i0 += 1;
+            }
+        }
+    });
 }
 
 /// Rows of the shared `k` dimension per panel of

@@ -7,9 +7,10 @@
 //! reassociation) and because nothing on the path calls libm: ELU's `exp`
 //! is in-crate and layer norm's `sqrt` is correctly rounded by IEEE-754.
 //! This test runs forward and backward through two chained MLPs (fused
-//! linear+ELU, layer norm, ragged `4 x 8` tiles) on inputs derived from
-//! integers and prints an FNV-1a hash of every value and gradient bit, one
-//! line per shape. CI runs it under the default flags and under
+//! linear+ELU, layer norm, ragged `4 x 8` tiles), and through an edge MLP
+//! whose first layer is `gather_linear`, on inputs derived from integers
+//! and prints an FNV-1a hash of every value and gradient bit, one line per
+//! shape. CI runs it under the default flags and under
 //! `-C target-cpu=x86-64` and diffs the lines.
 
 use std::sync::Arc;
@@ -92,13 +93,72 @@ fn fingerprint(rows: usize, in_dim: usize, hidden: usize) -> u64 {
     hash
 }
 
+/// FNV-1a of every value and gradient bit of the edge update's MLP on
+/// `edges` edges of `nodes` nodes: `Mlp::forward_gathered` over
+/// `[x[src] | x[dst] | e]` (the `gather_linear` kernel and its adjoint:
+/// node-row products, gathered adds, scatter-added adjoints), layer norm.
+fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(0);
+    let mlp = Mlp::new(
+        &mut params,
+        "edge",
+        3 * hidden,
+        hidden,
+        hidden,
+        1,
+        true,
+        &mut rng,
+    );
+    for (salt, t) in params.tensors_mut().iter_mut().enumerate() {
+        let values = lattice(1000 * salt as u64, t.len(), 1.5);
+        t.data_mut().copy_from_slice(&values);
+    }
+    let mut tape = Tape::new();
+    let bound = params.bind(&mut tape);
+    let x = tape.leaf(Tensor::from_vec(
+        nodes,
+        hidden,
+        lattice(7, nodes * hidden, 4.0),
+    ));
+    let e = tape.leaf(Tensor::from_vec(
+        edges,
+        hidden,
+        lattice(9, edges * hidden, 4.0),
+    ));
+    let src = Arc::new((0..edges).map(|i| (i * 5 + 1) % nodes).collect());
+    let dst = Arc::new((0..edges).map(|i| (edges - i) * 3 % nodes).collect());
+    let y = mlp.forward_gathered(
+        &mut tape,
+        &bound,
+        &[(x, Some(src)), (x, Some(dst)), (e, None)],
+    );
+    let loss = tape.weighted_sq_sum(y, Arc::new(lattice(11, edges, 1.0)));
+    let grads = tape.backward(loss);
+
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    fnv1a(&mut hash, tape.value(y).data());
+    for &var in bound.vars().iter().chain([&x, &e]) {
+        let grad = grads.get(var).expect("every leaf takes part").data();
+        assert!(grad.iter().all(|g| g.is_finite()));
+        fnv1a(&mut hash, grad);
+    }
+    hash
+}
+
 /// One line per shape. Width 12 takes layer norm's one-row path; 8 and 32
 /// take its four-row lockstep, and an odd row count leaves a remainder row
-/// to the one-row path as well.
+/// to the one-row path as well. The gather line's width 12 leaves a ragged
+/// column strip beside the `4 x 8` tiles of every product.
 #[test]
 fn isa_fingerprint() {
     for (rows, in_dim, hidden) in [(37, 5, 12), (37, 5, 8), (21, 7, 32)] {
         let hash = fingerprint(rows, in_dim, hidden);
         println!("isa-fingerprint rows={rows} hidden={hidden} {hash:016x}");
     }
+    let (nodes, edges, hidden) = (13, 43, 12);
+    let hash = gather_fingerprint(nodes, edges, hidden);
+    println!(
+        "isa-fingerprint gather_linear nodes={nodes} edges={edges} hidden={hidden} {hash:016x}"
+    );
 }

@@ -152,3 +152,135 @@ proptest! {
         prop_assert_eq!(tape.value(e), &before);
     }
 }
+
+/// `count` deterministic values in `-1..1`.
+fn wave(seed: u64, count: usize) -> Vec<f64> {
+    (0..count)
+        .map(|i| ((seed * 131 + i as u64) as f64 * 0.618).sin())
+        .collect()
+}
+
+/// The inputs of one edge-update input layer: node rows `x` (`[nodes, h]`),
+/// edge rows `e` (`[edges, h]`), the source/destination indices, the
+/// `[3h, h]` weight, the bias and an upstream adjoint for the output.
+struct EdgeLayer {
+    x: Tensor,
+    e: Tensor,
+    src: Arc<Vec<usize>>,
+    dst: Arc<Vec<usize>>,
+    w: Tensor,
+    b: Tensor,
+    up: Tensor,
+}
+
+impl EdgeLayer {
+    /// Indices repeat and are unsorted; `edges` may be 0.
+    fn new(nodes: usize, edges: usize, h: usize, seed: u64) -> Self {
+        let t = |rows: usize, cols: usize, salt: u64| {
+            Tensor::from_vec(rows, cols, wave(seed + salt, rows * cols))
+        };
+        EdgeLayer {
+            x: t(nodes, h, 1),
+            e: t(edges, h, 2),
+            src: Arc::new((0..edges).map(|i| (i * 5 + 3) % nodes).collect()),
+            dst: Arc::new((0..edges).map(|i| (edges - i) * 7 % nodes).collect()),
+            w: t(3 * h, h, 3),
+            b: t(1, h, 4),
+            up: t(edges, h, 5),
+        }
+    }
+
+    /// `sum(up ⊙ layer([x[src] | x[dst] | e]))` recorded as `gather_linear`
+    /// (`fused`) or as `gather_concat` → `linear_elu`; returns the output
+    /// and the gradients of `x`, `e`, `w` and `b`.
+    fn run(&self, fused: bool) -> [Tensor; 5] {
+        let mut tape = Tape::new();
+        let [x, e, w, b] = [&self.x, &self.e, &self.w, &self.b].map(|t| tape.leaf_copy(t));
+        let parts = [
+            (x, Some(Arc::clone(&self.src))),
+            (x, Some(Arc::clone(&self.dst))),
+            (e, None),
+        ];
+        let y = if fused {
+            tape.gather_linear(&parts, w, b)
+        } else {
+            let cat = tape.gather_concat(&parts);
+            tape.linear_elu(cat, w, b)
+        };
+        let up = tape.constant_copy(&self.up);
+        let weighted = tape.mul(y, up);
+        let loss = tape.sum(weighted);
+        let grads = tape.backward(loss);
+        let grad = |v| grads.get(v).expect("leaf gradient").clone();
+        [tape.value(y).clone(), grad(x), grad(e), grad(w), grad(b)]
+    }
+}
+
+/// `gather_linear` is `gather_concat` → `linear_elu` with the concat
+/// folded into the product, in value and in the gradients of `x`, `e`, `w`
+/// and `b`. The two sum each output's terms in different orders, so this
+/// is a **rounding bound, not bit-equality**: relative 1e-13 (denominator
+/// floored at 1). Widths on and off the 4 x 8 tile, `x` used as two parts,
+/// repeated and unsorted indices, and no edges at all.
+#[test]
+fn gather_linear_is_gather_concat_then_linear_to_rounding() {
+    for h in [3, 8, 12, 32] {
+        for (nodes, edges) in [(7, 23), (5, 0), (1, 4), (19, 67)] {
+            let layer = EdgeLayer::new(nodes, edges, h, (h * 100 + edges) as u64);
+            let fused = layer.run(true);
+            let split = layer.run(false);
+            for (name, (a, b)) in ["y", "dx", "de", "dw", "db"]
+                .iter()
+                .zip(fused.iter().zip(&split))
+            {
+                let gap = a.max_rel_diff(b);
+                assert!(
+                    gap <= 1e-13,
+                    "{name}: h={h} nodes={nodes} edges={edges}: gap {gap}"
+                );
+            }
+        }
+    }
+}
+
+/// Central differences on the *inputs* `x` and `e` of `gather_linear`
+/// (parameters are covered by `check.rs`): every entry, on both sides of
+/// the ELU's kink.
+#[test]
+fn gather_linear_input_gradients_match_central_differences() {
+    for seed in [17, 18] {
+        let layer = EdgeLayer::new(4, 9, 3, seed);
+        let [_, dx, de, ..] = layer.run(true);
+        let loss = |x: &Tensor, e: &Tensor| {
+            let mut tape = Tape::new();
+            let [xv, ev, w, b, up] =
+                [x, e, &layer.w, &layer.b, &layer.up].map(|t| tape.leaf_copy(t));
+            let parts = [
+                (xv, Some(Arc::clone(&layer.src))),
+                (xv, Some(Arc::clone(&layer.dst))),
+                (ev, None),
+            ];
+            let y = tape.gather_linear(&parts, w, b);
+            let weighted = tape.mul(y, up);
+            let s = tape.sum(weighted);
+            tape.value(s).item()
+        };
+        let eps = 1e-6;
+        let central = |t: &Tensor, f: &dyn Fn(&Tensor) -> f64| -> Vec<f64> {
+            (0..t.len())
+                .map(|i| {
+                    let (mut plus, mut minus) = (t.clone(), t.clone());
+                    plus.data_mut()[i] += eps;
+                    minus.data_mut()[i] -= eps;
+                    (f(&plus) - f(&minus)) / (2.0 * eps)
+                })
+                .collect()
+        };
+        let fd_x = central(&layer.x, &|x| loss(x, &layer.e));
+        let fd_e = central(&layer.e, &|e| loss(&layer.x, e));
+        for (name, auto, fd) in [("x", &dx, fd_x), ("e", &de, fd_e)] {
+            let err = cgnn_tensor::check::max_rel_error(auto.data(), &fd);
+            assert!(err < 1e-6, "d{name}, seed {seed}: relative error {err}");
+        }
+    }
+}

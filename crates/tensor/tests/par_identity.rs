@@ -455,3 +455,138 @@ fn linear_elu_routes_agree_bit_for_bit() {
         }
     }
 }
+
+/// `gather_linear`'s pre-activation by its documented order, one output
+/// element at a time: the bias, then the streamed part's terms in column
+/// order, then each gathered product `x_p * W_p` (summed from zero in
+/// column order) in part order.
+fn naive_gather_linear(parts: &[(&Tensor, Option<&[usize]>)], w: &Tensor, b: &Tensor) -> Vec<f64> {
+    let rows = parts
+        .iter()
+        .find_map(|(_, ix)| ix.map(<[usize]>::len))
+        .unwrap_or(0);
+    let offsets: Vec<usize> = parts
+        .iter()
+        .scan(0, |row, (t, _)| {
+            *row += t.cols();
+            Some(*row - t.cols())
+        })
+        .collect();
+    let streamed = parts.iter().position(|(_, ix)| ix.is_none());
+    let term = |p: usize, src: usize, j: usize, acc: f64| {
+        let x = parts[p].0;
+        (0..x.cols()).fold(acc, |acc, k| acc + x.get(src, k) * w.get(offsets[p] + k, j))
+    };
+    let mut out = Vec::with_capacity(rows * w.cols());
+    for r in 0..rows {
+        for j in 0..w.cols() {
+            let mut acc = streamed.map_or(b.get(0, j), |p| term(p, r, j, b.get(0, j)));
+            for (p, (_, ix)) in parts.iter().enumerate() {
+                if let Some(ix) = ix {
+                    acc += term(p, ix[r], j, 0.0);
+                }
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)`
+/// recorded as `gather_linear` under a weighted-square loss. Returns the
+/// bits of its value and of the gradients of `x`, `e`, `w` and `b`.
+fn taped_gather_linear(
+    x: &Tensor,
+    e: &Tensor,
+    idx: [&Arc<Vec<usize>>; 2],
+    w: &Tensor,
+    b: &Tensor,
+) -> Vec<Vec<u64>> {
+    let mut tape = Tape::new();
+    let [xv, ev, wv, bv] = [x, e, w, b].map(|t| tape.leaf_copy(t));
+    let parts = [
+        (xv, Some(Arc::clone(idx[0]))),
+        (xv, Some(Arc::clone(idx[1]))),
+        (ev, None),
+    ];
+    let y = tape.gather_linear(&parts, wv, bv);
+    let loss = tape.weighted_sq_sum(y, Arc::new(noise(5, e.rows())));
+    let grads = tape.backward(loss);
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+    let mut out: Vec<Vec<u64>> = vec![bits(tape.value(y))];
+    out.extend([xv, ev, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient"))));
+    out
+}
+
+/// `gather_linear` sums each output row in its documented order, bit for
+/// bit (against [`naive_gather_linear`]), so neither the row chunking nor
+/// the worker count can change it: widths on and off the `4 x 8` tile,
+/// edge counts from none to past a chunk boundary at every width, `x` as
+/// two gathered parts, 1–3 workers; its store-time ELU is the unfused
+/// `elu`'s, and its gradients are the same bits at every worker count.
+#[test]
+fn gather_linear_is_its_documented_order_bit_for_bit() {
+    for h in [3, 8, 12, 32] {
+        for (nodes, edges) in [(1, 0), (5, 3), (11, 37), (29, 133), (40, 401)] {
+            let seed = (h * 1000 + edges) as u64;
+            let x = Tensor::from_vec(nodes, h, noise(seed, nodes * h));
+            let e = Tensor::from_vec(edges, h, noise(seed + 1, edges * h));
+            let w = Tensor::from_vec(3 * h, h, noise(seed + 2, 3 * h * h));
+            let b = Tensor::from_vec(1, h, noise(seed + 3, h));
+            let src = Arc::new((0..edges).map(|i| (i * 7 + 2) % nodes).collect::<Vec<_>>());
+            let dst = Arc::new(
+                (0..edges)
+                    .map(|i| (edges - i) * 3 % nodes)
+                    .collect::<Vec<_>>(),
+            );
+            let parts = [
+                (&x, Some(src.as_slice())),
+                (&x, Some(dst.as_slice())),
+                (&e, None),
+            ];
+            let mut tape = Tape::new();
+            let pre = tape.leaf(Tensor::from_vec(
+                edges,
+                h,
+                naive_gather_linear(&parts, &w, &b),
+            ));
+            let want = tape.elu(pre);
+            let want: Vec<u64> = tape
+                .value(want)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let serial =
+                rayon::with_num_threads(1, || taped_gather_linear(&x, &e, [&src, &dst], &w, &b));
+            let case = format!("h={h} nodes={nodes} edges={edges}");
+            assert!(serial[0] == want, "{case}: values");
+            for workers in [2, 3] {
+                let par = rayon::with_num_threads(workers, || {
+                    taped_gather_linear(&x, &e, [&src, &dst], &w, &b)
+                });
+                assert!(par == serial, "{case}: {workers} workers");
+            }
+        }
+    }
+}
+
+/// `gather_linear` computes every row at once; recording it inside a row
+/// mask is refused by name.
+#[test]
+#[should_panic(expected = "gather_linear is not supported under an active row mask")]
+fn gather_linear_refuses_a_row_mask() {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::zeros(3, 2));
+    let w = tape.leaf(Tensor::zeros(4, 2));
+    let b = tape.leaf(Tensor::zeros(1, 2));
+    tape.begin_row_mask(Arc::new(vec![0]));
+    tape.gather_linear(
+        &[
+            (x, Some(Arc::new(vec![2, 0]))),
+            (x, Some(Arc::new(vec![1, 1]))),
+        ],
+        w,
+        b,
+    );
+}
