@@ -3,10 +3,10 @@
 //! The paper's primary contribution: **consistent neural message passing**
 //! for distributed mesh-based GNNs.
 //!
-//! * [`exchange`] — the object-safe [`HaloExchange`] strategy trait with
-//!   the four implementations the paper compares (None / A2A /
-//!   Neighbor-A2A / Send-Recv) plus the coalesced all-gather and
-//!   overlapped non-blocking extensions,
+//! * [`exchange`] — the [`HaloContext`] running one [`HaloExchangeMode`]:
+//!   the four variants the paper compares (None / A2A / Neighbor-A2A /
+//!   Send-Recv) plus the coalesced all-gather and overlapped non-blocking
+//!   extensions,
 //! * [`mp_layer`] — the consistent NMP layer (paper Eq. 4) with a
 //!   differentiable halo swap recorded on the autodiff tape,
 //! * [`model`] — encode-process-decode GNN with the Table I configurations,
@@ -31,11 +31,7 @@ pub mod mp_layer;
 pub mod schedule;
 pub mod trainer;
 
-pub use exchange::{
-    halo_exchange_apply, CoalescedAllGather, DenseAllToAll, ExchangeTraffic, HaloContext,
-    HaloExchange, HaloExchangeMode, NeighborAllToAll, NoExchange, OverlappedNeighborExchange,
-    SendRecvExchange,
-};
+pub use exchange::{halo_exchange_apply, ExchangeTraffic, HaloContext, HaloExchangeMode};
 pub use loss::{all_reduce_scalar, consistent_mse, local_mse};
 pub use model::{ConsistentGnn, GnnConfig};
 pub use mp_layer::{halo_sync, ConsistentMpLayer, GraphIndices, HaloSyncOp};

@@ -80,17 +80,17 @@ impl CustomOp for HaloSyncOp {
 ///
 /// One recording for every plan: `a*` starts as a pooled copy of `a`
 /// recorded under a [`HaloSyncOp`], and the exchange then completes it in
-/// place. A split-phase strategy ([`crate::exchange::HaloExchange::begin`],
-/// i.e. `Ovl-SR`) runs `consume` inside the post→wait window under a row
-/// mask — interior rows, which the exchange cannot touch, are computed
-/// while halos travel, boundary rows are backfilled once they arrived —
-/// so `consume` may then record row-separable ops only. Any other
-/// strategy exchanges first and runs `consume` on all rows. The recorded
-/// ops, their final values, and therefore the entire backward pass are
-/// bit-identical between the two — only the execution order differs.
+/// place. A split-phase mode ([`HaloContext::begin`], i.e. `Ovl-SR`)
+/// runs `consume` inside the post→wait window under a row mask — interior
+/// rows, which the exchange cannot touch, are computed while halos travel,
+/// boundary rows are backfilled once they arrived — so `consume` may then
+/// record row-separable ops only. Any other mode exchanges first and runs
+/// `consume` on all rows. The recorded ops, their final values, and
+/// therefore the entire backward pass are bit-identical between the two —
+/// only the execution order differs.
 ///
-/// Identity (nothing recorded, `consume` reads `a`) on inconsistent
-/// strategies and single-rank worlds.
+/// Identity (nothing recorded, `consume` reads `a`) on inconsistent modes
+/// and single-rank worlds.
 fn halo_sync_then(
     tape: &mut Tape,
     a: VarId,
@@ -111,10 +111,9 @@ fn halo_sync_then(
             ctx: ctx.clone(),
         }),
     );
-    let strategy = ctx.strategy();
-    let Some(pending) = strategy.begin(tape.value(a_star), graph, &ctx.comm) else {
+    let Some(pending) = ctx.begin(tape.value(a_star), graph) else {
         // Nothing left in flight: exchange in place now, consume all rows.
-        strategy.exchange(tape.value_mut(a_star), graph, &ctx.comm);
+        ctx.exchange(tape.value_mut(a_star), graph);
         return consume(tape, a_star);
     };
     // --- Overlap window: interior rows while halos are in flight.
@@ -178,8 +177,8 @@ impl ConsistentMpLayer {
 
     /// Forward pass; returns `(x_new, e_new)`.
     ///
-    /// When the exchange strategy supports split-phase posting
-    /// ([`crate::exchange::HaloExchange::begin`], i.e. `Ovl-SR`), stages
+    /// When the exchange mode supports split-phase posting
+    /// ([`HaloContext::begin`], i.e. `Ovl-SR`), stages
     /// (3)–(5) are restructured for **true compute/communication overlap**:
     /// the node MLP of the *interior* rows (which the exchange cannot
     /// touch) executes between posting the isends/irecvs and waiting on

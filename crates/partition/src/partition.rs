@@ -18,6 +18,18 @@ pub enum Strategy {
     Rcb,
 }
 
+impl Strategy {
+    /// Display label for diagnostics and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Strategy::Slab => "slab",
+            Strategy::Pencil => "pencil",
+            Strategy::Block => "block",
+            Strategy::Rcb => "rcb",
+        }
+    }
+}
+
 /// A domain decomposition: every element is owned by exactly one rank.
 #[derive(Debug, Clone)]
 pub struct Partition {
@@ -81,23 +93,6 @@ impl Partition {
             owner[e] = layout.rank_of_cell(cell) as u32;
         }
         Self::from_owner(owner, layout.num_ranks(), Some((layout, [sx, sy, sz])))
-    }
-
-    /// Build a partition from an explicit element-to-rank owner map — the
-    /// constructor custom [`PartitionStrategy`](crate::PartitionStrategy)
-    /// implementations outside this crate use once they have computed an
-    /// assignment.
-    ///
-    /// # Panics
-    ///
-    /// If any rank in `0..n_ranks` receives no elements, or any owner
-    /// index is out of range: both indicate a broken strategy.
-    pub fn from_owner_map(owner: Vec<u32>, n_ranks: usize) -> Self {
-        assert!(
-            owner.iter().all(|&r| (r as usize) < n_ranks),
-            "owner map names a rank outside 0..{n_ranks}"
-        );
-        Self::from_owner(owner, n_ranks, None)
     }
 
     fn from_owner(
@@ -225,6 +220,23 @@ mod tests {
         let mesh = BoxMesh::unit_cube(2, 3);
         let part = Partition::new(&mesh, 1, Strategy::Block);
         assert_eq!(part.elements_of(0).len(), mesh.num_elements());
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(Strategy::Slab.label(), "slab");
+        assert_eq!(Strategy::Pencil.label(), "pencil");
+        assert_eq!(Strategy::Block.label(), "block");
+        assert_eq!(Strategy::Rcb.label(), "rcb");
+    }
+
+    #[test]
+    fn strategies_are_deterministic_across_calls() {
+        let mesh = BoxMesh::unit_cube(5, 1);
+        assert_eq!(
+            Partition::new(&mesh, 7, Strategy::Rcb).owners(),
+            Partition::new(&mesh, 7, Strategy::Rcb).owners()
+        );
     }
 
     #[test]

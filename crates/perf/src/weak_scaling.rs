@@ -175,10 +175,10 @@ fn iteration_time(
                         machine.overlap_fraction,
                     )
             }
-            // `HaloExchangeMode` is non-exhaustive; the neighbour-exact cost
-            // (N-A2A / Send-Recv) is the default for any mode that ships
-            // exact halos peer to peer. New collectives get their own arm.
-            _ => exchanges * neighbor_all_to_all_time(machine, rank, ranks, prof, bytes_per_shared),
+            // Exact halos peer to peer: the neighbour-exact cost.
+            HaloExchangeMode::NeighborAllToAll | HaloExchangeMode::SendRecv => {
+                exchanges * neighbor_all_to_all_time(machine, rank, ranks, prof, bytes_per_shared)
+            }
         };
         let total = t_c + t_h + t_ar;
         if total > worst.0 {

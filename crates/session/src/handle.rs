@@ -26,7 +26,6 @@ pub struct RankHandle {
     comm: Comm,
     graph: Arc<LocalGraph>,
     trainer: Trainer,
-    label: &'static str,
     dataset: Option<Arc<RankDataset>>,
     ckpt_policy: Option<CheckpointPolicy>,
 }
@@ -36,7 +35,6 @@ impl RankHandle {
         comm: Comm,
         graph: Arc<LocalGraph>,
         trainer: Trainer,
-        label: &'static str,
         dataset: Option<Arc<RankDataset>>,
         ckpt_policy: Option<CheckpointPolicy>,
     ) -> Self {
@@ -44,7 +42,6 @@ impl RankHandle {
             comm,
             graph,
             trainer,
-            label,
             dataset,
             ckpt_policy,
         }
@@ -90,11 +87,9 @@ impl RankHandle {
     }
 
     /// Display label of this session's halo exchange, matching
-    /// [`Session::exchange_label`](crate::Session::exchange_label) (for a
-    /// custom strategy this is the builder's label; the strategy object's
-    /// own label stays reachable via `trainer().ctx.label()`).
+    /// [`Session::exchange_label`](crate::Session::exchange_label).
     pub fn exchange_label(&self) -> &'static str {
-        self.label
+        self.trainer.ctx.label()
     }
 
     /// Build rank-local training data from raw node-feature and target

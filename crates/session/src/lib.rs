@@ -28,11 +28,11 @@
 //! assert_eq!(histories[0], histories[1], "replicas stay in lockstep");
 //! ```
 //!
-//! Exchange strategies are pluggable: the builder accepts either a
-//! [`HaloExchangeMode`](cgnn_core::HaloExchangeMode) (the built-ins of
-//! paper Sec. III plus the coalesced and overlapped extensions) or, via
-//! [`SessionBuilder::exchange_with`], any custom
-//! [`HaloExchange`](cgnn_core::HaloExchange) factory.
+//! The builder takes two closed choices as enums: the element partition
+//! ([`Strategy`](cgnn_partition::Strategy): slab, pencil, block, RCB) and
+//! the halo exchange ([`HaloExchangeMode`](cgnn_core::HaloExchangeMode):
+//! the four variants of paper Sec. III plus the coalesced and overlapped
+//! extensions).
 //!
 //! Communication transports are pluggable one layer further down:
 //! [`SessionBuilder::backend`] selects the
@@ -56,7 +56,7 @@
 //! [`FaultPlan`](cgnn_comm::FaultPlan) via [`SessionBuilder::fault_plan`]),
 //! [`Session::train_epochs_elastic`] re-partitions the mesh over the
 //! survivors with the session's stored
-//! [`PartitionStrategy`](cgnn_partition::PartitionStrategy), restores
+//! [`Strategy`](cgnn_partition::Strategy), restores
 //! parameters + optimizer state from the newest valid checkpoint
 //! ([`CheckpointPolicy::latest`], which skips corrupt files), and resumes
 //! the deterministic `(seed, epoch)` schedule — producing the same
@@ -73,7 +73,7 @@ pub mod handle;
 pub mod recovery;
 pub mod session;
 
-pub use builder::{ExchangeSpec, SessionBuilder, SessionError};
+pub use builder::{SessionBuilder, SessionError};
 pub use checkpoint::{CheckpointPolicy, CorruptCheckpoint, LatestReport};
 pub use dataset::Dataset;
 pub use handle::RankHandle;

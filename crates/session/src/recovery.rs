@@ -13,7 +13,7 @@
 //! 3. [`Session::train_epochs_elastic`] then agrees on the new world (the
 //!    survivors, i.e. the old world minus the dead set), re-partitions
 //!    the mesh with the session's stored
-//!    [`PartitionStrategy`](cgnn_partition::PartitionStrategy), restores
+//!    [`Strategy`](cgnn_partition::Strategy), restores
 //!    parameters + Adam state from the newest **valid** checkpoint
 //!    ([`CheckpointPolicy::latest`], which skips corrupt files), and
 //!    resumes the deterministic `(seed, epoch)` schedule from the

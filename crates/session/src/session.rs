@@ -6,13 +6,13 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cgnn_comm::{Backend, FaultInjector, FaultPlan};
-use cgnn_core::{ConsistentGnn, EpochReport, GnnConfig, Trainer};
+use cgnn_core::{ConsistentGnn, EpochReport, GnnConfig, HaloContext, HaloExchangeMode, Trainer};
 use cgnn_graph::{build_distributed_graph, build_global_graph, LocalGraph};
 use cgnn_mesh::{BoxMesh, TaylorGreen};
-use cgnn_partition::{Partition, PartitionStrategy};
+use cgnn_partition::{Partition, Strategy};
 use cgnn_tensor::{AdamState, ParamSet};
 
-use crate::builder::{ExchangeSpec, SessionBuilder, SessionError};
+use crate::builder::{SessionBuilder, SessionError};
 use crate::checkpoint::CheckpointPolicy;
 use crate::dataset::Dataset;
 use crate::handle::{RankDataset, RankHandle};
@@ -37,8 +37,8 @@ pub struct Session {
     /// The decomposition rule the partition came from, kept so the
     /// session can re-partition for a different world size
     /// ([`Session::resized`], the elastic recovery path).
-    strategy: Arc<dyn PartitionStrategy>,
-    exchange: ExchangeSpec,
+    strategy: Strategy,
+    exchange: HaloExchangeMode,
     backend: Backend,
     config: GnnConfig,
     seed: u64,
@@ -88,8 +88,8 @@ impl Session {
         mesh: Arc<BoxMesh>,
         partition: Option<Partition>,
         graphs: Vec<Arc<LocalGraph>>,
-        strategy: Arc<dyn PartitionStrategy>,
-        exchange: ExchangeSpec,
+        strategy: Strategy,
+        exchange: HaloExchangeMode,
         backend: Backend,
         config: GnnConfig,
         seed: u64,
@@ -167,8 +167,8 @@ impl Session {
     }
 
     /// The decomposition strategy this session re-partitions with.
-    pub fn partition_strategy(&self) -> &Arc<dyn PartitionStrategy> {
-        &self.strategy
+    pub fn partition_strategy(&self) -> Strategy {
+        self.strategy
     }
 
     /// The armed fault-injection plan, if any.
@@ -187,9 +187,9 @@ impl Session {
     /// expensive state (mesh, partition, per-rank graphs) is shared, not
     /// rebuilt — this is how mode-comparison sweeps (Fig. 6, traffic
     /// tables) price several strategies against one wiring.
-    pub fn with_exchange(&self, mode: cgnn_core::HaloExchangeMode) -> Session {
+    pub fn with_exchange(&self, mode: HaloExchangeMode) -> Session {
         Session {
-            exchange: ExchangeSpec::Mode(mode),
+            exchange: mode,
             ..self.shallow_clone()
         }
     }
@@ -233,8 +233,8 @@ impl Session {
             mesh: Arc::clone(&self.mesh),
             partition: self.partition.clone(),
             graphs: self.graphs.clone(),
-            strategy: Arc::clone(&self.strategy),
-            exchange: self.exchange.clone(),
+            strategy: self.strategy,
+            exchange: self.exchange,
             backend: self.backend,
             config: self.config,
             seed: self.seed,
@@ -248,8 +248,8 @@ impl Session {
     }
 
     /// A sibling session decomposed for a different world size: the mesh
-    /// is re-partitioned with the session's stored
-    /// [`PartitionStrategy`] and every rank's reduced graph is rebuilt;
+    /// is re-partitioned with the session's stored [`Strategy`] and every
+    /// rank's reduced graph is rebuilt;
     /// everything else (model recipe, seed, dataset, checkpoint policy,
     /// fault plan, restored state) carries over. This is the
     /// re-partitioning step of elastic recovery: after a rank dies, the
@@ -259,25 +259,7 @@ impl Session {
     /// bit-identical), so a restored checkpoint remains valid across a
     /// resize — only the data decomposition changes.
     pub fn resized(&self, ranks: usize) -> Result<Session, SessionError> {
-        if ranks == 0 {
-            return Err(SessionError::ZeroRanks);
-        }
-        if self.mesh.num_elements() < ranks {
-            return Err(SessionError::TooManyRanks {
-                ranks,
-                elements: self.mesh.num_elements(),
-            });
-        }
-        let (partition, graphs) = if ranks == 1 {
-            (None, vec![Arc::new(build_global_graph(&self.mesh))])
-        } else {
-            let part = self.strategy.partition(&self.mesh, ranks);
-            let graphs = build_distributed_graph(&self.mesh, &part)
-                .into_iter()
-                .map(Arc::new)
-                .collect();
-            (Some(part), graphs)
-        };
+        let (partition, graphs) = decompose(&self.mesh, ranks, self.strategy)?;
         Ok(Session {
             partition,
             graphs,
@@ -297,7 +279,7 @@ impl Session {
     {
         let spmd = |comm: &cgnn_comm::Comm| {
             let graph = Arc::clone(&self.graphs[comm.rank()]);
-            let ctx = self.exchange.context(comm, &graph);
+            let ctx = HaloContext::new(comm.clone(), &graph, self.exchange);
             let mut trainer = Trainer::new(self.config, self.seed, self.lr, ctx);
             if let Some(ckpt) = &self.checkpoint {
                 trainer
@@ -314,7 +296,6 @@ impl Session {
                 comm.clone(),
                 graph,
                 trainer,
-                self.exchange.label(),
                 dataset,
                 self.ckpt_policy.clone(),
             );
@@ -390,12 +371,39 @@ impl Session {
     }
 }
 
+/// The one decomposition path of [`SessionBuilder::build`] and
+/// [`Session::resized`]: check the rank count, then build the global
+/// graph for R = 1, or partition `mesh` with `strategy` and build every
+/// rank's reduced distributed graph.
+pub(crate) fn decompose(
+    mesh: &BoxMesh,
+    ranks: usize,
+    strategy: Strategy,
+) -> Result<(Option<Partition>, Vec<Arc<LocalGraph>>), SessionError> {
+    if ranks == 0 {
+        return Err(SessionError::ZeroRanks);
+    }
+    if mesh.num_elements() < ranks {
+        return Err(SessionError::TooManyRanks {
+            ranks,
+            elements: mesh.num_elements(),
+        });
+    }
+    if ranks == 1 {
+        return Ok((None, vec![Arc::new(build_global_graph(mesh))]));
+    }
+    let part = Partition::new(mesh, ranks, strategy);
+    let graphs = build_distributed_graph(mesh, &part)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    Ok((Some(part), graphs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::SessionError;
-    use cgnn_core::HaloExchangeMode;
-    use cgnn_partition::Strategy;
 
     fn mesh() -> BoxMesh {
         BoxMesh::tgv_cube(2, 2)
@@ -426,6 +434,38 @@ mod tests {
                 elements: 8
             }
         );
+    }
+
+    /// `resized` reports the builder's typed rank-count errors and
+    /// decomposes exactly like a fresh build at the new rank count.
+    #[test]
+    fn resized_validates_and_matches_a_fresh_build() {
+        let built = |ranks| {
+            Session::builder()
+                .mesh(mesh())
+                .partition(Strategy::Rcb)
+                .ranks(ranks)
+                .build()
+                .unwrap()
+        };
+        let s = built(2);
+        assert_eq!(s.resized(0).unwrap_err(), SessionError::ZeroRanks);
+        assert_eq!(
+            s.resized(9).unwrap_err(),
+            SessionError::TooManyRanks {
+                ranks: 9,
+                elements: 8
+            }
+        );
+        for ranks in [1, 3, 8] {
+            let (resized, fresh) = (s.resized(ranks).unwrap(), built(ranks));
+            assert_eq!(resized.ranks(), ranks);
+            for (a, b) in resized.graphs().iter().zip(fresh.graphs()) {
+                assert_eq!(a.gids, b.gids, "R={ranks}: gids");
+                assert_eq!(a.halo.neighbors, b.halo.neighbors, "R={ranks}: neighbours");
+                assert_eq!(a.halo.send_ids, b.halo.send_ids, "R={ranks}: halo plan");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! consistent GNN at R = 8 under each halo exchange strategy — the paper's
 //! four plus the coalesced all-gather and overlapped non-blocking
 //! extensions — and print the per-rank message/byte counters the
-//! communicator records, side by side with the traffic each strategy
-//! *predicts* through the `HaloExchange` trait. Send and recv counters are
+//! communicator records, side by side with the traffic each mode's
+//! `HaloContext::traffic_per_exchange` *predicts*. Send and recv counters are
 //! reported separately: accounting is symmetric, so everything injected is
 //! also drained.
 //!
@@ -51,11 +51,10 @@ fn main() {
             let data = h.autoencode_data(&field, 0.0);
             h.traffic_reset();
             h.step(&data); // one full forward + backward + update
-            let predicted = h.trainer().ctx.strategy().traffic_per_exchange(
-                h.graph(),
-                h.size(),
-                h.trainer().model.config.hidden,
-            );
+            let predicted = h
+                .trainer()
+                .ctx
+                .traffic_per_exchange(h.graph(), h.trainer().model.config.hidden);
             (h.traffic(), predicted)
         });
         // Rank 0's counters (all interior-symmetric ranks look alike). The
@@ -86,8 +85,8 @@ fn main() {
            isend/irecv API (post all, wait later) — the schedule cgnn-perf prices\n\
            with a compute-overlap discount\n\
          - sends == recvs on every rank: traffic accounting is symmetric\n\
-         - `predicted B` is 8x the per-exchange traffic the strategy itself\n\
-           accounts via the HaloExchange trait — it matches the measured bytes\n\
+         - `predicted B` is 8x the per-exchange traffic the halo context\n\
+           predicts (traffic_per_exchange) — it matches the measured bytes\n\
          - the all-reduce count covers the consistent loss (2) + gradient bucket (1)"
     );
 }

@@ -39,7 +39,7 @@ pub use cgnn_tensor as tensor;
 
 /// The types almost every program touches: the session front-end, datasets
 /// and epoch training, the mesh and field generators, partitioning, the
-/// halo exchange strategies, the trainer, and the traffic counters.
+/// halo exchange modes, the trainer, and the traffic counters.
 pub mod prelude {
     pub use cgnn_comm::{
         Backend, Comm, CommBackend, FaultPlan, RankFailure, RecvRequest, SendRequest,
@@ -47,11 +47,11 @@ pub mod prelude {
     };
     pub use cgnn_core::{
         halo_exchange_apply, ConsistentGnn, EpochReport, EpochSchedule, ExchangeTraffic, GnnConfig,
-        HaloContext, HaloExchange, HaloExchangeMode, RankData, Trainer,
+        HaloContext, HaloExchangeMode, RankData, Trainer,
     };
     pub use cgnn_graph::{build_distributed_graph, build_global_graph, LocalGraph};
     pub use cgnn_mesh::{BoxMesh, TaylorGreen};
-    pub use cgnn_partition::{Partition, PartitionStrategy, Strategy};
+    pub use cgnn_partition::{Partition, Strategy};
     pub use cgnn_sem::{SnapshotPair, SnapshotStream};
     pub use cgnn_session::{
         CheckpointPolicy, Dataset, ElasticError, ElasticReport, FaultTolerance, LatestReport,

@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 /// One NMP layer forward + backward at R = 4, returning output values,
 /// edge-feature gradients, every parameter gradient, and whether the
-/// strategy leaves its exchange in flight (`HaloExchange::begin` is
+/// mode leaves its exchange in flight (`HaloContext::begin` is
 /// `Some`) — the layer computes inside that window exactly then.
 #[allow(clippy::type_complexity)]
 fn layer_pass(
@@ -45,7 +45,7 @@ fn layer_pass(
         }));
         let (xn, _en) = layer.forward(&mut tape, &bound, x, e, &g, &idx, &ctx);
         let mut probe = Tensor::zeros(g.n_local(), 1);
-        let pending = ctx.strategy().begin(&probe, &g, &comm);
+        let pending = ctx.begin(&probe, &g);
         let opens_window = pending.is_some();
         if let Some(pending) = pending {
             pending.finish(&mut probe, &g);
@@ -87,6 +87,50 @@ fn overlapped_layer_is_bit_exact_to_send_recv_on_both_backends() {
             assert!(
                 o.3,
                 "{backend:?} rank {rank}: overlapped exchange opened no compute window"
+            );
+        }
+    }
+}
+
+/// The split-phase entry point belongs to the overlapped mode alone: every
+/// other mode's `begin` posts nothing and returns `None`, and Ovl-SR's
+/// `begin` + `finish` leaves the tensor **bit-equal** to its blocking
+/// `exchange` (same payloads, same neighbour accumulation order).
+#[test]
+fn only_overlapped_begins_and_its_finish_equals_exchange() {
+    let mesh = BoxMesh::new((4, 4, 2), 1, (1.0, 1.0, 1.0), false);
+    let part = Partition::new(&mesh, 4, Strategy::Pencil);
+    let graphs = Arc::new(build_distributed_graph(&mesh, &part));
+    for mode in HaloExchangeMode::all() {
+        let graphs = Arc::clone(&graphs);
+        let per_rank = World::run(4, move |comm| {
+            let g = &graphs[comm.rank()];
+            let ctx = HaloContext::new(comm.clone(), g, mode);
+            let a = Tensor::from_fn(g.n_local(), 3, |r, c| (g.gids[r] as f64 + c as f64).sin());
+            comm.stats_reset();
+            let pending = ctx.begin(&a, g);
+            let posted = comm.stats_snapshot();
+            let mut blocking = a.clone();
+            ctx.exchange(&mut blocking, g);
+            let split = pending.map(|pending| {
+                let mut out = a.clone();
+                pending.finish(&mut out, g);
+                out.data().to_vec()
+            });
+            (posted, split, blocking.data().to_vec(), a.data().to_vec())
+        });
+        for (rank, (posted, split, blocking, a)) in per_rank.into_iter().enumerate() {
+            if mode != HaloExchangeMode::Overlapped {
+                assert_eq!(split, None, "{mode} rank {rank}: begin must be None");
+                assert_eq!(posted, StatsSnapshot::default(), "{mode} rank {rank}");
+                continue;
+            }
+            assert!(posted.sends > 0, "rank {rank}: Ovl-SR begin posted no send");
+            assert_ne!(blocking, a, "rank {rank}: exchange left every row alone");
+            assert_eq!(
+                split,
+                Some(blocking),
+                "rank {rank}: begin + finish != exchange"
             );
         }
     }

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use cgnn::graph::{analytic_block_stats, build_distributed_graph, build_global_graph, exact_stats};
 use cgnn::mesh::BoxMesh;
 use cgnn::partition::{Layout, Partition, Strategy};
+use cgnn::session::Session;
 
 fn strategy_from(i: u8) -> Strategy {
     match i % 4 {
@@ -19,6 +20,71 @@ fn strategy_from(i: u8) -> Strategy {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every element is owned by exactly one rank, every owner is a real
+    /// rank, and no rank is left empty — for every strategy at world sizes
+    /// 1..=8 (RCB included, the strategy elastic recovery replays at
+    /// arbitrary survivor counts).
+    #[test]
+    fn every_element_owned_exactly_once(
+        ex in 2usize..5, ey in 2usize..5, ez in 2usize..4,
+        p in 1usize..3,
+        ranks in 1usize..9,
+        strat in 0u8..4,
+    ) {
+        let mesh = BoxMesh::new((ex, ey, ez), p, (1.0, 1.0, 1.0), false);
+        prop_assume!(mesh.num_elements() >= ranks);
+        let part = Partition::new(&mesh, ranks, strategy_from(strat));
+        prop_assert_eq!(part.n_ranks(), ranks);
+        prop_assert_eq!(part.owners().len(), mesh.num_elements());
+
+        // Exactly-once coverage: rank element lists are a disjoint
+        // partition of 0..num_elements consistent with the owner map.
+        let mut seen = vec![false; mesh.num_elements()];
+        for r in 0..ranks {
+            let elems = part.elements_of(r);
+            prop_assert!(!elems.is_empty(), "rank {} owns nothing", r);
+            for &e in elems {
+                prop_assert!(e < mesh.num_elements());
+                prop_assert!(!seen[e], "element {} owned twice", e);
+                seen[e] = true;
+                prop_assert_eq!(part.owner_of(e), r);
+            }
+        }
+        prop_assert!(seen.iter().all(|&s| s), "some element is owned by no rank");
+    }
+
+    /// A session keeps the `Strategy` it is built with and decomposes with
+    /// `Partition::new`, both at build time and when `resized` replays the
+    /// strategy for another world size (the elastic-recovery path).
+    #[test]
+    fn sessions_decompose_like_partition_new(
+        ex in 2usize..5, ey in 2usize..5, ez in 2usize..4,
+        p in 1usize..3,
+        ranks in 2usize..9,
+        resized_to in 2usize..9,
+        strat in 0u8..4,
+    ) {
+        let mesh = BoxMesh::new((ex, ey, ez), p, (1.0, 1.0, 1.0), false);
+        prop_assume!(mesh.num_elements() >= ranks.max(resized_to));
+        let strategy = strategy_from(strat);
+        let built = Session::builder()
+            .mesh(mesh.clone())
+            .partition(strategy)
+            .ranks(ranks)
+            .build()
+            .unwrap();
+        let resized = built.resized(resized_to).unwrap();
+        for s in [&built, &resized] {
+            prop_assert_eq!(s.partition_strategy(), strategy);
+            let expected = Partition::new(&mesh, s.ranks(), strategy);
+            prop_assert_eq!(
+                s.partition().expect("R > 1 is partitioned").owners(),
+                expected.owners(),
+                "{:?} at R = {}", strategy, s.ranks()
+            );
+        }
+    }
 
     /// sum over ranks of sum_i 1/d_i == number of unique global nodes
     /// (the identity that makes N_eff in Eq. 6c equal the R=1 node count).

@@ -167,53 +167,89 @@ fn collective_and_point_to_point_plans_are_arithmetically_identical() {
     }
 }
 
-/// A custom strategy plugged in through the builder's `exchange_with`
-/// extension point participates in training like a built-in one.
+/// The configured mode is kept at R = 1 (no silent substitution of
+/// `none`): session and handle both report it, while the arithmetic still
+/// matches the hand-wired single-rank path because the halo sync is an
+/// identity on one rank.
 #[test]
-fn custom_exchange_strategy_through_builder() {
-    let custom = Session::builder()
-        .mesh(mesh())
-        .partition(Strategy::Block)
-        .ranks(4)
-        .exchange_with("custom-na2a", |_comm, _graph| {
-            Arc::new(cgnn::core::NeighborAllToAll)
-        })
-        .seed(SEED)
-        .learning_rate(LR)
-        .build()
-        .expect("session");
-    assert_eq!(custom.exchange_label(), "custom-na2a");
-    // Session and handle agree on the label; the strategy's own label stays
-    // reachable through the context.
-    let labels = custom.run(|h| (h.exchange_label(), h.trainer().ctx.label()));
-    assert_eq!(labels[0], ("custom-na2a", "N-A2A"));
-    let histories = custom.train_autoencode(&TaylorGreen::new(0.01), 0.0, ITERS);
-    assert_eq!(histories, session(4, HaloExchangeMode::NeighborAllToAll));
-}
-
-/// Custom strategies are built even at R = 1 (no silent `NoExchange`
-/// substitution): the factory runs and the handle sees the configured
-/// strategy, while the arithmetic still matches the hand-wired single-rank
-/// path because the halo sync is an identity on one rank.
-#[test]
-fn custom_strategy_is_not_dropped_at_single_rank() {
+fn configured_mode_is_kept_at_single_rank() {
     let s = Session::builder()
         .mesh(mesh())
         .ranks(1)
-        .exchange_with("solo", |_comm, _graph| {
-            Arc::new(cgnn::core::NeighborAllToAll)
-        })
+        .exchange(HaloExchangeMode::Overlapped)
         .seed(SEED)
         .learning_rate(LR)
         .build()
         .expect("session");
+    assert_eq!(s.exchange_label(), "Ovl-SR");
     let labels = s.run(|h| (h.exchange_label(), h.trainer().ctx.label()));
-    assert_eq!(labels, vec![("solo", "N-A2A")], "factory must run at R = 1");
+    assert_eq!(
+        labels,
+        vec![("Ovl-SR", "Ovl-SR")],
+        "mode must be kept at R = 1"
+    );
     let histories = s.train_autoencode(&TaylorGreen::new(0.01), 0.0, ITERS);
     assert_eq!(
         vec![histories[0].clone()],
         hand_wired(1, HaloExchangeMode::None),
         "R = 1 arithmetic is exchange-independent"
+    );
+}
+
+/// Session, handle and context report one and the same mode for every
+/// built-in mode, at R = 1 and R = 8: the handle reads its label from the
+/// trainer's context, which keeps the mode it was built with.
+#[test]
+fn every_mode_is_reported_by_session_handle_and_context() {
+    for ranks in [1usize, 8] {
+        for mode in HaloExchangeMode::all() {
+            let s = Session::builder()
+                .mesh(mesh())
+                .partition(Strategy::Block)
+                .ranks(ranks)
+                .exchange(mode)
+                .build()
+                .expect("session");
+            assert_eq!(s.exchange_label(), mode.label(), "R={ranks}: session");
+            let seen = s.run(|h| (h.exchange_label(), h.trainer().ctx.mode()));
+            assert_eq!(
+                seen,
+                vec![(mode.label(), mode); ranks],
+                "R={ranks}: handle and context must report {mode}"
+            );
+        }
+    }
+}
+
+/// `resized` replays the stored partition strategy and exchange mode: a
+/// 4-rank RCB / Coal-AG session resized to 3 ranks keeps both, owns its
+/// elements as `Partition::new` assigns them, and trains **bit-identically**
+/// to a fresh 3-rank build.
+#[test]
+fn resized_session_trains_like_a_fresh_build() {
+    let build = |ranks| {
+        Session::builder()
+            .mesh(mesh())
+            .partition(Strategy::Rcb)
+            .ranks(ranks)
+            .exchange(HaloExchangeMode::Coalesced)
+            .seed(SEED)
+            .learning_rate(LR)
+            .build()
+            .expect("session")
+    };
+    let resized = build(4).resized(3).expect("resize");
+    assert_eq!(resized.partition_strategy(), Strategy::Rcb);
+    assert_eq!(resized.exchange_label(), "Coal-AG");
+    assert_eq!(
+        resized.partition().expect("R = 3 is partitioned").owners(),
+        Partition::new(&mesh(), 3, Strategy::Rcb).owners()
+    );
+    let field = TaylorGreen::new(0.01);
+    assert_eq!(
+        resized.train_autoencode(&field, 0.0, ITERS),
+        build(3).train_autoencode(&field, 0.0, ITERS),
+        "resized and fresh 3-rank trajectories differ"
     );
 }
 
@@ -258,11 +294,10 @@ fn session_traffic_accounting_is_exact() {
             h.traffic_reset();
             h.step(&data);
             let measured = h.traffic();
-            let predicted = h.trainer().ctx.strategy().traffic_per_exchange(
-                h.graph(),
-                h.size(),
-                h.trainer().model.config.hidden,
-            );
+            let predicted = h
+                .trainer()
+                .ctx
+                .traffic_per_exchange(h.graph(), h.trainer().model.config.hidden);
             (measured, predicted)
         });
         let mut total_sends = 0;
