@@ -238,10 +238,11 @@ impl Tensor {
     /// Register-blocked microkernel: output tiles of up to `4 x 8` are
     /// accumulated in stack registers across the whole inner dimension,
     /// then stored once — the matrices here are tall-skinny (`N x F` with
-    /// small `F`), so the tile accumulators give the FMA units independent
-    /// chains while each output element still sums its `k` terms in the
-    /// serial order (bit-identical at any chunking or worker count). Rows
-    /// are chunk-parallel per `par.rs`.
+    /// small `F`), so the tile accumulators give the multiply and add ports
+    /// independent chains (plain IEEE multiplies and adds; no FMA is ever
+    /// contracted) while each output element still sums its `k` terms in
+    /// the serial order (bit-identical at any chunking or worker count).
+    /// Rows are chunk-parallel per `par.rs`.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -527,6 +528,13 @@ fn exp_nonpos(x: f64) -> f64 {
 /// of up to `4 x 8` initialized to `bias` (or zero) and held in registers
 /// across the whole `k` loop. Every output element accumulates its `k`
 /// terms in the serial order, so tiling never changes a bit.
+///
+/// Slicing rule for the kernels below: each cuts its operand slices once
+/// per tile or row — `A`'s rows as `&a[row * k..][..k]`, `B` walked as
+/// `b[..k * n].chunks_exact(n)` — so the `k` loop does no per-term index
+/// arithmetic and no per-term bounds check. At these sizes the operands
+/// sit in L1/L2 and the loop is bound by issue slots, which per-term index
+/// work would take from the multiplies and adds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_rows(
     a: &[f64],
@@ -600,13 +608,13 @@ fn gemm_tile_4x8(
         let init: &[f64; 8] = bias[j0..j0 + 8].try_into().expect("bias tile");
         acc.fill(*init);
     }
-    let a0 = (first_row + i0) * k;
-    for p in 0..k {
-        let b_row: &[f64; 8] = b[p * n + j0..p * n + j0 + 8]
+    let a_rows: [&[f64]; 4] = std::array::from_fn(|r| &a[(first_row + i0 + r) * k..][..k]);
+    for (p, b_row) in (0..k).zip(b[..k * n].chunks_exact(n)) {
+        let b_row: &[f64; 8] = b_row[j0..j0 + 8]
             .try_into()
             .expect("j0 + 8 <= n: caller tiles n in full 8-wide blocks");
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let a_val = a[a0 + r * k + p];
+        for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let a_val = a_row[p];
             for t in 0..8 {
                 acc_row[t] += a_val * b_row[t];
             }
@@ -639,6 +647,11 @@ pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, out: &mut [f64]) 
 /// The body of [`Tensor::matmul_tn_into`] over raw row-major buffers:
 /// `out = aᵀ * b` for `[k, m]` `a` and `[k, n]` `b`; `out` may be a row
 /// block of a larger `n`-wide tensor.
+///
+/// Slicing rule, as for [`gemm_rows`]: a tile or element walks its panel
+/// as `a[..k * m].chunks_exact(m)` zipped with `b[..k * n].chunks_exact(n)`,
+/// one row pair per `p`, so the `p` loop does no per-term index
+/// arithmetic or bounds check.
 pub(crate) fn gemm_tn(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
     debug_assert_eq!((a.len(), b.len()), (k * m, k * n));
     debug_assert_eq!(out.len(), m * n);
@@ -704,11 +717,11 @@ fn gemm_tn_tile_4x8(
         acc_row.copy_from_slice(&chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8]);
     }
     let col = first_row + i0;
-    for p in 0..k {
-        let a_col: &[f64; 4] = a[p * m + col..p * m + col + 4]
+    for (a_row, b_row) in a[..k * m].chunks_exact(m).zip(b[..k * n].chunks_exact(n)) {
+        let a_col: &[f64; 4] = a_row[col..col + 4]
             .try_into()
             .expect("col + 4 <= m: caller tiles m in full 4-high blocks");
-        let b_row: &[f64; 8] = b[p * n + j0..p * n + j0 + 8]
+        let b_row: &[f64; 8] = b_row[j0..j0 + 8]
             .try_into()
             .expect("j0 + 8 <= n: caller tiles n in full 8-wide blocks");
         for (acc_row, &a_val) in acc.iter_mut().zip(a_col.iter()) {
@@ -738,8 +751,8 @@ fn gemm_tn_elem(
     n: usize,
 ) {
     let mut acc = chunk[i * n + j];
-    for p in 0..k {
-        acc += a[p * m + first_row + i] * b[p * n + j];
+    for (a_row, b_row) in a[..k * m].chunks_exact(m).zip(b[..k * n].chunks_exact(n)) {
+        acc += a_row[first_row + i] * b_row[j];
     }
     chunk[i * n + j] = acc;
 }
@@ -766,10 +779,9 @@ fn gemm_row_generic(
         Some(bias) => o_row.copy_from_slice(&bias[j0..j0 + width]),
         None => o_row.fill(0.0),
     }
-    let a_row = &a[(first_row + i) * k..(first_row + i + 1) * k];
-    for (p, &a_val) in a_row.iter().enumerate() {
-        let b_row = &b[p * n + j0..p * n + j0 + width];
-        for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
+    let a_row = &a[(first_row + i) * k..][..k];
+    for (&a_val, b_row) in a_row.iter().zip(b[..k * n].chunks_exact(n)) {
+        for (o, &bv) in o_row.iter_mut().zip(&b_row[j0..]) {
             *o += a_val * bv;
         }
     }

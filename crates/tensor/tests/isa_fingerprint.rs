@@ -10,8 +10,10 @@
 //! linear+ELU, layer norm, ragged `4 x 8` tiles), and through an edge MLP
 //! whose first layer is `gather_linear`, on inputs derived from integers
 //! and prints an FNV-1a hash of every value and gradient bit, one line per
-//! shape. CI runs it under the default flags and under
-//! `-C target-cpu=x86-64` and diffs the lines.
+//! shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
+//! and in a debug build, and diffs the lines. The test itself asserts the
+//! hashes too, so a kernel change that moves a single bit fails here on
+//! any machine, not only in the cross-build diff.
 
 use std::sync::Arc;
 
@@ -149,16 +151,28 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
 /// One line per shape. Width 12 takes layer norm's one-row path; 8 and 32
 /// take its four-row lockstep, and an odd row count leaves a remainder row
 /// to the one-row path as well. The gather line's width 12 leaves a ragged
-/// column strip beside the `4 x 8` tiles of every product.
+/// column strip beside the `4 x 8` tiles of every product. Each hash must
+/// equal the pinned one: these are the bits training produces, and a
+/// change that moves them changes every loss and parameter downstream.
 #[test]
 fn isa_fingerprint() {
-    for (rows, in_dim, hidden) in [(37, 5, 12), (37, 5, 8), (21, 7, 32)] {
+    let mut lines = Vec::new();
+    for (rows, in_dim, hidden, pinned) in [
+        (37, 5, 12, 0xe2f8_4400_ee9e_c909),
+        (37, 5, 8, 0x2225_4a67_9dd1_d916),
+        (21, 7, 32, 0x06eb_619a_c199_d172),
+    ] {
         let hash = fingerprint(rows, in_dim, hidden);
-        println!("isa-fingerprint rows={rows} hidden={hidden} {hash:016x}");
+        lines.push((format!("rows={rows} hidden={hidden}"), hash, pinned));
     }
     let (nodes, edges, hidden) = (13, 43, 12);
     let hash = gather_fingerprint(nodes, edges, hidden);
-    println!(
-        "isa-fingerprint gather_linear nodes={nodes} edges={edges} hidden={hidden} {hash:016x}"
-    );
+    let shape = format!("gather_linear nodes={nodes} edges={edges} hidden={hidden}");
+    lines.push((shape, hash, 0x5c8c_a9c8_c435_78f7));
+    for (shape, hash, _) in &lines {
+        println!("isa-fingerprint {shape} {hash:016x}");
+    }
+    for (shape, hash, pinned) in lines {
+        assert_eq!(hash, pinned, "{shape}: {hash:016x}, pinned {pinned:016x}");
+    }
 }

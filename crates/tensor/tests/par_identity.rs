@@ -590,3 +590,161 @@ fn gather_linear_refuses_a_row_mask() {
         b,
     );
 }
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `elu` of every element, as the tape's unfused `elu` computes it.
+fn elu_of(t: Tensor) -> Tensor {
+    let mut tape = Tape::new();
+    let u = tape.leaf(t);
+    let y = tape.elu(u);
+    tape.value(y).clone()
+}
+
+/// The adjoint reaching a layer's pre-activation from the upstream `up`:
+/// `up` itself, or with ELU `up * (y + 1)` where the stored `y < 0`.
+fn elu_scaled(up: &Tensor, y: &Tensor, elu: bool) -> Tensor {
+    Tensor::from_fn(up.rows(), up.cols(), |r, j| {
+        let (g, yv) = (up.get(r, j), y.get(r, j));
+        if elu && yv < 0.0 {
+            g * (yv + 1.0)
+        } else {
+            g
+        }
+    })
+}
+
+/// `t * w_blockᵀ` for the rows `first..first + cols` of `w`: each element
+/// is the dot product of a row of `t` with a row of `w`, its terms added
+/// from zero in column order.
+fn naive_times_rows_t(t: &Tensor, w: &Tensor, first: usize, cols: usize) -> Tensor {
+    Tensor::from_fn(t.rows(), cols, |r, p| {
+        (0..t.cols()).fold(0.0, |acc, j| acc + t.get(r, j) * w.get(first + p, j))
+    })
+}
+
+/// Column sums of `t`, its rows added in order from zero.
+fn naive_col_sums(t: &Tensor) -> Vec<f64> {
+    (0..t.cols())
+        .map(|j| (0..t.rows()).fold(0.0, |acc, r| acc + t.get(r, j)))
+        .collect()
+}
+
+/// The dense layer `y = act(x * w + b)` and its adjoints under the
+/// upstream gradient `up`, in the documented order, one element at a
+/// time: a value starts from the bias and adds its `k` terms in index
+/// order; `dx` is [`naive_times_rows_t`] of the pre-activation adjoint;
+/// `dw` is [`naive_tn`] and `db` the row-ordered column sums. Returns the
+/// bits of `y`, `dx`, `dw` and `db`.
+fn naive_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Vec<Vec<u64>> {
+    let (k, n) = w.shape();
+    let pre = Tensor::from_fn(x.rows(), n, |r, j| {
+        (0..k).fold(b.get(0, j), |acc, p| acc + x.get(r, p) * w.get(p, j))
+    });
+    let y = if elu { elu_of(pre) } else { pre };
+    let t = elu_scaled(up, &y, elu);
+    vec![
+        bits(y.data()),
+        bits(naive_times_rows_t(&t, w, 0, k).data()),
+        bits(&naive_tn(x, &t)),
+        bits(&naive_col_sums(&t)),
+    ]
+}
+
+/// [`naive_dense`]'s outputs from the tape: `linear` or `linear_elu`, then
+/// `sum(y ⊙ up)` so that the adjoint reaching `y` is exactly `up`.
+fn taped_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Vec<Vec<u64>> {
+    let mut tape = Tape::new();
+    let [xv, wv, bv] = [x, w, b].map(|t| tape.leaf_copy(t));
+    let u = tape.constant_copy(up);
+    let y = if elu {
+        tape.linear_elu(xv, wv, bv)
+    } else {
+        tape.linear(xv, wv, bv)
+    };
+    let yu = tape.mul(y, u);
+    let loss = tape.sum(yu);
+    let grads = tape.backward(loss);
+    let mut out = vec![bits(tape.value(y).data())];
+    out.extend([xv, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+    out
+}
+
+/// The row GEMM (`linear`, `linear_elu`, the adjoint `g * wᵀ`) and the
+/// transposed one (`dw = xᵀ g`) are the serial-order sums, bit for bit,
+/// in values and in the x, w and b gradients, at 1–3 workers. The shapes
+/// reach every branch: full `4 x 8` tiles, the column tail beside them,
+/// the remainder rows below them, `k = 0`, no rows at all, and several
+/// row chunks. A `gather_linear` whose gathered part owns a row block of
+/// `w` that does not start at row 0 covers the weight-block slices.
+#[test]
+fn gemm_is_the_serial_order_sum_bit_for_bit() {
+    for rows in [0, 1, 3, 4, 5, 37, 133] {
+        for k in [0, 1, 7, 8, 32, 33, 96] {
+            for n in [1, 3, 8, 12, 32] {
+                let seed = (rows * 10_000 + k * 100 + n) as u64;
+                let x = Tensor::from_vec(rows, k, noise(seed, rows * k));
+                let w = Tensor::from_vec(k, n, noise(seed + 1, k * n));
+                let b = Tensor::from_vec(1, n, noise(seed + 2, n));
+                let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
+                for elu in [false, true] {
+                    let want = naive_dense(&x, &w, &b, &up, elu);
+                    for workers in [1, 2, 3] {
+                        let got =
+                            rayon::with_num_threads(workers, || taped_dense(&x, &w, &b, &up, elu));
+                        assert!(
+                            got == want,
+                            "rows={rows} k={k} n={n} elu={elu} workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // `[e | x[idx]] * w + b`: the streamed `e` owns rows 0..7 of `w`, the
+    // gathered `x` rows 7..19.
+    let (nodes, edges, h) = (11, 37, 12);
+    let e = Tensor::from_vec(edges, 7, noise(1, edges * 7));
+    let x = Tensor::from_vec(nodes, 12, noise(2, nodes * 12));
+    let w = Tensor::from_vec(19, h, noise(3, 19 * h));
+    let b = Tensor::from_vec(1, h, noise(4, h));
+    let up = Tensor::from_vec(edges, h, noise(5, edges * h));
+    let idx: Vec<usize> = (0..edges).map(|i| (i * 5 + 3) % nodes).collect();
+    let pre = naive_gather_linear(&[(&e, None), (&x, Some(idx.as_slice()))], &w, &b);
+    let y = elu_of(Tensor::from_vec(edges, h, pre));
+    let t = elu_scaled(&up, &y, true);
+    let mut s = Tensor::zeros(nodes, h);
+    for (r, &src) in idx.iter().enumerate() {
+        for j in 0..h {
+            s.set(src, j, s.get(src, j) + t.get(r, j));
+        }
+    }
+    let mut dw = naive_tn(&e, &t);
+    dw.extend(naive_tn(&x, &s));
+    let want = vec![
+        bits(y.data()),
+        bits(naive_times_rows_t(&t, &w, 0, 7).data()),
+        bits(naive_times_rows_t(&s, &w, 7, 12).data()),
+        bits(&dw),
+        bits(&naive_col_sums(&t)),
+    ];
+    let idx = Arc::new(idx);
+    for workers in [1, 2, 3] {
+        let got = rayon::with_num_threads(workers, || {
+            let mut tape = Tape::new();
+            let [ev, xv, wv, bv] = [&e, &x, &w, &b].map(|t| tape.leaf_copy(t));
+            let u = tape.constant_copy(&up);
+            let y = tape.gather_linear(&[(ev, None), (xv, Some(Arc::clone(&idx)))], wv, bv);
+            let yu = tape.mul(y, u);
+            let loss = tape.sum(yu);
+            let grads = tape.backward(loss);
+            let mut out = vec![bits(tape.value(y).data())];
+            out.extend([ev, xv, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+            out
+        });
+        assert!(got == want, "gather_linear, {workers} workers");
+    }
+}
