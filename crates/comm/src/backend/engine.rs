@@ -32,16 +32,23 @@
 //! wait depends on has said `Bye` — it finished its program, so the data
 //! can never arrive (a diverged schedule). The session recovery loop
 //! catches that typed panic and rebuilds the world at the surviving size.
+//!
+//! # Fault injection
+//!
+//! A launch arms each rank's engine from its [`FaultPlan`]: the one
+//! fault scripted for `(attempt, rank)`, if any ([`ArmedFault`]), and the
+//! plan's receive stall deadline (never on a cooperative world, where a
+//! polling waiter would starve the sender it waits for). A rank with no
+//! armed fault carries no fault state and counts nothing.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::backend::{CommBackend, P2pMsg, PostQueue, RecvOp, SendOp};
-use crate::fault::RankFailure;
+use crate::fault::{ArmedFault, FaultPlan, Op, RankFailure, Strike};
 use crate::stats::RankStats;
 
 /// Frame kinds. `Hello` belongs to the stream rendezvous, before a world
@@ -53,6 +60,9 @@ pub(crate) const KIND_A2A: u8 = 3;
 pub(crate) const KIND_BARRIER: u8 = 4;
 pub(crate) const KIND_DEAD: u8 = 5;
 pub(crate) const KIND_BYE: u8 = 6;
+
+/// Message on a point-to-point channel: `(tag, payload)`.
+pub(crate) type P2pMsg = (u32, Vec<f64>);
 
 /// The unit a [`Carrier`] moves between ranks (and the `wire` module
 /// serializes).
@@ -103,7 +113,9 @@ pub(crate) trait Park: Send + Sync {
     /// `rank`'s closure returned or unwound (its `Bye`/`Dead` is out).
     fn rank_finished(&self, _rank: usize) {}
 
-    /// See [`CommBackend::is_cooperative`].
+    /// Whether ranks run one at a time and hand over control only inside
+    /// a *blocking* wait (the serial world's baton): nothing may then
+    /// poll for a peer's progress, because no peer runs until it blocks.
     fn is_cooperative(&self) -> bool {
         false
     }
@@ -118,13 +130,29 @@ impl Heartbeat {
     /// The liveness probe period from `CGNN_FAULT_HEARTBEAT_MS` (default
     /// 25 ms; registered in the `cgnn-core` knob registry).
     pub(crate) fn from_env() -> Arc<dyn Park> {
-        let ms = std::env::var("CGNN_FAULT_HEARTBEAT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(25)
-            .max(1);
-        Arc::new(Heartbeat(Duration::from_millis(ms)))
+        let raw = std::env::var("CGNN_FAULT_HEARTBEAT_MS").ok();
+        Arc::new(Heartbeat(Duration::from_millis(heartbeat_ms(
+            raw.as_deref(),
+        ))))
     }
+}
+
+/// Parse the `CGNN_FAULT_HEARTBEAT_MS` value: 25 ms when unset, at least
+/// 1 ms.
+///
+/// # Panics
+///
+/// On a value that is not a non-negative integer, naming the knob: a
+/// mistyped heartbeat fails at launch rather than running on the default.
+fn heartbeat_ms(raw: Option<&str>) -> u64 {
+    let ms = match raw {
+        None => 25,
+        Some(v) => v.parse::<u64>().unwrap_or_else(|_| {
+            // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default")
+            panic!("CGNN_FAULT_HEARTBEAT_MS must be a non-negative integer, got `{v}`")
+        }),
+    };
+    ms.max(1)
 }
 
 impl Park for Heartbeat {
@@ -134,6 +162,36 @@ impl Park for Heartbeat {
             .wait_timeout(arrivals, self.0)
             .unwrap_or_else(PoisonError::into_inner);
         arrivals
+    }
+}
+
+/// FIFO matcher between posted receives and arrived messages for one
+/// `(receiver, source)` pair: post seq `k` matches the `k`-th message to
+/// arrive, regardless of the order in which requests are completed.
+#[derive(Default, Debug)]
+pub(crate) struct PostQueue {
+    next_post: u64,
+    next_arrival: u64,
+    arrived: HashMap<u64, P2pMsg>,
+}
+
+impl PostQueue {
+    /// Register a posted receive; returns its matching sequence number.
+    fn post(&mut self) -> u64 {
+        let seq = self.next_post;
+        self.next_post += 1;
+        seq
+    }
+
+    /// Record an arrived message (in transport arrival order).
+    fn deliver(&mut self, msg: P2pMsg) {
+        self.arrived.insert(self.next_arrival, msg);
+        self.next_arrival += 1;
+    }
+
+    /// Take the message matching post `seq`, if it has arrived.
+    fn claim(&mut self, seq: u64) -> Option<P2pMsg> {
+        self.arrived.remove(&seq)
     }
 }
 
@@ -277,41 +335,43 @@ impl Mailbox {
 }
 
 /// Completion token of a non-blocking send: the carrier drops it once the
-/// payload has left this rank, which disconnects the op's receiver.
+/// payload has left this rank, which disconnects the send's receiver.
 pub(crate) type SendDone = Sender<()>;
 
-/// The send op of [`Engine::isend`]: complete at once over the in-memory
-/// carrier, genuinely deferred (until the writer thread has handed the
-/// frame to the OS) over a stream.
-struct DeferredSend(Receiver<()>);
-
-impl SendOp for DeferredSend {
-    fn try_complete(&mut self) -> bool {
-        self.0.try_recv() != Err(TryRecvError::Empty)
-    }
-
-    fn complete(&mut self) {
-        // Nothing is ever sent: this returns when the token is dropped.
-        let _ = self.0.recv();
-    }
+/// An in-flight non-blocking send of [`Engine::isend`].
+pub(crate) enum PendingSend {
+    /// Complete once the carrier drops the token: at once over the
+    /// in-memory carrier, after the writer thread has handed the frame
+    /// to the OS over a stream.
+    Posted(Receiver<()>),
+    /// Deferred by [`FaultKind::DelaySend`](crate::FaultKind::DelaySend):
+    /// the payload leaves only on completion.
+    Delayed {
+        engine: Arc<Engine>,
+        dst: usize,
+        tag: u32,
+        data: Vec<f64>,
+    },
+    /// Swallowed by [`FaultKind::DropSend`](crate::FaultKind::DropSend).
+    Dropped,
 }
 
-/// A posted receive against a peer's [`PostQueue`].
-struct PostedRecv {
-    mailbox: Arc<Mailbox>,
-    src: usize,
-    seq: u64,
-}
-
-impl RecvOp for PostedRecv {
-    fn try_take(&mut self) -> Option<P2pMsg> {
-        self.mailbox.lock()[self.src].posts.claim(self.seq)
-    }
-
-    fn take(&mut self) -> P2pMsg {
-        let (src, seq) = (self.src, self.seq);
-        self.mailbox
-            .wait_on(&[src], |peers| peers[src].posts.claim(seq))
+impl PendingSend {
+    /// Block until the payload has left this rank.
+    pub(crate) fn complete(self) {
+        match self {
+            // Nothing is ever sent: this returns when the token is dropped.
+            PendingSend::Posted(gone) => {
+                let _ = gone.recv();
+            }
+            PendingSend::Delayed {
+                engine,
+                dst,
+                tag,
+                data,
+            } => engine.post(dst, KIND_P2P, tag as u64, "", data, None),
+            PendingSend::Dropped => {}
+        }
     }
 }
 
@@ -324,8 +384,8 @@ impl Carrier for Memory {
     }
 }
 
-/// One rank of an SPMD world: the [`CommBackend`] every transport hands
-/// to [`Comm`](crate::Comm).
+/// One rank of an SPMD world: the raw transport primitives
+/// [`Comm`](crate::Comm) layers its arithmetic and accounting over.
 pub(crate) struct Engine {
     label: &'static str,
     mailbox: Arc<Mailbox>,
@@ -334,20 +394,35 @@ pub(crate) struct Engine {
     /// This rank's own barrier generation counter.
     barrier_gen: AtomicU64,
     stats: RankStats,
+    /// The fault the launch's plan scripts for this rank, if any.
+    fault: Option<ArmedFault>,
+    /// Receive stall deadline of the plan; never set on a cooperative
+    /// world, whose deadlock supervisor bounds its stalls instead.
+    stall: Option<Duration>,
 }
 
 impl Engine {
+    /// Rank `mailbox.rank()` of a world, armed with whatever `plan`
+    /// scripts for it on `attempt`.
     pub(crate) fn new(
         label: &'static str,
         mailbox: Arc<Mailbox>,
         carrier: Option<Arc<dyn Carrier>>,
+        plan: &FaultPlan,
+        attempt: u32,
     ) -> Arc<Engine> {
+        let fault = plan
+            .armed_for(attempt, mailbox.rank)
+            .map(|f| ArmedFault::new(f.kind));
+        let stall = plan.stall().filter(|_| !mailbox.park.is_cooperative());
         Arc::new(Engine {
             label,
             mailbox,
             carrier,
             barrier_gen: AtomicU64::new(0),
             stats: RankStats::default(),
+            fault,
+            stall,
         })
     }
 
@@ -356,6 +431,8 @@ impl Engine {
         size: usize,
         label: &'static str,
         park: Arc<dyn Park>,
+        plan: &FaultPlan,
+        attempt: u32,
     ) -> Vec<Arc<Engine>> {
         assert!(size > 0, "world size must be positive");
         let mailboxes: Vec<Arc<Mailbox>> = (0..size)
@@ -364,7 +441,7 @@ impl Engine {
         let carrier: Arc<dyn Carrier> = Arc::new(Memory(mailboxes.clone()));
         mailboxes
             .into_iter()
-            .map(|mailbox| Engine::new(label, mailbox, Some(Arc::clone(&carrier))))
+            .map(|mailbox| Engine::new(label, mailbox, Some(Arc::clone(&carrier)), plan, attempt))
             .collect()
     }
 
@@ -396,22 +473,44 @@ impl Engine {
     fn others(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.mailbox.size).filter(move |&p| p != self.mailbox.rank)
     }
-}
 
-impl CommBackend for Engine {
-    fn rank(&self) -> usize {
+    /// Count one comm op against the armed fault; a due kill declares
+    /// this rank dead and unwinds with [`RankFailure::Killed`].
+    fn strike(&self, op: Op) -> Strike {
+        let Some(fault) = &self.fault else {
+            return Strike::Pass;
+        };
+        let strike = fault.strike(op);
+        if let Strike::Kill(op) = strike {
+            self.mark_dead();
+            // Fault injection: dying is this code's entire purpose.
+            std::panic::panic_any(RankFailure::Killed {
+                rank: self.mailbox.rank,
+                op,
+            });
+        }
+        strike
+    }
+
+    pub(crate) fn rank(&self) -> usize {
         self.mailbox.rank
     }
 
-    fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.mailbox.size
     }
 
-    fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         self.label
     }
 
-    fn barrier(&self) {
+    pub(crate) fn stats(&self) -> &RankStats {
+        &self.stats
+    }
+
+    /// Block until every rank has entered the barrier.
+    pub(crate) fn barrier(&self) {
+        self.strike(Op::Barrier);
         let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed) + 1;
         for p in self.others() {
             self.post(p, KIND_BARRIER, gen, "", Vec::new(), None);
@@ -422,7 +521,11 @@ impl CommBackend for Engine {
         }
     }
 
-    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
+    /// Gather every rank's `data`, indexed by rank. `label` names the
+    /// collective: ranks in differently labeled gathers have diverged
+    /// schedules and fail loudly.
+    pub(crate) fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
+        self.strike(Op::Collective);
         for p in self.others() {
             self.post(p, KIND_GATHER, 0, label, data.clone(), None);
         }
@@ -445,13 +548,10 @@ impl CommBackend for Engine {
             .collect()
     }
 
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    /// Exchange `send[dst]` buffers; returns `recv[src]`.
+    pub(crate) fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        self.strike(Op::Collective);
         let me = self.mailbox.rank;
-        assert_eq!(
-            send.len(),
-            self.mailbox.size,
-            "all_to_all needs one buffer per rank"
-        );
         let mut mine = None;
         for (dst, buf) in send.into_iter().enumerate() {
             if dst == me {
@@ -474,34 +574,77 @@ impl CommBackend for Engine {
             .collect()
     }
 
-    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        self.post(dst, KIND_P2P, tag as u64, "", data, None);
+    /// Buffered point-to-point send; never blocks.
+    pub(crate) fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
+        // A dropped send is swallowed: the receiver's stall deadline or
+        // the serial deadlock supervisor turns the hang into a failure.
+        if !matches!(self.strike(Op::Send), Strike::Drop) {
+            self.post(dst, KIND_P2P, tag as u64, "", data, None);
+        }
     }
 
-    fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Box<dyn SendOp> {
-        let (done, gone) = channel();
-        self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
-        Box::new(DeferredSend(gone))
+    /// Begin a non-blocking send.
+    pub(crate) fn isend(self: &Arc<Self>, dst: usize, tag: u32, data: Vec<f64>) -> PendingSend {
+        match self.strike(Op::Send) {
+            Strike::Drop => PendingSend::Dropped,
+            Strike::Delay => PendingSend::Delayed {
+                engine: Arc::clone(self),
+                dst,
+                tag,
+                data,
+            },
+            _ => {
+                let (done, gone) = channel();
+                self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
+                PendingSend::Posted(gone)
+            }
+        }
     }
 
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        let seq = self.mailbox.lock()[src].posts.post();
-        Box::new(PostedRecv {
-            mailbox: Arc::clone(&self.mailbox),
-            src,
-            seq,
-        })
+    /// Post a receive for the next unmatched message from `src`; returns
+    /// its matching sequence number for [`Engine::take`].
+    pub(crate) fn irecv(&self, src: usize) -> u64 {
+        self.strike(Op::Recv);
+        self.mailbox.lock()[src].posts.post()
     }
 
-    fn stats(&self) -> &RankStats {
-        &self.stats
+    /// Block until the message matching post `seq` from `src` arrives.
+    ///
+    /// # Panics
+    ///
+    /// Under a stall deadline, with [`RankFailure::Stalled`] once it
+    /// passes; such a receive waits for its message or its deadline only.
+    /// Otherwise with [`RankFailure::PeerDead`] as [`Mailbox::wait_on`].
+    pub(crate) fn take(&self, src: usize, seq: u64) -> P2pMsg {
+        let Some(deadline) = self.stall else {
+            return self
+                .mailbox
+                .wait_on(&[src], |peers| peers[src].posts.claim(seq));
+        };
+        let give_up = Instant::now() + deadline;
+        loop {
+            if let Some(msg) = self.mailbox.lock()[src].posts.claim(seq) {
+                return msg;
+            }
+            if Instant::now() >= give_up {
+                // Stall supervision: unwinding is how a dropped-send hang
+                // becomes a typed failure.
+                std::panic::panic_any(RankFailure::Stalled {
+                    rank: self.mailbox.rank,
+                    src,
+                });
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
     }
 
-    fn on_rank_start(&self) {
+    /// Run on the rank's thread before its SPMD closure starts.
+    pub(crate) fn on_rank_start(&self) {
         self.mailbox.park.rank_started(self.mailbox.rank);
     }
 
-    fn on_rank_finish(&self, panicked: bool) {
+    /// Run when the SPMD closure returns or (`panicked`) unwinds.
+    pub(crate) fn on_rank_finish(&self, panicked: bool) {
         if panicked {
             // Any unwind — injected kill or genuine bug — makes this rank
             // dead to the world, so peers blocked on it fail fast.
@@ -514,7 +657,8 @@ impl CommBackend for Engine {
         self.mailbox.park.rank_finished(self.mailbox.rank);
     }
 
-    fn mark_dead(&self) {
+    /// Declare this rank dead to the world.
+    pub(crate) fn mark_dead(&self) {
         // This rank's own slot in its own table holds its own status.
         self.mailbox.lock()[self.mailbox.rank].status = PeerStatus::Dead;
         for p in self.others() {
@@ -522,14 +666,42 @@ impl CommBackend for Engine {
         }
     }
 
-    fn dead_ranks(&self) -> Vec<usize> {
+    /// Ranks known dead in this world, ascending.
+    pub(crate) fn dead_ranks(&self) -> Vec<usize> {
         let g = self.mailbox.lock();
         (0..self.mailbox.size)
             .filter(|&p| g[p].status == PeerStatus::Dead)
             .collect()
     }
+}
 
-    fn is_cooperative(&self) -> bool {
-        self.mailbox.park.is_cooperative()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn post_queue_matches_fifo_even_out_of_order() {
+        let mut q = PostQueue::default();
+        let a = q.post();
+        let b = q.post();
+        q.deliver((1, vec![1.0]));
+        // Second request polled first must not steal the first message.
+        assert!(q.claim(b).is_none());
+        q.deliver((2, vec![2.0]));
+        assert_eq!(q.claim(b), Some((2, vec![2.0])));
+        assert_eq!(q.claim(a), Some((1, vec![1.0])));
+    }
+
+    #[test]
+    fn heartbeat_defaults_and_floors() {
+        assert_eq!(heartbeat_ms(None), 25);
+        assert_eq!(heartbeat_ms(Some("0")), 1);
+        assert_eq!(heartbeat_ms(Some("40")), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "CGNN_FAULT_HEARTBEAT_MS must be a non-negative integer, got `abc`")]
+    fn heartbeat_rejects_an_unparsable_value_by_name() {
+        heartbeat_ms(Some("abc"));
     }
 }

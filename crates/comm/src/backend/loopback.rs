@@ -17,6 +17,7 @@
 
 use crate::backend::engine::{Engine, Heartbeat, Mailbox};
 use crate::comm::Comm;
+use crate::fault::FaultPlan;
 
 /// A world of exactly one rank on the calling thread. Collectives return
 /// their input; point-to-point operations have no possible peer and abort.
@@ -37,7 +38,7 @@ impl LoopbackBackend {
     /// launch.
     pub fn comm() -> Comm {
         let mailbox = Mailbox::new(0, 1, Heartbeat::from_env());
-        Comm::from_backend(Engine::new("loopback", mailbox, None))
+        Comm::new(Engine::new("loopback", mailbox, None, &FaultPlan::new(), 0))
     }
 }
 
@@ -62,6 +63,6 @@ mod tests {
     #[should_panic(expected = "no peers")]
     fn point_to_point_aborts() {
         let comm = LoopbackBackend::comm();
-        comm.backend().send(0, 0, vec![1.0]);
+        comm.send(0, 0, vec![1.0]);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! # Launch model
 //!
-//! [`ProcWorld::launch`] inspects the environment to decide its role:
+//! A [`Backend::Proc`](crate::Backend::Proc) launch inspects the
+//! environment to decide its role:
 //!
 //! * **Spawner** (`CGNN_RANK` unset): the calling process becomes rank 0.
 //!   It creates a rendezvous directory, re-execs the current binary once
@@ -43,11 +44,10 @@ use std::time::{Duration, Instant};
 
 use crate::backend::budget::{budget_for, BudgetGuard};
 use crate::backend::engine::{Engine, Frame, Heartbeat, Mailbox, KIND_HELLO};
-use crate::backend::serial::SerialBackend;
+use crate::backend::serial;
 use crate::backend::wire::{self, Conn, StreamCarrier};
-use crate::backend::CommBackend;
 use crate::comm::Comm;
-use crate::fault::RankFailure;
+use crate::fault::{FaultPlan, RankFailure};
 
 /// How long mesh dialing retries before giving up on a peer process.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
@@ -336,71 +336,86 @@ fn child_payload(dir: &Path, rank: usize) -> Box<dyn Any + Send> {
 // ---------------------------------------------------------------------
 
 /// Run one rank over an established mesh: start the engine on a stream
-/// carrier, decorate, run the start / finish hooks, tear the carrier
-/// down, and hand back the closure result or the unwind payload.
-fn run_local_rank<T, F, D>(
+/// carrier, armed from `plan`, run the start / finish hooks, tear the
+/// carrier down, and hand back the closure result or the unwind payload.
+fn run_local_rank<T, F>(
     rank: usize,
     label: &'static str,
     conns: Vec<Option<Conn>>,
     f: &F,
-    decorate: &D,
+    plan: &FaultPlan,
+    attempt: u32,
 ) -> Result<T, Box<dyn Any + Send>>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
-    D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
 {
     let mailbox = Mailbox::new(rank, conns.len(), Heartbeat::from_env());
     let carrier = StreamCarrier::start(&mailbox, conns).expect("start this rank's stream carrier");
-    let backend = decorate(Engine::new(label, mailbox, Some(carrier.clone())));
-    backend.on_rank_start();
+    let engine = Engine::new(label, mailbox, Some(carrier.clone()), plan, attempt);
+    engine.on_rank_start();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let comm = Comm::from_backend(Arc::clone(&backend));
-        f(&comm)
+        f(&Comm::new(Arc::clone(&engine)))
     }));
-    backend.on_rank_finish(result.is_err());
+    engine.on_rank_finish(result.is_err());
     carrier.teardown();
     result
 }
 
-/// Transport-generic cross-process launch (see the module docs for the
-/// role machinery).
-pub(crate) fn launch_stream<T, F, D, P>(transport: P, size: usize, f: F, decorate: D) -> Vec<T>
+/// Launch `f` on `size` single-process ranks over a Unix-domain-socket
+/// mesh; returns rank 0's result only (`vec[0]`), because the other
+/// ranks run in other processes.
+pub(crate) fn launch<T, F>(size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
-    D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
+{
+    launch_stream(UdsTransport, size, f, plan, attempt)
+}
+
+/// Transport-generic cross-process launch (see the module docs for the
+/// role machinery).
+pub(crate) fn launch_stream<T, F, P>(
+    transport: P,
+    size: usize,
+    f: F,
+    plan: &FaultPlan,
+    attempt: u32,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Sync,
     P: ProcTransport,
 {
     assert!(size > 0, "world size must be positive");
     let (seq, args) = next_launch();
     match role_for(seq) {
-        Role::Spawn => spawn_world(transport, size, seq, args, f, decorate),
-        Role::Join { rank } => join_world(transport, rank, size, f, decorate),
+        Role::Spawn => spawn_world(transport, size, seq, args, f, plan, attempt),
+        Role::Join { rank } => join_world(transport, rank, size, f, plan, attempt),
         Role::Replay => {
             // A child replaying a launch its parent already completed:
             // satisfy it deterministically in-process. The serial backend
             // is bit-identical to every other transport, so the program
             // reaches this child's join point with the parent's state.
-            let mut all = SerialBackend::launch_with(size, f, decorate);
+            let mut all = serial::launch(size, f, plan, attempt);
             all.truncate(1);
             all
         }
     }
 }
 
-fn spawn_world<T, F, D, P>(
+fn spawn_world<T, F, P>(
     mut transport: P,
     size: usize,
     seq: u64,
     args: Vec<String>,
     f: F,
-    decorate: D,
+    plan: &FaultPlan,
+    attempt: u32,
 ) -> Vec<T>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
-    D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
     P: ProcTransport,
 {
     let base = std::env::var("CGNN_PROC_DIR")
@@ -458,7 +473,7 @@ where
     let conns = transport
         .connect(0, size, &dir)
         .expect("establish rank 0's connection mesh");
-    let result = run_local_rank(0, transport.label(), conns, &f, &decorate);
+    let result = run_local_rank(0, transport.label(), conns, &f, plan, attempt);
 
     // Reap the children; collect failure reports.
     let mut payloads: Vec<Box<dyn Any + Send>> = Vec::new();
@@ -503,11 +518,17 @@ where
     }
 }
 
-fn join_world<T, F, D, P>(mut transport: P, rank: usize, size: usize, f: F, decorate: D) -> Vec<T>
+fn join_world<T, F, P>(
+    mut transport: P,
+    rank: usize,
+    size: usize,
+    f: F,
+    plan: &FaultPlan,
+    attempt: u32,
+) -> Vec<T>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
-    D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
     P: ProcTransport,
 {
     if let Ok(w) = std::env::var("CGNN_WORLD") {
@@ -527,7 +548,7 @@ where
     let conns = transport
         .connect(rank, size, &dir)
         .expect("establish this rank's connection mesh");
-    let result = run_local_rank(rank, transport.label(), conns, &f, &decorate);
+    let result = run_local_rank(rank, transport.label(), conns, &f, plan, attempt);
     match result {
         Ok(t) => {
             if launched {
@@ -549,37 +570,6 @@ where
             }
             std::panic::resume_unwind(p)
         }
-    }
-}
-
-/// The cross-process launcher (Unix-domain-socket mesh): one OS process
-/// per rank on this machine, true address-space isolation, real
-/// serialization cost, genuinely deferred `isend` completion.
-///
-/// Usually reached through [`Backend::Proc`](crate::Backend::Proc); the
-/// type exists so the launcher can be named directly.
-pub struct ProcWorld;
-
-impl ProcWorld {
-    /// Launch `f` on `size` single-process ranks; returns rank 0's result
-    /// only (`vec[0]`), because the other ranks run in other processes.
-    pub fn launch<T, F>(size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-    {
-        Self::launch_with(size, f, |backend| backend)
-    }
-
-    /// [`ProcWorld::launch`] with a per-rank backend decorator (fault
-    /// injection); each process decorates its own rank.
-    pub fn launch_with<T, F, D>(size: usize, f: F, decorate: D) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-        D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
-    {
-        launch_stream(UdsTransport, size, f, decorate)
     }
 }
 

@@ -25,8 +25,9 @@
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::backend::engine::{Arrivals, Engine, Mailbox, Park};
-use crate::backend::{run_ranks, CommBackend};
+use crate::backend::run_ranks;
 use crate::comm::Comm;
+use crate::fault::FaultPlan;
 
 /// Scheduler state (uncontended by construction: only the baton holder
 /// and ranks waking to check for their turn touch it).
@@ -118,49 +119,26 @@ impl Park for Baton {
     }
 }
 
-/// The serial launcher. Usually reached through
-/// [`Backend::Serial`](crate::Backend::Serial); the type exists so the
-/// launcher can be named directly.
-pub struct SerialBackend;
-
-impl SerialBackend {
-    /// Run `f` on `size` ranks over the serial transport, returning each
-    /// rank's result in rank order. Ranks execute one at a time,
-    /// round-robin; panics in any rank propagate (and unblock peers).
-    pub fn launch<T, F>(size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-    {
-        Self::launch_with(size, f, |backend| backend)
-    }
-
-    /// [`SerialBackend::launch`] with a per-rank backend decorator (see
-    /// [`Backend::launch_with`](crate::Backend::launch_with)).
-    pub fn launch_with<T, F, D>(size: usize, f: F, decorate: D) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-        D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
-    {
-        let baton = Arc::new(Baton {
-            turns: Mutex::new(Turns {
-                turn: 0,
-                done: vec![false; size],
-                idle_passes: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let world = Engine::memory_world(size, "serial", baton);
-        // No thread budget: the baton means only one rank computes at a
-        // time, so each may use the full kernel pool.
-        run_ranks(
-            size,
-            f,
-            |rank| decorate(Arc::clone(&world[rank]) as Arc<dyn CommBackend>),
-            None,
-        )
-    }
+/// Run `f` on `size` ranks one at a time, round-robin, returning each
+/// rank's result in rank order; panics in any rank propagate (and
+/// unblock peers).
+pub(crate) fn launch<T, F>(size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Sync,
+{
+    let baton = Arc::new(Baton {
+        turns: Mutex::new(Turns {
+            turn: 0,
+            done: vec![false; size],
+            idle_passes: 0,
+        }),
+        cv: Condvar::new(),
+    });
+    let world = Engine::memory_world(size, "serial", baton, plan, attempt);
+    // No thread budget: the baton means only one rank computes at a
+    // time, so each may use the full kernel pool.
+    run_ranks(world, f, None)
 }
 
 #[cfg(test)]

@@ -19,27 +19,26 @@
 //! with a trailing FNV-1a digest — the same hand-rolled
 //! length-prefix-then-verify discipline `cgnn-serve` uses on its client
 //! sockets. Matching and liveness are the shared `engine`'s, so tagged
-//! point-to-point traffic is FIFO per peer with
-//! [`PostQueue`](crate::PostQueue) semantics, exactly as in process.
+//! point-to-point traffic is FIFO per peer (post `k` matches arrival
+//! `k`), exactly as in process.
 //!
 //! # Launch model
 //!
 //! Identical to the `proc` backend (same env handshake, same replay rule,
-//! same failure reports — see [`proc`](super::proc)); only the transport
+//! same failure reports — see the `proc` module); only the transport
 //! differs. A manual launch runs the same binary on each machine with
 //! `CGNN_RANK`, `CGNN_WORLD`, and `CGNN_SOCKET_ADDR` set.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::backend::engine::{Frame, KIND_HELLO};
 use crate::backend::proc::{launch_stream, ProcTransport};
 use crate::backend::wire::{self, Conn};
-use crate::backend::CommBackend;
 use crate::comm::Comm;
+use crate::fault::FaultPlan;
 
 /// How long rendezvous and mesh dialing retry before giving up.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
@@ -224,33 +223,12 @@ impl ProcTransport for TcpTransport {
     }
 }
 
-/// The TCP launcher: one process per rank over a full TCP mesh, capable
-/// of spanning machines via a manual launch (`CGNN_RANK` / `CGNN_WORLD`
-/// / `CGNN_SOCKET_ADDR` per machine).
-///
-/// Usually reached through [`Backend::Socket`](crate::Backend::Socket);
-/// the type exists so the launcher can be named directly.
-pub struct SocketWorld;
-
-impl SocketWorld {
-    /// Launch `f` on `size` single-process ranks over TCP; returns rank
-    /// 0's result only (`vec[0]`).
-    pub fn launch<T, F>(size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-    {
-        Self::launch_with(size, f, |backend| backend)
-    }
-
-    /// [`SocketWorld::launch`] with a per-rank backend decorator (fault
-    /// injection); each process decorates its own rank.
-    pub fn launch_with<T, F, D>(size: usize, f: F, decorate: D) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-        D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
-    {
-        launch_stream(TcpTransport::new(), size, f, decorate)
-    }
+/// Launch `f` on `size` single-process ranks over a full TCP mesh;
+/// returns rank 0's result only (`vec[0]`).
+pub(crate) fn launch<T, F>(size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Sync,
+{
+    launch_stream(TcpTransport::new(), size, f, plan, attempt)
 }

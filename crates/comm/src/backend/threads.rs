@@ -10,45 +10,21 @@
 //! aborts the waiter with [`RankFailure`](crate::RankFailure)`::PeerDead`
 //! instead of hanging it.
 
-use std::sync::Arc;
-
 use crate::backend::budget::budget_for;
 use crate::backend::engine::{Engine, Heartbeat};
-use crate::backend::{run_ranks, CommBackend};
+use crate::backend::run_ranks;
 use crate::comm::Comm;
+use crate::fault::FaultPlan;
 
-/// The thread-per-rank launcher. Usually reached through
-/// [`Backend::Threads`](crate::Backend::Threads); the type exists so the
-/// launcher can be named directly.
-pub struct ThreadWorld;
-
-impl ThreadWorld {
-    /// Run `f` on `size` ranks (one OS thread each) over this transport,
-    /// returning each rank's result in rank order.
-    pub fn launch<T, F>(size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-    {
-        Self::launch_with(size, f, |backend| backend)
-    }
-
-    /// [`ThreadWorld::launch`] with a per-rank backend decorator (see
-    /// [`Backend::launch_with`](crate::Backend::launch_with)).
-    pub fn launch_with<T, F, D>(size: usize, f: F, decorate: D) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Sync,
-        D: Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync,
-    {
-        let world = Engine::memory_world(size, "threads", Heartbeat::from_env());
-        // Ranks run concurrently: budget each rank's kernel pool so
-        // `ranks × workers` stays within the machine.
-        run_ranks(
-            size,
-            f,
-            |rank| decorate(Arc::clone(&world[rank]) as Arc<dyn CommBackend>),
-            budget_for(size),
-        )
-    }
+/// Run `f` on `size` ranks, one OS thread each, returning each rank's
+/// result in rank order.
+pub(crate) fn launch<T, F>(size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Comm) -> T + Sync,
+{
+    let world = Engine::memory_world(size, "threads", Heartbeat::from_env(), plan, attempt);
+    // Ranks run concurrently: budget each rank's kernel pool so
+    // `ranks × workers` stays within the machine.
+    run_ranks(world, f, budget_for(size))
 }

@@ -1,24 +1,25 @@
-//! The backend-agnostic communicator handle and the [`World`] launcher.
+//! The transport-agnostic communicator handle and the [`World`] launcher.
 //!
-//! [`Comm`] is a thin, cloneable handle over an `Arc<dyn CommBackend>`:
-//! the deterministic reduction arithmetic, traffic accounting, and tag
-//! checking live here — once — while the trait object supplies raw
+//! [`Comm`] is a thin, cloneable handle over one rank of the matching
+//! engine: the deterministic reduction arithmetic, traffic accounting,
+//! and tag checking live here — once — while the engine supplies raw
 //! transport primitives. Swapping transports therefore cannot change
 //! arithmetic: every backend is bit-identical by construction.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::backend::{Backend, CommBackend, RecvOp, SendOp};
+use crate::backend::engine::{Engine, PendingSend};
+use crate::backend::Backend;
 use crate::stats::{RankStats, StatsSnapshot};
 
 /// Per-rank communicator handle. Cloneable; clones refer to the same world
 /// and the same rank (so they can be captured by autodiff backward
-/// closures). All operations route through the [`CommBackend`] trait
-/// object, so the handle works identically over every transport.
+/// closures). Every transport is the same engine, so the handle works
+/// identically over all of them.
 #[derive(Clone)]
 pub struct Comm {
-    backend: Arc<dyn CommBackend>,
+    engine: Arc<Engine>,
 }
 
 /// A collection of `R` ranks executing the same SPMD closure.
@@ -53,41 +54,47 @@ impl World {
 }
 
 impl Comm {
-    /// Wrap a transport into a communicator handle. This is the entry
-    /// point for custom [`CommBackend`] implementations; the in-tree
-    /// backends go through [`Backend::launch`].
-    pub fn from_backend(backend: Arc<dyn CommBackend>) -> Self {
-        Comm { backend }
-    }
-
-    /// The transport this handle runs on.
-    pub fn backend(&self) -> &Arc<dyn CommBackend> {
-        &self.backend
+    pub(crate) fn new(engine: Arc<Engine>) -> Self {
+        Comm { engine }
     }
 
     /// The transport's label (`"threads"`, `"serial"`, ...).
     pub fn backend_label(&self) -> &'static str {
-        self.backend.label()
+        self.engine.label()
     }
 
     /// This rank's index in `0..size`.
     pub fn rank(&self) -> usize {
-        self.backend.rank()
+        self.engine.rank()
     }
 
     /// World size (number of SPMD ranks).
     pub fn size(&self) -> usize {
-        self.backend.size()
+        self.engine.size()
     }
 
     fn stats(&self) -> &RankStats {
-        self.backend.stats()
+        self.engine.stats()
+    }
+
+    /// Liveness probe, write side: declare this rank dead to the world,
+    /// so peers blocked in collectives or receives on it abort with
+    /// [`RankFailure::PeerDead`](crate::RankFailure::PeerDead) instead of
+    /// hanging. A rank that unwinds does this by itself.
+    pub fn mark_dead(&self) {
+        self.engine.mark_dead()
+    }
+
+    /// Liveness probe, read side: ranks known to have died in this world,
+    /// ascending.
+    pub fn dead_ranks(&self) -> Vec<usize> {
+        self.engine.dead_ranks()
     }
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
         self.stats().barriers.fetch_add(1, Ordering::Relaxed);
-        self.backend.barrier();
+        self.engine.barrier();
     }
 
     /// Deterministic all-reduce (sum) over `buf`, in place.
@@ -96,7 +103,7 @@ impl Comm {
     /// ranks compute bit-identical results — essential for keeping DDP
     /// replicas in lockstep without parameter broadcasts.
     pub fn all_reduce_sum(&self, buf: &mut [f64]) {
-        let parts = self.backend.all_gather("all_reduce_sum", buf.to_vec());
+        let parts = self.engine.all_gather("all_reduce_sum", buf.to_vec());
         self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
         self.stats()
             .all_reduce_bytes
@@ -123,7 +130,7 @@ impl Comm {
 
     /// Deterministic all-reduce (max).
     pub fn all_reduce_max(&self, buf: &mut [f64]) {
-        let parts = self.backend.all_gather("all_reduce_max", buf.to_vec());
+        let parts = self.engine.all_gather("all_reduce_max", buf.to_vec());
         self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
         self.stats()
             .all_reduce_bytes
@@ -150,7 +157,7 @@ impl Comm {
             (data.len() * std::mem::size_of::<f64>()) as u64 * (self.size() as u64 - 1),
             Ordering::Relaxed,
         );
-        self.backend.all_gather("all_gather", data)
+        self.engine.all_gather("all_gather", data)
     }
 
     /// All-to-all exchange. `send[dst]` is the buffer for rank `dst`; empty
@@ -174,14 +181,14 @@ impl Comm {
                 );
             }
         }
-        self.backend.all_to_all(send)
+        self.engine.all_to_all(send)
     }
 
     /// Point-to-point send (buffered, never blocks).
     pub fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         self.count_send(&data);
-        self.backend.send(dst, tag, data);
+        self.engine.send(dst, tag, data);
     }
 
     /// Blocking receive from `src`; the next message's tag must equal `tag`
@@ -189,39 +196,36 @@ impl Comm {
     /// communication schedules diverged).
     pub fn recv(&self, src: usize, tag: u32) -> Vec<f64> {
         assert!(src < self.size(), "recv from invalid rank {src}");
-        let (got_tag, data) = self.backend.recv(src);
+        let seq = self.engine.irecv(src);
+        let (got_tag, data) = self.engine.take(src, seq);
         self.check_tag(src, tag, got_tag);
         self.count_recv(&data);
         data
     }
 
     /// Begin a non-blocking send: the payload is handed to the transport
-    /// and a wait-able [`SendRequest`] is returned. On the in-tree buffered
-    /// backends the request completes immediately; callers must still
-    /// [`SendRequest::wait`] it so the code is correct over transports with
-    /// real rendezvous sends.
+    /// and a wait-able [`SendRequest`] is returned. In memory the request
+    /// completes at once; over a stream it completes once the writer
+    /// thread has handed the frame to the OS.
     pub fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> SendRequest {
         assert!(dst < self.size(), "isend to invalid rank {dst}");
         self.count_send(&data);
-        SendRequest {
-            op: self.backend.isend(dst, tag, data),
-        }
+        SendRequest(self.engine.isend(dst, tag, data))
     }
 
     /// Post a non-blocking receive for the next unmatched message from
     /// `src`, returning a wait-able [`RecvRequest`]. Matching is FIFO per
     /// source (requests may be *completed* in any order; each still
     /// receives the message matching its posting position). Every posted
-    /// request must eventually be waited or tested to completion on the
-    /// posting rank, or its matched message is lost.
+    /// request must eventually be waited on the posting rank, or its
+    /// matched message is lost.
     pub fn irecv(&self, src: usize, tag: u32) -> RecvRequest {
         assert!(src < self.size(), "irecv from invalid rank {src}");
         RecvRequest {
-            op: self.backend.irecv(src),
+            seq: self.engine.irecv(src),
             comm: self.clone(),
             src,
             tag,
-            ready: None,
         }
     }
 
@@ -261,32 +265,24 @@ impl Comm {
 
 /// Wait-able handle to an in-flight non-blocking send (see
 /// [`Comm::isend`]).
-pub struct SendRequest {
-    op: Box<dyn SendOp>,
-}
+pub struct SendRequest(PendingSend);
 
 impl SendRequest {
-    /// Poll for completion without blocking.
-    pub fn test(&mut self) -> bool {
-        self.op.try_complete()
-    }
-
     /// Block until the transport owns the payload.
-    pub fn wait(mut self) {
-        self.op.complete()
+    pub fn wait(self) {
+        self.0.complete()
     }
 }
 
 /// Wait-able handle to an in-flight non-blocking receive (see
-/// [`Comm::irecv`]). Completion — whether through [`RecvRequest::test`] or
-/// [`RecvRequest::wait`] — checks the message tag and records the
-/// recv-side traffic counters exactly once.
+/// [`Comm::irecv`]). Completion checks the message tag and records the
+/// recv-side traffic counters.
 pub struct RecvRequest {
-    op: Box<dyn RecvOp>,
     comm: Comm,
     src: usize,
     tag: u32,
-    ready: Option<Vec<f64>>,
+    /// Matching position among this rank's posts from `src`.
+    seq: u64,
 }
 
 impl RecvRequest {
@@ -300,30 +296,12 @@ impl RecvRequest {
         self.tag
     }
 
-    /// Poll: returns true once the matched message has arrived (after
-    /// which [`RecvRequest::wait`] returns it without blocking).
-    pub fn test(&mut self) -> bool {
-        if self.ready.is_none() {
-            if let Some((got_tag, data)) = self.op.try_take() {
-                self.finish(got_tag, data);
-            }
-        }
-        self.ready.is_some()
-    }
-
     /// Block until the matched message arrives and take its payload.
-    pub fn wait(mut self) -> Vec<f64> {
-        if self.ready.is_none() {
-            let (got_tag, data) = self.op.take();
-            self.finish(got_tag, data);
-        }
-        self.ready.take().expect("payload present after completion")
-    }
-
-    fn finish(&mut self, got_tag: u32, data: Vec<f64>) {
+    pub fn wait(self) -> Vec<f64> {
+        let (got_tag, data) = self.comm.engine.take(self.src, self.seq);
         self.comm.check_tag(self.src, self.tag, got_tag);
         self.comm.count_recv(&data);
-        self.ready = Some(data);
+        data
     }
 }
 
@@ -484,25 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_test_polls_to_completion() {
-        for out in on_every_backend(2, |comm| {
-            let other = 1 - comm.rank();
-            let mut req = comm.irecv(other, 5);
-            // Nothing sent yet on the first poll of rank 0 under the serial
-            // backend; sends happen below.
-            comm.send(other, 5, vec![comm.rank() as f64]);
-            // Barrier guarantees delivery on both backends before polling.
-            comm.barrier();
-            assert!(req.test(), "message must have arrived after barrier");
-            assert!(req.test(), "test is idempotent once complete");
-            req.wait()
-        }) {
-            assert_eq!(out[0], vec![1.0]);
-            assert_eq!(out[1], vec![0.0]);
-        }
-    }
-
-    #[test]
     fn recv_counters_mirror_send_counters() {
         for out in on_every_backend(4, |comm| {
             comm.stats_reset();
@@ -553,6 +512,20 @@ mod tests {
             // 3 doubles replicated to 3 peers.
             assert_eq!(s.all_gather_bytes, 3 * 8 * 3);
             assert_eq!(s.all_reduces, 0, "gathers are not all-reduces");
+        }
+        // Unequal contributions (Coal-AG): rank `r` pushes its own `r + 1`
+        // values to each of the 3 peers, not the bytes it receives.
+        let out = World::run(4, |comm| {
+            comm.stats_reset();
+            let parts = comm.all_gather(vec![1.0; comm.rank() + 1]);
+            (
+                parts.iter().map(Vec::len).sum::<usize>(),
+                comm.stats_snapshot(),
+            )
+        });
+        for (r, (gathered, s)) in out.iter().enumerate() {
+            assert_eq!(*gathered, 1 + 2 + 3 + 4);
+            assert_eq!(s.all_gather_bytes, (r as u64 + 1) * 8 * 3, "rank {r}");
         }
     }
 

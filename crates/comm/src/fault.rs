@@ -1,32 +1,32 @@
 //! Deterministic fault injection for chaos testing the SPMD stack.
 //!
-//! A [`FaultInjector`] is a [`CommBackend`] *decorator*: it wraps any
-//! transport, counts the communication operations the wrapped rank issues,
-//! and executes a [`FaultPlan`] at exact operation indices — kill rank `r`
-//! at its `n`-th comm op, poison its `n`-th barrier, delay or drop its
-//! `n`-th point-to-point send. Because every rank's op sequence is a pure
-//! function of the program (the schedule layer is deterministic by
-//! construction), a seeded plan reproduces the *same* failure at the
-//! *same* place on every run and under every backend — chaos tests that
-//! are replayable, not flaky.
+//! A [`FaultPlan`] scripts faults at exact operation indices — kill rank
+//! `r` at its `n`-th comm op, poison its `n`-th barrier, delay or drop its
+//! `n`-th point-to-point send — and [`Backend::launch_with`] arms every
+//! rank's engine with the fault scripted for it: the engine counts the
+//! comm operations the rank issues and fires the fault at its index. A
+//! rank with no armed fault carries no fault state. Because every rank's
+//! op sequence is a pure function of the program (the schedule layer is
+//! deterministic by construction), a seeded plan reproduces the *same*
+//! failure at the *same* place on every run and under every backend —
+//! chaos tests that are replayable, not flaky.
 //!
 //! Faults are tagged with an `attempt` index so a plan can script
 //! *sequences* of failures across recovery: attempt 0's kill fires in the
 //! first world, attempt 1's kill fires in the world rebuilt after the
-//! first recovery, and so on (the session recovery loop re-wraps each new
+//! first recovery, and so on (the session recovery loop launches each new
 //! world with the same plan and an incremented attempt).
 //!
-//! A killed rank declares itself dead through the backend's liveness
-//! probe ([`CommBackend::mark_dead`]) *before* unwinding, so peers abort
-//! with [`RankFailure::PeerDead`] within a heartbeat instead of hanging.
+//! A killed rank declares itself dead through the liveness probe (see
+//! [`Comm::mark_dead`]) *before* unwinding, so peers abort with
+//! [`RankFailure::PeerDead`] within a heartbeat instead of hanging.
+//!
+//! [`Backend::launch_with`]: crate::Backend::launch_with
+//! [`Comm::mark_dead`]: crate::Comm::mark_dead
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crate::backend::{CommBackend, CompletedSend, P2pMsg, RecvOp, SendOp};
-use crate::stats::RankStats;
+use std::time::Duration;
 
 /// Typed panic payload used to tear down an SPMD world on rank failure.
 ///
@@ -126,8 +126,9 @@ pub enum FaultKind {
         at_barrier: u64,
     },
     /// Defer the rank's `at_send`-th point-to-point send until its
-    /// [`SendOp`] is completed (instead of the transport's eager buffering)
-    /// — surfacing latent reorderings that eager sends hide.
+    /// [`SendRequest`](crate::SendRequest) is waited (instead of the
+    /// transport's eager buffering) — surfacing latent reorderings that
+    /// eager sends hide. A blocking `send` at that index is unaffected.
     DelaySend {
         /// Per-rank p2p-send index to defer.
         at_send: u64,
@@ -154,7 +155,8 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
-/// A deterministic script of faults, executed by [`FaultInjector`].
+/// A deterministic script of faults, armed into each rank's engine by
+/// [`Backend::launch_with`](crate::Backend::launch_with).
 ///
 /// Build one fluently:
 ///
@@ -266,7 +268,7 @@ impl FaultPlan {
 
     /// The fault armed for `(attempt, rank)`, if any. Plans with several
     /// faults for the same `(attempt, rank)` fire the first by op index.
-    fn armed_for(&self, attempt: u32, rank: usize) -> Option<Fault> {
+    pub(crate) fn armed_for(&self, attempt: u32, rank: usize) -> Option<Fault> {
         self.faults
             .iter()
             .copied()
@@ -284,242 +286,64 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A fault-injecting [`CommBackend`] decorator. See the module docs.
-pub struct FaultInjector {
-    inner: Arc<dyn CommBackend>,
-    /// The fault armed for this rank on this attempt (resolved at wrap
-    /// time: plan lookup is off the hot path).
-    armed: Option<Fault>,
-    stall: Option<Duration>,
-    /// Per-rank comm-op counter (barriers + collectives + p2p ops).
+/// The comm-op classes a [`FaultKind`] indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Barrier,
+    /// An all-gather (every all-reduce is one) or an all-to-all.
+    Collective,
+    /// A blocking `send` or an `isend`: one shared counter.
+    Send,
+    /// A receive post (`irecv`, or the post inside a blocking `recv`).
+    Recv,
+}
+
+/// What an armed fault does to the op it is counting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Strike {
+    /// Nothing: the op proceeds.
+    Pass,
+    /// The rank dies at this per-rank comm-op index.
+    Kill(u64),
+    /// Swallow this send.
+    Drop,
+    /// Defer this send until its request is completed.
+    Delay,
+}
+
+/// The one fault a [`FaultPlan`] arms for a rank, with the counters that
+/// place it: every comm op, plus the barriers or sends its kind indexes.
+pub(crate) struct ArmedFault {
+    kind: FaultKind,
     ops: AtomicU64,
-    /// Per-rank barrier counter (for [`FaultKind::PoisonBarrier`]).
-    barriers: AtomicU64,
-    /// Per-rank p2p send counter (for the send faults).
-    sends: AtomicU64,
+    /// Barriers ([`FaultKind::PoisonBarrier`]) or p2p sends (the send
+    /// faults) seen so far; unused by [`FaultKind::Kill`].
+    events: AtomicU64,
 }
 
-impl FaultInjector {
-    /// Wrap `inner` so the faults `plan` scripts for `(attempt,
-    /// inner.rank())` fire at their op indices. Ranks with no armed fault
-    /// pay two relaxed atomic increments per comm op and nothing else.
-    pub fn wrap(
-        inner: Arc<dyn CommBackend>,
-        plan: &FaultPlan,
-        attempt: u32,
-    ) -> Arc<dyn CommBackend> {
-        let armed = plan.armed_for(attempt, inner.rank());
-        Arc::new(FaultInjector {
-            armed,
-            stall: plan.stall,
-            inner,
+impl ArmedFault {
+    pub(crate) fn new(kind: FaultKind) -> ArmedFault {
+        ArmedFault {
+            kind,
             ops: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            sends: AtomicU64::new(0),
-        })
+            events: AtomicU64::new(0),
+        }
     }
 
-    /// A decorator closure for [`Backend::launch_with`], capturing the
-    /// plan by value.
-    ///
-    /// [`Backend::launch_with`]: crate::Backend::launch_with
-    pub fn decorator(
-        plan: FaultPlan,
-        attempt: u32,
-    ) -> impl Fn(Arc<dyn CommBackend>) -> Arc<dyn CommBackend> + Sync {
-        move |inner| FaultInjector::wrap(inner, &plan, attempt)
-    }
-
-    /// Die now: declare this rank dead through the liveness probe, then
-    /// unwind with a typed [`RankFailure::Killed`] payload.
-    fn die(&self, op: u64) -> ! {
-        self.inner.mark_dead();
-        // detlint: allow(unwrap-in-lib, "fault injection: dying is this code's entire purpose")
-        std::panic::panic_any(RankFailure::Killed {
-            rank: self.inner.rank(),
-            op,
-        })
-    }
-
-    /// Count one comm op; fire a [`FaultKind::Kill`] scheduled for it.
-    fn tick_op(&self) -> u64 {
-        let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(Fault {
-            kind: FaultKind::Kill { at_op },
-            ..
-        }) = self.armed
-        {
-            if op == at_op {
-                self.die(op);
+    /// Count one `op`; what the fault does to it.
+    pub(crate) fn strike(&self, op: Op) -> Strike {
+        let n = self.ops.fetch_add(1, Ordering::Relaxed);
+        // Each arm's pattern admits one fault kind and one op class, so
+        // `events` advances once per barrier or send it indexes.
+        let nth = || self.events.fetch_add(1, Ordering::Relaxed);
+        match (self.kind, op) {
+            (FaultKind::Kill { at_op }, _) if n == at_op => Strike::Kill(n),
+            (FaultKind::PoisonBarrier { at_barrier }, Op::Barrier) if nth() == at_barrier => {
+                Strike::Kill(n)
             }
-        }
-        op
-    }
-}
-
-impl CommBackend for FaultInjector {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn label(&self) -> &'static str {
-        self.inner.label()
-    }
-
-    fn barrier(&self) {
-        let op = self.tick_op();
-        let barrier = self.barriers.fetch_add(1, Ordering::Relaxed);
-        if let Some(Fault {
-            kind: FaultKind::PoisonBarrier { at_barrier },
-            ..
-        }) = self.armed
-        {
-            if barrier == at_barrier {
-                self.die(op);
-            }
-        }
-        self.inner.barrier();
-    }
-
-    fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        self.tick_op();
-        self.inner.all_gather(label, data)
-    }
-
-    fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.tick_op();
-        self.inner.all_to_all(send)
-    }
-
-    fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        self.tick_op();
-        let send_idx = self.sends.fetch_add(1, Ordering::Relaxed);
-        match self.armed {
-            Some(Fault {
-                kind: FaultKind::DropSend { at_send },
-                ..
-            }) if send_idx == at_send => {
-                // Swallowed: the receiver's stall deadline or deadlock
-                // supervisor turns the missing message into a failure.
-            }
-            _ => self.inner.send(dst, tag, data),
-        }
-    }
-
-    fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Box<dyn SendOp> {
-        self.tick_op();
-        let send_idx = self.sends.fetch_add(1, Ordering::Relaxed);
-        match self.armed {
-            Some(Fault {
-                kind: FaultKind::DropSend { at_send },
-                ..
-            }) if send_idx == at_send => Box::new(CompletedSend),
-            Some(Fault {
-                kind: FaultKind::DelaySend { at_send },
-                ..
-            }) if send_idx == at_send => Box::new(DeferredSend {
-                inner: Arc::clone(&self.inner),
-                pending: Some((dst, tag, data)),
-            }),
-            _ => self.inner.isend(dst, tag, data),
-        }
-    }
-
-    fn irecv(&self, src: usize) -> Box<dyn RecvOp> {
-        self.tick_op();
-        let op = self.inner.irecv(src);
-        // Stall supervision needs real concurrency to poll usefully: in a
-        // cooperative world (the serial backend) a polling waiter would
-        // hold the baton and starve the very sender it waits for, so the
-        // serial deadlock supervisor keeps that job.
-        match self.stall {
-            Some(deadline) if !self.inner.is_cooperative() => Box::new(StalledRecvOp {
-                inner: op,
-                rank: self.inner.rank(),
-                src,
-                deadline,
-            }),
-            _ => op,
-        }
-    }
-
-    fn stats(&self) -> &RankStats {
-        self.inner.stats()
-    }
-
-    fn on_rank_start(&self) {
-        self.inner.on_rank_start();
-    }
-
-    fn on_rank_finish(&self, panicked: bool) {
-        self.inner.on_rank_finish(panicked);
-    }
-
-    fn mark_dead(&self) {
-        self.inner.mark_dead();
-    }
-
-    fn dead_ranks(&self) -> Vec<usize> {
-        self.inner.dead_ranks()
-    }
-
-    fn is_cooperative(&self) -> bool {
-        self.inner.is_cooperative()
-    }
-}
-
-/// A send deferred by [`FaultKind::DelaySend`]: the payload leaves this op
-/// only when the caller completes it, not at post time.
-struct DeferredSend {
-    inner: Arc<dyn CommBackend>,
-    pending: Option<(usize, u32, Vec<f64>)>,
-}
-
-impl SendOp for DeferredSend {
-    fn try_complete(&mut self) -> bool {
-        self.complete();
-        true
-    }
-
-    fn complete(&mut self) {
-        if let Some((dst, tag, data)) = self.pending.take() {
-            self.inner.send(dst, tag, data);
-        }
-    }
-}
-
-/// A receive supervised by a stall deadline (armed by
-/// [`FaultPlan::stall_after`] on every non-cooperative transport).
-struct StalledRecvOp {
-    inner: Box<dyn RecvOp>,
-    rank: usize,
-    src: usize,
-    deadline: Duration,
-}
-
-impl RecvOp for StalledRecvOp {
-    fn try_take(&mut self) -> Option<P2pMsg> {
-        self.inner.try_take()
-    }
-
-    fn take(&mut self) -> P2pMsg {
-        let give_up = Instant::now() + self.deadline;
-        loop {
-            if let Some(msg) = self.inner.try_take() {
-                return msg;
-            }
-            if Instant::now() >= give_up {
-                // detlint: allow(unwrap-in-lib, "stall supervision: unwinding is how a dropped-send hang becomes a typed failure")
-                std::panic::panic_any(RankFailure::Stalled {
-                    rank: self.rank,
-                    src: self.src,
-                });
-            }
-            std::thread::sleep(Duration::from_micros(200));
+            (FaultKind::DropSend { at_send }, Op::Send) if nth() == at_send => Strike::Drop,
+            (FaultKind::DelaySend { at_send }, Op::Send) if nth() == at_send => Strike::Delay,
+            _ => Strike::Pass,
         }
     }
 }
@@ -528,7 +352,10 @@ impl RecvOp for StalledRecvOp {
 mod tests {
     use super::*;
     use crate::backend::Backend;
+    use crate::comm::Comm;
+    use crate::stats::StatsSnapshot;
     use std::panic::AssertUnwindSafe;
+    use std::time::Instant;
 
     fn catch(f: impl FnOnce()) -> Box<dyn Any + Send> {
         std::panic::catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic")
@@ -593,7 +420,8 @@ mod tests {
                             comm.barrier();
                         }
                     },
-                    FaultInjector::decorator(plan.clone(), 0),
+                    &plan,
+                    0,
                 );
             });
             match RankFailure::from_payload(payload.as_ref()) {
@@ -603,15 +431,63 @@ mod tests {
         }
     }
 
+    /// One of every comm op on a 2-rank world: barrier, both all-reduces,
+    /// all-gather, all-to-all, send, isend/wait and irecv/wait.
+    fn mixed_sequence(comm: &Comm) -> StatsSnapshot {
+        let other = 1 - comm.rank();
+        comm.barrier();
+        comm.all_reduce_sum(&mut [1.0]);
+        comm.all_reduce_max(&mut [1.0]);
+        comm.all_gather(vec![1.0]);
+        comm.all_to_all(vec![vec![1.0]; 2]);
+        comm.send(other, 1, vec![1.0]);
+        comm.isend(other, 2, vec![2.0]).wait();
+        comm.recv(other, 1);
+        comm.irecv(other, 2).wait();
+        comm.stats_snapshot()
+    }
+
+    fn ops_of(s: &StatsSnapshot) -> u64 {
+        s.barriers + s.all_reduces + s.all_gathers + s.all_to_alls + s.sends + s.recvs
+    }
+
+    /// The traffic counters add up to the op index a kill is placed by:
+    /// after `n` counted ops, `Kill { at_op: n }` fires on the next op and
+    /// `Kill { at_op: n - 1 }` on the last one of the sequence.
+    #[test]
+    fn stats_count_the_ops_faults_are_placed_by() {
+        for backend in Backend::all() {
+            let n = ops_of(&backend.launch(2, mixed_sequence)[0]);
+            assert_eq!(n, 9, "{backend}");
+            for (at_op, then_barrier) in [(n, true), (n - 1, false)] {
+                let plan = FaultPlan::new().kill(0, 0, at_op);
+                let payload = catch(|| {
+                    backend.launch_with(
+                        2,
+                        |comm| {
+                            mixed_sequence(comm);
+                            if then_barrier {
+                                comm.barrier();
+                            }
+                        },
+                        &plan,
+                        0,
+                    );
+                });
+                assert_eq!(
+                    RankFailure::from_payload(payload.as_ref()),
+                    Some(&RankFailure::Killed { rank: 0, op: at_op }),
+                    "{backend}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn faults_on_other_attempts_do_not_fire() {
         for backend in Backend::all() {
             let plan = FaultPlan::new().kill(1, 0, 0);
-            let sums = backend.launch_with(
-                2,
-                |comm| comm.all_reduce_scalar(1.0),
-                FaultInjector::decorator(plan, 0),
-            );
+            let sums = backend.launch_with(2, |comm| comm.all_reduce_scalar(1.0), &plan, 0);
             assert_eq!(sums, vec![2.0; 2], "{backend}");
         }
     }
@@ -627,7 +503,8 @@ mod tests {
                         comm.barrier();
                     }
                 },
-                FaultInjector::decorator(plan, 0),
+                &plan,
+                0,
             );
         });
         match RankFailure::from_payload(payload.as_ref()) {
@@ -651,7 +528,8 @@ mod tests {
                         comm.recv(0, 7);
                     }
                 },
-                FaultInjector::decorator(plan, 0),
+                &plan,
+                0,
             );
         });
         match RankFailure::from_payload(payload.as_ref()) {
@@ -674,7 +552,8 @@ mod tests {
                         comm.recv(0, 3)[0]
                     }
                 },
-                FaultInjector::decorator(plan.clone(), 0),
+                &plan,
+                0,
             );
             assert_eq!(out[1], 4.5, "{backend}");
         }

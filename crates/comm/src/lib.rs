@@ -1,9 +1,8 @@
 //! # cgnn-comm
 //!
-//! Pluggable "MPI" for the consistent-GNN reproduction: an object-safe
-//! [`CommBackend`] transport trait under a thin, cloneable [`Comm`]
-//! handle, so that collectives are **deterministic and identical on every
-//! rank** over every transport.
+//! The "MPI" of the consistent-GNN reproduction: one matching engine
+//! under a thin, cloneable [`Comm`] handle, so that collectives are
+//! **deterministic and identical on every rank** over every transport.
 //!
 //! This substitutes for the PyTorch Distributed / RCCL stack of the paper.
 //! The arithmetic-consistency results (paper Eqs. 2-3, Fig. 6) only require
@@ -23,40 +22,38 @@
 //! mailbox with FIFO-per-peer arrival queues, a single blocking wait, and
 //! the `Bye`/`Dead` liveness lifecycle. A world is that engine plus a
 //! *carrier* (how a frame reaches a peer's mailbox) and a *park policy*
-//! (what a blocked rank does) — see the [`backend`] module docs. Four
-//! launchers ship in-tree, selected by [`Backend`] (or the `CGNN_BACKEND`
-//! environment variable):
-//! * [`ThreadWorld`] — in-memory carrier, heartbeat parking: one OS
+//! (what a blocked rank does) — see the [`backend`] module docs. The set
+//! of worlds is closed; [`Backend`] (or the `CGNN_BACKEND` environment
+//! variable) picks one of the four launchable ones:
+//! * [`Backend::Threads`] — in-memory carrier, heartbeat parking: one OS
 //!   thread per rank, real concurrency (default),
-//! * [`SerialBackend`] — in-memory carrier, baton parking: deterministic
-//!   round-robin single-stepping of the ranks, for debugging and CI
-//!   reference runs,
-//! * [`ProcWorld`] — checksummed wire frames over a Unix-domain-socket
-//!   mesh: one OS *process* per rank (re-exec), true address-space
-//!   isolation and per-rank kernel thread budgets,
-//! * [`SocketWorld`] — the same frames over a full TCP mesh, able to span
-//!   machines via a rank-0 rendezvous listener.
+//! * [`Backend::Serial`] — in-memory carrier, baton parking:
+//!   deterministic round-robin single-stepping of the ranks, for
+//!   debugging and CI reference runs,
+//! * [`Backend::Proc`] — checksummed wire frames over a
+//!   Unix-domain-socket mesh: one OS *process* per rank (re-exec), true
+//!   address-space isolation and per-rank kernel thread budgets,
+//! * [`Backend::Socket`] — the same frames over a full TCP mesh, able to
+//!   span machines via a rank-0 rendezvous listener.
 //!
 //! [`LoopbackBackend`] is the engine at world size one with no carrier
 //! and is not launched at all: a single rank on the calling thread, for
 //! code that owns a persistent trainer outside any SPMD region (the
 //! `cgnn-serve` replica pool).
 //!
-//! The cross-process launchers re-exec the current binary; test binaries
+//! The cross-process launches re-exec the current binary; test binaries
 //! pin the argv their child ranks run with via [`reexec_scope`].
 //!
-//! For chaos testing, [`FaultInjector`] decorates any transport with a
-//! deterministic, seeded [`FaultPlan`] (kill a rank at an exact comm op,
-//! poison a barrier, delay or drop a send), and the engine's liveness
-//! probe ([`CommBackend::mark_dead`] / [`CommBackend::dead_ranks`]) lets
-//! peers detect a death within a heartbeat instead of hanging — see the
+//! For chaos testing, [`Backend::launch_with`] arms every rank's engine
+//! from a deterministic, seeded [`FaultPlan`] (kill a rank at an exact
+//! comm op, poison a barrier, delay or drop a send), and the engine's
+//! liveness probe ([`Comm::mark_dead`] / [`Comm::dead_ranks`]) lets peers
+//! detect a death within a heartbeat instead of hanging — see the
 //! [`fault`] module docs.
 //!
 //! Because reductions are computed rank-ordered in the [`Comm`] layer from
 //! gathered contributions, *all* worlds produce bit-identical arithmetic;
-//! they differ only in scheduling. Custom transports implement
-//! [`CommBackend`] and enter through [`Comm::from_backend`] — see the
-//! [`backend`] module docs for a worked example.
+//! they differ only in scheduling.
 
 #![warn(missing_docs)]
 
@@ -66,11 +63,8 @@ pub mod fault;
 pub mod stats;
 
 pub use backend::loopback::LoopbackBackend;
-pub use backend::proc::{reexec_scope, ProcWorld, ReexecScope};
-pub use backend::serial::SerialBackend;
-pub use backend::socket::SocketWorld;
-pub use backend::threads::ThreadWorld;
-pub use backend::{Backend, CommBackend, CompletedSend, PostQueue, RecvOp, SendOp};
+pub use backend::proc::{reexec_scope, ReexecScope};
+pub use backend::Backend;
 pub use comm::{Comm, RecvRequest, SendRequest, World};
-pub use fault::{Fault, FaultInjector, FaultKind, FaultPlan, RankFailure};
-pub use stats::{RankStats, StatsSnapshot};
+pub use fault::{Fault, FaultKind, FaultPlan, RankFailure};
+pub use stats::StatsSnapshot;

@@ -13,11 +13,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free per-rank counters. Padded indirectly by being stored one per
-/// rank in a `Vec` of heap boxes; contention is nil because each rank only
-/// writes its own counters.
+/// Lock-free per-rank counters, owned by the rank's engine so every clone
+/// of its [`Comm`](crate::Comm) handle shares them; contention is nil
+/// because each rank only writes its own counters.
 #[derive(Default, Debug)]
-pub struct RankStats {
+pub(crate) struct RankStats {
     /// Number of barrier-style synchronizations.
     pub barriers: AtomicU64,
     /// Number of all-reduce calls.
@@ -46,7 +46,8 @@ pub struct RankStats {
     pub all_gather_bytes: AtomicU64,
 }
 
-/// Plain-old-data snapshot of [`RankStats`].
+/// Plain-old-data snapshot of one rank's traffic counters
+/// ([`Comm::stats_snapshot`](crate::Comm::stats_snapshot)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Barriers entered.
@@ -71,7 +72,9 @@ pub struct StatsSnapshot {
     pub recv_bytes: u64,
     /// All-gather collectives issued.
     pub all_gathers: u64,
-    /// Bytes this rank *received* from peers in all-gathers.
+    /// Bytes this rank *pushed* in all-gathers: its own contribution
+    /// replicated to every other rank, `len * 8 * (R - 1)` per call (with
+    /// unequal contributions this differs from the bytes it receives).
     pub all_gather_bytes: u64,
 }
 

@@ -141,12 +141,12 @@ fn conformance(backend: Backend) {
     //    every peer's `dead_ranks` without anyone blocking on it.
     backend.launch(WORLD, |comm| {
         if comm.rank() == 0 {
-            comm.backend().mark_dead();
-            assert_eq!(comm.backend().dead_ranks(), vec![0]);
+            comm.mark_dead();
+            assert_eq!(comm.dead_ranks(), vec![0]);
             return;
         }
         let give_up = Instant::now() + Duration::from_secs(5);
-        while comm.backend().dead_ranks() != [0] {
+        while comm.dead_ranks() != [0] {
             assert!(
                 Instant::now() < give_up,
                 "{backend}: rank {} never saw rank 0's death",

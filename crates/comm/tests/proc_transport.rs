@@ -12,7 +12,7 @@ use std::panic::AssertUnwindSafe;
 
 use std::time::Duration;
 
-use cgnn_comm::{reexec_scope, Backend, FaultInjector, FaultPlan, ProcWorld, RankFailure};
+use cgnn_comm::{reexec_scope, Backend, FaultPlan, RankFailure};
 
 const WORLD: usize = 3;
 
@@ -47,14 +47,15 @@ fn proc_child_kill_surfaces_typed_failure() {
     // backends produce, and nothing may hang.
     let plan = FaultPlan::new().kill(0, 1, 3);
     let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        ProcWorld::launch_with(
+        Backend::Proc.launch_with(
             WORLD,
             |comm| {
                 for _ in 0..10 {
                     comm.barrier();
                 }
             },
-            FaultInjector::decorator(plan.clone(), 0),
+            &plan,
+            0,
         );
     }))
     .expect_err("a killed child rank must tear the launch down");
@@ -88,7 +89,8 @@ fn proc_dropped_send_surfaces_typed_stall() {
                 }
                 comm.barrier();
             },
-            FaultInjector::decorator(plan.clone(), 0),
+            &plan,
+            0,
         );
     }))
     .expect_err("a stalled child rank must tear the launch down");

@@ -74,7 +74,7 @@ pub struct SessionBuilder {
     lr: f64,
     dataset: Option<Dataset>,
     checkpoint: Option<CheckpointPolicy>,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
 }
 
 impl Default for SessionBuilder {
@@ -90,7 +90,7 @@ impl Default for SessionBuilder {
             lr: 1e-3,
             dataset: None,
             checkpoint: None,
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
         }
     }
 }
@@ -112,12 +112,12 @@ impl SessionBuilder {
     }
 
     /// Arm a deterministic fault-injection plan: every run of the built
-    /// session wraps each rank's transport in a
-    /// [`FaultInjector`](cgnn_comm::FaultInjector) executing `plan` (for
-    /// the session's current recovery attempt). This is the chaos-testing
-    /// entry point; sessions without a plan pay nothing.
+    /// session arms each rank's comm engine with the faults `plan`
+    /// scripts for it on the session's current recovery attempt (see
+    /// [`Backend::launch_with`]). This is the chaos-testing entry point;
+    /// a rank with no armed fault carries no fault state.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 

@@ -34,12 +34,13 @@
 //! the four variants of paper Sec. III plus the coalesced and overlapped
 //! extensions).
 //!
-//! Communication transports are pluggable one layer further down:
+//! The communication transport is a third closed choice:
 //! [`SessionBuilder::backend`] selects the
-//! [`CommBackend`](cgnn_comm::CommBackend) implementation carrying the SPMD
-//! execution (threads by default, the deterministic serial world for
-//! debugging; `CGNN_BACKEND` switches the default) — training trajectories
-//! are bit-identical across backends. Sessions also checkpoint:
+//! [`Backend`](cgnn_comm::Backend) world carrying the SPMD execution
+//! (threads by default, the deterministic serial world for debugging;
+//! `CGNN_BACKEND` switches the default) — every world is the same
+//! matching engine, so training trajectories are bit-identical across
+//! backends. Sessions also checkpoint:
 //! [`RankHandle::save_params`] writes parameters + optimizer state, and
 //! [`Session::restore`] resumes a run **bit-identically**.
 //!

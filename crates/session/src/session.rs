@@ -1,11 +1,11 @@
 //! The assembled [`Session`]: owns the wired pipeline and drives SPMD
-//! execution through per-rank [`RankHandle`]s over a pluggable
+//! execution through per-rank [`RankHandle`]s over the configured
 //! communication backend.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use cgnn_comm::{Backend, FaultInjector, FaultPlan};
+use cgnn_comm::{Backend, FaultPlan};
 use cgnn_core::{ConsistentGnn, EpochReport, GnnConfig, HaloContext, HaloExchangeMode, Trainer};
 use cgnn_graph::{build_distributed_graph, build_global_graph, LocalGraph};
 use cgnn_mesh::{BoxMesh, TaylorGreen};
@@ -52,9 +52,10 @@ pub struct Session {
     /// Opt-in every-k-step checkpoint schedule applied during epoch
     /// training.
     ckpt_policy: Option<CheckpointPolicy>,
-    /// Armed fault-injection script, wrapped around every rank's
-    /// transport on each run (chaos testing; `None` costs nothing).
-    fault_plan: Option<FaultPlan>,
+    /// Fault-injection script armed into every rank's engine on each run
+    /// (chaos testing; empty by default, and a rank with no armed fault
+    /// carries no fault state).
+    fault_plan: FaultPlan,
     /// Which recovery attempt this session is: selects the armed faults
     /// of the plan (0 = initial world; bumped by the elastic loop).
     pub(crate) attempt: u32,
@@ -96,7 +97,7 @@ impl Session {
         lr: f64,
         dataset: Option<Arc<Dataset>>,
         ckpt_policy: Option<CheckpointPolicy>,
-        fault_plan: Option<FaultPlan>,
+        fault_plan: FaultPlan,
     ) -> Self {
         Session {
             mesh,
@@ -171,9 +172,9 @@ impl Session {
         self.strategy
     }
 
-    /// The armed fault-injection plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+    /// The fault-injection plan every run arms (empty unless set).
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.fault_plan
     }
 
     /// Which recovery attempt this session is (0 = initial world; bumped
@@ -301,14 +302,8 @@ impl Session {
             );
             f(&mut handle)
         };
-        match &self.fault_plan {
-            Some(plan) => self.backend.launch_with(
-                self.ranks(),
-                spmd,
-                FaultInjector::decorator(plan.clone(), self.attempt),
-            ),
-            None => self.backend.launch(self.ranks(), spmd),
-        }
+        self.backend
+            .launch_with(self.ranks(), spmd, &self.fault_plan, self.attempt)
     }
 
     /// Convenience: train every rank on the Taylor-Green autoencoding task

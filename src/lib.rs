@@ -42,8 +42,7 @@ pub use cgnn_tensor as tensor;
 /// halo exchange modes, the trainer, and the traffic counters.
 pub mod prelude {
     pub use cgnn_comm::{
-        Backend, Comm, CommBackend, FaultPlan, RankFailure, RecvRequest, SendRequest,
-        StatsSnapshot, World,
+        Backend, Comm, FaultPlan, RankFailure, RecvRequest, SendRequest, StatsSnapshot, World,
     };
     pub use cgnn_core::{
         halo_exchange_apply, ConsistentGnn, EpochReport, EpochSchedule, ExchangeTraffic, GnnConfig,

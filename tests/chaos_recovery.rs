@@ -51,10 +51,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Comm ops as the `FaultInjector` counts them: barriers, collectives,
-/// and point-to-point operations.
+/// Comm ops as fault injection counts them: barriers, collectives (every
+/// all-reduce is one), and point-to-point operations.
 fn ops_of(s: &StatsSnapshot) -> u64 {
-    s.barriers + s.all_gathers + s.all_to_alls + s.sends + s.recvs
+    s.barriers + s.all_reduces + s.all_gathers + s.all_to_alls + s.sends + s.recvs
 }
 
 /// Probe the deterministic comm-op profile of a fault-free `EPOCHS`-epoch
