@@ -12,7 +12,7 @@
 //! |---|---|---|---|
 //! | [`Backend::Threads`] (default) | in-memory | heartbeat | one OS thread per rank, real concurrency (the paper's one-GPU-per-rank SPMD setup) |
 //! | [`Backend::Serial`] | in-memory | baton | deterministic round-robin scheduler with a deadlock supervisor: zero-concurrency reference semantics for debugging and CI |
-//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank: address-space isolation, real serialization cost, per-rank thread budgets that actually hold |
+//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank: address-space isolation and real serialization cost |
 //! | [`Backend::Socket`] | `CGNW` frames over TCP | heartbeat | the same launch over a full TCP mesh, spanning machines via a rank-0 rendezvous listener |
 //! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, `sysbench`'s kernel probes) |
 //!
@@ -22,7 +22,6 @@
 //! of the engine too: [`Backend::launch_with`] arms each rank with what a
 //! [`FaultPlan`] scripts for it.
 
-pub(crate) mod budget;
 pub(crate) mod engine;
 pub mod loopback;
 pub mod proc;
@@ -163,7 +162,7 @@ impl std::fmt::Display for Backend {
 /// [`RankFailure::PeerDead`](crate::RankFailure) aborts that cascade from
 /// it — so a chaos run reports the fault, not its echoes, and a real bug
 /// is never masked by injected noise.
-pub(crate) fn run_ranks<T, F>(world: Vec<Arc<Engine>>, f: F, budget: Option<usize>) -> Vec<T>
+pub(crate) fn run_ranks<T, F>(world: Vec<Arc<Engine>>, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
@@ -174,11 +173,6 @@ where
         for (engine, slot) in world.into_iter().zip(results.iter_mut()) {
             let f = &f;
             handles.push(scope.spawn(move || {
-                // Budget this rank's kernel worker pool so concurrent
-                // ranks share the cores instead of contending for all of
-                // them (a pure scheduling decision: kernels are
-                // bit-identical at every worker count).
-                let _budget = budget::BudgetGuard::arm(budget);
                 engine.on_rank_start();
                 // Runs on both return and unwind, so a panicking rank
                 // releases its scheduling slot instead of wedging peers.

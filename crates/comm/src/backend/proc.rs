@@ -28,9 +28,6 @@
 //! binaries (whose argv selects which tests run) pin the argv for children
 //! with [`reexec_scope`], which also restarts the launch numbering so
 //! parent and child count launches identically.
-//!
-//! Every launcher exports the per-rank kernel thread budget of the
-//! `budget` module to its children as an explicit `CGNN_NUM_THREADS` pin.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -42,7 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::budget::{budget_for, BudgetGuard};
 use crate::backend::engine::{Engine, Frame, Heartbeat, Mailbox, KIND_HELLO};
 use crate::backend::serial;
 use crate::backend::wire::{self, Conn, StreamCarrier};
@@ -436,7 +432,6 @@ where
     let extra_env = transport
         .prepare(&dir, size)
         .expect("prepare the cross-process rendezvous");
-    let budget = budget_for(size);
     let exe = std::env::current_exe().expect("resolve the current executable for re-exec");
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(size.saturating_sub(1));
     for r in 1..size {
@@ -457,11 +452,6 @@ where
         for (k, v) in &extra_env {
             cmd.env(k, v);
         }
-        if let Some(b) = budget {
-            // Exported as an explicit pin so the child's kernel pool (and
-            // any world it replays) uses the budgeted worker count.
-            cmd.env("CGNN_NUM_THREADS", b.to_string());
-        }
         let child = cmd
             .spawn()
             .expect("re-exec the current binary as a rank process");
@@ -469,7 +459,6 @@ where
     }
 
     // This process is rank 0.
-    let _budget = BudgetGuard::arm(budget);
     let conns = transport
         .connect(0, size, &dir)
         .expect("establish rank 0's connection mesh");
@@ -544,7 +533,6 @@ where
         .map(PathBuf::from)
         .unwrap_or_else(|_| std::env::temp_dir());
     let launched = std::env::var("CGNN_LAUNCHED").is_ok();
-    let _budget = BudgetGuard::arm(budget_for(size));
     let conns = transport
         .connect(rank, size, &dir)
         .expect("establish this rank's connection mesh");

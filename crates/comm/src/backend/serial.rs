@@ -136,9 +136,7 @@ where
         cv: Condvar::new(),
     });
     let world = Engine::memory_world(size, "serial", baton, plan, attempt);
-    // No thread budget: the baton means only one rank computes at a
-    // time, so each may use the full kernel pool.
-    run_ranks(world, f, None)
+    run_ranks(world, f)
 }
 
 #[cfg(test)]

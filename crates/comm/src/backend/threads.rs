@@ -10,7 +10,6 @@
 //! aborts the waiter with [`RankFailure`](crate::RankFailure)`::PeerDead`
 //! instead of hanging it.
 
-use crate::backend::budget::budget_for;
 use crate::backend::engine::{Engine, Heartbeat};
 use crate::backend::run_ranks;
 use crate::comm::Comm;
@@ -24,7 +23,5 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     let world = Engine::memory_world(size, "threads", Heartbeat::from_env(), plan, attempt);
-    // Ranks run concurrently: budget each rank's kernel pool so
-    // `ranks × workers` stays within the machine.
-    run_ranks(world, f, budget_for(size))
+    run_ranks(world, f)
 }

@@ -31,8 +31,8 @@
 //!   deterministic round-robin single-stepping of the ranks, for
 //!   debugging and CI reference runs,
 //! * [`Backend::Proc`] — checksummed wire frames over a
-//!   Unix-domain-socket mesh: one OS *process* per rank (re-exec), true
-//!   address-space isolation and per-rank kernel thread budgets,
+//!   Unix-domain-socket mesh: one OS *process* per rank (re-exec) and
+//!   true address-space isolation,
 //! * [`Backend::Socket`] — the same frames over a full TCP mesh, able to
 //!   span machines via a rank-0 rendezvous listener.
 //!

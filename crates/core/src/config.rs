@@ -131,16 +131,6 @@ pub const CGNN_SOCKET_ADDR: EnvKnob = EnvKnob {
           listens; required for manual multi-machine launches.",
 };
 
-/// Kernel worker count for the parallel tensor kernels (results are
-/// worker-count-invariant by construction; this only changes timing).
-pub const CGNN_NUM_THREADS: EnvKnob = EnvKnob {
-    name: "CGNN_NUM_THREADS",
-    default: "all cores, thread-budgeted per rank",
-    doc: "Tensor-kernel worker count; results are bit-identical at any \
-          value (see docs/PERFORMANCE.md). When unset, multi-rank \
-          launchers budget each rank to `max(1, cores/world)`.",
-};
-
 /// Epoch/iteration count used by the examples and figure binaries.
 pub const CGNN_ITERS: EnvKnob = EnvKnob {
     name: "CGNN_ITERS",
@@ -256,7 +246,6 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_PROC_SEQ,
     &CGNN_PROC_DIR,
     &CGNN_SOCKET_ADDR,
-    &CGNN_NUM_THREADS,
     &CGNN_ITERS,
     &CGNN_ELEMS,
     &CGNN_MAXR,

@@ -67,22 +67,6 @@ pub fn reduce_flat_gradients(params: &ParamSet, mut flat: Vec<f64>, comm: &Comm)
     out
 }
 
-/// Local (no-communication) gradient extraction — the R = 1 path, and the
-/// building block for gradient-consistency tests.
-pub fn local_gradients(params: &ParamSet, bound: &BoundParams, grads: &Gradients) -> Vec<Tensor> {
-    params
-        .tensors()
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            grads
-                .get(bound.var(ParamId(i)))
-                .cloned()
-                .unwrap_or_else(|| Tensor::zeros(t.rows(), t.cols()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

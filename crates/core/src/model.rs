@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use cgnn_graph::LocalGraph;
 use cgnn_tensor::nn::{BoundParams, Mlp, ParamSet};
-use cgnn_tensor::{Tape, VarId};
+use cgnn_tensor::{AdamState, Tape, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,6 +125,22 @@ impl ConsistentGnn {
         let mut rng = StdRng::seed_from_u64(seed);
         let model = Self::new(&mut params, config, &mut rng);
         (params, model)
+    }
+
+    /// Check that a loaded training checkpoint fits the architecture of
+    /// `config` before anything is restored from it: parameter names and
+    /// shapes are probed against a freshly seeded replica, and the Adam
+    /// moments against those parameters. A mismatch is an `InvalidData`
+    /// error naming it.
+    pub fn check_checkpoint(
+        config: GnnConfig,
+        params: &ParamSet,
+        opt: &AdamState,
+    ) -> std::io::Result<()> {
+        let (mut probe, _) = Self::seeded(config, 0);
+        cgnn_tensor::restore_into(&mut probe, params)?;
+        opt.validate_for(&probe)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Full forward pass: encode, M rounds of consistent message passing,

@@ -62,14 +62,6 @@ impl RankData {
         let x = node_velocity_features(&graph, field, t);
         Self::new(graph, x.clone(), x)
     }
-
-    /// Forecasting task: predict the velocity at `t1` from the field at
-    /// `t0` — the realistic surrogate-modeling setup the paper motivates.
-    pub fn tgv_forecast(graph: Arc<LocalGraph>, field: &TaylorGreen, t0: f64, t1: f64) -> Self {
-        let x = node_velocity_features(&graph, field, t0);
-        let y = node_velocity_features(&graph, field, t1);
-        Self::new(graph, x, y)
-    }
 }
 
 /// One rank's training state. Every rank constructs a `Trainer` with the

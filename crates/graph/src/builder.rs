@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use cgnn_mesh::BoxMesh;
 use cgnn_partition::Partition;
-use rayon::prelude::*;
 
 use crate::local_graph::{split_interior_boundary, HaloPlan, LocalGraph};
 
@@ -24,7 +23,6 @@ use crate::local_graph::{split_interior_boundary, HaloPlan, LocalGraph};
 pub fn build_distributed_graph(mesh: &BoxMesh, partition: &Partition) -> Vec<LocalGraph> {
     let ranks_of_gid = RanksOfGid::new(mesh, partition);
     (0..partition.n_ranks())
-        .into_par_iter()
         .map(|rank| build_rank_graph(mesh, partition, rank, &ranks_of_gid))
         .collect()
 }

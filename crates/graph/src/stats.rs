@@ -4,7 +4,6 @@
 
 use cgnn_mesh::BoxMesh;
 use cgnn_partition::layout::{uniform_ranges, Layout};
-use rayon::prelude::*;
 
 use crate::local_graph::LocalGraph;
 
@@ -106,7 +105,6 @@ pub fn analytic_block_profiles(mesh: &BoxMesh, layout: &Layout) -> Vec<RankProfi
     let rr = [layout.rx, layout.ry, layout.rz];
 
     (0..layout.num_ranks())
-        .into_par_iter()
         .map(|rank| {
             let cell = layout.cell_of_rank(rank);
             let cells = [cell.0, cell.1, cell.2];

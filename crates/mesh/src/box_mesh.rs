@@ -220,12 +220,6 @@ impl BoxMesh {
         (0..n).flat_map(move |c| (0..n).flat_map(move |b| (0..n).map(move |a| (a, b, c))))
     }
 
-    /// Linear index of a local lattice coordinate, `a + (p+1)(b + (p+1)c)`.
-    pub fn local_index(&self, (a, b, c): (usize, usize, usize)) -> usize {
-        let n = self.p + 1;
-        a + n * (b + n * c)
-    }
-
     /// Elements (by axis index) whose lattice range contains axis lattice
     /// coordinate `i`. One element for interior coordinates, two for
     /// element-boundary coordinates (coincident planes).

@@ -36,10 +36,6 @@ pub struct Partition {
     n_ranks: usize,
     owner: Vec<u32>,
     rank_elems: Vec<Vec<usize>>,
-    /// For structured strategies, the element-index ranges per axis
-    /// (`starts_x/y/z` with sentinel) and the layout. Enables the analytic
-    /// Frontier-scale statistics path.
-    structured: Option<(Layout, [Vec<usize>; 3])>,
 }
 
 impl Partition {
@@ -71,7 +67,7 @@ impl Partition {
                 Self::structured(mesh, Layout::block(n_ranks, mesh.elem_counts()))
             }
             Strategy::Block => Self::new(mesh, n_ranks, Strategy::Rcb),
-            Strategy::Rcb => Self::from_owner(rcb_partition(mesh, n_ranks), n_ranks, None),
+            Strategy::Rcb => Self::from_owner(rcb_partition(mesh, n_ranks), n_ranks),
         }
     }
 
@@ -92,14 +88,10 @@ impl Partition {
             let cell = (range_of(&sx, ei), range_of(&sy, ej), range_of(&sz, ek));
             owner[e] = layout.rank_of_cell(cell) as u32;
         }
-        Self::from_owner(owner, layout.num_ranks(), Some((layout, [sx, sy, sz])))
+        Self::from_owner(owner, layout.num_ranks())
     }
 
-    fn from_owner(
-        owner: Vec<u32>,
-        n_ranks: usize,
-        structured: Option<(Layout, [Vec<usize>; 3])>,
-    ) -> Self {
+    fn from_owner(owner: Vec<u32>, n_ranks: usize) -> Self {
         let mut rank_elems: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
         for (e, &r) in owner.iter().enumerate() {
             rank_elems[r as usize].push(e);
@@ -111,7 +103,6 @@ impl Partition {
             n_ranks,
             owner,
             rank_elems,
-            structured,
         }
     }
 
@@ -131,11 +122,6 @@ impl Partition {
 
     pub fn owners(&self) -> &[u32] {
         &self.owner
-    }
-
-    /// For structured partitions: the layout and per-axis element ranges.
-    pub fn structured_info(&self) -> Option<(&Layout, &[Vec<usize>; 3])> {
-        self.structured.as_ref().map(|(l, s)| (l, s))
     }
 
     /// Load imbalance: max over ranks of (local elements / mean).

@@ -4,7 +4,8 @@
 //!
 //! Publication is a generation-stamped `Arc<ParamSet>` slot: the control
 //! plane validates a candidate checkpoint against the served architecture
-//! (the same eager probe [`cgnn_session::Session::restore`] uses), then
+//! ([`ConsistentGnn::check_checkpoint`], as
+//! [`cgnn_session::Session::restore`] does), then
 //! atomically bumps the generation. Replicas compare generations between
 //! passes and install the new parameters before their next forward pass,
 //! so every individual request is served by exactly one parameter set —
@@ -75,7 +76,6 @@ pub struct ReloadOutcome {
 pub struct ControlPlane {
     shared: Arc<ControlShared>,
     config: GnnConfig,
-    seed: u64,
     dir: Option<PathBuf>,
     /// Step of the newest checkpoint already loaded from `dir`, so the
     /// watcher is idempotent between training saves.
@@ -95,7 +95,6 @@ impl ControlPlane {
         let plane = ControlPlane {
             shared: Arc::new(ControlShared::new(params)),
             config,
-            seed,
             dir,
             loaded_step: Mutex::new(None),
         };
@@ -127,7 +126,9 @@ impl ControlPlane {
             return Ok(serving);
         };
         let report = CheckpointPolicy::latest_report(dir)?;
-        let Some(path) = report.valid else {
+        // Publish what the scan parsed: the file itself may be pruned by
+        // now.
+        let (Some(path), Some((params, opt))) = (report.valid, report.checkpoint) else {
             if let Some(corpse) = report.rejected.first() {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -146,14 +147,7 @@ impl ControlPlane {
         if *loaded == Some(step) {
             return Ok(serving);
         }
-        let (params, opt) = cgnn_tensor::load_checkpoint(&path)?;
-        // Probe-restore into a freshly seeded replica of the served
-        // architecture: verifies names and shapes without touching the
-        // live slot (mirrors Session::restore).
-        let (mut probe, _) = ConsistentGnn::seeded(self.config, self.seed);
-        cgnn_tensor::restore_into(&mut probe, &params)?;
-        opt.validate_for(&probe)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        ConsistentGnn::check_checkpoint(self.config, &params, &opt)?;
         self.shared.publish(params, step);
         *loaded = Some(step);
         Ok(ReloadOutcome {

@@ -13,6 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use cgnn_core::Trainer;
+use cgnn_tensor::{AdamState, ParamSet};
 
 /// Width of the zero-padded step number in checkpoint file names; lexical
 /// order == numeric order up to 10^10 steps.
@@ -47,6 +48,10 @@ impl std::fmt::Display for CorruptCheckpoint {
 pub struct LatestReport {
     /// The newest valid checkpoint, if any file parsed.
     pub valid: Option<PathBuf>,
+    /// The parameters and Adam state parsed from `valid` (present exactly
+    /// when it is). Restore from these rather than re-reading the file: a
+    /// trainer pruning old checkpoints may delete it after the scan.
+    pub checkpoint: Option<(ParamSet, AdamState)>,
     /// Checkpoint files rejected before (or instead of) finding a valid
     /// one, newest first.
     pub rejected: Vec<CorruptCheckpoint>,
@@ -154,9 +159,10 @@ impl CheckpointPolicy {
         let mut rejected = Vec::new();
         for (_, path) in steps {
             match cgnn_tensor::load_checkpoint(&path) {
-                Ok(_) => {
+                Ok(checkpoint) => {
                     return Ok(LatestReport {
                         valid: Some(path),
+                        checkpoint: Some(checkpoint),
                         rejected,
                     })
                 }
@@ -165,6 +171,7 @@ impl CheckpointPolicy {
         }
         Ok(LatestReport {
             valid: None,
+            checkpoint: None,
             rejected,
         })
     }

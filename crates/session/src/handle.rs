@@ -104,12 +104,6 @@ impl RankHandle {
         RankData::tgv_autoencode(Arc::clone(&self.graph), field, t)
     }
 
-    /// Forecasting task: predict the velocity at `t1` from the field at
-    /// `t0`.
-    pub fn forecast_data(&self, field: &TaylorGreen, t0: f64, t1: f64) -> RankData {
-        RankData::tgv_forecast(Arc::clone(&self.graph), field, t0, t1)
-    }
-
     /// One training iteration (forward, backward, DDP reduce, Adam step).
     /// Collective. Returns the pre-update loss.
     pub fn step(&mut self, data: &RankData) -> f64 {

@@ -287,8 +287,12 @@ impl Session {
                     let report =
                         CheckpointPolicy::latest_report(&policy.dir).map_err(ElasticError::Scan)?;
                     let resized = current.resized(survivors).map_err(ElasticError::Rebuild)?;
-                    let mut next = match &report.valid {
-                        Some(path) => resized.restore(path).map_err(ElasticError::Restore)?,
+                    // Restore what the scan parsed: the file itself may be
+                    // pruned by now.
+                    let mut next = match report.checkpoint {
+                        Some((params, opt)) => resized
+                            .restored(params, opt)
+                            .map_err(ElasticError::Restore)?,
                         None => resized,
                     };
                     next.attempt = current.attempt + 1;

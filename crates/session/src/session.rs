@@ -214,13 +214,13 @@ impl Session {
     /// run continues **bit-identically** to the uninterrupted one.
     pub fn restore(&self, path: impl AsRef<Path>) -> std::io::Result<Session> {
         let (params, opt) = cgnn_tensor::load_checkpoint(path)?;
-        // Probe restore into a freshly seeded replica of this session's
-        // architecture: verifies parameter names/shapes and optimizer
-        // moment shapes without touching state.
-        let (mut probe, _) = ConsistentGnn::seeded(self.config, self.seed);
-        cgnn_tensor::restore_into(&mut probe, &params)?;
-        opt.validate_for(&probe)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        self.restored(params, opt)
+    }
+
+    /// [`Session::restore`] from a checkpoint already parsed into memory
+    /// (a [`LatestReport`](crate::LatestReport)'s), validated the same way.
+    pub(crate) fn restored(&self, params: ParamSet, opt: AdamState) -> std::io::Result<Session> {
+        ConsistentGnn::check_checkpoint(self.config, &params, &opt)?;
         Ok(Session {
             checkpoint: Some(Arc::new((params, opt))),
             ..self.shallow_clone()
@@ -578,6 +578,31 @@ mod tests {
         let bad_path = dir.join("bad_moments.ckpt");
         cgnn_tensor::save_checkpoint(&params, &bad_opt, &bad_path).expect("save");
         assert!(small.restore(&bad_path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restoring_from_a_report_survives_the_file_being_pruned() {
+        let dir = std::env::temp_dir().join(format!("cgnn_report_{}", std::process::id()));
+        let path = CheckpointPolicy::every(1, &dir).path_for_step(1);
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let s = Session::builder().mesh(mesh()).seed(1).build().unwrap();
+        let field = TaylorGreen::new(0.01);
+        s.run(|h| {
+            h.step(&h.autoencode_data(&field, 0.0));
+            if h.rank() == 0 {
+                h.save_params(&path).expect("save");
+            }
+        });
+        let from_file = s.restore(&path).expect("restore from the file");
+        let report = CheckpointPolicy::latest_report(&dir).expect("scan");
+        assert_eq!(report.valid.as_deref(), Some(path.as_path()));
+        // A trainer's retention prune deletes the file after the scan.
+        std::fs::remove_file(&path).expect("prune");
+        let (params, opt) = report.checkpoint.expect("the scan's parsed checkpoint");
+        let from_report = s.restored(params, opt).expect("restore from the report");
+        let loss = |s: &Session| s.run(|h| h.step(&h.autoencode_data(&field, 0.0)));
+        assert_eq!(loss(&from_report), loss(&from_file));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,8 +27,8 @@ pub mod serialize;
 pub mod tape;
 pub mod tensor;
 
-pub use nn::{Activation, BoundParams, Linear, Mlp, ParamId, ParamSet};
+pub use nn::{BoundParams, Linear, Mlp, ParamId, ParamSet};
 pub use optim::{Adam, AdamState, Sgd};
-pub use serialize::{load_checkpoint, load_params, restore_into, save_checkpoint, save_params};
+pub use serialize::{load_checkpoint, restore_into, save_checkpoint};
 pub use tape::{CustomOp, Gradients, Tape, VarId};
 pub use tensor::Tensor;

@@ -19,7 +19,7 @@ pub struct ParamId(pub usize);
 /// Modules hold [`ParamId`]s; before each forward pass the set is bound to a
 /// fresh tape with [`ParamSet::bind`], which registers every parameter as a
 /// leaf and returns the `VarId` mapping.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ParamSet {
     tensors: Vec<Tensor>,
     names: Vec<String>,
@@ -152,25 +152,16 @@ impl Linear {
     }
 }
 
-/// Activation function selector for [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Activation {
-    /// ELU with alpha = 1 (the paper's choice).
-    #[default]
-    Elu,
-    Tanh,
-}
-
-/// Multi-layer perceptron: `in -> h -> ... -> h -> out` with an activation
-/// after every linear except the last, optional layer normalization on the
-/// output, and an optional residual connection (applied by the caller when
-/// `in_dim == out_dim`, matching the paper's "MLPs leverage residual
-/// connections with layer normalization and ELU activation functions").
+/// Multi-layer perceptron: `in -> h -> ... -> h -> out` with an ELU
+/// (alpha = 1) after every linear except the last, optional layer
+/// normalization on the output, and an optional residual connection
+/// (applied by the caller when `in_dim == out_dim`, matching the paper's
+/// "MLPs leverage residual connections with layer normalization and ELU
+/// activation functions").
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
     layer_norm: Option<(ParamId, ParamId)>,
-    activation: Activation,
     pub in_dim: usize,
     pub out_dim: usize,
 }
@@ -220,15 +211,9 @@ impl Mlp {
         Mlp {
             layers,
             layer_norm: ln,
-            activation: Activation::Elu,
             in_dim,
             out_dim,
         }
-    }
-
-    pub fn with_activation(mut self, act: Activation) -> Self {
-        self.activation = act;
-        self
     }
 
     pub fn forward(&self, tape: &mut Tape, bound: &BoundParams, x: VarId) -> VarId {
@@ -239,9 +224,6 @@ impl Mlp {
     /// the first layer as one [`Tape::gather_linear`] (same parameters, no
     /// concatenated input): equal to `forward(gather_concat(parts))` to
     /// rounding.
-    ///
-    /// # Panics
-    /// If the activation is not ELU.
     pub fn forward_gathered(
         &self,
         tape: &mut Tape,
@@ -249,11 +231,6 @@ impl Mlp {
         parts: &[(VarId, Option<Arc<Vec<usize>>>)],
     ) -> VarId {
         let (w, b) = (bound.var(self.layers[0].w), bound.var(self.layers[0].b));
-        assert_eq!(
-            self.activation,
-            Activation::Elu,
-            "forward_gathered runs ELU MLPs only"
-        );
         let h = tape.gather_linear(parts, w, b);
         self.forward_from(tape, bound, 1, h)
     }
@@ -268,18 +245,12 @@ impl Mlp {
     ) -> VarId {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            if i != last && self.activation == Activation::Elu {
-                // Hidden ELU layers run as the fused linear+ELU kernel.
-                h = tape.linear_elu(h, bound.var(layer.w), bound.var(layer.b));
-                continue;
-            }
-            h = layer.forward(tape, bound, h);
-            if i != last {
-                h = match self.activation {
-                    Activation::Elu => tape.elu(h),
-                    Activation::Tanh => tape.tanh(h),
-                };
-            }
+            h = if i == last {
+                layer.forward(tape, bound, h)
+            } else {
+                // Hidden layers run as the fused linear+ELU kernel.
+                tape.linear_elu(h, bound.var(layer.w), bound.var(layer.b))
+            };
         }
         if let Some((gamma, beta)) = self.layer_norm {
             h = tape.layer_norm(h, bound.var(gamma), bound.var(beta), 1e-5);
@@ -295,11 +266,6 @@ impl Mlp {
             0
         }
     }
-}
-
-/// Convenience: build a constant row-index vector shared across passes.
-pub fn shared_indices(idx: Vec<usize>) -> Arc<Vec<usize>> {
-    Arc::new(idx)
 }
 
 #[cfg(test)]

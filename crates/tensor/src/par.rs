@@ -1,55 +1,47 @@
-//! Deterministic row-chunk parallelism for the dense kernels.
+//! Fixed row chunks for the dense kernels.
 //!
-//! Every hot kernel in this crate parallelizes over **row chunks** of its
-//! output with two invariants that together make the parallel result
-//! bit-identical to the serial one at any worker count:
+//! Every hot kernel in this crate walks its output in **row chunks** whose
+//! boundaries are a pure function of the matrix shape (see [`row_chunk`]),
+//! on the calling rank's thread. Two rules keep each output row's bits
+//! independent of how rows are partitioned — into chunks here, or by a
+//! row mask on the tape:
 //!
-//! 1. **Chunk-local writes** — each output row is written by exactly one
-//!    chunk, and the arithmetic producing a row never reads another chunk's
-//!    output, so the per-row instruction sequence is the serial one.
-//! 2. **Per-chunk sequential accumulation** — reductions (scatter-add,
-//!    `matmul_tn`'s inner-dimension sum) accumulate in the serial input
-//!    order within the chunk that owns the destination row; no atomics, no
+//! 1. **Row-local writes** — each output row is written by exactly one
+//!    chunk, and the arithmetic producing a row never reads another row's
+//!    output.
+//! 2. **Serial-order accumulation** — reductions (scatter-add,
+//!    `matmul_tn`'s inner-dimension sum) accumulate in input order; no
 //!    arrival-order reductions.
 //!
-//! Chunk boundaries are a pure function of the matrix shape (see
-//! [`row_chunk`]) — worker count only decides which thread runs which
-//! chunk. `CGNN_NUM_THREADS` pins the worker count; see
-//! `docs/PERFORMANCE.md`.
-
-use rayon::ParallelSliceMut;
+//! See `docs/PERFORMANCE.md`.
 
 /// Rows per chunk for a `cols`-wide output: targets roughly 8 KiB of
 /// output per chunk, floored so tiny matrices stay in one chunk. Purely a
-/// function of the shape — never of the worker count.
+/// function of the shape.
 pub(crate) fn row_chunk(cols: usize) -> usize {
     (1024 / cols.max(1)).clamp(16, 1024)
 }
 
-/// Run `f(first_row, rows_in_chunk, chunk_data)` over fixed row chunks of
-/// `data` (a `rows x cols` row-major buffer), concurrently when worker
-/// threads are available and serially (same chunk order) otherwise.
+/// Run `f(first_row, rows_in_chunk, chunk_data)` over the fixed row chunks
+/// of `data` (a `rows x cols` row-major buffer), in row order.
 pub(crate) fn for_row_chunks(
     data: &mut [f64],
     cols: usize,
-    f: impl Fn(usize, usize, &mut [f64]) + Sync,
+    mut f: impl FnMut(usize, usize, &mut [f64]),
 ) {
     if cols == 0 || data.is_empty() {
         return;
     }
     debug_assert_eq!(data.len() % cols, 0);
     let chunk_rows = row_chunk(cols);
-    data.par_chunks_mut(chunk_rows * cols)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let first_row = ci * chunk_rows;
-            f(first_row, chunk.len() / cols, chunk);
-        });
+    for (ci, chunk) in data.chunks_mut(chunk_rows * cols).enumerate() {
+        f(ci * chunk_rows, chunk.len() / cols, chunk);
+    }
 }
 
 /// Elementwise `out[i] = f(src[i])` over row chunks (`src`/`out` are
 /// `rows x cols` row-major buffers of equal length).
-pub(crate) fn ew_map(src: &[f64], cols: usize, out: &mut [f64], f: impl Fn(f64) -> f64 + Sync) {
+pub(crate) fn ew_map(src: &[f64], cols: usize, out: &mut [f64], f: impl Fn(f64) -> f64) {
     debug_assert_eq!(src.len(), out.len());
     for_row_chunks(out, cols, |first_row, _nrows, chunk| {
         let base = first_row * cols;
@@ -66,7 +58,7 @@ pub(crate) fn ew_zip(
     b: &[f64],
     cols: usize,
     out: &mut [f64],
-    f: impl Fn(f64, f64) -> f64 + Sync,
+    f: impl Fn(f64, f64) -> f64,
 ) {
     debug_assert_eq!(a.len(), out.len());
     debug_assert_eq!(b.len(), out.len());

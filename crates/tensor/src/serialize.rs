@@ -5,7 +5,7 @@
 //! checkpoint of a distributed run.
 //!
 //! Two container kinds:
-//! * **params** (`save_params`/`load_params`): magic `CGNN`, version u32,
+//! * **params** (`write_params`/`read_params`): magic `CGNN`, version u32,
 //!   tensor count u32, then per tensor: name length + UTF-8 name, rows
 //!   u64, cols u64, little-endian f64 data.
 //! * **training checkpoint** (`save_checkpoint`/`load_checkpoint`): magic
@@ -296,20 +296,6 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> io::Result<(ParamSet, AdamStat
     read_checkpoint(io::BufReader::new(file))
 }
 
-/// Save to a file path, atomically (temp sibling + rename).
-pub fn save_params(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut buf = Vec::new();
-    write_params(params, &mut buf)?;
-    atomic_write(path.as_ref(), &buf)
-}
-
-/// Load from a file path. The caller is responsible for checking that the
-/// architecture matches (e.g. via [`restore_into`]).
-pub fn load_params(path: impl AsRef<Path>) -> io::Result<ParamSet> {
-    let file = std::fs::File::open(path)?;
-    read_params(io::BufReader::new(file))
-}
-
 /// Restore checkpointed values into an existing (architecture-defining)
 /// parameter set, verifying names and shapes match exactly.
 pub fn restore_into(target: &mut ParamSet, source: &ParamSet) -> io::Result<()> {
@@ -503,8 +489,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cgnn_ckpt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("model.cgnn");
-        save_params(&params, &path).expect("save");
-        let loaded = load_params(&path).expect("load");
+        let opt = crate::optim::Adam::new(0.01);
+        save_checkpoint(&params, &opt.state(), &path).expect("save");
+        let (loaded, _) = load_checkpoint(&path).expect("load");
         assert_eq!(loaded.flatten(), params.flatten());
         let _ = std::fs::remove_dir_all(&dir);
     }

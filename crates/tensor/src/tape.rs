@@ -106,8 +106,6 @@ pub(crate) enum Op {
     RowScale(VarId, Arc<Vec<f64>>),
     /// ELU activation (alpha = 1).
     Elu(VarId),
-    /// tanh activation.
-    Tanh(VarId),
     /// Row-wise layer normalization with learned gain/bias.
     LayerNorm {
         x: VarId,
@@ -246,7 +244,7 @@ impl Tape {
     }
 
     /// Enter **row-masked recording**: until [`Tape::end_row_mask`], the
-    /// row-separable ops ([`Tape::linear`], [`Tape::elu`], [`Tape::tanh`],
+    /// row-separable ops ([`Tape::linear`], [`Tape::elu`],
     /// [`Tape::layer_norm`], [`Tape::gather_concat`]) compute their values
     /// only for the given output rows; the remaining rows hold stale
     /// buffer contents until the closing backfill overwrites them.
@@ -537,9 +535,9 @@ impl Tape {
     /// Each output row is summed in one fixed order: the bias, then the
     /// terms of the (at most one) part without indices, in the order of
     /// [`Tape::linear`]'s tile kernel, then the gathered products in part
-    /// order, then ELU at store time — so chunking and worker count change
-    /// no bit. The result equals `linear_elu(gather_concat(parts), ..)` to
-    /// rounding, not bit for bit.
+    /// order, then ELU at store time — so chunking changes no bit. The
+    /// result equals `linear_elu(gather_concat(parts), ..)` to rounding,
+    /// not bit for bit.
     ///
     /// # Panics
     /// Under a row mask; if more than one part has no indices; if the
@@ -676,12 +674,6 @@ impl Tape {
     pub fn elu(&mut self, a: VarId) -> VarId {
         let (rows, cols) = self.value(a).shape();
         self.record_rows(rows, cols, Op::Elu(a))
-    }
-
-    /// tanh activation.
-    pub fn tanh(&mut self, a: VarId) -> VarId {
-        let (rows, cols) = self.value(a).shape();
-        self.record_rows(rows, cols, Op::Tanh(a))
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta` (`[1, F]`).
@@ -960,14 +952,6 @@ fn accumulate(
             });
             add(*a, ga, pool);
         }
-        Op::Tanh(a) => {
-            let vy = &node.value;
-            let mut ga = pool.uninit(g.rows(), g.cols());
-            ew_zip(g.data(), vy.data(), g.cols(), ga.data_mut(), |x, y| {
-                x * (1.0 - y * y)
-            });
-            add(*a, ga, pool);
-        }
         Op::LayerNorm {
             x,
             gamma,
@@ -1052,7 +1036,6 @@ enum RowKernel<'a> {
         elu: bool,
     },
     Elu(&'a [f64]),
-    Tanh(&'a [f64]),
     LayerNorm {
         x: &'a [f64],
         gamma: &'a [f64],
@@ -1078,7 +1061,6 @@ impl<'a> RowKernel<'a> {
                 elu: *elu,
             },
             Op::Elu(a) => RowKernel::Elu(val(a).data()),
-            Op::Tanh(a) => RowKernel::Tanh(val(a).data()),
             Op::LayerNorm {
                 x,
                 gamma,
@@ -1120,11 +1102,6 @@ impl<'a> RowKernel<'a> {
             RowKernel::Elu(src) => {
                 for (o, &u) in chunk.iter_mut().zip(&src[span]) {
                     *o = crate::tensor::elu_scalar(u);
-                }
-            }
-            RowKernel::Tanh(src) => {
-                for (o, &u) in chunk.iter_mut().zip(&src[span]) {
-                    *o = u.tanh();
                 }
             }
             RowKernel::LayerNorm {

@@ -8,9 +8,9 @@
 //! The dominant kernels come in two forms: an allocating convenience
 //! (`matmul`, `gather_rows`, ...) and a `*_into` variant writing into a
 //! caller-provided tensor, which is what the [`crate::Tape`] workspace uses
-//! to recycle buffers across training steps. All `*_into` kernels
-//! parallelize over row chunks with the determinism rules of `par.rs`:
-//! the result is bit-identical to the serial path at any worker count.
+//! to recycle buffers across training steps. All `*_into` kernels walk
+//! fixed row chunks under the rules of `par.rs`, so a row's bits do not
+//! depend on how the rows are partitioned.
 
 use std::fmt;
 
@@ -241,8 +241,8 @@ impl Tensor {
     /// small `F`), so the tile accumulators give the multiply and add ports
     /// independent chains (plain IEEE multiplies and adds; no FMA is ever
     /// contracted) while each output element still sums its `k` terms in
-    /// the serial order (bit-identical at any chunking or worker count).
-    /// Rows are chunk-parallel per `par.rs`.
+    /// the serial order (bit-identical at any chunking). Rows are walked in
+    /// chunks per `par.rs`.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -374,56 +374,26 @@ impl Tensor {
 
     /// [`Tensor::scatter_add_rows`] overwriting `out` (must be
     /// `[out_rows, cols]`; it is zeroed first, previous contents ignored).
-    ///
-    /// Parallel path: output rows are split into one contiguous range per
-    /// worker; each range scans the input **in order** and accumulates the
-    /// entries addressed to it. Every destination row therefore receives
-    /// its contributions in exactly the serial input order — no atomics —
-    /// which makes the result identical at any worker count.
+    /// Every destination row receives its contributions in input order.
     pub fn scatter_add_rows_into(&self, idx: &[usize], out: &mut Tensor) {
         assert_eq!(idx.len(), self.rows, "scatter index length mismatch");
         assert_eq!(out.cols, self.cols, "scatter_add_rows_into column mismatch");
         let cols = self.cols;
         let out_rows = out.rows;
-        // Validate up front so serial and parallel paths fail identically
-        // (the parallel range scan would otherwise silently drop an
-        // out-of-range destination instead of panicking).
+        // Validate up front so a bad index fails by name, before `out` is
+        // touched.
         assert!(
             idx.iter().all(|&d| d < out_rows),
             "scatter index out of {out_rows} rows"
         );
-        let workers = rayon::current_num_threads();
-        if workers <= 1 || out_rows < 2 * workers || cols == 0 {
-            out.data.fill(0.0);
-            for (i, &dst) in idx.iter().enumerate() {
-                let src = self.row(i);
-                let d = &mut out.data[dst * cols..(dst + 1) * cols];
-                for (o, &s) in d.iter_mut().zip(src.iter()) {
-                    *o += s;
-                }
+        out.data.fill(0.0);
+        for (i, &dst) in idx.iter().enumerate() {
+            let src = self.row(i);
+            let d = &mut out.data[dst * cols..(dst + 1) * cols];
+            for (o, &s) in d.iter_mut().zip(src.iter()) {
+                *o += s;
             }
-            return;
         }
-        use rayon::ParallelSliceMut;
-        let range_rows = out_rows.div_ceil(workers);
-        let src_data = &self.data;
-        out.data
-            .par_chunks_mut(range_rows * cols)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                chunk.fill(0.0);
-                let lo = ci * range_rows;
-                let hi = lo + chunk.len() / cols;
-                for (i, &dst) in idx.iter().enumerate() {
-                    if dst >= lo && dst < hi {
-                        let src = &src_data[i * cols..(i + 1) * cols];
-                        let d = &mut chunk[(dst - lo) * cols..(dst - lo + 1) * cols];
-                        for (o, &s) in d.iter_mut().zip(src.iter()) {
-                            *o += s;
-                        }
-                    }
-                }
-            });
     }
 
     /// Multiply row `i` by `weights[i]`.
@@ -903,13 +873,9 @@ mod tests {
     }
 
     #[test]
-    fn scatter_parallel_matches_serial_order() {
-        let x = Tensor::from_fn(101, 3, |r, c| ((r * 3 + c) as f64 * 0.71).sin());
-        let idx: Vec<usize> = (0..101).map(|i| (i * 13) % 17).collect();
-        let serial = rayon::with_num_threads(1, || x.scatter_add_rows(&idx, 17));
-        for threads in [2, 3, 8] {
-            let par = rayon::with_num_threads(threads, || x.scatter_add_rows(&idx, 17));
-            assert_eq!(par, serial, "threads={threads}");
-        }
+    #[should_panic(expected = "scatter index out of")]
+    fn scatter_index_out_of_range_panics_by_name() {
+        let x = Tensor::zeros(3, 2);
+        let _ = x.scatter_add_rows(&[0, 4, 1], 4);
     }
 }

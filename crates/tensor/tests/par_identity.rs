@@ -1,29 +1,15 @@
-//! Serial-vs-parallel bit-identity of the tensor kernels.
+//! Serial-order and row-partition bit-identity of the tensor kernels.
 //!
-//! The determinism contract of `crates/tensor/src/par.rs`: every kernel's
-//! result is **bit-identical** at any worker count, because chunk
-//! boundaries are fixed functions of the shape, each output row is written
-//! by exactly one chunk, and reductions accumulate per destination in the
-//! serial input order. These property tests pin the worker count per run
-//! (via the rayon shim's `with_num_threads`) and compare against the
-//! 1-worker path over odd shapes that straddle chunk boundaries.
+//! The determinism contract of `crates/tensor/src/par.rs`: each kernel
+//! equals its documented serial-order sum bit for bit (checked against
+//! naive one-element-at-a-time references), and any row partition — the
+//! fixed row chunks, or a row mask with its closing backfill — gives the
+//! same bits, over odd shapes that straddle chunk and tile boundaries.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 
 use cgnn_tensor::{Tape, Tensor, VarId};
-
-/// Worker counts to compare against the serial path: an even split, an odd
-/// split (uneven chunk distribution), and more workers than chunks.
-const WORKERS: [usize; 3] = [2, 3, 7];
-
-fn assert_worker_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
-    let serial = rayon::with_num_threads(1, &f);
-    for w in WORKERS {
-        let par = rayon::with_num_threads(w, &f);
-        assert!(par == serial, "parallel ({w} workers) diverged from serial");
-    }
-}
 
 /// `count` deterministic pseudo-random values in `-1..1`.
 fn noise(seed: u64, count: usize) -> Vec<f64> {
@@ -32,7 +18,7 @@ fn noise(seed: u64, count: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Record `gather_concat → linear_elu → linear → layer_norm → tanh` over
+/// Record `gather_concat → linear_elu → linear → layer_norm → elu` over
 /// `edges` gathered rows of an `[nodes, width]` source, reduce it to a
 /// scalar and run backward. With `mask = Some((rows, complement))` the
 /// chain is recorded under `begin_row_mask(rows)` and closed with
@@ -63,7 +49,7 @@ fn row_chain(
     let h1 = tape.linear_elu(cat, w1, b1);
     let h2 = tape.linear(h1, w2, b2);
     let ln = tape.layer_norm(h2, gamma, beta, 1e-5);
-    let out = tape.tanh(ln);
+    let out = tape.elu(ln);
     if let Some((_, complement)) = mask {
         tape.end_row_mask(complement);
     }
@@ -108,105 +94,10 @@ proptest! {
         for (name, in_mask) in subsets {
             let (rows, complement): (Vec<usize>, Vec<usize>) =
                 (0..edges).partition(|&r| in_mask(r));
-            for workers in [1, 2] {
-                let (whole, masked) = rayon::with_num_threads(workers, || (
-                    row_chain(shape, seed, None),
-                    row_chain(shape, seed, Some((&rows, &complement))),
-                ));
-                prop_assert!(whole == masked, "{name} mask {rows:?}, {workers} workers");
-            }
+            let whole = row_chain(shape, seed, None);
+            let masked = row_chain(shape, seed, Some((&rows, &complement)));
+            prop_assert!(whole == masked, "{name} mask {rows:?}");
         }
-    }
-
-    /// `A * B` over shapes that straddle the fixed chunk boundary and the
-    /// 4x8 register-tile edges.
-    #[test]
-    fn matmul_is_worker_invariant(
-        rows in 1usize..200,
-        k in 1usize..17,
-        n in 1usize..19,
-        seed in 0u64..1000,
-    ) {
-        let a = Tensor::from_fn(rows, k, |r, c| ((seed + (r * k + c) as u64) as f64 * 0.37).sin());
-        let b = Tensor::from_fn(k, n, |r, c| ((seed + (r * n + c) as u64) as f64 * 0.21).cos());
-        assert_worker_invariant(|| a.matmul(&b).into_vec());
-    }
-
-    /// The adjoint products: `g * w^T` through the explicit transpose (the
-    /// route the tape's backward takes) and the fused `x^T * g`.
-    #[test]
-    fn matmul_transpose_variants_are_worker_invariant(
-        rows in 1usize..150,
-        k in 1usize..13,
-        n in 1usize..13,
-        seed in 0u64..1000,
-    ) {
-        let g = Tensor::from_fn(rows, k, |r, c| ((seed + (r * k + c) as u64) as f64 * 0.11).sin());
-        let w = Tensor::from_fn(n, k, |r, c| ((seed + (r * k + c) as u64) as f64 * 0.23).cos());
-        assert_worker_invariant(|| g.matmul(&w.transpose()).into_vec());
-        let x = Tensor::from_fn(rows, n, |r, c| ((seed + (r * n + c) as u64) as f64 * 0.31).sin());
-        assert_worker_invariant(|| g.matmul_tn(&x).into_vec());
-    }
-
-    /// Gather and scatter-add over random index patterns: scatter is the
-    /// kernel whose parallel path reduces — per-destination input order
-    /// must make it exact, not approximately equal.
-    #[test]
-    fn gather_scatter_are_worker_invariant(
-        src_rows in 1usize..60,
-        n_idx in 1usize..300,
-        cols in 1usize..9,
-        seed in 0u64..1000,
-    ) {
-        let x = Tensor::from_fn(src_rows, cols, |r, c| {
-            ((seed + (r * cols + c) as u64) as f64 * 0.17).sin()
-        });
-        let idx: Vec<usize> = (0..n_idx).map(|i| (i * 7 + seed as usize) % src_rows).collect();
-        assert_worker_invariant(|| x.gather_rows(&idx).into_vec());
-        let y = Tensor::from_fn(n_idx, cols, |r, c| {
-            ((seed + (r * cols + c) as u64) as f64 * 0.13).cos()
-        });
-        assert_worker_invariant(|| y.scatter_add_rows(&idx, src_rows).into_vec());
-    }
-
-    /// The tape-level row kernels (fused linear(+ELU), layer norm, ELU) and
-    /// a full forward+backward: gradients must also be worker-invariant.
-    #[test]
-    fn tape_forward_backward_is_worker_invariant(
-        rows in 1usize..150,
-        in_dim in 1usize..10,
-        out_dim in 1usize..10,
-        seed in 0u64..1000,
-    ) {
-        let xv = Tensor::from_fn(rows, in_dim, |r, c| {
-            ((seed + (r * in_dim + c) as u64) as f64 * 0.19).sin()
-        });
-        let wv = Tensor::from_fn(in_dim, out_dim, |r, c| {
-            ((seed + (r * out_dim + c) as u64) as f64 * 0.29).cos()
-        });
-        let bv = Tensor::from_fn(1, out_dim, |_, c| 0.05 * c as f64 - 0.1);
-        let gv = Tensor::from_fn(1, out_dim, |_, c| 1.0 + 0.01 * c as f64);
-        let bt = Tensor::zeros(1, out_dim);
-        let run = || {
-            let mut tape = Tape::new();
-            let x = tape.leaf(xv.clone());
-            let w = tape.leaf(wv.clone());
-            let b = tape.leaf(bv.clone());
-            let h = tape.linear_elu(x, w, b);
-            let gamma = tape.leaf(gv.clone());
-            let beta = tape.leaf(bt.clone());
-            let h = tape.layer_norm(h, gamma, beta, 1e-5);
-            let h = tape.elu(h);
-            let s = tape.weighted_sq_sum(h, Arc::new(vec![1.0; rows]));
-            let grads = tape.backward(s);
-            (
-                tape.value(h).clone().into_vec(),
-                grads.get(x).unwrap().clone().into_vec(),
-                grads.get(w).unwrap().clone().into_vec(),
-                grads.get(gamma).unwrap().clone().into_vec(),
-            )
-        };
-        assert_worker_invariant(run);
     }
 }
 
@@ -251,17 +142,15 @@ fn matmul_tn_is_the_serial_order_sum_at_every_panel_boundary() {
             let x = Tensor::from_vec(k, m, noise(k as u64, k * m));
             let g = Tensor::from_vec(k, n, noise(7 + k as u64, k * n));
             let want = naive_tn(&x, &g);
-            for workers in [1, 2, 3] {
-                // A dirty output buffer: the kernel must not read it.
-                let mut out = Tensor::full(m, n, f64::NAN);
-                rayon::with_num_threads(workers, || x.matmul_tn_into(&g, &mut out));
-                let same = out
-                    .data()
-                    .iter()
-                    .zip(&want)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "m={m} n={n} k={k} workers={workers}");
-            }
+            // A dirty output buffer: the kernel must not read it.
+            let mut out = Tensor::full(m, n, f64::NAN);
+            x.matmul_tn_into(&g, &mut out);
+            let same = out
+                .data()
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "m={m} n={n} k={k}");
         }
     }
 }
@@ -333,7 +222,7 @@ fn taped_layer_norm(
 /// The layer-norm kernels — four rows in lockstep at widths 8 and 32,
 /// one at a time elsewhere and for the rows left over — are the one-row
 /// kernel bit for bit in values and in the x, gamma and beta gradients:
-/// whole, under two row masks with their backfills, at 1–3 workers, over
+/// whole and under two row masks with their backfills, over
 /// widths on and off the lockstep ones and row counts around a quad and
 /// across a chunk boundary.
 #[test]
@@ -354,19 +243,11 @@ fn layer_norm_is_the_one_row_kernel_bit_for_bit() {
                 (0..rows).partition(|r| r % 3 != 1),
                 (0..rows).partition(|r| (r / 5) % 2 == 0),
             ];
-            for workers in [1, 2, 3] {
-                rayon::with_num_threads(workers, || {
-                    let whole = taped_layer_norm(&x, &gamma, &beta, &up, None);
-                    assert_eq!(bits(&whole), want, "{rows}x{cols}, {workers} workers");
-                    for (mask, rest) in &masks {
-                        let masked = taped_layer_norm(&x, &gamma, &beta, &up, Some((mask, rest)));
-                        assert_eq!(
-                            bits(&masked),
-                            want,
-                            "{rows}x{cols} masked {mask:?}, {workers} workers"
-                        );
-                    }
-                });
+            let whole = taped_layer_norm(&x, &gamma, &beta, &up, None);
+            assert_eq!(bits(&whole), want, "{rows}x{cols}");
+            for (mask, rest) in &masks {
+                let masked = taped_layer_norm(&x, &gamma, &beta, &up, Some((mask, rest)));
+                assert_eq!(bits(&masked), want, "{rows}x{cols} masked {mask:?}");
             }
         }
     }
@@ -429,30 +310,20 @@ fn linear_elu_routes_agree_bit_for_bit() {
         (67, 32, 32),
     ];
     for shape in shapes {
-        for workers in [1, 2] {
-            rayon::with_num_threads(workers, || {
-                let (fused, _) = hidden_layer(shape, "fused");
-                let (unfused, pre_adjoint) = hidden_layer(shape, "unfused");
-                let (masked, _) = hidden_layer(shape, "masked");
-                assert!(
-                    fused == unfused,
-                    "fused vs unfused, {shape:?}, {workers} workers"
-                );
-                assert!(
-                    fused == masked,
-                    "fused vs masked, {shape:?}, {workers} workers"
-                );
+        let (fused, _) = hidden_layer(shape, "fused");
+        let (unfused, pre_adjoint) = hidden_layer(shape, "unfused");
+        let (masked, _) = hidden_layer(shape, "masked");
+        assert!(fused == unfused, "fused vs unfused, {shape:?}");
+        assert!(fused == masked, "fused vs masked, {shape:?}");
 
-                let scaled = pre_adjoint.expect("unfused route returns it");
-                let mut sums = vec![0.0; shape.2];
-                for r in 0..scaled.rows() {
-                    for (s, &v) in sums.iter_mut().zip(scaled.row(r)) {
-                        *s += v;
-                    }
-                }
-                assert!(fused[3] == sums, "bias gradient, {shape:?}");
-            });
+        let scaled = pre_adjoint.expect("unfused route returns it");
+        let mut sums = vec![0.0; shape.2];
+        for r in 0..scaled.rows() {
+            for (s, &v) in sums.iter_mut().zip(scaled.row(r)) {
+                *s += v;
+            }
         }
+        assert!(fused[3] == sums, "bias gradient, {shape:?}");
     }
 }
 
@@ -519,11 +390,10 @@ fn taped_gather_linear(
 }
 
 /// `gather_linear` sums each output row in its documented order, bit for
-/// bit (against [`naive_gather_linear`]), so neither the row chunking nor
-/// the worker count can change it: widths on and off the `4 x 8` tile,
-/// edge counts from none to past a chunk boundary at every width, `x` as
-/// two gathered parts, 1–3 workers; its store-time ELU is the unfused
-/// `elu`'s, and its gradients are the same bits at every worker count.
+/// bit (against [`naive_gather_linear`]), so the row chunking cannot
+/// change it: widths on and off the `4 x 8` tile, edge counts from none to
+/// past a chunk boundary at every width, `x` as two gathered parts; its
+/// store-time ELU is the unfused `elu`'s.
 #[test]
 fn gather_linear_is_its_documented_order_bit_for_bit() {
     for h in [3, 8, 12, 32] {
@@ -557,16 +427,8 @@ fn gather_linear_is_its_documented_order_bit_for_bit() {
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
-            let serial =
-                rayon::with_num_threads(1, || taped_gather_linear(&x, &e, [&src, &dst], &w, &b));
-            let case = format!("h={h} nodes={nodes} edges={edges}");
-            assert!(serial[0] == want, "{case}: values");
-            for workers in [2, 3] {
-                let par = rayon::with_num_threads(workers, || {
-                    taped_gather_linear(&x, &e, [&src, &dst], &w, &b)
-                });
-                assert!(par == serial, "{case}: {workers} workers");
-            }
+            let got = taped_gather_linear(&x, &e, [&src, &dst], &w, &b);
+            assert!(got[0] == want, "h={h} nodes={nodes} edges={edges}: values");
         }
     }
 }
@@ -674,7 +536,7 @@ fn taped_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Ve
 
 /// The row GEMM (`linear`, `linear_elu`, the adjoint `g * wᵀ`) and the
 /// transposed one (`dw = xᵀ g`) are the serial-order sums, bit for bit,
-/// in values and in the x, w and b gradients, at 1–3 workers. The shapes
+/// in values and in the x, w and b gradients. The shapes
 /// reach every branch: full `4 x 8` tiles, the column tail beside them,
 /// the remainder rows below them, `k = 0`, no rows at all, and several
 /// row chunks. A `gather_linear` whose gathered part owns a row block of
@@ -691,14 +553,8 @@ fn gemm_is_the_serial_order_sum_bit_for_bit() {
                 let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
                 for elu in [false, true] {
                     let want = naive_dense(&x, &w, &b, &up, elu);
-                    for workers in [1, 2, 3] {
-                        let got =
-                            rayon::with_num_threads(workers, || taped_dense(&x, &w, &b, &up, elu));
-                        assert!(
-                            got == want,
-                            "rows={rows} k={k} n={n} elu={elu} workers={workers}"
-                        );
-                    }
+                    let got = taped_dense(&x, &w, &b, &up, elu);
+                    assert!(got == want, "rows={rows} k={k} n={n} elu={elu}");
                 }
             }
         }
@@ -732,19 +588,14 @@ fn gemm_is_the_serial_order_sum_bit_for_bit() {
         bits(&naive_col_sums(&t)),
     ];
     let idx = Arc::new(idx);
-    for workers in [1, 2, 3] {
-        let got = rayon::with_num_threads(workers, || {
-            let mut tape = Tape::new();
-            let [ev, xv, wv, bv] = [&e, &x, &w, &b].map(|t| tape.leaf_copy(t));
-            let u = tape.constant_copy(&up);
-            let y = tape.gather_linear(&[(ev, None), (xv, Some(Arc::clone(&idx)))], wv, bv);
-            let yu = tape.mul(y, u);
-            let loss = tape.sum(yu);
-            let grads = tape.backward(loss);
-            let mut out = vec![bits(tape.value(y).data())];
-            out.extend([ev, xv, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
-            out
-        });
-        assert!(got == want, "gather_linear, {workers} workers");
-    }
+    let mut tape = Tape::new();
+    let [ev, xv, wv, bv] = [&e, &x, &w, &b].map(|t| tape.leaf_copy(t));
+    let u = tape.constant_copy(&up);
+    let y = tape.gather_linear(&[(ev, None), (xv, Some(idx))], wv, bv);
+    let yu = tape.mul(y, u);
+    let loss = tape.sum(yu);
+    let grads = tape.backward(loss);
+    let mut got = vec![bits(tape.value(y).data())];
+    got.extend([ev, xv, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+    assert!(got == want, "gather_linear");
 }

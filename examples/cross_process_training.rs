@@ -8,9 +8,8 @@
 //! The cross-process launchers re-exec this binary for ranks 1..R: a child
 //! re-runs `main`, replays any earlier launch deterministically
 //! in-process, and joins its world at the matching launch (see
-//! `docs/DISTRIBUTED.md`). Each rank process runs its kernels under the
-//! per-rank thread budget `max(1, cores / world)`, so rank parallelism
-//! and kernel parallelism compose instead of contending.
+//! `docs/DISTRIBUTED.md`). Each rank process runs its kernels on its one
+//! rank thread.
 //!
 //! ```sh
 //! cargo run --release --example cross_process_training
