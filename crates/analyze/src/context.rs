@@ -318,14 +318,14 @@ mod tests {
     #[test]
     fn suppressions_require_reasons() {
         let src = "\
-// detlint: allow(nondet-iteration, \"keys sorted on the next line\")\n\
-// detlint: allow(unwrap-in-lib)\n\
+// detlint: allow(terse-expect, \"the message is the variant name\")\n\
+// detlint: allow(terse-expect)\n\
 // detlint: allow(hotpath-reachability, \"\")\n";
         let ctx = FileContext::new("a.rs", FileKind::Lib, src);
         assert_eq!(ctx.suppressions.len(), 1);
         assert_eq!(ctx.bad_suppressions.len(), 2);
-        assert!(ctx.suppressed("nondet-iteration", 1));
-        assert!(ctx.suppressed("nondet-iteration", 2));
-        assert!(!ctx.suppressed("nondet-iteration", 3));
+        assert!(ctx.suppressed("terse-expect", 1));
+        assert!(ctx.suppressed("terse-expect", 2));
+        assert!(!ctx.suppressed("terse-expect", 3));
     }
 }

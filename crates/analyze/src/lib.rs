@@ -4,7 +4,7 @@
 //! hot-path invariants. It lexes every crate's Rust sources with a
 //! hand-rolled lexer ([`lexer`]), recovers lightweight structure
 //! ([`context`]: test regions, fn spans, suppressions), and runs a
-//! pluggable rule set ([`rules`]) producing rich diagnostics with
+//! fixed rule set ([`rules`]) producing rich diagnostics with
 //! file:line:col positions, source snippets, and docs links.
 //!
 //! Since v2 the engine is *interprocedural*: a lightweight parser
@@ -17,11 +17,14 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | `nondet-iteration` | no HashMap/HashSet iteration in lib code |
-//! | `unwrap-in-lib` | no `unwrap()`/`panic!` without a documented invariant |
-//! | `env-var-registry` | every env read names a registered knob |
+//! | `terse-expect` | an `.expect` message in lib code states its invariant (≥ 8 characters) |
 //! | `hotpath-reachability` | no per-call allocation in or reachable from hot-path code |
 //! | `panic-reachability` | public API reaching a panic documents `# Panics` |
+//!
+//! Properties clippy can check with type information — no hash
+//! collections, no `unwrap`/`panic!` in library code, environment reads
+//! through one `EnvKnob` — are workspace lint configuration (the root
+//! `Cargo.toml` and `clippy.toml`), not detlint rules.
 //!
 //! False positives are silenced *per site* with
 //! `// detlint: allow(<rule>, "<reason>")` — the reason is mandatory, so
@@ -42,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 pub use callgraph::{CallGraph, Workspace};
 use context::{FileContext, FileKind};
-pub use rules::{Config, Finding};
+pub use rules::{Config, Finding, RULES};
 
 /// A fully rendered diagnostic.
 #[derive(Debug, Clone)]
@@ -118,39 +121,15 @@ pub fn classify(rel: &str) -> FileKind {
     }
 }
 
-/// The analyzer: owns the rule set and configuration.
+/// The analyzer: owns the rule configuration.
 pub struct Engine {
     cfg: Config,
 }
 
 impl Engine {
-    /// Build an engine with the given configuration. The env-var registry
-    /// is loaded lazily from `cfg.registry_files` during
-    /// [`Engine::analyze_workspace`].
+    /// Build an engine with the given configuration.
     pub fn new(cfg: Config) -> Self {
         Engine { cfg }
-    }
-
-    /// Read the env-knob registry file(s) under `root` and record every
-    /// `name: "<VAR>"` field, so `env-var-registry` can cross-check
-    /// literal reads anywhere in the workspace (including crates that
-    /// cannot depend on cgnn-core).
-    fn load_registry(&mut self, root: &Path) {
-        for rel in self.cfg.registry_files.clone() {
-            let Ok(src) = fs::read_to_string(root.join(&rel)) else {
-                continue;
-            };
-            let (tokens, _) = lexer::lex(&src);
-            for i in 0..tokens.len() {
-                if context::is_ident(&tokens[i], "name")
-                    && tokens.get(i + 1).is_some_and(|t| context::is_punct(t, ':'))
-                {
-                    if let Some(lexer::Tok::Str(s)) = tokens.get(i + 2).map(|t| &t.kind) {
-                        self.cfg.registered_env.insert(s.clone());
-                    }
-                }
-            }
-        }
     }
 
     /// Analyze one already-loaded file, returning rendered diagnostics
@@ -175,17 +154,7 @@ impl Engine {
     /// The shared rule pipeline: per-file checks, the workspace
     /// call-graph pass, rendering, suppression application.
     fn run_rules(&self, ctxs: &[FileContext]) -> Vec<Diagnostic> {
-        let mut rules = rules::all_rules();
-        let mut findings = Vec::new();
-        for ctx in ctxs {
-            for r in rules.iter_mut() {
-                r.check(ctx, &self.cfg, &mut findings);
-            }
-        }
-        let ws = Workspace::new(ctxs);
-        for r in rules.iter_mut() {
-            r.check_workspace(&ws, &self.cfg, &mut findings);
-        }
+        let findings = rules::run_rules(ctxs, &self.cfg);
         let mut diagnostics = render(findings, |p| ctxs.iter().find(|c| c.path == p));
         for ctx in ctxs {
             diagnostics.extend(bad_suppression_diags(ctx));
@@ -196,8 +165,7 @@ impl Engine {
 
     /// Walk the workspace at `root`, analyze every `.rs` file outside
     /// `target`/`shims`/fixtures, and return the sorted report.
-    pub fn analyze_workspace(&mut self, root: &Path) -> io::Result<Report> {
-        self.load_registry(root);
+    pub fn analyze_workspace(&self, root: &Path) -> io::Result<Report> {
         let mut files = Vec::new();
         walk(root, &mut files)?;
         files.sort();
@@ -303,15 +271,15 @@ mod tests {
     fn suppression_silences_and_bad_suppression_reports() {
         let engine = Engine::new(Config::default());
         let src = "\
-// detlint: allow(unwrap-in-lib, \"demo: the value is checked two lines up\")\n\
-fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
+// detlint: allow(terse-expect, \"demo: the value is checked two lines up\")\n\
+fn f(x: Option<u32>) -> u32 { x.expect(\"some\") }\n\
+fn g(x: Option<u32>) -> u32 { x.expect(\"some\") }\n";
         let diags = engine.analyze_source("demo.rs", FileKind::Lib, src);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "unwrap-in-lib");
+        assert_eq!(diags[0].rule, "terse-expect");
         assert_eq!(diags[0].line, 3);
 
-        let bad = "// detlint: allow(unwrap-in-lib)\nfn f() {}\n";
+        let bad = "// detlint: allow(terse-expect)\nfn f() {}\n";
         let diags = engine.analyze_source("demo.rs", FileKind::Lib, bad);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, "suppression-syntax");
@@ -321,20 +289,20 @@ fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
     fn report_renders_diagnostics_then_summary() {
         let report = Report {
             diagnostics: vec![Diagnostic {
-                rule: "unwrap-in-lib".into(),
+                rule: "terse-expect".into(),
                 path: "a.rs".into(),
                 line: 3,
                 col: 7,
-                snippet: "x.unwrap()".into(),
+                snippet: "x.expect(\"ok\")".into(),
                 message: "m".into(),
-                docs: "docs/ANALYSIS.md#unwrap-in-lib".into(),
+                docs: "docs/ANALYSIS.md#terse-expect".into(),
             }],
             files_scanned: 1,
         };
         assert_eq!(
             report.render(),
-            "a.rs:3:7: [unwrap-in-lib] m\n    | x.unwrap()\n    = docs: \
-             docs/ANALYSIS.md#unwrap-in-lib\n\ndetlint: scanned 1 files, 1 diagnostic\n"
+            "a.rs:3:7: [terse-expect] m\n    | x.expect(\"ok\")\n    = docs: \
+             docs/ANALYSIS.md#terse-expect\n\ndetlint: scanned 1 files, 1 diagnostic\n"
         );
     }
 }

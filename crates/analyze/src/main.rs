@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
     });
 
-    let mut engine = Engine::new(Config::default());
+    let engine = Engine::new(Config::default());
     let report = match engine.analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {

@@ -10,7 +10,7 @@
 //! - every call expression inside each fn, classified by receiver shape
 //!   (`free()`, `self.method()`, `var.method()`, `Type::assoc()`);
 //! - every direct panic site (`panic!`/`todo!`/`unimplemented!`,
-//!   `.unwrap()`).
+//!   `.unwrap()`, `std::panic::panic_any(…)`).
 //!
 //! Anything it cannot confidently classify it drops, so downstream rules
 //! degrade to fewer findings rather than wrong ones.
@@ -75,7 +75,8 @@ pub struct CallSite {
 /// One direct panic site.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
-    /// Human label: `panic!`, `todo!`, `unimplemented!`, `.unwrap()`.
+    /// Human label: `panic!`, `todo!`, `unimplemented!`, `.unwrap()`,
+    /// `panic_any`.
     pub what: &'static str,
     /// Token index of the site.
     pub tok: usize,
@@ -356,6 +357,40 @@ fn find_fn_items(tokens: &[Token], comments: &[Comment], impls: &[(String, Span)
     fns
 }
 
+/// Walk left from the token at `dot` (a `.`) to the base identifier of
+/// the receiver, skipping balanced `[...]` / `(...)` groups, e.g.
+/// `self.world.slots[self.rank]` → `slots`.
+fn receiver_name(tokens: &[Token], dot: usize) -> Option<String> {
+    let mut k = dot;
+    loop {
+        if k == 0 {
+            return None;
+        }
+        k -= 1;
+        match tokens[k].kind {
+            Tok::Punct(']') | Tok::Punct(')') => {
+                let close = if matches!(tokens[k].kind, Tok::Punct(']')) {
+                    (']', '[')
+                } else {
+                    (')', '(')
+                };
+                let mut depth = 1usize;
+                while k > 0 && depth > 0 {
+                    k -= 1;
+                    match &tokens[k].kind {
+                        Tok::Punct(c) if *c == close.0 => depth += 1,
+                        Tok::Punct(c) if *c == close.1 => depth -= 1,
+                        _ => {}
+                    }
+                }
+                // Continue: the token before the group names the receiver.
+            }
+            Tok::Ident(ref s) => return Some(s.clone()),
+            _ => return None,
+        }
+    }
+}
+
 /// Find every call expression and panic site, attributing each to the
 /// innermost enclosing fn.
 fn attribute_calls(tokens: &[Token], fns: &mut [FnInfo]) {
@@ -393,12 +428,17 @@ fn attribute_calls(tokens: &[Token], fns: &mut [FnInfo]) {
         if !next_is('(') {
             continue;
         }
-        // `.unwrap()` is a panic site, not a call edge.
+        // `.unwrap()` and `panic_any(…)` are panic sites, not call edges.
         let prev_dot = i > 0 && is_punct(&tokens[i - 1], '.');
-        if name == "unwrap" && prev_dot {
+        let what = match name {
+            "unwrap" if prev_dot => Some("`.unwrap()`"),
+            "panic_any" if !prev_dot => Some("`panic_any`"),
+            _ => None,
+        };
+        if let Some(what) = what {
             if let Some(o) = owner(i, fns) {
                 fns[o].panics.push(PanicSite {
-                    what: "`.unwrap()`",
+                    what,
                     tok: i,
                     line: tokens[i].line,
                     col: tokens[i].col,
@@ -414,7 +454,7 @@ fn attribute_calls(tokens: &[Token], fns: &mut [FnInfo]) {
             continue;
         }
         let recv = if prev_dot {
-            match crate::rules::receiver_name(tokens, i - 1).as_deref() {
+            match receiver_name(tokens, i - 1).as_deref() {
                 Some("self") => Receiver::SelfDot,
                 Some(base) => Receiver::Var(base.to_string()),
                 None => Receiver::Free,
@@ -500,6 +540,9 @@ pub fn documented(x: Option<u32>) -> u32 { x.unwrap() }
 
 /// Undocumented abort.
 pub fn undocumented() { panic!(\"boom\"); }
+
+/// Typed unwind.
+pub fn typed() { std::panic::panic_any(Failure::Killed); }
 ";
         let p = parse_src(src);
         let doc = p.fns.iter().find(|f| f.name == "documented").expect("fn");
@@ -509,6 +552,9 @@ pub fn undocumented() { panic!(\"boom\"); }
         assert_eq!(doc.panics[0].what, "`.unwrap()`");
         assert!(!undoc.doc_has_panics);
         assert_eq!(undoc.panics[0].what, "`panic!`");
+        let typed = p.fns.iter().find(|f| f.name == "typed").expect("fn");
+        assert_eq!(typed.panics[0].what, "`panic_any`");
+        assert!(typed.calls.is_empty(), "a panic site is not a call edge");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 // diagnostics themselves. Not compiled — scanned by detlint's golden
 // tests only.
 
-// detlint: allow(unwrap-in-lib)
+// detlint: allow(terse-expect)
 pub fn missing_reason() {}
 
-// detlint: allow(unwrap-in-lib, "")
+// detlint: allow(terse-expect, "")
 pub fn empty_reason() {}
 
 // detlint: deny(everything)

@@ -1,6 +1,7 @@
 // Fixture: panic-reachability. Not compiled — scanned by detlint's
-// golden tests only. A pub entry reaches an unwrap two frames down; the
-// documented and suppressed variants stay quiet.
+// golden tests only. A pub entry reaches an unwrap two frames down, and
+// another a typed unwind; the documented and suppressed variants stay
+// quiet.
 
 // POSITIVE: pub API reaching an undocumented panic site transitively.
 pub fn entry_point(key: &str) -> usize {
@@ -12,7 +13,6 @@ fn lookup(key: &str) -> usize {
 }
 
 fn deep_get(key: &str) -> usize {
-    // detlint: allow(unwrap-in-lib, "fixture: this panic site is the subject of the panic-reachability cases above")
     key.parse().unwrap()
 }
 
@@ -30,4 +30,9 @@ pub fn documented_entry(key: &str) -> usize {
 // detlint: allow(panic-reachability, "audited: callers pre-validate key at parse time; the builder docs own this contract")
 pub fn audited_entry(key: &str) -> usize {
     lookup(key)
+}
+
+// POSITIVE: `panic_any` unwinds like `panic!`, with a typed payload.
+pub fn kill_switch(rank: usize) {
+    std::panic::panic_any(rank);
 }

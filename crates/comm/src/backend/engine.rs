@@ -42,13 +42,14 @@
 //! armed fault carries no fault state and counts nothing.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::fault::{ArmedFault, FaultPlan, Op, RankFailure, Strike};
+use crate::knob::CGNN_FAULT_HEARTBEAT_MS;
 use crate::stats::RankStats;
 
 /// Frame kinds. `Hello` belongs to the stream rendezvous, before a world
@@ -127,10 +128,10 @@ pub(crate) trait Park: Send + Sync {
 pub(crate) struct Heartbeat(Duration);
 
 impl Heartbeat {
-    /// The liveness probe period from `CGNN_FAULT_HEARTBEAT_MS` (default
-    /// 25 ms; registered in the `cgnn-core` knob registry).
+    /// The liveness probe period from [`CGNN_FAULT_HEARTBEAT_MS`]
+    /// (default 25 ms).
     pub(crate) fn from_env() -> Arc<dyn Park> {
-        let raw = std::env::var("CGNN_FAULT_HEARTBEAT_MS").ok();
+        let raw = CGNN_FAULT_HEARTBEAT_MS.lookup();
         Arc::new(Heartbeat(Duration::from_millis(heartbeat_ms(
             raw.as_deref(),
         ))))
@@ -147,8 +148,11 @@ impl Heartbeat {
 fn heartbeat_ms(raw: Option<&str>) -> u64 {
     let ms = match raw {
         None => 25,
+        #[expect(
+            clippy::panic,
+            reason = "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default"
+        )]
         Some(v) => v.parse::<u64>().unwrap_or_else(|_| {
-            // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default")
             panic!("CGNN_FAULT_HEARTBEAT_MS must be a non-negative integer, got `{v}`")
         }),
     };
@@ -172,7 +176,11 @@ impl Park for Heartbeat {
 pub(crate) struct PostQueue {
     next_post: u64,
     next_arrival: u64,
-    arrived: HashMap<u64, P2pMsg>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by arrival sequence; inserted and removed by key, never iterated"
+    )]
+    arrived: std::collections::HashMap<u64, P2pMsg>,
 }
 
 impl PostQueue {
@@ -323,7 +331,10 @@ impl Mailbox {
                 .collect();
             if !dead.is_empty() {
                 drop(g);
-                // detlint: allow(unwrap-in-lib, "liveness abort: unwinding into the recovery loop is how peers escape a dead world")
+                #[expect(
+                    clippy::panic,
+                    reason = "liveness abort: unwinding into the recovery loop is how peers escape a dead world"
+                )]
                 std::panic::panic_any(RankFailure::PeerDead {
                     rank: self.rank,
                     dead,
@@ -474,8 +485,13 @@ impl Engine {
         (0..self.mailbox.size).filter(move |&p| p != self.mailbox.rank)
     }
 
-    /// Count one comm op against the armed fault; a due kill declares
-    /// this rank dead and unwinds with [`RankFailure::Killed`].
+    /// Count one comm op against the armed fault.
+    ///
+    /// # Panics
+    ///
+    /// With [`RankFailure::Killed`] when the armed fault's kill is due:
+    /// the rank declares itself dead and unwinds, and the session recovery
+    /// loop catches the `RankFailure`.
     fn strike(&self, op: Op) -> Strike {
         let Some(fault) = &self.fault else {
             return Strike::Pass;
@@ -483,7 +499,10 @@ impl Engine {
         let strike = fault.strike(op);
         if let Strike::Kill(op) = strike {
             self.mark_dead();
-            // Fault injection: dying is this code's entire purpose.
+            #[expect(
+                clippy::panic,
+                reason = "fault injection: dying is this code's entire purpose"
+            )]
             std::panic::panic_any(RankFailure::Killed {
                 rank: self.mailbox.rank,
                 op,
@@ -627,8 +646,10 @@ impl Engine {
                 return msg;
             }
             if Instant::now() >= give_up {
-                // Stall supervision: unwinding is how a dropped-send hang
-                // becomes a typed failure.
+                #[expect(
+                    clippy::panic,
+                    reason = "stall supervision: unwinding is how a dropped-send hang becomes a typed failure"
+                )]
                 std::panic::panic_any(RankFailure::Stalled {
                     rank: self.mailbox.rank,
                     src,

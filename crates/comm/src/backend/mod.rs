@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use crate::comm::Comm;
 use crate::fault::FaultPlan;
+use crate::knob::CGNN_BACKEND;
 use engine::Engine;
 
 /// Which in-tree transport an SPMD world runs on.
@@ -97,18 +98,18 @@ impl Backend {
     /// On any other value: config errors at startup fail loudly rather
     /// than silently testing the wrong transport.
     pub fn from_env() -> Backend {
-        match std::env::var("CGNN_BACKEND") {
-            Err(_) => Backend::Threads,
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "" | "threads" => Backend::Threads,
-                "serial" => Backend::Serial,
-                "proc" => Backend::Proc,
-                "socket" => Backend::Socket,
-                other => {
-                    // detlint: allow(unwrap-in-lib, "config error at startup: fail loudly rather than silently testing the wrong transport")
-                    panic!("unknown CGNN_BACKEND value `{other}` (expected `threads`, `serial`, `proc`, or `socket`)")
-                }
-            },
+        match CGNN_BACKEND.string_or("threads").to_ascii_lowercase().as_str() {
+            "threads" => Backend::Threads,
+            "serial" => Backend::Serial,
+            "proc" => Backend::Proc,
+            "socket" => Backend::Socket,
+            #[expect(
+                clippy::panic,
+                reason = "config error at startup: fail loudly rather than silently testing the wrong transport"
+            )]
+            other => panic!(
+                "unknown CGNN_BACKEND value `{other}` (expected `threads`, `serial`, `proc`, or `socket`)"
+            ),
         }
     }
 

@@ -44,6 +44,7 @@ use crate::backend::serial;
 use crate::backend::wire::{self, Conn, StreamCarrier};
 use crate::comm::Comm;
 use crate::fault::{FaultPlan, RankFailure};
+use crate::knob::{CGNN_LAUNCHED, CGNN_PROC_DIR, CGNN_PROC_SEQ, CGNN_RANK, CGNN_WORLD};
 
 /// How long mesh dialing retries before giving up on a peer process.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
@@ -131,23 +132,19 @@ enum Role {
 }
 
 fn role_for(seq: u64) -> Role {
-    let Ok(rank) = std::env::var("CGNN_RANK") else {
+    let Some(rank) = CGNN_RANK.lookup() else {
         return Role::Spawn;
     };
     let rank: usize = rank
         .parse()
         .expect("CGNN_RANK must be a rank index in 0..world");
-    if std::env::var("CGNN_LAUNCHED").is_err() {
+    if CGNN_LAUNCHED.lookup().is_none() {
         // Manually launched rank (one process per machine, operator-run):
         // there is no spawner replaying a program prefix, so every
         // cross-process launch in the program joins.
         return Role::Join { rank };
     }
-    let target: u64 = std::env::var("CGNN_PROC_SEQ")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    if seq == target {
+    if seq == CGNN_PROC_SEQ.usize_or(1) as u64 {
         Role::Join { rank }
     } else {
         Role::Replay
@@ -414,10 +411,9 @@ where
     F: Fn(&Comm) -> T + Sync,
     P: ProcTransport,
 {
-    let base = std::env::var("CGNN_PROC_DIR")
-        .ok()
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
+    let base = CGNN_PROC_DIR
+        .lookup()
+        .map_or_else(std::env::temp_dir, PathBuf::from);
     // `seq` restarts in every `reexec_scope`, so concurrent scopes of one
     // process (parallel tests) need the counter to keep their
     // directories apart.
@@ -439,11 +435,11 @@ where
             .expect("create the child rank log file");
         let mut cmd = Command::new(&exe);
         cmd.args(&args)
-            .env("CGNN_RANK", r.to_string())
-            .env("CGNN_WORLD", size.to_string())
-            .env("CGNN_LAUNCHED", "1")
-            .env("CGNN_PROC_SEQ", seq.to_string())
-            .env("CGNN_PROC_DIR", &dir)
+            .env(CGNN_RANK.name, r.to_string())
+            .env(CGNN_WORLD.name, size.to_string())
+            .env(CGNN_LAUNCHED.name, "1")
+            .env(CGNN_PROC_SEQ.name, seq.to_string())
+            .env(CGNN_PROC_DIR.name, &dir)
             .stdin(Stdio::null())
             .stdout(Stdio::from(
                 log.try_clone().expect("clone the child log handle"),
@@ -520,7 +516,7 @@ where
     F: Fn(&Comm) -> T + Sync,
     P: ProcTransport,
 {
-    if let Ok(w) = std::env::var("CGNN_WORLD") {
+    if let Some(w) = CGNN_WORLD.lookup() {
         let w: usize = w.parse().expect("CGNN_WORLD must be a world size");
         assert_eq!(
             w, size,
@@ -529,10 +525,10 @@ where
         );
     }
     assert!(rank < size, "CGNN_RANK must be inside 0..CGNN_WORLD");
-    let dir = std::env::var("CGNN_PROC_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    let launched = std::env::var("CGNN_LAUNCHED").is_ok();
+    let dir = CGNN_PROC_DIR
+        .lookup()
+        .map_or_else(std::env::temp_dir, PathBuf::from);
+    let launched = CGNN_LAUNCHED.lookup().is_some();
     let conns = transport
         .connect(rank, size, &dir)
         .expect("establish this rank's connection mesh");

@@ -78,6 +78,10 @@ impl Park for Baton {
     /// When every live rank has been blocked for a full supervision
     /// window (mismatched collective schedules, or a receive whose send
     /// never comes): panicking is the mechanism that unwedges the run.
+    #[expect(
+        clippy::panic,
+        reason = "deadlock supervisor: panicking is the mechanism that unwedges the test run"
+    )]
     fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
         // Peers deliver into this mailbox while they hold the baton.
         drop(arrivals);
@@ -85,7 +89,6 @@ impl Park for Baton {
         t.idle_passes += 1;
         if t.idle_passes > 4 * t.done.len() + 16 {
             drop(t);
-            // detlint: allow(unwrap-in-lib, "deadlock supervisor: panicking is the mechanism that unwedges the test run")
             panic!(
                 "serial backend deadlock: every live rank is blocked \
                  (mismatched collective schedules or a receive whose send never comes)"

@@ -39,12 +39,13 @@ use crate::backend::proc::{launch_stream, ProcTransport};
 use crate::backend::wire::{self, Conn};
 use crate::comm::Comm;
 use crate::fault::FaultPlan;
+use crate::knob::CGNN_SOCKET_ADDR;
 
 /// How long rendezvous and mesh dialing retry before giving up.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(60);
 
 fn required_addr() -> io::Result<String> {
-    std::env::var("CGNN_SOCKET_ADDR").map_err(|_| {
+    CGNN_SOCKET_ADDR.lookup().ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::NotFound,
             "CGNN_SOCKET_ADDR must name the rank-0 rendezvous address",
@@ -89,11 +90,11 @@ impl ProcTransport for TcpTransport {
         if size == 1 {
             return Ok(Vec::new());
         }
-        let addr = std::env::var("CGNN_SOCKET_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string());
+        let addr = CGNN_SOCKET_ADDR.string_or("127.0.0.1:0");
         let listener = TcpListener::bind(&addr)?;
         let resolved = listener.local_addr()?.to_string();
         self.rendezvous = Some(listener);
-        Ok(vec![("CGNN_SOCKET_ADDR", resolved)])
+        Ok(vec![(CGNN_SOCKET_ADDR.name, resolved)])
     }
 
     fn connect(&mut self, rank: usize, size: usize, _dir: &Path) -> io::Result<Vec<Option<Conn>>> {

@@ -60,6 +60,7 @@
 pub mod backend;
 pub mod comm;
 pub mod fault;
+pub mod knob;
 pub mod stats;
 
 pub use backend::loopback::LoopbackBackend;

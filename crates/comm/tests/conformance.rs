@@ -109,6 +109,10 @@ fn conformance(backend: Backend) {
             }
         });
     });
+    #[expect(
+        clippy::panic,
+        reason = "test body shared by #[test] fns: a non-string payload fails the test"
+    )]
     let message = payload
         .downcast_ref::<String>()
         .map(String::as_str)

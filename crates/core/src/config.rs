@@ -1,134 +1,29 @@
 //! Central registry of every `CGNN_*` environment knob.
 //!
-//! Every environment variable the workspace reads is declared here as an
+//! Every environment variable the workspace reads is declared as an
 //! [`EnvKnob`] carrying its name, documented default, and a one-line
-//! description. The registry is load-bearing in three ways:
+//! description, and listed in [`KNOBS`]. The registry is load-bearing in
+//! three ways:
 //!
 //! 1. **Single source of truth** — the "Environment knobs" table in the
 //!    repository README is rendered from [`KNOBS`] and a unit test keeps
 //!    the two in sync.
-//! 2. **Machine-checked** — `cgnn-analyze`'s `env-var-registry` lint
-//!    rejects any `std::env::var` read in the workspace whose variable
-//!    name is not declared below, so ad-hoc knobs cannot accrete.
-//! 3. **Sanctioned read point** — [`EnvKnob::lookup`] is the one place
-//!    raw `std::env::var` happens for registry knobs; call sites that
-//!    cannot depend on `cgnn-core` (e.g. `cgnn-comm`, which `cgnn-core`
-//!    itself depends on) read their literal name directly, and the lint
-//!    verifies the literal is declared here.
+//! 2. **One read path** — [`EnvKnob::lookup`] holds the workspace's only
+//!    `std::env::var` call; clippy's `disallowed-methods` (root
+//!    `clippy.toml`) rejects a raw read anywhere else, so a read needs an
+//!    `EnvKnob` value rather than a bare string.
+//! 3. **One home per knob** — the knobs the comm launch machinery reads
+//!    (`CGNN_BACKEND`, the cross-process handshake, the heartbeat) are
+//!    declared in `cgnn_comm::knob`, below this crate, and re-exported
+//!    here; the rest are declared in this module.
 //!
 //! Defaults listed as text are documentation: the operative default lives
 //! at the call site (several binaries use different scales for the same
 //! knob), and the table records the common case.
 
-/// One declared environment variable: its name, documented default, and
-/// what it controls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvKnob {
-    /// The environment variable name (`CGNN_*`).
-    pub name: &'static str,
-    /// Human-readable default shown in the README table.
-    pub default: &'static str,
-    /// One-line description of what the knob controls.
-    pub doc: &'static str,
-}
-
-impl EnvKnob {
-    /// Raw registry read: the value of the variable, if set and non-empty.
-    ///
-    /// This is the sanctioned `std::env::var` site for registry knobs —
-    /// the `env-var-registry` lint whitelists this file and rejects
-    /// unregistered reads everywhere else.
-    pub fn lookup(&self) -> Option<String> {
-        std::env::var(self.name).ok().filter(|v| !v.is_empty())
-    }
-
-    /// The knob parsed as `usize`, or `default` when unset.
-    ///
-    /// # Panics
-    ///
-    /// When the variable is set to something that is not a `usize`: a
-    /// mistyped value must not silently become the default.
-    pub fn usize_or(&self, default: usize) -> usize {
-        match self.lookup() {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default")
-                panic!("{} must be a non-negative integer, got `{v}`", self.name)
-            }),
-        }
-    }
-
-    /// The knob as a string, or `default` when unset.
-    pub fn string_or(&self, default: &str) -> String {
-        self.lookup().unwrap_or_else(|| default.to_string())
-    }
-}
-
-/// Communication transport selection, honored by `World::run` and the
-/// session default.
-pub const CGNN_BACKEND: EnvKnob = EnvKnob {
-    name: "CGNN_BACKEND",
-    default: "threads",
-    doc: "Comm transport: `threads` (one OS thread per rank), `serial` \
-          (deterministic round-robin loopback), `proc` (one OS process \
-          per rank), or `socket` (one process per rank over TCP).",
-};
-
-/// Cross-process launch handshake: this process's rank index. Set by the
-/// `proc`/`socket` spawner on re-exec'd children, or by an operator for
-/// a manual (multi-machine) launch.
-pub const CGNN_RANK: EnvKnob = EnvKnob {
-    name: "CGNN_RANK",
-    default: "unset (this process spawns the world)",
-    doc: "Cross-process handshake: rank index of this process; unset \
-          means \"spawn the world and run rank 0 inline\".",
-};
-
-/// Cross-process launch handshake: world size, cross-checked against the
-/// program's own launch call.
-pub const CGNN_WORLD: EnvKnob = EnvKnob {
-    name: "CGNN_WORLD",
-    default: "unset",
-    doc: "Cross-process handshake: expected world size (cross-checked \
-          against the program's launch; divergence fails loudly).",
-};
-
-/// Cross-process launch handshake: marks a re-exec'd child (as opposed to
-/// a manually launched rank), which reports failures via `rank{r}.fail`
-/// and exits when its rank completes.
-pub const CGNN_LAUNCHED: EnvKnob = EnvKnob {
-    name: "CGNN_LAUNCHED",
-    default: "unset",
-    doc: "Cross-process handshake: set (to `1`) on re-exec'd child ranks; \
-          unset for operator-run (manual multi-machine) ranks.",
-};
-
-/// Cross-process launch handshake: which launch (1-based sequence number
-/// within the program/scope) a re-exec'd child should join; earlier
-/// launches are replayed in-process on the serial backend.
-pub const CGNN_PROC_SEQ: EnvKnob = EnvKnob {
-    name: "CGNN_PROC_SEQ",
-    default: "1",
-    doc: "Cross-process handshake: launch sequence number the child \
-          joins; earlier launches replay deterministically in-process.",
-};
-
-/// Cross-process rendezvous directory (Unix sockets, child logs,
-/// `rank{r}.fail` reports). For the spawner a base directory; for a
-/// joining rank the concrete per-launch directory.
-pub const CGNN_PROC_DIR: EnvKnob = EnvKnob {
-    name: "CGNN_PROC_DIR",
-    default: "system temp dir",
-    doc: "Cross-process rendezvous directory (UDS mesh sockets, child \
-          logs, failure reports); spawner treats it as a base directory.",
-};
-
-/// TCP rendezvous address of the socket backend's rank 0.
-pub const CGNN_SOCKET_ADDR: EnvKnob = EnvKnob {
-    name: "CGNN_SOCKET_ADDR",
-    default: "127.0.0.1:0 (spawner picks an ephemeral port)",
-    doc: "Socket-backend rendezvous address (`host:port`) where rank 0 \
-          listens; required for manual multi-machine launches.",
+pub use cgnn_comm::knob::{
+    EnvKnob, CGNN_BACKEND, CGNN_FAULT_HEARTBEAT_MS, CGNN_LAUNCHED, CGNN_PROC_DIR, CGNN_PROC_SEQ,
+    CGNN_RANK, CGNN_SOCKET_ADDR, CGNN_WORLD,
 };
 
 /// Epoch/iteration count used by the examples and figure binaries.
@@ -209,17 +104,6 @@ pub const CGNN_SERVE_ELEMS: EnvKnob = EnvKnob {
           on (GLL order fixed at 2).",
 };
 
-/// Liveness-probe heartbeat of the comm engine's heartbeat park policy
-/// (threads, proc, socket): how often a blocked collective/receive
-/// re-checks the peer table.
-pub const CGNN_FAULT_HEARTBEAT_MS: EnvKnob = EnvKnob {
-    name: "CGNN_FAULT_HEARTBEAT_MS",
-    default: "25",
-    doc: "Comm liveness heartbeat (ms): how often a rank blocked in a \
-          collective or receive re-checks for dead peers (threads, proc \
-          and socket transports).",
-};
-
 /// Elastic-recovery budget: how many world rebuilds
 /// `Session::train_epochs_elastic` attempts before giving up.
 pub const CGNN_FAULT_MAX_RETRIES: EnvKnob = EnvKnob {
@@ -292,32 +176,6 @@ mod tests {
             assert!(!k.doc.is_empty(), "{} has no doc line", k.name);
             assert!(!k.default.is_empty(), "{} has no default", k.name);
         }
-    }
-
-    #[test]
-    fn usize_or_parses_and_defaults() {
-        // Use a name that is never set in CI.
-        let knob = EnvKnob {
-            name: "CGNN_TEST_UNSET_KNOB",
-            default: "7",
-            doc: "test",
-        };
-        assert_eq!(knob.usize_or(7), 7);
-        assert_eq!(knob.string_or("x"), "x");
-        assert!(knob.lookup().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "CGNN_TEST_MISTYPED_KNOB must be a non-negative integer")]
-    fn usize_or_rejects_an_unparsable_value_by_name() {
-        // A name no other test reads, so setting it races with nothing.
-        let knob = EnvKnob {
-            name: "CGNN_TEST_MISTYPED_KNOB",
-            default: "1",
-            doc: "test",
-        };
-        std::env::set_var(knob.name, "two");
-        knob.usize_or(1);
     }
 
     #[test]

@@ -440,7 +440,7 @@ impl PendingExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     use cgnn_comm::{StatsSnapshot, World};
     use cgnn_graph::build_distributed_graph;
@@ -522,7 +522,7 @@ mod tests {
             let runs = exchange_every_mode((ex, ey, ez), order, periodic, STRATEGIES[strat], world, 2);
 
             // Per gid: copy count, rank-ordered sum, and sum of magnitudes.
-            let mut copies: HashMap<u64, (usize, [f64; 2], [f64; 2])> = HashMap::new();
+            let mut copies: BTreeMap<u64, (usize, [f64; 2], [f64; 2])> = BTreeMap::new();
             for run in &runs {
                 for (r, &gid) in run.graph.gids.iter().enumerate() {
                     let e = copies.entry(gid).or_insert((0, [0.0; 2], [0.0; 2]));

@@ -200,7 +200,7 @@ fn build_rank_graph(
 mod tests {
     use super::*;
     use cgnn_partition::Strategy;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// FNV-1a over one u64.
     fn fnv(h: &mut u64, v: u64) {
@@ -437,7 +437,7 @@ mod tests {
         let mesh = BoxMesh::new((2, 2, 2), 3, (1.0, 1.0, 1.0), false);
         let part = Partition::new(&mesh, 2, Strategy::Slab);
         let graphs = build_distributed_graph(&mesh, &part);
-        let mut by_key: HashMap<(u64, u64), [f64; 3]> = HashMap::new();
+        let mut by_key: BTreeMap<(u64, u64), [f64; 3]> = BTreeMap::new();
         for g in &graphs {
             for e in 0..g.n_edges() {
                 let key = (g.gids[g.edge_src[e]], g.gids[g.edge_dst[e]]);

@@ -123,7 +123,7 @@ mod tests {
         for ok in 0..2 {
             for oj in 0..2 {
                 for oi in 0..2 {
-                    let mut owners = std::collections::HashSet::new();
+                    let mut owners = std::collections::BTreeSet::new();
                     for dk in 0..2 {
                         for dj in 0..2 {
                             for di in 0..2 {

@@ -151,7 +151,7 @@ mod tests {
 
         // Serial reference: per-gid sum of per-rank values.
         let value_of = |rank: usize, gid: u64| (gid as f64 * 0.31).sin() + rank as f64 * 0.05;
-        let mut reference: std::collections::HashMap<u64, f64> = Default::default();
+        let mut reference: std::collections::BTreeMap<u64, f64> = Default::default();
         for g in graphs.iter() {
             for &gid in &g.gids {
                 *reference.entry(gid).or_insert(0.0) += value_of(g.rank, gid);

@@ -90,7 +90,10 @@ impl ElementOps {
                     }
                 }
             }
-            // detlint: allow(unwrap-in-lib, "axis comes from internal 0..3 loops; a typed error would force fallible signatures through every kernel")
+            #[expect(
+                clippy::panic,
+                reason = "axis comes from internal 0..3 loops; a typed error would force fallible signatures through every kernel"
+            )]
             _ => panic!("axis must be 0..3"),
         }
     }
@@ -144,7 +147,10 @@ impl ElementOps {
                     }
                 }
             }
-            // detlint: allow(unwrap-in-lib, "axis comes from internal 0..3 loops; a typed error would force fallible signatures through every kernel")
+            #[expect(
+                clippy::panic,
+                reason = "axis comes from internal 0..3 loops; a typed error would force fallible signatures through every kernel"
+            )]
             _ => panic!("axis must be 0..3"),
         }
     }

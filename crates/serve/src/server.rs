@@ -101,7 +101,10 @@ impl ServeConfig {
         let model = match model_name.as_str() {
             "small" => GnnConfig::small(),
             "large" => GnnConfig::large(),
-            // detlint: allow(unwrap-in-lib, "config error at startup: a mistyped preset fails loudly, naming the knob, rather than serving the small model under the mistyped name")
+            #[expect(
+                clippy::panic,
+                reason = "config error at startup: a mistyped preset fails loudly, naming the knob, rather than serving the small model under the mistyped name"
+            )]
             other => panic!(
                 "{} must be `small` or `large`, got `{other}`",
                 knobs::CGNN_SERVE_MODEL.name

@@ -1078,7 +1078,10 @@ impl<'a> RowKernel<'a> {
                     .map(|p| (val(&p.src), p.idx.as_deref().map(Vec::as_slice)))
                     .collect(),
             ),
-            // detlint: allow(unwrap-in-lib, "programming error in the op registry; masked recording is only reachable for row-separable ops")
+            #[expect(
+                clippy::panic,
+                reason = "programming error in the op registry; masked recording is only reachable for row-separable ops"
+            )]
             _ => panic!("op is not row-separable and cannot be recorded under a row mask"),
         }
     }

@@ -282,6 +282,10 @@ fn hidden_layer(
             tape.end_row_mask(&rest);
             (None, h)
         }
+        #[expect(
+            clippy::panic,
+            reason = "test helper: an unknown route is a bug in the test table"
+        )]
         other => panic!("unknown route {other}"),
     };
     let loss = tape.weighted_sq_sum(h, Arc::new(noise(4, rows)));

@@ -10,6 +10,7 @@
 //! cargo run --release --example consistency_demo
 //! ```
 
+use cgnn::core::config;
 use cgnn::prelude::*;
 
 const SEED: u64 = 123;
@@ -17,10 +18,7 @@ const SEED: u64 = 123;
 fn main() {
     // Paper: cubic domain of 32^3 elements at p = 1; we default to 12^3 to
     // stay fast on laptops (set CGNN_ELEMS=32 for the full-size run).
-    let elems: usize = std::env::var("CGNN_ELEMS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
+    let elems = config::CGNN_ELEMS.usize_or(12);
     let mesh = BoxMesh::new((elems, elems, elems), 1, (1.0, 1.0, 1.0), false);
     let field = TaylorGreen::new(0.01);
     println!(

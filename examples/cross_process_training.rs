@@ -18,6 +18,7 @@
 //! Env: `CGNN_ITERS` (training steps, default 20), `CGNN_ELEMS` (mesh
 //! elements per axis, default 4).
 
+use cgnn::core::config;
 use cgnn::prelude::*;
 
 const SEED: u64 = 29;
@@ -25,16 +26,14 @@ const LR: f64 = 1e-3;
 const RANKS: usize = 4;
 
 fn main() {
-    let iters: usize = std::env::var("CGNN_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let elems: usize = std::env::var("CGNN_ELEMS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let iters = config::CGNN_ITERS.usize_or(20);
+    let elems = config::CGNN_ELEMS.usize_or(4);
     let field = TaylorGreen::new(0.01);
     let mesh = BoxMesh::new((elems, elems, elems), 1, (1.0, 1.0, 1.0), false);
+    #[expect(
+        clippy::panic,
+        reason = "example: a session that fails to build ends the demo, naming the backend"
+    )]
     let session = |backend: Backend| {
         Session::builder()
             .mesh(mesh.clone())

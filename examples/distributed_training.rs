@@ -18,16 +18,14 @@
 //! cargo run --release --example distributed_training
 //! ```
 
+use cgnn::core::config;
 use cgnn::prelude::*;
 
 const SEED: u64 = 17;
 const LR: f64 = 1e-3;
 
 fn main() {
-    let epochs: u64 = std::env::var("CGNN_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
+    let epochs = config::CGNN_ITERS.usize_or(30) as u64;
     let field = TaylorGreen::new(0.01);
     let mesh = BoxMesh::new((6, 6, 6), 2, (1.0, 1.0, 1.0), false);
     // Snapshot stream: the Taylor-Green field autoencoded at four decay

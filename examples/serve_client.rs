@@ -39,6 +39,10 @@ fn main() {
     // otherwise.
     let (addr, local_server) = match knobs::CGNN_SERVE_ADDR.lookup() {
         Some(spec) => {
+            #[expect(
+                clippy::panic,
+                reason = "example: an unresolvable address ends the demo, naming it"
+            )]
             let addr = spec
                 .to_socket_addrs()
                 .ok()

@@ -9,6 +9,7 @@
 //! cargo run --release --example tgv_surrogate
 //! ```
 
+use cgnn::core::config;
 use cgnn::prelude::*;
 
 fn main() {
@@ -37,10 +38,7 @@ fn main() {
         .build()
         .expect("session");
 
-    let epochs: u64 = std::env::var("CGNN_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
+    let epochs = config::CGNN_ITERS.usize_or(50) as u64;
     let results = session.run(move |h| {
         let reports = h.train_epochs(epochs);
         // 4. Evaluate: per-node RMS prediction error vs the solver truth,

@@ -123,6 +123,10 @@ fn run_cell(mode: HaloExchangeMode, backend: Backend, dir: &Path) -> CellOut {
     }
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: an unknown label is a bug in the test matrix"
+)]
 fn mode_from_label(label: &str) -> HaloExchangeMode {
     HaloExchangeMode::all()
         .into_iter()
@@ -130,6 +134,10 @@ fn mode_from_label(label: &str) -> HaloExchangeMode {
         .unwrap_or_else(|| panic!("unknown exchange mode label {label:?}"))
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: an unknown label is a bug in the test matrix"
+)]
 fn backend_from_label(label: &str) -> Backend {
     [
         Backend::Threads,
@@ -148,12 +156,20 @@ fn backend_from_label(label: &str) -> Backend {
 #[test]
 #[ignore = "re-exec entry point for cross-process child ranks"]
 fn backend_worker_entry() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-harness handshake between this test and its re-exec'd children, not a program knob"
+    )]
     let Ok(cell) = std::env::var(CELL_ENV) else {
         return; // invoked via `--ignored` by hand, not as a child rank
     };
     let (mode_label, backend_label) = cell
         .split_once('/')
         .unwrap_or_else(|| panic!("malformed {CELL_ENV}={cell:?}"));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-harness handshake between this test and its re-exec'd children, not a program knob"
+    )]
     let dir = PathBuf::from(std::env::var(DIR_ENV).expect("parent exports the cell dir"));
     let _scope = reexec_scope(worker_args());
     run_cell(

@@ -18,6 +18,7 @@ mod common;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use cgnn::core::config::CGNN_RANK;
 use cgnn::prelude::*;
 
 const SEED: u64 = 17;
@@ -129,7 +130,7 @@ fn kill_mid_epoch_recovers_threads() {
 /// (children join mid-run with the checkpoint history intact).
 fn proc_shared_dir() -> PathBuf {
     let dir = std::env::temp_dir().join("cgnn_chaos_proc");
-    if std::env::var_os("CGNN_RANK").is_none() {
+    if CGNN_RANK.lookup().is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     std::fs::create_dir_all(&dir).expect("shared ckpt dir");
@@ -192,7 +193,7 @@ fn kill_mid_epoch_recovers_proc() {
     // launch and left alone by children (it already exists), so every
     // process restores the same bytes.
     let pinned = dir.join("recovery.ckpt");
-    if std::env::var_os("CGNN_RANK").is_none() {
+    if CGNN_RANK.lookup().is_none() {
         std::fs::copy(&restored_from, &pinned).expect("pin recovery checkpoint");
     }
 
