@@ -208,9 +208,14 @@ impl ConsistentMpLayer {
         let e_upd = self.edge_mlp.forward_gathered(tape, bound, &parts);
         let e_new = tape.add(e_upd, e);
 
-        // (2) Degree-weighted local aggregation at the receiver (Eq. 4b).
-        let scaled = tape.row_scale(e_new, idx.edge_inv_degree.clone());
-        let a = tape.scatter_add_rows(scaled, idx.dst.clone(), idx.n_local);
+        // (2) Degree-weighted local aggregation at the receiver (Eq. 4b),
+        // one op: no scaled `[E, h]` copy of the edges is stored.
+        let a = tape.scatter_add_rows_scaled(
+            e_new,
+            idx.edge_inv_degree.clone(),
+            idx.dst.clone(),
+            idx.n_local,
+        );
 
         // (3)+(4)+(5): halo swap, synchronization, node update — the node
         // MLP is what runs in the overlap window when there is one.

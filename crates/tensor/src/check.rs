@@ -97,8 +97,8 @@ mod tests {
         assert!(err < 5e-4, "max relative error {err}");
     }
 
-    /// Gradient check through gather -> row_scale -> scatter, the skeleton
-    /// of the paper's consistent edge aggregation (Eq. 4b).
+    /// Gradient check through gather -> degree-weighted scatter, the
+    /// skeleton of the paper's consistent edge aggregation (Eq. 4b).
     #[test]
     fn aggregation_pipeline_gradients() {
         let mut params = ParamSet::new();
@@ -113,8 +113,7 @@ mod tests {
             let bound = p.bind(&mut tape);
             let x = bound.var(crate::nn::ParamId(0));
             let g = tape.gather_rows(x, idx_src.clone());
-            let gs = tape.row_scale(g, w.clone());
-            let a = tape.scatter_add_rows(gs, idx_dst.clone(), 3);
+            let a = tape.scatter_add_rows_scaled(g, w.clone(), idx_dst.clone(), 3);
             let sq = tape.mul(a, a);
             let s = tape.sum(sq);
             tape.value(s).item()
@@ -124,8 +123,7 @@ mod tests {
         let bound = params.bind(&mut tape);
         let x = bound.var(crate::nn::ParamId(0));
         let g = tape.gather_rows(x, idx_src.clone());
-        let gs = tape.row_scale(g, w.clone());
-        let a = tape.scatter_add_rows(gs, idx_dst.clone(), 3);
+        let a = tape.scatter_add_rows_scaled(g, w.clone(), idx_dst.clone(), 3);
         let sq = tape.mul(a, a);
         let s = tape.sum(sq);
         let grads = tape.backward(s);

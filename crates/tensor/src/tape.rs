@@ -25,6 +25,14 @@
 //! ([`Tape::leaf`], a [`CustomOp`] gradient) is dropped at `reset` /
 //! `recycle` unless a pool-born buffer of its length left for good, so
 //! the pool never holds more than the high-water mark of one step.
+//!
+//! An adjoint is held only while it is live. [`Tape::backward`] keeps the
+//! adjoints of leaves and of the variables marked with
+//! [`Tape::retain_grad`]; every other adjoint goes back to the pool as
+//! soon as its node has been propagated (a pass-through adjoint — `add`,
+//! `sub`, `add_row` — moves on to a parent instead of being copied), so
+//! the next scratch tensor of its length reuses a buffer that is still in
+//! cache and the backward pass never holds a second copy of the forward.
 
 use std::sync::Arc;
 
@@ -104,6 +112,9 @@ pub(crate) enum Op {
     ScatterAddRows(VarId, Arc<Vec<usize>>),
     /// `C[i, :] = w[i] * A[i, :]` with constant weights.
     RowScale(VarId, Arc<Vec<f64>>),
+    /// `C[idx[i]] += w[i] * A[i]` with constant weights: [`Op::RowScale`]
+    /// then [`Op::ScatterAddRows`] without the scaled copy.
+    ScatterAddScaled(VarId, Arc<Vec<f64>>, Arc<Vec<usize>>),
     /// ELU activation (alpha = 1).
     Elu(VarId),
     /// Row-wise layer normalization with learned gain/bias.
@@ -127,6 +138,9 @@ pub(crate) enum Op {
 pub(crate) struct Node {
     pub value: Tensor,
     pub op: Op,
+    /// Keep this node's adjoint after [`Tape::backward`] propagates it
+    /// (see [`Tape::retain_grad`]); leaves keep theirs regardless.
+    pub retain_grad: bool,
 }
 
 /// Recycled `f64` buffers, bucketed by length: a training step replays the
@@ -211,13 +225,17 @@ pub struct Tape {
     mask: Option<RowMask>,
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`VarId`].
+/// Gradients produced by [`Tape::backward`], indexed by [`VarId`]: one
+/// per participating leaf and per variable marked with
+/// [`Tape::retain_grad`]; every other adjoint was released during the
+/// pass.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. variable `id`, if it participated.
+    /// Gradient of the loss w.r.t. variable `id`, if it participated and
+    /// is a leaf or was retained.
     pub fn get(&self, id: VarId) -> Option<&Tensor> {
         self.grads.get(id.0).and_then(|g| g.as_ref())
     }
@@ -274,7 +292,7 @@ impl Tape {
         let mask = self.mask.take().expect("no row mask active");
         for i in mask.first_node..self.nodes.len() {
             let (before, rest) = self.nodes.split_at_mut(i);
-            let Node { value, op } = &mut rest[0];
+            let Node { value, op, .. } = &mut rest[0];
             RowKernel::of(before, op).fill(value, complement);
         }
     }
@@ -363,8 +381,21 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> VarId {
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node {
+            value,
+            op,
+            retain_grad: false,
+        });
         VarId(self.nodes.len() - 1)
+    }
+
+    /// Keep the adjoint of the interior variable `id` in the [`Gradients`]
+    /// of the next [`Tape::backward`]. Without the mark an interior
+    /// adjoint goes back to the workspace pool as soon as it has been
+    /// propagated, and [`Gradients::get`] returns `None` for it; leaves
+    /// keep theirs unmarked. [`Tape::reset`] clears every mark.
+    pub fn retain_grad(&mut self, id: VarId) {
+        self.nodes[id.0].retain_grad = true;
     }
 
     /// Record an input or parameter tensor.
@@ -670,6 +701,26 @@ impl Tape {
         self.push(out, Op::RowScale(a, weights))
     }
 
+    /// `out[idx[i]] += weights[i] * a[i]` with `out_rows` output rows:
+    /// [`Tape::row_scale`] then [`Tape::scatter_add_rows`] as one op, with
+    /// the bits of the two and without their `[rows, cols]` scaled copy —
+    /// the degree-weighted aggregation of the paper's Eq. 4b. No gradient
+    /// w.r.t. the weights; `a`'s adjoint is `weights[i] * g[idx[i]]`.
+    pub fn scatter_add_rows_scaled(
+        &mut self,
+        a: VarId,
+        weights: Arc<Vec<f64>>,
+        idx: Arc<Vec<usize>>,
+        out_rows: usize,
+    ) -> VarId {
+        self.assert_unmasked("scatter_add_rows_scaled");
+        let buf = self.pool.take(out_rows * self.value(a).cols());
+        let va = self.value(a);
+        let mut out = Tensor::from_pool_uninit(out_rows, va.cols(), buf);
+        va.scatter_add_rows_scaled_into(&weights, &idx, &mut out);
+        self.push(out, Op::ScatterAddScaled(a, weights, idx))
+    }
+
     /// ELU activation with alpha = 1.
     pub fn elu(&mut self, a: VarId) -> VarId {
         let (rows, cols) = self.value(a).shape();
@@ -726,11 +777,15 @@ impl Tape {
 
     /// Run reverse-mode accumulation from scalar variable `root`.
     ///
-    /// The adjoint of `root` is seeded with 1. Returns gradients for every
-    /// participating variable (leaves included, [`Tape::constant_copy`]
-    /// inputs not). Gradient tensors draw from
-    /// the tape's buffer pool; hand them back with [`Tape::recycle`] once
-    /// consumed to keep steady-state steps allocation-free.
+    /// The adjoint of `root` is seeded with 1. Returns the gradients of
+    /// the participating leaves ([`Tape::constant_copy`] inputs take none)
+    /// and of the interior variables marked with [`Tape::retain_grad`].
+    /// Every other adjoint lives only from its first contribution until
+    /// its node has been propagated, then goes back to the buffer pool, so
+    /// the next scratch tensor of its length reuses it. Gradient tensors
+    /// draw from the tape's buffer pool; hand them back with
+    /// [`Tape::recycle`] once consumed to keep steady-state steps
+    /// allocation-free.
     pub fn backward(&mut self, root: VarId) -> Gradients {
         assert!(
             self.mask.is_none(),
@@ -746,13 +801,19 @@ impl Tape {
 
         let Tape { nodes, pool, .. } = self;
         let nodes: &[Node] = nodes;
-        for i in (0..nodes.len()).rev() {
-            let Some(grad_out) = grads[i].take() else {
+        for (i, node) in nodes.iter().enumerate().rev() {
+            let Some(g) = grads[i].take() else {
                 continue;
             };
-            // Re-insert so callers can read gradients of interior nodes too.
-            accumulate(nodes, pool, &mut grads, &nodes[i], &grad_out);
-            grads[i] = Some(grad_out);
+            if matches!(node.op, Op::Leaf) {
+                grads[i] = Some(g);
+            } else if node.retain_grad {
+                let copy = pool.copy_of(&g);
+                accumulate(nodes, pool, &mut grads, node, copy);
+                grads[i] = Some(g);
+            } else {
+                accumulate(nodes, pool, &mut grads, node, g);
+            }
         }
         Gradients { grads }
     }
@@ -763,14 +824,15 @@ fn value(nodes: &[Node], id: VarId) -> &Tensor {
     &nodes[id.0].value
 }
 
-/// Propagate one node's adjoint to its parents, drawing scratch tensors
-/// from the workspace pool.
+/// Propagate one node's adjoint `g` to its parents, drawing scratch
+/// tensors from the workspace pool, and release `g`: a pass-through
+/// adjoint moves on to a parent, any other goes back to the pool.
 fn accumulate(
     nodes: &[Node],
     pool: &mut BufPool,
     grads: &mut [Option<Tensor>],
     node: &Node,
-    g: &Tensor,
+    g: Tensor,
 ) {
     // Constants take no adjoint: the ops below skip the products that
     // would only feed one, and `add` drops whatever else reaches one.
@@ -783,8 +845,39 @@ fn accumulate(
         }
         slot @ None => *slot = Some(contrib),
     };
+    // Pass-through adjoints: the last parent takes `g` itself. The `add`s
+    // keep their order, so a parent reached twice (`x + x`) sums the same
+    // bits as it would from two copies.
     match &node.op {
-        Op::Leaf | Op::Constant => {}
+        Op::Add(a, b) => {
+            add(*a, pool.copy_of(&g), pool);
+            return add(*b, g, pool);
+        }
+        Op::Sub(a, b) => {
+            let neg = wants(*b).then(|| {
+                let mut gb = pool.uninit(g.rows(), g.cols());
+                ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
+                gb
+            });
+            add(*a, g, pool);
+            if let Some(gb) = neg {
+                add(*b, gb, pool);
+            }
+            return;
+        }
+        Op::AddRow(a, bias) => {
+            let gb = col_sums(pool, &g);
+            add(*a, g, pool);
+            return add(*bias, gb, pool);
+        }
+        _ => {}
+    }
+    // Every other op only reads its adjoint.
+    let adjoint = g;
+    let g = &adjoint;
+    match &node.op {
+        // No parents, or the adjoint moved on above.
+        Op::Leaf | Op::Constant | Op::Add(..) | Op::Sub(..) | Op::AddRow(..) => {}
         Op::Matmul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             if wants(*a) {
@@ -818,20 +911,6 @@ fn accumulate(
                 pool.put(t.into_vec());
             }
         }
-        Op::Add(a, b) => {
-            add(*a, pool.copy_of(g), pool);
-            add(*b, pool.copy_of(g), pool);
-        }
-        Op::Sub(a, b) => {
-            if wants(*a) {
-                add(*a, pool.copy_of(g), pool);
-            }
-            if wants(*b) {
-                let mut gb = pool.uninit(g.rows(), g.cols());
-                ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
-                add(*b, gb, pool);
-            }
-        }
         Op::Mul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             let mut ga = pool.uninit(g.rows(), g.cols());
@@ -840,10 +919,6 @@ fn accumulate(
             let mut gb = pool.uninit(g.rows(), g.cols());
             ew_zip(g.data(), va.data(), g.cols(), gb.data_mut(), |x, y| x * y);
             add(*b, gb, pool);
-        }
-        Op::AddRow(a, bias) => {
-            add(*a, pool.copy_of(g), pool);
-            add(*bias, col_sums(pool, g), pool);
         }
         Op::Scale(a, alpha) => {
             let al = *alpha;
@@ -937,6 +1012,11 @@ fn accumulate(
             g.row_scale_into(w, &mut contrib);
             add(*a, contrib, pool);
         }
+        Op::ScatterAddScaled(a, w, idx) => {
+            let mut contrib = pool.uninit(idx.len(), g.cols());
+            g.gather_rows_scaled_into(idx, w, &mut contrib);
+            add(*a, contrib, pool);
+        }
         Op::Elu(a) => {
             // d/du elu(u) = exp(u) for u < 0, and the forward already
             // computed y = exp(u) - 1 (y < 0 iff u < 0), so the backward
@@ -1014,13 +1094,20 @@ fn accumulate(
                 "custom op {} returned wrong gradient count",
                 op.name()
             );
-            for (id, c) in inputs.iter().zip(contribs) {
+            for ((id, c), v) in inputs.iter().zip(contribs).zip(vals) {
                 if let Some(c) = c {
+                    assert_eq!(
+                        c.shape(),
+                        v.shape(),
+                        "custom op {} returned an adjoint of the wrong shape",
+                        op.name()
+                    );
                     add(*id, c, pool);
                 }
             }
         }
     }
+    pool.put(adjoint.into_vec());
 }
 
 /// The forward body of a row-separable op — the only kind that may be
@@ -1477,6 +1564,29 @@ mod tests {
         assert_eq!(g.get(x).unwrap().data(), &[2., -4., 6.]);
     }
 
+    /// A custom op whose adjoint has the wrong shape fails by the op's
+    /// name, even when the adjoint would be the input's first contribution.
+    #[test]
+    #[should_panic(expected = "custom op shrink returned an adjoint of the wrong shape")]
+    fn custom_op_adjoint_of_the_wrong_shape_panics() {
+        struct Shrink;
+        impl CustomOp for Shrink {
+            fn name(&self) -> &'static str {
+                "shrink"
+            }
+            fn backward(&self, _grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+                vec![Some(Tensor::zeros(1, 1))]
+            }
+        }
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(3, 2, vec![1., -2., 3., 0.5, -1., 2.]));
+        let h = tape.elu(x);
+        let v = tape.value(h).clone();
+        let y = tape.custom(vec![h], v, Box::new(Shrink));
+        let s = tape.sum(y);
+        tape.backward(s);
+    }
+
     #[test]
     fn grad_accumulates_over_multiple_uses() {
         // f = sum(x + x) => df/dx = 2
@@ -1486,6 +1596,63 @@ mod tests {
         let s = tape.sum(y);
         let g = tape.backward(s);
         assert_eq!(g.get(x).unwrap().data(), &[2., 2.]);
+    }
+
+    /// `u = linear(x, w, b)` feeding `sum(elu(u)^2)`, with `u`'s adjoint
+    /// kept when `retain`; returns `u` and the gradients.
+    fn interior_graph(tape: &mut Tape, retain: bool) -> (VarId, Gradients) {
+        let x = tape.leaf(Tensor::from_fn(7, 3, |r, c| {
+            ((r * 3 + c) as f64 * 0.37).sin()
+        }));
+        let w = tape.leaf(Tensor::from_fn(3, 5, |r, c| {
+            ((r + 2 * c) as f64 * 0.29).cos()
+        }));
+        let b = tape.leaf(Tensor::from_fn(1, 5, |_, c| 0.1 * c as f64 - 0.2));
+        let u = tape.linear(x, w, b);
+        if retain {
+            tape.retain_grad(u);
+        }
+        let h = tape.elu(u);
+        let sq = tape.mul(h, h);
+        let s = tape.sum(sq);
+        (u, tape.backward(s))
+    }
+
+    #[test]
+    fn retained_interior_adjoint_is_the_adjoint_of_the_same_value_as_a_leaf() {
+        let mut tape = Tape::new();
+        let (u, grads) = interior_graph(&mut tape, true);
+        let retained = grads.get(u).expect("retained adjoint").clone();
+
+        // Downstream of `u` alone decides its adjoint: record `u`'s value as
+        // a leaf and propagate through the same ops.
+        let mut reference = Tape::new();
+        let leaf = reference.leaf(tape.value(u).clone());
+        let h = reference.elu(leaf);
+        let sq = reference.mul(h, h);
+        let s = reference.sum(sq);
+        let expected = reference.backward(s);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&retained), bits(expected.get(leaf).expect("leaf")));
+    }
+
+    #[test]
+    fn interior_adjoints_are_released_unless_retained() {
+        let mut tape = Tape::new();
+        let (u, grads) = interior_graph(&mut tape, false);
+        assert!(grads.get(u).is_none(), "unretained interior adjoint kept");
+        assert!(grads.get(VarId(0)).is_some(), "leaf adjoint released");
+        tape.recycle(grads);
+
+        // `reset` clears the mark: the same graph recorded again without
+        // `retain_grad` keeps no interior adjoint.
+        tape.reset();
+        let (u, grads) = interior_graph(&mut tape, true);
+        assert!(grads.get(u).is_some());
+        tape.recycle(grads);
+        tape.reset();
+        let (u, grads) = interior_graph(&mut tape, false);
+        assert!(grads.get(u).is_none(), "mark survived reset");
     }
 
     #[test]
@@ -1599,6 +1766,44 @@ mod tests {
         assert_eq!(fused.value(cat).data(), split.value(cat2).data());
         assert_eq!(gf.get(x).unwrap().data(), gs.get(x2).unwrap().data());
         assert_eq!(gf.get(e).unwrap().data(), gs.get(e2).unwrap().data());
+    }
+
+    /// The fused degree-weighted aggregation gives the bits of
+    /// `scatter_add_rows(row_scale(..))`, value and input adjoint, with
+    /// repeated and absent destinations and an output row count that is
+    /// not a multiple of four.
+    #[test]
+    fn scatter_add_rows_scaled_matches_row_scale_then_scatter() {
+        let av = Tensor::from_fn(9, 3, |r, c| ((r * 3 + c) as f64 * 0.43).sin());
+        let tv = Tensor::from_fn(7, 3, |r, c| ((r + 4 * c) as f64 * 0.31).cos());
+        let weights = Arc::new((0..9).map(|i| 1.0 / (1 + i % 4) as f64).collect::<Vec<_>>());
+        // Rows 1 and 5 receive nothing; 0, 3 and 6 receive several.
+        let idx = Arc::new(vec![3usize, 0, 6, 3, 2, 0, 4, 6, 3]);
+        let run = |fused: bool| {
+            let mut tape = Tape::new();
+            let a = tape.leaf(av.clone());
+            let out = if fused {
+                tape.scatter_add_rows_scaled(a, Arc::clone(&weights), Arc::clone(&idx), 7)
+            } else {
+                let scaled = tape.row_scale(a, Arc::clone(&weights));
+                tape.scatter_add_rows(scaled, Arc::clone(&idx), 7)
+            };
+            // A non-uniform adjoint at the output rows.
+            let t = tape.leaf(tv.clone());
+            let prod = tape.mul(out, t);
+            let sq = tape.mul(prod, prod);
+            let s = tape.sum(sq);
+            let grads = tape.backward(s);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (
+                bits(tape.value(out)),
+                bits(grads.get(a).expect("input adjoint")),
+            )
+        };
+        let (fused, split) = (run(true), run(false));
+        assert_eq!(fused.0, split.0, "value");
+        assert_eq!(fused.1, split.1, "input adjoint");
+        assert!(fused.0[3..6].iter().all(|&b| b == 0), "row 1 is zero");
     }
 
     #[test]

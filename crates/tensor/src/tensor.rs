@@ -338,28 +338,50 @@ impl Tensor {
 
     /// [`Tensor::gather_rows`] writing into `out` (must be `[idx.len(), cols]`).
     pub fn gather_rows_into(&self, idx: &[usize], out: &mut Tensor) {
+        // Element loop, not copy_from_slice: a per-row memcpy call
+        // dominates these narrow (~8-wide) copies.
+        self.gather_rows_with(idx, out, |_, o_row, src| {
+            for (o, &v) in o_row.iter_mut().zip(src) {
+                *o = v;
+            }
+        });
+    }
+
+    /// `out[i] = weights[i] * self[idx[i]]`: the adjoint of
+    /// [`Tensor::scatter_add_rows_scaled_into`].
+    pub(crate) fn gather_rows_scaled_into(&self, idx: &[usize], weights: &[f64], out: &mut Tensor) {
+        assert_eq!(weights.len(), idx.len(), "gather weight length mismatch");
+        self.gather_rows_with(idx, out, |i, o_row, src| {
+            let w = weights[i];
+            for (o, &v) in o_row.iter_mut().zip(src) {
+                *o = w * v;
+            }
+        });
+    }
+
+    /// Fill row `i` of `out` (`[idx.len(), cols]`) by `row(i, out_row,
+    /// self[idx[i]])`.
+    fn gather_rows_with(
+        &self,
+        idx: &[usize],
+        out: &mut Tensor,
+        row: impl Fn(usize, &mut [f64], &[f64]),
+    ) {
         assert_eq!(
             out.shape(),
             (idx.len(), self.cols),
             "gather_rows_into output shape"
         );
         let cols = self.cols;
-        for_row_chunks(&mut out.data, cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
+        for_row_chunks(&mut out.data, cols, |first_row, _, chunk| {
+            for (i, o_row) in chunk.chunks_exact_mut(cols).enumerate() {
                 let src = idx[first_row + i];
                 debug_assert!(
                     src < self.rows,
                     "gather index {src} out of {} rows",
                     self.rows
                 );
-                // Element loop, not copy_from_slice: a per-row memcpy call
-                // dominates these narrow (~8-wide) copies.
-                for (o, &v) in chunk[i * cols..(i + 1) * cols]
-                    .iter_mut()
-                    .zip(self.row(src).iter())
-                {
-                    *o = v;
-                }
+                row(first_row + i, o_row, self.row(src));
             }
         });
     }
@@ -376,6 +398,39 @@ impl Tensor {
     /// `[out_rows, cols]`; it is zeroed first, previous contents ignored).
     /// Every destination row receives its contributions in input order.
     pub fn scatter_add_rows_into(&self, idx: &[usize], out: &mut Tensor) {
+        self.scatter_rows_with(idx, out, |_, d, src| {
+            for (o, &s) in d.iter_mut().zip(src) {
+                *o += s;
+            }
+        });
+    }
+
+    /// [`Tensor::scatter_add_rows_into`] of the rows scaled by `weights`:
+    /// `out[idx[i]] += weights[i] * self[i]` in input order, the bits of
+    /// [`Tensor::row_scale_into`] followed by the scatter.
+    pub(crate) fn scatter_add_rows_scaled_into(
+        &self,
+        weights: &[f64],
+        idx: &[usize],
+        out: &mut Tensor,
+    ) {
+        assert_eq!(weights.len(), self.rows, "scatter weight length mismatch");
+        self.scatter_rows_with(idx, out, |i, d, src| {
+            let w = weights[i];
+            for (o, &s) in d.iter_mut().zip(src) {
+                *o += w * s;
+            }
+        });
+    }
+
+    /// Zero `out` (`[out_rows, cols]`), then `add(i, out[idx[i]], self[i])`
+    /// for every row `i` in order.
+    fn scatter_rows_with(
+        &self,
+        idx: &[usize],
+        out: &mut Tensor,
+        add: impl Fn(usize, &mut [f64], &[f64]),
+    ) {
         assert_eq!(idx.len(), self.rows, "scatter index length mismatch");
         assert_eq!(out.cols, self.cols, "scatter_add_rows_into column mismatch");
         let cols = self.cols;
@@ -388,11 +443,7 @@ impl Tensor {
         );
         out.data.fill(0.0);
         for (i, &dst) in idx.iter().enumerate() {
-            let src = self.row(i);
-            let d = &mut out.data[dst * cols..(dst + 1) * cols];
-            for (o, &s) in d.iter_mut().zip(src.iter()) {
-                *o += s;
-            }
+            add(i, &mut out.data[dst * cols..(dst + 1) * cols], self.row(i));
         }
     }
 

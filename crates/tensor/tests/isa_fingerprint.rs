@@ -7,10 +7,11 @@
 //! reassociation) and because nothing on the path calls libm: ELU's `exp`
 //! is in-crate and layer norm's `sqrt` is correctly rounded by IEEE-754.
 //! This test runs forward and backward through two chained MLPs (fused
-//! linear+ELU, layer norm, ragged `4 x 8` tiles), and through an edge MLP
-//! whose first layer is `gather_linear`, on inputs derived from integers
-//! and prints an FNV-1a hash of every value and gradient bit, one line per
-//! shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
+//! linear+ELU, layer norm, ragged `4 x 8` tiles), through an edge MLP
+//! whose first layer is `gather_linear`, and through that edge MLP's
+//! output aggregated onto the nodes (`scatter_add_rows_scaled`), on inputs
+//! derived from integers and prints an FNV-1a hash of every value and
+//! gradient bit, one line per shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
 //! and in a debug build, and diffs the lines. The test itself asserts the
 //! hashes too, so a kernel change that moves a single bit fails here on
 //! any machine, not only in the cross-build diff.
@@ -99,7 +100,10 @@ fn fingerprint(rows: usize, in_dim: usize, hidden: usize) -> u64 {
 /// `edges` edges of `nodes` nodes: `Mlp::forward_gathered` over
 /// `[x[src] | x[dst] | e]` (the `gather_linear` kernel and its adjoint:
 /// node-row products, gathered adds, scatter-added adjoints), layer norm.
-fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
+/// With `aggregate`, the loss is taken after the degree-weighted
+/// aggregation of the MLP's output onto the nodes (paper Eq. 4b,
+/// `scatter_add_rows_scaled` and its adjoint), whose value is hashed too.
+fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize, aggregate: bool) -> u64 {
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
     let mlp = Mlp::new(
@@ -129,17 +133,27 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
         lattice(9, edges * hidden, 4.0),
     ));
     let src = Arc::new((0..edges).map(|i| (i * 5 + 1) % nodes).collect());
-    let dst = Arc::new((0..edges).map(|i| (edges - i) * 3 % nodes).collect());
+    let dst: Arc<Vec<usize>> = Arc::new((0..edges).map(|i| (edges - i) * 3 % nodes).collect());
     let y = mlp.forward_gathered(
         &mut tape,
         &bound,
-        &[(x, Some(src)), (x, Some(dst)), (e, None)],
+        &[(x, Some(src)), (x, Some(Arc::clone(&dst))), (e, None)],
     );
-    let loss = tape.weighted_sq_sum(y, Arc::new(lattice(11, edges, 1.0)));
+    let a = aggregate.then(|| {
+        let inv_degree = lattice(13, edges, 1.0).iter().map(|w| w + 1.0).collect();
+        tape.scatter_add_rows_scaled(y, Arc::new(inv_degree), dst, nodes)
+    });
+    let loss = match a {
+        Some(a) => tape.weighted_sq_sum(a, Arc::new(lattice(11, nodes, 1.0))),
+        None => tape.weighted_sq_sum(y, Arc::new(lattice(11, edges, 1.0))),
+    };
     let grads = tape.backward(loss);
 
     let mut hash = 0xCBF2_9CE4_8422_2325_u64;
     fnv1a(&mut hash, tape.value(y).data());
+    if let Some(a) = a {
+        fnv1a(&mut hash, tape.value(a).data());
+    }
     for &var in bound.vars().iter().chain([&x, &e]) {
         let grad = grads.get(var).expect("every leaf takes part").data();
         assert!(grad.iter().all(|g| g.is_finite()));
@@ -150,7 +164,7 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
 
 /// One line per shape. Width 12 takes layer norm's one-row path; 8 and 32
 /// take its four-row lockstep, and an odd row count leaves a remainder row
-/// to the one-row path as well. The gather line's width 12 leaves a ragged
+/// to the one-row path as well. The gather lines' width 12 leaves a ragged
 /// column strip beside the `4 x 8` tiles of every product. Each hash must
 /// equal the pinned one: these are the bits training produces, and a
 /// change that moves them changes every loss and parameter downstream.
@@ -166,9 +180,12 @@ fn isa_fingerprint() {
         lines.push((format!("rows={rows} hidden={hidden}"), hash, pinned));
     }
     let (nodes, edges, hidden) = (13, 43, 12);
-    let hash = gather_fingerprint(nodes, edges, hidden);
+    let hash = gather_fingerprint(nodes, edges, hidden, false);
     let shape = format!("gather_linear nodes={nodes} edges={edges} hidden={hidden}");
     lines.push((shape, hash, 0x5c8c_a9c8_c435_78f7));
+    let hash = gather_fingerprint(nodes, edges, hidden, true);
+    let shape = format!("scatter_add_rows_scaled nodes={nodes} edges={edges} hidden={hidden}");
+    lines.push((shape, hash, 0x573e_eb78_0fc4_0c8d));
     for (shape, hash, _) in &lines {
         println!("isa-fingerprint {shape} {hash:016x}");
     }

@@ -273,6 +273,7 @@ fn hidden_layer(
         "fused" => (None, tape.linear_elu(x, w, b)),
         "unfused" => {
             let u = tape.linear(x, w, b);
+            tape.retain_grad(u);
             (Some(u), tape.elu(u))
         }
         "masked" => {

@@ -38,7 +38,7 @@ struct Sample {
 /// Train `steps` steps per rank; after every step, sample, then run an
 /// evaluation and a prediction on the same tape. Returns one trace per
 /// rank.
-fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> {
+fn soak(world: usize, mode: HaloExchangeMode, config: GnnConfig, steps: usize) -> Vec<Vec<Sample>> {
     let mesh = BoxMesh::tgv_cube(2, 2);
     let field = TaylorGreen::new(0.01);
     let graphs: Vec<LocalGraph> = if world == 1 {
@@ -50,7 +50,7 @@ fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> 
     World::run(world, move |comm| {
         let g = Arc::clone(&graphs[comm.rank()]);
         let ctx = HaloContext::new(comm.clone(), &g, mode);
-        let mut trainer = Trainer::new(GnnConfig::small(), 7, 1e-3, ctx);
+        let mut trainer = Trainer::new(config, 7, 1e-3, ctx);
         let a = RankData::tgv_autoencode(Arc::clone(&g), &field, 0.0);
         let b = RankData::tgv_autoencode(g, &field, 0.1);
         (0..steps)
@@ -73,13 +73,31 @@ fn soak(world: usize, mode: HaloExchangeMode, steps: usize) -> Vec<Vec<Sample>> 
 #[test]
 fn parked_workspace_is_exactly_flat_from_step_3_to_step_60() {
     for (world, mode) in CONFIGS {
-        for (rank, trace) in soak(world, mode, 60).iter().enumerate() {
+        for (rank, trace) in soak(world, mode, GnnConfig::small(), 60).iter().enumerate() {
             assert!(trace[2].parked > 0, "R={world} {mode}: nothing pooled");
             assert_eq!(
                 trace[59].parked, trace[2].parked,
                 "R={world} {mode} rank {rank}: parked f64s after step 60 vs after step 3"
             );
         }
+    }
+}
+
+/// The backward's working set, pinned: what the pool parks after step 3
+/// at R = 1 is the high-water mark of one step's scratch and adjoints
+/// beyond the forward values the tape still holds. An interior adjoint
+/// goes back to the pool once its node has been propagated and is taken
+/// again by the next request of its length, so only the adjoints live at
+/// the same time count; kept to the end of the step they parked 131 910
+/// (small) and 823 206 (large) `f64`s.
+#[test]
+fn backward_working_set_is_pinned() {
+    for (name, config, pinned) in [
+        ("small", GnnConfig::small(), 19_398),
+        ("large", GnnConfig::large(), 151_270),
+    ] {
+        let trace = &soak(1, HaloExchangeMode::NeighborAllToAll, config, 3)[0];
+        assert_eq!(trace[2].parked, pinned, "{name}: parked f64s after step 3");
     }
 }
 
@@ -99,7 +117,10 @@ fn two_thousand_steps_keep_rss_and_step_time_flat() {
     const STEPS: usize = 2000;
     const BLOCK: usize = 200;
     for (world, mode) in CONFIGS {
-        for (rank, trace) in soak(world, mode, STEPS).iter().enumerate() {
+        for (rank, trace) in soak(world, mode, GnnConfig::small(), STEPS)
+            .iter()
+            .enumerate()
+        {
             let what = format!("R={world} {mode} rank {rank}");
             assert_eq!(trace[STEPS - 1].parked, trace[2].parked, "{what}: parked");
             if let (Some(early), Some(late)) = (trace[99].rss_kb, trace[STEPS - 1].rss_kb) {
