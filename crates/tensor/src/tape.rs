@@ -27,8 +27,7 @@
 //! the pool never holds more than the high-water mark of one step.
 //!
 //! An adjoint is held only while it is live. [`Tape::backward`] keeps the
-//! adjoints of leaves and of the variables marked with
-//! [`Tape::retain_grad`]; every other adjoint goes back to the pool as
+//! adjoints of leaves; every other adjoint goes back to the pool as
 //! soon as its node has been propagated (a pass-through adjoint — `add`,
 //! `sub`, `add_row` — moves on to a parent instead of being copied), so
 //! the next scratch tensor of its length reuses a buffer that is still in
@@ -138,9 +137,6 @@ pub(crate) enum Op {
 pub(crate) struct Node {
     pub value: Tensor,
     pub op: Op,
-    /// Keep this node's adjoint after [`Tape::backward`] propagates it
-    /// (see [`Tape::retain_grad`]); leaves keep theirs regardless.
-    pub retain_grad: bool,
 }
 
 /// Recycled `f64` buffers, bucketed by length: a training step replays the
@@ -226,16 +222,15 @@ pub struct Tape {
 }
 
 /// Gradients produced by [`Tape::backward`], indexed by [`VarId`]: one
-/// per participating leaf and per variable marked with
-/// [`Tape::retain_grad`]; every other adjoint was released during the
-/// pass.
+/// per participating leaf; every interior adjoint was released during
+/// the pass.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
     /// Gradient of the loss w.r.t. variable `id`, if it participated and
-    /// is a leaf or was retained.
+    /// is a leaf.
     pub fn get(&self, id: VarId) -> Option<&Tensor> {
         self.grads.get(id.0).and_then(|g| g.as_ref())
     }
@@ -381,21 +376,8 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> VarId {
-        self.nodes.push(Node {
-            value,
-            op,
-            retain_grad: false,
-        });
+        self.nodes.push(Node { value, op });
         VarId(self.nodes.len() - 1)
-    }
-
-    /// Keep the adjoint of the interior variable `id` in the [`Gradients`]
-    /// of the next [`Tape::backward`]. Without the mark an interior
-    /// adjoint goes back to the workspace pool as soon as it has been
-    /// propagated, and [`Gradients::get`] returns `None` for it; leaves
-    /// keep theirs unmarked. [`Tape::reset`] clears every mark.
-    pub fn retain_grad(&mut self, id: VarId) {
-        self.nodes[id.0].retain_grad = true;
     }
 
     /// Record an input or parameter tensor.
@@ -691,7 +673,9 @@ impl Tape {
     }
 
     /// Scale row `i` by the constant `weights[i]` (no gradient w.r.t.
-    /// weights — these are the geometric 1/d consistency factors).
+    /// weights — these are the geometric 1/d consistency factors). The
+    /// model aggregates with [`Tape::scatter_add_rows_scaled`]; this op is
+    /// kept as the reference the tests hold that fused op to.
     pub fn row_scale(&mut self, a: VarId, weights: Arc<Vec<f64>>) -> VarId {
         self.assert_unmasked("row_scale");
         let buf = self.pool.take(self.value(a).len());
@@ -778,9 +762,8 @@ impl Tape {
     /// Run reverse-mode accumulation from scalar variable `root`.
     ///
     /// The adjoint of `root` is seeded with 1. Returns the gradients of
-    /// the participating leaves ([`Tape::constant_copy`] inputs take none)
-    /// and of the interior variables marked with [`Tape::retain_grad`].
-    /// Every other adjoint lives only from its first contribution until
+    /// the participating leaves ([`Tape::constant_copy`] inputs take none).
+    /// An interior adjoint lives only from its first contribution until
     /// its node has been propagated, then goes back to the buffer pool, so
     /// the next scratch tensor of its length reuses it. Gradient tensors
     /// draw from the tape's buffer pool; hand them back with
@@ -806,10 +789,6 @@ impl Tape {
                 continue;
             };
             if matches!(node.op, Op::Leaf) {
-                grads[i] = Some(g);
-            } else if node.retain_grad {
-                let copy = pool.copy_of(&g);
-                accumulate(nodes, pool, &mut grads, node, copy);
                 grads[i] = Some(g);
             } else {
                 accumulate(nodes, pool, &mut grads, node, g);
@@ -847,8 +826,9 @@ fn accumulate(
     };
     // Pass-through adjoints: the last parent takes `g` itself. The `add`s
     // keep their order, so a parent reached twice (`x + x`) sums the same
-    // bits as it would from two copies.
+    // bits as it would from two copies. Every other op only reads `g`.
     match &node.op {
+        Op::Leaf | Op::Constant => {}
         Op::Add(a, b) => {
             add(*a, pool.copy_of(&g), pool);
             return add(*b, g, pool);
@@ -870,22 +850,14 @@ fn accumulate(
             add(*a, g, pool);
             return add(*bias, gb, pool);
         }
-        _ => {}
-    }
-    // Every other op only reads its adjoint.
-    let adjoint = g;
-    let g = &adjoint;
-    match &node.op {
-        // No parents, or the adjoint moved on above.
-        Op::Leaf | Op::Constant | Op::Add(..) | Op::Sub(..) | Op::AddRow(..) => {}
         Op::Matmul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             if wants(*a) {
-                add(*a, times_transposed(pool, g, vb.data(), vb.rows()), pool);
+                add(*a, times_transposed(pool, &g, vb.data(), vb.rows()), pool);
             }
             if wants(*b) {
                 let mut gb = pool.uninit(va.cols(), g.cols());
-                va.matmul_tn_into(g, &mut gb);
+                va.matmul_tn_into(&g, &mut gb);
                 add(*b, gb, pool);
             }
         }
@@ -894,12 +866,12 @@ fn accumulate(
             // Fused activation: one pass folds elu'(u) into the adjoint and
             // sums the bias gradient from it, rows in order.
             let (gp, gb) = if *elu {
-                let (t, gb) = elu_adjoint_with_col_sums(pool, g, &node.value);
+                let (t, gb) = elu_adjoint_with_col_sums(pool, &g, &node.value);
                 (Some(t), gb)
             } else {
-                (None, col_sums(pool, g))
+                (None, col_sums(pool, &g))
             };
-            let gref = gp.as_ref().unwrap_or(g);
+            let gref = gp.as_ref().unwrap_or(&g);
             if wants(*x) {
                 add(*x, times_transposed(pool, gref, vw.data(), vw.rows()), pool);
             }
@@ -930,7 +902,7 @@ fn accumulate(
             let mut off = 0;
             for p in parts {
                 let mut part = pool.uninit(g.rows(), p.cols);
-                slice_cols_into(g, off, p.cols, &mut part);
+                slice_cols_into(&g, off, p.cols, &mut part);
                 add(p.src, part, pool);
                 off += p.cols;
             }
@@ -944,7 +916,7 @@ fn accumulate(
                     continue;
                 }
                 let mut gp = pool.uninit(g.rows(), w);
-                slice_cols_into(g, off, w, &mut gp);
+                slice_cols_into(&g, off, w, &mut gp);
                 match &p.idx {
                     Some(idx) => {
                         let src_rows = value(nodes, p.src).rows();
@@ -961,7 +933,7 @@ fn accumulate(
         Op::GatherLinear { parts, w, b } => {
             let vw = value(nodes, *w);
             let h = vw.cols();
-            let (t, gb) = elu_adjoint_with_col_sums(pool, g, &node.value);
+            let (t, gb) = elu_adjoint_with_col_sums(pool, &g, &node.value);
             // Every part writes its own row block of the one weight gradient.
             let mut gw = pool.uninit(vw.rows(), h);
             for (p, block) in weight_blocks(parts, h) {
@@ -1087,7 +1059,7 @@ fn accumulate(
         }
         Op::Custom { inputs, op } => {
             let vals: Vec<&Tensor> = inputs.iter().map(|&i| value(nodes, i)).collect();
-            let contribs = op.backward(g, &vals);
+            let contribs = op.backward(&g, &vals);
             assert_eq!(
                 contribs.len(),
                 inputs.len(),
@@ -1107,7 +1079,7 @@ fn accumulate(
             }
         }
     }
-    pool.put(adjoint.into_vec());
+    pool.put(g.into_vec());
 }
 
 /// The forward body of a row-separable op — the only kind that may be
@@ -1598,9 +1570,9 @@ mod tests {
         assert_eq!(g.get(x).unwrap().data(), &[2., 2.]);
     }
 
-    /// `u = linear(x, w, b)` feeding `sum(elu(u)^2)`, with `u`'s adjoint
-    /// kept when `retain`; returns `u` and the gradients.
-    fn interior_graph(tape: &mut Tape, retain: bool) -> (VarId, Gradients) {
+    #[test]
+    fn interior_adjoints_are_released() {
+        let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_fn(7, 3, |r, c| {
             ((r * 3 + c) as f64 * 0.37).sin()
         }));
@@ -1609,50 +1581,16 @@ mod tests {
         }));
         let b = tape.leaf(Tensor::from_fn(1, 5, |_, c| 0.1 * c as f64 - 0.2));
         let u = tape.linear(x, w, b);
-        if retain {
-            tape.retain_grad(u);
-        }
         let h = tape.elu(u);
         let sq = tape.mul(h, h);
         let s = tape.sum(sq);
-        (u, tape.backward(s))
-    }
-
-    #[test]
-    fn retained_interior_adjoint_is_the_adjoint_of_the_same_value_as_a_leaf() {
-        let mut tape = Tape::new();
-        let (u, grads) = interior_graph(&mut tape, true);
-        let retained = grads.get(u).expect("retained adjoint").clone();
-
-        // Downstream of `u` alone decides its adjoint: record `u`'s value as
-        // a leaf and propagate through the same ops.
-        let mut reference = Tape::new();
-        let leaf = reference.leaf(tape.value(u).clone());
-        let h = reference.elu(leaf);
-        let sq = reference.mul(h, h);
-        let s = reference.sum(sq);
-        let expected = reference.backward(s);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&retained), bits(expected.get(leaf).expect("leaf")));
-    }
-
-    #[test]
-    fn interior_adjoints_are_released_unless_retained() {
-        let mut tape = Tape::new();
-        let (u, grads) = interior_graph(&mut tape, false);
-        assert!(grads.get(u).is_none(), "unretained interior adjoint kept");
-        assert!(grads.get(VarId(0)).is_some(), "leaf adjoint released");
-        tape.recycle(grads);
-
-        // `reset` clears the mark: the same graph recorded again without
-        // `retain_grad` keeps no interior adjoint.
-        tape.reset();
-        let (u, grads) = interior_graph(&mut tape, true);
-        assert!(grads.get(u).is_some());
-        tape.recycle(grads);
-        tape.reset();
-        let (u, grads) = interior_graph(&mut tape, false);
-        assert!(grads.get(u).is_none(), "mark survived reset");
+        let grads = tape.backward(s);
+        for interior in [u, h, sq, s] {
+            assert!(grads.get(interior).is_none(), "interior adjoint kept");
+        }
+        for leaf in [x, w, b] {
+            assert!(grads.get(leaf).is_some(), "leaf adjoint released");
+        }
     }
 
     #[test]

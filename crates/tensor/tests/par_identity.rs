@@ -273,7 +273,6 @@ fn hidden_layer(
         "fused" => (None, tape.linear_elu(x, w, b)),
         "unfused" => {
             let u = tape.linear(x, w, b);
-            tape.retain_grad(u);
             (Some(u), tape.elu(u))
         }
         "masked" => {
@@ -295,8 +294,21 @@ fn hidden_layer(
     out.extend([x, w, b].map(|v| grads.get(v).expect("leaf gradient").data().to_vec()));
     (
         out,
-        pre.map(|u| grads.get(u).expect("pre-activation adjoint").clone()),
+        pre.map(|u| pre_activation_adjoint(tape.value(u).clone())),
     )
+}
+
+/// The adjoint of `hidden_layer`'s pre-activation `u`: the backward pass
+/// keeps only leaf adjoints, so `u`'s value is recorded as a leaf on a
+/// second tape and run through the same `elu` and loss.
+fn pre_activation_adjoint(u: Tensor) -> Tensor {
+    let rows = u.rows();
+    let mut tape = Tape::new();
+    let leaf = tape.leaf(u);
+    let h = tape.elu(leaf);
+    let loss = tape.weighted_sq_sum(h, Arc::new(noise(4, rows)));
+    let mut grads = tape.backward(loss);
+    grads.take(leaf).expect("pre-activation adjoint")
 }
 
 /// `linear_elu` ≡ `linear` → `elu` ≡ masked fill + backfill, values and
