@@ -1,80 +1,11 @@
-//! Training-data generation: pair the solver with the graph builder so the
-//! GNN can learn from simulation snapshots — the "NekRS as data generator"
-//! workflow the paper's Fig. 1 describes.
+//! Training-data generation: run the solver and capture its state as
+//! gid-major snapshots the GNN can learn from — the "NekRS as data
+//! generator" workflow the paper's Fig. 1 describes. Slicing a snapshot
+//! into per-rank features is `cgnn-session`'s `Dataset`'s job.
 
-use cgnn_graph::LocalGraph;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
 
 use crate::stepper::DiffusionSolver;
-
-/// A pair of node-feature snapshots `(t0, t1)` defined on the unique global
-/// nodes of a mesh: the supervised input/target of a forecasting GNN.
-pub struct SnapshotPair {
-    /// Per-component state at `t0`, each of length `n_dofs`.
-    pub input: [Vec<f64>; 3],
-    /// Per-component state at `t1`.
-    pub target: [Vec<f64>; 3],
-    solver: DiffusionSolver,
-    mesh_nodes: u64,
-}
-
-impl SnapshotPair {
-    /// Initialize the three velocity components from the Taylor-Green
-    /// vortex, diffuse each component for `steps` RK4 steps of `dt`
-    /// (a Stokes-flow style decay — pressure coupling is out of scope for a
-    /// data generator), and capture input/target snapshots.
-    pub fn tgv_diffusion(mesh: &BoxMesh, nu: f64, dt: f64, steps: usize) -> Self {
-        let solver = DiffusionSolver::new(mesh, nu);
-        let field = TaylorGreen::new(nu);
-        let n = solver.n_dofs();
-        let mut input: [Vec<f64>; 3] = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
-        for gid in 0..mesh.num_global_nodes() as u64 {
-            let v = field.velocity(mesh.node_pos(gid), 0.0);
-            let row = solver.row_of(gid);
-            for c in 0..3 {
-                input[c][row] = v[c];
-            }
-        }
-        let target = [
-            solver.integrate(&input[0], dt, steps),
-            solver.integrate(&input[1], dt, steps),
-            solver.integrate(&input[2], dt, steps),
-        ];
-        SnapshotPair {
-            input,
-            target,
-            solver,
-            mesh_nodes: mesh.num_global_nodes() as u64,
-        }
-    }
-
-    /// Total simulated nodes.
-    pub fn n_nodes(&self) -> u64 {
-        self.mesh_nodes
-    }
-
-    /// Extract the row-major `[n_local, 3]` input buffer for one rank's
-    /// local graph.
-    pub fn rank_input(&self, g: &LocalGraph) -> Vec<f64> {
-        self.extract(&self.input, g)
-    }
-
-    /// Extract the row-major `[n_local, 3]` target buffer for one rank.
-    pub fn rank_target(&self, g: &LocalGraph) -> Vec<f64> {
-        self.extract(&self.target, g)
-    }
-
-    fn extract(&self, state: &[Vec<f64>; 3], g: &LocalGraph) -> Vec<f64> {
-        let mut out = Vec::with_capacity(g.n_local() * 3);
-        for &gid in &g.gids {
-            let row = self.solver.row_of(gid);
-            for comp in state {
-                out.push(comp[row]);
-            }
-        }
-        out
-    }
-}
 
 /// A stream of consecutive snapshot pairs captured from **one continuous
 /// solver trajectory**: sample `k` is `(u(t_k), u(t_{k+1}))` with
@@ -186,18 +117,6 @@ impl SnapshotStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgnn_graph::{build_distributed_graph, build_global_graph};
-    use cgnn_partition::{Partition, Strategy};
-
-    #[test]
-    fn snapshot_pair_decays() {
-        let mesh = BoxMesh::tgv_cube(2, 3);
-        let pair = SnapshotPair::tgv_diffusion(&mesh, 0.5, 1e-4, 50);
-        let energy =
-            |s: &[Vec<f64>; 3]| -> f64 { s.iter().flat_map(|c| c.iter()).map(|v| v * v).sum() };
-        assert!(energy(&pair.target) < energy(&pair.input));
-        assert!(energy(&pair.target) > 0.0);
-    }
 
     #[test]
     fn stream_pairs_chain_one_continuous_trajectory() {
@@ -217,27 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_first_pair_matches_snapshot_pair_generator() {
-        // Same solver, same schedule: the stream's first sample must be
-        // the single-pair generator's sample, gid for gid.
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let single = SnapshotPair::tgv_diffusion(&mesh, 0.3, 1e-4, 15);
-        let stream = SnapshotStream::tgv_diffusion(&mesh, 0.3, 1e-4, 15, 2);
-        let global = build_global_graph(&mesh);
-        let (x, y) = stream.pair(0);
-        // SnapshotPair extracts per-graph rows; the stream stores gid-major
-        // buffers — compare through the graph's gid list.
-        let ref_in = single.rank_input(&global);
-        let ref_tg = single.rank_target(&global);
-        for (i, &gid) in global.gids.iter().enumerate() {
-            for c in 0..3 {
-                assert_eq!(x[gid as usize * 3 + c], ref_in[i * 3 + c], "gid {gid}");
-                assert_eq!(y[gid as usize * 3 + c], ref_tg[i * 3 + c], "gid {gid}");
-            }
-        }
-    }
-
-    #[test]
     fn from_pairs_validates_buffer_lengths() {
         let ok = SnapshotStream::from_pairs(2, vec![(vec![0.0; 6], vec![1.0; 6])]);
         assert_eq!(ok.len(), 1);
@@ -246,24 +144,5 @@ mod tests {
             SnapshotStream::from_pairs(2, vec![(vec![0.0; 5], vec![1.0; 6])])
         });
         assert!(bad.is_err(), "short input buffer must be rejected");
-    }
-
-    #[test]
-    fn rank_extraction_is_partition_consistent() {
-        let mesh = BoxMesh::tgv_cube(2, 2);
-        let pair = SnapshotPair::tgv_diffusion(&mesh, 0.1, 1e-4, 10);
-        let global = build_global_graph(&mesh);
-        let part = Partition::new(&mesh, 2, Strategy::Slab);
-        let graphs = build_distributed_graph(&mesh, &part);
-        let ref_in = pair.rank_input(&global);
-        for g in &graphs {
-            let xin = pair.rank_input(g);
-            for (i, &gid) in g.gids.iter().enumerate() {
-                let gr = global.local_of_gid(gid).expect("gid in global");
-                for c in 0..3 {
-                    assert_eq!(xin[i * 3 + c], ref_in[gr * 3 + c], "gid {gid} comp {c}");
-                }
-            }
-        }
     }
 }

@@ -3,13 +3,11 @@
 //! Element-based discretizations duplicate values at coincident nodes;
 //! assembling a continuous operator requires summing every copy and writing
 //! the sum back — exactly the coincident-node synchronization the paper's
-//! consistent NMP layer performs over graph aggregates. The serial version
-//! here works on the full mesh; the distributed version reuses the
-//! [`cgnn_graph::HaloPlan`] and an all-to-all, demonstrating that the GNN
-//! halo machinery is the solver's gather-scatter in disguise.
+//! consistent NMP layer performs over graph aggregates. This is the serial
+//! version over the full mesh; its distributed twin is the GNN's halo
+//! exchange, `cgnn_core::exchange`, which sums each shared node's copies
+//! across ranks.
 
-use cgnn_comm::Comm;
-use cgnn_graph::LocalGraph;
 use cgnn_mesh::BoxMesh;
 
 /// Serial gather-scatter over a full mesh: element-local storage
@@ -69,15 +67,6 @@ impl GatherScatter {
             .collect()
     }
 
-    /// Direct stiffness summation `QQ^T`: replace each local copy by the sum
-    /// over all coincident copies.
-    pub fn dssum(&self, local: &mut [f64]) {
-        let global = self.gather_sum(local);
-        for (slot, &gid) in self.slot_gid.iter().enumerate() {
-            local[slot] = global[self.row_of(gid)];
-        }
-    }
-
     /// Assembled diagonal of a local-diagonal operator (e.g. the mass
     /// matrix): gather-sum of per-element diagonals.
     pub fn assemble_diagonal(&self, local_diag_per_element: &[f64]) -> Vec<f64> {
@@ -85,48 +74,9 @@ impl GatherScatter {
     }
 }
 
-/// Distributed coincident-node summation on a [`LocalGraph`]'s *local node*
-/// vector: adds neighbouring ranks' values at shared nodes via one
-/// neighbour all-to-all. After the call, every coincident copy across ranks
-/// holds the identical global sum — the solver-side twin of the consistent
-/// NMP synchronization (paper Eq. 4d).
-pub fn distributed_dssum(values: &mut [f64], graph: &LocalGraph, comm: &Comm) {
-    assert_eq!(values.len(), graph.n_local());
-    let world = comm.size();
-    let mut send: Vec<Vec<f64>> = vec![Vec::new(); world];
-    for (ni, &s) in graph.halo.neighbors.iter().enumerate() {
-        send[s] = graph.halo.send_ids[ni].iter().map(|&l| values[l]).collect();
-    }
-    let recv = comm.all_to_all(send);
-    for (ni, &s) in graph.halo.neighbors.iter().enumerate() {
-        for (k, &l) in graph.halo.send_ids[ni].iter().enumerate() {
-            values[l] += recv[s][k];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgnn_comm::World;
-    use cgnn_graph::build_distributed_graph;
-    use cgnn_partition::{Partition, Strategy};
-    use std::sync::Arc;
-
-    #[test]
-    fn dssum_multiplies_by_multiplicity() {
-        let mesh = BoxMesh::new((2, 2, 2), 1, (1.0, 1.0, 1.0), false);
-        let gs = GatherScatter::new(&mesh);
-        let mut local = vec![1.0; gs.slot_gid.len()];
-        gs.dssum(&mut local);
-        // After dssum of all-ones, each slot holds its node's multiplicity;
-        // center corner node is shared by 8 elements.
-        let max = local.iter().cloned().fold(0.0, f64::max);
-        assert_eq!(max, 8.0);
-        // Domain corners remain 1.
-        let min = local.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert_eq!(min, 1.0);
-    }
 
     #[test]
     fn gather_scatter_roundtrip_preserves_continuous_fields() {
@@ -140,47 +90,6 @@ mod tests {
         let ones = gs.gather_sum(&vec![1.0; local.len()]);
         for i in 0..gs.n_global {
             assert!((summed[i] - global[i] * ones[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn distributed_dssum_matches_serial() {
-        let mesh = BoxMesh::new((4, 2, 2), 2, (1.0, 1.0, 1.0), false);
-        let part = Partition::new(&mesh, 4, Strategy::Slab);
-        let graphs = Arc::new(build_distributed_graph(&mesh, &part));
-
-        // Serial reference: per-gid sum of per-rank values.
-        let value_of = |rank: usize, gid: u64| (gid as f64 * 0.31).sin() + rank as f64 * 0.05;
-        let mut reference: std::collections::BTreeMap<u64, f64> = Default::default();
-        for g in graphs.iter() {
-            for &gid in &g.gids {
-                *reference.entry(gid).or_insert(0.0) += value_of(g.rank, gid);
-            }
-        }
-
-        let results = World::run(4, |comm| {
-            let g = &graphs[comm.rank()];
-            let mut v: Vec<f64> = g
-                .gids
-                .iter()
-                .map(|&gid| value_of(comm.rank(), gid))
-                .collect();
-            distributed_dssum(&mut v, g, comm);
-            (g.gids.clone(), v)
-        });
-        for (gids, v) in &results {
-            for (i, &gid) in gids.iter().enumerate() {
-                let copies = graphs
-                    .iter()
-                    .filter(|g| g.local_of_gid(gid).is_some())
-                    .count();
-                let expect = if copies > 1 {
-                    reference[&gid]
-                } else {
-                    v[i] // interior: unchanged
-                };
-                assert!((v[i] - expect).abs() < 1e-12, "gid {gid}");
-            }
         }
     }
 }

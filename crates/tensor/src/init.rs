@@ -1,8 +1,8 @@
 //! Deterministic, seedable weight initialization.
 //!
 //! Every rank must initialize identical parameters (the paper's DDP setup
-//! shares one parameter vector theta across all ranks), so initializers take
-//! an explicit RNG that callers seed identically on every rank.
+//! shares one parameter vector theta across all ranks), so the initializer
+//! takes an explicit RNG that callers seed identically on every rank.
 
 use rand::Rng;
 
@@ -13,25 +13,6 @@ use crate::tensor::Tensor;
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
     let a = (6.0 / (fan_in + fan_out) as f64).sqrt();
     Tensor::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..a))
-}
-
-/// Uniform initialization in `(-scale, scale)`.
-pub fn uniform(rows: usize, cols: usize, scale: f64, rng: &mut impl Rng) -> Tensor {
-    Tensor::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
-}
-
-/// Standard-normal initialization scaled by `std`.
-pub fn normal(rows: usize, cols: usize, std: f64, rng: &mut impl Rng) -> Tensor {
-    use rand::distributions::Distribution;
-    let dist = rand::distributions::Uniform::new(0.0f64, 1.0);
-    // Box-Muller transform; rand's StandardNormal lives in rand_distr which
-    // we avoid pulling in for one function.
-    let next = move |rng: &mut dyn rand::RngCore| {
-        let u1: f64 = dist.sample(rng).max(1e-300);
-        let u2: f64 = dist.sample(rng);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    Tensor::from_fn(rows, cols, |_, _| std * next(rng))
 }
 
 #[cfg(test)]
@@ -53,20 +34,5 @@ mod tests {
         let t1 = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(42));
         let t2 = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(42));
         assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn normal_statistics_roughly_correct() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = normal(100, 100, 2.0, &mut rng);
-        let mean = t.sum() / t.len() as f64;
-        let var = t
-            .data()
-            .iter()
-            .map(|&v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / t.len() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 }

@@ -15,8 +15,8 @@
 //! * a [`tape::CustomOp`] escape hatch through which `cgnn-core` implements
 //!   **differentiable halo exchanges and all-reduces** (the Rust analogue of
 //!   `torch.distributed.nn`),
-//! * deterministic initializers and optimizers so all ranks hold identical
-//!   parameters without broadcasts.
+//! * a deterministic initializer and Adam optimizer so all ranks hold
+//!   identical parameters without broadcasts.
 
 pub mod check;
 pub mod init;
@@ -28,7 +28,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use nn::{BoundParams, Linear, Mlp, ParamId, ParamSet};
-pub use optim::{Adam, AdamState, Sgd};
+pub use optim::{Adam, AdamState};
 pub use serialize::{load_checkpoint, restore_into, save_checkpoint};
 pub use tape::{CustomOp, Gradients, Tape, VarId};
 pub use tensor::Tensor;

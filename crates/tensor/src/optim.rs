@@ -1,49 +1,11 @@
-//! First-order optimizers operating on a [`ParamSet`].
+//! The Adam optimizer, operating on a [`ParamSet`].
 //!
 //! Because the consistent formulation makes gradients identical on every
-//! rank (paper Eq. 3), running the same deterministic optimizer step on each
+//! rank (paper Eq. 3), running the same deterministic Adam step on each
 //! rank keeps parameters bit-identical without a broadcast.
 
 use crate::nn::ParamSet;
 use crate::tensor::Tensor;
-
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    pub lr: f64,
-    pub momentum: f64,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Apply one update; `grads[i]` must match `params.tensors()[i]`.
-    pub fn step(&mut self, params: &mut ParamSet, grads: &[Tensor]) {
-        assert_eq!(grads.len(), params.len(), "sgd grad count mismatch");
-        if self.velocity.is_empty() && self.momentum != 0.0 {
-            self.velocity = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.rows(), g.cols()))
-                .collect();
-        }
-        for (i, t) in params.tensors_mut().iter_mut().enumerate() {
-            if self.momentum != 0.0 {
-                let v = &mut self.velocity[i];
-                v.scale_inplace(self.momentum);
-                v.add_assign(&grads[i]);
-                t.axpy(-self.lr, v);
-            } else {
-                t.axpy(-self.lr, &grads[i]);
-            }
-        }
-    }
-}
 
 /// The mutable state of an [`Adam`] optimizer: step counter and first/second
 /// moment estimates. Snapshot with [`Adam::state`], reinstall with
@@ -198,18 +160,6 @@ mod tests {
     fn quadratic_grads(params: &ParamSet) -> Vec<Tensor> {
         // f = 0.5 * |theta|^2 -> grad = theta
         params.tensors().to_vec()
-    }
-
-    #[test]
-    fn sgd_decays_quadratic() {
-        let mut params = ParamSet::new();
-        params.register("x", Tensor::from_vec(1, 2, vec![1.0, -2.0]));
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..100 {
-            let g = quadratic_grads(&params);
-            opt.step(&mut params, &g);
-        }
-        assert!(params.tensors()[0].max_abs() < 1e-4);
     }
 
     #[test]

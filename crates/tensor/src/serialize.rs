@@ -11,15 +11,16 @@
 //! * **training checkpoint** (`save_checkpoint`/`load_checkpoint`): magic
 //!   `CGNC`, version u32, an embedded params container, then the Adam
 //!   state — step count u64, moment count u32, and the first/second moment
-//!   tensors (rows u64, cols u64, f64 data each), then (version ≥ 2) a
-//!   trailing FNV-1a-64 checksum of every preceding byte. Restoring both
-//!   makes a resumed run **bit-identical** to the uninterrupted one.
+//!   tensors (rows u64, cols u64, f64 data each), then a trailing
+//!   FNV-1a-64 checksum of every preceding byte. Restoring both makes a
+//!   resumed run **bit-identical** to the uninterrupted one.
 //!
 //! Corruption is a *typed* failure, never a panic: a truncated file
 //! surfaces as `UnexpectedEof`, a flipped bit as a checksum mismatch
 //! (`InvalidData`), and implausible length fields (a flipped bit in a
-//! count) are bounds-checked before any allocation. Version-1 training
-//! checkpoints (no trailing checksum) remain readable.
+//! count) are bounds-checked before any allocation. Only version 2 is
+//! read: version-1 training checkpoints (no trailing checksum) are refused
+//! as `InvalidData`, so every loaded checkpoint has passed its checksum.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -32,8 +33,6 @@ const MAGIC: &[u8; 4] = b"CGNN";
 const VERSION: u32 = 1;
 const CKPT_MAGIC: &[u8; 4] = b"CGNC";
 const CKPT_VERSION: u32 = 2;
-/// Oldest training-checkpoint version still readable (pre-checksum).
-const CKPT_MIN_VERSION: u32 = 1;
 
 /// Bounds on length fields, enforced *before* allocating: a corrupted
 /// count must become an `InvalidData` error, not an OOM abort.
@@ -198,8 +197,8 @@ pub fn write_checkpoint<W: Write>(params: &ParamSet, opt: &AdamState, w: W) -> i
 }
 
 /// Deserialize a full training checkpoint from a reader, verifying the
-/// trailing checksum (containers written at version ≥ 2). Any corruption
-/// — truncation, flipped bits, implausible lengths — is an `Err`, never a
+/// trailing checksum. Any corruption — truncation, flipped bits,
+/// implausible lengths, a version other than 2 — is an `Err`, never a
 /// panic.
 pub fn read_checkpoint<R: Read>(r: R) -> io::Result<(ParamSet, AdamState)> {
     let mut r = HashingReader::new(r);
@@ -212,7 +211,7 @@ pub fn read_checkpoint<R: Read>(r: R) -> io::Result<(ParamSet, AdamState)> {
         ));
     }
     let version = read_u32(&mut r)?;
-    if !(CKPT_MIN_VERSION..=CKPT_VERSION).contains(&version) {
+    if version != CKPT_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unsupported checkpoint version {version}"),
@@ -226,20 +225,18 @@ pub fn read_checkpoint<R: Read>(r: R) -> io::Result<(ParamSet, AdamState)> {
         moments.push(read_tensor(&mut r)?);
     }
     let v = moments.split_off(count);
-    if version >= 2 {
-        // Snapshot the digest before consuming the trailer: the checksum
-        // covers exactly the bytes that precede it.
-        let computed = r.digest;
-        let stored = read_u64(&mut r)?;
-        if stored != computed {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint checksum mismatch: stored {stored:#018x}, \
-                     computed {computed:#018x} (corrupted file)"
-                ),
-            ));
-        }
+    // Snapshot the digest before consuming the trailer: the checksum covers
+    // exactly the bytes that precede it.
+    let computed = r.digest;
+    let stored = read_u64(&mut r)?;
+    if stored != computed {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "checkpoint checksum mismatch: stored {stored:#018x}, \
+                 computed {computed:#018x} (corrupted file)"
+            ),
+        ));
     }
     Ok((params, AdamState { t, m: moments, v }))
 }
@@ -470,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn version_1_checkpoints_without_checksum_still_load() {
+    fn version_1_checkpoints_are_refused() {
         let params = sample_params(17);
         let opt = crate::optim::Adam::new(0.01);
         let mut buf = Vec::new();
@@ -479,8 +476,12 @@ mod tests {
         // byte-for-byte what a pre-checksum writer produced.
         buf[4..8].copy_from_slice(&1u32.to_le_bytes());
         buf.truncate(buf.len() - 8);
-        let (rp, _) = read_checkpoint(buf.as_slice()).expect("v1 loads");
-        assert_eq!(rp.flatten(), params.flatten());
+        let err = read_checkpoint(buf.as_slice()).expect_err("v1 is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -92,8 +92,6 @@ pub(crate) enum Op {
     AddRow(VarId, VarId),
     /// `C = alpha * A`
     Scale(VarId, f64),
-    /// Column-wise concatenation (parts carry no gather indices).
-    ConcatCols(Vec<GatherPart>),
     /// Fused gather + column concatenation:
     /// `C[i, :] = [P0[idx0[i]] | P1[idx1[i]] | ...]` (`None` index = row i).
     GatherConcat(Vec<GatherPart>),
@@ -515,15 +513,6 @@ impl Tape {
         self.push(out, Op::Scale(a, alpha))
     }
 
-    /// Concatenate along columns.
-    pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        self.assert_unmasked("concat_cols");
-        let fused: Vec<_> = parts.iter().map(|&p| (p, None)).collect();
-        let (rows, meta) = self.gather_parts(&fused);
-        let cols = meta.iter().map(|p| p.cols).sum();
-        self.record_rows(rows, cols, Op::ConcatCols(meta))
-    }
-
     /// Fused gather + column concatenation — the message-passing prologue
     /// `[x[src] | x[dst] | e]` as **one** kernel and one output tensor.
     /// Each part is `(variable, Some(row indices))` to gather, or
@@ -626,8 +615,9 @@ impl Tape {
         self.push(out, Op::GatherLinear { parts: meta, w, b })
     }
 
-    /// Validate the parts of a [`Tape::concat_cols`] / [`Tape::gather_concat`]
-    /// and return the output row count with the recorded part list.
+    /// Validate the parts of a [`Tape::gather_concat`] /
+    /// [`Tape::gather_linear`] and return the output row count with the
+    /// recorded part list.
     fn gather_parts(&self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> (usize, Vec<GatherPart>) {
         assert!(!parts.is_empty(), "gather_concat needs at least one part");
         let rows = match &parts[0] {
@@ -898,15 +888,6 @@ fn accumulate(
             ew_map(g.data(), g.cols(), ga.data_mut(), |x| al * x);
             add(*a, ga, pool);
         }
-        Op::ConcatCols(parts) => {
-            let mut off = 0;
-            for p in parts {
-                let mut part = pool.uninit(g.rows(), p.cols);
-                slice_cols_into(&g, off, p.cols, &mut part);
-                add(p.src, part, pool);
-                off += p.cols;
-            }
-        }
         Op::GatherConcat(parts) => {
             let mut off = 0;
             for p in parts {
@@ -1131,7 +1112,7 @@ impl<'a> RowKernel<'a> {
                 beta: val(beta).data(),
                 eps: *eps,
             },
-            Op::GatherConcat(parts) | Op::ConcatCols(parts) => RowKernel::GatherConcat(
+            Op::GatherConcat(parts) => RowKernel::GatherConcat(
                 parts
                     .iter()
                     .map(|p| (val(&p.src), p.idx.as_deref().map(Vec::as_slice)))
@@ -1696,7 +1677,7 @@ mod tests {
         let (x2, e2) = (split.leaf(xv), split.leaf(ev));
         let xi = split.gather_rows(x2, Arc::clone(&src));
         let xj = split.gather_rows(x2, Arc::clone(&dst));
-        let cat2 = split.concat_cols(&[xi, xj, e2]);
+        let cat2 = split.gather_concat(&[(xi, None), (xj, None), (e2, None)]);
         let sq2 = split.mul(cat2, cat2);
         let s2 = split.sum(sq2);
         let gs = split.backward(s2);

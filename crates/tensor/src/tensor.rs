@@ -183,28 +183,6 @@ impl Tensor {
         }
     }
 
-    /// `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f64, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Multiply every entry by `alpha` in place.
-    pub fn scale_inplace(&mut self, alpha: f64) {
-        for a in self.data.iter_mut() {
-            *a *= alpha;
-        }
-    }
-
-    /// New tensor `alpha * self`.
-    pub fn scaled(&self, alpha: f64) -> Tensor {
-        let mut out = self.clone();
-        out.scale_inplace(alpha);
-        out
-    }
-
     /// Overwrite `out` with a copy of `self` (shapes must already match).
     pub fn copy_into(&self, out: &mut Tensor) {
         assert_eq!(self.shape(), out.shape(), "copy_into shape mismatch");
@@ -219,11 +197,6 @@ impl Tensor {
     /// Maximum absolute entry (0 for empty tensors).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Matrix product `self * rhs` (`[m,k] x [k,n] -> [m,n]`).
@@ -305,28 +278,6 @@ impl Tensor {
             "transpose_into output shape"
         );
         transpose(&self.data, self.rows, self.cols, &mut out.data);
-    }
-
-    /// Concatenate tensors along columns; all must have the same row count.
-    pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_cols needs at least one tensor");
-        let rows = parts[0].rows;
-        for p in parts {
-            assert_eq!(p.rows, rows, "concat_cols row mismatch");
-        }
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Tensor::from_pool_uninit(rows, cols, Vec::new());
-        for_row_chunks(&mut out.data, cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let o_row = &mut chunk[i * cols..(i + 1) * cols];
-                let mut off = 0;
-                for p in parts {
-                    o_row[off..off + p.cols].copy_from_slice(p.row(first_row + i));
-                    off += p.cols;
-                }
-            }
-        });
-        out
     }
 
     /// Gather rows: `out[i] = self[idx[i]]`.
@@ -883,14 +834,6 @@ mod tests {
                 assert_eq!(s.get(r, c), mult * x.get(r, c));
             }
         }
-    }
-
-    #[test]
-    fn concat_cols_layout() {
-        let a = Tensor::from_vec(2, 1, vec![1., 2.]);
-        let b = Tensor::from_vec(2, 2, vec![3., 4., 5., 6.]);
-        let c = Tensor::concat_cols(&[&a, &b]);
-        assert_eq!(c.data(), &[1., 3., 4., 2., 5., 6.]);
     }
 
     #[test]

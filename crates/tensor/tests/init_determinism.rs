@@ -5,7 +5,7 @@
 //! values. If the generator or the initializers change the stream, these
 //! tests fail rather than letting reproducibility silently drift.
 
-use cgnn_tensor::init::{normal, uniform, xavier_uniform};
+use cgnn_tensor::init::xavier_uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -23,14 +23,6 @@ fn seeded_init_identical_across_instantiations() {
     // drift).
     let a = xavier_uniform(4, 3, &mut StdRng::seed_from_u64(7));
     let b = xavier_uniform(4, 3, &mut StdRng::seed_from_u64(7));
-    assert_eq!(a, b);
-
-    let a = uniform(2, 5, 0.3, &mut StdRng::seed_from_u64(9));
-    let b = uniform(2, 5, 0.3, &mut StdRng::seed_from_u64(9));
-    assert_eq!(a, b);
-
-    let a = normal(3, 3, 1.5, &mut StdRng::seed_from_u64(11));
-    let b = normal(3, 3, 1.5, &mut StdRng::seed_from_u64(11));
     assert_eq!(a, b);
 }
 

@@ -5,7 +5,6 @@
 //! * [`rngs::StdRng`] (xoshiro256++ seeded via SplitMix64 — deterministic
 //!   and stable across platforms and builds, which the Eq. 2 consistency
 //!   tests rely on),
-//! * [`distributions::Uniform`] with the `Distribution::sample` interface,
 //! * `Rng::gen_range(low..high)` for float and integer ranges.
 //!
 //! The build environment has no reachable crates registry, so this shim is
@@ -17,28 +16,6 @@
 /// Low-level RNG interface (rand 0.8 `RngCore` subset).
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Seedable construction (rand 0.8 `SeedableRng` subset).
@@ -56,15 +33,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         range.sample_single(self)
-    }
-
-    /// Uniform `f64` in `[0, 1)` (the only `gen::<T>()` instantiation the
-    /// workspace needs).
-    fn gen_f64(&mut self) -> f64
-    where
-        Self: Sized,
-    {
-        unit_f64(self)
     }
 }
 
@@ -122,34 +90,6 @@ pub mod rngs {
 }
 
 pub mod distributions {
-    use super::RngCore;
-
-    /// rand 0.8 `Distribution` subset; `sample` accepts unsized RNGs so
-    /// callers can pass `&mut dyn RngCore`.
-    pub trait Distribution<T> {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-    }
-
-    /// Uniform distribution over `[low, high)` for `f64`.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Uniform<T> {
-        low: T,
-        high: T,
-    }
-
-    impl Uniform<f64> {
-        pub fn new(low: f64, high: f64) -> Self {
-            assert!(low < high, "Uniform::new requires low < high");
-            Uniform { low, high }
-        }
-    }
-
-    impl Distribution<f64> for Uniform<f64> {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-            self.low + (self.high - self.low) * super::unit_f64(rng)
-        }
-    }
-
     pub mod uniform {
         use super::super::{unit_f64, RngCore};
         use core::ops::Range;
@@ -191,9 +131,6 @@ pub mod distributions {
         int_sample_range!(usize, u8, u16, u32, u64, i8, i16, i32, i64);
     }
 }
-
-// Re-export like rand 0.8's prelude-style flat paths.
-pub use distributions::Distribution;
 
 #[cfg(test)]
 mod tests {

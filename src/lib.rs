@@ -51,7 +51,7 @@ pub mod prelude {
     pub use cgnn_graph::{build_distributed_graph, build_global_graph, LocalGraph};
     pub use cgnn_mesh::{BoxMesh, TaylorGreen};
     pub use cgnn_partition::{Partition, Strategy};
-    pub use cgnn_sem::{SnapshotPair, SnapshotStream};
+    pub use cgnn_sem::SnapshotStream;
     pub use cgnn_session::{
         CheckpointPolicy, Dataset, ElasticError, ElasticReport, FaultTolerance, LatestReport,
         RankHandle, RecoveryEvent, Session, SessionBuilder, SessionError, WorldFailure,

@@ -1,56 +1,49 @@
-//! End-to-end "NekRS-GNN workflow" integration test (paper Fig. 1): the
-//! spectral-element solver generates snapshot data on a mesh, the mesh is
-//! partitioned, graphs with halo plans are derived, and a consistent GNN
-//! trains on the distributed snapshots — with the whole pipeline remaining
-//! partition-invariant.
+//! End-to-end "NekRS-GNN workflow" integration test (paper Fig. 1), on the
+//! live datagen path: the spectral-element solver streams snapshot data on
+//! a mesh, `Dataset::from_stream` adopts it, and a `Session` partitions the
+//! mesh, slices the snapshots per rank and trains a consistent GNN — with
+//! the whole pipeline remaining partition-invariant.
 
-use std::sync::Arc;
+use cgnn::prelude::{
+    BoxMesh, Dataset, GnnConfig, HaloExchangeMode, Session, SnapshotStream, Strategy,
+};
 
-use cgnn::comm::World;
-use cgnn::core::{GnnConfig, HaloContext, HaloExchangeMode, RankData, Trainer};
-use cgnn::graph::{build_distributed_graph, build_global_graph, LocalGraph};
-use cgnn::mesh::BoxMesh;
-use cgnn::partition::{Partition, Strategy};
-use cgnn::sem::SnapshotPair;
+/// Train `ranks` ranks for 8 steps on the dataset's one pair; every rank's
+/// loss history.
+fn train_on_solver_data(mesh: &BoxMesh, dataset: Dataset, ranks: usize) -> Vec<Vec<f64>> {
+    let session = Session::builder()
+        .mesh(mesh.clone())
+        .ranks(ranks)
+        .partition(Strategy::Block)
+        .exchange(HaloExchangeMode::NeighborAllToAll)
+        .dataset(dataset)
+        .model(GnnConfig::small())
+        .seed(3)
+        .learning_rate(1e-3)
+        .build()
+        .expect("session");
+    session.run(|h| {
+        let data = h.dataset_sample(0).clone();
+        h.train(&data, 8)
+    })
+}
 
 #[test]
 fn gnn_trains_on_sem_generated_forecasting_data() {
     // Generate data: diffuse the TGV field with the SEM stepper.
     let mesh = BoxMesh::tgv_cube(2, 3);
-    let pair = SnapshotPair::tgv_diffusion(&mesh, 0.5, 5e-4, 40);
-
-    // Distribute onto 4 ranks.
-    let part = Partition::new(&mesh, 4, Strategy::Block);
-    let graphs: Arc<Vec<Arc<LocalGraph>>> = Arc::new(
-        build_distributed_graph(&mesh, &part)
-            .into_iter()
-            .map(Arc::new)
-            .collect(),
-    );
-    let pair = Arc::new(pair);
+    let dataset = Dataset::from_stream(SnapshotStream::tgv_diffusion(&mesh, 0.5, 5e-4, 40, 1));
 
     // R=1 reference trajectory on the same data.
-    let global = Arc::new(build_global_graph(&mesh));
-    let (g1, p1) = (Arc::clone(&global), Arc::clone(&pair));
-    let reference = World::run(1, move |comm| {
-        let ctx = HaloContext::single(comm.clone());
-        let mut trainer = Trainer::new(GnnConfig::small(), 3, 1e-3, ctx);
-        let data = RankData::new(Arc::clone(&g1), p1.rank_input(&g1), p1.rank_target(&g1));
-        trainer.train(&data, 8)
-    })
-    .pop()
-    .expect("one history");
-
-    let histories = World::run(4, move |comm| {
-        let g = Arc::clone(&graphs[comm.rank()]);
-        let ctx = HaloContext::new(comm.clone(), &g, HaloExchangeMode::NeighborAllToAll);
-        let mut trainer = Trainer::new(GnnConfig::small(), 3, 1e-3, ctx);
-        let data = RankData::new(Arc::clone(&g), pair.rank_input(&g), pair.rank_target(&g));
-        trainer.train(&data, 8)
-    });
+    let reference = train_on_solver_data(&mesh, dataset.clone(), 1)
+        .pop()
+        .expect("one history");
+    let histories = train_on_solver_data(&mesh, dataset, 4);
+    assert_eq!(histories.len(), 4);
 
     // Distributed training on solver data follows the R=1 curve and learns.
     for h in &histories {
+        assert_eq!(h.len(), reference.len());
         for (a, b) in h.iter().zip(&reference) {
             assert!(
                 (a - b).abs() / b.abs().max(1e-300) < 1e-8,
