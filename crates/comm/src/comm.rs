@@ -137,6 +137,11 @@ impl Comm {
             .fetch_add(std::mem::size_of_val(buf) as u64, Ordering::Relaxed);
         buf.fill(f64::NEG_INFINITY);
         for part in &parts {
+            assert_eq!(
+                part.len(),
+                buf.len(),
+                "all_reduce_max length mismatch across ranks"
+            );
             for (b, &p) in buf.iter_mut().zip(part.iter()) {
                 *b = b.max(p);
             }
@@ -350,6 +355,15 @@ mod tests {
         }) {
             assert_eq!(out[0], vec![0.0, 3.0]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "all_reduce_max length mismatch across ranks")]
+    fn all_reduce_max_rejects_ragged_lengths() {
+        World::run(2, |comm| {
+            let mut v = vec![1.0; comm.rank() + 1];
+            comm.all_reduce_max(&mut v);
+        });
     }
 
     #[test]

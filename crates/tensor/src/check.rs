@@ -5,6 +5,7 @@
 //! and central finite differences.
 
 use crate::nn::ParamSet;
+use crate::tensor::nan_max;
 
 /// Central-difference gradient of `f` with respect to every scalar in
 /// `params`, returned flattened in registration order.
@@ -33,13 +34,14 @@ pub fn finite_difference_grad(
 }
 
 /// Maximum relative error between two flat gradient vectors, flooring the
-/// denominator to avoid blow-ups on tiny entries.
+/// denominator to avoid blow-ups on tiny entries. A NaN on either side
+/// makes the result NaN, so `< bound` fails.
 pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "gradient length mismatch");
     a.iter()
         .zip(b.iter())
         .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-6))
-        .fold(0.0_f64, f64::max)
+        .fold(0.0, nan_max)
 }
 
 #[cfg(test)]
@@ -95,6 +97,15 @@ mod tests {
         // expected accuracy floor here.
         let err = max_rel_error(&auto_flat, &fd);
         assert!(err < 5e-4, "max relative error {err}");
+    }
+
+    /// A NaN on either side, anywhere in the vectors, makes the error NaN,
+    /// which fails every `< bound` check.
+    #[test]
+    fn nan_is_never_within_bound() {
+        assert!(max_rel_error(&[f64::NAN], &[1.0]).is_nan());
+        assert!(max_rel_error(&[1.0, 0.0], &[1.0, f64::NAN]).is_nan());
+        assert!(max_rel_error(&[f64::NAN, 1.0], &[0.0, 3.0]).is_nan());
     }
 
     /// Gradient check through gather -> degree-weighted scatter, the

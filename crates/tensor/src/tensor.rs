@@ -423,13 +423,24 @@ impl Tensor {
 
     /// Maximum relative difference against another tensor, where the
     /// denominator floors at 1 to keep near-zero entries well behaved.
+    /// A NaN on either side makes the result NaN, so `< bound` fails.
     pub fn max_rel_diff(&self, other: &Tensor) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_rel_diff shape mismatch");
         self.data
             .iter()
             .zip(other.data.iter())
             .map(|(&a, &b)| (a - b).abs() / a.abs().max(b.abs()).max(1.0))
-            .fold(0.0_f64, f64::max)
+            .fold(0.0, nan_max)
+    }
+}
+
+/// `f64::max` that propagates NaN (`f64::max(0.0, NaN)` is `0.0`): the
+/// fold of the tolerance helpers, so a NaN error never reads as zero.
+pub(crate) fn nan_max(m: f64, e: f64) -> f64 {
+    if e.is_nan() || e > m {
+        e
+    } else {
+        m
     }
 }
 
@@ -784,6 +795,17 @@ mod tests {
         let tn = a.matmul_tn(&c);
         let reference = a.transpose().matmul(&c);
         assert!(tn.max_rel_diff(&reference) < 1e-14);
+    }
+
+    /// A NaN on either side, anywhere in the tensors, makes the difference
+    /// NaN, which fails every `< bound` check.
+    #[test]
+    fn max_rel_diff_propagates_nan() {
+        let one = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
+        let nan_first = Tensor::from_vec(1, 2, vec![f64::NAN, 1.0]);
+        let nan_last = Tensor::from_vec(1, 2, vec![1.0, f64::NAN]);
+        assert!(nan_first.max_rel_diff(&one).is_nan());
+        assert!(one.max_rel_diff(&nan_last).is_nan());
     }
 
     #[test]

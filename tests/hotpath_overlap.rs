@@ -1,96 +1,13 @@
-//! Hot-path invariants of the overhaul: true compute/communication overlap
-//! stays bit-identical to the blocking schedule (values AND gradients,
-//! under both comm backends), and the trainer's reused tape workspace
-//! replays bit-identically to a fresh one across checkpoint boundaries.
+//! Hot-path invariants: only the overlapped mode opens an exchange window,
+//! and its split-phase finish equals the blocking exchange; the trainer's
+//! reused tape workspace replays bit-identically to a fresh one across
+//! checkpoint boundaries. That Ovl-SR trains the same bits as every other
+//! consistent mode, on both backends, is `tests/consistency.rs`.
 
 use std::sync::Arc;
 
-use cgnn::comm::{Backend, Comm};
-use cgnn::core::{
-    halo_sync, ConsistentMpLayer, GraphIndices, HaloContext, HaloExchangeMode, Trainer,
-};
-use cgnn::graph::{build_distributed_graph, LocalGraph};
-use cgnn::mesh::{BoxMesh, TaylorGreen};
+use cgnn::core::halo_sync;
 use cgnn::prelude::*;
-use cgnn::tensor::{ParamSet, Tape, Tensor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// One NMP layer forward + backward at R = 4, returning output values,
-/// edge-feature gradients, every parameter gradient, and whether the
-/// mode leaves its exchange in flight (`HaloContext::begin` is
-/// `Some`) — the layer computes inside that window exactly then.
-#[allow(clippy::type_complexity)]
-fn layer_pass(
-    backend: Backend,
-    mode: HaloExchangeMode,
-    graphs: Arc<Vec<LocalGraph>>,
-) -> Vec<(Vec<f64>, Vec<f64>, Vec<Vec<f64>>, bool)> {
-    let hidden = 6;
-    backend.launch(4, move |comm: &Comm| {
-        let comm = comm.clone();
-        let g = Arc::new(graphs[comm.rank()].clone());
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let layer = ConsistentMpLayer::new(&mut params, "mp", hidden, 1, &mut rng);
-        let idx = GraphIndices::from_graph(&g);
-        let ctx = HaloContext::new(comm.clone(), &g, mode);
-        let mut tape = Tape::new();
-        let bound = params.bind(&mut tape);
-        let x = tape.leaf(Tensor::from_fn(g.n_local(), hidden, |r, c| {
-            ((g.gids[r] as f64 + 1.7 * c as f64) * 0.13).sin()
-        }));
-        let e = tape.leaf(Tensor::from_fn(g.n_edges(), hidden, |r, c| {
-            ((r as f64 * 31.0 + c as f64) * 0.011).cos()
-        }));
-        let (xn, _en) = layer.forward(&mut tape, &bound, x, e, &g, &idx, &ctx);
-        let mut probe = Tensor::zeros(g.n_local(), 1);
-        let pending = ctx.begin(&probe, &g);
-        let opens_window = pending.is_some();
-        if let Some(pending) = pending {
-            pending.finish(&mut probe, &g);
-        }
-        let s = tape.weighted_sq_sum(xn, idx.node_inv_degree.clone());
-        let total = cgnn::core::all_reduce_scalar(&mut tape, s, &comm);
-        let grads = tape.backward(total);
-        let param_grads = bound
-            .vars()
-            .iter()
-            .map(|&v| grads.get(v).expect("param grad").data().to_vec())
-            .collect();
-        (
-            tape.value(xn).data().to_vec(),
-            grads.get(e).expect("edge grad").data().to_vec(),
-            param_grads,
-            opens_window,
-        )
-    })
-}
-
-/// Overlapped forward (+ backward) is bit-exact to Send-Recv under both
-/// comm backends — and Ovl-SR opens an exchange window where Send-Recv
-/// opens none (that the layer records under the row mask inside it is
-/// `mp_layer`'s `consume_records_under_the_row_mask_only_inside_a_window`).
-#[test]
-fn overlapped_layer_is_bit_exact_to_send_recv_on_both_backends() {
-    let mesh = BoxMesh::new((4, 4, 2), 1, (1.0, 1.0, 1.0), false);
-    let part = Partition::new(&mesh, 4, Strategy::Pencil);
-    let graphs = Arc::new(build_distributed_graph(&mesh, &part));
-    for backend in Backend::all() {
-        let sr = layer_pass(backend, HaloExchangeMode::SendRecv, Arc::clone(&graphs));
-        let ovl = layer_pass(backend, HaloExchangeMode::Overlapped, Arc::clone(&graphs));
-        for (rank, (s, o)) in sr.iter().zip(ovl.iter()).enumerate() {
-            assert_eq!(s.0, o.0, "{backend:?} rank {rank}: outputs differ");
-            assert_eq!(s.1, o.1, "{backend:?} rank {rank}: edge grads differ");
-            assert_eq!(s.2, o.2, "{backend:?} rank {rank}: param grads differ");
-            assert!(!s.3, "Send-Recv must not open overlap windows");
-            assert!(
-                o.3,
-                "{backend:?} rank {rank}: overlapped exchange opened no compute window"
-            );
-        }
-    }
-}
 
 /// The split-phase entry point belongs to the overlapped mode alone: every
 /// other mode's `begin` posts nothing and returns `None`, and Ovl-SR's

@@ -1,11 +1,8 @@
-//! Equivalence of the `Session` builder front-end with the hand-wired SPMD
-//! path it replaced: for every halo exchange strategy, a builder-constructed
-//! session must reproduce the hand-wired loss trajectory **bit for bit**
-//! (same mesh -> partition -> graph -> context -> trainer wiring, same
-//! deterministic collectives), and the new coalesced strategy must be
-//! arithmetically identical to N-A2A.
-
-use std::sync::Arc;
+//! What the `Session` front-end keeps and replays: the configured exchange
+//! mode (reported by session, handle and context at every R), `resized` and
+//! `with_exchange` training like fresh builds, and exact traffic
+//! accounting. That sessions train like the hand-wired pipeline, and every
+//! mode and backend like every other, is `tests/consistency.rs`.
 
 use cgnn::prelude::*;
 
@@ -15,36 +12,6 @@ const LR: f64 = 1e-3;
 
 fn mesh() -> BoxMesh {
     BoxMesh::new((4, 4, 4), 1, (1.0, 1.0, 1.0), false)
-}
-
-/// The pre-session wiring, verbatim: partition by hand, build graphs by
-/// hand, construct `HaloContext` and `Trainer` inside the SPMD closure.
-fn hand_wired(ranks: usize, mode: HaloExchangeMode) -> Vec<Vec<f64>> {
-    let mesh = mesh();
-    let field = TaylorGreen::new(0.01);
-    if ranks == 1 {
-        let global = Arc::new(build_global_graph(&mesh));
-        return World::run(1, move |comm| {
-            let ctx = HaloContext::single(comm.clone());
-            let mut trainer = Trainer::new(GnnConfig::small(), SEED, LR, ctx);
-            let data = RankData::tgv_autoencode(Arc::clone(&global), &field, 0.0);
-            trainer.train(&data, ITERS)
-        });
-    }
-    let part = Partition::new(&mesh, ranks, Strategy::Block);
-    let graphs: Arc<Vec<Arc<LocalGraph>>> = Arc::new(
-        build_distributed_graph(&mesh, &part)
-            .into_iter()
-            .map(Arc::new)
-            .collect(),
-    );
-    World::run(ranks, move |comm| {
-        let g = Arc::clone(&graphs[comm.rank()]);
-        let ctx = HaloContext::new(comm.clone(), &g, mode);
-        let mut trainer = Trainer::new(GnnConfig::small(), SEED, LR, ctx);
-        let data = RankData::tgv_autoencode(g, &field, 0.0);
-        trainer.train(&data, ITERS)
-    })
 }
 
 fn session(ranks: usize, mode: HaloExchangeMode) -> Vec<Vec<f64>> {
@@ -61,116 +28,10 @@ fn session(ranks: usize, mode: HaloExchangeMode) -> Vec<Vec<f64>> {
         .train_autoencode(&TaylorGreen::new(0.01), 0.0, ITERS)
 }
 
-/// Cross-backend equivalence: for every halo-exchange strategy, training
-/// trajectories are **bit-identical** under the thread world and the
-/// deterministic serial backend. The reduction arithmetic lives in the
-/// `Comm` layer above the transport, so no backend can perturb it — this
-/// suite is the executable form of that claim.
-#[test]
-fn backends_are_bit_identical_for_all_modes() {
-    // Bit-identity either holds from the first reduction or not at all, so
-    // a short trajectory suffices (the serial backend runs fully
-    // single-stepped, so this also bounds suite wall-clock).
-    for mode in HaloExchangeMode::all() {
-        let per_backend: Vec<Vec<Vec<f64>>> = Backend::all()
-            .into_iter()
-            .map(|backend| {
-                Session::builder()
-                    .mesh(mesh())
-                    .partition(Strategy::Block)
-                    .ranks(8)
-                    .exchange(mode)
-                    .backend(backend)
-                    .model(GnnConfig::small())
-                    .seed(SEED)
-                    .learning_rate(LR)
-                    .build()
-                    .expect("session")
-                    .train_autoencode(&TaylorGreen::new(0.01), 0.0, 5)
-            })
-            .collect();
-        assert_eq!(
-            per_backend[0], per_backend[1],
-            "mode {mode}: thread and serial trajectories differ"
-        );
-    }
-}
-
-/// Builder sessions reproduce the hand-wired trajectories bit-identically
-/// for every built-in strategy (the four paper modes + the coalesced and
-/// overlapped extensions), at R = 8.
-#[test]
-fn session_matches_hand_wired_path_for_all_modes() {
-    for mode in HaloExchangeMode::all() {
-        let reference = hand_wired(8, mode);
-        let through_builder = session(8, mode);
-        assert_eq!(
-            reference, through_builder,
-            "mode {mode}: builder and hand-wired trajectories differ"
-        );
-    }
-}
-
-/// Same equivalence for the un-partitioned R = 1 path (`HaloContext::single`).
-#[test]
-fn session_matches_hand_wired_path_single_rank() {
-    let reference = hand_wired(1, HaloExchangeMode::None);
-    let through_builder = session(1, HaloExchangeMode::None);
-    assert_eq!(reference, through_builder);
-}
-
-/// The coalesced all-gather strategy ships the same payloads in the same
-/// accumulation order as N-A2A, so entire training trajectories must be
-/// **bit-identical** — only the traffic pattern differs.
-#[test]
-fn coalesced_is_arithmetically_identical_to_neighbor_a2a() {
-    for ranks in [2usize, 4, 8] {
-        let na2a = session(ranks, HaloExchangeMode::NeighborAllToAll);
-        let coal = session(ranks, HaloExchangeMode::Coalesced);
-        assert_eq!(
-            na2a, coal,
-            "R={ranks}: coalesced and N-A2A trajectories must be bit-identical"
-        );
-    }
-}
-
-/// The overlapped exchange reorders the communication schedule onto the
-/// non-blocking API without touching payloads or accumulation order, so
-/// entire training trajectories must be **bit-identical** to Send-Recv.
-#[test]
-fn overlapped_is_arithmetically_identical_to_send_recv() {
-    for ranks in [2usize, 4, 8] {
-        let sr = session(ranks, HaloExchangeMode::SendRecv);
-        let ovl = session(ranks, HaloExchangeMode::Overlapped);
-        assert_eq!(
-            sr, ovl,
-            "R={ranks}: overlapped and Send-Recv trajectories must be bit-identical"
-        );
-    }
-}
-
-/// The collective and the point-to-point plans ship the same payloads and
-/// accumulate them in the same neighbour order: A2A, N-A2A and Send-Recv
-/// train the same bits. With the two tests above that closes the chain —
-/// every consistent mode is bit-identical to every other at each R.
-#[test]
-fn collective_and_point_to_point_plans_are_arithmetically_identical() {
-    for ranks in [2usize, 4, 8] {
-        let na2a = session(ranks, HaloExchangeMode::NeighborAllToAll);
-        for mode in [HaloExchangeMode::AllToAll, HaloExchangeMode::SendRecv] {
-            assert_eq!(
-                na2a,
-                session(ranks, mode),
-                "R={ranks}: {mode} and N-A2A trajectories must be bit-identical"
-            );
-        }
-    }
-}
-
 /// The configured mode is kept at R = 1 (no silent substitution of
 /// `none`): session and handle both report it, while the arithmetic still
-/// matches the hand-wired single-rank path because the halo sync is an
-/// identity on one rank.
+/// matches a `none` session because the halo sync is an identity on one
+/// rank.
 #[test]
 fn configured_mode_is_kept_at_single_rank() {
     let s = Session::builder()
@@ -188,10 +49,9 @@ fn configured_mode_is_kept_at_single_rank() {
         vec![("Ovl-SR", "Ovl-SR")],
         "mode must be kept at R = 1"
     );
-    let histories = s.train_autoencode(&TaylorGreen::new(0.01), 0.0, ITERS);
     assert_eq!(
-        vec![histories[0].clone()],
-        hand_wired(1, HaloExchangeMode::None),
+        s.train_autoencode(&TaylorGreen::new(0.01), 0.0, ITERS),
+        session(1, HaloExchangeMode::None),
         "R = 1 arithmetic is exchange-independent"
     );
 }
