@@ -6,18 +6,19 @@
 //! R ∈ 2..=8 and a model seed. The R = 1 `Session` is the reference, and an
 //! R-rank `Session` runs under each of the six exchange modes. Every run
 //! yields the prediction at the seeded initialisation, its loss, the reduced
-//! gradient, a 3-step training history and the final parameters. The pins
-//! are:
+//! gradient, a 3-step training history and the final parameters. The
+//! property runs once per test binary; each pin is a test of its own
+//! (below `pin_tests!`) that fails with every case and rank it missed on:
 //!
-//! | pin | promise |
-//! |---|---|
-//! | loss, gradient, history and parameters across ranks | bit-equal |
-//! | every consistent mode against N-A2A | bit-equal |
-//! | `Backend::from_env()` against the other in-process backend | bit-equal |
-//! | `Session` against the hand-wired pipeline, at R and at R = 1 | bit-equal |
-//! | every consistent mode against R = 1 (bounds below) | equal to rounding |
-//! | `None` against R = 1 | deviates (negative control) |
-//! | R = 1 loss over the 3 steps | goes down |
+//! | pin | promise | tests |
+//! |---|---|---|
+//! | loss, gradient, history and parameters across ranks | bit-equal | `ranks_hold_bit_equal_replicas` |
+//! | every consistent mode against N-A2A | bit-equal | `consistent_modes_are_bit_equal` |
+//! | `Backend::from_env()` against the other in-process backend | bit-equal | `backends_are_bit_equal` |
+//! | `Session` against the hand-wired pipeline, at R and at R = 1 | bit-equal | `session_is_bit_equal_to_hand_wired`, `r1_session_is_bit_equal_to_halo_context_single` |
+//! | every consistent mode against R = 1 (bounds below) | equal to rounding | `*_to_rounding` (loss, outputs, gradient, history, params) |
+//! | `None` against R = 1 | deviates (negative control) | `none_deviates_from_r1` |
+//! | R = 1 loss over the 3 steps | goes down | `r1_loss_goes_down` |
 //!
 //! The backend and hand-wired pins take one mode per case, rotating
 //! through all six. The deterministic tests after the property check what
@@ -26,7 +27,7 @@
 //! differences.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Once};
 
 use proptest::prelude::*;
 
@@ -202,6 +203,71 @@ fn gaps_to_r1(run: &Run, r1: &Run) -> [f64; 5] {
     ]
 }
 
+/// Outcome of every pin check the property made: (pin, failure message).
+/// Each pin is a test of the same name, asserting every one of its checks
+/// passed over the committed cases.
+static CHECKS: Mutex<Vec<(&str, Option<String>)>> = Mutex::new(Vec::new());
+
+fn record(pin: &'static str, ok: bool, why: impl FnOnce() -> String) {
+    let failure = (!ok).then(why);
+    CHECKS.lock().expect("checks").push((pin, failure));
+}
+
+/// `check!(pin, condition, "message", args..)` records one check of `pin`.
+macro_rules! check {
+    ($pin:ident, $ok:expr, $($why:tt)+) => {
+        record(stringify!($pin), $ok, || format!($($why)+))
+    };
+}
+
+/// The "equal to rounding" pins, in `gaps_to_r1` order.
+const ROUNDING_PINS: [&str; 5] = [
+    "loss_equals_r1_to_rounding",
+    "outputs_equal_r1_to_rounding",
+    "gradient_equals_r1_to_rounding",
+    "history_equals_r1_to_rounding",
+    "params_equal_r1_to_rounding",
+];
+
+/// Runs the property once for the whole file, then asserts `pin` was
+/// checked and held every time.
+fn assert_pin(pin: &str) {
+    static PROPERTY: Once = Once::new();
+    PROPERTY.call_once(partitioned_runs_equal_one_rank);
+    // Copied out, so a failing pin does not poison `CHECKS` for the rest.
+    let of_pin: Vec<_> = CHECKS
+        .lock()
+        .expect("checks")
+        .iter()
+        .filter(|(p, _)| *p == pin)
+        .cloned()
+        .collect();
+    let failed: Vec<_> = of_pin.iter().filter_map(|(_, f)| f.as_ref()).collect();
+    assert!(!of_pin.is_empty(), "{pin} was never checked");
+    assert!(failed.is_empty(), "{pin} failed: {failed:#?}");
+}
+
+macro_rules! pin_tests {
+    ($($pin:ident),* $(,)?) => {
+        $(#[test] fn $pin() { assert_pin(stringify!($pin)); })*
+    };
+}
+
+pin_tests! {
+    r1_session_is_bit_equal_to_halo_context_single,
+    r1_loss_goes_down,
+    ranks_hold_bit_equal_replicas,
+    consistent_modes_are_bit_equal,
+    backends_are_bit_equal,
+    session_is_bit_equal_to_hand_wired,
+    loss_equals_r1_to_rounding,
+    outputs_equal_r1_to_rounding,
+    gradient_equals_r1_to_rounding,
+    history_equals_r1_to_rounding,
+    params_equal_r1_to_rounding,
+    none_deviates_from_r1,
+}
+
 /// Case counter: the backend and hand-wired pins take mode `case % 6`, so
 /// each of the six modes is cross-checked in two of the twelve cases.
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -209,7 +275,8 @@ static CASE: AtomicUsize = AtomicUsize::new(0);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    #[test]
+    /// Not a `#[test]` itself (its name seeds the draws): `assert_pin`
+    /// runs it once and each pin test reads its checks.
     fn partitioned_runs_equal_one_rank(
         ex in 1usize..5, ey in 1usize..4, ez in 1usize..4,
         p in 1usize..3,
@@ -241,9 +308,9 @@ proptest! {
         // R = 1: the reference, and bit-equal to `HaloContext::single`.
         let r1 = session_run(&session.resized(1).expect("R = 1").with_exchange(rotated));
         let r1_hand = hand_wired_run(&mesh, 1, strategy, rotated, seed);
-        prop_assert!(r1[0].bits() == r1_hand[0].bits(), "{what}: R = 1 session != HaloContext::single");
+        check!(r1_session_is_bit_equal_to_halo_context_single, r1[0].bits() == r1_hand[0].bits(), "{what}");
         let r1 = &r1[0];
-        prop_assert!(r1.history[STEPS - 1] < r1.history[0], "{what}: R = 1 loss did not go down");
+        check!(r1_loss_goes_down, r1.history[STEPS - 1] < r1.history[0], "{what}: {:?}", r1.history);
 
         let runs: Vec<(HaloExchangeMode, Vec<Run>)> = HaloExchangeMode::all()
             .into_iter()
@@ -253,31 +320,24 @@ proptest! {
         let na2a = of(HaloExchangeMode::NeighborAllToAll);
         for (mode, per_rank) in &runs {
             for (rank, run) in per_rank.iter().enumerate() {
-                prop_assert!(
-                    run.replicated_bits() == per_rank[0].replicated_bits(),
-                    "{what}: {mode} rank {rank} differs from rank 0"
-                );
+                let same = run.replicated_bits() == per_rank[0].replicated_bits();
+                check!(ranks_hold_bit_equal_replicas, same, "{what}: {mode} rank {rank}");
                 if !mode.is_consistent() {
                     continue;
                 }
-                prop_assert!(
-                    run.bits() == na2a[rank].bits(),
-                    "{what}: {mode} rank {rank} differs from N-A2A in bits"
-                );
+                let same = run.bits() == na2a[rank].bits();
+                check!(consistent_modes_are_bit_equal, same, "{what}: {mode} rank {rank}");
                 let gaps = gaps_to_r1(run, r1);
                 let bounds = [LOSS_TOL, OUTPUT_TOL, GRAD_TOL, HISTORY_TOL, PARAM_TOL];
-                for (pin, (gap, bound)) in ["loss", "outputs", "gradient", "history", "params"]
-                    .iter()
-                    .zip(gaps.into_iter().zip(bounds))
-                {
-                    prop_assert!(gap <= bound, "{what}: {mode} rank {rank} {pin} gap {gap:e} > {bound:e}");
+                for (pin, (gap, bound)) in ROUNDING_PINS.into_iter().zip(gaps.into_iter().zip(bounds)) {
+                    record(pin, gap <= bound, || format!("{what}: {mode} rank {rank} gap {gap:e} > {bound:e}"));
                 }
             }
         }
 
         // Negative control: without an exchange the loss moves off R = 1.
         let none_gap = max_rel_error(&[of(HaloExchangeMode::None)[0].loss], &[r1.loss]);
-        prop_assert!(none_gap > NONE_MIN_GAP, "{what}: None loss gap {none_gap:e}");
+        check!(none_deviates_from_r1, none_gap > NONE_MIN_GAP, "{what}: gap {none_gap:e}");
 
         // The rotating mode on the other in-process backend, and hand-wired.
         let rotated_runs = of(rotated);
@@ -288,8 +348,8 @@ proptest! {
         let on_other = session_run(&session.with_exchange(rotated).with_backend(other));
         let hand = hand_wired_run(&mesh, ranks, strategy, rotated, seed);
         for (rank, run) in rotated_runs.iter().enumerate() {
-            prop_assert!(run.bits() == on_other[rank].bits(), "{what}: {rotated} rank {rank} differs on {other:?}");
-            prop_assert!(run.bits() == hand[rank].bits(), "{what}: {rotated} rank {rank} session != hand-wired");
+            check!(backends_are_bit_equal, run.bits() == on_other[rank].bits(), "{what}: {rotated} rank {rank} on {other:?}");
+            check!(session_is_bit_equal_to_hand_wired, run.bits() == hand[rank].bits(), "{what}: {rotated} rank {rank}");
         }
     }
 }
