@@ -12,8 +12,8 @@
 //! |---|---|---|---|
 //! | [`Backend::Threads`] (default) | in-memory | heartbeat | one OS thread per rank, real concurrency (the paper's one-GPU-per-rank SPMD setup) |
 //! | [`Backend::Serial`] | in-memory | baton | deterministic round-robin scheduler with a deadlock supervisor: zero-concurrency reference semantics for debugging and CI |
-//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank: address-space isolation and real serialization cost |
-//! | [`Backend::Socket`] | `CGNW` frames over TCP | heartbeat | the same launch over a full TCP mesh, spanning machines via a rank-0 rendezvous listener |
+//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank, meshed through rank 0's address table: address-space isolation and real serialization cost |
+//! | [`Backend::Socket`] | `CGNW` frames over TCP | heartbeat | the same launch and the same handshake over TCP, so a world can span machines |
 //! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, `sysbench`'s kernel probes) |
 //!
 //! The engine provides raw transport primitives only; traffic accounting
@@ -26,7 +26,6 @@ pub(crate) mod engine;
 pub mod loopback;
 pub mod proc;
 pub(crate) mod serial;
-pub(crate) mod socket;
 pub(crate) mod threads;
 pub(crate) mod wire;
 
@@ -56,9 +55,9 @@ pub enum Backend {
     /// One OS *process* per rank (re-exec + Unix-domain-socket mesh).
     /// Returns rank 0's result only; see the [`proc`] module docs.
     Proc,
-    /// One process per rank over a full TCP mesh (can span machines via
-    /// a manual launch: `CGNN_RANK`, `CGNN_WORLD` and `CGNN_SOCKET_ADDR`
-    /// per machine). Returns rank 0's result only.
+    /// [`Backend::Proc`] over TCP (can span machines via an operator-run
+    /// launch: `CGNN_RANK`, `CGNN_WORLD` and `CGNN_SOCKET_ADDR` per
+    /// machine). Returns rank 0's result only.
     Socket,
 }
 
@@ -138,8 +137,8 @@ impl Backend {
         match self {
             Backend::Threads => threads::launch(size, f, plan, attempt),
             Backend::Serial => serial::launch(size, f, plan, attempt),
-            Backend::Proc => proc::launch(size, f, plan, attempt),
-            Backend::Socket => socket::launch(size, f, plan, attempt),
+            Backend::Proc => proc::launch(proc::Net::Uds, size, f, plan, attempt),
+            Backend::Socket => proc::launch(proc::Net::Tcp, size, f, plan, attempt),
         }
     }
 }

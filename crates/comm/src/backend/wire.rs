@@ -3,13 +3,13 @@
 //!
 //! Both [`Backend::Proc`](crate::Backend::Proc) (Unix-domain sockets) and
 //! [`Backend::Socket`](crate::Backend::Socket) (TCP) reduce to the same
-//! shape once their rendezvous has produced a full mesh of connections.
+//! shape once the `proc` module's handshake has produced a full mesh of
+//! connections.
 //! [`StreamCarrier`] runs that mesh for the `engine` module: a per-peer
 //! writer thread drains an unbounded job queue (so `send` stays
 //! buffered-and-non-blocking even when OS socket buffers fill), and a
 //! per-peer reader thread decodes frames and `dispatch`es them into this
-//! rank's mailbox. Matching, collectives and liveness are the engine's;
-//! the transport modules only differ in how they dial the mesh.
+//! rank's mailbox. Matching, collectives and liveness are the engine's.
 //!
 //! # Wire format
 //!
@@ -75,7 +75,7 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Write one frame to a stream.
-pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
+fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
 
@@ -91,7 +91,7 @@ fn corrupt(what: &str) -> io::Error {
 
 /// Read one frame from a stream. `Ok(None)` is a clean EOF at a frame
 /// boundary; anything else that fails to parse or checksum is an error.
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
+fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     let mut magic = [0u8; 4];
     match r.read_exact(&mut magic) {
         Ok(()) => {}
@@ -150,6 +150,31 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
+    /// Blocking I/O, and `TCP_NODELAY` on TCP: how every mesh link runs.
+    pub(crate) fn tune(&self) -> io::Result<()> {
+        match self {
+            Conn::Uds(s) => s.set_nonblocking(false),
+            Conn::Tcp(s) => s.set_nonblocking(false).and_then(|()| s.set_nodelay(true)),
+        }
+    }
+
+    /// Write one frame straight to the stream: the handshake's I/O,
+    /// before a carrier owns the link.
+    pub(crate) fn write(&self, frame: &Frame) -> io::Result<()> {
+        match self {
+            Conn::Uds(s) => write_frame(&mut &*s, frame),
+            Conn::Tcp(s) => write_frame(&mut &*s, frame),
+        }
+    }
+
+    /// Read one frame straight from the stream (see [`Conn::write`]).
+    pub(crate) fn read(&self) -> io::Result<Option<Frame>> {
+        match self {
+            Conn::Uds(s) => read_frame(&mut &*s),
+            Conn::Tcp(s) => read_frame(&mut &*s),
+        }
+    }
+
     fn split(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         match self {
             Conn::Uds(s) => Ok((Box::new(s.try_clone()?), Box::new(s.try_clone()?))),

@@ -85,24 +85,16 @@ pub const CGNN_WORLD: EnvKnob = EnvKnob {
           against the program's launch; divergence fails loudly).",
 };
 
-/// Cross-process launch handshake: marks a re-exec'd child (as opposed to
-/// a manually launched rank), which reports failures via `rank{r}.fail`
-/// and exits when its rank completes.
-pub const CGNN_LAUNCHED: EnvKnob = EnvKnob {
-    name: "CGNN_LAUNCHED",
-    default: "unset",
-    doc: "Cross-process handshake: set (to `1`) on re-exec'd child ranks; \
-          unset for operator-run (manual multi-machine) ranks.",
-};
-
 /// Cross-process launch handshake: which launch (1-based sequence number
 /// within the program/scope) a re-exec'd child should join; earlier
 /// launches are replayed in-process on the serial backend.
 pub const CGNN_PROC_SEQ: EnvKnob = EnvKnob {
     name: "CGNN_PROC_SEQ",
-    default: "1",
-    doc: "Cross-process handshake: launch sequence number the child \
-          joins; earlier launches replay deterministically in-process.",
+    default: "unset (operator-run rank)",
+    doc: "Cross-process handshake: launch sequence number a re-exec'd \
+          child joins (earlier launches replay deterministically \
+          in-process); an operator-run rank leaves it unset and joins \
+          every launch.",
 };
 
 /// Cross-process rendezvous directory (Unix sockets, child logs,

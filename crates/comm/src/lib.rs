@@ -22,19 +22,13 @@
 //! mailbox with FIFO-per-peer arrival queues, a single blocking wait, and
 //! the `Bye`/`Dead` liveness lifecycle. A world is that engine plus a
 //! *carrier* (how a frame reaches a peer's mailbox) and a *park policy*
-//! (what a blocked rank does) — see the [`backend`] module docs. The set
-//! of worlds is closed; [`Backend`] (or the `CGNN_BACKEND` environment
-//! variable) picks one of the four launchable ones:
-//! * [`Backend::Threads`] — in-memory carrier, heartbeat parking: one OS
-//!   thread per rank, real concurrency (default),
-//! * [`Backend::Serial`] — in-memory carrier, baton parking:
-//!   deterministic round-robin single-stepping of the ranks, for
-//!   debugging and CI reference runs,
-//! * [`Backend::Proc`] — checksummed wire frames over a
-//!   Unix-domain-socket mesh: one OS *process* per rank (re-exec) and
-//!   true address-space isolation,
-//! * [`Backend::Socket`] — the same frames over a full TCP mesh, able to
-//!   span machines via a rank-0 rendezvous listener.
+//! (what a blocked rank does). The set of worlds is closed; [`Backend`]
+//! (or the `CGNN_BACKEND` environment variable) picks one of four, tabled
+//! in the [`backend`] module docs: [`Backend::Threads`] (default) and
+//! [`Backend::Serial`] run every rank in this process, while
+//! [`Backend::Proc`] (Unix sockets) and [`Backend::Socket`] (TCP, able to
+//! span machines) run one OS process per rank, meshed through the same
+//! rank-0 address table and exchanging checksummed wire frames.
 //!
 //! [`LoopbackBackend`] is the engine at world size one with no carrier
 //! and is not launched at all: a single rank on the calling thread, for

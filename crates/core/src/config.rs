@@ -22,8 +22,8 @@
 //! knob), and the table records the common case.
 
 pub use cgnn_comm::knob::{
-    EnvKnob, CGNN_BACKEND, CGNN_FAULT_HEARTBEAT_MS, CGNN_LAUNCHED, CGNN_PROC_DIR, CGNN_PROC_SEQ,
-    CGNN_RANK, CGNN_SOCKET_ADDR, CGNN_WORLD,
+    EnvKnob, CGNN_BACKEND, CGNN_FAULT_HEARTBEAT_MS, CGNN_PROC_DIR, CGNN_PROC_SEQ, CGNN_RANK,
+    CGNN_SOCKET_ADDR, CGNN_WORLD,
 };
 
 /// Epoch/iteration count used by the examples and figure binaries.
@@ -126,7 +126,6 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_BACKEND,
     &CGNN_RANK,
     &CGNN_WORLD,
-    &CGNN_LAUNCHED,
     &CGNN_PROC_SEQ,
     &CGNN_PROC_DIR,
     &CGNN_SOCKET_ADDR,

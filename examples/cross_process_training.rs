@@ -61,7 +61,7 @@ fn main() {
         "cross-process trajectory must be bit-identical to the serial reference"
     );
 
-    // Four processes over a localhost TCP mesh (rank-0 rendezvous).
+    // Four processes over a localhost TCP mesh (the same handshake).
     let socket = session(Backend::Socket).train_autoencode(&field, 0.0, iters);
     assert_eq!(
         socket[0], reference[0],

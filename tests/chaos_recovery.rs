@@ -125,11 +125,11 @@ fn kill_mid_epoch_recovers_threads() {
 }
 
 /// Checkpoint directory shared between the parent test process and its
-/// re-exec'd child ranks: a fixed path (no pid — children must see the
-/// checkpoints the parent's rank 0 wrote), wiped only by the parent
-/// (children join mid-run with the checkpoint history intact).
-fn proc_shared_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("cgnn_chaos_proc");
+/// re-exec'd child ranks: a fixed path per backend (no pid — children
+/// must see the checkpoints the parent's rank 0 wrote), wiped only by the
+/// parent (children join mid-run with the checkpoint history intact).
+fn shared_dir(backend: Backend) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cgnn_chaos_{}", backend.label()));
     if CGNN_RANK.lookup().is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -137,28 +137,29 @@ fn proc_shared_dir() -> PathBuf {
     dir
 }
 
-/// The cross-process chaos case: the victim is a real OS *process* (a
-/// re-exec'd child rank) that dies mid-epoch. Its death must cross the
-/// process boundary as the same typed [`RankFailure`] the in-process
-/// backends produce, the liveness probe must unblock every surviving
-/// rank (no hangs — the guard would catch one), and the elastic loop
-/// must shrink 3 → 2 and recover. The recovered trajectory must be
-/// bit-identical both to a fresh cross-process restore at the surviving
-/// world size *and* to the identical scripted scenario on the serial
-/// reference backend.
-#[test]
-fn kill_mid_epoch_recovers_proc() {
-    let _guard = common::hang_guard(Duration::from_secs(300), "proc chaos recovery");
-    // Child rank processes re-run exactly this test and join the spawned
-    // worlds at the matching launch; they exit at their join point, so
-    // everything below the last proc launch runs in the parent only.
+/// The cross-process chaos case, on a process `backend`: the victim is a
+/// real OS *process* (a re-exec'd child rank) that dies mid-epoch. Its
+/// death must cross the process boundary as the same typed
+/// [`RankFailure`] the in-process backends produce, the liveness probe
+/// must unblock every surviving rank (no hangs — the guard would catch
+/// one), and the elastic loop must shrink 3 → 2 and recover. The
+/// recovered trajectory must be bit-identical both to a fresh
+/// cross-process restore at the surviving world size *and* to the
+/// identical scripted scenario on the serial reference backend.
+fn kill_mid_epoch_recovers_across_processes(backend: Backend) {
+    let label = backend.label();
+    let _guard = common::hang_guard(Duration::from_secs(300), "cross-process chaos recovery");
+    // Child rank processes re-run exactly the calling test and join the
+    // spawned worlds at the matching launch; they exit at their join
+    // point, so everything below the last cross-process launch runs in
+    // the parent only.
     let _scope = cgnn::comm::reexec_scope([
-        "kill_mid_epoch_recovers_proc",
-        "--exact",
-        "--test-threads=1",
-        "--quiet",
+        format!("kill_mid_epoch_recovers_{label}"),
+        "--exact".to_string(),
+        "--test-threads=1".to_string(),
+        "--quiet".to_string(),
     ]);
-    let dir = proc_shared_dir();
+    let dir = shared_dir(backend);
     let victim = 2usize;
     // Comm-op profiles are backend-independent (the schedule is
     // bit-identical by the equivalence suite), so calibrate on the
@@ -167,7 +168,7 @@ fn kill_mid_epoch_recovers_proc() {
     let at_op = setup + (total - setup) * 6 / 10;
     let plan = FaultPlan::new().kill(0, victim, at_op);
 
-    let elastic = builder(Backend::Proc, 3)
+    let elastic = builder(backend, 3)
         .checkpoint(CheckpointPolicy::every(2, &dir).retain(0))
         .fault_plan(plan.clone())
         .build()
@@ -198,8 +199,8 @@ fn kill_mid_epoch_recovers_proc() {
     }
 
     // Pinned invariant, cross-process edition: bit-identical to a fresh
-    // proc-backend restore at the surviving world size.
-    let fresh = builder(Backend::Proc, 2)
+    // restore on the same backend at the surviving world size.
+    let fresh = builder(backend, 2)
         .build()
         .expect("fresh session")
         .restore(&pinned)
@@ -212,9 +213,10 @@ fn kill_mid_epoch_recovers_proc() {
     );
 
     // Cross-backend: the same scripted scenario on the serial reference
-    // recovers with bit-identical loss trajectories (proc returns rank 0
-    // only; replicas are identical, so rank 0 vs rank 0 is the claim).
-    let serial_dir = tmp_dir("proc_vs_serial");
+    // recovers with bit-identical loss trajectories (a process world
+    // returns rank 0 only; replicas are identical, so rank 0 vs rank 0 is
+    // the claim).
+    let serial_dir = tmp_dir(&format!("{label}_vs_serial"));
     let serial = builder(Backend::Serial, 3)
         .checkpoint(CheckpointPolicy::every(2, &serial_dir).retain(0))
         .fault_plan(plan)
@@ -225,10 +227,20 @@ fn kill_mid_epoch_recovers_proc() {
     assert_eq!(serial.recoveries[0].dead, vec![victim]);
     assert_eq!(
         elastic.reports[0], serial.reports[0],
-        "proc and serial recoveries must produce bit-identical trajectories"
+        "{label} and serial recoveries must produce bit-identical trajectories"
     );
     std::fs::remove_dir_all(&serial_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kill_mid_epoch_recovers_proc() {
+    kill_mid_epoch_recovers_across_processes(Backend::Proc);
+}
+
+#[test]
+fn kill_mid_epoch_recovers_socket() {
+    kill_mid_epoch_recovers_across_processes(Backend::Socket);
 }
 
 #[test]
