@@ -199,14 +199,14 @@ impl ConsistentMpLayer {
         // (1) Edge update with residual (Eq. 4a). The input layer's
         // `[x_i | x_j | e] * W` is never concatenated: `x` is multiplied by
         // its two blocks of `W` once per node and the products gathered
-        // per edge (`Tape::gather_linear`).
+        // per edge (`Tape::gather_linear`); the residual `+ e` is folded
+        // into the layer norm (`Tape::layer_norm_add`).
         let parts = [
             (x, Some(idx.src.clone())),
             (x, Some(idx.dst.clone())),
             (e, None),
         ];
-        let e_upd = self.edge_mlp.forward_gathered(tape, bound, &parts);
-        let e_new = tape.add(e_upd, e);
+        let e_new = self.edge_mlp.forward_gathered(tape, bound, &parts, Some(e));
 
         // (2) Degree-weighted local aggregation at the receiver (Eq. 4b),
         // one op: no scaled `[E, h]` copy of the edges is stored.
@@ -217,13 +217,14 @@ impl ConsistentMpLayer {
             idx.n_local,
         );
 
-        // (3)+(4)+(5): halo swap, synchronization, node update — the node
-        // MLP is what runs in the overlap window when there is one.
-        let x_upd = halo_sync_then(tape, a, graph, ctx, |tape, a_star| {
+        // (3)+(4)+(5): halo swap, synchronization, node update with
+        // residual — the node MLP is what runs in the overlap window when
+        // there is one; the residual add, folded into its layer norm, is
+        // row-separable too.
+        let x_new = halo_sync_then(tape, a, graph, ctx, |tape, a_star| {
             let cat = tape.gather_concat(&[(a_star, None), (x, None)]);
-            self.node_mlp.forward(tape, bound, cat)
+            self.node_mlp.forward_residual(tape, bound, cat, x)
         });
-        let x_new = tape.add(x_upd, x);
         (x_new, e_new)
     }
 

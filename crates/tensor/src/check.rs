@@ -99,6 +99,59 @@ mod tests {
         assert!(err < 5e-4, "max relative error {err}");
     }
 
+    /// Central differences on the *inputs* of `layer_norm_add` — `x` and
+    /// the residual `res` — as well as on gamma and beta: all four are
+    /// registered as parameters, so one sweep perturbs every entry. The
+    /// loss squares the output, so `res`'s gradient depends on `x` too.
+    /// Widths 8 (four rows in lockstep, plus a remainder row) and 3.
+    #[test]
+    fn layer_norm_add_input_gradients_match_finite_differences() {
+        for cols in [8, 3] {
+            let rows = 5;
+            let wave =
+                |salt: usize, r: usize, c: usize| (((r * cols + c) * 7 + salt) as f64 * 0.37).sin();
+            let mut params = ParamSet::new();
+            let ids = [
+                params.register("x", Tensor::from_fn(rows, cols, |r, c| wave(1, r, c))),
+                params.register("res", Tensor::from_fn(rows, cols, |r, c| wave(2, r, c))),
+                params.register(
+                    "gamma",
+                    Tensor::from_fn(1, cols, |_, c| 1.0 + wave(3, 0, c)),
+                ),
+                params.register("beta", Tensor::from_fn(1, cols, |_, c| wave(4, 0, c))),
+            ];
+            let weights = Arc::new((0..rows).map(|r| 1.0 + 0.25 * r as f64).collect::<Vec<_>>());
+            let record = |p: &ParamSet, tape: &mut Tape| {
+                let bound = p.bind(tape);
+                let [x, res, gamma, beta] = ids.map(|id| bound.var(id));
+                let y = tape.layer_norm_add(x, res, gamma, beta, 1e-5);
+                (bound, tape.weighted_sq_sum(y, Arc::clone(&weights)))
+            };
+
+            let mut tape = Tape::new();
+            let (bound, loss) = record(&params, &mut tape);
+            let grads = tape.backward(loss);
+            let auto: Vec<f64> = ids
+                .iter()
+                .flat_map(|&id| {
+                    grads
+                        .get(bound.var(id))
+                        .expect("leaf gradient")
+                        .data()
+                        .to_vec()
+                })
+                .collect();
+
+            let fd = finite_difference_grad(&mut params, 1e-6, |p| {
+                let mut tape = Tape::new();
+                let (_, loss) = record(p, &mut tape);
+                tape.value(loss).item()
+            });
+            let err = max_rel_error(&auto, &fd);
+            assert!(err < 1e-6, "width {cols}: max relative error {err}");
+        }
+    }
+
     /// A NaN on either side, anywhere in the vectors, makes the error NaN,
     /// which fails every `< bound` check.
     #[test]

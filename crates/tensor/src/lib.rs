@@ -9,7 +9,8 @@
 //!
 //! * rank-2 tensors with fused-transpose matrix products,
 //! * a [`Tape`] recording ops and replaying adjoints in reverse,
-//! * gather / scatter-add / row-scale ops for neural message passing,
+//! * gather / scatter-add / degree-weighted scatter ops for neural message
+//!   passing,
 //! * ELU + LayerNorm + residual [`nn::Mlp`] blocks matching the paper's
 //!   architecture description,
 //! * a [`tape::CustomOp`] escape hatch through which `cgnn-core` implements

@@ -155,9 +155,10 @@ impl Linear {
 /// Multi-layer perceptron: `in -> h -> ... -> h -> out` with an ELU
 /// (alpha = 1) after every linear except the last, optional layer
 /// normalization on the output, and an optional residual connection
-/// (applied by the caller when `in_dim == out_dim`, matching the paper's
-/// "MLPs leverage residual connections with layer normalization and ELU
-/// activation functions").
+/// (the caller passes the residual to [`Mlp::forward_residual`] or
+/// [`Mlp::forward_gathered`], matching the paper's "MLPs leverage
+/// residual connections with layer normalization and ELU activation
+/// functions").
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
@@ -217,31 +218,49 @@ impl Mlp {
     }
 
     pub fn forward(&self, tape: &mut Tape, bound: &BoundParams, x: VarId) -> VarId {
-        self.forward_from(tape, bound, 0, x)
+        self.forward_from(tape, bound, 0, x, None)
+    }
+
+    /// The residual block `forward(x) + res`, the add folded into the
+    /// layer norm ([`Tape::layer_norm_add`]): the bits of `forward` then
+    /// [`Tape::add`], without storing the layer norm's output. With a layer
+    /// norm every op it records is row-separable, so it may run under a row
+    /// mask; without one it ends in a plain `add`.
+    pub fn forward_residual(
+        &self,
+        tape: &mut Tape,
+        bound: &BoundParams,
+        x: VarId,
+        res: VarId,
+    ) -> VarId {
+        self.forward_from(tape, bound, 0, x, Some(res))
     }
 
     /// [`Mlp::forward`] over the [`Tape::gather_concat`] of `parts`, with
     /// the first layer as one [`Tape::gather_linear`] (same parameters, no
     /// concatenated input): equal to `forward(gather_concat(parts))` to
-    /// rounding.
+    /// rounding. With `res`, the residual block of
+    /// [`Mlp::forward_residual`].
     pub fn forward_gathered(
         &self,
         tape: &mut Tape,
         bound: &BoundParams,
         parts: &[(VarId, Option<Arc<Vec<usize>>>)],
+        res: Option<VarId>,
     ) -> VarId {
         let (w, b) = (bound.var(self.layers[0].w), bound.var(self.layers[0].b));
         let h = tape.gather_linear(parts, w, b);
-        self.forward_from(tape, bound, 1, h)
+        self.forward_from(tape, bound, 1, h, res)
     }
 
-    /// Layers `start..` (and the layer norm) applied to `h`.
+    /// Layers `start..` and the layer norm applied to `h`, plus `res`.
     fn forward_from(
         &self,
         tape: &mut Tape,
         bound: &BoundParams,
         start: usize,
         mut h: VarId,
+        res: Option<VarId>,
     ) -> VarId {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate().skip(start) {
@@ -252,10 +271,16 @@ impl Mlp {
                 tape.linear_elu(h, bound.var(layer.w), bound.var(layer.b))
             };
         }
-        if let Some((gamma, beta)) = self.layer_norm {
-            h = tape.layer_norm(h, bound.var(gamma), bound.var(beta), 1e-5);
+        match (self.layer_norm, res) {
+            (Some((gamma, beta)), Some(res)) => {
+                tape.layer_norm_add(h, res, bound.var(gamma), bound.var(beta), 1e-5)
+            }
+            (Some((gamma, beta)), None) => {
+                tape.layer_norm(h, bound.var(gamma), bound.var(beta), 1e-5)
+            }
+            (None, Some(res)) => tape.add(h, res),
+            (None, None) => h,
         }
-        h
     }
 
     pub fn num_scalars(&self) -> usize {
@@ -306,6 +331,43 @@ mod tests {
         let x = tape.leaf(Tensor::from_fn(5, 4, |r, c| (r + c) as f64 * 0.1));
         let y = mlp.forward(&mut tape, &bound, x);
         assert_eq!(tape.value(y).shape(), (5, 2));
+    }
+
+    /// `forward_residual(x, res)` is `forward(x)` then `add(.., res)`, bit
+    /// for bit in the value and in every gradient, with the layer norm
+    /// (where the add is folded into it) and without one.
+    #[test]
+    fn forward_residual_is_forward_then_add() {
+        for layer_norm in [true, false] {
+            let mut params = ParamSet::new();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mlp = Mlp::new(&mut params, "m", 6, 8, 4, 1, layer_norm, &mut rng);
+            let run = |fused: bool| {
+                let mut tape = Tape::new();
+                let bound = params.bind(&mut tape);
+                let x = tape.leaf(Tensor::from_fn(9, 6, |r, c| {
+                    ((r * 6 + c) as f64 * 0.3).sin()
+                }));
+                let res = tape.leaf(Tensor::from_fn(9, 4, |r, c| {
+                    ((r + 4 * c) as f64 * 0.7).cos()
+                }));
+                let y = if fused {
+                    mlp.forward_residual(&mut tape, &bound, x, res)
+                } else {
+                    let h = mlp.forward(&mut tape, &bound, x);
+                    tape.add(h, res)
+                };
+                let sq = tape.mul(y, y);
+                let s = tape.sum(sq);
+                let grads = tape.backward(s);
+                let mut out = vec![tape.value(y).data().to_vec()];
+                for &v in bound.vars().iter().chain([&x, &res]) {
+                    out.push(grads.get(v).expect("leaf gradient").data().to_vec());
+                }
+                out
+            };
+            assert!(run(true) == run(false), "layer norm {layer_norm}");
+        }
     }
 
     #[test]

@@ -32,11 +32,23 @@
 //! `sub`, `add_row` — moves on to a parent instead of being copied), so
 //! the next scratch tensor of its length reuses a buffer that is still in
 //! cache and the backward pass never holds a second copy of the forward.
+//!
+//! Nothing is stored that only one fused neighbour would read. A residual
+//! add is folded into the layer norm before it ([`Tape::layer_norm_add`]),
+//! so the layer norm's output is never a tensor of its own. The adjoints
+//! of [`Tape::linear`] / [`Tape::linear_elu`] and [`Tape::gather_linear`]
+//! stream their rows one L1-sized block at a time: a block's `elu'`-scaled
+//! adjoint feeds the bias sums, its rows of the input adjoint and its
+//! share of the weight gradient before the next block is read, so the
+//! scaled `[rows, h]` adjoint is never stored whole. Every sum keeps its
+//! serial order, so each gradient has the bits of the whole-tensor form.
 
 use std::sync::Arc;
 
 use crate::par::{ew_map, ew_zip, for_row_chunks};
-use crate::tensor::{elu_scalar, gemm_rows, gemm_tn, transpose, Tensor};
+use crate::tensor::{
+    elu_scalar, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor,
+};
 
 /// Handle to a variable on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,16 +119,16 @@ pub(crate) enum Op {
     GatherRows(VarId, Arc<Vec<usize>>, usize),
     /// `C[idx[i]] += A[i]`, C has `out_rows` rows.
     ScatterAddRows(VarId, Arc<Vec<usize>>),
-    /// `C[i, :] = w[i] * A[i, :]` with constant weights.
-    RowScale(VarId, Arc<Vec<f64>>),
-    /// `C[idx[i]] += w[i] * A[i]` with constant weights: [`Op::RowScale`]
-    /// then [`Op::ScatterAddRows`] without the scaled copy.
+    /// `C[idx[i]] += w[i] * A[i]` with constant weights, without a scaled
+    /// copy of `A`.
     ScatterAddScaled(VarId, Arc<Vec<f64>>, Arc<Vec<usize>>),
     /// ELU activation (alpha = 1).
     Elu(VarId),
-    /// Row-wise layer normalization with learned gain/bias.
+    /// Row-wise layer normalization with learned gain/bias, plus the
+    /// residual `res` when there is one: `C = LN(x) + res`.
     LayerNorm {
         x: VarId,
+        res: Option<VarId>,
         gamma: VarId,
         beta: VarId,
         eps: f64,
@@ -256,7 +268,8 @@ impl Tape {
 
     /// Enter **row-masked recording**: until [`Tape::end_row_mask`], the
     /// row-separable ops ([`Tape::linear`], [`Tape::elu`],
-    /// [`Tape::layer_norm`], [`Tape::gather_concat`]) compute their values
+    /// [`Tape::layer_norm`], [`Tape::layer_norm_add`],
+    /// [`Tape::gather_concat`]) compute their values
     /// only for the given output rows; the remaining rows hold stale
     /// buffer contents until the closing backfill overwrites them.
     ///
@@ -534,10 +547,11 @@ impl Tape {
     /// edge-row product instead of one edge-row product three times as
     /// wide.
     ///
-    /// Each output row is summed in one fixed order: the bias, then the
-    /// terms of the (at most one) part without indices, in the order of
+    /// Each output element is summed in one fixed order: the bias, then
+    /// the terms of the (at most one) part without indices, in the order of
     /// [`Tape::linear`]'s tile kernel, then the gathered products in part
-    /// order, then ELU at store time — so chunking changes no bit. The
+    /// order, then ELU — so chunking changes no bit. Each row chunk takes
+    /// the gathered products one part at a time and ELU in one pass. The
     /// result equals `linear_elu(gather_concat(parts), ..)` to rounding,
     /// not bit for bit.
     ///
@@ -598,15 +612,16 @@ impl Tape {
         let mut out = pool.uninit(rows, h);
         for_row_chunks(out.data_mut(), h, |first_row, nrows, chunk| {
             gemm_rows(sx, sw, chunk, first_row, nrows, sk, h, Some(bias), false);
-            for (i, o_row) in chunk.chunks_exact_mut(h).enumerate() {
-                for (prod, idx) in &gathered {
-                    for (o, &v) in o_row.iter_mut().zip(prod.row(idx[first_row + i])) {
+            for (prod, idx) in &gathered {
+                let rows = chunk.chunks_exact_mut(h).zip(&idx[first_row..]);
+                for (o_row, &src) in rows {
+                    for (o, &v) in o_row.iter_mut().zip(prod.row(src)) {
                         *o += v;
                     }
                 }
-                for o in o_row.iter_mut() {
-                    *o = elu_scalar(*o);
-                }
+            }
+            for o in chunk.iter_mut() {
+                *o = elu_scalar(*o);
             }
         });
         for (prod, _) in gathered {
@@ -662,24 +677,11 @@ impl Tape {
         self.push(out, Op::ScatterAddRows(a, idx))
     }
 
-    /// Scale row `i` by the constant `weights[i]` (no gradient w.r.t.
-    /// weights — these are the geometric 1/d consistency factors). The
-    /// model aggregates with [`Tape::scatter_add_rows_scaled`]; this op is
-    /// kept as the reference the tests hold that fused op to.
-    pub fn row_scale(&mut self, a: VarId, weights: Arc<Vec<f64>>) -> VarId {
-        self.assert_unmasked("row_scale");
-        let buf = self.pool.take(self.value(a).len());
-        let va = self.value(a);
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        va.row_scale_into(&weights, &mut out);
-        self.push(out, Op::RowScale(a, weights))
-    }
-
-    /// `out[idx[i]] += weights[i] * a[i]` with `out_rows` output rows:
-    /// [`Tape::row_scale`] then [`Tape::scatter_add_rows`] as one op, with
-    /// the bits of the two and without their `[rows, cols]` scaled copy —
-    /// the degree-weighted aggregation of the paper's Eq. 4b. No gradient
-    /// w.r.t. the weights; `a`'s adjoint is `weights[i] * g[idx[i]]`.
+    /// `out[idx[i]] += weights[i] * a[i]` with `out_rows` output rows: each
+    /// row scaled, then added to its destination in input order, without a
+    /// `[rows, cols]` scaled copy — the degree-weighted aggregation of the
+    /// paper's Eq. 4b. No gradient w.r.t. the weights; `a`'s adjoint is
+    /// `weights[i] * g[idx[i]]`.
     pub fn scatter_add_rows_scaled(
         &mut self,
         a: VarId,
@@ -703,6 +705,38 @@ impl Tape {
 
     /// Row-wise layer normalization with learned `gamma`/`beta` (`[1, F]`).
     pub fn layer_norm(&mut self, x: VarId, gamma: VarId, beta: VarId, eps: f64) -> VarId {
+        self.layer_norm_impl(x, None, gamma, beta, eps)
+    }
+
+    /// `layer_norm(x) + res` as one op — the residual MLP's output — with
+    /// the bits of [`Tape::layer_norm`] then [`Tape::add`] in value and in
+    /// every gradient, but without storing the layer norm's output, which
+    /// only the add would read. Row-separable, so it may be recorded under
+    /// a row mask.
+    pub fn layer_norm_add(
+        &mut self,
+        x: VarId,
+        res: VarId,
+        gamma: VarId,
+        beta: VarId,
+        eps: f64,
+    ) -> VarId {
+        assert_eq!(
+            self.value(res).shape(),
+            self.value(x).shape(),
+            "layer_norm_add residual shape"
+        );
+        self.layer_norm_impl(x, Some(res), gamma, beta, eps)
+    }
+
+    fn layer_norm_impl(
+        &mut self,
+        x: VarId,
+        res: Option<VarId>,
+        gamma: VarId,
+        beta: VarId,
+        eps: f64,
+    ) -> VarId {
         let (rows, cols) = self.value(x).shape();
         assert_eq!(
             self.value(gamma).shape(),
@@ -712,6 +746,7 @@ impl Tape {
         assert_eq!(self.value(beta).shape(), (1, cols), "layer_norm beta shape");
         let op = Op::LayerNorm {
             x,
+            res,
             gamma,
             beta,
             eps,
@@ -853,25 +888,18 @@ fn accumulate(
         }
         Op::Linear { x, w, b, elu } => {
             let (vx, vw) = (value(nodes, *x), value(nodes, *w));
-            // Fused activation: one pass folds elu'(u) into the adjoint and
-            // sums the bias gradient from it, rows in order.
-            let (gp, gb) = if *elu {
-                let (t, gb) = elu_adjoint_with_col_sums(pool, &g, &node.value);
-                (Some(t), gb)
-            } else {
-                (None, col_sums(pool, &g))
-            };
-            let gref = gp.as_ref().unwrap_or(&g);
-            if wants(*x) {
-                add(*x, times_transposed(pool, gref, vw.data(), vw.rows()), pool);
+            let (k, h) = vw.shape();
+            let mut gx = wants(*x).then(|| pool.uninit(vx.rows(), k));
+            let mut gw = pool.zeroed(k, h);
+            let y = elu.then_some(&node.value);
+            let gxd = gx.as_mut().map(Tensor::data_mut);
+            let (xd, wd) = (vx.data(), vw.data());
+            let gb = dense_adjoint(pool, &g, y, xd, wd, k, gxd, gw.data_mut(), |_, _, _| {});
+            if let Some(gx) = gx {
+                add(*x, gx, pool);
             }
-            let mut gw = pool.uninit(vx.cols(), gref.cols());
-            vx.matmul_tn_into(gref, &mut gw);
             add(*w, gw, pool);
             add(*b, gb, pool);
-            if let Some(t) = gp {
-                pool.put(t.into_vec());
-            }
         }
         Op::Mul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
@@ -914,41 +942,56 @@ fn accumulate(
         Op::GatherLinear { parts, w, b } => {
             let vw = value(nodes, *w);
             let h = vw.cols();
-            let (t, gb) = elu_adjoint_with_col_sums(pool, &g, &node.value);
-            // Every part writes its own row block of the one weight gradient.
-            let mut gw = pool.uninit(vw.rows(), h);
-            for (p, block) in weight_blocks(parts, h) {
+            // Every part owns its own row block of the one weight gradient.
+            let mut gw = pool.zeroed(vw.rows(), h);
+            // The streamed part (if any) takes its adjoint row block by row
+            // block, as `linear` does; a gathered part's `S`, the adjoint
+            // `t` summed back onto the source rows it was gathered from,
+            // accumulates block by block in edge order.
+            let (sx, sk, sblock, s_wants) =
+                match weight_blocks(parts, h).find(|(p, _)| p.idx.is_none()) {
+                    Some((p, block)) => (value(nodes, p.src).data(), p.cols, block, wants(p.src)),
+                    None => (&[][..], 0, 0..0, false),
+                };
+            let mut sgx = s_wants.then(|| pool.uninit(g.rows(), sk));
+            let mut sums: Vec<Option<Tensor>> = parts
+                .iter()
+                .map(|p| {
+                    let src_rows = value(nodes, p.src).rows();
+                    p.idx.as_ref().map(|_| pool.zeroed(src_rows, h))
+                })
+                .collect();
+            let gxd = sgx.as_mut().map(Tensor::data_mut);
+            let (y, ws) = (Some(&node.value), &vw.data()[sblock.clone()]);
+            let gws = &mut gw.data_mut()[sblock];
+            let gb = dense_adjoint(pool, &g, y, sx, ws, sk, gxd, gws, |r0, nr, t| {
+                for (p, s) in parts.iter().zip(sums.iter_mut()) {
+                    if let (Some(idx), Some(s)) = (&p.idx, s) {
+                        scatter_add_block(t, &idx[r0..r0 + nr], s);
+                    }
+                }
+            });
+            for ((p, block), s) in weight_blocks(parts, h).zip(sums) {
+                let Some(s) = s else {
+                    if let Some(gx) = sgx.take() {
+                        add(p.src, gx, pool);
+                    }
+                    continue;
+                };
                 let x = value(nodes, p.src);
-                // The adjoint at the part's own rows: `t`, or `t` summed
-                // back onto the source rows it was gathered from.
-                let scattered = p.idx.as_ref().map(|idx| {
-                    let mut s = pool.uninit(x.rows(), h);
-                    t.scatter_add_rows_into(idx, &mut s);
-                    s
-                });
-                let s = scattered.as_ref().unwrap_or(&t);
                 if wants(p.src) {
                     add(
                         p.src,
-                        times_transposed(pool, s, &vw.data()[block.clone()], p.cols),
+                        times_transposed(pool, &s, &vw.data()[block.clone()], p.cols),
                         pool,
                     );
                 }
-                gemm_tn(
-                    x.data(),
-                    s.data(),
-                    &mut gw.data_mut()[block],
-                    x.rows(),
-                    p.cols,
-                    h,
-                );
-                if let Some(s) = scattered {
-                    pool.put(s.into_vec());
-                }
+                let gwp = &mut gw.data_mut()[block];
+                gemm_tn(x.data(), s.data(), gwp, x.rows(), p.cols, h);
+                pool.put(s.into_vec());
             }
             add(*w, gw, pool);
             add(*b, gb, pool);
-            pool.put(t.into_vec());
         }
         Op::GatherRows(a, idx, src_rows) => {
             let mut contrib = pool.uninit(*src_rows, g.cols());
@@ -958,11 +1001,6 @@ fn accumulate(
         Op::ScatterAddRows(a, idx) => {
             let mut contrib = pool.uninit(idx.len(), g.cols());
             g.gather_rows_into(idx, &mut contrib);
-            add(*a, contrib, pool);
-        }
-        Op::RowScale(a, w) => {
-            let mut contrib = pool.uninit(g.rows(), g.cols());
-            g.row_scale_into(w, &mut contrib);
             add(*a, contrib, pool);
         }
         Op::ScatterAddScaled(a, w, idx) => {
@@ -987,10 +1025,16 @@ fn accumulate(
         }
         Op::LayerNorm {
             x,
+            res,
             gamma,
             beta,
             eps,
         } => {
+            // `+ res` passes the adjoint through: `res` takes a copy first,
+            // as the separate `add` gave it before the layer norm's turn.
+            if let Some(res) = res.filter(|&r| wants(r)) {
+                add(res, pool.copy_of(&g), pool);
+            }
             let vx = value(nodes, *x);
             let (rows, cols) = vx.shape();
             let mut gx = pool.uninit(rows, cols);
@@ -1078,6 +1122,7 @@ enum RowKernel<'a> {
     Elu(&'a [f64]),
     LayerNorm {
         x: &'a [f64],
+        res: Option<&'a [f64]>,
         gamma: &'a [f64],
         beta: &'a [f64],
         eps: f64,
@@ -1103,11 +1148,13 @@ impl<'a> RowKernel<'a> {
             Op::Elu(a) => RowKernel::Elu(val(a).data()),
             Op::LayerNorm {
                 x,
+                res,
                 gamma,
                 beta,
                 eps,
             } => RowKernel::LayerNorm {
                 x: val(x).data(),
+                res: res.as_ref().map(|r| val(r).data()),
                 gamma: val(gamma).data(),
                 beta: val(beta).data(),
                 eps: *eps,
@@ -1149,10 +1196,19 @@ impl<'a> RowKernel<'a> {
             }
             RowKernel::LayerNorm {
                 x,
+                res,
                 gamma,
                 beta,
                 eps,
-            } => layer_norm_forward(&x[span], gamma, beta, *eps, chunk, cols),
+            } => {
+                layer_norm_forward(&x[span.clone()], gamma, beta, *eps, chunk, cols);
+                // The residual rounds separately, as a following `add` would.
+                if let Some(res) = res {
+                    for (o, &r) in chunk.iter_mut().zip(&res[span]) {
+                        *o += r;
+                    }
+                }
+            }
             RowKernel::GatherConcat(parts) => {
                 for i in 0..nrows {
                     let r = first_row + i;
@@ -1231,21 +1287,76 @@ fn col_sums(pool: &mut BufPool, g: &Tensor) -> Tensor {
     out
 }
 
-/// The adjoint prologue of a fused `linear_elu`: `t = g ⊙ elu'(u)` from the
-/// stored `y = elu(u)` (`elu'(u) = y + 1` for `y < 0`, else 1) together
-/// with `t`'s column sums, in one pass over `g`. Row order is that of
-/// [`col_sums`], so the sums are the bits `col_sums(t)` would give.
-fn elu_adjoint_with_col_sums(pool: &mut BufPool, g: &Tensor, y: &Tensor) -> (Tensor, Tensor) {
-    let mut t = pool.uninit(g.rows(), g.cols());
-    let mut sums = pool.zeroed(1, g.cols());
-    for r in 0..g.rows() {
-        let row = t.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r));
-        for (((o, &gv), &yv), s) in row.zip(sums.data_mut().iter_mut()) {
-            *o = if yv < 0.0 { gv * (yv + 1.0) } else { gv };
-            *s += *o;
+/// The adjoint of a dense layer `y = act(x * w + b)` (`act` ELU when the
+/// stored output `y` is given, else the identity) from its `[rows, h]`
+/// output adjoint `g`, one block of `tn_panel_rows(k, h)` rows at a time,
+/// for `[rows, k]` input rows `x` and a `[k, h]` weight `w`. Each block, in
+/// row order: `t = g ⊙ act'(u)` into an L1-sized scratch (`g` itself
+/// without ELU); `t`'s rows added to the bias gradient; the block's rows of
+/// `t * wᵀ` written into `gx`, when given; `xᵀ * t` added into `gw`; then
+/// `each(first_row, rows, t)`. Every sum keeps the serial row order of the
+/// whole-tensor products, so the gradients are their bits, and the
+/// `[rows, h]` tensor `t` is never stored. Returns the bias gradient.
+#[allow(clippy::too_many_arguments)]
+fn dense_adjoint(
+    pool: &mut BufPool,
+    g: &Tensor,
+    y: Option<&Tensor>,
+    x: &[f64],
+    w: &[f64],
+    k: usize,
+    mut gx: Option<&mut [f64]>,
+    gw: &mut [f64],
+    mut each: impl FnMut(usize, usize, &[f64]),
+) -> Tensor {
+    let (rows, h) = g.shape();
+    let mut gb = pool.zeroed(1, h);
+    let mut wt = pool.uninit(h, k);
+    transpose(w, k, h, wt.data_mut());
+    let block = tn_panel_rows(k, h);
+    let mut scratch = y.map(|_| pool.uninit(block.min(rows), h));
+    for r0 in (0..rows).step_by(block) {
+        let nr = block.min(rows - r0);
+        let span = r0 * h..(r0 + nr) * h;
+        // elu'(u) = exp(u) for u < 0: the stored y = exp(u) - 1, so y + 1.
+        let t: &[f64] = match (y, scratch.as_mut()) {
+            (Some(y), Some(s)) => {
+                let t = &mut s.data_mut()[..nr * h];
+                let gy = g.data()[span.clone()].iter().zip(&y.data()[span]);
+                for (o, (&gv, &yv)) in t.iter_mut().zip(gy) {
+                    *o = if yv < 0.0 { gv * (yv + 1.0) } else { gv };
+                }
+                t
+            }
+            _ => &g.data()[span],
+        };
+        for i in 0..nr {
+            for (s, &v) in gb.data_mut().iter_mut().zip(&t[i * h..(i + 1) * h]) {
+                *s += v;
+            }
+        }
+        let rows_k = r0 * k..(r0 + nr) * k;
+        if let Some(gx) = gx.as_deref_mut().filter(|_| k > 0) {
+            let gx = &mut gx[rows_k.clone()];
+            gemm_rows(t, wt.data(), gx, 0, nr, h, k, None, false);
+        }
+        gemm_tn_acc(&x[rows_k], t, gw, nr, k, h);
+        each(r0, nr, t);
+    }
+    for buf in scratch.into_iter().chain([wt]) {
+        pool.put(buf.into_vec());
+    }
+    gb
+}
+
+/// `s[idx[i]] += t[i]` for the rows of the block `t`, in row order.
+fn scatter_add_block(t: &[f64], idx: &[usize], s: &mut Tensor) {
+    let h = s.cols();
+    for (i, &dst) in idx.iter().enumerate() {
+        for (o, &v) in s.row_mut(dst).iter_mut().zip(&t[i * h..(i + 1) * h]) {
+            *o += v;
         }
     }
-    (t, sums)
 }
 
 /// Layer norm's forward over a band of whole rows: `out` gets
@@ -1687,12 +1798,13 @@ mod tests {
         assert_eq!(gf.get(e).unwrap().data(), gs.get(e2).unwrap().data());
     }
 
-    /// The fused degree-weighted aggregation gives the bits of
-    /// `scatter_add_rows(row_scale(..))`, value and input adjoint, with
-    /// repeated and absent destinations and an output row count that is
-    /// not a multiple of four.
+    /// The fused degree-weighted aggregation gives the bits of scaling the
+    /// rows (`mul` by the weights broadcast along each row, a constant)
+    /// then `scatter_add_rows`, value and input adjoint, with repeated and
+    /// absent destinations and an output row count that is not a multiple
+    /// of four.
     #[test]
-    fn scatter_add_rows_scaled_matches_row_scale_then_scatter() {
+    fn scatter_add_rows_scaled_matches_scale_then_scatter() {
         let av = Tensor::from_fn(9, 3, |r, c| ((r * 3 + c) as f64 * 0.43).sin());
         let tv = Tensor::from_fn(7, 3, |r, c| ((r + 4 * c) as f64 * 0.31).cos());
         let weights = Arc::new((0..9).map(|i| 1.0 / (1 + i % 4) as f64).collect::<Vec<_>>());
@@ -1704,7 +1816,8 @@ mod tests {
             let out = if fused {
                 tape.scatter_add_rows_scaled(a, Arc::clone(&weights), Arc::clone(&idx), 7)
             } else {
-                let scaled = tape.row_scale(a, Arc::clone(&weights));
+                let rows = tape.constant_copy(&Tensor::from_fn(9, 3, |r, _| weights[r]));
+                let scaled = tape.mul(a, rows);
                 tape.scatter_add_rows(scaled, Arc::clone(&idx), 7)
             };
             // A non-uniform adjoint at the output rows.

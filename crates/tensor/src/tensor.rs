@@ -357,8 +357,8 @@ impl Tensor {
     }
 
     /// [`Tensor::scatter_add_rows_into`] of the rows scaled by `weights`:
-    /// `out[idx[i]] += weights[i] * self[i]` in input order, the bits of
-    /// [`Tensor::row_scale_into`] followed by the scatter.
+    /// `out[idx[i]] += weights[i] * self[i]` in input order: each row is
+    /// scaled, then added to its destination row.
     pub(crate) fn scatter_add_rows_scaled_into(
         &self,
         weights: &[f64],
@@ -396,29 +396,6 @@ impl Tensor {
         for (i, &dst) in idx.iter().enumerate() {
             add(i, &mut out.data[dst * cols..(dst + 1) * cols], self.row(i));
         }
-    }
-
-    /// Multiply row `i` by `weights[i]`.
-    pub fn row_scale(&self, weights: &[f64]) -> Tensor {
-        let mut out = Tensor::from_pool_uninit(self.rows, self.cols, Vec::new());
-        self.row_scale_into(weights, &mut out);
-        out
-    }
-
-    /// [`Tensor::row_scale`] writing into `out` (must match `self`'s shape).
-    pub fn row_scale_into(&self, weights: &[f64], out: &mut Tensor) {
-        assert_eq!(weights.len(), self.rows, "row_scale weight length mismatch");
-        assert_eq!(self.shape(), out.shape(), "row_scale_into output shape");
-        let cols = self.cols;
-        for_row_chunks(&mut out.data, cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let w = weights[first_row + i];
-                let src = self.row(first_row + i);
-                for (o, &s) in chunk[i * cols..(i + 1) * cols].iter_mut().zip(src.iter()) {
-                    *o = w * s;
-                }
-            }
-        });
     }
 
     /// Maximum relative difference against another tensor, where the
@@ -636,11 +613,19 @@ pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, out: &mut [f64]) 
 /// one row pair per `p`, so the `p` loop does no per-term index
 /// arithmetic or bounds check.
 pub(crate) fn gemm_tn(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
+    out.fill(0.0);
+    gemm_tn_acc(a, b, out, k, m, n);
+}
+
+/// The panel-accumulate entry of [`gemm_tn`]: `out += aᵀ * b`, each
+/// element adding its `k` terms to its current value in serial `p` order.
+/// Calls over consecutive row blocks of `a` and `b`, from a zeroed `out`,
+/// give the bits of one [`gemm_tn`] over the whole.
+pub(crate) fn gemm_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
     debug_assert_eq!((a.len(), b.len()), (k * m, k * n));
     debug_assert_eq!(out.len(), m * n);
     let panel = tn_panel_rows(m, n);
     for_row_chunks(out, n, |first_row, nrows, chunk| {
-        chunk.fill(0.0);
         for p0 in (0..k).step_by(panel) {
             let kp = panel.min(k - p0);
             let a = &a[p0 * m..(p0 + kp) * m];
@@ -674,7 +659,8 @@ pub(crate) fn gemm_tn(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
 /// [`Tensor::matmul_tn_into`]: a panel of both operands (`m + n` values per
 /// row) stays within 16 KiB, half of the smallest L1 data cache in use. A
 /// pure function of the shape — and no function of it can change a bit.
-fn tn_panel_rows(m: usize, n: usize) -> usize {
+/// The tape's linear adjoints stream their rows in blocks of this height.
+pub(crate) fn tn_panel_rows(m: usize, n: usize) -> usize {
     (2048 / (m + n).max(1)).max(8)
 }
 
@@ -856,13 +842,6 @@ mod tests {
                 assert_eq!(s.get(r, c), mult * x.get(r, c));
             }
         }
-    }
-
-    #[test]
-    fn row_scale_scales_rows() {
-        let a = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let s = a.row_scale(&[2.0, 0.5]);
-        assert_eq!(s.data(), &[2., 4., 1.5, 2.]);
     }
 
     #[test]

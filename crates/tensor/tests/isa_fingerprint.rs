@@ -9,9 +9,10 @@
 //! This test runs forward and backward through two chained MLPs (fused
 //! linear+ELU, layer norm, ragged `4 x 8` tiles), through an edge MLP
 //! whose first layer is `gather_linear`, and through that edge MLP's
-//! output aggregated onto the nodes (`scatter_add_rows_scaled`), on inputs
-//! derived from integers and prints an FNV-1a hash of every value and
-//! gradient bit, one line per shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
+//! output aggregated onto the nodes (`scatter_add_rows_scaled`), and
+//! through one message-passing layer's residual MLPs (`layer_norm_add`),
+//! on inputs derived from integers and prints an FNV-1a hash of every
+//! value and gradient bit, one line per shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
 //! and in a debug build, and diffs the lines. The test itself asserts the
 //! hashes too, so a kernel change that moves a single bit fails here on
 //! any machine, not only in the cross-build diff.
@@ -31,6 +32,14 @@ fn lattice(salt: u64, count: usize, scale: f64) -> Vec<f64> {
             (bits as f64 / (1u64 << 53) as f64 - 0.5) * scale
         })
         .collect()
+}
+
+/// Overwrite every parameter with lattice values, salted by its index.
+fn set_lattice(params: &mut ParamSet) {
+    for (salt, t) in params.tensors_mut().iter_mut().enumerate() {
+        let values = lattice(1000 * salt as u64, t.len(), 1.5);
+        t.data_mut().copy_from_slice(&values);
+    }
 }
 
 fn fnv1a(hash: &mut u64, values: &[f64]) {
@@ -66,10 +75,7 @@ fn fingerprint(rows: usize, in_dim: usize, hidden: usize) -> u64 {
         true,
         &mut rng,
     );
-    for (salt, t) in params.tensors_mut().iter_mut().enumerate() {
-        let values = lattice(1000 * salt as u64, t.len(), 1.5);
-        t.data_mut().copy_from_slice(&values);
-    }
+    set_lattice(&mut params);
 
     let mut tape = Tape::new();
     let bound = params.bind(&mut tape);
@@ -116,10 +122,7 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize, aggregate: bool
         true,
         &mut rng,
     );
-    for (salt, t) in params.tensors_mut().iter_mut().enumerate() {
-        let values = lattice(1000 * salt as u64, t.len(), 1.5);
-        t.data_mut().copy_from_slice(&values);
-    }
+    set_lattice(&mut params);
     let mut tape = Tape::new();
     let bound = params.bind(&mut tape);
     let x = tape.leaf(Tensor::from_vec(
@@ -138,6 +141,7 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize, aggregate: bool
         &mut tape,
         &bound,
         &[(x, Some(src)), (x, Some(Arc::clone(&dst))), (e, None)],
+        None,
     );
     let a = aggregate.then(|| {
         let inv_degree = lattice(13, edges, 1.0).iter().map(|w| w + 1.0).collect();
@@ -162,10 +166,76 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize, aggregate: bool
     hash
 }
 
+/// FNV-1a of every value and gradient bit of one message-passing layer's
+/// two residual MLPs on `edges` edges of `nodes` nodes, as the model
+/// records them: the edge MLP over `[x[src] | x[dst] | e]` plus `e`, the
+/// degree-weighted aggregation onto the nodes, and the node MLP over
+/// `[a | x]` plus `x` — each residual folded into its layer norm
+/// (`layer_norm_add`).
+fn residual_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(0);
+    let edge = Mlp::new(
+        &mut params,
+        "edge",
+        3 * hidden,
+        hidden,
+        hidden,
+        1,
+        true,
+        &mut rng,
+    );
+    let node = Mlp::new(
+        &mut params,
+        "node",
+        2 * hidden,
+        hidden,
+        hidden,
+        1,
+        true,
+        &mut rng,
+    );
+    set_lattice(&mut params);
+    let mut tape = Tape::new();
+    let bound = params.bind(&mut tape);
+    let x = tape.leaf(Tensor::from_vec(
+        nodes,
+        hidden,
+        lattice(7, nodes * hidden, 4.0),
+    ));
+    let e = tape.leaf(Tensor::from_vec(
+        edges,
+        hidden,
+        lattice(9, edges * hidden, 4.0),
+    ));
+    let src = Arc::new((0..edges).map(|i| (i * 5 + 1) % nodes).collect());
+    let dst: Arc<Vec<usize>> = Arc::new((0..edges).map(|i| (edges - i) * 3 % nodes).collect());
+    let parts = [(x, Some(src)), (x, Some(Arc::clone(&dst))), (e, None)];
+    let e_new = edge.forward_gathered(&mut tape, &bound, &parts, Some(e));
+    let inv_degree = lattice(13, edges, 1.0).iter().map(|w| w + 1.0).collect();
+    let a = tape.scatter_add_rows_scaled(e_new, Arc::new(inv_degree), dst, nodes);
+    let cat = tape.gather_concat(&[(a, None), (x, None)]);
+    let x_new = node.forward_residual(&mut tape, &bound, cat, x);
+    let loss = tape.weighted_sq_sum(x_new, Arc::new(lattice(11, nodes, 1.0)));
+    let grads = tape.backward(loss);
+
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    fnv1a(&mut hash, tape.value(e_new).data());
+    fnv1a(&mut hash, tape.value(x_new).data());
+    for &var in bound.vars().iter().chain([&x, &e]) {
+        let grad = grads.get(var).expect("every leaf takes part").data();
+        assert!(grad.iter().all(|g| g.is_finite()));
+        fnv1a(&mut hash, grad);
+    }
+    hash
+}
+
 /// One line per shape. Width 12 takes layer norm's one-row path; 8 and 32
 /// take its four-row lockstep, and an odd row count leaves a remainder row
 /// to the one-row path as well. The gather lines' width 12 leaves a ragged
-/// column strip beside the `4 x 8` tiles of every product. Each hash must
+/// column strip beside the `4 x 8` tiles of every product; the residual
+/// line's width 8 takes layer norm's lockstep with remainder rows on both
+/// the edge and the node side. Each hash must
 /// equal the pinned one: these are the bits training produces, and a
 /// change that moves them changes every loss and parameter downstream.
 #[test]
@@ -186,6 +256,10 @@ fn isa_fingerprint() {
     let hash = gather_fingerprint(nodes, edges, hidden, true);
     let shape = format!("scatter_add_rows_scaled nodes={nodes} edges={edges} hidden={hidden}");
     lines.push((shape, hash, 0x573e_eb78_0fc4_0c8d));
+    let hidden = 8;
+    let hash = residual_fingerprint(nodes, edges, hidden);
+    let shape = format!("layer_norm_add nodes={nodes} edges={edges} hidden={hidden}");
+    lines.push((shape, hash, 0x4c93_f161_0f4d_579d));
     for (shape, hash, _) in &lines {
         println!("isa-fingerprint {shape} {hash:016x}");
     }

@@ -85,18 +85,20 @@ proptest! {
         prop_assert!((dot(&gx, &y) - dot(&x, &sy)).abs() < 1e-9);
     }
 
-    /// Autodiff of sum(row_scale(x ⊙ x, w)) equals the hand-derived
-    /// gradient 2 w_i x_ij.
+    /// Autodiff of the sum of the row-scaled scatter
+    /// `out[idx[i]] += w_i (x ⊙ x)[i]` equals the hand-derived gradient
+    /// 2 w_i x_ij, wherever the rows land.
     #[test]
     fn rowscale_square_gradient_closed_form(
         x in tensor_strategy(5, 2),
         w in proptest::collection::vec(0.1f64..2.0, 5),
+        idx in proptest::collection::vec(0usize..3, 5),
     ) {
         let w = Arc::new(w);
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let sq = tape.mul(xv, xv);
-        let scaled = tape.row_scale(sq, w.clone());
+        let scaled = tape.scatter_add_rows_scaled(sq, w.clone(), Arc::new(idx), 3);
         let s = tape.sum(scaled);
         let grads = tape.backward(s);
         let g = grads.get(xv).expect("grad exists");

@@ -616,3 +616,187 @@ fn gemm_is_the_serial_order_sum_bit_for_bit() {
     got.extend([ev, xv, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
     assert!(got == want, "gather_linear");
 }
+
+/// [`taped_layer_norm`] with the residual folded in: `layer_norm_add(x,
+/// res)`, optionally under `begin_row_mask(mask)` and backfilled, then
+/// `sum(y ⊙ up)`. Returns the bits of the value and of the adjoints of
+/// `x`, `res`, gamma and beta.
+fn taped_layer_norm_add(
+    [x, res, up]: [&Tensor; 3],
+    gamma: &[f64],
+    beta: &[f64],
+    mask: Option<(&[usize], &[usize])>,
+) -> Vec<Vec<u64>> {
+    let cols = x.cols();
+    let mut tape = Tape::new();
+    let [xv, rv] = [x, res].map(|t| tape.leaf_copy(t));
+    let g = tape.leaf(Tensor::from_vec(1, cols, gamma.to_vec()));
+    let b = tape.leaf(Tensor::from_vec(1, cols, beta.to_vec()));
+    let u = tape.constant_copy(up);
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
+    let y = tape.layer_norm_add(xv, rv, g, b, LN_EPS);
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
+    let yu = tape.mul(y, u);
+    let loss = tape.sum(yu);
+    let grads = tape.backward(loss);
+    let mut out = vec![bits(tape.value(y).data())];
+    out.extend([xv, rv, g, b].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+    out
+}
+
+/// `layer_norm_add` is `layer_norm` then `add`, bit for bit, against the
+/// naive one-row layer norm: the value is the layer norm's, rounded, plus
+/// the residual; `x`, gamma and beta take the layer norm's adjoints and
+/// `res` the upstream adjoint itself — whole and under two row masks with
+/// their backfills, at widths on and off the four-row lockstep.
+#[test]
+fn layer_norm_add_is_layer_norm_then_add_bit_for_bit() {
+    for cols in [1, 3, 8, 12, 32] {
+        for rows in [0, 1, 3, 4, 5, 37, 133] {
+            let seed = (rows * 64 + cols) as u64 + 5000;
+            let t = |salt: u64| Tensor::from_vec(rows, cols, noise(seed + salt, rows * cols));
+            let (x, res, up) = (t(0), t(1), t(4));
+            let gamma: Vec<f64> = noise(seed + 2, cols).iter().map(|g| 1.0 + g).collect();
+            let beta = noise(seed + 3, cols);
+            let [y, dx, dgamma, dbeta] = naive_layer_norm(&x, &gamma, &beta, &up);
+            let y: Vec<f64> = y.iter().zip(res.data()).map(|(a, r)| a + r).collect();
+            let want = [&y[..], &dx, up.data(), &dgamma, &dbeta].map(bits).to_vec();
+            let masks: [(Vec<usize>, Vec<usize>); 2] = [
+                (0..rows).partition(|r| r % 3 != 1),
+                (0..rows).partition(|r| (r / 5) % 2 == 0),
+            ];
+            let whole = taped_layer_norm_add([&x, &res, &up], &gamma, &beta, None);
+            assert!(whole == want, "{rows}x{cols}");
+            for (mask, rest) in &masks {
+                let masked =
+                    taped_layer_norm_add([&x, &res, &up], &gamma, &beta, Some((mask, rest)));
+                assert!(masked == want, "{rows}x{cols} masked {mask:?}");
+            }
+        }
+    }
+}
+
+/// Rows per block of the linear adjoints (mirrored from `tn_panel_rows`):
+/// the row counts below sit on and around it.
+fn adjoint_block(in_dim: usize, h: usize) -> usize {
+    (2048 / (in_dim + h).max(1)).max(8)
+}
+
+/// The row counts that straddle the adjoint's row blocks: none, one, one
+/// short of a block, a block, one past it, and several with a remainder.
+fn block_row_counts(block: usize) -> [usize; 6] {
+    [0, 1, block - 1, block, block + 1, 3 * block + 5]
+}
+
+/// The row-blocked adjoint of `linear` and `linear_elu` is the serial-order
+/// sum, bit for bit: `dx`, `dw` and `db` equal [`naive_dense`]'s whole-tensor
+/// products at row counts on every side of a block boundary, `in_dim = 0`
+/// included (no `dx` columns, an empty `dw`), on widths on and off the
+/// `4 x 8` tile.
+#[test]
+fn linear_adjoint_row_blocks_are_the_serial_order_sum() {
+    for (k, n) in [(0, 8), (1, 3), (8, 8), (24, 8), (5, 12), (32, 32)] {
+        for rows in block_row_counts(adjoint_block(k, n)) {
+            let seed = (rows * 10_000 + k * 100 + n) as u64 + 77;
+            let x = Tensor::from_vec(rows, k, noise(seed, rows * k));
+            let w = Tensor::from_vec(k, n, noise(seed + 1, k * n));
+            let b = Tensor::from_vec(1, n, noise(seed + 2, n));
+            let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
+            for elu in [false, true] {
+                let want = naive_dense(&x, &w, &b, &up, elu);
+                let got = taped_dense(&x, &w, &b, &up, elu);
+                assert!(got == want, "rows={rows} k={k} n={n} elu={elu}");
+            }
+        }
+    }
+}
+
+/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)` by the
+/// definition: [`naive_gather_linear`]'s value; `t = up ⊙ elu'`; each
+/// gathered part's `S` the rows of `t` summed onto their sources in edge
+/// order; `dx = S_src * W_srcᵀ + S_dst * W_dstᵀ`, `de = t * W_eᵀ`, the row
+/// blocks of `dw` `xᵀ S_src`, `xᵀ S_dst`, `eᵀ t`, and `db` the row-ordered
+/// column sums of `t`. Returns the bits of `y`, `dx`, `de`, `dw` and `db`.
+fn naive_edge_layer(
+    x: &Tensor,
+    e: &Tensor,
+    idx: [&[usize]; 2],
+    w: &Tensor,
+    b: &Tensor,
+    up: &Tensor,
+) -> Vec<Vec<u64>> {
+    let (kx, ke, h) = (x.cols(), e.cols(), w.cols());
+    let parts = [(x, Some(idx[0])), (x, Some(idx[1])), (e, None)];
+    let pre = naive_gather_linear(&parts, w, b);
+    let y = elu_of(Tensor::from_vec(e.rows(), h, pre));
+    let t = elu_scaled(up, &y, true);
+    let sums = idx.map(|idx| {
+        let mut s = Tensor::zeros(x.rows(), h);
+        for (r, &src) in idx.iter().enumerate() {
+            for j in 0..h {
+                s.set(src, j, s.get(src, j) + t.get(r, j));
+            }
+        }
+        s
+    });
+    let dx_src = naive_times_rows_t(&sums[0], w, 0, kx);
+    let dx_dst = naive_times_rows_t(&sums[1], w, kx, kx);
+    let dx: Vec<f64> = dx_src
+        .data()
+        .iter()
+        .zip(dx_dst.data())
+        .map(|(a, b)| a + b)
+        .collect();
+    let mut dw = naive_tn(x, &sums[0]);
+    dw.extend(naive_tn(x, &sums[1]));
+    dw.extend(naive_tn(e, &t));
+    vec![
+        bits(y.data()),
+        bits(&dx),
+        bits(naive_times_rows_t(&t, w, 2 * kx, ke).data()),
+        bits(&dw),
+        bits(&naive_col_sums(&t)),
+    ]
+}
+
+/// The row-blocked adjoint of `gather_linear` is the serial-order sum, bit
+/// for bit (against [`naive_edge_layer`]): edge counts on every side of a
+/// block of the streamed part, widths on and off the `4 x 8` tile, and
+/// parts zero columns wide (`in_dim = 0` when both are).
+#[test]
+fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
+    for (kx, ke, h) in [(0, 0, 8), (3, 0, 3), (0, 4, 8), (8, 8, 8), (5, 3, 12)] {
+        for edges in block_row_counts(adjoint_block(ke, h)) {
+            let nodes = 1 + edges / 3;
+            let seed = (edges * 1000 + kx * 100 + ke * 10 + h) as u64;
+            let x = Tensor::from_vec(nodes, kx, noise(seed, nodes * kx));
+            let e = Tensor::from_vec(edges, ke, noise(seed + 1, edges * ke));
+            let w = Tensor::from_vec(2 * kx + ke, h, noise(seed + 2, (2 * kx + ke) * h));
+            let b = Tensor::from_vec(1, h, noise(seed + 3, h));
+            let up = Tensor::from_vec(edges, h, noise(seed + 4, edges * h));
+            let src: Vec<usize> = (0..edges).map(|i| (i * 7 + 2) % nodes).collect();
+            let dst: Vec<usize> = (0..edges).map(|i| (edges - i) * 3 % nodes).collect();
+            let want = naive_edge_layer(&x, &e, [&src, &dst], &w, &b, &up);
+
+            let mut tape = Tape::new();
+            let [xv, ev, wv, bv] = [&x, &e, &w, &b].map(|t| tape.leaf_copy(t));
+            let u = tape.constant_copy(&up);
+            let parts = [
+                (xv, Some(Arc::new(src))),
+                (xv, Some(Arc::new(dst))),
+                (ev, None),
+            ];
+            let y = tape.gather_linear(&parts, wv, bv);
+            let yu = tape.mul(y, u);
+            let loss = tape.sum(yu);
+            let grads = tape.backward(loss);
+            let mut got = vec![bits(tape.value(y).data())];
+            got.extend([xv, ev, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+            assert!(got == want, "kx={kx} ke={ke} h={h} edges={edges}");
+        }
+    }
+}
