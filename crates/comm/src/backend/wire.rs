@@ -47,6 +47,9 @@ const MAGIC: [u8; 4] = *b"CGNW";
 const MAX_FRAME_ELEMS: u64 = 1 << 26;
 /// Bound on label bytes.
 const MAX_LABEL_BYTES: u64 = 1 << 16;
+/// Payload bytes asked of the stream per read: the payload buffer grows
+/// with the bytes that arrived, never ahead of them from the length field.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
 
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -122,8 +125,13 @@ fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     if count > MAX_FRAME_ELEMS {
         return Err(corrupt("implausible payload length"));
     }
-    let mut payload = vec![0u8; count as usize * 8];
-    read_exact_hashed(r, &mut payload, &mut state)?;
+    let len = count as usize * 8;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + PAYLOAD_CHUNK), 0);
+        read_exact_hashed(r, &mut payload[start..], &mut state)?;
+    }
     let data = payload
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
@@ -282,7 +290,11 @@ impl Carrier for StreamCarrier {
     }
 }
 
-fn reader_loop(mailbox: &Mailbox, peer: usize, mut r: Box<dyn Read + Send>) {
+fn reader_loop(mailbox: &Mailbox, peer: usize, r: Box<dyn Read + Send>) {
+    // Buffered: a frame's six fields cost one `read` between them, not
+    // one each. Only the carrier buffers: the handshake's unbuffered
+    // `Conn::read` cannot have swallowed the first carrier frame.
+    let mut r = io::BufReader::new(r);
     loop {
         match read_frame(&mut r) {
             Ok(Some(frame)) => {
@@ -373,5 +385,35 @@ mod tests {
         let count_at = 4 + 1 + 4 + 8 + 4; // magic + kind + src + tag + label len (label empty)
         bytes[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_frame(&mut &bytes[..]).is_err());
+    }
+
+    /// A stream that records the largest buffer a read asked it to fill.
+    struct Recorded<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recorded<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A frame that claims the largest payload allowed and then ends fails
+    /// as a truncated stream, having asked for one chunk at a time.
+    #[test]
+    fn a_claimed_payload_is_read_as_it_arrives() {
+        let bytes = encode_frame(&Frame::control(KIND_P2P, 0, 0));
+        let count_at = 4 + 1 + 4 + 8 + 4;
+        let mut head = bytes[..count_at].to_vec();
+        head.extend_from_slice(&MAX_FRAME_ELEMS.to_le_bytes());
+        let mut r = Recorded {
+            bytes: &head,
+            largest: 0,
+        };
+        let err = read_frame(&mut r).expect_err("a truncated payload must not decode");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= PAYLOAD_CHUNK, "asked for {} bytes", r.largest);
     }
 }

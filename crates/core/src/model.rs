@@ -146,6 +146,13 @@ impl ConsistentGnn {
     /// Full forward pass: encode, M rounds of consistent message passing,
     /// decode. `x` is `[n_local, node_in]`, `e` is `[n_edges, edge_in]`;
     /// the result is `[n_local, node_out]`.
+    ///
+    /// On a forward-only recording ([`Tape::forward_only`]) every interior
+    /// value goes back to the tape's pool at each layer boundary — after
+    /// the encoders and after each message-passing layer, whose split-phase
+    /// window has closed by then — except the `(x, e)` later layers read,
+    /// so the pass holds one layer's values at a time. A training
+    /// recording keeps them all for its backward pass.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -160,10 +167,10 @@ impl ConsistentGnn {
         let mut xh = self.node_encoder.forward(tape, bound, x);
         let mut eh = self.edge_encoder.forward(tape, bound, e);
         for layer in &self.layers {
-            let (xn, en) = layer.forward(tape, bound, xh, eh, graph, idx, ctx);
-            xh = xn;
-            eh = en;
+            tape.release_except(&[xh, eh]);
+            (xh, eh) = layer.forward(tape, bound, xh, eh, graph, idx, ctx);
         }
+        tape.release_except(&[xh]);
         self.node_decoder.forward(tape, bound, xh)
     }
 

@@ -132,15 +132,20 @@ impl Trainer {
         self.opt.steps()
     }
 
+    /// Record one sample's forward pass on `tape`, returning the
+    /// prediction variable.
+    fn forward_graph(&self, tape: &mut Tape, bound: &BoundParams, data: &RankData) -> VarId {
+        let x = tape.constant_copy(&data.x);
+        let e = tape.constant_copy(&data.e);
+        self.model
+            .forward(tape, bound, x, e, &data.graph, &data.idx, &self.ctx)
+    }
+
     /// Record one sample's forward pass and consistent loss on `tape`,
     /// returning the loss variable. Shared by evaluation, single-sample
     /// steps, and mini-batch accumulation.
     fn loss_graph(&self, tape: &mut Tape, bound: &BoundParams, data: &RankData) -> VarId {
-        let x = tape.constant_copy(&data.x);
-        let e = tape.constant_copy(&data.e);
-        let y = self
-            .model
-            .forward(tape, bound, x, e, &data.graph, &data.idx, &self.ctx);
+        let y = self.forward_graph(tape, bound, data);
         consistent_mse(
             tape,
             y,
@@ -151,25 +156,32 @@ impl Trainer {
         )
     }
 
+    /// Number of `f64`s this trainer's tape holds ([`Tape::held_len`]):
+    /// its recorded values plus its parked buffers. After a first
+    /// [`Trainer::predict`] on a fresh trainer, that pass's working set.
+    pub fn held_len(&self) -> usize {
+        self.tape.borrow().held_len()
+    }
+
     /// Forward pass + consistent loss, no parameter update. Collective.
+    /// Forward-only: the model holds one layer's values at a time.
     pub fn eval_loss(&self, data: &RankData) -> f64 {
         let mut tape = self.tape.borrow_mut();
         tape.reset();
+        tape.forward_only();
         let bound = self.params.bind(&mut tape);
         let l = self.loss_graph(&mut tape, &bound, data);
         tape.value(l).item()
     }
 
     /// Inference: forward pass returning the prediction matrix.
+    /// Forward-only: the model holds one layer's values at a time.
     pub fn predict(&self, data: &RankData) -> Tensor {
         let mut tape = self.tape.borrow_mut();
         tape.reset();
+        tape.forward_only();
         let bound = self.params.bind(&mut tape);
-        let x = tape.constant_copy(&data.x);
-        let e = tape.constant_copy(&data.e);
-        let y = self
-            .model
-            .forward(&mut tape, &bound, x, e, &data.graph, &data.idx, &self.ctx);
+        let y = self.forward_graph(&mut tape, &bound, data);
         tape.value(y).clone()
     }
 
@@ -424,6 +436,53 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().copied())
             .unwrap_or_default();
         assert!(msg.contains("target must cover local nodes"), "{msg}");
+    }
+
+    /// `predict` and `eval_loss` give values back at the model's layer
+    /// boundaries, and return the bits of the same forward recorded on a
+    /// training tape: at R = 1, and at R = 2 under N-A2A and under Ovl-SR,
+    /// whose layers close their split-phase window before the release.
+    #[test]
+    fn forward_only_passes_equal_the_training_recording() {
+        let mesh = BoxMesh::tgv_cube(2, 2);
+        let field = TaylorGreen::new(0.01);
+        for (world, mode) in [
+            (1, HaloExchangeMode::NeighborAllToAll),
+            (2, HaloExchangeMode::NeighborAllToAll),
+            (2, HaloExchangeMode::Overlapped),
+        ] {
+            let graphs = if world == 1 {
+                vec![build_global_graph(&mesh)]
+            } else {
+                build_distributed_graph(&mesh, &Partition::new(&mesh, world, Strategy::Slab))
+            };
+            World::run(world, |comm| {
+                let g = Arc::new(graphs[comm.rank()].clone());
+                let ctx = HaloContext::new(comm.clone(), &g, mode);
+                let trainer = Trainer::new(GnnConfig::small(), 11, 1e-3, ctx);
+                let data = RankData::tgv_autoencode(g, &field, 0.0);
+                // A fresh training tape per recording: its working set is
+                // the whole forward's.
+                let training =
+                    |record: fn(&Trainer, &mut Tape, &BoundParams, &RankData) -> VarId| {
+                        let mut tape = Tape::new();
+                        let bound = trainer.params.bind(&mut tape);
+                        let v = record(&trainer, &mut tape, &bound, &data);
+                        (tape.value(v).clone(), tape.held_len())
+                    };
+                let (y, held) = training(Trainer::forward_graph);
+                let what = format!("R={world} {mode} rank {}", comm.rank());
+                assert_eq!(trainer.predict(&data).data(), y.data(), "{what}: predict");
+                assert!(trainer.held_len() < held, "{what}: nothing released");
+                let l = training(Trainer::loss_graph).0.item();
+                let eval = trainer.eval_loss(&data);
+                assert_eq!(
+                    eval.to_bits(),
+                    l.to_bits(),
+                    "{what}: eval_loss {eval} vs {l}"
+                );
+            });
+        }
     }
 
     #[test]

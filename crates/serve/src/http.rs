@@ -6,7 +6,7 @@
 //! count, bounded body size); anything outside the subset closes the
 //! connection rather than guessing.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum accepted request-line or header-line length in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -15,6 +15,10 @@ pub const MAX_HEADERS: usize = 64;
 /// Maximum accepted request body in bytes (a 32-elems-per-axis order-2
 /// mesh frame is ~6.6 MB; 64 MB leaves ample headroom).
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
+/// Body bytes reserved before any has arrived: a larger body's buffer
+/// grows with the bytes received, never ahead of them from
+/// `Content-Length`.
+const BODY_CHUNK: usize = 64 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -153,8 +157,14 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<ReadOutcome> {
     if len > MAX_BODY {
         return Err(invalid("request body too large"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(BODY_CHUNK));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-body",
+        ));
+    }
     Ok(ReadOutcome::Request(Request {
         method,
         path,
@@ -287,6 +297,34 @@ mod tests {
             }
             other => panic!("expected a request, got {other:?}"),
         }
+    }
+
+    /// A stream that records the largest buffer a read asked it to fill.
+    struct Recorded<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl io::Read for Recorded<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A request that claims the largest body allowed and sends 10 bytes
+    /// fails as a truncated stream, without a buffer sized from its claim.
+    #[test]
+    fn a_claimed_body_is_read_as_it_arrives() {
+        let raw = format!("POST /predict HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n0123456789");
+        let mut r = BufReader::new(Recorded {
+            bytes: raw.as_bytes(),
+            largest: 0,
+        });
+        let err = read_request(&mut r).expect_err("a truncated body must not frame");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let largest = r.get_ref().largest;
+        assert!(largest <= BODY_CHUNK, "asked for {largest} bytes");
     }
 
     #[test]

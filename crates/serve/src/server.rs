@@ -47,7 +47,7 @@ pub struct ServeConfig {
     /// Warm replica count.
     pub replicas: usize,
     /// Read by nothing: every forward pass serves one request. Kept only
-    /// because the frozen `sysbench` still sets it; ROADMAP item 2 (the
+    /// because the frozen `sysbench` still sets it; ROADMAP item 1a (the
     /// sysbench re-baseline) removes both sides.
     pub max_batch: usize,
     /// Bounded request-queue capacity.

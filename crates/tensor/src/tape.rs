@@ -42,6 +42,17 @@
 //! share of the weight gradient before the next block is read, so the
 //! scaled `[rows, h]` adjoint is never stored whole. Every sum keeps its
 //! serial order, so each gradient has the bits of the whole-tensor form.
+//!
+//! ## Forward-only recordings
+//!
+//! A recording that no backward pass will follow ([`Tape::forward_only`]:
+//! inference and evaluation) need not keep a value once no later op reads
+//! it. [`Tape::release_except`] returns every interior value to the pool
+//! except the ones named, so a model that calls it at its layer boundaries
+//! holds one layer's values at a time instead of the whole forward. On a
+//! training recording the call does nothing. A released value stays
+//! released: reading it, or calling [`Tape::backward`] on a forward-only
+//! recording, panics.
 
 use std::sync::Arc;
 
@@ -142,6 +153,9 @@ pub(crate) enum Op {
         inputs: Vec<VarId>,
         op: Box<dyn CustomOp>,
     },
+    /// An interior value [`Tape::release_except`] gave back to the pool;
+    /// its node holds an empty tensor.
+    Released,
 }
 
 pub(crate) struct Node {
@@ -229,6 +243,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     pool: BufPool,
     mask: Option<RowMask>,
+    /// Set by [`Tape::forward_only`] until the next [`Tape::reset`].
+    forward_only: bool,
 }
 
 /// Gradients produced by [`Tape::backward`], indexed by [`VarId`]: one
@@ -263,6 +279,49 @@ impl Tape {
             nodes: Vec::new(),
             pool: BufPool::default(),
             mask: None,
+            forward_only: false,
+        }
+    }
+
+    /// Mark the recording about to start as **forward-only**: no backward
+    /// pass will follow it, so [`Tape::release_except`] may give its
+    /// interior values back to the pool. The mark lasts until the next
+    /// [`Tape::reset`].
+    ///
+    /// # Panics
+    /// If anything has been recorded since the last reset.
+    pub fn forward_only(&mut self) {
+        assert!(
+            self.nodes.is_empty(),
+            "forward_only must mark a recording before its first op"
+        );
+        self.forward_only = true;
+    }
+
+    /// On a forward-only recording, return the value of every interior
+    /// node recorded so far to the pool, except the nodes in `keep`: the
+    /// caller's promise that no later op reads any other. Leaves and
+    /// constants are never released. Does nothing on a training
+    /// recording, whose backward pass reads the values.
+    ///
+    /// # Panics
+    /// Under an active row mask: its closing backfill still reads the
+    /// masked chain's inputs.
+    pub fn release_except(&mut self, keep: &[VarId]) {
+        if !self.forward_only {
+            return;
+        }
+        assert!(
+            self.mask.is_none(),
+            "release_except with an active row mask (its window is still open)"
+        );
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let interior = !matches!(node.op, Op::Leaf | Op::Constant | Op::Released);
+            if interior && !keep.contains(&VarId(i)) {
+                let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
+                self.pool.put(value.into_vec());
+                node.op = Op::Released;
+            }
         }
     }
 
@@ -337,8 +396,11 @@ impl Tape {
     /// output), so a reset tape replays bit-identically to a fresh one.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            self.pool.put(node.value.into_vec());
+            if !matches!(node.op, Op::Released) {
+                self.pool.put(node.value.into_vec());
+            }
         }
+        self.forward_only = false;
     }
 
     /// Return gradient tensors to the workspace pool (the natural follow-up
@@ -359,14 +421,17 @@ impl Tape {
     }
 
     /// Value of a recorded variable.
+    ///
+    /// # Panics
+    /// If [`Tape::release_except`] released it.
     pub fn value(&self, id: VarId) -> &Tensor {
-        &self.nodes[id.0].value
+        value(&self.nodes, id)
     }
 
     /// Copy of a recorded value, drawn from the workspace pool (for callers
     /// that need an owned tensor to mutate, e.g. halo accumulation).
     pub fn value_copy(&mut self, id: VarId) -> Tensor {
-        self.pool.copy_of(&self.nodes[id.0].value)
+        self.pool.copy_of(value(&self.nodes, id))
     }
 
     /// Number of `f64`s parked in the workspace pool, i.e. held for reuse
@@ -377,12 +442,21 @@ impl Tape {
         self.pool.by_len.iter().map(parked).sum()
     }
 
+    /// Number of `f64`s this tape holds: every recorded value not
+    /// released, plus [`Tape::pooled_len`]. On a fresh tape, at the end of
+    /// a recording, this is the recording's working set.
+    pub fn held_len(&self) -> usize {
+        let values: usize = self.nodes.iter().map(|n| n.value.len()).sum();
+        values + self.pooled_len()
+    }
+
     /// Mutable access to a recorded value — the completion hook of the
     /// split-phase halo exchange, which accumulates arrived halos into the
     /// boundary rows of an already-recorded sync node. Callers must finish
     /// all mutation before any later op (or the backward pass) reads the
     /// affected rows.
     pub fn value_mut(&mut self, id: VarId) -> &mut Tensor {
+        assert_live(&self.nodes, id);
         &mut self.nodes[id.0].value
     }
 
@@ -796,6 +870,11 @@ impl Tape {
     /// allocation-free.
     pub fn backward(&mut self, root: VarId) -> Gradients {
         assert!(
+            !self.forward_only,
+            "backward on a forward-only recording (Tape::forward_only): \
+             its released values are gone"
+        );
+        assert!(
             self.mask.is_none(),
             "backward with an active row mask (end_row_mask missing)"
         );
@@ -824,8 +903,19 @@ impl Tape {
 }
 
 /// Value of a recorded variable (free-function form for split borrows).
+/// Every read of a recorded value goes through here or [`assert_live`].
 fn value(nodes: &[Node], id: VarId) -> &Tensor {
+    assert_live(nodes, id);
     &nodes[id.0].value
+}
+
+/// Never read an empty buffer in place of a released value.
+fn assert_live(nodes: &[Node], id: VarId) {
+    assert!(
+        !matches!(nodes[id.0].op, Op::Released),
+        "tape value {} was released by Tape::release_except on a forward-only recording",
+        id.0
+    );
 }
 
 /// Propagate one node's adjoint `g` to its parents, drawing scratch
@@ -853,7 +943,7 @@ fn accumulate(
     // keep their order, so a parent reached twice (`x + x`) sums the same
     // bits as it would from two copies. Every other op only reads `g`.
     match &node.op {
-        Op::Leaf | Op::Constant => {}
+        Op::Leaf | Op::Constant | Op::Released => {}
         Op::Add(a, b) => {
             add(*a, pool.copy_of(&g), pool);
             return add(*b, g, pool);
@@ -1137,7 +1227,7 @@ impl<'a> RowKernel<'a> {
     /// If `op` is not row-separable: reaching here with any other op is a
     /// programming error in the op registry.
     fn of(nodes: &'a [Node], op: &'a Op) -> Self {
-        let val = |id: &VarId| &nodes[id.0].value;
+        let val = |id: &VarId| value(nodes, *id);
         match op {
             Op::Linear { x, w, b, elu } => RowKernel::Linear {
                 x: val(x),
@@ -1836,6 +1926,64 @@ mod tests {
         assert_eq!(fused.0, split.0, "value");
         assert_eq!(fused.1, split.1, "input adjoint");
         assert!(fused.0[3..6].iter().all(|&b| b == 0), "row 1 is zero");
+    }
+
+    /// `x -> linear -> elu -> elu`, then every interior value but the
+    /// last released (which does something on a forward-only recording).
+    fn released_chain(forward_only: bool) -> (Tape, [VarId; 4]) {
+        let mut tape = Tape::new();
+        if forward_only {
+            tape.forward_only();
+        }
+        let x = tape.constant_copy(&Tensor::from_fn(5, 3, |r, c| (r + c) as f64 * 0.3 - 1.0));
+        let w = tape.leaf(Tensor::from_fn(3, 4, |r, c| {
+            ((r * 4 + c) as f64 * 0.7).cos()
+        }));
+        let b = tape.leaf(Tensor::zeros(1, 4));
+        let u = tape.linear(x, w, b);
+        let h = tape.elu(u);
+        let y = tape.elu(h);
+        tape.release_except(&[y]);
+        (tape, [x, w, u, y])
+    }
+
+    /// The release hands the buffers back for the next op of their length,
+    /// keeps leaves, constants and the named values, and is a no-op on a
+    /// training recording.
+    #[test]
+    fn release_returns_interior_values_on_forward_only_recordings() {
+        let (mut trained, [x, w, u, y]) = released_chain(false);
+        let (mut released, _) = released_chain(true);
+        assert_eq!(trained.pooled_len(), 0);
+        assert_eq!(released.pooled_len(), 2 * 5 * 4);
+        for id in [x, w, y] {
+            assert_eq!(released.value(id).data(), trained.value(id).data());
+        }
+        assert_eq!(trained.value(u).len(), 5 * 4);
+        let again = released.elu(y);
+        assert_eq!(released.pooled_len(), 5 * 4, "released buffer not reused");
+        let fresh = trained.elu(y);
+        assert_eq!(released.value(again).data(), trained.value(fresh).data());
+        // The mark ends at the reset: the next recording may run backward.
+        released.reset();
+        let z = released.leaf(Tensor::scalar(2.0));
+        let s = released.sum(z);
+        assert!(released.backward(s).get(z).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "tape value 3 was released by Tape::release_except")]
+    fn reading_a_released_value_panics() {
+        let (tape, [_, _, u, _]) = released_chain(true);
+        tape.value(u);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward on a forward-only recording")]
+    fn backward_on_a_forward_only_recording_panics() {
+        let (mut tape, [.., y]) = released_chain(true);
+        let s = tape.sum(y);
+        tape.backward(s);
     }
 
     #[test]
