@@ -6,6 +6,11 @@
 //! `CGNN_ELEMS` sets the cubic element count per axis (paper: 32, default
 //! here 12 to stay fast on laptops); `CGNN_MAXR` caps the rank sweep.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a figure binary stops with a message when its setup or its output fails"
+)]
+
 use cgnn_bench::{demo_loss, write_json, Json};
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;

@@ -7,6 +7,11 @@
 //! `CGNN_ITERS` sets the epoch count (default 100), `CGNN_ELEMS` the cubic
 //! element count (paper: 32 at p=1; default 8).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a figure binary stops with a message when its setup or its output fails"
+)]
+
 use cgnn_bench::{write_json, Json};
 use cgnn_core::config;
 use cgnn_core::HaloExchangeMode;

@@ -2,6 +2,11 @@
 //! (A2A and N-A2A halo exchanges) relative to the inconsistent no-exchange
 //! baseline, isolating the cost of the 8 all-to-all calls per iteration.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a figure binary stops with a message when its setup or its output fails"
+)]
+
 use cgnn_bench::{write_json, Json};
 use cgnn_perf::{paper_sweep, relative_throughput, MachineModel};
 

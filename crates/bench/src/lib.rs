@@ -107,6 +107,14 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 /// Write a result as pretty JSON under `results/`.
+///
+/// # Panics
+/// If the file cannot be written: a figure binary has no other use for its
+/// result.
+#[expect(
+    clippy::expect_used,
+    reason = "a figure binary has no use for a result it cannot write; `# Panics` says so"
+)]
 pub fn write_json(name: &str, value: &Json) {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");

@@ -459,6 +459,10 @@ impl Engine {
     /// # Panics
     ///
     /// In a world of one rank: there is no peer to address.
+    #[expect(
+        clippy::expect_used,
+        reason = "only peers are posted to, and a one-rank world has none; `# Panics` says so"
+    )]
     fn post(
         &self,
         dst: usize,
@@ -549,11 +553,10 @@ impl Engine {
             self.post(p, KIND_GATHER, 0, label, data.clone(), None);
         }
         let me = self.mailbox.rank;
-        let mut mine = Some(data);
-        (0..self.mailbox.size)
+        let mut all: Vec<Vec<f64>> = (0..self.mailbox.size)
             .map(|p| {
                 if p == me {
-                    return mine.take().expect("own slot is visited once");
+                    return Vec::new();
                 }
                 let (got, buf) = self
                     .mailbox
@@ -564,33 +567,37 @@ impl Engine {
                 );
                 buf
             })
-            .collect()
+            .collect();
+        all[me] = data;
+        all
     }
 
     /// Exchange `send[dst]` buffers; returns `recv[src]`.
     pub(crate) fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         self.strike(Op::Collective);
         let me = self.mailbox.rank;
-        let mut mine = None;
+        let mut mine = Vec::new();
         for (dst, buf) in send.into_iter().enumerate() {
             if dst == me {
-                mine = Some(buf);
+                mine = buf;
             } else {
                 // Empty buffers still travel: the exchange is lockstep, so
                 // every rank pops exactly one frame per peer per call.
                 self.post(dst, KIND_A2A, 0, "", buf, None);
             }
         }
-        (0..self.mailbox.size)
+        let mut recv: Vec<Vec<f64>> = (0..self.mailbox.size)
             .map(|p| {
                 if p == me {
-                    mine.take().expect("own slot is visited once")
+                    Vec::new()
                 } else {
                     self.mailbox
                         .wait_on(&[p], |peers| peers[p].a2as.pop_front())
                 }
             })
-            .collect()
+            .collect();
+        recv[me] = mine;
+        recv
     }
 
     /// Buffered point-to-point send; never blocks.

@@ -167,23 +167,26 @@ where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
 {
-    let mut results: Vec<Option<T>> = world.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(world.len());
-        for (engine, slot) in world.into_iter().zip(results.iter_mut()) {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                engine.on_rank_start();
-                // Runs on both return and unwind, so a panicking rank
-                // releases its scheduling slot instead of wedging peers.
-                let _finish = FinishGuard(Arc::clone(&engine));
-                *slot = Some(f(&Comm::new(engine)));
-            }));
-        }
+        let handles: Vec<_> = world
+            .into_iter()
+            .map(|engine| {
+                let f = &f;
+                scope.spawn(move || {
+                    engine.on_rank_start();
+                    // Runs on both return and unwind, so a panicking rank
+                    // releases its scheduling slot instead of wedging peers.
+                    let _finish = FinishGuard(Arc::clone(&engine));
+                    f(&Comm::new(engine))
+                })
+            })
+            .collect();
+        let mut results = Vec::with_capacity(handles.len());
         let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
         for h in handles {
-            if let Err(e) = h.join() {
-                panics.push(e);
+            match h.join() {
+                Ok(t) => results.push(t),
+                Err(e) => panics.push(e),
             }
         }
         if let Some(root) = panics
@@ -192,11 +195,8 @@ where
         {
             std::panic::resume_unwind(root);
         }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("rank produced no result"))
-        .collect()
+        results
+    })
 }
 
 struct FinishGuard(Arc<Engine>);

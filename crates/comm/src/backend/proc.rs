@@ -43,7 +43,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::io::ErrorKind::{InvalidData, NotFound, TimedOut};
+use std::io::ErrorKind::{InvalidData, NotFound, TimedOut, WouldBlock};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -212,7 +212,8 @@ impl Listener {
                 Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
                 Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
             })?;
-            let hello = conn.read()?.ok_or_else(|| refused(rank, "peer hung up"))?;
+            let hello =
+                read_by(&conn, deadline, &waiting)?.ok_or_else(|| refused(rank, "peer hung up"))?;
             let src = hello.src as usize;
             let fresh = src > rank && src < size && conns[src].is_none();
             if hello.kind != KIND_HELLO || !fresh || hello.label.contains(',') {
@@ -234,6 +235,22 @@ fn hello(src: usize, label: &str) -> Frame {
         label: label.to_string().into(),
         ..Frame::control(KIND_HELLO, src as u32, 0)
     }
+}
+
+/// Read one handshake frame from `conn` by `deadline`: a peer that
+/// connects and never writes is `TimedOut`, naming what was `waiting`.
+/// The timeout is cleared again, since an established link relies on the
+/// heartbeat instead.
+fn read_by(conn: &Conn, deadline: Instant, waiting: &str) -> io::Result<Option<Frame>> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    // A zero timeout is an error, not an expired one.
+    conn.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+    let frame = conn.read().map_err(|e| match e.kind() {
+        WouldBlock | TimedOut => io::Error::new(TimedOut, format!("{waiting}: timed out ({e})")),
+        _ => e,
+    })?;
+    conn.set_read_timeout(None)?;
+    Ok(frame)
 }
 
 /// Retry a dial or accept every [`POLL`] until it yields a link, tuned
@@ -296,7 +313,9 @@ fn connect(
     };
     let (listener, entry) = Listener::bind(net, &own, dir)?;
     link.write(&hello(rank, &entry))?;
-    let table = link.read()?.filter(|f| f.kind == KIND_HELLO && f.src == 0);
+    let waiting = format!("rank {rank} awaiting the address table from rank 0");
+    let table = read_by(&link, deadline, &waiting)?;
+    let table = table.filter(|f| f.kind == KIND_HELLO && f.src == 0);
     let table = table.map_or(String::new(), |f| f.label.into_owned());
     let entries: Vec<&str> = table.split(',').collect();
     if entries.len() != size {
@@ -412,6 +431,10 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     let mailbox = Mailbox::new(rank, conns.len(), Heartbeat::from_env());
+    #[expect(
+        clippy::expect_used,
+        reason = "a carrier whose threads cannot start is a world that cannot come up, which `launch` documents"
+    )]
     let carrier = StreamCarrier::start(&mailbox, conns).expect("start this rank's stream carrier");
     let engine = Engine::new(label, mailbox, Some(carrier.clone()), plan, attempt);
     engine.on_rank_start();
@@ -431,7 +454,8 @@ where
 ///
 /// When this rank's world cannot come up (a rank fails to spawn or the
 /// mesh fails to connect), naming the cause; a spawner first kills the
-/// ranks it started.
+/// ranks it started. On a `CGNN_RANK` or `CGNN_WORLD` that does not parse
+/// or fit the world.
 pub(crate) fn launch<T, F>(net: Net, size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
 where
     T: Send,
@@ -453,6 +477,10 @@ where
         let root = root.unwrap_or_else(|| TCP_ROOT.to_string());
         return spawn_world(net, size, seq, args, root, &dir, f, plan, attempt);
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "a malformed launch environment fails at startup, which `launch` documents"
+    )]
     let rank: usize = rank
         .parse()
         .expect("CGNN_RANK must be a rank index in 0..world");
@@ -497,10 +525,14 @@ where
         std::process::id(),
         SPAWNED.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::create_dir_all(&dir).expect("create the cross-process rendezvous directory");
     // Rank 0 listens before any child exists to dial it.
-    let (listener, root) = Listener::bind(net, &root, &dir).expect("bind rank 0's listener");
-    let exe = std::env::current_exe().expect("resolve the current executable for re-exec");
+    let setup = std::fs::create_dir_all(&dir)
+        .and_then(|()| Listener::bind(net, &root, &dir))
+        .and_then(|bound| Ok((bound, std::env::current_exe()?)));
+    let ((listener, root), exe) = match setup {
+        Ok(setup) => setup,
+        Err(e) => abort_spawn(Vec::new(), &dir, format!("set up rank 0 in {dir:?}: {e}")),
+    };
     let mut children: Vec<(usize, Child)> = Vec::with_capacity(size.saturating_sub(1));
     for r in 1..size {
         let spawned = std::fs::File::create(dir.join(format!("rank{r}.log"))).and_then(|log| {
@@ -536,14 +568,15 @@ where
     let deadline = Instant::now() + CHILD_WAIT;
     for (r, mut child) in children {
         let exited_ok = loop {
-            match child.try_wait().expect("poll a rank process") {
-                Some(status) => break status.success(),
-                None if Instant::now() >= deadline => {
+            match child.try_wait() {
+                Ok(Some(status)) => break status.success(),
+                Ok(None) if Instant::now() < deadline => std::thread::sleep(POLL),
+                // Past the deadline, or no longer pollable: the rank failed.
+                _ => {
                     let _ = child.kill();
                     let _ = child.wait();
                     break false;
                 }
-                None => std::thread::sleep(POLL),
             }
         };
         if !exited_ok {
@@ -559,6 +592,10 @@ where
             // Keep the directory: it holds the children's logs and
             // failure reports for post-mortem.
             payloads.extend(result.err());
+            #[expect(
+                clippy::expect_used,
+                reason = "this arm runs only when rank 0 failed or a child left a payload"
+            )]
             let root = payloads
                 .into_iter()
                 .min_by_key(|p| RankFailure::severity(p.as_ref()))
@@ -621,6 +658,10 @@ where
     F: Fn(&Comm) -> T + Sync,
 {
     if let Some(w) = CGNN_WORLD.lookup() {
+        #[expect(
+            clippy::expect_used,
+            reason = "a malformed launch environment fails at startup, which `launch` documents"
+        )]
         let w: usize = w.parse().expect("CGNN_WORLD must be a world size");
         assert_eq!(
             w, size,
@@ -743,6 +784,28 @@ mod tests {
         let labels = listener.accept_higher(rank, &mut conns, deadline);
         std::fs::remove_dir_all(&dir).unwrap();
         labels
+    }
+
+    /// A peer that dials and never writes its `Hello` cannot hold the
+    /// handshake past its deadline.
+    #[test]
+    fn accept_times_out_on_a_silent_peer() {
+        for net in [Net::Uds, Net::Tcp] {
+            let dir = fresh_dir(&format!("silent-{}", net.label()));
+            let (listener, entry) = bind_root(net, &dir);
+            let deadline = Instant::now() + Duration::from_secs(1);
+            let _silent = dial(net, &entry, &dir, deadline).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut conns: Vec<Option<Conn>> = (0..2).map(|_| None).collect();
+                let _ = tx.send(listener.accept_higher(0, &mut conns, deadline).map(|_| ()));
+            });
+            let result = rx.recv_timeout(Duration::from_secs(5));
+            let err = result.unwrap().expect_err("a silent peer is refused");
+            assert_eq!(err.kind(), TimedOut, "{net:?}: {err}");
+            assert!(err.to_string().contains("awaiting Hellos"), "{err}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

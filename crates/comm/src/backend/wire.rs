@@ -33,6 +33,7 @@
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use crate::backend::engine::{Carrier, Frame, Mailbox, SendDone, KIND_BYE};
 
@@ -183,6 +184,14 @@ impl Conn {
         }
     }
 
+    /// Bound how long a [`Conn::read`] blocks; `None` blocks forever.
+    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Conn::Uds(s) => s.set_read_timeout(t),
+            Conn::Tcp(s) => s.set_read_timeout(t),
+        }
+    }
+
     fn split(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
         match self {
             Conn::Uds(s) => Ok((Box::new(s.try_clone()?), Box::new(s.try_clone()?))),
@@ -279,6 +288,10 @@ impl StreamCarrier {
 impl Carrier for StreamCarrier {
     /// Queue a frame to `dst`. Never blocks: the writer thread owns the
     /// actual socket write.
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine posts only to peers, and their writers live until teardown"
+    )]
     fn deliver(&self, dst: usize, frame: Frame, done: Option<SendDone>) {
         let tx = self.writers[dst]
             .as_ref()

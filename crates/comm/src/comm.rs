@@ -102,6 +102,9 @@ impl Comm {
     /// Every rank sums the per-rank contributions in rank order, so all
     /// ranks compute bit-identical results — essential for keeping DDP
     /// replicas in lockstep without parameter broadcasts.
+    ///
+    /// # Panics
+    /// If the ranks' buffers differ in length.
     pub fn all_reduce_sum(&self, buf: &mut [f64]) {
         let parts = self.engine.all_gather("all_reduce_sum", buf.to_vec());
         self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
@@ -129,6 +132,9 @@ impl Comm {
     }
 
     /// Deterministic all-reduce (max).
+    ///
+    /// # Panics
+    /// If the ranks' buffers differ in length.
     pub fn all_reduce_max(&self, buf: &mut [f64]) {
         let parts = self.engine.all_gather("all_reduce_max", buf.to_vec());
         self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
@@ -169,6 +175,9 @@ impl Comm {
     /// buffers mean "no traffic to that peer" (the paper's Neighbor-AllToAll
     /// trick of passing `torch.empty(0)` for non-neighbours). Returns
     /// `recv[src]`, the buffer sent to this rank by rank `src`.
+    ///
+    /// # Panics
+    /// If `send` does not hold one buffer per rank.
     pub fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         assert_eq!(
             send.len(),
@@ -190,6 +199,9 @@ impl Comm {
     }
 
     /// Point-to-point send (buffered, never blocks).
+    ///
+    /// # Panics
+    /// If `dst` is not a rank of this world.
     pub fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         self.count_send(&data);
@@ -199,6 +211,10 @@ impl Comm {
     /// Blocking receive from `src`; the next message's tag must equal `tag`
     /// (matching is FIFO per peer, so a mismatch means the program's
     /// communication schedules diverged).
+    ///
+    /// # Panics
+    /// If `src` is not a rank of this world, or the next message's tag is
+    /// not `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> Vec<f64> {
         assert!(src < self.size(), "recv from invalid rank {src}");
         let seq = self.engine.irecv(src);
@@ -212,6 +228,9 @@ impl Comm {
     /// and a wait-able [`SendRequest`] is returned. In memory the request
     /// completes at once; over a stream it completes once the writer
     /// thread has handed the frame to the OS.
+    ///
+    /// # Panics
+    /// If `dst` is not a rank of this world.
     pub fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> SendRequest {
         assert!(dst < self.size(), "isend to invalid rank {dst}");
         self.count_send(&data);
@@ -224,6 +243,9 @@ impl Comm {
     /// receives the message matching its posting position). Every posted
     /// request must eventually be waited on the posting rank, or its
     /// matched message is lost.
+    ///
+    /// # Panics
+    /// If `src` is not a rank of this world.
     pub fn irecv(&self, src: usize, tag: u32) -> RecvRequest {
         assert!(src < self.size(), "irecv from invalid rank {src}");
         RecvRequest {

@@ -8,6 +8,11 @@
 //! the re-exec argv (via `reexec_scope`), so child ranks re-run exactly
 //! that test, replay the launches before theirs, and join.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};

@@ -10,6 +10,11 @@
 //! test instead starts every rank itself, as `docs/DISTRIBUTED.md`'s
 //! "Running across machines" does.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
 use std::process::{Command, Stdio};

@@ -186,6 +186,9 @@ impl HaloContext {
     }
 
     /// Non-collective constructor for single-rank (R = 1) use.
+    ///
+    /// # Panics
+    /// If `comm` spans more than one rank.
     pub fn single(comm: Comm) -> Self {
         assert_eq!(comm.size(), 1, "single() is only for R = 1 worlds");
         HaloContext {
@@ -303,7 +306,8 @@ pub fn halo_exchange_apply(a: &Tensor, graph: &LocalGraph, ctx: &HaloContext) ->
 fn pack(a: &Tensor, graph: &LocalGraph, nis: Range<usize>, min_len: usize) -> Vec<f64> {
     let ids = &graph.halo.send_ids[nis];
     let len = (ids.iter().map(Vec::len).sum::<usize>() * a.cols()).max(min_len);
-    // detlint: allow(hotpath-reachability, "owned-Vec wire contract: the comm API takes each message by value and the receiver keeps it, so a fresh send buffer per message is the protocol")
+    // A fresh buffer per message: the comm API takes each message by
+    // value and the receiver keeps it.
     let mut buf = Vec::with_capacity(len);
     for &lid in ids.iter().flatten() {
         buf.extend_from_slice(a.row(lid));
@@ -372,6 +376,10 @@ fn all_gather(a: &mut Tensor, graph: &LocalGraph, comm: &Comm, offsets: &[usize]
 /// The coalesced plan's collective setup: every rank publishes, for each
 /// of its neighbours, the node offset of that neighbour's block within its
 /// own fused buffer; each rank keeps the entries addressed to itself.
+#[expect(
+    clippy::expect_used,
+    reason = "halo plans are symmetric: every neighbour's table lists this rank"
+)]
 fn peer_offsets(comm: &Comm, graph: &LocalGraph) -> Arc<[usize]> {
     // Flat (neighbour, node-offset) pairs describing *our* fused layout.
     let table = graph

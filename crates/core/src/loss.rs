@@ -29,7 +29,6 @@ impl CustomOp for AllReduceSumOp {
     }
 
     fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        // detlint: allow(hotpath-reachability, "CustomOp::backward returns owned gradients by contract; this one is a 1x1 scalar")
         vec![Some(grad_out.clone())]
     }
 }
@@ -46,6 +45,9 @@ pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
 /// and `target`. Collective: every rank must call it at the same point.
 /// Returns the scalar loss variable; its value is identical on all ranks
 /// and equal to the R=1 MSE of the un-partitioned graph.
+///
+/// # Panics
+/// If `target` is not `[n_local, F_y]` or `pred` differs from it in shape.
 pub fn consistent_mse(
     tape: &mut Tape,
     pred: VarId,

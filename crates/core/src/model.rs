@@ -153,7 +153,6 @@ impl ConsistentGnn {
     /// window has closed by then — except the `(x, e)` later layers read,
     /// so the pass holds one layer's values at a time. A training
     /// recording keeps them all for its backward pass.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
         tape: &mut Tape,

@@ -69,7 +69,6 @@ impl CustomOp for HaloSyncOp {
     }
 
     fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        // detlint: allow(hotpath-reachability, "one 1-element Vec per halo-sync backward, amortized over the whole layer's gradient work")
         vec![Some(halo_exchange_apply(grad_out, &self.graph, &self.ctx))]
     }
 }
@@ -103,7 +102,6 @@ fn halo_sync_then(
     }
     let value = tape.value_copy(a);
     let a_star = tape.custom(
-        // detlint: allow(hotpath-reachability, "1-element parent list per halo-sync record; the tape API takes an owned Vec")
         vec![a],
         value,
         Box::new(HaloSyncOp {
@@ -185,7 +183,6 @@ impl ConsistentMpLayer {
     /// them, and only the *boundary* rows wait for the halos. Every kernel
     /// involved is row-local, so the reassembled output is bit-identical
     /// to the blocking Send-Recv schedule.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
         tape: &mut Tape,

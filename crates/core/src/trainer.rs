@@ -204,6 +204,9 @@ impl Trainer {
     /// sample order, same size), which is what [`EpochSchedule`]
     /// guarantees. A single-sample batch is bit-identical to
     /// [`Trainer::step`].
+    ///
+    /// # Panics
+    /// If `batch` is empty.
     pub fn step_batch(&mut self, batch: &[&RankData]) -> f64 {
         assert!(!batch.is_empty(), "empty mini-batch");
         let mut loss_sum = 0.0;
@@ -309,6 +312,9 @@ impl Trainer {
 
     /// Mean consistent loss of the current parameters over every sample of
     /// a dataset, in canonical (unshuffled) order. No updates. Collective.
+    ///
+    /// # Panics
+    /// If `samples` is empty.
     pub fn eval_mean_loss(&self, samples: &[RankData]) -> f64 {
         assert!(!samples.is_empty(), "empty dataset");
         samples.iter().map(|d| self.eval_loss(d)).sum::<f64>() / samples.len() as f64

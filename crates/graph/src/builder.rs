@@ -97,6 +97,10 @@ fn build_rank_graph(
     }
     gids.sort_unstable();
     gids.dedup();
+    #[expect(
+        clippy::expect_used,
+        reason = "`gids` holds every node of the rank's elements, so each edge end is found"
+    )]
     let lid_of = |gid: u64| -> usize { gids.binary_search(&gid).expect("gid must be local") };
 
     let pos: Vec<[f64; 3]> = gids.iter().map(|&g| mesh.node_pos(g)).collect();
@@ -165,11 +169,7 @@ fn build_rank_graph(
         }
     }
     // BTreeMap keys iterate ascending — neighbor order is sorted for free.
-    let neighbors: Vec<usize> = shared_per_rank.keys().copied().collect();
-    let send_ids: Vec<Vec<usize>> = neighbors
-        .iter()
-        .map(|s| shared_per_rank.remove(s).expect("key present"))
-        .collect();
+    let (neighbors, send_ids): (Vec<usize>, Vec<Vec<usize>>) = shared_per_rank.into_iter().unzip();
 
     let (interior_rows, boundary_rows) = split_interior_boundary(gids.len(), &send_ids);
     let g = LocalGraph {

@@ -34,6 +34,9 @@ pub fn node_noise_features(g: &LocalGraph, noise: &GidNoise, dim: usize) -> Vec<
 /// Assemble the 7-dimensional edge features from node features (`[n, fx]`
 /// row-major with `fx = 3`) and the stored edge displacements:
 /// `[x_j - x_i, dx, dy, dz, |d|]` per directed edge, row-major `[n_edges, 7]`.
+///
+/// # Panics
+/// If `fx` is not 3 or `node_feats` is not `[n_local, fx]`.
 pub fn edge_features(g: &LocalGraph, node_feats: &[f64], fx: usize) -> Vec<f64> {
     assert_eq!(fx, NODE_FEATS, "paper edge features assume 3 node features");
     assert_eq!(

@@ -103,6 +103,9 @@ impl LocalGraph {
     }
 
     /// Basic structural sanity checks; used by tests and debug builds.
+    ///
+    /// # Panics
+    /// On the first invariant that does not hold.
     pub fn validate(&self) {
         let n = self.n_local();
         assert_eq!(self.pos.len(), n);

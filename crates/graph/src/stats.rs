@@ -40,11 +40,14 @@ pub fn exact_stats(g: &LocalGraph) -> RankGraphStats {
 }
 
 /// Summarize per-rank stats into (min, max, avg) triples.
+///
+/// # Panics
+/// If `stats` is empty.
 pub fn summarize(stats: &[RankGraphStats]) -> StatsSummary {
     assert!(!stats.is_empty());
     let reduce = |f: fn(&RankGraphStats) -> usize| {
-        let min = stats.iter().map(f).min().expect("non-empty");
-        let max = stats.iter().map(f).max().expect("non-empty");
+        let min = stats.iter().map(f).min().unwrap_or_default();
+        let max = stats.iter().map(f).max().unwrap_or_default();
         let avg = stats.iter().map(f).sum::<usize>() as f64 / stats.len() as f64;
         (min, max, avg)
     };

@@ -32,6 +32,10 @@ pub struct BoxMesh {
 impl BoxMesh {
     /// Mesh with `ex x ey x ez` elements of polynomial order `p` covering a
     /// box of side lengths `(lx, ly, lz)`.
+    ///
+    /// # Panics
+    /// If a count, `p` or a length is not positive, or `periodic` has an axis
+    /// of one element.
     pub fn new(
         (ex, ey, ez): (usize, usize, usize),
         p: usize,

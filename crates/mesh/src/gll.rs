@@ -20,6 +20,9 @@ impl GllRule {
     /// Interior nodes are the roots of `P'_p` (derivative of the Legendre
     /// polynomial), found by Newton iteration from Chebyshev-Gauss-Lobatto
     /// initial guesses; weights are `2 / (p (p+1) P_p(x)^2)`.
+    ///
+    /// # Panics
+    /// If `p` is zero.
     pub fn new(p: usize) -> Self {
         assert!(p >= 1, "GLL rule requires polynomial order >= 1");
         let n = p + 1;
@@ -42,7 +45,7 @@ impl GllRule {
             }
             nodes[i] = x;
         }
-        nodes.sort_by(|a, b| a.partial_cmp(b).expect("GLL nodes are finite"));
+        nodes.sort_by(f64::total_cmp);
         // Enforce exact antisymmetry (x_i = -x_{p-i}). Newton converges to
         // ~1 ulp but not necessarily bitwise-symmetric roots; downstream
         // rank-invariance arguments (edge displacements computed in

@@ -14,6 +14,10 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// The `rx x ry x rz` grid.
+    ///
+    /// # Panics
+    /// If a dimension is zero.
     pub fn new(rx: usize, ry: usize, rz: usize) -> Self {
         assert!(rx > 0 && ry > 0 && rz > 0, "layout dims must be positive");
         Layout { rx, ry, rz }
@@ -33,6 +37,13 @@ impl Layout {
     /// 3D block decomposition, as cubic as possible (like
     /// `MPI_Dims_create`): factorization of `r` minimizing the sum of
     /// per-rank block surface areas for an `ex x ey x ez` element grid.
+    ///
+    /// # Panics
+    /// If `r` is zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "`divisors(r)` holds 1 for every `r > 0`; `# Panics` covers `r == 0`"
+    )]
     pub fn block(r: usize, (ex, ey, ez): (usize, usize, usize)) -> Self {
         let mut best: Option<(f64, Layout)> = None;
         for rx in divisors(r) {
@@ -76,6 +87,9 @@ impl Layout {
 /// Quasi-uniform split of `n` items into `parts` contiguous ranges; the
 /// first `n % parts` ranges get one extra item. Returns range starts with a
 /// final sentinel (`len == parts + 1`).
+///
+/// # Panics
+/// If `parts` is zero.
 pub fn uniform_ranges(n: usize, parts: usize) -> Vec<usize> {
     assert!(parts > 0);
     let base = n / parts;
@@ -93,7 +107,7 @@ pub fn uniform_ranges(n: usize, parts: usize) -> Vec<usize> {
 
 /// Which part of a `uniform_ranges(n, parts)` split contains index `i`.
 pub fn range_of(starts: &[usize], i: usize) -> usize {
-    debug_assert!(i < *starts.last().expect("non-empty ranges"));
+    debug_assert!(starts.last().is_some_and(|&end| i < end));
     // Binary search for the last start <= i.
     match starts.binary_search(&i) {
         Ok(k) => k.min(starts.len() - 2),

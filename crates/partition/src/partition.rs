@@ -40,6 +40,9 @@ pub struct Partition {
 
 impl Partition {
     /// Decompose `mesh` onto `n_ranks` ranks with the given strategy.
+    ///
+    /// # Panics
+    /// If `n_ranks` is zero or exceeds the element count.
     pub fn new(mesh: &BoxMesh, n_ranks: usize, strategy: Strategy) -> Self {
         assert!(n_ranks > 0, "need at least one rank");
         assert!(
@@ -72,6 +75,9 @@ impl Partition {
     }
 
     /// Structured decomposition from an explicit process grid.
+    ///
+    /// # Panics
+    /// If `layout` does not fit the element grid.
     pub fn structured(mesh: &BoxMesh, layout: Layout) -> Self {
         let (ex, ey, ez) = mesh.elem_counts();
         assert!(

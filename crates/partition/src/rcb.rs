@@ -25,6 +25,10 @@ pub fn rcb_partition(mesh: &BoxMesh, n_ranks: usize) -> Vec<u32> {
 /// Recursively split `ids` into `parts` groups, assigning ranks starting at
 /// `rank0`. Splits are proportional (`floor(parts/2) : ceil(parts/2)`) so
 /// odd rank counts stay balanced.
+#[expect(
+    clippy::expect_used,
+    reason = "centroids and their extents are finite, and `0..3` is not empty"
+)]
 fn bisect(
     centroids: &[[f64; 3]],
     ids: &mut [usize],

@@ -42,9 +42,7 @@ pub fn measure_single_rank(config: GnnConfig, elems: usize, p: usize, iters: usi
             trainer.step(&data);
         }
         start.elapsed().as_secs_f64()
-    })
-    .pop()
-    .expect("one result");
+    })[0];
     let seconds_per_iter = secs / iters as f64;
     Calibration {
         nodes,

@@ -105,10 +105,7 @@ pub fn cubic_layout(r: usize) -> Layout {
                 continue;
             }
             let rz = rest / ry;
-            let dims = [rx, ry, rz];
-            let hi = dims.iter().max().expect("dims is a fixed 3-element array");
-            let lo = dims.iter().min().expect("dims is a fixed 3-element array");
-            let score = hi - lo;
+            let score = rx.max(ry).max(rz) - rx.min(ry).min(rz);
             if score < best_score {
                 best_score = score;
                 best = Layout::new(rx, ry, rz);
@@ -257,6 +254,9 @@ pub fn paper_sweep(machine: &MachineModel) -> Vec<ScalingSeries> {
 
 /// Throughput of `series` relative to the matching no-exchange baseline
 /// (paper Fig. 8).
+///
+/// # Panics
+/// If the two series were taken at different rank counts.
 pub fn relative_throughput(series: &ScalingSeries, baseline: &ScalingSeries) -> Vec<f64> {
     assert_eq!(series.points.len(), baseline.points.len());
     series

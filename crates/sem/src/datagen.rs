@@ -28,6 +28,9 @@ impl SnapshotStream {
     /// snapshot with its successor. The trajectory is continuous — pair
     /// `k`'s target is pair `k+1`'s input — so the stream samples one
     /// physical decay at `n_pairs + 1` distinct times.
+    ///
+    /// # Panics
+    /// If `n_pairs` is zero.
     pub fn tgv_diffusion(
         mesh: &BoxMesh,
         nu: f64,
@@ -71,40 +74,9 @@ impl SnapshotStream {
         SnapshotStream { n_nodes, pairs }
     }
 
-    /// Wrap hand-built gid-major snapshot pairs (each buffer `n_nodes * 3`).
-    ///
-    /// # Panics
-    /// If `pairs` is empty or any buffer has the wrong length.
-    pub fn from_pairs(n_nodes: usize, pairs: Vec<(Vec<f64>, Vec<f64>)>) -> Self {
-        assert!(!pairs.is_empty(), "a stream needs at least one pair");
-        for (i, (x, y)) in pairs.iter().enumerate() {
-            assert_eq!(x.len(), n_nodes * 3, "pair {i}: input buffer length");
-            assert_eq!(y.len(), n_nodes * 3, "pair {i}: target buffer length");
-        }
-        SnapshotStream { n_nodes, pairs }
-    }
-
-    /// Number of `(input, target)` samples in the stream.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the stream holds no samples (constructors forbid this, so
-    /// only reachable through `Default`-less manual surgery — provided for
-    /// clippy's `len_without_is_empty` convention).
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
     /// Unique global nodes each snapshot covers.
     pub fn n_nodes(&self) -> usize {
         self.n_nodes
-    }
-
-    /// Sample `i` as gid-major `(input, target)` buffer slices.
-    pub fn pair(&self, i: usize) -> (&[f64], &[f64]) {
-        let (x, y) = &self.pairs[i];
-        (x, y)
     }
 
     /// Consume the stream into its raw gid-major pairs (what
@@ -122,27 +94,16 @@ mod tests {
     fn stream_pairs_chain_one_continuous_trajectory() {
         let mesh = BoxMesh::tgv_cube(2, 2);
         let stream = SnapshotStream::tgv_diffusion(&mesh, 0.5, 1e-4, 20, 4);
-        assert_eq!(stream.len(), 4);
         assert_eq!(stream.n_nodes(), mesh.num_global_nodes());
+        let pairs = stream.into_pairs();
+        assert_eq!(pairs.len(), 4);
         let energy = |s: &[f64]| -> f64 { s.iter().map(|v| v * v).sum() };
-        for k in 0..stream.len() {
-            let (x, y) = stream.pair(k);
+        for (k, (x, y)) in pairs.iter().enumerate() {
             assert_eq!(x.len(), mesh.num_global_nodes() * 3);
             assert!(energy(y) < energy(x), "diffusion must decay pair {k}");
-            if k + 1 < stream.len() {
-                assert_eq!(y, stream.pair(k + 1).0, "pairs must chain");
+            if let Some((next, _)) = pairs.get(k + 1) {
+                assert_eq!(y, next, "pairs must chain");
             }
         }
-    }
-
-    #[test]
-    fn from_pairs_validates_buffer_lengths() {
-        let ok = SnapshotStream::from_pairs(2, vec![(vec![0.0; 6], vec![1.0; 6])]);
-        assert_eq!(ok.len(), 1);
-        assert!(!ok.is_empty());
-        let bad = std::panic::catch_unwind(|| {
-            SnapshotStream::from_pairs(2, vec![(vec![0.0; 5], vec![1.0; 6])])
-        });
-        assert!(bad.is_err(), "short input buffer must be rejected");
     }
 }

@@ -44,11 +44,21 @@ impl GatherScatter {
 
     /// Dense row index of a gid.
     #[inline]
+    ///
+    /// # Panics
+    /// If `gid` is not a node of the mesh.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass gids of this mesh; `# Panics` covers any other"
+    )]
     pub fn row_of(&self, gid: u64) -> usize {
         self.gids.binary_search(&gid).expect("gid in mesh")
     }
 
     /// Sum all element-local copies into a global vector (`Q^T`).
+    ///
+    /// # Panics
+    /// If `local` does not hold one value per element-local slot.
     pub fn gather_sum(&self, local: &[f64]) -> Vec<f64> {
         assert_eq!(local.len(), self.slot_gid.len());
         let mut global = vec![0.0; self.n_global];
@@ -59,6 +69,9 @@ impl GatherScatter {
     }
 
     /// Copy a global vector out to every element-local slot (`Q`).
+    ///
+    /// # Panics
+    /// If `global` does not hold one value per mesh node.
     pub fn scatter(&self, global: &[f64]) -> Vec<f64> {
         assert_eq!(global.len(), self.n_global);
         self.slot_gid

@@ -56,6 +56,9 @@ impl DiffusionSolver {
     }
 
     /// Right-hand side `f(u) = -nu * M^{-1} (Q^T K^e Q u)`.
+    ///
+    /// # Panics
+    /// If `u` does not hold one value per mesh node.
     pub fn rhs(&self, u: &[f64]) -> Vec<f64> {
         assert_eq!(u.len(), self.gs.n_global);
         let local = self.gs.scatter(u);

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use cgnn_core::{ConsistentGnn, GnnConfig};
@@ -51,11 +51,11 @@ impl ControlShared {
 
     /// The currently published parameter set.
     pub fn current_params(&self) -> Arc<ParamSet> {
-        Arc::clone(&self.params.lock().expect("serve param slot poisoned"))
+        Arc::clone(&self.params.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     fn publish(&self, params: ParamSet, step: u64) {
-        *self.params.lock().expect("serve param slot poisoned") = Arc::new(params);
+        *self.params.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(params);
         self.model_step.store(step, Ordering::Release);
         // Bump last: a replica that observes the new generation is
         // guaranteed to read the new slot and step.
@@ -143,7 +143,10 @@ impl ControlPlane {
                 format!("unparsable checkpoint name: {}", path.display()),
             )
         })?;
-        let mut loaded = self.loaded_step.lock().expect("serve reload slot poisoned");
+        let mut loaded = self
+            .loaded_step
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if *loaded == Some(step) {
             return Ok(serving);
         }
@@ -164,7 +167,7 @@ impl ControlPlane {
         self: &Arc<Self>,
         poll: Duration,
         stats: Arc<ServeStats>,
-    ) -> std::thread::JoinHandle<()> {
+    ) -> std::io::Result<std::thread::JoinHandle<()>> {
         let plane = Arc::clone(self);
         std::thread::Builder::new()
             .name("cgnn-serve-watch".to_string())
@@ -189,7 +192,6 @@ impl ControlPlane {
                     }
                 }
             })
-            .expect("failed to spawn the checkpoint watcher thread")
     }
 }
 

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cgnn_comm::LoopbackBackend;
@@ -68,6 +68,9 @@ impl ReplicaPool {
     /// `queue_cap` requests. Zero replicas is a valid (test)
     /// configuration: the queue accepts `queue_cap` requests and then
     /// rejects.
+    ///
+    /// # Panics
+    /// If `queue_cap` is zero.
     pub fn spawn(
         graph: Arc<LocalGraph>,
         config: GnnConfig,
@@ -75,7 +78,7 @@ impl ReplicaPool {
         stats: Arc<ServeStats>,
         replicas: usize,
         queue_cap: usize,
-    ) -> ReplicaPool {
+    ) -> std::io::Result<ReplicaPool> {
         assert!(queue_cap > 0, "the request queue needs at least one slot");
         let (tx, rx) = mpsc::sync_channel(queue_cap);
         let rx = Arc::new(Mutex::new(rx));
@@ -88,14 +91,13 @@ impl ReplicaPool {
                 std::thread::Builder::new()
                     .name(format!("cgnn-serve-rep{i}"))
                     .spawn(move || replica_loop(graph, config, shared, stats, rx))
-                    .expect("failed to spawn a serve replica thread")
             })
-            .collect();
-        ReplicaPool {
+            .collect::<std::io::Result<_>>()?;
+        Ok(ReplicaPool {
             tx,
             _rx: rx,
             replicas: handles,
-        }
+        })
     }
 
     /// Clone of the bounded submission side of the queue.
@@ -105,6 +107,13 @@ impl ReplicaPool {
 
     /// Drop the submission side and join every replica. Queued requests
     /// are still served before the replicas exit (graceful drain).
+    ///
+    /// # Panics
+    /// If a replica panicked.
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicked replica makes joining it panic, as `# Panics` says"
+    )]
     pub fn shutdown(self) {
         drop(self.tx);
         drop(self._rx);
@@ -132,6 +141,10 @@ fn replica_loop(
         let published = shared.generation.load(Ordering::Acquire);
         if published != generation {
             let params = shared.current_params();
+            #[expect(
+                clippy::expect_used,
+                reason = "the control plane checks every checkpoint against this architecture before it publishes one"
+            )]
             cgnn_tensor::restore_into(&mut trainer.params, &params)
                 .expect("published parameters no longer match the served architecture");
             generation = published;
@@ -142,7 +155,7 @@ fn replica_loop(
         // generation stays fresh.
         let claimed = rx
             .lock()
-            .expect("serve queue mutex poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .recv_timeout(IDLE_TICK);
         match claimed {
             Ok(job) => {

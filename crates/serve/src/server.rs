@@ -24,7 +24,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cgnn_core::config as knobs;
@@ -189,10 +189,14 @@ impl Server {
             Arc::clone(&stats),
             config.replicas,
             config.queue_cap,
-        );
-        let watcher = config.ckpt_dir.is_some().then(|| {
-            control.spawn_watcher(Duration::from_millis(config.poll_ms), Arc::clone(&stats))
-        });
+        )?;
+        let watcher = config
+            .ckpt_dir
+            .is_some()
+            .then(|| {
+                control.spawn_watcher(Duration::from_millis(config.poll_ms), Arc::clone(&stats))
+            })
+            .transpose()?;
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -212,9 +216,8 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("cgnn-serve-http{i}"))
                     .spawn(move || worker_loop(router, conn_rx))
-                    .expect("failed to spawn an HTTP worker thread")
             })
-            .collect();
+            .collect::<std::io::Result<_>>()?;
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -235,8 +238,7 @@ impl Server {
                             Err(_) => continue,
                         }
                     }
-                })
-                .expect("failed to spawn the acceptor thread")
+                })?
         };
 
         Ok(Server {
@@ -287,6 +289,13 @@ impl Server {
 
     /// Block the calling thread until the acceptor exits (i.e. forever,
     /// for a server that is never shut down).
+    ///
+    /// # Panics
+    /// If the acceptor thread panicked.
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicked server thread makes joining it panic, as `# Panics` says"
+    )]
     pub fn join(mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join().expect("the acceptor thread panicked");
@@ -295,6 +304,13 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, refuse new `/predict` work,
     /// serve everything already queued, then join every thread.
+    ///
+    /// # Panics
+    /// If a server thread panicked.
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicked server thread makes joining it panic, as `# Panics` says"
+    )]
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::Release);
         self.shared.shutdown.store(true, Ordering::Release);
@@ -330,7 +346,7 @@ fn worker_loop(router: Router, conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
             return;
         }
         let stream = {
-            let rx = conn_rx.lock().expect("serve accept mutex poisoned");
+            let rx = conn_rx.lock().unwrap_or_else(PoisonError::into_inner);
             match rx.recv_timeout(READ_TICK) {
                 Ok(s) => s,
                 Err(mpsc::RecvTimeoutError::Timeout) => continue,
@@ -365,6 +381,10 @@ type Owed = (Pending, bool);
 /// admits, a scoped writer answers in request order. A request is
 /// therefore queued for the replicas when it reaches the socket, whatever
 /// replies the connection is still owed.
+#[expect(
+    clippy::expect_used,
+    reason = "a panicking writer fails the connection's thread scope either way"
+)]
 fn handle_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TICK))?;

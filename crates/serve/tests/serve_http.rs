@@ -3,6 +3,11 @@
 //! concurrent load, queue-overflow backpressure, admission on arrival, and
 //! startup refusing an invalid configuration.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -49,11 +49,15 @@ impl RankHandle {
 
     /// This rank's materialized dataset, or a panic pointing at the
     /// builder method that configures one.
-    fn dataset(&self) -> Arc<RankDataset> {
-        Arc::clone(self.dataset.as_ref().expect(
+    #[expect(
+        clippy::expect_used,
+        reason = "the public callers' `# Panics` sections state it"
+    )]
+    fn dataset(&self) -> &Arc<RankDataset> {
+        self.dataset.as_ref().expect(
             "this session has no dataset: configure one with \
              Session::builder().dataset(..)",
-        ))
+        )
     }
 
     /// This rank's index.
@@ -134,8 +138,12 @@ impl RankHandle {
     /// # Panics
     /// If the session has no dataset, or a periodic checkpoint write
     /// fails.
+    #[expect(
+        clippy::expect_used,
+        reason = "a failed periodic checkpoint write stops training, as `# Panics` says"
+    )]
     pub fn train_epochs(&mut self, epochs: u64) -> Vec<EpochReport> {
-        let ds = self.dataset();
+        let ds = Arc::clone(self.dataset());
         let spe = ds.schedule.steps_per_epoch();
         let policy = if self.rank() == 0 {
             self.ckpt_policy.clone()
@@ -166,7 +174,7 @@ impl RankHandle {
     /// # Panics
     /// If the session has no dataset.
     pub fn eval_dataset(&self) -> f64 {
-        let ds = self.dataset();
+        let ds = Arc::clone(self.dataset());
         self.trainer.eval_mean_loss(&ds.samples)
     }
 
@@ -188,11 +196,7 @@ impl RankHandle {
     /// # Panics
     /// If the session has no dataset or `i` is out of range.
     pub fn dataset_sample(&self, i: usize) -> &RankData {
-        let ds = self.dataset.as_ref().expect(
-            "this session has no dataset: configure one with \
-             Session::builder().dataset(..)",
-        );
-        &ds.samples[i]
+        &self.dataset().samples[i]
     }
 
     /// Consistent loss of the current parameters, no update. Collective.

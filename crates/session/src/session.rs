@@ -84,7 +84,6 @@ impl Session {
         SessionBuilder::default()
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assembled(
         mesh: Arc<BoxMesh>,
         partition: Option<Partition>,
@@ -273,6 +272,11 @@ impl Session {
     /// with its graph, halo context, and trainer already wired — freshly
     /// seeded, or restored from the checkpoint for sessions produced by
     /// [`Session::restore`].
+    #[expect(
+        clippy::expect_used,
+        clippy::missing_panics_doc,
+        reason = "`Session::restore` validated the checkpoint against this config, so restoring it cannot fail"
+    )]
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,

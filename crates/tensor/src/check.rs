@@ -36,6 +36,9 @@ pub fn finite_difference_grad(
 /// Maximum relative error between two flat gradient vectors, flooring the
 /// denominator to avoid blow-ups on tiny entries. A NaN on either side
 /// makes the result NaN, so `< bound` fails.
+///
+/// # Panics
+/// If the lengths differ.
 pub fn max_rel_error(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "gradient length mismatch");
     a.iter()

@@ -81,7 +81,6 @@ impl ParamSet {
 
     /// Flatten all parameters into a single vector (for checksums/tests).
     pub fn flatten(&self) -> Vec<f64> {
-        // detlint: allow(hotpath-reachability, "checkpoint/diagnostic path, called once per save or assertion — not the per-step training loop")
         let mut out = Vec::with_capacity(self.num_scalars());
         for t in &self.tensors {
             out.extend_from_slice(t.data());
@@ -90,6 +89,9 @@ impl ParamSet {
     }
 
     /// Overwrite all parameters from a flat vector (inverse of `flatten`).
+    ///
+    /// # Panics
+    /// If `flat.len()` is not [`ParamSet::num_scalars`].
     pub fn unflatten(&mut self, flat: &[f64]) {
         let mut off = 0;
         for t in &mut self.tensors {

@@ -106,6 +106,9 @@ impl Adam {
 
     /// Reinstall a snapshot taken by [`Adam::state`]; the next step resumes
     /// exactly where the snapshot left off.
+    ///
+    /// # Panics
+    /// If `state.m` and `state.v` differ in length.
     pub fn set_state(&mut self, state: AdamState) {
         assert_eq!(
             state.m.len(),
@@ -117,6 +120,10 @@ impl Adam {
         self.v = state.v;
     }
 
+    /// One Adam update of `params` from `grads`, one gradient per parameter.
+    ///
+    /// # Panics
+    /// If `grads` and `params` differ in length.
     pub fn step(&mut self, params: &mut ParamSet, grads: &[Tensor]) {
         assert_eq!(grads.len(), params.len(), "adam grad count mismatch");
         if self.m.is_empty() {

@@ -37,6 +37,9 @@ const CKPT_VERSION: u32 = 2;
 /// Bounds on length fields, enforced *before* allocating: a corrupted
 /// count must become an `InvalidData` error, not an OOM abort.
 const MAX_TENSOR_ELEMS: u64 = 1 << 26;
+/// Elements read (and reserved) per step of [`read_tensor`]: 64 KiB, so a
+/// claimed length reserves memory only as its bytes arrive.
+const READ_CHUNK_ELEMS: usize = 64 * 1024 / 8;
 const MAX_NAME_LEN: u32 = 1 << 16;
 const MAX_ITEM_COUNT: u32 = 1 << 20;
 
@@ -138,11 +141,17 @@ fn read_tensor<R: Read>(r: &mut R) -> io::Result<Tensor> {
                 format!("implausible tensor shape {rows}x{cols} (corrupted checkpoint?)"),
             )
         })?;
-    let mut data = Vec::with_capacity(elems as usize);
-    let mut buf = [0u8; 8];
-    for _ in 0..elems {
-        r.read_exact(&mut buf)?;
-        data.push(f64::from_le_bytes(buf));
+    let elems = elems as usize;
+    let mut data = Vec::with_capacity(elems.min(READ_CHUNK_ELEMS));
+    let mut bytes = vec![0u8; 8 * elems.min(READ_CHUNK_ELEMS)];
+    while data.len() < elems {
+        let chunk = &mut bytes[..8 * (elems - data.len()).min(READ_CHUNK_ELEMS)];
+        r.read_exact(chunk)?;
+        data.extend(
+            chunk
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])),
+        );
     }
     Ok(Tensor::from_vec(rows as usize, cols as usize, data))
 }
@@ -181,7 +190,12 @@ pub fn read_params<R: Read>(mut r: R) -> io::Result<ParamSet> {
 /// writer, appending an FNV-1a-64 checksum of every preceding byte so
 /// torn writes and flipped bits are detectable at load time.
 pub fn write_checkpoint<W: Write>(params: &ParamSet, opt: &AdamState, w: W) -> io::Result<()> {
-    assert_eq!(opt.m.len(), opt.v.len(), "adam state moment count mismatch");
+    if opt.m.len() != opt.v.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "adam state moment count mismatch",
+        ));
+    }
     let mut w = HashingWriter::new(w);
     w.write_all(CKPT_MAGIC)?;
     w.write_all(&CKPT_VERSION.to_le_bytes())?;
@@ -445,6 +459,15 @@ mod tests {
                 buf.len()
             );
         }
+        // A tensor that claims the largest shape allowed and ends after one
+        // element is a truncated stream too.
+        let rows_at = 4 + 4 + 4 + 4 + 4 + 4 + params.name(crate::nn::ParamId(0)).len();
+        let mut head = buf[..rows_at].to_vec();
+        head.extend_from_slice(&MAX_TENSOR_ELEMS.to_le_bytes());
+        head.extend_from_slice(&1u64.to_le_bytes());
+        head.extend_from_slice(&1.0f64.to_le_bytes());
+        let err = read_checkpoint(head.as_slice()).expect_err("a claimed tensor must not decode");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

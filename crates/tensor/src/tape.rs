@@ -353,7 +353,14 @@ impl Tape {
     /// node recorded since [`Tape::begin_row_mask`], in recording order.
     /// Together the mask rows and `complement` must cover every output row
     /// that is ever read (in practice: they partition the row space).
+    ///
+    /// # Panics
+    /// If no row mask is active.
     pub fn end_row_mask(&mut self, complement: &[usize]) {
+        #[expect(
+            clippy::expect_used,
+            reason = "closing a mask that was never opened is a recording bug, as `# Panics` says"
+        )]
         let mask = self.mask.take().expect("no row mask active");
         for i in mask.first_node..self.nodes.len() {
             let (before, rest) = self.nodes.split_at_mut(i);
@@ -529,6 +536,9 @@ impl Tape {
     }
 
     /// `a + b` elementwise.
+    ///
+    /// # Panics
+    /// Under a row mask, or if the shapes differ.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         self.assert_unmasked("add");
         let buf = self.pool.take(self.value(a).len());
@@ -542,6 +552,9 @@ impl Tape {
     }
 
     /// `a - b` elementwise.
+    ///
+    /// # Panics
+    /// Under a row mask, or if the shapes differ.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
         self.assert_unmasked("sub");
         let buf = self.pool.take(self.value(a).len());
@@ -555,6 +568,9 @@ impl Tape {
     }
 
     /// `a ⊙ b` elementwise product.
+    ///
+    /// # Panics
+    /// Under a row mask, or if the shapes differ.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
         self.assert_unmasked("mul");
         let buf = self.pool.take(self.value(a).len());
@@ -568,6 +584,9 @@ impl Tape {
     }
 
     /// Broadcast-add a `[1, n]` bias row to every row of `a`.
+    ///
+    /// # Panics
+    /// Under a row mask, or if `bias` is not `[1, a.cols]`.
     pub fn add_row(&mut self, a: VarId, bias: VarId) -> VarId {
         self.assert_unmasked("add_row");
         let buf = self.pool.take(self.value(a).len());
@@ -787,6 +806,9 @@ impl Tape {
     /// every gradient, but without storing the layer norm's output, which
     /// only the add would read. Row-separable, so it may be recorded under
     /// a row mask.
+    ///
+    /// # Panics
+    /// If `res` and `x` differ in shape, or `gamma`/`beta` are not `[1, F]`.
     pub fn layer_norm_add(
         &mut self,
         x: VarId,
@@ -830,6 +852,9 @@ impl Tape {
 
     /// Scalar `sum_i w[i] * sum_j a[i,j]^2` with constant row weights — the
     /// building block of the paper's consistent MSE (Eq. 6b).
+    ///
+    /// # Panics
+    /// Under a row mask, or if `weights.len()` is not `a`'s row count.
     pub fn weighted_sq_sum(&mut self, a: VarId, weights: Arc<Vec<f64>>) -> VarId {
         self.assert_unmasked("weighted_sq_sum");
         let va = self.value(a);
@@ -868,6 +893,9 @@ impl Tape {
     /// draw from the tape's buffer pool; hand them back with
     /// [`Tape::recycle`] once consumed to keep steady-state steps
     /// allocation-free.
+    ///
+    /// # Panics
+    /// On a forward-only recording, under an open row mask, or if `root` is not `1x1`.
     pub fn backward(&mut self, root: VarId) -> Gradients {
         assert!(
             !self.forward_only,
@@ -1387,7 +1415,6 @@ fn col_sums(pool: &mut BufPool, g: &Tensor) -> Tensor {
 /// `each(first_row, rows, t)`. Every sum keeps the serial row order of the
 /// whole-tensor products, so the gradients are their bits, and the
 /// `[rows, h]` tensor `t` is never stored. Returns the bias gradient.
-#[allow(clippy::too_many_arguments)]
 fn dense_adjoint(
     pool: &mut BufPool,
     g: &Tensor,

@@ -54,6 +54,9 @@ impl Tensor {
     }
 
     /// Build from an existing buffer; `data.len()` must equal `rows * cols`.
+    ///
+    /// # Panics
+    /// If `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
             data.len(),
@@ -170,12 +173,18 @@ impl Tensor {
     }
 
     /// Value of a 1x1 tensor.
+    ///
+    /// # Panics
+    /// If `self` is not `1x1`.
     pub fn item(&self) -> f64 {
         assert_eq!(self.shape(), (1, 1), "item() requires a 1x1 tensor");
         self.data[0]
     }
 
     /// `self += other` elementwise; shapes must match.
+    ///
+    /// # Panics
+    /// If the shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
@@ -184,6 +193,9 @@ impl Tensor {
     }
 
     /// Overwrite `out` with a copy of `self` (shapes must already match).
+    ///
+    /// # Panics
+    /// If the shapes differ.
     pub fn copy_into(&self, out: &mut Tensor) {
         assert_eq!(self.shape(), out.shape(), "copy_into shape mismatch");
         out.data.copy_from_slice(&self.data);
@@ -216,6 +228,9 @@ impl Tensor {
     /// contracted) while each output element still sums its `k` terms in
     /// the serial order (bit-identical at any chunking). Rows are walked in
     /// chunks per `par.rs`.
+    ///
+    /// # Panics
+    /// If `self.cols != rhs.rows` or `out` is not `[self.rows, rhs.cols]`.
     pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -250,6 +265,9 @@ impl Tensor {
     /// sums its `k` terms in the serial `p` order (an `f64` passes through
     /// memory unchanged, so where a panel ends cannot alter a bit) —
     /// per-chunk sequential accumulation, no atomics.
+    ///
+    /// # Panics
+    /// If `self.rows != rhs.rows` or `out` is not `[self.cols, rhs.cols]`.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, rhs.rows,
@@ -271,6 +289,9 @@ impl Tensor {
     }
 
     /// [`Tensor::transpose`] writing into `out` (must be `[cols, rows]`).
+    ///
+    /// # Panics
+    /// If `out` is not `[cols, rows]`.
     pub fn transpose_into(&self, out: &mut Tensor) {
         assert_eq!(
             out.shape(),
@@ -401,6 +422,9 @@ impl Tensor {
     /// Maximum relative difference against another tensor, where the
     /// denominator floors at 1 to keep near-zero entries well behaved.
     /// A NaN on either side makes the result NaN, so `< bound` fails.
+    ///
+    /// # Panics
+    /// If the shapes differ.
     pub fn max_rel_diff(&self, other: &Tensor) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_rel_diff shape mismatch");
         self.data
@@ -495,7 +519,6 @@ fn exp_nonpos(x: f64) -> f64 {
 /// arithmetic and no per-term bounds check. At these sizes the operands
 /// sit in L1/L2 and the loop is bound by issue slots, which per-term index
 /// work would take from the multiplies and adds.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_rows(
     a: &[f64],
     b: &[f64],
@@ -549,8 +572,11 @@ pub(crate) fn gemm_rows(
 
 /// Fixed `4 x 8` register tile of [`gemm_rows`]: accumulates 32 outputs in
 /// registers over the whole `k` loop, each in serial term order.
-#[allow(clippy::too_many_arguments)]
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "callers tile `n` in full 8-wide blocks, so every tile slice converts"
+)]
 fn gemm_tile_4x8(
     a: &[f64],
     b: &[f64],
@@ -668,8 +694,11 @@ pub(crate) fn tn_panel_rows(m: usize, n: usize) -> usize {
 /// `k`-row panel's terms to the tile of `chunk`, which stays in registers
 /// across the panel, each output element accumulating in the serial `p`
 /// order.
-#[allow(clippy::too_many_arguments)]
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "callers tile `m` in full 4-high and `n` in full 8-wide blocks, so every tile slice converts"
+)]
 fn gemm_tn_tile_4x8(
     a: &[f64],
     b: &[f64],
@@ -706,7 +735,6 @@ fn gemm_tn_tile_4x8(
 
 /// Scalar edge element of [`Tensor::matmul_tn_into`]: one panel's terms
 /// added to `chunk[i, j]`, same term order.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_tn_elem(
     a: &[f64],
@@ -728,7 +756,6 @@ fn gemm_tn_elem(
 
 /// Generic edge path of [`gemm_rows`]: one output row, columns
 /// `[j0, j0 + width)`, same per-element accumulation order as the tiles.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_row_generic(
     a: &[f64],

@@ -17,6 +17,11 @@
 //! hashes too, so a kernel change that moves a single bit fails here on
 //! any machine, not only in the cross-build diff.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::sync::Arc;
 
 use cgnn_tensor::{Mlp, ParamSet, Tape, Tensor};

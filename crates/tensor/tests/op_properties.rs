@@ -2,6 +2,11 @@
 //! identities of the kernels and adjoint correctness of the gather/scatter
 //! pair (the structural core of the consistent aggregation).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -6,6 +6,11 @@
 //! fixed row chunks, or a row mask with its closing backfill — gives the
 //! same bits, over odd shapes that straddle chunk and tile boundaries.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -12,6 +12,11 @@
 //! CGNN_BACKEND=serial cargo run --release --example halo_traffic   # same numbers
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message instead of threading errors through its walkthrough"
+)]
+
 use cgnn::prelude::*;
 
 fn main() {

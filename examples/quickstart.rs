@@ -6,6 +6,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message instead of threading errors through its walkthrough"
+)]
+
 use cgnn::prelude::*;
 
 fn main() {

@@ -10,6 +10,11 @@
 //! cargo run --release --example scaling_study
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message instead of threading errors through its walkthrough"
+)]
+
 use cgnn::perf::{paper_sweep, relative_throughput, Loading, MachineModel};
 use cgnn::prelude::*;
 

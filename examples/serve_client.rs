@@ -22,6 +22,11 @@
 //! CGNN_SERVE_ADDR=127.0.0.1:7878 cargo run --release --example serve_client
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message instead of threading errors through its walkthrough"
+)]
+
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
 

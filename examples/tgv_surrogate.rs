@@ -9,6 +9,11 @@
 //! cargo run --release --example tgv_surrogate
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message instead of threading errors through its walkthrough"
+)]
+
 use cgnn::core::config;
 use cgnn::prelude::*;
 

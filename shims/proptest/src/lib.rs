@@ -208,9 +208,10 @@ macro_rules! proptest {
     (@run ($cfg:expr) $($(#[$meta:meta])* fn $name:ident( $($arg:ident in $strat:expr),* $(,)? ) $body:block)*) => {
         $(
             $(#[$meta])*
-            // The immediately-called closure gives `prop_assert!`/
-            // `prop_assume!` an early-return scope per generated case.
-            #[allow(clippy::redundant_closure_call)]
+            #[allow(
+                clippy::redundant_closure_call,
+                reason = "the immediately-called closure gives `prop_assert!`/`prop_assume!` an early-return scope per generated case"
+            )]
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
                 let mut accepted: u32 = 0;

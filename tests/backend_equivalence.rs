@@ -14,6 +14,11 @@
 //! second launch deterministically replays the first in-process, rewriting
 //! the (atomically saved, byte-identical) checkpoint on its way.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::path::{Path, PathBuf};
 
 use cgnn::comm::reexec_scope;

@@ -13,6 +13,11 @@
 //! derived plans comes from the `CGNN_FAULT_SEED` knob so CI can replay
 //! any scenario.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 mod common;
 
 use std::path::PathBuf;

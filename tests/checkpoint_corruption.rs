@@ -5,6 +5,11 @@
 //! damaged file with a typed [`CorruptCheckpoint`] and fall back to the
 //! previous valid one; never panic, never return a corpse.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::path::PathBuf;
 
 use cgnn::prelude::*;

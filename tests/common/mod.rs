@@ -11,7 +11,10 @@
 //! the chaos suite and per-crate integration tests through
 //! `#[path = ...] mod common;`.
 
-#![allow(dead_code)] // each test binary uses the subset it needs
+#![allow(
+    dead_code,
+    reason = "each test binary uses a different subset, so no one `#[expect]` holds in every binary"
+)]
 
 use std::time::{Duration, Instant};
 

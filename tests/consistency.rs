@@ -26,6 +26,11 @@
 //! deviate, and that the R = 1 gradient is right against central finite
 //! differences.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once};
 

@@ -4,6 +4,11 @@
 //! mesh, slices the snapshots per rank and trains a consistent GNN — with
 //! the whole pipeline remaining partition-invariant.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use cgnn::prelude::{
     BoxMesh, Dataset, GnnConfig, HaloExchangeMode, Session, SnapshotStream, Strategy,
 };

@@ -4,6 +4,11 @@
 //! is **exact resume**: train k steps, checkpoint, resume — the combined
 //! trajectory equals the uninterrupted run bit for bit, on every backend.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use cgnn::prelude::*;
 
 const SEED: u64 = 23;

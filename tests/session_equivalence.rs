@@ -4,6 +4,11 @@
 //! accounting. That sessions train like the hand-wired pipeline, and every
 //! mode and backend like every other, is `tests/consistency.rs`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a failed setup step fails the test, and its message names the step"
+)]
+
 use cgnn::prelude::*;
 
 const SEED: u64 = 31;
