@@ -35,10 +35,10 @@
 //!
 //! # Fault injection
 //!
-//! A launch arms each rank's engine from its [`FaultPlan`]: the one
-//! fault scripted for `(attempt, rank)`, if any ([`ArmedFault`]), and the
-//! plan's receive stall deadline (never on a cooperative world, where a
-//! polling waiter would starve the sender it waits for). A rank with no
+//! A launch arms each rank's engine from its [`FaultPlan`]: the one kill
+//! scripted for `(attempt, rank)`, if any ([`ArmedFault`]). The engine
+//! strikes at the start of every comm op, before any frame is posted, so
+//! a kill at a barrier's index dies inside that barrier. A rank with no
 //! armed fault carries no fault state and counts nothing.
 
 use std::borrow::Cow;
@@ -46,9 +46,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::fault::{ArmedFault, FaultPlan, Op, RankFailure, Strike};
+use crate::fault::{ArmedFault, FaultPlan, RankFailure};
 use crate::knob::CGNN_FAULT_HEARTBEAT_MS;
 use crate::stats::RankStats;
 
@@ -113,13 +113,6 @@ pub(crate) trait Park: Send + Sync {
 
     /// `rank`'s closure returned or unwound (its `Bye`/`Dead` is out).
     fn rank_finished(&self, _rank: usize) {}
-
-    /// Whether ranks run one at a time and hand over control only inside
-    /// a *blocking* wait (the serial world's baton): nothing may then
-    /// poll for a peer's progress, because no peer runs until it blocks.
-    fn is_cooperative(&self) -> bool {
-        false
-    }
 }
 
 /// Condvar-with-heartbeat parking for worlds with real concurrency: a
@@ -130,33 +123,20 @@ pub(crate) struct Heartbeat(Duration);
 impl Heartbeat {
     /// The liveness probe period from [`CGNN_FAULT_HEARTBEAT_MS`]
     /// (default 25 ms).
+    ///
+    /// # Panics
+    ///
+    /// On a knob value that is not a non-negative integer (see
+    /// [`EnvKnob::usize_or`](crate::knob::EnvKnob::usize_or)).
     pub(crate) fn from_env() -> Arc<dyn Park> {
-        let raw = CGNN_FAULT_HEARTBEAT_MS.lookup();
-        Arc::new(Heartbeat(Duration::from_millis(heartbeat_ms(
-            raw.as_deref(),
-        ))))
+        Arc::new(Heartbeat(heartbeat(CGNN_FAULT_HEARTBEAT_MS.usize_or(25))))
     }
 }
 
-/// Parse the `CGNN_FAULT_HEARTBEAT_MS` value: 25 ms when unset, at least
-/// 1 ms.
-///
-/// # Panics
-///
-/// On a value that is not a non-negative integer, naming the knob: a
-/// mistyped heartbeat fails at launch rather than running on the default.
-fn heartbeat_ms(raw: Option<&str>) -> u64 {
-    let ms = match raw {
-        None => 25,
-        #[expect(
-            clippy::panic,
-            reason = "config error at startup: a mistyped knob value fails loudly, naming the knob, rather than running on the default"
-        )]
-        Some(v) => v.parse::<u64>().unwrap_or_else(|_| {
-            panic!("CGNN_FAULT_HEARTBEAT_MS must be a non-negative integer, got `{v}`")
-        }),
-    };
-    ms.max(1)
+/// The heartbeat period for a knob value of `ms`: at least 1 ms, so a
+/// zero never turns the park into a spin.
+fn heartbeat(ms: usize) -> Duration {
+    Duration::from_millis(ms.max(1) as u64)
 }
 
 impl Park for Heartbeat {
@@ -349,43 +329,6 @@ impl Mailbox {
 /// payload has left this rank, which disconnects the send's receiver.
 pub(crate) type SendDone = Sender<()>;
 
-/// An in-flight non-blocking send of [`Engine::isend`].
-pub(crate) enum PendingSend {
-    /// Complete once the carrier drops the token: at once over the
-    /// in-memory carrier, after the writer thread has handed the frame
-    /// to the OS over a stream.
-    Posted(Receiver<()>),
-    /// Deferred by [`FaultKind::DelaySend`](crate::FaultKind::DelaySend):
-    /// the payload leaves only on completion.
-    Delayed {
-        engine: Arc<Engine>,
-        dst: usize,
-        tag: u32,
-        data: Vec<f64>,
-    },
-    /// Swallowed by [`FaultKind::DropSend`](crate::FaultKind::DropSend).
-    Dropped,
-}
-
-impl PendingSend {
-    /// Block until the payload has left this rank.
-    pub(crate) fn complete(self) {
-        match self {
-            // Nothing is ever sent: this returns when the token is dropped.
-            PendingSend::Posted(gone) => {
-                let _ = gone.recv();
-            }
-            PendingSend::Delayed {
-                engine,
-                dst,
-                tag,
-                data,
-            } => engine.post(dst, KIND_P2P, tag as u64, "", data, None),
-            PendingSend::Dropped => {}
-        }
-    }
-}
-
 /// The in-memory carrier: every rank's mailbox is one `Arc` away.
 struct Memory(Vec<Arc<Mailbox>>);
 
@@ -405,11 +348,8 @@ pub(crate) struct Engine {
     /// This rank's own barrier generation counter.
     barrier_gen: AtomicU64,
     stats: RankStats,
-    /// The fault the launch's plan scripts for this rank, if any.
+    /// The kill the launch's plan scripts for this rank, if any.
     fault: Option<ArmedFault>,
-    /// Receive stall deadline of the plan; never set on a cooperative
-    /// world, whose deadlock supervisor bounds its stalls instead.
-    stall: Option<Duration>,
 }
 
 impl Engine {
@@ -422,10 +362,7 @@ impl Engine {
         plan: &FaultPlan,
         attempt: u32,
     ) -> Arc<Engine> {
-        let fault = plan
-            .armed_for(attempt, mailbox.rank)
-            .map(|f| ArmedFault::new(f.kind));
-        let stall = plan.stall().filter(|_| !mailbox.park.is_cooperative());
+        let fault = plan.armed_for(attempt, mailbox.rank).map(ArmedFault::new);
         Arc::new(Engine {
             label,
             mailbox,
@@ -433,7 +370,6 @@ impl Engine {
             barrier_gen: AtomicU64::new(0),
             stats: RankStats::default(),
             fault,
-            stall,
         })
     }
 
@@ -493,15 +429,11 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// With [`RankFailure::Killed`] when the armed fault's kill is due:
-    /// the rank declares itself dead and unwinds, and the session recovery
-    /// loop catches the `RankFailure`.
-    fn strike(&self, op: Op) -> Strike {
-        let Some(fault) = &self.fault else {
-            return Strike::Pass;
-        };
-        let strike = fault.strike(op);
-        if let Strike::Kill(op) = strike {
+    /// With [`RankFailure::Killed`] when the armed kill is due: the rank
+    /// declares itself dead and unwinds, and the session recovery loop
+    /// catches the `RankFailure`.
+    fn strike(&self) {
+        if let Some(op) = self.fault.as_ref().and_then(ArmedFault::strike) {
             self.mark_dead();
             #[expect(
                 clippy::panic,
@@ -512,7 +444,6 @@ impl Engine {
                 op,
             });
         }
-        strike
     }
 
     pub(crate) fn rank(&self) -> usize {
@@ -533,7 +464,7 @@ impl Engine {
 
     /// Block until every rank has entered the barrier.
     pub(crate) fn barrier(&self) {
-        self.strike(Op::Barrier);
+        self.strike();
         let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed) + 1;
         for p in self.others() {
             self.post(p, KIND_BARRIER, gen, "", Vec::new(), None);
@@ -548,7 +479,7 @@ impl Engine {
     /// collective: ranks in differently labeled gathers have diverged
     /// schedules and fail loudly.
     pub(crate) fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        self.strike(Op::Collective);
+        self.strike();
         for p in self.others() {
             self.post(p, KIND_GATHER, 0, label, data.clone(), None);
         }
@@ -574,7 +505,7 @@ impl Engine {
 
     /// Exchange `send[dst]` buffers; returns `recv[src]`.
     pub(crate) fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.strike(Op::Collective);
+        self.strike();
         let me = self.mailbox.rank;
         let mut mine = Vec::new();
         for (dst, buf) in send.into_iter().enumerate() {
@@ -602,35 +533,25 @@ impl Engine {
 
     /// Buffered point-to-point send; never blocks.
     pub(crate) fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
-        // A dropped send is swallowed: the receiver's stall deadline or
-        // the serial deadlock supervisor turns the hang into a failure.
-        if !matches!(self.strike(Op::Send), Strike::Drop) {
-            self.post(dst, KIND_P2P, tag as u64, "", data, None);
-        }
+        self.strike();
+        self.post(dst, KIND_P2P, tag as u64, "", data, None);
     }
 
-    /// Begin a non-blocking send.
-    pub(crate) fn isend(self: &Arc<Self>, dst: usize, tag: u32, data: Vec<f64>) -> PendingSend {
-        match self.strike(Op::Send) {
-            Strike::Drop => PendingSend::Dropped,
-            Strike::Delay => PendingSend::Delayed {
-                engine: Arc::clone(self),
-                dst,
-                tag,
-                data,
-            },
-            _ => {
-                let (done, gone) = channel();
-                self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
-                PendingSend::Posted(gone)
-            }
-        }
+    /// Begin a non-blocking send. The returned receiver disconnects once
+    /// the carrier drops the send's [`SendDone`]: at once over the
+    /// in-memory carrier, after the writer thread has handed the frame to
+    /// the OS over a stream.
+    pub(crate) fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Receiver<()> {
+        self.strike();
+        let (done, gone) = channel();
+        self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
+        gone
     }
 
     /// Post a receive for the next unmatched message from `src`; returns
     /// its matching sequence number for [`Engine::take`].
     pub(crate) fn irecv(&self, src: usize) -> u64 {
-        self.strike(Op::Recv);
+        self.strike();
         self.mailbox.lock()[src].posts.post()
     }
 
@@ -638,32 +559,10 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Under a stall deadline, with [`RankFailure::Stalled`] once it
-    /// passes; such a receive waits for its message or its deadline only.
-    /// Otherwise with [`RankFailure::PeerDead`] as [`Mailbox::wait_on`].
+    /// With [`RankFailure::PeerDead`] as [`Mailbox::wait_on`].
     pub(crate) fn take(&self, src: usize, seq: u64) -> P2pMsg {
-        let Some(deadline) = self.stall else {
-            return self
-                .mailbox
-                .wait_on(&[src], |peers| peers[src].posts.claim(seq));
-        };
-        let give_up = Instant::now() + deadline;
-        loop {
-            if let Some(msg) = self.mailbox.lock()[src].posts.claim(seq) {
-                return msg;
-            }
-            if Instant::now() >= give_up {
-                #[expect(
-                    clippy::panic,
-                    reason = "stall supervision: unwinding is how a dropped-send hang becomes a typed failure"
-                )]
-                std::panic::panic_any(RankFailure::Stalled {
-                    rank: self.mailbox.rank,
-                    src,
-                });
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        self.mailbox
+            .wait_on(&[src], |peers| peers[src].posts.claim(seq))
     }
 
     /// Run on the rank's thread before its SPMD closure starts.
@@ -722,14 +621,9 @@ mod tests {
 
     #[test]
     fn heartbeat_defaults_and_floors() {
-        assert_eq!(heartbeat_ms(None), 25);
-        assert_eq!(heartbeat_ms(Some("0")), 1);
-        assert_eq!(heartbeat_ms(Some("40")), 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "CGNN_FAULT_HEARTBEAT_MS must be a non-negative integer, got `abc`")]
-    fn heartbeat_rejects_an_unparsable_value_by_name() {
-        heartbeat_ms(Some("abc"));
+        // `Heartbeat::from_env` reads an unset knob as 25.
+        assert_eq!(heartbeat(25), Duration::from_millis(25));
+        assert_eq!(heartbeat(0), Duration::from_millis(1));
+        assert_eq!(heartbeat(40), Duration::from_millis(40));
     }
 }

@@ -19,7 +19,7 @@
 //! The engine provides raw transport primitives only; traffic accounting
 //! and the deterministic reduction arithmetic live once, in [`Comm`], so
 //! all worlds are bit-identical by construction. Fault injection is part
-//! of the engine too: [`Backend::launch_with`] arms each rank with what a
+//! of the engine too: [`Backend::launch_with`] arms each rank with the kill a
 //! [`FaultPlan`] scripts for it.
 
 pub(crate) mod engine;
@@ -124,10 +124,10 @@ impl Backend {
         self.launch_with(size, f, &FaultPlan::new(), 0)
     }
 
-    /// [`Backend::launch`] with each rank's engine armed with the faults
-    /// `plan` scripts for `(attempt, rank)` and with the plan's stall
-    /// deadline (see the [`fault`](crate::fault) module docs). An empty
-    /// plan reproduces `launch`. On the cross-process backends every
+    /// [`Backend::launch`] with each rank's engine armed with the kill
+    /// `plan` scripts for `(attempt, rank)` (see the
+    /// [`fault`](crate::fault) module docs). An empty plan reproduces
+    /// `launch`. On the cross-process backends every
     /// *process* arms its own rank.
     pub fn launch_with<T, F>(self, size: usize, f: F, plan: &FaultPlan, attempt: u32) -> Vec<T>
     where
@@ -158,9 +158,8 @@ impl std::fmt::Display for Backend {
 /// When several ranks panic, every handle is joined first and the most
 /// root-cause payload is re-raised: a genuine (non-fault) panic beats an
 /// injected [`RankFailure::Killed`](crate::RankFailure::Killed), which
-/// beats the secondary [`RankFailure::Stalled`](crate::RankFailure) /
-/// [`RankFailure::PeerDead`](crate::RankFailure) aborts that cascade from
-/// it — so a chaos run reports the fault, not its echoes, and a real bug
+/// beats the secondary [`RankFailure::PeerDead`](crate::RankFailure)
+/// aborts that cascade from it — so a chaos run reports the fault, not its echoes, and a real bug
 /// is never masked by injected noise.
 pub(crate) fn run_ranks<T, F>(world: Vec<Arc<Engine>>, f: F) -> Vec<T>
 where

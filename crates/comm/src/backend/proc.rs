@@ -344,7 +344,6 @@ fn encode_failure(payload: &(dyn Any + Send)) -> String {
                 let csv: Vec<String> = dead.iter().map(|d| d.to_string()).collect();
                 format!("peerdead {rank} {}", csv.join(","))
             }
-            RankFailure::Stalled { rank, src } => format!("stalled {rank} {src}"),
         }
     } else if let Some(m) = payload.downcast_ref::<String>() {
         format!("genuine {m}")
@@ -374,13 +373,6 @@ fn decode_failure(text: &str, child_rank: usize) -> Box<dyn Any + Send> {
                     csv.split(',').map(|d| d.parse::<usize>().ok()).collect();
                 if let (Ok(rank), Some(dead)) = (r.parse::<usize>(), dead) {
                     return Box::new(RankFailure::PeerDead { rank, dead });
-                }
-            }
-        }
-        "stalled" => {
-            if let Some((r, s)) = rest.split_once(' ') {
-                if let (Ok(rank), Ok(src)) = (r.parse::<usize>(), s.parse::<usize>()) {
-                    return Box::new(RankFailure::Stalled { rank, src });
                 }
             }
         }
@@ -843,7 +835,6 @@ mod tests {
                 rank: 1,
                 dead: vec![0, 3],
             },
-            RankFailure::Stalled { rank: 3, src: 1 },
         ];
         for case in cases {
             let text = encode_failure(&case.clone() as &(dyn Any + Send));

@@ -116,10 +116,6 @@ impl Park for Baton {
             self.pass(&mut t, rank);
         }
     }
-
-    fn is_cooperative(&self) -> bool {
-        true
-    }
 }
 
 /// Run `f` on `size` ranks one at a time, round-robin, returning each

@@ -7,9 +7,10 @@
 //! arithmetic: every backend is bit-identical by construction.
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crate::backend::engine::{Engine, PendingSend};
+use crate::backend::engine::Engine;
 use crate::backend::Backend;
 use crate::stats::{RankStats, StatsSnapshot};
 
@@ -292,12 +293,14 @@ impl Comm {
 
 /// Wait-able handle to an in-flight non-blocking send (see
 /// [`Comm::isend`]).
-pub struct SendRequest(PendingSend);
+pub struct SendRequest(Receiver<()>);
 
 impl SendRequest {
     /// Block until the transport owns the payload.
     pub fn wait(self) {
-        self.0.complete()
+        // Nothing is ever sent: this returns when the carrier drops the
+        // send's completion token.
+        let _ = self.0.recv();
     }
 }
 

@@ -1,15 +1,21 @@
 //! Deterministic fault injection for chaos testing the SPMD stack.
 //!
-//! A [`FaultPlan`] scripts faults at exact operation indices — kill rank
-//! `r` at its `n`-th comm op, poison its `n`-th barrier, delay or drop its
-//! `n`-th point-to-point send — and [`Backend::launch_with`] arms every
-//! rank's engine with the fault scripted for it: the engine counts the
-//! comm operations the rank issues and fires the fault at its index. A
-//! rank with no armed fault carries no fault state. Because every rank's
-//! op sequence is a pure function of the program (the schedule layer is
-//! deterministic by construction), a seeded plan reproduces the *same*
-//! failure at the *same* place on every run and under every backend —
-//! chaos tests that are replayable, not flaky.
+//! A [`FaultPlan`] scripts the one failure a transport can have — a rank
+//! dies — at exact operation indices: kill rank `r` at its `n`-th comm
+//! op. [`Backend::launch_with`] arms every rank's engine with the kill
+//! scripted for it: the engine counts the comm operations the rank issues
+//! and the rank dies at that index. A rank with no armed fault carries no
+//! fault state. Because every rank's op sequence is a pure function of
+//! the program (the schedule layer is deterministic by construction), a
+//! seeded plan reproduces the *same* failure at the *same* place on every
+//! run and under every backend — chaos tests that are replayable, not
+//! flaky.
+//!
+//! Nothing else needs scripting. A kill at a barrier's op index is a rank
+//! dying inside that barrier: the engine strikes at barrier entry, before
+//! any frame is posted. No carrier drops or delays a frame: in-memory
+//! dispatch cannot fail, and a stream that loses bytes fails its checksum
+//! or hits EOF, which the carrier reports as the peer's death.
 //!
 //! Faults are tagged with an `attempt` index so a plan can script
 //! *sequences* of failures across recovery: attempt 0's kill fires in the
@@ -26,7 +32,6 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Typed panic payload used to tear down an SPMD world on rank failure.
 ///
@@ -50,24 +55,15 @@ pub enum RankFailure {
         /// Every rank known dead at abort time, ascending.
         dead: Vec<usize>,
     },
-    /// This rank gave up waiting on a receive that never completed within
-    /// the stall deadline (e.g. the matching send was dropped).
-    Stalled {
-        /// The stalled (receiving) rank.
-        rank: usize,
-        /// The source rank whose message never arrived.
-        src: usize,
-    },
 }
 
 impl RankFailure {
-    /// The ranks this failure identifies as dead. `Stalled` names the
-    /// unresponsive source; `PeerDead` carries the world's dead set.
+    /// The ranks this failure identifies as dead: the killed rank, or the
+    /// world's dead set a `PeerDead` carries.
     pub fn dead_ranks(&self) -> Vec<usize> {
         match self {
             RankFailure::Killed { rank, .. } => vec![*rank],
             RankFailure::PeerDead { dead, .. } => dead.clone(),
-            RankFailure::Stalled { src, .. } => vec![*src],
         }
     }
 
@@ -79,13 +75,12 @@ impl RankFailure {
 
     /// Root-cause ordering for panic propagation: lower is more primary.
     /// A genuine (non-fault) panic outranks an injected kill, which
-    /// outranks the stalls and peer-death aborts that cascade from it.
+    /// outranks the peer-death aborts that cascade from it.
     pub fn severity(payload: &(dyn Any + Send)) -> u8 {
         match Self::from_payload(payload) {
             None => 0,
             Some(RankFailure::Killed { .. }) => 1,
-            Some(RankFailure::Stalled { .. }) => 2,
-            Some(RankFailure::PeerDead { .. }) => 3,
+            Some(RankFailure::PeerDead { .. }) => 2,
         }
     }
 }
@@ -99,63 +94,25 @@ impl std::fmt::Display for RankFailure {
             RankFailure::PeerDead { rank, dead } => {
                 write!(f, "rank {rank} aborted: peer rank(s) {dead:?} died")
             }
-            RankFailure::Stalled { rank, src } => {
-                write!(
-                    f,
-                    "rank {rank} stalled waiting on a receive from rank {src}"
-                )
-            }
         }
     }
 }
 
-/// What a single scripted fault does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Kill the rank at its `at_op`-th communication operation (0-based,
-    /// counted across barriers, collectives, sends, and receive posts).
-    Kill {
-        /// Per-rank comm-op index at which the rank dies.
-        at_op: u64,
-    },
-    /// Kill the rank as it enters its `at_barrier`-th barrier: peers are
-    /// left waiting on a rendezvous the victim registered for but will
-    /// never complete — the worst-case death point for a barrier.
-    PoisonBarrier {
-        /// Per-rank barrier index at which the rank dies.
-        at_barrier: u64,
-    },
-    /// Defer the rank's `at_send`-th point-to-point send until its
-    /// [`SendRequest`](crate::SendRequest) is waited (instead of the
-    /// transport's eager buffering) — surfacing latent reorderings that
-    /// eager sends hide. A blocking `send` at that index is unaffected.
-    DelaySend {
-        /// Per-rank p2p-send index to defer.
-        at_send: u64,
-    },
-    /// Silently drop the rank's `at_send`-th point-to-point send. The
-    /// receiver's stall deadline (every concurrent transport) or the
-    /// deadlock supervisor (serial backend) converts the resulting hang
-    /// into a failure.
-    DropSend {
-        /// Per-rank p2p-send index to drop.
-        at_send: u64,
-    },
-}
-
-/// One scripted fault: *which rank*, on *which attempt* (0 = the initial
-/// world, 1 = the world after the first recovery, ...), does *what*.
+/// One scripted kill: *which rank* dies, on *which attempt* (0 = the
+/// initial world, 1 = the world after the first recovery, ...), at
+/// *which* of its comm ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// Recovery attempt in which this fault is armed.
     pub attempt: u32,
-    /// The rank (in the world of that attempt) the fault applies to.
+    /// The rank (in the world of that attempt) that dies.
     pub rank: usize,
-    /// What happens.
-    pub kind: FaultKind,
+    /// Per-rank comm-op index at which the rank dies (0-based, counted
+    /// across barriers, collectives, sends, and receive posts).
+    pub at_op: u64,
 }
 
-/// A deterministic script of faults, armed into each rank's engine by
+/// A deterministic script of kills, armed into each rank's engine by
 /// [`Backend::launch_with`](crate::Backend::launch_with).
 ///
 /// Build one fluently:
@@ -171,11 +128,10 @@ pub struct Fault {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
-    stall: Option<Duration>,
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults, no stall supervision).
+    /// An empty plan: nobody dies.
     pub fn new() -> Self {
         FaultPlan::default()
     }
@@ -185,62 +141,13 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// The receive stall deadline, if armed.
-    pub fn stall(&self) -> Option<Duration> {
-        self.stall
-    }
-
-    /// Script a [`FaultKind::Kill`] of `rank` at comm op `at_op` on
-    /// `attempt`.
+    /// Script a kill of `rank` at comm op `at_op` on `attempt`.
     pub fn kill(mut self, attempt: u32, rank: usize, at_op: u64) -> Self {
         self.faults.push(Fault {
             attempt,
             rank,
-            kind: FaultKind::Kill { at_op },
+            at_op,
         });
-        self
-    }
-
-    /// Script a [`FaultKind::PoisonBarrier`] on `rank`'s `at_barrier`-th
-    /// barrier on `attempt`.
-    pub fn poison_barrier(mut self, attempt: u32, rank: usize, at_barrier: u64) -> Self {
-        self.faults.push(Fault {
-            attempt,
-            rank,
-            kind: FaultKind::PoisonBarrier { at_barrier },
-        });
-        self
-    }
-
-    /// Script a [`FaultKind::DelaySend`] of `rank`'s `at_send`-th p2p send
-    /// on `attempt`.
-    pub fn delay_send(mut self, attempt: u32, rank: usize, at_send: u64) -> Self {
-        self.faults.push(Fault {
-            attempt,
-            rank,
-            kind: FaultKind::DelaySend { at_send },
-        });
-        self
-    }
-
-    /// Script a [`FaultKind::DropSend`] of `rank`'s `at_send`-th p2p send
-    /// on `attempt`.
-    pub fn drop_send(mut self, attempt: u32, rank: usize, at_send: u64) -> Self {
-        self.faults.push(Fault {
-            attempt,
-            rank,
-            kind: FaultKind::DropSend { at_send },
-        });
-        self
-    }
-
-    /// Arm a stall deadline on receives: a blocking receive that does not
-    /// complete within `deadline` aborts with [`RankFailure::Stalled`].
-    /// Applied on every transport with real concurrency (threads, proc,
-    /// socket); the serial backend's deadlock supervisor already bounds
-    /// its stalls.
-    pub fn stall_after(mut self, deadline: Duration) -> Self {
-        self.stall = Some(deadline);
         self
     }
 
@@ -266,13 +173,15 @@ impl FaultPlan {
         FaultPlan::new().kill(0, rank, at_op)
     }
 
-    /// The fault armed for `(attempt, rank)`, if any. Plans with several
-    /// faults for the same `(attempt, rank)` fire the first by op index.
+    /// The fault armed for `(attempt, rank)`, if any. A rank dies once,
+    /// so of several kills for the same `(attempt, rank)` the earliest by
+    /// op index is the one armed.
     pub(crate) fn armed_for(&self, attempt: u32, rank: usize) -> Option<Fault> {
         self.faults
             .iter()
             .copied()
-            .find(|f| f.attempt == attempt && f.rank == rank)
+            .filter(|f| f.attempt == attempt && f.rank == rank)
+            .min_by_key(|f| f.at_op)
     }
 }
 
@@ -286,65 +195,25 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The comm-op classes a [`FaultKind`] indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Op {
-    Barrier,
-    /// An all-gather (every all-reduce is one) or an all-to-all.
-    Collective,
-    /// A blocking `send` or an `isend`: one shared counter.
-    Send,
-    /// A receive post (`irecv`, or the post inside a blocking `recv`).
-    Recv,
-}
-
-/// What an armed fault does to the op it is counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Strike {
-    /// Nothing: the op proceeds.
-    Pass,
-    /// The rank dies at this per-rank comm-op index.
-    Kill(u64),
-    /// Swallow this send.
-    Drop,
-    /// Defer this send until its request is completed.
-    Delay,
-}
-
-/// The one fault a [`FaultPlan`] arms for a rank, with the counters that
-/// place it: every comm op, plus the barriers or sends its kind indexes.
+/// The one kill a [`FaultPlan`] arms for a rank, with the counter that
+/// places it.
 pub(crate) struct ArmedFault {
-    kind: FaultKind,
+    at_op: u64,
     ops: AtomicU64,
-    /// Barriers ([`FaultKind::PoisonBarrier`]) or p2p sends (the send
-    /// faults) seen so far; unused by [`FaultKind::Kill`].
-    events: AtomicU64,
 }
 
 impl ArmedFault {
-    pub(crate) fn new(kind: FaultKind) -> ArmedFault {
+    pub(crate) fn new(fault: Fault) -> ArmedFault {
         ArmedFault {
-            kind,
+            at_op: fault.at_op,
             ops: AtomicU64::new(0),
-            events: AtomicU64::new(0),
         }
     }
 
-    /// Count one `op`; what the fault does to it.
-    pub(crate) fn strike(&self, op: Op) -> Strike {
+    /// Count one comm op; the op's index if the rank dies at it.
+    pub(crate) fn strike(&self) -> Option<u64> {
         let n = self.ops.fetch_add(1, Ordering::Relaxed);
-        // Each arm's pattern admits one fault kind and one op class, so
-        // `events` advances once per barrier or send it indexes.
-        let nth = || self.events.fetch_add(1, Ordering::Relaxed);
-        match (self.kind, op) {
-            (FaultKind::Kill { at_op }, _) if n == at_op => Strike::Kill(n),
-            (FaultKind::PoisonBarrier { at_barrier }, Op::Barrier) if nth() == at_barrier => {
-                Strike::Kill(n)
-            }
-            (FaultKind::DropSend { at_send }, Op::Send) if nth() == at_send => Strike::Drop,
-            (FaultKind::DelaySend { at_send }, Op::Send) if nth() == at_send => Strike::Delay,
-            _ => Strike::Pass,
-        }
+        (n == self.at_op).then_some(n)
     }
 }
 
@@ -355,7 +224,7 @@ mod tests {
     use crate::comm::Comm;
     use crate::stats::StatsSnapshot;
     use std::panic::AssertUnwindSafe;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn catch(f: impl FnOnce()) -> Box<dyn Any + Send> {
         std::panic::catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic")
@@ -363,23 +232,17 @@ mod tests {
 
     #[test]
     fn plan_builder_and_lookup() {
-        let plan = FaultPlan::new()
-            .kill(0, 1, 5)
-            .poison_barrier(1, 0, 2)
-            .drop_send(0, 2, 3);
+        let plan = FaultPlan::new().kill(0, 1, 5).kill(1, 0, 2).kill(0, 2, 3);
         assert_eq!(
             plan.armed_for(0, 1),
             Some(Fault {
                 attempt: 0,
                 rank: 1,
-                kind: FaultKind::Kill { at_op: 5 }
+                at_op: 5
             })
         );
         assert_eq!(plan.armed_for(0, 0), None);
-        assert_eq!(
-            plan.armed_for(1, 0).map(|f| f.kind),
-            Some(FaultKind::PoisonBarrier { at_barrier: 2 })
-        );
+        assert_eq!(plan.armed_for(1, 0).map(|f| f.at_op), Some(2));
     }
 
     #[test]
@@ -390,13 +253,10 @@ mod tests {
         let Fault {
             attempt,
             rank,
-            kind,
+            at_op,
         } = a.faults()[0];
         assert_eq!(attempt, 0);
         assert!(rank < 4);
-        let FaultKind::Kill { at_op } = kind else {
-            panic!("seeded plan must be a kill");
-        };
         assert!((10..50).contains(&at_op));
         assert_ne!(
             FaultPlan::seeded(1, 4, 10..50),
@@ -492,70 +352,29 @@ mod tests {
         }
     }
 
+    /// A rank dies once: of two kills scripted for one `(attempt, rank)`,
+    /// the earlier op index fires, whatever order the plan lists them in.
     #[test]
-    fn poisoned_barrier_kills_at_exact_barrier_index() {
-        let plan = FaultPlan::new().poison_barrier(0, 0, 3);
-        let payload = catch(|| {
-            Backend::Threads.launch_with(
-                2,
-                |comm| {
-                    for _ in 0..8 {
-                        comm.barrier();
-                    }
-                },
-                &plan,
-                0,
-            );
-        });
-        match RankFailure::from_payload(payload.as_ref()) {
-            Some(RankFailure::Killed { rank: 0, .. }) => {}
-            other => panic!("expected rank 0 killed at its 4th barrier, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dropped_send_is_caught_by_stall_deadline_on_threads() {
-        let plan = FaultPlan::new()
-            .drop_send(0, 0, 0)
-            .stall_after(Duration::from_millis(100));
-        let payload = catch(|| {
-            Backend::Threads.launch_with(
-                2,
-                |comm| {
-                    if comm.rank() == 0 {
-                        comm.send(1, 7, vec![1.0]);
-                    } else {
-                        comm.recv(0, 7);
-                    }
-                },
-                &plan,
-                0,
-            );
-        });
-        match RankFailure::from_payload(payload.as_ref()) {
-            Some(RankFailure::Stalled { rank: 1, src: 0 }) => {}
-            other => panic!("expected rank 1 stalled on rank 0, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn delayed_send_still_delivers() {
-        let plan = FaultPlan::new().delay_send(0, 0, 0);
+    fn the_earliest_of_a_ranks_kills_fires() {
         for backend in Backend::all() {
-            let out = backend.launch_with(
-                2,
-                |comm| {
-                    if comm.rank() == 0 {
-                        comm.isend(1, 3, vec![4.5]).wait();
-                        0.0
-                    } else {
-                        comm.recv(0, 3)[0]
-                    }
-                },
-                &plan,
-                0,
+            let plan = FaultPlan::new().kill(0, 1, 50).kill(0, 1, 10);
+            let payload = catch(|| {
+                backend.launch_with(
+                    2,
+                    |comm| {
+                        for _ in 0..60 {
+                            comm.barrier();
+                        }
+                    },
+                    &plan,
+                    0,
+                );
+            });
+            assert_eq!(
+                RankFailure::from_payload(payload.as_ref()),
+                Some(&RankFailure::Killed { rank: 1, op: 10 }),
+                "{backend}"
             );
-            assert_eq!(out[1], 4.5, "{backend}");
         }
     }
 

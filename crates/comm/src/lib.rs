@@ -40,7 +40,7 @@
 //!
 //! For chaos testing, [`Backend::launch_with`] arms every rank's engine
 //! from a deterministic, seeded [`FaultPlan`] (kill a rank at an exact
-//! comm op, poison a barrier, delay or drop a send), and the engine's
+//! comm op, the one failure a transport can have), and the engine's
 //! liveness probe ([`Comm::mark_dead`] / [`Comm::dead_ranks`]) lets peers
 //! detect a death within a heartbeat instead of hanging — see the
 //! [`fault`] module docs.
@@ -61,5 +61,5 @@ pub use backend::loopback::LoopbackBackend;
 pub use backend::proc::{reexec_scope, ReexecScope};
 pub use backend::Backend;
 pub use comm::{Comm, RecvRequest, SendRequest, World};
-pub use fault::{Fault, FaultKind, FaultPlan, RankFailure};
+pub use fault::{Fault, FaultPlan, RankFailure};
 pub use stats::StatsSnapshot;

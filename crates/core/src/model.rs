@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use cgnn_graph::LocalGraph;
+use cgnn_graph::{LocalGraph, EDGE_FEATS, NODE_FEATS};
 use cgnn_tensor::nn::{BoundParams, Mlp, ParamSet};
 use cgnn_tensor::{AdamState, Tape, VarId};
 use rand::rngs::StdRng;
@@ -21,12 +21,6 @@ pub struct GnnConfig {
     pub n_mp_layers: usize,
     /// Interior (`h -> h`) layers per MLP ("MLP hidden layers" in Table I).
     pub mlp_hidden: usize,
-    /// Input node features (3 velocity components).
-    pub node_in: usize,
-    /// Input edge features (7: relative features + distance + magnitude).
-    pub edge_in: usize,
-    /// Output node features.
-    pub node_out: usize,
 }
 
 impl GnnConfig {
@@ -38,9 +32,6 @@ impl GnnConfig {
             hidden: 8,
             n_mp_layers: 4,
             mlp_hidden: 2,
-            node_in: 3,
-            edge_in: 7,
-            node_out: 3,
         }
     }
 
@@ -51,9 +42,6 @@ impl GnnConfig {
             hidden: 32,
             n_mp_layers: 4,
             mlp_hidden: 5,
-            node_in: 3,
-            edge_in: 7,
-            node_out: 3,
         }
     }
 }
@@ -79,7 +67,7 @@ impl ConsistentGnn {
         let node_encoder = Mlp::new(
             params,
             "enc.node",
-            config.node_in,
+            NODE_FEATS,
             h,
             h,
             config.mlp_hidden,
@@ -89,7 +77,7 @@ impl ConsistentGnn {
         let edge_encoder = Mlp::new(
             params,
             "enc.edge",
-            config.edge_in,
+            EDGE_FEATS,
             h,
             h,
             config.mlp_hidden,
@@ -105,7 +93,7 @@ impl ConsistentGnn {
             "dec.node",
             h,
             h,
-            config.node_out,
+            NODE_FEATS,
             config.mlp_hidden,
             false,
             rng,
@@ -144,8 +132,8 @@ impl ConsistentGnn {
     }
 
     /// Full forward pass: encode, M rounds of consistent message passing,
-    /// decode. `x` is `[n_local, node_in]`, `e` is `[n_edges, edge_in]`;
-    /// the result is `[n_local, node_out]`.
+    /// decode. `x` is `[n_local, NODE_FEATS]`, `e` is
+    /// `[n_edges, EDGE_FEATS]`; the result is `[n_local, NODE_FEATS]`.
     ///
     /// On a forward-only recording ([`Tape::forward_only`]) every interior
     /// value goes back to the tape's pool at each layer boundary — after

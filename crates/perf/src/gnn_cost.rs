@@ -3,6 +3,7 @@
 //! model. A roofline-style additive model: `t = flops/rate + bytes/bw`.
 
 use cgnn_core::GnnConfig;
+use cgnn_graph::{EDGE_FEATS, NODE_FEATS};
 
 use crate::machine::MachineModel;
 
@@ -62,18 +63,18 @@ pub fn iteration_work(config: &GnnConfig, nodes: f64, edges: f64) -> RankWork {
     let mut bytes = 0.0;
 
     // Encoders.
-    flops += nodes * mlp_flops_per_row(config.node_in, h, h, nh);
-    flops += edges * mlp_flops_per_row(config.edge_in, h, h, nh);
-    bytes += nodes * mlp_bytes_per_row(config.node_in, h, h, nh);
-    bytes += edges * mlp_bytes_per_row(config.edge_in, h, h, nh);
+    flops += nodes * mlp_flops_per_row(NODE_FEATS, h, h, nh);
+    flops += edges * mlp_flops_per_row(EDGE_FEATS, h, h, nh);
+    bytes += nodes * mlp_bytes_per_row(NODE_FEATS, h, h, nh);
+    bytes += edges * mlp_bytes_per_row(EDGE_FEATS, h, h, nh);
 
     let layer = mp_layer_work(config, nodes, edges);
     flops += config.n_mp_layers as f64 * layer.flops;
     bytes += config.n_mp_layers as f64 * layer.bytes;
 
     // Decoder.
-    flops += nodes * mlp_flops_per_row(h, h, config.node_out, nh);
-    bytes += nodes * mlp_bytes_per_row(h, h, config.node_out, nh);
+    flops += nodes * mlp_flops_per_row(h, h, NODE_FEATS, nh);
+    bytes += nodes * mlp_bytes_per_row(h, h, NODE_FEATS, nh);
 
     // Forward + backward.
     RankWork {

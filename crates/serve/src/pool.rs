@@ -42,7 +42,7 @@ pub struct PredictJob {
 /// One reply from a replica.
 #[derive(Debug)]
 pub struct PredictReply {
-    /// Row-major `[n_local, node_out]` prediction, or a client-side error.
+    /// Row-major `[n_local, NODE_FEATS]` prediction, or a client-side error.
     pub result: Result<Vec<f64>, String>,
     /// Training step of the parameter set that served this request.
     pub model_step: u64,

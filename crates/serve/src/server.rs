@@ -155,7 +155,8 @@ impl Server {
     /// start every thread. Returns once the listener is bound (the
     /// actual address is [`Server::addr`]); a zero `elems` or `queue_cap`
     /// is an [`InvalidInput`](std::io::ErrorKind::InvalidInput) error
-    /// naming the field.
+    /// naming the field. The address is bound before any thread starts,
+    /// and a later error stops every thread started before it returns.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         for (field, knob, value) in [
             ("elems", knobs::CGNN_SERVE_ELEMS, config.elems),
@@ -168,6 +169,10 @@ impl Server {
                 ));
             }
         }
+        // Bind before any thread starts, so a taken address fails with
+        // nothing to stop.
+        let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
         let mesh = BoxMesh::new(
             (config.elems, config.elems, config.elems),
             2,
@@ -190,69 +195,79 @@ impl Server {
             config.replicas,
             config.queue_cap,
         )?;
-        let watcher = config
-            .ckpt_dir
-            .is_some()
-            .then(|| {
-                control.spawn_watcher(Duration::from_millis(config.poll_ms), Arc::clone(&stats))
-            })
-            .transpose()?;
-
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let workers = (0..config.http_workers.max(1))
-            .map(|i| {
-                let router = Router {
-                    graph: Arc::clone(&graph),
-                    shared: Arc::clone(&shared),
-                    control: Arc::clone(&control),
-                    stats: Arc::clone(&stats),
-                    pool_tx: pool.sender(),
-                    config: config.clone(),
-                };
-                let conn_rx = Arc::clone(&conn_rx);
-                std::thread::Builder::new()
-                    .name(format!("cgnn-serve-http{i}"))
-                    .spawn(move || worker_loop(router, conn_rx))
-            })
-            .collect::<std::io::Result<_>>()?;
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cgnn-serve-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match stream {
-                            // A send error means the workers are gone,
-                            // which only happens during shutdown.
-                            Ok(s) => {
-                                if conn_tx.send(s).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => continue,
-                        }
-                    }
-                })?
-        };
-
-        Ok(Server {
+        let pool_tx = pool.sender();
+        let mut server = Server {
             addr,
             graph,
             shared,
             control,
             stats,
-            acceptor: Some(acceptor),
-            workers,
-            watcher,
+            acceptor: None,
+            workers: Vec::new(),
+            watcher: None,
             pool: Some(pool),
             config,
-        })
+        };
+        match server.spawn_threads(listener, pool_tx) {
+            Ok(()) => Ok(server),
+            Err(e) => {
+                server.shutdown();
+                Err(e)
+            }
+        }
+    }
+
+    /// Start the checkpoint watcher (when a directory is watched), the
+    /// HTTP workers and the acceptor, recording each as it starts.
+    fn spawn_threads(
+        &mut self,
+        listener: TcpListener,
+        pool_tx: mpsc::SyncSender<PredictJob>,
+    ) -> std::io::Result<()> {
+        if self.config.ckpt_dir.is_some() {
+            let poll = Duration::from_millis(self.config.poll_ms);
+            self.watcher = Some(self.control.spawn_watcher(poll, Arc::clone(&self.stats))?);
+        }
+        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
+        let conn_rx = Arc::new(Mutex::new(conn_rx));
+        for i in 0..self.config.http_workers.max(1) {
+            let router = Router {
+                graph: Arc::clone(&self.graph),
+                shared: Arc::clone(&self.shared),
+                control: Arc::clone(&self.control),
+                stats: Arc::clone(&self.stats),
+                pool_tx: pool_tx.clone(),
+                config: self.config.clone(),
+            };
+            let conn_rx = Arc::clone(&conn_rx);
+            self.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("cgnn-serve-http{i}"))
+                    .spawn(move || worker_loop(router, conn_rx))?,
+            );
+        }
+        let shared = Arc::clone(&self.shared);
+        let acceptor = std::thread::Builder::new()
+            .name("cgnn-serve-accept".to_string())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if shared.shutdown.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match stream {
+                        // A send error means the workers are gone,
+                        // which only happens during shutdown.
+                        Ok(s) => {
+                            if conn_tx.send(s).is_err() {
+                                break;
+                            }
+                        }
+                        Err(_) => continue,
+                    }
+                }
+            })?;
+        self.acceptor = Some(acceptor);
+        Ok(())
     }
 
     /// The bound listen address (resolves port 0).
@@ -579,7 +594,7 @@ fn info_response(router: &Router) -> Response {
         g.n_local(),
         g.n_edges(),
         NODE_FEATS,
-        router.config.model.node_out,
+        NODE_FEATS,
         router.config.replicas,
     );
     // Machine-readable copies in headers: clients size their raw `f64`

@@ -112,8 +112,8 @@ impl SessionBuilder {
     }
 
     /// Arm a deterministic fault-injection plan: every run of the built
-    /// session arms each rank's comm engine with the faults `plan`
-    /// scripts for it on the session's current recovery attempt (see
+    /// session arms each rank's comm engine with the kill `plan` scripts
+    /// for it on the session's current recovery attempt (see
     /// [`Backend::launch_with`]). This is the chaos-testing entry point;
     /// a rank with no armed fault carries no fault state.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {

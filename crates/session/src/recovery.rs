@@ -195,8 +195,8 @@ pub struct ElasticReport {
 impl Session {
     /// [`Session::run`], but rank failures become a typed `Err` instead
     /// of a panic: an unwind whose payload is a
-    /// [`RankFailure`] (an injected kill, a
-    /// liveness-probe abort, a stall) is caught and converted into the
+    /// [`RankFailure`] (an injected kill or a
+    /// liveness-probe abort) is caught and converted into the
     /// dead-rank set; any other panic is a genuine bug and propagates
     /// unchanged.
     ///

@@ -336,8 +336,10 @@ fn seeded_plan_replays_identically() {
         std::fs::remove_dir_all(&dir).ok();
         elastic
     };
-    let first = run("seeded_a");
-    let second = run("seeded_b");
+    // One directory for both runs (`tmp_dir` empties it first): a
+    // recovery event names the checkpoint it restored from by path.
+    let first = run("seeded");
+    let second = run("seeded");
 
     assert_eq!(first.recoveries.len(), 1);
     assert_eq!(first.recoveries[0].dead, vec![victim]);

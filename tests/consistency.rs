@@ -365,9 +365,6 @@ fn tiny_config() -> GnnConfig {
         hidden: 4,
         n_mp_layers: 2,
         mlp_hidden: 1,
-        node_in: 3,
-        edge_in: 7,
-        node_out: 3,
     }
 }
 
