@@ -28,8 +28,8 @@ impl CustomOp for AllReduceSumOp {
         "all_reduce_sum"
     }
 
-    fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        vec![Some(grad_out.clone())]
+    fn backward(&self, grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+        vec![Some(grad_out)]
     }
 }
 

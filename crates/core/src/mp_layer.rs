@@ -20,7 +20,7 @@ use cgnn_tensor::tape::CustomOp;
 use cgnn_tensor::{Tape, Tensor, VarId};
 use rand::Rng;
 
-use crate::exchange::{halo_exchange_apply, HaloContext};
+use crate::exchange::HaloContext;
 
 /// Shared, per-pass-immutable index buffers of one rank's local graph.
 #[derive(Clone)]
@@ -68,8 +68,11 @@ impl CustomOp for HaloSyncOp {
         "halo_sync"
     }
 
-    fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        vec![Some(halo_exchange_apply(grad_out, &self.graph, &self.ctx))]
+    /// The exchange runs in place on the adjoint, which moves on as the
+    /// input's.
+    fn backward(&self, mut grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+        self.ctx.exchange(&mut grad_out, &self.graph);
+        vec![Some(grad_out)]
     }
 }
 
@@ -216,11 +219,12 @@ impl ConsistentMpLayer {
 
         // (3)+(4)+(5): halo swap, synchronization, node update with
         // residual — the node MLP is what runs in the overlap window when
-        // there is one; the residual add, folded into its layer norm, is
-        // row-separable too.
+        // there is one. Its input layer reads `[a* | x]` as two column
+        // blocks (`Tape::linear_elu_blocks`), never concatenated; it and
+        // the residual add, folded into the layer norm, are row-separable.
         let x_new = halo_sync_then(tape, a, graph, ctx, |tape, a_star| {
-            let cat = tape.gather_concat(&[(a_star, None), (x, None)]);
-            self.node_mlp.forward_residual(tape, bound, cat, x)
+            let blocks = [a_star, x];
+            self.node_mlp.forward_blocks(tape, bound, &blocks, Some(x))
         });
         (x_new, e_new)
     }

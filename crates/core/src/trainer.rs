@@ -21,10 +21,11 @@ pub struct RankData {
     pub graph: Arc<LocalGraph>,
     /// Shared per-pass index buffers derived from `graph`.
     pub idx: GraphIndices,
-    /// `[n_local, 3]` input node features.
-    pub x: Tensor,
-    /// `[n_edges, 7]` input edge features.
-    pub e: Tensor,
+    /// `[n_local, 3]` input node features, shared with every tape that
+    /// reads them ([`Tape::shared_constant`]) instead of copied per pass.
+    pub x: Arc<Tensor>,
+    /// `[n_edges, 7]` input edge features, shared as `x` is.
+    pub e: Arc<Tensor>,
     /// `[n_local, 3]` regression target (`[0, 3]` on
     /// [`RankData::for_inference`] data).
     pub target: Tensor,
@@ -49,8 +50,8 @@ impl RankData {
         let e_buf = edge_features(&graph, &x, NODE_FEATS);
         RankData {
             idx: GraphIndices::from_graph(&graph),
-            x: Tensor::from_vec(graph.n_local(), NODE_FEATS, x),
-            e: Tensor::from_vec(graph.n_edges(), EDGE_FEATS, e_buf),
+            x: Arc::new(Tensor::from_vec(graph.n_local(), NODE_FEATS, x)),
+            e: Arc::new(Tensor::from_vec(graph.n_edges(), EDGE_FEATS, e_buf)),
             target,
             graph,
         }
@@ -133,10 +134,10 @@ impl Trainer {
     }
 
     /// Record one sample's forward pass on `tape`, returning the
-    /// prediction variable.
+    /// prediction variable. The features are read where `data` holds them.
     fn forward_graph(&self, tape: &mut Tape, bound: &BoundParams, data: &RankData) -> VarId {
-        let x = tape.constant_copy(&data.x);
-        let e = tape.constant_copy(&data.e);
+        let x = tape.shared_constant(Arc::clone(&data.x));
+        let e = tape.shared_constant(Arc::clone(&data.e));
         self.model
             .forward(tape, bound, x, e, &data.graph, &data.idx, &self.ctx)
     }
@@ -328,7 +329,7 @@ impl Trainer {
     /// stays continuous across partition boundaries at every step.
     pub fn rollout(&self, data: &RankData, steps: usize) -> Vec<Tensor> {
         let mut states = Vec::with_capacity(steps);
-        let mut current = data.x.clone();
+        let mut current = Tensor::clone(&data.x);
         for _ in 0..steps {
             let step_data = RankData::for_inference(Arc::clone(&data.graph), current.into_vec());
             current = self.predict(&step_data);
@@ -508,5 +509,36 @@ mod tests {
         // Same loss trajectory and *bit-identical* parameters on both ranks.
         assert_eq!(out[0].0, out[1].0);
         assert_eq!(out[0].1, out[1].1);
+    }
+
+    /// The training working set per node at R = 1: `Trainer::held_len`
+    /// after two steps (every forward value plus the parked backward
+    /// scratch) on the order-2 boxes of 4³ and 16³ elements (729 and
+    /// 35 937 nodes), for both models. A measurement, printed for
+    /// docs/PERFORMANCE.md ("Held once"); the large 16³ run holds ~2.7 GB.
+    #[test]
+    #[ignore = "probe: cargo test --release -p cgnn-core held_f64_per_node -- --ignored --nocapture"]
+    fn held_f64_per_node() {
+        let l = 2.0 * std::f64::consts::PI;
+        for (name, config) in [("small", GnnConfig::small()), ("large", GnnConfig::large())] {
+            for e in [4, 16] {
+                let mesh = BoxMesh::new((e, e, e), 2, (l, l, l), false);
+                let g = Arc::new(build_global_graph(&mesh));
+                let nodes = g.n_local();
+                let held = World::run(1, |comm| {
+                    let ctx = HaloContext::single(comm.clone());
+                    let mut trainer = Trainer::new(config, 7, 1e-3, ctx);
+                    let data =
+                        RankData::tgv_autoencode(Arc::clone(&g), &TaylorGreen::new(0.01), 0.0);
+                    trainer.step(&data);
+                    trainer.step(&data);
+                    trainer.held_len()
+                })[0];
+                let per_node = held as f64 / nodes as f64;
+                let kb = 8.0 * per_node / 1000.0;
+                println!("{name} {nodes} nodes: held_len {held}, {per_node:.1} f64 ({kb:.2} KB) per node");
+                assert!(held > 0);
+            }
+        }
     }
 }

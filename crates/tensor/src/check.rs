@@ -155,6 +155,64 @@ mod tests {
         }
     }
 
+    /// Central differences on both input blocks of `linear_elu_blocks`
+    /// — the node MLP's first layer over `[a* | x]` — as well as on its
+    /// weight and bias: all four are registered as parameters, so one sweep
+    /// perturbs every entry. `x` also enters the loss on its own, so its
+    /// adjoint exists before the layer's block is added into it, as the
+    /// node MLP's residual makes it in the model. Blocks 3 and 5 wide into
+    /// 4 outputs, and two 4-wide blocks (the first one's adjoint is written
+    /// over the output's).
+    #[test]
+    fn linear_blocks_input_gradients_match_finite_differences() {
+        for (ka, kx, h) in [(3, 5, 4), (4, 4, 4)] {
+            let rows = 6;
+            let wave =
+                |salt: usize, r: usize, c: usize| (((r * 11 + c) * 7 + salt) as f64 * 0.29).sin();
+            let mut params = ParamSet::new();
+            let ids = [
+                params.register("a", Tensor::from_fn(rows, ka, |r, c| wave(1, r, c))),
+                params.register("x", Tensor::from_fn(rows, kx, |r, c| wave(2, r, c))),
+                params.register("w", Tensor::from_fn(ka + kx, h, |r, c| wave(3, r, c))),
+                params.register("b", Tensor::from_fn(1, h, |_, c| 0.1 * wave(4, 0, c))),
+            ];
+            let weights = Arc::new((0..rows).map(|r| 1.0 + 0.25 * r as f64).collect::<Vec<_>>());
+            let record = |p: &ParamSet, tape: &mut Tape| {
+                let bound = p.bind(tape);
+                let [a, x, w, b] = ids.map(|id| bound.var(id));
+                let y = tape.linear_elu_blocks(&[a, x], w, b);
+                let ly = tape.weighted_sq_sum(y, Arc::clone(&weights));
+                let lx = tape.weighted_sq_sum(x, Arc::clone(&weights));
+                (bound, tape.add(ly, lx))
+            };
+
+            let mut tape = Tape::new();
+            let (bound, loss) = record(&params, &mut tape);
+            let grads = tape.backward(loss);
+            let auto: Vec<f64> = ids
+                .iter()
+                .flat_map(|&id| {
+                    grads
+                        .get(bound.var(id))
+                        .expect("leaf gradient")
+                        .data()
+                        .to_vec()
+                })
+                .collect();
+
+            let fd = finite_difference_grad(&mut params, 1e-6, |p| {
+                let mut tape = Tape::new();
+                let (_, loss) = record(p, &mut tape);
+                tape.value(loss).item()
+            });
+            let err = max_rel_error(&auto, &fd);
+            assert!(
+                err < 1e-6,
+                "blocks {ka}+{kx} -> {h}: max relative error {err}"
+            );
+        }
+    }
+
     /// A NaN on either side, anywhere in the vectors, makes the error NaN,
     /// which fails every `< bound` check.
     #[test]

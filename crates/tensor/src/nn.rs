@@ -157,7 +157,7 @@ impl Linear {
 /// Multi-layer perceptron: `in -> h -> ... -> h -> out` with an ELU
 /// (alpha = 1) after every linear except the last, optional layer
 /// normalization on the output, and an optional residual connection
-/// (the caller passes the residual to [`Mlp::forward_residual`] or
+/// (the caller passes the residual to [`Mlp::forward_blocks`] or
 /// [`Mlp::forward_gathered`], matching the paper's "MLPs leverage
 /// residual connections with layer normalization and ELU activation
 /// functions").
@@ -223,26 +223,32 @@ impl Mlp {
         self.forward_from(tape, bound, 0, x, None)
     }
 
-    /// The residual block `forward(x) + res`, the add folded into the
-    /// layer norm ([`Tape::layer_norm_add`]): the bits of `forward` then
-    /// [`Tape::add`], without storing the layer norm's output. With a layer
-    /// norm every op it records is row-separable, so it may run under a row
-    /// mask; without one it ends in a plain `add`.
-    pub fn forward_residual(
+    /// [`Mlp::forward`] over the column blocks `x` of its input, the first
+    /// layer reading them in place ([`Tape::linear_elu_blocks`]): the bits
+    /// of `forward(gather_concat(x))`, without the concatenation (one block
+    /// is plain `forward`).
+    ///
+    /// With `res`, the residual block `forward(..) + res`, the add folded
+    /// into the layer norm ([`Tape::layer_norm_add`]): the bits of
+    /// `forward` then [`Tape::add`], without storing the layer norm's
+    /// output. With a layer norm every op it records is row-separable, so
+    /// it may run under a row mask; without one it ends in a plain `add`.
+    pub fn forward_blocks(
         &self,
         tape: &mut Tape,
         bound: &BoundParams,
-        x: VarId,
-        res: VarId,
+        x: &[VarId],
+        res: Option<VarId>,
     ) -> VarId {
-        self.forward_from(tape, bound, 0, x, Some(res))
+        let (w, b) = (bound.var(self.layers[0].w), bound.var(self.layers[0].b));
+        let h = tape.linear_elu_blocks(x, w, b);
+        self.forward_from(tape, bound, 1, h, res)
     }
 
     /// [`Mlp::forward`] over the [`Tape::gather_concat`] of `parts`, with
     /// the first layer as one [`Tape::gather_linear`] (same parameters, no
     /// concatenated input): equal to `forward(gather_concat(parts))` to
-    /// rounding. With `res`, the residual block of
-    /// [`Mlp::forward_residual`].
+    /// rounding. With `res`, the residual block of [`Mlp::forward_blocks`].
     pub fn forward_gathered(
         &self,
         tape: &mut Tape,
@@ -335,11 +341,11 @@ mod tests {
         assert_eq!(tape.value(y).shape(), (5, 2));
     }
 
-    /// `forward_residual(x, res)` is `forward(x)` then `add(.., res)`, bit
-    /// for bit in the value and in every gradient, with the layer norm
-    /// (where the add is folded into it) and without one.
+    /// `forward_blocks(&[x], Some(res))` is `forward(x)` then
+    /// `add(.., res)`, bit for bit in the value and in every gradient, with
+    /// the layer norm (where the add is folded into it) and without one.
     #[test]
-    fn forward_residual_is_forward_then_add() {
+    fn residual_block_is_forward_then_add() {
         for layer_norm in [true, false] {
             let mut params = ParamSet::new();
             let mut rng = StdRng::seed_from_u64(5);
@@ -354,7 +360,7 @@ mod tests {
                     ((r + 4 * c) as f64 * 0.7).cos()
                 }));
                 let y = if fused {
-                    mlp.forward_residual(&mut tape, &bound, x, res)
+                    mlp.forward_blocks(&mut tape, &bound, &[x], Some(res))
                 } else {
                     let h = mlp.forward(&mut tape, &bound, x);
                     tape.add(h, res)

@@ -43,6 +43,26 @@
 //! scaled `[rows, h]` adjoint is never stored whole. Every sum keeps its
 //! serial order, so each gradient has the bits of the whole-tensor form.
 //!
+//! ## Held once
+//!
+//! A step holds each tensor once. Nothing is copied only to be read:
+//! - a layer over a concatenation reads its input as column blocks
+//!   ([`Tape::linear_blocks`]), so the concatenation is never stored;
+//! - an input the caller already holds is shared, not copied
+//!   ([`Tape::shared_constant`]): it is never put into the pool and never
+//!   released.
+//!
+//! No adjoint is materialized beside the adjoint it is added into:
+//! - an `h → h` linear writes its input adjoint over its output adjoint,
+//!   one row block at a time;
+//! - a row-aligned contribution — a linear block's, a scatter's gathered
+//!   rows — is added in place into an adjoint that already exists;
+//! - a pass-through adjoint moves on: the residual of a layer norm and
+//!   a [`CustomOp`] take `g` itself.
+//!
+//! Each of these performs the same operations in the same order as the
+//! form that stores the copy, so every value and gradient keeps its bits.
+//!
 //! ## Forward-only recordings
 //!
 //! A recording that no backward pass will follow ([`Tape::forward_only`]:
@@ -75,8 +95,11 @@ pub trait CustomOp: Send {
     /// Human-readable op name for debugging.
     fn name(&self) -> &'static str;
 
-    /// Compute input adjoints given the output adjoint.
-    fn backward(&self, grad_out: &Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>>;
+    /// Compute input adjoints given the output adjoint. `grad_out` is the
+    /// op's to keep: an op whose input adjoint is a function of it alone
+    /// may compute that in place and return the same tensor, which the
+    /// tape then takes back into its pool instead of a fresh one.
+    fn backward(&self, grad_out: Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>>;
 }
 
 /// One input of a fused gather-concatenate (see [`Tape::gather_concat`])
@@ -89,18 +112,36 @@ pub(crate) struct GatherPart {
     cols: usize,
 }
 
+/// The input of an [`Op::Linear`]: its column blocks `[x_0 | x_1 | ...]`,
+/// in order. The first is held inline, so a one-block input (every layer
+/// but one that reads a concatenation) allocates nothing.
+pub(crate) struct Blocks {
+    first: VarId,
+    rest: Vec<VarId>,
+}
+
+impl Blocks {
+    fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
 pub(crate) enum Op {
     /// Input / parameter: no parents.
     Leaf,
     /// Input that takes no gradient: no parents, and no adjoint is ever
     /// computed for it (see [`Tape::constant_copy`]).
     Constant,
+    /// A [`Op::Constant`] the tape shares instead of copying (see
+    /// [`Tape::shared_constant`]); its node's own value is empty.
+    Shared(Arc<Tensor>),
     /// `C = A * B`
     Matmul(VarId, VarId),
-    /// `C[i, :] = b[0, :] + A[i, :] * W`, optionally passed through ELU at
-    /// store time — the fused linear(+activation) layer.
+    /// `C[i, :] = b[0, :] + [X_0[i, :] | X_1[i, :] | ...] * W`, optionally
+    /// passed through ELU at store time — the fused linear(+activation)
+    /// layer over the column blocks of its input.
     Linear {
-        x: VarId,
+        x: Blocks,
         w: VarId,
         b: VarId,
         elu: bool,
@@ -161,6 +202,11 @@ pub(crate) enum Op {
 pub(crate) struct Node {
     pub value: Tensor,
     pub op: Op,
+}
+
+/// Takes no adjoint: a [`Op::Constant`] or an [`Op::Shared`] one.
+fn is_constant(op: &Op) -> bool {
+    matches!(op, Op::Constant | Op::Shared(_))
 }
 
 /// Recycled `f64` buffers, bucketed by length: a training step replays the
@@ -301,8 +347,8 @@ impl Tape {
     /// On a forward-only recording, return the value of every interior
     /// node recorded so far to the pool, except the nodes in `keep`: the
     /// caller's promise that no later op reads any other. Leaves and
-    /// constants are never released. Does nothing on a training
-    /// recording, whose backward pass reads the values.
+    /// constants, shared or not, are never released. Does nothing on a
+    /// training recording, whose backward pass reads the values.
     ///
     /// # Panics
     /// Under an active row mask: its closing backfill still reads the
@@ -316,7 +362,7 @@ impl Tape {
             "release_except with an active row mask (its window is still open)"
         );
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let interior = !matches!(node.op, Op::Leaf | Op::Constant | Op::Released);
+            let interior = !(matches!(node.op, Op::Leaf | Op::Released) || is_constant(&node.op));
             if interior && !keep.contains(&VarId(i)) {
                 let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
                 self.pool.put(value.into_vec());
@@ -326,7 +372,7 @@ impl Tape {
     }
 
     /// Enter **row-masked recording**: until [`Tape::end_row_mask`], the
-    /// row-separable ops ([`Tape::linear`], [`Tape::elu`],
+    /// row-separable ops ([`Tape::linear`] and its relatives, [`Tape::elu`],
     /// [`Tape::layer_norm`], [`Tape::layer_norm_add`],
     /// [`Tape::gather_concat`]) compute their values
     /// only for the given output rows; the remaining rows hold stale
@@ -365,7 +411,10 @@ impl Tape {
         for i in mask.first_node..self.nodes.len() {
             let (before, rest) = self.nodes.split_at_mut(i);
             let Node { value, op, .. } = &mut rest[0];
-            RowKernel::of(before, op).fill(value, complement);
+            let rows = value.rows();
+            let mut kernel = RowKernel::of(before, op, rows, &mut self.pool);
+            kernel.fill(value, complement);
+            kernel.release(&mut self.pool);
         }
     }
 
@@ -375,16 +424,18 @@ impl Tape {
     /// a value assembled from any partition of its rows is bit-identical
     /// to the one computed whole.
     fn record_rows(&mut self, rows: usize, cols: usize, op: Op) -> VarId {
-        let mut out = self.pool.uninit(rows, cols);
-        {
-            let kernel = RowKernel::of(&self.nodes, &op);
-            match &self.mask {
-                Some(mask) => kernel.fill(&mut out, &mask.rows),
-                None => for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
-                    kernel.run(chunk, cols, first_row, nrows);
-                }),
-            }
+        let Tape {
+            nodes, pool, mask, ..
+        } = self;
+        let mut out = pool.uninit(rows, cols);
+        let mut kernel = RowKernel::of(nodes, &op, rows, pool);
+        match mask {
+            Some(mask) => kernel.fill(&mut out, &mask.rows),
+            None => for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
+                kernel.run(chunk, cols, first_row, nrows);
+            }),
         }
+        kernel.release(pool);
         self.push(out, op)
     }
 
@@ -403,7 +454,7 @@ impl Tape {
     /// output), so a reset tape replays bit-identically to a fresh one.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            if !matches!(node.op, Op::Released) {
+            if !matches!(node.op, Op::Released | Op::Shared(_)) {
                 self.pool.put(node.value.into_vec());
             }
         }
@@ -451,7 +502,8 @@ impl Tape {
 
     /// Number of `f64`s this tape holds: every recorded value not
     /// released, plus [`Tape::pooled_len`]. On a fresh tape, at the end of
-    /// a recording, this is the recording's working set.
+    /// a recording, this is the recording's working set. A
+    /// [`Tape::shared_constant`] is its owner's, not the tape's.
     pub fn held_len(&self) -> usize {
         let values: usize = self.nodes.iter().map(|n| n.value.len()).sum();
         values + self.pooled_len()
@@ -462,8 +514,16 @@ impl Tape {
     /// boundary rows of an already-recorded sync node. Callers must finish
     /// all mutation before any later op (or the backward pass) reads the
     /// affected rows.
+    ///
+    /// # Panics
+    /// If the value was released, or is a [`Tape::shared_constant`].
     pub fn value_mut(&mut self, id: VarId) -> &mut Tensor {
         assert_live(&self.nodes, id);
+        assert!(
+            !matches!(self.nodes[id.0].op, Op::Shared(_)),
+            "tape value {} is a shared constant and cannot be mutated",
+            id.0
+        );
         &mut self.nodes[id.0].value
     }
 
@@ -495,6 +555,15 @@ impl Tape {
         self.push(v, Op::Constant)
     }
 
+    /// [`Tape::constant_copy`] without the copy: the tape reads `t` where
+    /// its owner keeps it (a training sample's features, a request's
+    /// input) until the next [`Tape::reset`]. The tensor is never put into
+    /// the pool and never released, and every value and gradient has the
+    /// bits of the copied constant's.
+    pub fn shared_constant(&mut self, t: Arc<Tensor>) -> VarId {
+        self.push(Tensor::zeros(0, 0), Op::Shared(t))
+    }
+
     /// `a * b` (matrix product).
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
         self.assert_unmasked("matmul");
@@ -510,29 +579,66 @@ impl Tape {
     /// over rows): one kernel, one output tensor, instead of a matmul
     /// followed by a broadcast add.
     pub fn linear(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
-        self.linear_impl(x, w, b, false)
+        self.linear_impl(&[x], w, b, false)
     }
 
     /// [`Tape::linear`] with ELU (alpha = 1) applied as the kernel's
     /// store-time post-op: `elu(x * w + b)` as **one** op and one tensor —
     /// the hidden-layer body of every MLP in the model.
     pub fn linear_elu(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
+        self.linear_impl(&[x], w, b, true)
+    }
+
+    /// [`Tape::linear`] over the column blocks `x` of its input,
+    /// `[x_0 | x_1 | ...] * w + b`, with the concatenation never stored:
+    /// each row block of the input is assembled in an L1-sized scratch and
+    /// multiplied there, and each block's adjoint goes to its own variable.
+    /// The value and every gradient have the bits of
+    /// [`Tape::gather_concat`] (no indices) then [`Tape::linear`].
+    /// Row-separable, so it may be recorded under a row mask.
+    ///
+    /// # Panics
+    /// If `x` is empty, its blocks differ in row count, their widths do not
+    /// sum to `w`'s rows, or `b` is not `[1, w.cols]`.
+    pub fn linear_blocks(&mut self, x: &[VarId], w: VarId, b: VarId) -> VarId {
+        self.linear_impl(x, w, b, false)
+    }
+
+    /// [`Tape::linear_blocks`] with ELU at store time: the bits of
+    /// [`Tape::gather_concat`] then [`Tape::linear_elu`].
+    ///
+    /// # Panics
+    /// As [`Tape::linear_blocks`].
+    pub fn linear_elu_blocks(&mut self, x: &[VarId], w: VarId, b: VarId) -> VarId {
         self.linear_impl(x, w, b, true)
     }
 
-    fn linear_impl(&mut self, x: VarId, w: VarId, b: VarId, elu: bool) -> VarId {
-        let (vx, vw, vb) = (self.value(x), self.value(w), self.value(b));
+    fn linear_impl(&mut self, x: &[VarId], w: VarId, b: VarId, elu: bool) -> VarId {
+        assert!(!x.is_empty(), "linear needs at least one input block");
+        let (first, rest) = (x[0], &x[1..]);
+        let rows = self.value(first).rows();
+        let mut in_dim = 0;
+        for &block in x {
+            let v = self.value(block);
+            assert_eq!(v.rows(), rows, "linear input blocks differ in rows");
+            in_dim += v.cols();
+        }
+        let (vw, vb) = (self.value(w), self.value(b));
         assert_eq!(
-            vx.cols(),
+            in_dim,
             vw.rows(),
             "linear inner dims: {}x{} * {}x{}",
-            vx.rows(),
-            vx.cols(),
+            rows,
+            in_dim,
             vw.rows(),
             vw.cols()
         );
         assert_eq!(vb.shape(), (1, vw.cols()), "linear bias shape");
-        self.record_rows(vx.rows(), vw.cols(), Op::Linear { x, w, b, elu })
+        let x = Blocks {
+            first,
+            rest: rest.to_vec(),
+        };
+        self.record_rows(rows, vw.cols(), Op::Linear { x, w, b, elu })
     }
 
     /// `a + b` elementwise.
@@ -934,7 +1040,10 @@ impl Tape {
 /// Every read of a recorded value goes through here or [`assert_live`].
 fn value(nodes: &[Node], id: VarId) -> &Tensor {
     assert_live(nodes, id);
-    &nodes[id.0].value
+    match &nodes[id.0].op {
+        Op::Shared(t) => t,
+        _ => &nodes[id.0].value,
+    }
 }
 
 /// Never read an empty buffer in place of a released value.
@@ -954,27 +1063,48 @@ fn accumulate(
     pool: &mut BufPool,
     grads: &mut [Option<Tensor>],
     node: &Node,
-    g: Tensor,
+    mut g: Tensor,
 ) {
     // Constants take no adjoint: the ops below skip the products that
     // would only feed one, and `add` drops whatever else reaches one.
-    let wants = |id: VarId| !matches!(nodes[id.0].op, Op::Constant);
-    let mut add = |id: VarId, contrib: Tensor, pool: &mut BufPool| match &mut grads[id.0] {
-        _ if !wants(id) => pool.put(contrib.into_vec()),
-        Some(acc) => {
-            acc.add_assign(&contrib);
-            pool.put(contrib.into_vec());
+    let wants = |id: VarId| !is_constant(&nodes[id.0].op);
+    let add = |grads: &mut [Option<Tensor>], id: VarId, contrib: Tensor, pool: &mut BufPool| {
+        match &mut grads[id.0] {
+            _ if !wants(id) => pool.put(contrib.into_vec()),
+            Some(acc) => {
+                acc.add_assign(&contrib);
+                pool.put(contrib.into_vec());
+            }
+            slot @ None => *slot = Some(contrib),
         }
-        slot @ None => *slot = Some(contrib),
+    };
+    // A dense layer's input block, once its adjoint has streamed: the
+    // adjoint goes to the block's variable (`g` itself if it was written
+    // over it), the block's `wᵀ` back to the pool.
+    let finish = |grads: &mut [Option<Tensor>],
+                  id: VarId,
+                  adjoint: Option<(Tensor, Dest)>,
+                  g: &mut Option<Tensor>,
+                  pool: &mut BufPool| {
+        let Some((wt, dest)) = adjoint else { return };
+        pool.put(wt.into_vec());
+        let contrib = match dest {
+            Dest::Add(t) | Dest::Fresh(t) => Some(t),
+            Dest::OverG => g.take(),
+        };
+        if let Some(c) = contrib {
+            add(grads, id, c, pool);
+        }
     };
     // Pass-through adjoints: the last parent takes `g` itself. The `add`s
     // keep their order, so a parent reached twice (`x + x`) sums the same
-    // bits as it would from two copies. Every other op only reads `g`.
+    // bits as it would from two copies. Every other op only reads `g`, or
+    // writes a parent's adjoint over it and passes it on.
     match &node.op {
-        Op::Leaf | Op::Constant | Op::Released => {}
+        Op::Leaf | Op::Constant | Op::Shared(_) | Op::Released => {}
         Op::Add(a, b) => {
-            add(*a, pool.copy_of(&g), pool);
-            return add(*b, g, pool);
+            add(grads, *a, pool.copy_of(&g), pool);
+            return add(grads, *b, g, pool);
         }
         Op::Sub(a, b) => {
             let neg = wants(*b).then(|| {
@@ -982,57 +1112,84 @@ fn accumulate(
                 ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
                 gb
             });
-            add(*a, g, pool);
+            add(grads, *a, g, pool);
             if let Some(gb) = neg {
-                add(*b, gb, pool);
+                add(grads, *b, gb, pool);
             }
             return;
         }
         Op::AddRow(a, bias) => {
             let gb = col_sums(pool, &g);
-            add(*a, g, pool);
-            return add(*bias, gb, pool);
+            add(grads, *a, g, pool);
+            return add(grads, *bias, gb, pool);
         }
         Op::Matmul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             if wants(*a) {
-                add(*a, times_transposed(pool, &g, vb.data(), vb.rows()), pool);
+                let ga = times_transposed(pool, &g, vb.data(), vb.rows());
+                add(grads, *a, ga, pool);
             }
             if wants(*b) {
                 let mut gb = pool.uninit(va.cols(), g.cols());
                 va.matmul_tn_into(&g, &mut gb);
-                add(*b, gb, pool);
+                add(grads, *b, gb, pool);
             }
         }
         Op::Linear { x, w, b, elu } => {
-            let (vx, vw) = (value(nodes, *x), value(nodes, *w));
-            let (k, h) = vw.shape();
-            let mut gx = wants(*x).then(|| pool.uninit(vx.rows(), k));
-            let mut gw = pool.zeroed(k, h);
+            let vw = value(nodes, *w);
+            let (rows, h) = g.shape();
+            let mut gw = pool.zeroed(vw.rows(), h);
+            let mut plan = AdjointPlan {
+                nodes,
+                w: vw.data(),
+                rows,
+                h,
+                g_free: true,
+            };
+            // The blocks own consecutive row blocks of `w`, in order.
+            let mut row = 0;
+            let mut block = |id: VarId, grads: &mut [Option<Tensor>], pool: &mut BufPool| {
+                let k = value(nodes, id).cols();
+                let w_rows = row * h..(row + k) * h;
+                row += k;
+                plan.block(grads, pool, id, w_rows, true)
+            };
+            let mut one: [InputBlock; 1];
+            let mut many: Vec<InputBlock>;
+            let blocks: &mut [InputBlock] = if x.rest.is_empty() {
+                one = [block(x.first, grads, pool)];
+                &mut one
+            } else {
+                many = x.iter().map(|id| block(id, grads, pool)).collect();
+                &mut many
+            };
             let y = elu.then_some(&node.value);
-            let gxd = gx.as_mut().map(Tensor::data_mut);
-            let (xd, wd) = (vx.data(), vw.data());
-            let gb = dense_adjoint(pool, &g, y, xd, wd, k, gxd, gw.data_mut(), |_, _, _| {});
-            if let Some(gx) = gx {
-                add(*x, gx, pool);
+            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data_mut(), |_, _, _| {});
+            let mut g = Some(g);
+            for blk in blocks {
+                finish(grads, blk.id, blk.adjoint.take(), &mut g, pool);
             }
-            add(*w, gw, pool);
-            add(*b, gb, pool);
+            add(grads, *w, gw, pool);
+            add(grads, *b, gb, pool);
+            if let Some(g) = g {
+                pool.put(g.into_vec());
+            }
+            return;
         }
         Op::Mul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
             let mut ga = pool.uninit(g.rows(), g.cols());
             ew_zip(g.data(), vb.data(), g.cols(), ga.data_mut(), |x, y| x * y);
-            add(*a, ga, pool);
+            add(grads, *a, ga, pool);
             let mut gb = pool.uninit(g.rows(), g.cols());
             ew_zip(g.data(), va.data(), g.cols(), gb.data_mut(), |x, y| x * y);
-            add(*b, gb, pool);
+            add(grads, *b, gb, pool);
         }
         Op::Scale(a, alpha) => {
             let al = *alpha;
             let mut ga = pool.uninit(g.rows(), g.cols());
             ew_map(g.data(), g.cols(), ga.data_mut(), |x| al * x);
-            add(*a, ga, pool);
+            add(grads, *a, ga, pool);
         }
         Op::GatherConcat(parts) => {
             let mut off = 0;
@@ -1050,28 +1207,38 @@ fn accumulate(
                         let mut contrib = pool.uninit(src_rows, w);
                         gp.scatter_add_rows_into(idx, &mut contrib);
                         pool.put(gp.into_vec());
-                        add(p.src, contrib, pool);
+                        add(grads, p.src, contrib, pool);
                     }
-                    None => add(p.src, gp, pool),
+                    None => add(grads, p.src, gp, pool),
                 }
                 off += w;
             }
         }
         Op::GatherLinear { parts, w, b } => {
             let vw = value(nodes, *w);
-            let h = vw.cols();
+            let (rows, h) = g.shape();
             // Every part owns its own row block of the one weight gradient.
             let mut gw = pool.zeroed(vw.rows(), h);
             // The streamed part (if any) takes its adjoint row block by row
-            // block, as `linear` does; a gathered part's `S`, the adjoint
-            // `t` summed back onto the source rows it was gathered from,
-            // accumulates block by block in edge order.
-            let (sx, sk, sblock, s_wants) =
-                match weight_blocks(parts, h).find(|(p, _)| p.idx.is_none()) {
-                    Some((p, block)) => (value(nodes, p.src).data(), p.cols, block, wants(p.src)),
-                    None => (&[][..], 0, 0..0, false),
-                };
-            let mut sgx = s_wants.then(|| pool.uninit(g.rows(), sk));
+            // block, as `linear` does — added into its source's adjoint
+            // unless an earlier part adds to that source first; a gathered
+            // part's `S`, the adjoint `t` summed back onto the source rows
+            // it was gathered from, accumulates block by block in edge
+            // order.
+            let mut plan = AdjointPlan {
+                nodes,
+                w: vw.data(),
+                rows,
+                h,
+                g_free: true,
+            };
+            let mut streamed = weight_blocks(parts, h)
+                .enumerate()
+                .find(|(_, (p, _))| p.idx.is_none())
+                .map(|(i, (p, w_rows))| {
+                    let may_add = parts[..i].iter().all(|q| q.src != p.src);
+                    plan.block(grads, pool, p.src, w_rows, may_add)
+                });
             let mut sums: Vec<Option<Tensor>> = parts
                 .iter()
                 .map(|p| {
@@ -1079,52 +1246,53 @@ fn accumulate(
                     p.idx.as_ref().map(|_| pool.zeroed(src_rows, h))
                 })
                 .collect();
-            let gxd = sgx.as_mut().map(Tensor::data_mut);
-            let (y, ws) = (Some(&node.value), &vw.data()[sblock.clone()]);
-            let gws = &mut gw.data_mut()[sblock];
-            let gb = dense_adjoint(pool, &g, y, sx, ws, sk, gxd, gws, |r0, nr, t| {
+            let y = Some(&node.value);
+            let blocks = streamed.as_mut_slice();
+            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data_mut(), |r0, nr, t| {
                 for (p, s) in parts.iter().zip(sums.iter_mut()) {
                     if let (Some(idx), Some(s)) = (&p.idx, s) {
                         scatter_add_block(t, &idx[r0..r0 + nr], s);
                     }
                 }
             });
+            let mut g = Some(g);
             for ((p, block), s) in weight_blocks(parts, h).zip(sums) {
                 let Some(s) = s else {
-                    if let Some(gx) = sgx.take() {
-                        add(p.src, gx, pool);
+                    if let Some(blk) = streamed.take() {
+                        finish(grads, blk.id, blk.adjoint, &mut g, pool);
                     }
                     continue;
                 };
                 let x = value(nodes, p.src);
                 if wants(p.src) {
-                    add(
-                        p.src,
-                        times_transposed(pool, &s, &vw.data()[block.clone()], p.cols),
-                        pool,
-                    );
+                    let gx = times_transposed(pool, &s, &vw.data()[block.clone()], p.cols);
+                    add(grads, p.src, gx, pool);
                 }
                 let gwp = &mut gw.data_mut()[block];
                 gemm_tn(x.data(), s.data(), gwp, x.rows(), p.cols, h);
                 pool.put(s.into_vec());
             }
-            add(*w, gw, pool);
-            add(*b, gb, pool);
+            add(grads, *w, gw, pool);
+            add(grads, *b, gb, pool);
+            if let Some(g) = g {
+                pool.put(g.into_vec());
+            }
+            return;
         }
         Op::GatherRows(a, idx, src_rows) => {
             let mut contrib = pool.uninit(*src_rows, g.cols());
             g.scatter_add_rows_into(idx, &mut contrib);
-            add(*a, contrib, pool);
+            add(grads, *a, contrib, pool);
         }
         Op::ScatterAddRows(a, idx) => {
-            let mut contrib = pool.uninit(idx.len(), g.cols());
-            g.gather_rows_into(idx, &mut contrib);
-            add(*a, contrib, pool);
+            if wants(*a) {
+                add_gathered_rows(grads, pool, *a, &g, idx, |_, v| v);
+            }
         }
         Op::ScatterAddScaled(a, w, idx) => {
-            let mut contrib = pool.uninit(idx.len(), g.cols());
-            g.gather_rows_scaled_into(idx, w, &mut contrib);
-            add(*a, contrib, pool);
+            if wants(*a) {
+                add_gathered_rows(grads, pool, *a, &g, idx, |i, v| w[i] * v);
+            }
         }
         Op::Elu(a) => {
             // d/du elu(u) = exp(u) for u < 0, and the forward already
@@ -1139,7 +1307,7 @@ fn accumulate(
                     x
                 }
             });
-            add(*a, ga, pool);
+            add(grads, *a, ga, pool);
         }
         Op::LayerNorm {
             x,
@@ -1148,11 +1316,6 @@ fn accumulate(
             beta,
             eps,
         } => {
-            // `+ res` passes the adjoint through: `res` takes a copy first,
-            // as the separate `add` gave it before the layer norm's turn.
-            if let Some(res) = res.filter(|&r| wants(r)) {
-                add(res, pool.copy_of(&g), pool);
-            }
             let vx = value(nodes, *x);
             let (rows, cols) = vx.shape();
             let mut gx = pool.uninit(rows, cols);
@@ -1170,9 +1333,16 @@ fn accumulate(
                 xhat.data_mut(),
             );
             pool.put(xhat.into_vec());
-            add(*x, gx, pool);
-            add(*gamma, ggamma, pool);
-            add(*beta, gbeta, pool);
+            // `+ res` passes the adjoint through: `res` takes `g` itself
+            // now that the layer norm's adjoint has read it, and before
+            // `x` takes its own, as the separate `add` gave it.
+            match res.filter(|&r| wants(r)) {
+                Some(res) => add(grads, res, g, pool),
+                None => pool.put(g.into_vec()),
+            }
+            add(grads, *x, gx, pool);
+            add(grads, *gamma, ggamma, pool);
+            return add(grads, *beta, gbeta, pool);
         }
         Op::WeightedSqSum(a, w) => {
             let va = value(nodes, *a);
@@ -1191,18 +1361,19 @@ fn accumulate(
                     }
                 }
             });
-            add(*a, ga, pool);
+            add(grads, *a, ga, pool);
         }
         Op::Sum(a) => {
             let va = value(nodes, *a);
             let s = g.item();
             let mut contrib = pool.uninit(va.rows(), va.cols());
             contrib.data_mut().fill(s);
-            add(*a, contrib, pool);
+            add(grads, *a, contrib, pool);
         }
         Op::Custom { inputs, op } => {
             let vals: Vec<&Tensor> = inputs.iter().map(|&i| value(nodes, i)).collect();
-            let contribs = op.backward(&g, &vals);
+            // The op takes `g`: one that works in place hands it back.
+            let contribs = op.backward(g, &vals);
             assert_eq!(
                 contribs.len(),
                 inputs.len(),
@@ -1217,12 +1388,43 @@ fn accumulate(
                         "custom op {} returned an adjoint of the wrong shape",
                         op.name()
                     );
-                    add(*id, c, pool);
+                    add(grads, *id, c, pool);
                 }
             }
+            return;
         }
     }
     pool.put(g.into_vec());
+}
+
+/// Add the rows of `g` gathered by `idx`, row `i` mapped by `f(i, value)`
+/// elementwise, to `a`'s adjoint: in place into the adjoint `a` already
+/// has, or as a fresh one. Each element is `acc + f(i, v)`, the bits of
+/// adding the materialized contribution.
+fn add_gathered_rows(
+    grads: &mut [Option<Tensor>],
+    pool: &mut BufPool,
+    a: VarId,
+    g: &Tensor,
+    idx: &[usize],
+    f: impl Fn(usize, f64) -> f64,
+) {
+    match &mut grads[a.0] {
+        Some(acc) => g.gather_rows_with(idx, acc, |i, o_row, src| {
+            for (o, &v) in o_row.iter_mut().zip(src) {
+                *o += f(i, v);
+            }
+        }),
+        slot @ None => {
+            let mut contrib = pool.uninit(idx.len(), g.cols());
+            g.gather_rows_with(idx, &mut contrib, |i, o_row, src| {
+                for (o, &v) in o_row.iter_mut().zip(src) {
+                    *o = f(i, v);
+                }
+            });
+            *slot = Some(contrib);
+        }
+    }
 }
 
 /// The forward body of a row-separable op — the only kind that may be
@@ -1232,10 +1434,17 @@ fn accumulate(
 /// recording over the runs of the mask rows and of their complement.
 enum RowKernel<'a> {
     Linear {
-        x: &'a Tensor,
+        nodes: &'a [Node],
+        x: &'a Blocks,
+        /// The width of the whole input.
+        k: usize,
         w: &'a [f64],
         bias: &'a [f64],
         elu: bool,
+        /// For an input of several blocks: rows of `[x_0 | x_1 | ...]`,
+        /// assembled one L1-sized block of rows at a time. One block is
+        /// read in place.
+        rows: Option<Tensor>,
     },
     Elu(&'a [f64]),
     LayerNorm {
@@ -1254,15 +1463,22 @@ impl<'a> RowKernel<'a> {
     ///
     /// If `op` is not row-separable: reaching here with any other op is a
     /// programming error in the op registry.
-    fn of(nodes: &'a [Node], op: &'a Op) -> Self {
+    fn of(nodes: &'a [Node], op: &'a Op, rows: usize, pool: &mut BufPool) -> Self {
         let val = |id: &VarId| value(nodes, *id);
         match op {
-            Op::Linear { x, w, b, elu } => RowKernel::Linear {
-                x: val(x),
-                w: val(w).data(),
-                bias: val(b).data(),
-                elu: *elu,
-            },
+            Op::Linear { x, w, b, elu } => {
+                let (k, h) = val(w).shape();
+                let block = tn_panel_rows(k, h).min(rows);
+                RowKernel::Linear {
+                    nodes,
+                    x,
+                    k,
+                    w: val(w).data(),
+                    bias: val(b).data(),
+                    elu: *elu,
+                    rows: (!x.rest.is_empty()).then(|| pool.uninit(block, k)),
+                }
+            }
             Op::Elu(a) => RowKernel::Elu(val(a).data()),
             Op::LayerNorm {
                 x,
@@ -1293,20 +1509,46 @@ impl<'a> RowKernel<'a> {
 
     /// Compute output rows `first_row..first_row + nrows` into `chunk`
     /// (those rows of the `cols`-wide output, row-major).
-    fn run(&self, chunk: &mut [f64], cols: usize, first_row: usize, nrows: usize) {
+    fn run(&mut self, chunk: &mut [f64], cols: usize, first_row: usize, nrows: usize) {
         let span = first_row * cols..(first_row + nrows) * cols;
         match self {
-            RowKernel::Linear { x, w, bias, elu } => crate::tensor::gemm_rows(
-                x.data(),
+            RowKernel::Linear {
+                nodes,
+                x,
+                k,
                 w,
-                chunk,
-                first_row,
-                nrows,
-                x.cols(),
-                cols,
-                Some(bias),
-                *elu,
-            ),
+                bias,
+                elu,
+                rows,
+            } => {
+                let k = *k;
+                let Some(rows) = rows else {
+                    let x = value(nodes, x.first).data();
+                    return gemm_rows(x, w, chunk, first_row, nrows, k, cols, Some(bias), *elu);
+                };
+                let block = rows.rows().max(1);
+                for r0 in (0..nrows).step_by(block) {
+                    let nr = block.min(nrows - r0);
+                    let a = &mut rows.data_mut()[..nr * k];
+                    let mut off = 0;
+                    for id in x.iter() {
+                        let t = value(nodes, id);
+                        let kb = t.cols();
+                        for i in 0..nr {
+                            let src = t.row(first_row + r0 + i);
+                            let dst = &mut a[i * k + off..i * k + off + kb];
+                            // Element loop, as in `gather_concat`: a
+                            // per-row memcpy call dominates narrow copies.
+                            for (o, &v) in dst.iter_mut().zip(src) {
+                                *o = v;
+                            }
+                        }
+                        off += kb;
+                    }
+                    let out = &mut chunk[r0 * cols..(r0 + nr) * cols];
+                    gemm_rows(a, w, out, 0, nr, k, cols, Some(bias), *elu);
+                }
+            }
             RowKernel::Elu(src) => {
                 for (o, &u) in chunk.iter_mut().zip(&src[span]) {
                     *o = crate::tensor::elu_scalar(u);
@@ -1332,7 +1574,7 @@ impl<'a> RowKernel<'a> {
                     let r = first_row + i;
                     let o_row = &mut chunk[i * cols..(i + 1) * cols];
                     let mut off = 0;
-                    for (t, ix) in parts {
+                    for (t, ix) in parts.iter() {
                         let src = ix.map_or(r, |ix| ix[r]);
                         let w = t.cols();
                         // Element loop, not copy_from_slice: a per-row memcpy
@@ -1349,7 +1591,7 @@ impl<'a> RowKernel<'a> {
 
     /// Compute the listed rows of `value`, one [`RowKernel::run`] per
     /// maximal run of consecutive row ids.
-    fn fill(&self, value: &mut Tensor, rows: &[usize]) {
+    fn fill(&mut self, value: &mut Tensor, rows: &[usize]) {
         let cols = value.cols();
         let mut i = 0;
         while i < rows.len() {
@@ -1362,6 +1604,13 @@ impl<'a> RowKernel<'a> {
             }
             let chunk = &mut value.data_mut()[first * cols..end * cols];
             self.run(chunk, cols, first, end - first);
+        }
+    }
+
+    /// Give the kernel's scratch back to the pool.
+    fn release(self, pool: &mut BufPool) {
+        if let RowKernel::Linear { rows: Some(t), .. } = self {
+            pool.put(t.into_vec());
         }
     }
 }
@@ -1405,62 +1654,179 @@ fn col_sums(pool: &mut BufPool, g: &Tensor) -> Tensor {
     out
 }
 
-/// The adjoint of a dense layer `y = act(x * w + b)` (`act` ELU when the
-/// stored output `y` is given, else the identity) from its `[rows, h]`
-/// output adjoint `g`, one block of `tn_panel_rows(k, h)` rows at a time,
-/// for `[rows, k]` input rows `x` and a `[k, h]` weight `w`. Each block, in
-/// row order: `t = g ⊙ act'(u)` into an L1-sized scratch (`g` itself
-/// without ELU); `t`'s rows added to the bias gradient; the block's rows of
-/// `t * wᵀ` written into `gx`, when given; `xᵀ * t` added into `gw`; then
-/// `each(first_row, rows, t)`. Every sum keeps the serial row order of the
-/// whole-tensor products, so the gradients are their bits, and the
-/// `[rows, h]` tensor `t` is never stored. Returns the bias gradient.
+/// Where [`dense_adjoint`] puts an input block's adjoint.
+enum Dest {
+    /// Added, row block by row block, into the adjoint the block's
+    /// variable already has (taken out of its slot meanwhile).
+    Add(Tensor),
+    /// Written into a fresh tensor.
+    Fresh(Tensor),
+    /// Written over the output adjoint `g`, which is as wide.
+    OverG,
+}
+
+/// One column block of a dense layer's input, as [`dense_adjoint`]
+/// streams its adjoint.
+struct InputBlock<'a> {
+    id: VarId,
+    /// The block's `[rows, k]` values.
+    x: &'a [f64],
+    k: usize,
+    /// The block's rows of the weight (and of its gradient), as a range of
+    /// their row-major data.
+    w_rows: std::ops::Range<usize>,
+    /// The block's `wᵀ` and its adjoint's destination; `None` for a
+    /// constant.
+    adjoint: Option<(Tensor, Dest)>,
+}
+
+/// The [`InputBlock`]s of one dense layer's backward, for its `[rows, h]`
+/// output adjoint `g` and its `[.., h]` weight `w`.
+struct AdjointPlan<'a> {
+    nodes: &'a [Node],
+    w: &'a [f64],
+    rows: usize,
+    h: usize,
+    /// No block writes over `g` yet.
+    g_free: bool,
+}
+
+impl<'a> AdjointPlan<'a> {
+    /// Block `id`, owning `w_rows` of `w`. A block that takes an adjoint
+    /// gets its `wᵀ` and a destination: the adjoint its variable already
+    /// has (if `may_add`); else `g`, if the block is as wide and no other
+    /// block took it; else a fresh tensor.
+    fn block(
+        &mut self,
+        grads: &mut [Option<Tensor>],
+        pool: &mut BufPool,
+        id: VarId,
+        w_rows: std::ops::Range<usize>,
+        may_add: bool,
+    ) -> InputBlock<'a> {
+        let x = value(self.nodes, id);
+        let (k, h) = (x.cols(), self.h);
+        let adjoint = (!is_constant(&self.nodes[id.0].op)).then(|| {
+            let mut wt = pool.uninit(h, k);
+            transpose(&self.w[w_rows.clone()], k, h, wt.data_mut());
+            let existing = if may_add { grads[id.0].take() } else { None };
+            let dest = match existing {
+                Some(acc) => Dest::Add(acc),
+                None if k == h && self.g_free => {
+                    self.g_free = false;
+                    Dest::OverG
+                }
+                None => Dest::Fresh(pool.uninit(self.rows, k)),
+            };
+            (wt, dest)
+        });
+        InputBlock {
+            id,
+            x: x.data(),
+            k,
+            w_rows,
+            adjoint,
+        }
+    }
+}
+
+/// The adjoint of a dense layer `y = act([x_0 | x_1 | ...] * w + b)`
+/// (`act` ELU when the stored output `y` is given, else the identity) from
+/// its `[rows, h]` output adjoint `g`, one block of `tn_panel_rows(k, h)`
+/// rows at a time, for the input `blocks` (`k` columns in all). Each
+/// block, in row order: `t = g ⊙ act'(u)` into an L1-sized scratch (`g`'s
+/// rows themselves without ELU, unless a block writes over `g`); `t`'s
+/// rows added to the bias gradient; for each input block, its rows of
+/// `t * w_pᵀ` to its [`Dest`] and `x_pᵀ * t` added into its rows of `gw`;
+/// then `each(first_row, rows, t)`. Every sum keeps the serial row order
+/// of the whole-tensor products, so the gradients are their bits, and
+/// neither the `[rows, h]` tensor `t` nor an adjoint that is only added
+/// into another is stored. Returns the bias gradient.
 fn dense_adjoint(
     pool: &mut BufPool,
-    g: &Tensor,
+    g: &mut Tensor,
     y: Option<&Tensor>,
-    x: &[f64],
-    w: &[f64],
-    k: usize,
-    mut gx: Option<&mut [f64]>,
+    blocks: &mut [InputBlock],
     gw: &mut [f64],
     mut each: impl FnMut(usize, usize, &[f64]),
 ) -> Tensor {
     let (rows, h) = g.shape();
+    let block = tn_panel_rows(blocks.iter().map(|b| b.k).sum(), h).min(rows);
+    let over_g = blocks
+        .iter()
+        .any(|b| matches!(b.adjoint, Some((_, Dest::OverG))));
+    let add_k = blocks
+        .iter()
+        .filter(|b| matches!(b.adjoint, Some((_, Dest::Add(_)))))
+        .map(|b| b.k)
+        .max();
     let mut gb = pool.zeroed(1, h);
-    let mut wt = pool.uninit(h, k);
-    transpose(w, k, h, wt.data_mut());
-    let block = tn_panel_rows(k, h);
-    let mut scratch = y.map(|_| pool.uninit(block.min(rows), h));
-    for r0 in (0..rows).step_by(block) {
+    // `t` is copied out of `g` when ELU scales it or a block overwrites
+    // `g`; an added block's rows pass through `sums` on their way.
+    let mut scratch = (y.is_some() || over_g).then(|| pool.uninit(block, h));
+    let mut sums = add_k.map(|k| pool.uninit(block, k));
+    for r0 in (0..rows).step_by(block.max(1)) {
         let nr = block.min(rows - r0);
         let span = r0 * h..(r0 + nr) * h;
-        // elu'(u) = exp(u) for u < 0: the stored y = exp(u) - 1, so y + 1.
-        let t: &[f64] = match (y, scratch.as_mut()) {
-            (Some(y), Some(s)) => {
+        let (t, mut g_rows): (&[f64], Option<&mut [f64]>) = match scratch.as_mut() {
+            Some(s) => {
                 let t = &mut s.data_mut()[..nr * h];
-                let gy = g.data()[span.clone()].iter().zip(&y.data()[span]);
-                for (o, (&gv, &yv)) in t.iter_mut().zip(gy) {
-                    *o = if yv < 0.0 { gv * (yv + 1.0) } else { gv };
+                let gs = &g.data()[span.clone()];
+                match y {
+                    // elu'(u) = exp(u) for u < 0: the stored y = exp(u) - 1,
+                    // so y + 1.
+                    Some(y) => {
+                        for (o, (&gv, &yv)) in
+                            t.iter_mut().zip(gs.iter().zip(&y.data()[span.clone()]))
+                        {
+                            *o = if yv < 0.0 { gv * (yv + 1.0) } else { gv };
+                        }
+                    }
+                    None => t.copy_from_slice(gs),
                 }
-                t
+                (t, Some(&mut g.data_mut()[span]))
             }
-            _ => &g.data()[span],
+            None => (&g.data()[span], None),
         };
         for i in 0..nr {
             for (s, &v) in gb.data_mut().iter_mut().zip(&t[i * h..(i + 1) * h]) {
                 *s += v;
             }
         }
-        let rows_k = r0 * k..(r0 + nr) * k;
-        if let Some(gx) = gx.as_deref_mut().filter(|_| k > 0) {
-            let gx = &mut gx[rows_k.clone()];
-            gemm_rows(t, wt.data(), gx, 0, nr, h, k, None, false);
+        for b in blocks.iter_mut() {
+            let rows_k = r0 * b.k..(r0 + nr) * b.k;
+            if let Some((wt, dest)) = b.adjoint.as_mut().filter(|_| b.k > 0) {
+                let (wt, k) = (wt.data(), b.k);
+                // `g_rows` is there when a block writes over `g`, `sums`
+                // when one adds: both were sized above.
+                match dest {
+                    Dest::Fresh(gx) => {
+                        let out = &mut gx.data_mut()[rows_k.clone()];
+                        gemm_rows(t, wt, out, 0, nr, h, k, None, false);
+                    }
+                    Dest::OverG => {
+                        if let Some(out) = g_rows.as_deref_mut() {
+                            gemm_rows(t, wt, out, 0, nr, h, k, None, false);
+                        }
+                    }
+                    Dest::Add(acc) => {
+                        if let Some(s) = sums.as_mut() {
+                            let s = &mut s.data_mut()[..nr * k];
+                            gemm_rows(t, wt, s, 0, nr, h, k, None, false);
+                            let acc = &mut acc.data_mut()[rows_k.clone()];
+                            for (a, &v) in acc.iter_mut().zip(s.iter()) {
+                                *a += v;
+                            }
+                        }
+                    }
+                }
+            }
+            let gw_p = &mut gw[b.w_rows.clone()];
+            gemm_tn_acc(&b.x[rows_k], t, gw_p, nr, b.k, h);
         }
-        gemm_tn_acc(&x[rows_k], t, gw, nr, k, h);
         each(r0, nr, t);
     }
-    for buf in scratch.into_iter().chain([wt]) {
+    for buf in scratch.into_iter().chain(sums) {
         pool.put(buf.into_vec());
     }
     gb
@@ -1731,8 +2097,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "identity"
             }
-            fn backward(&self, grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-                vec![Some(grad_out.clone())]
+            fn backward(&self, grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+                vec![Some(grad_out)]
             }
         }
         let mut tape = Tape::new();
@@ -1755,7 +2121,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "shrink"
             }
-            fn backward(&self, _grad_out: &Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+            fn backward(&self, _grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
                 vec![Some(Tensor::zeros(1, 1))]
             }
         }
@@ -1881,6 +2247,48 @@ mod tests {
         for (a, b) in [(x, x2), (w, w2), (b, b2)] {
             assert_eq!(gf.get(a).unwrap().data(), gs.get(b).unwrap().data());
         }
+    }
+
+    /// The backward of an edge MLP — `gather_linear` over `[x[src] |
+    /// x[dst] | e]`, two `h → h` `linear_elu` layers, the residual `e`
+    /// folded into the layer norm — holds at most two `[E, h]` adjoints at
+    /// once: `e`'s, which the residual hands `g` to and `gather_linear`'s
+    /// streamed part adds into, and the one passing down the chain, which
+    /// each linear overwrites with its input adjoint. A fresh tape takes
+    /// every buffer back after the backward and the recycle, so the
+    /// `[E, h]` buffers its pool then parks are all it ever lent to
+    /// adjoints at the same time (the forward's values still hold theirs).
+    #[test]
+    fn edge_mlp_backward_holds_two_row_sized_adjoints() {
+        let (nodes, edges, h) = (23, 301, 8);
+        let mut tape = Tape::new();
+        let mut leaf = |rows: usize, cols: usize, salt: usize| {
+            tape.leaf(Tensor::from_fn(rows, cols, |r, c| {
+                (((r * cols + c) * 7 + salt) as f64 * 0.37).sin()
+            }))
+        };
+        let (x, e) = (leaf(nodes, h, 1), leaf(edges, h, 2));
+        let (w0, b0) = (leaf(3 * h, h, 3), leaf(1, h, 4));
+        let (w1, b1) = (leaf(h, h, 5), leaf(1, h, 6));
+        let (w2, b2) = (leaf(h, h, 7), leaf(1, h, 8));
+        let (gamma, beta) = (leaf(1, h, 9), leaf(1, h, 10));
+        let src = Arc::new((0..edges).map(|i| (i * 5 + 1) % nodes).collect());
+        let dst = Arc::new((0..edges).map(|i| (i * 3 + 2) % nodes).collect());
+        let y = tape.gather_linear(&[(x, Some(src)), (x, Some(dst)), (e, None)], w0, b0);
+        let y = tape.linear_elu(y, w1, b1);
+        let y = tape.linear_elu(y, w2, b2);
+        let out = tape.layer_norm_add(y, e, gamma, beta, 1e-5);
+        let loss = tape.weighted_sq_sum(out, Arc::new(vec![0.5; edges]));
+        let row_sized = |tape: &Tape| {
+            tape.pool
+                .by_len
+                .get(&(edges * h))
+                .map_or(0, |b| b.free.len())
+        };
+        assert_eq!(row_sized(&tape), 0, "the forward parks no [E, h] buffer");
+        let grads = tape.backward(loss);
+        tape.recycle(grads);
+        assert_eq!(row_sized(&tape), 2, "[E, h] adjoints live at once");
     }
 
     #[test]

@@ -319,21 +319,9 @@ impl Tensor {
         });
     }
 
-    /// `out[i] = weights[i] * self[idx[i]]`: the adjoint of
-    /// [`Tensor::scatter_add_rows_scaled_into`].
-    pub(crate) fn gather_rows_scaled_into(&self, idx: &[usize], weights: &[f64], out: &mut Tensor) {
-        assert_eq!(weights.len(), idx.len(), "gather weight length mismatch");
-        self.gather_rows_with(idx, out, |i, o_row, src| {
-            let w = weights[i];
-            for (o, &v) in o_row.iter_mut().zip(src) {
-                *o = w * v;
-            }
-        });
-    }
-
     /// Fill row `i` of `out` (`[idx.len(), cols]`) by `row(i, out_row,
     /// self[idx[i]])`.
-    fn gather_rows_with(
+    pub(crate) fn gather_rows_with(
         &self,
         idx: &[usize],
         out: &mut Tensor,

@@ -10,7 +10,8 @@
 //! linear+ELU, layer norm, ragged `4 x 8` tiles), through an edge MLP
 //! whose first layer is `gather_linear`, and through that edge MLP's
 //! output aggregated onto the nodes (`scatter_add_rows_scaled`), and
-//! through one message-passing layer's residual MLPs (`layer_norm_add`),
+//! through one message-passing layer's residual MLPs (`layer_norm_add`,
+//! the node MLP's input layer over column blocks),
 //! on inputs derived from integers and prints an FNV-1a hash of every
 //! value and gradient bit, one line per shape. CI runs it under the default flags, under `-C target-cpu=x86-64`
 //! and in a debug build, and diffs the lines. The test itself asserts the
@@ -174,9 +175,9 @@ fn gather_fingerprint(nodes: usize, edges: usize, hidden: usize, aggregate: bool
 /// FNV-1a of every value and gradient bit of one message-passing layer's
 /// two residual MLPs on `edges` edges of `nodes` nodes, as the model
 /// records them: the edge MLP over `[x[src] | x[dst] | e]` plus `e`, the
-/// degree-weighted aggregation onto the nodes, and the node MLP over
-/// `[a | x]` plus `x` — each residual folded into its layer norm
-/// (`layer_norm_add`).
+/// degree-weighted aggregation onto the nodes, and the node MLP over the
+/// column blocks `[a | x]` (`linear_elu_blocks`, no concatenation) plus
+/// `x` — each residual folded into its layer norm (`layer_norm_add`).
 fn residual_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
@@ -219,8 +220,7 @@ fn residual_fingerprint(nodes: usize, edges: usize, hidden: usize) -> u64 {
     let e_new = edge.forward_gathered(&mut tape, &bound, &parts, Some(e));
     let inv_degree = lattice(13, edges, 1.0).iter().map(|w| w + 1.0).collect();
     let a = tape.scatter_add_rows_scaled(e_new, Arc::new(inv_degree), dst, nodes);
-    let cat = tape.gather_concat(&[(a, None), (x, None)]);
-    let x_new = node.forward_residual(&mut tape, &bound, cat, x);
+    let x_new = node.forward_blocks(&mut tape, &bound, &[a, x], Some(x));
     let loss = tape.weighted_sq_sum(x_new, Arc::new(lattice(11, nodes, 1.0)));
     let grads = tape.backward(loss);
 

@@ -805,3 +805,146 @@ fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
         }
     }
 }
+
+/// `[a | x] * w + b` (ELU or not) for `(rows, a's width, x's width, h)`:
+/// recorded as `linear_blocks` over the two blocks or as `gather_concat`
+/// then `linear`, whole or under a row mask with its backfill. `x` is read
+/// again by a loss term recorded after the layer, so its adjoint already
+/// exists when the layer's block reaches it (the in-place add), while
+/// `a`'s does not; with `same`, both blocks are `x`. Returns the bits of
+/// the value and of the gradients of `a`, `x`, `w` and `b`.
+fn column_block_layer(
+    (rows, ka, kx, h): (usize, usize, usize, usize),
+    elu: bool,
+    blocks: bool,
+    mask: Option<(&[usize], &[usize])>,
+    same: bool,
+) -> Vec<Vec<u64>> {
+    let seed = (rows * 10_000 + ka * 100 + kx + h * 7) as u64;
+    let mut tape = Tape::new();
+    let a = tape.leaf(Tensor::from_vec(rows, ka, noise(seed, rows * ka)));
+    let x = tape.leaf(Tensor::from_vec(rows, kx, noise(seed + 1, rows * kx)));
+    let a = if same { x } else { a };
+    let k = tape.value(a).cols() + kx;
+    let w = tape.leaf(Tensor::from_vec(k, h, noise(seed + 2, k * h)));
+    let b = tape.leaf(Tensor::from_vec(1, h, noise(seed + 3, h)));
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
+    let y = match (blocks, elu) {
+        (true, true) => tape.linear_elu_blocks(&[a, x], w, b),
+        (true, false) => tape.linear_blocks(&[a, x], w, b),
+        (false, _) => {
+            let cat = tape.gather_concat(&[(a, None), (x, None)]);
+            if elu {
+                tape.linear_elu(cat, w, b)
+            } else {
+                tape.linear(cat, w, b)
+            }
+        }
+    };
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
+    let ly = tape.weighted_sq_sum(y, Arc::new(noise(seed + 4, rows)));
+    let lx = tape.weighted_sq_sum(x, Arc::new(noise(seed + 5, rows)));
+    let loss = tape.add(ly, lx);
+    let grads = tape.backward(loss);
+    let mut out = vec![bits(tape.value(y).data())];
+    out.extend([a, x, w, b].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+    out
+}
+
+/// The column-block linear is `gather_concat` then `linear` /
+/// `linear_elu`, bit for bit, in the value and in the gradients of both
+/// blocks, the weight and the bias: whole and under a row mask with its
+/// backfill, at block widths 1, 3, 8 and 32 and zero, with a block as wide
+/// as the output (whose adjoint is written over the output's) and not,
+/// with both blocks one variable, and at row counts across the assembly
+/// blocks and the row chunks.
+#[test]
+fn linear_blocks_are_concat_then_linear_bit_for_bit() {
+    let widths = [
+        (1, 3, 8),
+        (3, 1, 3),
+        (8, 8, 8),
+        (32, 32, 32),
+        (3, 32, 8),
+        (32, 3, 32),
+        (8, 0, 8),
+        (0, 1, 3),
+        (0, 0, 8),
+    ];
+    for (ka, kx, h) in widths {
+        for rows in [0, 1, 5, 37, 133, 301] {
+            let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
+            for (elu, same) in [(true, false), (false, false), (true, true)] {
+                let shape = (rows, ka, kx, h);
+                let want = column_block_layer(shape, elu, false, None, same);
+                let whole = column_block_layer(shape, elu, true, None, same);
+                let masked = column_block_layer(shape, elu, true, Some((&mask, &rest)), same);
+                let what = format!("rows={rows} ka={ka} kx={kx} h={h} elu={elu} same={same}");
+                assert!(whole == want, "{what}: whole");
+                assert!(masked == want, "{what}: masked");
+            }
+        }
+    }
+}
+
+/// `x`'s gradient through `gather_linear` over a gathered and a streamed
+/// part of the same `x`, in either order, when a later op has already
+/// given `x` an adjoint: the parts' contributions are added to it in part
+/// order, bit for bit the sum of the three gradients taken from three
+/// separate copies of `x`. (The streamed part adds into `x`'s adjoint in
+/// place only when no earlier part adds to it first.)
+#[test]
+fn gather_linear_adds_a_shared_source_in_part_order() {
+    let (rows, k, h) = (37, 5, 8);
+    let x = Tensor::from_vec(rows, k, noise(1, rows * k));
+    let w = Tensor::from_vec(2 * k, h, noise(2, 2 * k * h));
+    let b = Tensor::from_vec(1, h, noise(3, h));
+    let idx = Arc::new((0..rows).map(|i| (i * 7 + 3) % rows).collect::<Vec<_>>());
+    for streamed_first in [false, true] {
+        // `[gathered, streamed, later]` reads of `x`: one variable, or three.
+        let run = |one: bool| {
+            let mut tape = Tape::new();
+            let xs = if one {
+                [tape.leaf_copy(&x); 3]
+            } else {
+                [0; 3].map(|_| tape.leaf_copy(&x))
+            };
+            let [wv, bv] = [&w, &b].map(|t| tape.leaf_copy(t));
+            let gathered = (xs[0], Some(Arc::clone(&idx)));
+            let parts = if streamed_first {
+                [(xs[1], None), gathered]
+            } else {
+                [gathered, (xs[1], None)]
+            };
+            let y = tape.gather_linear(&parts, wv, bv);
+            let ly = tape.weighted_sq_sum(y, Arc::new(noise(4, rows)));
+            let lx = tape.weighted_sq_sum(xs[2], Arc::new(noise(5, rows)));
+            let loss = tape.add(ly, lx);
+            let grads = tape.backward(loss);
+            xs.map(|v| grads.get(v).expect("leaf gradient").clone())
+        };
+        let [g_gathered, g_streamed, g_later] = run(false);
+        let (first, second) = if streamed_first {
+            (&g_streamed, &g_gathered)
+        } else {
+            (&g_gathered, &g_streamed)
+        };
+        let want: Vec<f64> = g_later
+            .data()
+            .iter()
+            .zip(first.data())
+            .zip(second.data())
+            .map(|((p, a), b)| (p + a) + b)
+            .collect();
+        let got = run(true)[0].clone();
+        assert_eq!(
+            bits(got.data()),
+            bits(&want),
+            "streamed first: {streamed_first}"
+        );
+    }
+}

@@ -91,12 +91,19 @@ fn parked_workspace_is_exactly_flat_from_step_3_to_step_60() {
 /// the same time count; kept to the end of the step they parked 131 910
 /// (small) and 823 206 (large) `f64`s. The linear adjoints stream their
 /// `elu'`-scaled adjoint one row block at a time instead of storing it
-/// whole, which took the pin from 19 398 / 151 270 to these values.
+/// whole, which took the pin from 19 398 / 151 270 to 17 686 / 147 590.
+/// Passing adjoints on in place took it to these values: the layer
+/// norm's residual takes the adjoint itself instead of a copy, an `h → h`
+/// linear writes its input adjoint over its output adjoint, the streamed
+/// part of `gather_linear`, the node MLP's `x` block and the aggregation's
+/// gathered rows add into the adjoint that already exists, and the node
+/// MLP's input layer reads `[a* | x]` as column blocks, so no `[N, 2h]`
+/// adjoint of a concatenation exists.
 #[test]
 fn backward_working_set_is_pinned() {
     for (name, config, pinned) in [
-        ("small", GnnConfig::small(), 17_686),
-        ("large", GnnConfig::large(), 147_590),
+        ("small", GnnConfig::small(), 15_429),
+        ("large", GnnConfig::large(), 132_901),
     ] {
         let trace = &soak(1, HaloExchangeMode::NeighborAllToAll, config, 3)[0];
         assert_eq!(trace[2].parked, pinned, "{name}: parked f64s after step 3");
@@ -120,15 +127,19 @@ fn inference_working_set(config: GnnConfig) -> usize {
 
 /// The inference working set, pinned beside the backward's: a forward-only
 /// pass gives every interior value back to the pool at each layer boundary
-/// but the `(x, e)` the next layer reads, so it holds the parameters, the
-/// inputs, one layer's values and the decoder's. Holding the whole forward
-/// until the next reset, the same pass held 104 355 (small) and 704 931
-/// (large) `f64`s.
+/// but the `(x, e)` the next layer reads, so it holds the parameters, one
+/// layer's values and the decoder's. Holding the whole forward until the
+/// next reset, the same pass held 104 355 (small) and 704 931 (large)
+/// `f64`s; with the layer-boundary release 30 115 / 229 795. These values
+/// are lower again because the input features are shared with the
+/// `RankData` instead of copied onto the tape, and the node MLP's input
+/// layer reads `[a* | x]` as column blocks instead of storing their
+/// `[N, 2h]` concatenation.
 #[test]
 fn inference_working_set_is_pinned() {
     for (name, config, pinned) in [
-        ("small", GnnConfig::small(), 30_115),
-        ("large", GnnConfig::large(), 229_795),
+        ("small", GnnConfig::small(), 27_235),
+        ("large", GnnConfig::large(), 224_163),
     ] {
         let held = inference_working_set(config);
         assert_eq!(held, pinned, "{name}: f64s held after a fresh predict");
