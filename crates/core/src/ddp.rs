@@ -4,32 +4,18 @@
 //! (the `1/(N_eff F_y) * dS_r/dtheta` term — see [`crate::loss`]); summing
 //! the partials across ranks yields the exact R=1 gradient (paper Eq. 3).
 //! Gradients are flattened into a single fused buffer before the all-reduce,
-//! like PyTorch DDP's gradient buckets.
+//! like PyTorch DDP's gradient buckets, and that buffer is what the
+//! optimizer reads ([`cgnn_tensor::Adam::step`]).
 
 use cgnn_comm::Comm;
 use cgnn_tensor::nn::{BoundParams, ParamId, ParamSet};
-use cgnn_tensor::{Gradients, Tensor};
-
-/// Sum-all-reduce the parameter gradients across ranks.
-///
-/// Returns one tensor per parameter, in registration order; parameters that
-/// did not participate in the loss get zero gradients. The reduction is
-/// deterministic (rank-ordered), so replicas stay bit-identical.
-pub fn reduce_gradients(
-    params: &ParamSet,
-    bound: &BoundParams,
-    grads: &Gradients,
-    comm: &Comm,
-) -> Vec<Tensor> {
-    reduce_flat_gradients(params, flatten_local_gradients(params, bound, grads), comm)
-}
+use cgnn_tensor::Gradients;
 
 /// Flatten one tape's parameter gradients into a single fused buffer in
-/// registration order (zeros for parameters the loss did not touch). The
-/// local half of [`reduce_gradients`], split out so mini-batch training
-/// ([`Trainer::step_batch`](crate::Trainer::step_batch)) can accumulate
-/// several backward passes before issuing **one** all-reduce per optimizer
-/// step.
+/// registration order (zeros for parameters the loss did not touch), so
+/// mini-batch training ([`Trainer::step_batch`](crate::Trainer::step_batch))
+/// can accumulate several backward passes before issuing **one**
+/// all-reduce per optimizer step.
 pub fn flatten_local_gradients(
     params: &ParamSet,
     bound: &BoundParams,
@@ -48,23 +34,22 @@ pub fn flatten_local_gradients(
     flat
 }
 
-/// Sum-all-reduce an already-flattened gradient buffer (as produced by
-/// [`flatten_local_gradients`]) and unflatten it back into one tensor per
-/// parameter. The communicating half of [`reduce_gradients`].
-pub fn reduce_flat_gradients(params: &ParamSet, mut flat: Vec<f64>, comm: &Comm) -> Vec<Tensor> {
+/// Sum-all-reduce a flattened gradient buffer (as produced by
+/// [`flatten_local_gradients`]) in place and return it. The reduction is
+/// deterministic (rank-ordered), so replicas stay bit-identical.
+///
+/// # Panics
+/// If `flat.len()` is not `params.num_scalars()`.
+pub fn reduce_flat_gradients(params: &ParamSet, mut flat: Vec<f64>, comm: &Comm) -> Vec<f64> {
+    assert_eq!(
+        flat.len(),
+        params.num_scalars(),
+        "reduce_flat_gradients: {} gradients for {} parameter scalars",
+        flat.len(),
+        params.num_scalars()
+    );
     comm.all_reduce_sum(&mut flat);
-    let mut out = Vec::with_capacity(params.len());
-    let mut off = 0;
-    for t in params.tensors() {
-        let n = t.len();
-        out.push(Tensor::from_vec(
-            t.rows(),
-            t.cols(),
-            flat[off..off + n].to_vec(),
-        ));
-        off += n;
-    }
-    out
+    flat
 }
 
 #[cfg(test)]
@@ -85,8 +70,8 @@ mod tests {
             let s = tape.sum(w);
             let l = tape.scale(s, (comm.rank() + 1) as f64);
             let grads = tape.backward(l);
-            let reduced = reduce_gradients(&params, &bound, &grads, comm);
-            reduced[0].data().to_vec()
+            let flat = flatten_local_gradients(&params, &bound, &grads);
+            reduce_flat_gradients(&params, flat, comm)
         });
         // 1 + 2 + 3 = 6 per entry, identical on all ranks.
         for v in out {
@@ -104,8 +89,9 @@ mod tests {
             let bound = params.bind(&mut tape);
             let s = tape.sum(bound.var(ParamId(0)));
             let grads = tape.backward(s);
-            let reduced = reduce_gradients(&params, &bound, &grads, comm);
-            (reduced[0].item(), reduced[1].data().to_vec())
+            let flat = flatten_local_gradients(&params, &bound, &grads);
+            let reduced = reduce_flat_gradients(&params, flat, comm);
+            (reduced[0], reduced[1..].to_vec())
         });
         for (used, unused) in out {
             assert_eq!(used, 2.0);

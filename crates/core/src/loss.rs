@@ -42,7 +42,9 @@ pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
 }
 
 /// Consistent MSE between prediction `pred` (`[n_local, F_y]` on the tape)
-/// and `target`. Collective: every rank must call it at the same point.
+/// and `target`, which the tape reads where the caller keeps it
+/// ([`Tape::shared_constant`]). Collective: every rank must call it at the
+/// same point.
 /// Returns the scalar loss variable; its value is identical on all ranks
 /// and equal to the R=1 MSE of the un-partitioned graph.
 ///
@@ -51,7 +53,7 @@ pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
 pub fn consistent_mse(
     tape: &mut Tape,
     pred: VarId,
-    target: &Tensor,
+    target: &Arc<Tensor>,
     graph: &LocalGraph,
     inv_degree: &Arc<Vec<f64>>,
     comm: &Comm,
@@ -69,7 +71,7 @@ pub fn consistent_mse(
     );
 
     // S_r (Eq. 6b): degree-weighted sum of squared errors.
-    let t = tape.constant_copy(target);
+    let t = tape.shared_constant(Arc::clone(target));
     let diff = tape.sub(pred, t);
     let s_r = tape.weighted_sq_sum(diff, inv_degree.clone());
 
@@ -130,7 +132,7 @@ mod tests {
             let inv = Arc::new(g.node_inv_degree.clone());
             let mut tape = Tape::new();
             let p = tape.leaf(Tensor::from_fn(g.n_local(), fy, |r, c| pred(g.gids[r], c)));
-            let t = Tensor::from_fn(g.n_local(), fy, |r, c| targ(g.gids[r], c));
+            let t = Arc::new(Tensor::from_fn(g.n_local(), fy, |r, c| targ(g.gids[r], c)));
             let l = consistent_mse(&mut tape, p, &t, g, &inv, comm);
             tape.value(l).item()
         });
@@ -177,6 +179,35 @@ mod tests {
             (avg - reference).abs() / reference > 1e-6,
             "naive average {avg} should deviate from {reference}"
         );
+    }
+
+    /// The loss reads the target where the caller keeps it: the tape holds
+    /// `n_local * 3` fewer `f64`s than the same recording with the target
+    /// copied onto it.
+    #[test]
+    fn the_target_is_shared_not_copied() {
+        let mesh = BoxMesh::new((3, 3, 3), 1, (1.0, 1.0, 1.0), false);
+        let g = build_global_graph(&mesh);
+        let n = g.n_local();
+        let inv = Arc::new(g.node_inv_degree.clone());
+        let target = Arc::new(Tensor::full(n, 3, 0.5));
+        let held = World::run(1, |comm| {
+            let mut tape = Tape::new();
+            let p = tape.leaf(Tensor::zeros(n, 3));
+            consistent_mse(&mut tape, p, &target, &g, &inv, comm);
+            let shared = tape.held_len();
+            // `consistent_mse` with the target recorded by `constant_copy`.
+            let mut tape = Tape::new();
+            let p = tape.leaf(Tensor::zeros(n, 3));
+            let t = tape.constant_copy(&target);
+            let diff = tape.sub(p, t);
+            let s_r = tape.weighted_sq_sum(diff, Arc::clone(&inv));
+            let s = all_reduce_scalar(&mut tape, s_r, comm);
+            tape.scale(s, 1.0);
+            (shared, tape.held_len())
+        });
+        let (shared, copied) = held[0];
+        assert_eq!(copied - shared, n * 3);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub struct RankData {
     /// `[n_edges, 7]` input edge features, shared as `x` is.
     pub e: Arc<Tensor>,
     /// `[n_local, 3]` regression target (`[0, 3]` on
-    /// [`RankData::for_inference`] data).
-    pub target: Tensor,
+    /// [`RankData::for_inference`] data), shared with the loss as `x` is.
+    pub target: Arc<Tensor>,
 }
 
 impl RankData {
@@ -52,7 +52,7 @@ impl RankData {
             idx: GraphIndices::from_graph(&graph),
             x: Arc::new(Tensor::from_vec(graph.n_local(), NODE_FEATS, x)),
             e: Arc::new(Tensor::from_vec(graph.n_edges(), EDGE_FEATS, e_buf)),
-            target,
+            target: Arc::new(target),
             graph,
         }
     }

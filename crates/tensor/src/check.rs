@@ -4,7 +4,7 @@
 //! that distributed gradients (Eq. 3 of the paper) match both the R=1 tape
 //! and central finite differences.
 
-use crate::nn::ParamSet;
+use crate::nn::{ParamId, ParamSet};
 use crate::tensor::nan_max;
 
 /// Central-difference gradient of `f` with respect to every scalar in
@@ -14,22 +14,18 @@ pub fn finite_difference_grad(
     eps: f64,
     mut f: impl FnMut(&ParamSet) -> f64,
 ) -> Vec<f64> {
-    let flat = params.flatten();
-    let mut grad = vec![0.0; flat.len()];
-    for i in 0..flat.len() {
-        let mut plus = flat.clone();
-        plus[i] += eps;
-        params.unflatten(&plus);
-        let fp = f(params);
-
-        let mut minus = flat.clone();
-        minus[i] -= eps;
-        params.unflatten(&minus);
-        let fm = f(params);
-
-        grad[i] = (fp - fm) / (2.0 * eps);
+    let mut grad = Vec::with_capacity(params.num_scalars());
+    for t in (0..params.len()).map(ParamId) {
+        for j in 0..params.get(t).len() {
+            let theta = params.get(t).data()[j];
+            params.get_mut(t).data_mut()[j] = theta + eps;
+            let fp = f(params);
+            params.get_mut(t).data_mut()[j] = theta - eps;
+            let fm = f(params);
+            params.get_mut(t).data_mut()[j] = theta;
+            grad.push((fp - fm) / (2.0 * eps));
+        }
     }
-    params.unflatten(&flat);
     grad
 }
 

@@ -23,7 +23,6 @@ pub mod check;
 pub mod init;
 pub mod nn;
 pub mod optim;
-pub(crate) mod par;
 pub mod serialize;
 pub mod tape;
 pub mod tensor;

@@ -87,20 +87,6 @@ impl ParamSet {
         }
         out
     }
-
-    /// Overwrite all parameters from a flat vector (inverse of `flatten`).
-    ///
-    /// # Panics
-    /// If `flat.len()` is not [`ParamSet::num_scalars`].
-    pub fn unflatten(&mut self, flat: &[f64]) {
-        let mut off = 0;
-        for t in &mut self.tensors {
-            let n = t.len();
-            t.data_mut().copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
-        assert_eq!(off, flat.len(), "unflatten length mismatch");
-    }
 }
 
 /// Per-pass mapping from [`ParamId`] to tape [`VarId`].
@@ -376,18 +362,5 @@ mod tests {
             };
             assert!(run(true) == run(false), "layer norm {layer_norm}");
         }
-    }
-
-    #[test]
-    fn flatten_unflatten_roundtrip() {
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let _ = Mlp::new(&mut params, "m", 3, 4, 3, 0, false, &mut rng);
-        let flat = params.flatten();
-        let mut params2 = ParamSet::new();
-        let mut rng2 = StdRng::seed_from_u64(3);
-        let _ = Mlp::new(&mut params2, "m", 3, 4, 3, 0, false, &mut rng2);
-        params2.unflatten(&flat);
-        assert_eq!(params2.flatten(), flat);
     }
 }

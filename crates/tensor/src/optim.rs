@@ -120,34 +120,39 @@ impl Adam {
         self.v = state.v;
     }
 
-    /// One Adam update of `params` from `grads`, one gradient per parameter.
+    /// One Adam update of `params` from `grads`, the gradients of all
+    /// parameters flattened in registration order (as
+    /// [`ParamSet::flatten`] lays the parameters out).
     ///
     /// # Panics
-    /// If `grads` and `params` differ in length.
-    pub fn step(&mut self, params: &mut ParamSet, grads: &[Tensor]) {
-        assert_eq!(grads.len(), params.len(), "adam grad count mismatch");
+    /// If `grads.len()` is not `params.num_scalars()`.
+    pub fn step(&mut self, params: &mut ParamSet, grads: &[f64]) {
+        assert_eq!(
+            grads.len(),
+            params.num_scalars(),
+            "adam step: {} gradients for {} parameter scalars",
+            grads.len(),
+            params.num_scalars()
+        );
         if self.m.is_empty() {
-            self.m = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.rows(), g.cols()))
-                .collect();
-            self.v = grads
-                .iter()
-                .map(|g| Tensor::zeros(g.rows(), g.cols()))
-                .collect();
+            let zeros = |t: &Tensor| Tensor::zeros(t.rows(), t.cols());
+            self.m = params.tensors().iter().map(zeros).collect();
+            self.v = params.tensors().iter().map(zeros).collect();
         }
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let mut grads = grads;
         for (i, t) in params.tensors_mut().iter_mut().enumerate() {
-            let g = &grads[i];
+            let (g, rest) = grads.split_at(t.len());
+            grads = rest;
             let m = &mut self.m[i];
             let v = &mut self.v[i];
             for ((mj, vj), (&gj, tj)) in m
                 .data_mut()
                 .iter_mut()
                 .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter().zip(t.data_mut().iter_mut()))
+                .zip(g.iter().zip(t.data_mut().iter_mut()))
             {
                 *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
                 *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
@@ -164,9 +169,9 @@ mod tests {
     use super::*;
     use crate::nn::ParamSet;
 
-    fn quadratic_grads(params: &ParamSet) -> Vec<Tensor> {
+    fn quadratic_grads(params: &ParamSet) -> Vec<f64> {
         // f = 0.5 * |theta|^2 -> grad = theta
-        params.tensors().to_vec()
+        params.flatten()
     }
 
     #[test]
@@ -199,8 +204,7 @@ mod tests {
         }
         // Resume a fresh optimizer from the snapshot: bit-identical tail.
         let mut resumed = ParamSet::new();
-        resumed.register("x", Tensor::from_vec(1, 3, vec![0.0; 3]));
-        resumed.unflatten(&ckpt_params);
+        resumed.register("x", Tensor::from_vec(1, 3, ckpt_params));
         let mut opt2 = Adam::new(0.01);
         opt2.set_state(ckpt_state);
         for _ in 0..5 {
@@ -223,5 +227,14 @@ mod tests {
             params.flatten()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "adam step: 5 gradients for 6 parameter scalars")]
+    fn adam_names_both_lengths_of_a_wrong_gradient() {
+        let mut params = ParamSet::new();
+        params.register("w", Tensor::zeros(2, 2));
+        params.register("b", Tensor::zeros(1, 2));
+        Adam::new(0.01).step(&mut params, &[0.0; 5]);
     }
 }

@@ -335,8 +335,9 @@ pub fn restore_into(target: &mut ParamSet, source: &ParamSet) -> io::Result<()> 
             ));
         }
     }
-    let flat = source.flatten();
-    target.unflatten(&flat);
+    for (t, s) in target.tensors_mut().iter_mut().zip(source.tensors()) {
+        t.data_mut().copy_from_slice(s.data());
+    }
     Ok(())
 }
 
@@ -413,7 +414,7 @@ mod tests {
         let mut params = sample_params(3);
         let mut opt = Adam::new(0.01);
         for _ in 0..4 {
-            let grads: Vec<Tensor> = params.tensors().to_vec(); // grad = theta
+            let grads = params.flatten(); // grad = theta
             opt.step(&mut params, &grads);
         }
         let mut buf = Vec::new();

@@ -76,7 +76,6 @@
 
 use std::sync::Arc;
 
-use crate::par::{ew_map, ew_zip, for_row_chunks};
 use crate::tensor::{
     elu_scalar, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor,
 };
@@ -431,9 +430,7 @@ impl Tape {
         let mut kernel = RowKernel::of(nodes, &op, rows, pool);
         match mask {
             Some(mask) => kernel.fill(&mut out, &mask.rows),
-            None => for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
-                kernel.run(chunk, cols, first_row, nrows);
-            }),
+            None => kernel.run(out.data_mut(), cols, 0, rows),
         }
         kernel.release(pool);
         self.push(out, op)
@@ -646,15 +643,7 @@ impl Tape {
     /// # Panics
     /// Under a row mask, or if the shapes differ.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_unmasked("add");
-        let buf = self.pool.take(self.value(a).len());
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.shape(), vb.shape(), "add shape mismatch");
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_zip(va.data(), vb.data(), va.cols(), out.data_mut(), |x, y| {
-            x + y
-        });
-        self.push(out, Op::Add(a, b))
+        self.zip("add", a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// `a - b` elementwise.
@@ -662,15 +651,7 @@ impl Tape {
     /// # Panics
     /// Under a row mask, or if the shapes differ.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_unmasked("sub");
-        let buf = self.pool.take(self.value(a).len());
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.shape(), vb.shape(), "sub shape mismatch");
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_zip(va.data(), vb.data(), va.cols(), out.data_mut(), |x, y| {
-            x - y
-        });
-        self.push(out, Op::Sub(a, b))
+        self.zip("sub", a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// `a ⊙ b` elementwise product.
@@ -678,15 +659,24 @@ impl Tape {
     /// # Panics
     /// Under a row mask, or if the shapes differ.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_unmasked("mul");
-        let buf = self.pool.take(self.value(a).len());
-        let (va, vb) = (self.value(a), self.value(b));
-        assert_eq!(va.shape(), vb.shape(), "mul shape mismatch");
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_zip(va.data(), vb.data(), va.cols(), out.data_mut(), |x, y| {
-            x * y
-        });
-        self.push(out, Op::Mul(a, b))
+        self.zip("mul", a, b, Op::Mul(a, b), |x, y| x * y)
+    }
+
+    /// Record the elementwise `f(a, b)` as `op`.
+    fn zip(
+        &mut self,
+        what: &str,
+        a: VarId,
+        b: VarId,
+        op: Op,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> VarId {
+        self.assert_unmasked(what);
+        let Tape { nodes, pool, .. } = self;
+        let (va, vb) = (value(nodes, a), value(nodes, b));
+        assert_eq!(va.shape(), vb.shape(), "{what} shape mismatch");
+        let out = zip_map(pool, va, vb, f);
+        self.push(out, op)
     }
 
     /// Broadcast-add a `[1, n]` bias row to every row of `a`.
@@ -699,19 +689,11 @@ impl Tape {
         let (va, vb) = (self.value(a), self.value(bias));
         assert_eq!(vb.rows(), 1, "bias must be a row vector");
         assert_eq!(va.cols(), vb.cols(), "bias width mismatch");
-        let cols = va.cols();
-        let mut out = Tensor::from_pool_uninit(va.rows(), cols, buf);
-        let a_data = va.data();
-        let b_row = vb.data();
-        for_row_chunks(out.data_mut(), cols, |first_row, nrows, chunk| {
-            for i in 0..nrows {
-                let src = &a_data[(first_row + i) * cols..(first_row + i + 1) * cols];
-                let dst = &mut chunk[i * cols..(i + 1) * cols];
-                for ((o, &x), &b) in dst.iter_mut().zip(src.iter()).zip(b_row.iter()) {
-                    *o = x + b;
-                }
-            }
-        });
+        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
+        let rows = va.data().iter().zip(vb.data().iter().cycle());
+        for (o, (&x, &b)) in out.data_mut().iter_mut().zip(rows) {
+            *o = x + b;
+        }
         self.push(out, Op::AddRow(a, bias))
     }
 
@@ -721,7 +703,9 @@ impl Tape {
         let buf = self.pool.take(self.value(a).len());
         let va = self.value(a);
         let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        ew_map(va.data(), va.cols(), out.data_mut(), |x| alpha * x);
+        for (o, &x) in out.data_mut().iter_mut().zip(va.data()) {
+            *o = alpha * x;
+        }
         self.push(out, Op::Scale(a, alpha))
     }
 
@@ -749,10 +733,10 @@ impl Tape {
     /// Each output element is summed in one fixed order: the bias, then
     /// the terms of the (at most one) part without indices, in the order of
     /// [`Tape::linear`]'s tile kernel, then the gathered products in part
-    /// order, then ELU — so chunking changes no bit. Each row chunk takes
-    /// the gathered products one part at a time and ELU in one pass. The
-    /// result equals `linear_elu(gather_concat(parts), ..)` to rounding,
-    /// not bit for bit.
+    /// order, then ELU — so the row blocking changes no bit. Each block of
+    /// `tn_panel_rows(in, h)` rows takes those three passes while it is in
+    /// L1. The result equals `linear_elu(gather_concat(parts), ..)` to
+    /// rounding, not bit for bit.
     ///
     /// # Panics
     /// Under a row mask; if more than one part has no indices; if the
@@ -791,29 +775,20 @@ impl Tape {
                 let idx = p.idx.as_deref()?;
                 let x = value(nodes, p.src);
                 let mut prod = pool.uninit(x.rows(), h);
-                let w_p = &vw.data()[block];
-                for_row_chunks(prod.data_mut(), h, |first_row, nrows, chunk| {
-                    gemm_rows(
-                        x.data(),
-                        w_p,
-                        chunk,
-                        first_row,
-                        nrows,
-                        p.cols,
-                        h,
-                        None,
-                        false,
-                    );
-                });
+                let (w_p, out) = (&vw.data()[block], prod.data_mut());
+                gemm_rows(x.data(), w_p, out, 0, x.rows(), p.cols, h, None, false);
                 Some((prod, idx.as_slice()))
             })
             .collect();
         let mut out = pool.uninit(rows, h);
-        for_row_chunks(out.data_mut(), h, |first_row, nrows, chunk| {
-            gemm_rows(sx, sw, chunk, first_row, nrows, sk, h, Some(bias), false);
+        let block = tn_panel_rows(in_dim, h);
+        for r0 in (0..rows).step_by(block) {
+            let nr = block.min(rows - r0);
+            let chunk = &mut out.data_mut()[r0 * h..(r0 + nr) * h];
+            gemm_rows(sx, sw, chunk, r0, nr, sk, h, Some(bias), false);
             for (prod, idx) in &gathered {
-                let rows = chunk.chunks_exact_mut(h).zip(&idx[first_row..]);
-                for (o_row, &src) in rows {
+                for (i, &src) in idx[r0..r0 + nr].iter().enumerate() {
+                    let o_row = &mut chunk[i * h..(i + 1) * h];
                     for (o, &v) in o_row.iter_mut().zip(prod.row(src)) {
                         *o += v;
                     }
@@ -822,7 +797,7 @@ impl Tape {
             for o in chunk.iter_mut() {
                 *o = elu_scalar(*o);
             }
-        });
+        }
         for (prod, _) in gathered {
             pool.put(prod.into_vec());
         }
@@ -1107,11 +1082,7 @@ fn accumulate(
             return add(grads, *b, g, pool);
         }
         Op::Sub(a, b) => {
-            let neg = wants(*b).then(|| {
-                let mut gb = pool.uninit(g.rows(), g.cols());
-                ew_map(g.data(), g.cols(), gb.data_mut(), |x| -x);
-                gb
-            });
+            let neg = wants(*b).then(|| zip_map(pool, &g, &g, |x, _| -x));
             add(grads, *a, g, pool);
             if let Some(gb) = neg {
                 add(grads, *b, gb, pool);
@@ -1178,17 +1149,13 @@ fn accumulate(
         }
         Op::Mul(a, b) => {
             let (va, vb) = (value(nodes, *a), value(nodes, *b));
-            let mut ga = pool.uninit(g.rows(), g.cols());
-            ew_zip(g.data(), vb.data(), g.cols(), ga.data_mut(), |x, y| x * y);
+            let ga = zip_map(pool, &g, vb, |x, y| x * y);
             add(grads, *a, ga, pool);
-            let mut gb = pool.uninit(g.rows(), g.cols());
-            ew_zip(g.data(), va.data(), g.cols(), gb.data_mut(), |x, y| x * y);
+            let gb = zip_map(pool, &g, va, |x, y| x * y);
             add(grads, *b, gb, pool);
         }
         Op::Scale(a, alpha) => {
-            let al = *alpha;
-            let mut ga = pool.uninit(g.rows(), g.cols());
-            ew_map(g.data(), g.cols(), ga.data_mut(), |x| al * x);
+            let ga = zip_map(pool, &g, &g, |x, _| alpha * x);
             add(grads, *a, ga, pool);
         }
         Op::GatherConcat(parts) => {
@@ -1298,9 +1265,7 @@ fn accumulate(
             // d/du elu(u) = exp(u) for u < 0, and the forward already
             // computed y = exp(u) - 1 (y < 0 iff u < 0), so the backward
             // reuses y + 1 instead of a second exp evaluation.
-            let vy = &node.value;
-            let mut ga = pool.uninit(g.rows(), g.cols());
-            ew_zip(g.data(), vy.data(), g.cols(), ga.data_mut(), |x, y| {
+            let ga = zip_map(pool, &g, &node.value, |x, y| {
                 if y < 0.0 {
                     x * (y + 1.0)
                 } else {
@@ -1349,18 +1314,12 @@ fn accumulate(
             let s = g.item();
             let cols = va.cols();
             let mut ga = pool.uninit(va.rows(), cols);
-            let a_data = va.data();
-            for_row_chunks(ga.data_mut(), cols, |first_row, nrows, chunk| {
-                for i in 0..nrows {
-                    let r = first_row + i;
-                    let wr = w[r];
-                    let src = &a_data[r * cols..(r + 1) * cols];
-                    let dst = &mut chunk[i * cols..(i + 1) * cols];
-                    for (d, &u) in dst.iter_mut().zip(src.iter()) {
-                        *d = 2.0 * wr * u * s;
-                    }
+            for (r, &wr) in w.iter().enumerate() {
+                let dst = &mut ga.data_mut()[r * cols..(r + 1) * cols];
+                for (d, &u) in dst.iter_mut().zip(va.row(r)) {
+                    *d = 2.0 * wr * u * s;
                 }
-            });
+            }
             add(grads, *a, ga, pool);
         }
         Op::Sum(a) => {
@@ -1430,8 +1389,8 @@ fn add_gathered_rows(
 /// The forward body of a row-separable op — the only kind that may be
 /// recorded under a row mask — over its operands' raw buffers: it computes
 /// any contiguous range of output rows, each row from its own inputs
-/// alone. Full-tensor recording runs it over [`for_row_chunks`], masked
-/// recording over the runs of the mask rows and of their complement.
+/// alone. Full-tensor recording runs it once over all rows, masked
+/// recording once per run of the mask rows and of their complement.
 enum RowKernel<'a> {
     Linear {
         nodes: &'a [Node],
@@ -1561,10 +1520,18 @@ impl<'a> RowKernel<'a> {
                 beta,
                 eps,
             } => {
-                layer_norm_forward(&x[span.clone()], gamma, beta, *eps, chunk, cols);
-                // The residual rounds separately, as a following `add` would.
-                if let Some(res) = res {
-                    for (o, &r) in chunk.iter_mut().zip(&res[span]) {
+                let Some(res) = res else {
+                    return layer_norm_forward(&x[span], gamma, beta, *eps, chunk, cols);
+                };
+                // `+ res` rounds separately, as a following `add` would: a
+                // second pass over each L1-sized block the norm has written.
+                let block = tn_panel_rows(cols, cols);
+                for r0 in (0..nrows).step_by(block) {
+                    let nr = block.min(nrows - r0);
+                    let span = (first_row + r0) * cols..(first_row + r0 + nr) * cols;
+                    let out = &mut chunk[r0 * cols..(r0 + nr) * cols];
+                    layer_norm_forward(&x[span.clone()], gamma, beta, *eps, out, cols);
+                    for (o, &r) in out.iter_mut().zip(&res[span]) {
                         *o += r;
                     }
                 }
@@ -1847,7 +1814,7 @@ fn scatter_add_block(t: &[f64], idx: &[usize], s: &mut Tensor) {
 /// wide). At the widths with a constant-shaped block (8 and 32: the
 /// model's hidden widths) rows go four at a time, the
 /// rest one at a time; either way a row's bits are those of the one-row
-/// path ([`layer_norm_lanes`] with one lane), so grouping, chunking and
+/// path ([`layer_norm_lanes`] with one lane), so grouping, row blocks and
 /// masking change none of them.
 fn layer_norm_forward(
     x: &[f64],
@@ -2048,14 +2015,23 @@ fn layer_norm_adjoint_lanes<const L: usize>(
 /// Copy the column window `[off, off + w)` of `g` into `out` (`[rows, w]`).
 fn slice_cols_into(g: &Tensor, off: usize, w: usize, out: &mut Tensor) {
     debug_assert_eq!(out.shape(), (g.rows(), w));
-    for_row_chunks(out.data_mut(), w, |first_row, nrows, chunk| {
-        for i in 0..nrows {
-            let src = &g.row(first_row + i)[off..off + w];
-            for (o, &v) in chunk[i * w..(i + 1) * w].iter_mut().zip(src.iter()) {
-                *o = v;
-            }
+    for r in 0..g.rows() {
+        let src = &g.row(r)[off..off + w];
+        for (o, &v) in out.data_mut()[r * w..(r + 1) * w].iter_mut().zip(src) {
+            *o = v;
         }
-    });
+    }
+}
+
+/// `f(a[i], b[i])` for every element, into a pooled tensor of `a`'s shape
+/// (a map of one tensor passes it as both).
+fn zip_map(pool: &mut BufPool, a: &Tensor, b: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
+    debug_assert_eq!(a.shape(), b.shape());
+    let mut out = pool.uninit(a.rows(), a.cols());
+    for (o, (&x, &y)) in out.data_mut().iter_mut().zip(a.data().iter().zip(b.data())) {
+        *o = f(x, y);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -8,13 +8,12 @@
 //! The dominant kernels come in two forms: an allocating convenience
 //! (`matmul`, `gather_rows`, ...) and a `*_into` variant writing into a
 //! caller-provided tensor, which is what the [`crate::Tape`] workspace uses
-//! to recycle buffers across training steps. All `*_into` kernels walk
-//! fixed row chunks under the rules of `par.rs`, so a row's bits do not
-//! depend on how the rows are partitioned.
+//! to recycle buffers across training steps. Every kernel writes each
+//! output row from that row's inputs alone and sums in serial order, so a
+//! row's bits do not depend on how the rows are partitioned (see
+//! `docs/PERFORMANCE.md`).
 
 use std::fmt;
-
-use crate::par::for_row_chunks;
 
 /// A dense, row-major, heap-allocated `f64` matrix.
 #[derive(Clone, PartialEq)]
@@ -226,8 +225,7 @@ impl Tensor {
     /// small `F`), so the tile accumulators give the multiply and add ports
     /// independent chains (plain IEEE multiplies and adds; no FMA is ever
     /// contracted) while each output element still sums its `k` terms in
-    /// the serial order (bit-identical at any chunking). Rows are walked in
-    /// chunks per `par.rs`.
+    /// the serial order (bit-identical at any row partition).
     ///
     /// # Panics
     /// If `self.cols != rhs.rows` or `out` is not `[self.rows, rhs.cols]`.
@@ -239,11 +237,8 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         assert_eq!(out.shape(), (m, n), "matmul_into output shape");
-        let a_data = &self.data;
-        let b_data = &rhs.data;
-        for_row_chunks(&mut out.data, n, |first_row, nrows, chunk| {
-            gemm_rows(a_data, b_data, chunk, first_row, nrows, k, n, None, false);
-        });
+        let (a, b) = (&self.data, &rhs.data);
+        gemm_rows(a, b, &mut out.data, 0, m, k, n, None, false);
     }
 
     /// `self^T * rhs` (`[k,m]^T x [k,n] -> [m,n]`), without materializing the
@@ -263,8 +258,7 @@ impl Tensor {
     /// the huge operands stream through L1 once per panel instead of
     /// through the outer caches once per tile. Each output element still
     /// sums its `k` terms in the serial `p` order (an `f64` passes through
-    /// memory unchanged, so where a panel ends cannot alter a bit) —
-    /// per-chunk sequential accumulation, no atomics.
+    /// memory unchanged, so where a panel ends cannot alter a bit).
     ///
     /// # Panics
     /// If `self.rows != rhs.rows` or `out` is not `[self.cols, rhs.cols]`.
@@ -333,17 +327,14 @@ impl Tensor {
             "gather_rows_into output shape"
         );
         let cols = self.cols;
-        for_row_chunks(&mut out.data, cols, |first_row, _, chunk| {
-            for (i, o_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                let src = idx[first_row + i];
-                debug_assert!(
-                    src < self.rows,
-                    "gather index {src} out of {} rows",
-                    self.rows
-                );
-                row(first_row + i, o_row, self.row(src));
-            }
-        });
+        for (i, &src) in idx.iter().enumerate() {
+            debug_assert!(
+                src < self.rows,
+                "gather index {src} out of {} rows",
+                self.rows
+            );
+            row(i, &mut out.data[i * cols..(i + 1) * cols], self.row(src));
+        }
     }
 
     /// Scatter-add rows: `out[idx[i]] += self[i]`, with `out` having
@@ -518,6 +509,9 @@ pub(crate) fn gemm_rows(
     bias: Option<&[f64]>,
     elu: bool,
 ) {
+    if n == 0 {
+        return;
+    }
     if k == 0 {
         match bias {
             Some(bias) => {
@@ -639,47 +633,47 @@ pub(crate) fn gemm_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: us
     debug_assert_eq!((a.len(), b.len()), (k * m, k * n));
     debug_assert_eq!(out.len(), m * n);
     let panel = tn_panel_rows(m, n);
-    for_row_chunks(out, n, |first_row, nrows, chunk| {
-        for p0 in (0..k).step_by(panel) {
-            let kp = panel.min(k - p0);
-            let a = &a[p0 * m..(p0 + kp) * m];
-            let b = &b[p0 * n..(p0 + kp) * n];
-            let mut i0 = 0;
-            while i0 + 4 <= nrows {
-                let mut j0 = 0;
-                while j0 + 8 <= n {
-                    gemm_tn_tile_4x8(a, b, chunk, first_row, i0, j0, kp, m, n);
-                    j0 += 8;
-                }
-                while j0 < n {
-                    for r in 0..4 {
-                        gemm_tn_elem(a, b, chunk, first_row, i0 + r, j0, kp, m, n);
-                    }
-                    j0 += 1;
-                }
-                i0 += 4;
+    for p0 in (0..k).step_by(panel) {
+        let kp = panel.min(k - p0);
+        let a = &a[p0 * m..(p0 + kp) * m];
+        let b = &b[p0 * n..(p0 + kp) * n];
+        let mut i0 = 0;
+        while i0 + 4 <= m {
+            let mut j0 = 0;
+            while j0 + 8 <= n {
+                gemm_tn_tile_4x8(a, b, out, i0, j0, kp, m, n);
+                j0 += 8;
             }
-            while i0 < nrows {
-                for j0 in 0..n {
-                    gemm_tn_elem(a, b, chunk, first_row, i0, j0, kp, m, n);
+            while j0 < n {
+                for r in 0..4 {
+                    gemm_tn_elem(a, b, out, i0 + r, j0, kp, m, n);
                 }
-                i0 += 1;
+                j0 += 1;
             }
+            i0 += 4;
         }
-    });
+        while i0 < m {
+            for j0 in 0..n {
+                gemm_tn_elem(a, b, out, i0, j0, kp, m, n);
+            }
+            i0 += 1;
+        }
+    }
 }
 
 /// Rows of the shared `k` dimension per panel of
 /// [`Tensor::matmul_tn_into`]: a panel of both operands (`m + n` values per
 /// row) stays within 16 KiB, half of the smallest L1 data cache in use. A
 /// pure function of the shape — and no function of it can change a bit.
-/// The tape's linear adjoints stream their rows in blocks of this height.
+/// Every row block in this crate has this height: the tape's linear
+/// adjoints, its column-block assembly and its two forward kernels that
+/// pass over their output more than once.
 pub(crate) fn tn_panel_rows(m: usize, n: usize) -> usize {
     (2048 / (m + n).max(1)).max(8)
 }
 
 /// Fixed `4 x 8` register tile of [`Tensor::matmul_tn_into`]: adds one
-/// `k`-row panel's terms to the tile of `chunk`, which stays in registers
+/// `k`-row panel's terms to the tile of `out`, which stays in registers
 /// across the panel, each output element accumulating in the serial `p`
 /// order.
 #[inline]
@@ -690,8 +684,7 @@ pub(crate) fn tn_panel_rows(m: usize, n: usize) -> usize {
 fn gemm_tn_tile_4x8(
     a: &[f64],
     b: &[f64],
-    chunk: &mut [f64],
-    first_row: usize,
+    out: &mut [f64],
     i0: usize,
     j0: usize,
     k: usize,
@@ -700,13 +693,12 @@ fn gemm_tn_tile_4x8(
 ) {
     let mut acc = [[0.0f64; 8]; 4];
     for (r, acc_row) in acc.iter_mut().enumerate() {
-        acc_row.copy_from_slice(&chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8]);
+        acc_row.copy_from_slice(&out[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8]);
     }
-    let col = first_row + i0;
     for (a_row, b_row) in a[..k * m].chunks_exact(m).zip(b[..k * n].chunks_exact(n)) {
-        let a_col: &[f64; 4] = a_row[col..col + 4]
+        let a_col: &[f64; 4] = a_row[i0..i0 + 4]
             .try_into()
-            .expect("col + 4 <= m: caller tiles m in full 4-high blocks");
+            .expect("i0 + 4 <= m: caller tiles m in full 4-high blocks");
         let b_row: &[f64; 8] = b_row[j0..j0 + 8]
             .try_into()
             .expect("j0 + 8 <= n: caller tiles n in full 8-wide blocks");
@@ -717,29 +709,28 @@ fn gemm_tn_tile_4x8(
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8].copy_from_slice(acc_row);
+        out[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8].copy_from_slice(acc_row);
     }
 }
 
 /// Scalar edge element of [`Tensor::matmul_tn_into`]: one panel's terms
-/// added to `chunk[i, j]`, same term order.
+/// added to `out[i, j]`, same term order.
 #[inline]
 fn gemm_tn_elem(
     a: &[f64],
     b: &[f64],
-    chunk: &mut [f64],
-    first_row: usize,
+    out: &mut [f64],
     i: usize,
     j: usize,
     k: usize,
     m: usize,
     n: usize,
 ) {
-    let mut acc = chunk[i * n + j];
+    let mut acc = out[i * n + j];
     for (a_row, b_row) in a[..k * m].chunks_exact(m).zip(b[..k * n].chunks_exact(n)) {
-        acc += a_row[first_row + i] * b_row[j];
+        acc += a_row[i] * b_row[j];
     }
-    chunk[i * n + j] = acc;
+    out[i * n + j] = acc;
 }
 
 /// Generic edge path of [`gemm_rows`]: one output row, columns

@@ -1,10 +1,12 @@
 //! Serial-order and row-partition bit-identity of the tensor kernels.
 //!
-//! The determinism contract of `crates/tensor/src/par.rs`: each kernel
-//! equals its documented serial-order sum bit for bit (checked against
-//! naive one-element-at-a-time references), and any row partition — the
-//! fixed row chunks, or a row mask with its closing backfill — gives the
-//! same bits, over odd shapes that straddle chunk and tile boundaries.
+//! The determinism contract of the tensor kernels: each writes an output
+//! row from that row's inputs alone and equals its documented serial-order
+//! sum bit for bit (checked against naive one-element-at-a-time
+//! references), so any row partition — the L1-sized row blocks of the
+//! kernels that pass over their output more than once (`tn_panel_rows`
+//! rows), or a row mask with its closing backfill — gives the same bits,
+//! over odd shapes that straddle block and tile boundaries.
 
 #![expect(
     clippy::expect_used,
@@ -125,7 +127,7 @@ fn naive_tn(x: &Tensor, g: &Tensor) -> Vec<f64> {
 
 /// The `k`-panelled `matmul_tn_into` is the serial-order sum, bit for bit:
 /// panels only decide when a partial sum passes through memory. Shapes
-/// cover full and ragged `4 x 8` tiles and several row chunks; `k` sits on
+/// cover full and ragged `4 x 8` tiles; `k` sits on
 /// and around the panel height (mirrored from `tn_panel_rows`), so panels
 /// of every fill level occur, the empty product included.
 #[test]
@@ -228,8 +230,7 @@ fn taped_layer_norm(
 /// one at a time elsewhere and for the rows left over — are the one-row
 /// kernel bit for bit in values and in the x, gamma and beta gradients:
 /// whole and under two row masks with their backfills, over
-/// widths on and off the lockstep ones and row counts around a quad and
-/// across a chunk boundary.
+/// widths on and off the lockstep ones and row counts around a quad.
 #[test]
 fn layer_norm_is_the_one_row_kernel_bit_for_bit() {
     let bits = |v: &[Vec<f64>; 4]| {
@@ -412,14 +413,15 @@ fn taped_gather_linear(
 }
 
 /// `gather_linear` sums each output row in its documented order, bit for
-/// bit (against [`naive_gather_linear`]), so the row chunking cannot
-/// change it: widths on and off the `4 x 8` tile, edge counts from none to
-/// past a chunk boundary at every width, `x` as two gathered parts; its
-/// store-time ELU is the unfused `elu`'s.
+/// bit (against [`naive_gather_linear`]), so its row blocks cannot change
+/// it: widths on and off the `4 x 8` tile, edge counts on every side of a
+/// forward block ([`adjoint_block`] of its `3h`-wide input), `x` as two
+/// gathered parts; its store-time ELU is the unfused `elu`'s.
 #[test]
 fn gather_linear_is_its_documented_order_bit_for_bit() {
     for h in [3, 8, 12, 32] {
-        for (nodes, edges) in [(1, 0), (5, 3), (11, 37), (29, 133), (40, 401)] {
+        for edges in block_row_counts(adjoint_block(3 * h, h)) {
+            let nodes = 1 + edges / 3;
             let seed = (h * 1000 + edges) as u64;
             let x = Tensor::from_vec(nodes, h, noise(seed, nodes * h));
             let e = Tensor::from_vec(edges, h, noise(seed + 1, edges * h));
@@ -560,8 +562,7 @@ fn taped_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Ve
 /// transposed one (`dw = xᵀ g`) are the serial-order sums, bit for bit,
 /// in values and in the x, w and b gradients. The shapes
 /// reach every branch: full `4 x 8` tiles, the column tail beside them,
-/// the remainder rows below them, `k = 0`, no rows at all, and several
-/// row chunks. A `gather_linear` whose gathered part owns a row block of
+/// the remainder rows below them, `k = 0` and no rows at all. A `gather_linear` whose gathered part owns a row block of
 /// `w` that does not start at row 0 covers the weight-block slices.
 #[test]
 fn gemm_is_the_serial_order_sum_bit_for_bit() {
@@ -657,11 +658,13 @@ fn taped_layer_norm_add(
 /// naive one-row layer norm: the value is the layer norm's, rounded, plus
 /// the residual; `x`, gamma and beta take the layer norm's adjoints and
 /// `res` the upstream adjoint itself — whole and under two row masks with
-/// their backfills, at widths on and off the four-row lockstep.
+/// their backfills, at widths on and off the four-row lockstep and row
+/// counts on every side of a forward block ([`adjoint_block`] of `cols`,
+/// `cols`).
 #[test]
 fn layer_norm_add_is_layer_norm_then_add_bit_for_bit() {
     for cols in [1, 3, 8, 12, 32] {
-        for rows in [0, 1, 3, 4, 5, 37, 133] {
+        for rows in block_row_counts(adjoint_block(cols, cols)) {
             let seed = (rows * 64 + cols) as u64 + 5000;
             let t = |salt: u64| Tensor::from_vec(rows, cols, noise(seed + salt, rows * cols));
             let (x, res, up) = (t(0), t(1), t(4));
@@ -685,13 +688,15 @@ fn layer_norm_add_is_layer_norm_then_add_bit_for_bit() {
     }
 }
 
-/// Rows per block of the linear adjoints (mirrored from `tn_panel_rows`):
-/// the row counts below sit on and around it.
+/// Rows per block of a `[rows, in_dim]` to `[rows, h]` kernel (mirrored
+/// from `tn_panel_rows`): the linear adjoints, and the forwards of
+/// `gather_linear` and `layer_norm_add`. The row counts below sit on and
+/// around it.
 fn adjoint_block(in_dim: usize, h: usize) -> usize {
     (2048 / (in_dim + h).max(1)).max(8)
 }
 
-/// The row counts that straddle the adjoint's row blocks: none, one, one
+/// The row counts that straddle a kernel's row blocks: none, one, one
 /// short of a block, a block, one past it, and several with a remainder.
 fn block_row_counts(block: usize) -> [usize; 6] {
     [0, 1, block - 1, block, block + 1, 3 * block + 5]
@@ -861,7 +866,7 @@ fn column_block_layer(
 /// backfill, at block widths 1, 3, 8 and 32 and zero, with a block as wide
 /// as the output (whose adjoint is written over the output's) and not,
 /// with both blocks one variable, and at row counts across the assembly
-/// blocks and the row chunks.
+/// blocks.
 #[test]
 fn linear_blocks_are_concat_then_linear_bit_for_bit() {
     let widths = [

@@ -124,8 +124,7 @@ fn loss_and_gradient(trainer: &Trainer, data: &RankData) -> (Tensor, f64, Vec<f6
     let prediction = tape.value(y).clone();
     let grads = tape.backward(l);
     let flat = flatten_local_gradients(&trainer.params, &bound, &grads);
-    let reduced = reduce_flat_gradients(&trainer.params, flat, &ctx.comm);
-    let gradient = reduced.iter().flat_map(|t| t.data().to_vec()).collect();
+    let gradient = reduce_flat_gradients(&trainer.params, flat, &ctx.comm);
     (prediction, loss, gradient)
 }
 
@@ -439,7 +438,7 @@ fn r1_gradients_match_finite_differences() {
         let (mut params, _) = ConsistentGnn::seeded(tiny_config(), 5);
         let trainer = h.trainer_mut();
         let fd = finite_difference_grad(&mut params, 1e-5, |p| {
-            trainer.params.unflatten(&p.flatten());
+            cgnn::tensor::restore_into(&mut trainer.params, p).expect("same architecture");
             trainer.eval_loss(data)
         });
         (autodiff, fd)

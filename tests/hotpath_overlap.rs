@@ -99,7 +99,7 @@ fn reused_tape_steps_match_fresh_trainer_bit_for_bit() {
             1e-3,
             HaloContext::single(comm.clone()),
         );
-        twin.params.unflatten(&live.params.flatten());
+        cgnn::tensor::restore_into(&mut twin.params, &live.params).expect("same architecture");
         twin.opt.set_state(live.opt.state().clone());
         // Second step: live uses its recycled workspace, twin a fresh one.
         let l1 = live.step(&data);
