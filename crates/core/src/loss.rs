@@ -3,15 +3,21 @@
 //! `L = AllReduce(S_r) / (N_eff * F_y)` with
 //! `S_r = sum_i (1/d_i) * sum_j (Y_ij - Yhat_ij)^2` and
 //! `N_eff = AllReduce(sum_i 1/d_i)`. The `1/d_i` weights stop coincident
-//! nodes from being double-counted, and the two forward all-reduces make
-//! every rank see the *identical* un-partitioned loss value.
+//! nodes from being double-counted, and the all-reduced sums make every
+//! rank see the *identical* un-partitioned loss value.
+//!
+//! `N_eff` is a constant of the partition, so it is summed once, when the
+//! graphs are built ([`LocalGraph::n_eff`], in the order a sum-all-reduce
+//! adds the per-rank sums), and the loss performs one forward all-reduce,
+//! for `S`.
 //!
 //! The sum-all-reduce is recorded on the tape with an **identity backward**:
 //! since `L = (1/(N_eff F_y)) * sum_r S_r`, rank `r`'s tape produces the
 //! partial gradient `dL_r = (1/(N_eff F_y)) dS_r/dtheta`, and the DDP step
 //! ([`crate::ddp`]) *sums* partials across ranks — together they equal the
-//! R=1 gradient exactly (paper Eq. 3). This matches the paper's accounting
-//! of "two all-reduces in the forward and one in the backward pass".
+//! R=1 gradient exactly (paper Eq. 3). The paper counts "two all-reduces
+//! in the forward and one in the backward pass"; with `N_eff` cached, a
+//! step here performs one of each.
 
 use cgnn_comm::Comm;
 use cgnn_graph::LocalGraph;
@@ -44,7 +50,7 @@ pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
 /// Consistent MSE between prediction `pred` (`[n_local, F_y]` on the tape)
 /// and `target`, which the tape reads where the caller keeps it
 /// ([`Tape::shared_constant`]). Collective: every rank must call it at the
-/// same point.
+/// same point; it performs one all-reduce. `N_eff` is read from `graph`.
 /// Returns the scalar loss variable; its value is identical on all ranks
 /// and equal to the R=1 MSE of the un-partitioned graph.
 ///
@@ -78,10 +84,8 @@ pub fn consistent_mse(
     // First forward all-reduce: S = sum_r S_r (Eq. 6a).
     let s = all_reduce_scalar(tape, s_r, comm);
 
-    // Second forward all-reduce: N_eff (Eq. 6c). A constant w.r.t. theta.
-    let n_eff = comm.all_reduce_scalar(inv_degree.iter().sum());
-
-    tape.scale(s, 1.0 / (n_eff * fy as f64))
+    // N_eff (Eq. 6c), a constant of the partition: summed at graph build.
+    tape.scale(s, 1.0 / (graph.n_eff * fy as f64))
 }
 
 /// Plain (inconsistent) per-rank MSE — what naive distributed data parallel
@@ -208,6 +212,31 @@ mod tests {
         });
         let (shared, copied) = held[0];
         assert_eq!(copied - shared, n * 3);
+    }
+
+    /// The loss all-reduces `S` only: `N_eff` is read from the graph, where
+    /// it has the bits an all-reduce of the per-rank sums gives.
+    #[test]
+    fn the_loss_makes_one_all_reduce() {
+        let mesh = BoxMesh::new((3, 2, 2), 2, (1.0, 1.0, 1.0), false);
+        let part = Partition::new(&mesh, 3, Strategy::Rcb);
+        let graphs = Arc::new(build_distributed_graph(&mesh, &part));
+        let out = World::run(3, |comm| {
+            let g = &graphs[comm.rank()];
+            let reduced = comm.all_reduce_scalar(g.node_inv_degree.iter().sum());
+            let inv = Arc::clone(&g.node_inv_degree);
+            let mut tape = Tape::new();
+            let p = tape.leaf(Tensor::full(g.n_local(), 3, 0.25));
+            let t = Arc::new(Tensor::zeros(g.n_local(), 3));
+            let before = comm.stats_snapshot().all_reduces;
+            consistent_mse(&mut tape, p, &t, g, &inv, comm);
+            let made = comm.stats_snapshot().all_reduces - before;
+            (reduced.to_bits(), g.n_eff.to_bits(), made)
+        });
+        for (reduced, cached, made) in out {
+            assert_eq!(cached, reduced);
+            assert_eq!(made, 1);
+        }
     }
 
     #[test]

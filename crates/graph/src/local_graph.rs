@@ -64,6 +64,11 @@ pub struct LocalGraph {
     /// `1/d_i` per local node: inverse of the number of ranks owning a
     /// coincident copy (paper Eq. 6b). Arc-shared across layers.
     pub node_inv_degree: Arc<Vec<f64>>,
+    /// `N_eff = sum_r sum_i 1/d_i` over every rank's nodes (paper Eq. 6c):
+    /// the number of global nodes, summed as a sum-all-reduce of the
+    /// per-rank sums of [`LocalGraph::node_inv_degree`] would, so the loss
+    /// needs no collective for it. The same on every rank.
+    pub n_eff: f64,
     /// Local rows *not* shared with any other rank, ascending — the rows
     /// whose node update can run while halo aggregates are in flight.
     pub interior_rows: Arc<Vec<usize>>,

@@ -15,6 +15,46 @@ use crate::gll::GllRule;
 /// Element index triple `(ei, ej, ek)`.
 pub type ElemCoords = (usize, usize, usize);
 
+/// Up to `N` values held on the stack, in insertion order: what a lattice
+/// query returns instead of a heap `Vec` (at most 8 elements touch a node,
+/// 4 an edge). Reads as a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct StackVec<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> StackVec<T, N> {
+    fn new() -> Self {
+        StackVec {
+            items: [T::default(); N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, v: T) {
+        self.items[self.len] = v;
+        self.len += 1;
+    }
+}
+
+impl<T, const N: usize> IntoIterator for StackVec<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for StackVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
 /// Structured hexahedral spectral-element mesh of a box domain.
 #[derive(Debug, Clone)]
 pub struct BoxMesh {
@@ -181,6 +221,21 @@ impl BoxMesh {
         self.gid_of_lattice((self.p * ei + a, self.p * ej + b, self.p * ek + c))
     }
 
+    /// Global node ids of every GLL node of element `e`, in
+    /// [`BoxMesh::local_nodes`] order: `elem_node_gid(e, local)` for each
+    /// `local`, from one division of `e` into its lattice base.
+    pub fn elem_node_gids(&self, e: usize) -> impl Iterator<Item = u64> + '_ {
+        let (nx, ny, nz) = self.lattice_dims();
+        let (ei, ej, ek) = self.elem_coords(e);
+        let base = (self.p * ei, self.p * ej, self.p * ek);
+        // Only a periodic mesh's last element reaches index `n`, which is 0.
+        let wrap = |i: usize, n: usize| (if i == n { 0 } else { i }) as u64;
+        let (nx64, nxy) = (nx as u64, (nx * ny) as u64);
+        self.local_nodes().map(move |(a, b, c)| {
+            wrap(base.0 + a, nx) + nx64 * wrap(base.1 + b, ny) + nxy * wrap(base.2 + c, nz)
+        })
+    }
+
     fn axis_coord(&self, lattice: usize, n_elems: usize, length: f64) -> f64 {
         let h = length / n_elems as f64;
         if lattice == self.p * n_elems {
@@ -206,8 +261,17 @@ impl BoxMesh {
 
     /// Physical position of an element-local node, computed *within* the
     /// element (never wrapped). Used for periodic-safe edge geometry.
-    pub fn elem_node_pos(&self, e: usize, (a, b, c): (usize, usize, usize)) -> [f64; 3] {
-        let (ei, ej, ek) = self.elem_coords(e);
+    pub fn elem_node_pos(&self, e: usize, local: (usize, usize, usize)) -> [f64; 3] {
+        self.pos_in_elem(self.elem_coords(e), local)
+    }
+
+    /// [`BoxMesh::elem_node_pos`] of the element at coordinates
+    /// `(ei, ej, ek)`.
+    pub fn pos_in_elem(
+        &self,
+        (ei, ej, ek): ElemCoords,
+        (a, b, c): (usize, usize, usize),
+    ) -> [f64; 3] {
         let hx = self.lx / self.ex as f64;
         let hy = self.ly / self.ey as f64;
         let hz = self.lz / self.ez as f64;
@@ -226,12 +290,12 @@ impl BoxMesh {
 
     /// Elements (by axis index) whose lattice range contains axis lattice
     /// coordinate `i`. One element for interior coordinates, two for
-    /// element-boundary coordinates (coincident planes).
-    fn axis_elems(&self, i: usize, n_elems: usize, out: &mut Vec<usize>) {
-        out.clear();
+    /// element-boundary coordinates (coincident planes): the one to the
+    /// left of the shared plane first.
+    fn axis_elems(&self, i: usize, n_elems: usize) -> StackVec<usize, 2> {
+        let mut out = StackVec::new();
         if i.is_multiple_of(self.p) {
             let right = i / self.p;
-            // Element to the left of the shared plane.
             if right > 0 {
                 out.push(right - 1);
             } else if self.periodic {
@@ -243,20 +307,44 @@ impl BoxMesh {
         } else {
             out.push(i / self.p);
         }
+        out
     }
 
-    /// All elements containing global node `gid` (up to 8).
-    pub fn elements_of_node(&self, gid: u64) -> Vec<usize> {
+    /// All elements containing global node `gid` (up to 8), z-major.
+    pub fn elements_of_node(&self, gid: u64) -> StackVec<usize, 8> {
         let (i, j, k) = self.lattice_of_gid(gid);
-        let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
-        self.axis_elems(i, self.ex, &mut xs);
-        self.axis_elems(j, self.ey, &mut ys);
-        self.axis_elems(k, self.ez, &mut zs);
-        let mut out = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-        for &ek in &zs {
-            for &ej in &ys {
-                for &ei in &xs {
+        let mut out = StackVec::new();
+        for &ek in self.axis_elems(k, self.ez).iter() {
+            for &ej in self.axis_elems(j, self.ey).iter() {
+                for &ei in self.axis_elems(i, self.ex).iter() {
                     out.push(self.elem_id((ei, ej, ek)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Coordinates of all elements containing the lattice link from
+    /// `lower` one step up `axis` (0, 1, 2 for x, y, z), up to 4, z-major:
+    /// the elements that contain both of its ends. `lower` is unwrapped:
+    /// its `axis` coordinate is below `p * elements` on that axis, and the
+    /// upper end wraps to 0 on a periodic mesh.
+    pub fn elements_of_link(&self, lower: [usize; 3], axis: usize) -> StackVec<ElemCoords, 4> {
+        let n = [self.ex, self.ey, self.ez];
+        let along = |d: usize| {
+            if d == axis {
+                let mut one = StackVec::new();
+                one.push(lower[d] / self.p);
+                one
+            } else {
+                self.axis_elems(lower[d], n[d])
+            }
+        };
+        let mut out = StackVec::new();
+        for &ek in along(2).iter() {
+            for &ej in along(1).iter() {
+                for &ei in along(0).iter() {
+                    out.push((ei, ej, ek));
                 }
             }
         }
@@ -403,6 +491,57 @@ mod tests {
                     .local_nodes()
                     .any(|local| m.elem_node_gid(e, local) == gid);
                 assert!(found, "element {e} does not contain gid {gid}");
+            }
+        }
+    }
+
+    /// The lattice-base form of every element's gids is the per-node one,
+    /// wrapped or not.
+    #[test]
+    fn elem_node_gids_match_elem_node_gid() {
+        for periodic in [false, true] {
+            let m = BoxMesh::new((3, 2, 4), 2, (1.0, 1.0, 1.0), periodic);
+            for e in 0..m.num_elements() {
+                let each: Vec<u64> = m.local_nodes().map(|l| m.elem_node_gid(e, l)).collect();
+                assert_eq!(m.elem_node_gids(e).collect::<Vec<_>>(), each, "e={e}");
+            }
+        }
+    }
+
+    /// The elements of a link are the elements of its lower end that also
+    /// hold its upper end, in the same order.
+    #[test]
+    fn elements_of_link_are_those_holding_both_ends() {
+        for (periodic, p) in [(false, 1), (false, 2), (true, 1), (true, 3)] {
+            let m = BoxMesh::new((3, 4, 3), p, (1.0, 1.0, 1.0), periodic);
+            let (nx, ny, nz) = m.lattice_dims();
+            let dims = [nx, ny, nz];
+            for gid in 0..m.num_global_nodes() as u64 {
+                let (i, j, k) = m.lattice_of_gid(gid);
+                let lower = [i, j, k];
+                for axis in 0..3 {
+                    let mut upper = lower;
+                    upper[axis] += 1;
+                    if !periodic && upper[axis] == dims[axis] {
+                        continue;
+                    }
+                    let up = m.gid_of_lattice((upper[0], upper[1], upper[2]));
+                    let held_up = m.elements_of_node(up);
+                    let both: Vec<usize> = m
+                        .elements_of_node(gid)
+                        .into_iter()
+                        .filter(|e| held_up.contains(e))
+                        .collect();
+                    let link: Vec<usize> = m
+                        .elements_of_link(lower, axis)
+                        .into_iter()
+                        .map(|c| m.elem_id(c))
+                        .collect();
+                    assert_eq!(
+                        link, both,
+                        "periodic={periodic} p={p} {lower:?} axis {axis}"
+                    );
+                }
             }
         }
     }

@@ -14,6 +14,6 @@ pub mod box_mesh;
 pub mod fields;
 pub mod gll;
 
-pub use box_mesh::BoxMesh;
+pub use box_mesh::{BoxMesh, ElemCoords, StackVec};
 pub use fields::{GidNoise, SineProduct, TaylorGreen};
 pub use gll::GllRule;

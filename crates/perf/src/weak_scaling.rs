@@ -133,8 +133,11 @@ fn iteration_time(
         .max()
         .unwrap_or(0);
     let grad_bytes = (param_count(config) * 8) as f64;
-    // Three scalar all-reduces (two in the consistent loss forward, one in
-    // its backward) plus the fused gradient all-reduce.
+    // The paper's accounting: three scalar all-reduces (two in the
+    // consistent loss forward, one in its backward) plus the fused gradient
+    // all-reduce. This program performs fewer: `N_eff` is summed at graph
+    // build and the loss backward rides the gradient all-reduce, so a step
+    // performs the loss's one forward scalar all-reduce and the gradient one.
     let t_ar =
         3.0 * all_reduce_time(machine, ranks, 8.0) + all_reduce_time(machine, ranks, grad_bytes);
 

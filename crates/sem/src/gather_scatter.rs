@@ -25,12 +25,9 @@ pub struct GatherScatter {
 
 impl GatherScatter {
     pub fn new(mesh: &BoxMesh) -> Self {
-        let locals: Vec<_> = mesh.local_nodes().collect();
-        let mut slot_gid = Vec::with_capacity(mesh.num_elements() * locals.len());
+        let mut slot_gid = Vec::with_capacity(mesh.num_elements() * mesh.nodes_per_element());
         for e in 0..mesh.num_elements() {
-            for &l in &locals {
-                slot_gid.push(mesh.elem_node_gid(e, l));
-            }
+            slot_gid.extend(mesh.elem_node_gids(e));
         }
         let mut gids = slot_gid.clone();
         gids.sort_unstable();

@@ -29,7 +29,7 @@
 //! An adjoint is held only while it is live. [`Tape::backward`] keeps the
 //! adjoints of leaves; every other adjoint goes back to the pool as
 //! soon as its node has been propagated (a pass-through adjoint — `add`,
-//! `sub`, `add_row` — moves on to a parent instead of being copied), so
+//! `sub` — moves on to a parent instead of being copied), so
 //! the next scratch tensor of its length reuses a buffer that is still in
 //! cache and the backward pass never holds a second copy of the forward.
 //!
@@ -134,8 +134,6 @@ pub(crate) enum Op {
     /// A [`Op::Constant`] the tape shares instead of copying (see
     /// [`Tape::shared_constant`]); its node's own value is empty.
     Shared(Arc<Tensor>),
-    /// `C = A * B`
-    Matmul(VarId, VarId),
     /// `C[i, :] = b[0, :] + [X_0[i, :] | X_1[i, :] | ...] * W`, optionally
     /// passed through ELU at store time — the fused linear(+activation)
     /// layer over the column blocks of its input.
@@ -151,8 +149,6 @@ pub(crate) enum Op {
     Sub(VarId, VarId),
     /// `C = A ⊙ B` (Hadamard)
     Mul(VarId, VarId),
-    /// `C[i, :] = A[i, :] + bias[0, :]`
-    AddRow(VarId, VarId),
     /// `C = alpha * A`
     Scale(VarId, f64),
     /// Fused gather + column concatenation:
@@ -561,17 +557,6 @@ impl Tape {
         self.push(Tensor::zeros(0, 0), Op::Shared(t))
     }
 
-    /// `a * b` (matrix product).
-    pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        self.assert_unmasked("matmul");
-        let len = self.value(a).rows() * self.value(b).cols();
-        let buf = self.pool.take(len);
-        let (va, vb) = (self.value(a), self.value(b));
-        let mut out = Tensor::from_pool_uninit(va.rows(), vb.cols(), buf);
-        va.matmul_into(vb, &mut out);
-        self.push(out, Op::Matmul(a, b))
-    }
-
     /// Fused linear layer `x * w + b` (`b` is a `[1, out]` row broadcast
     /// over rows): one kernel, one output tensor, instead of a matmul
     /// followed by a broadcast add.
@@ -677,24 +662,6 @@ impl Tape {
         assert_eq!(va.shape(), vb.shape(), "{what} shape mismatch");
         let out = zip_map(pool, va, vb, f);
         self.push(out, op)
-    }
-
-    /// Broadcast-add a `[1, n]` bias row to every row of `a`.
-    ///
-    /// # Panics
-    /// Under a row mask, or if `bias` is not `[1, a.cols]`.
-    pub fn add_row(&mut self, a: VarId, bias: VarId) -> VarId {
-        self.assert_unmasked("add_row");
-        let buf = self.pool.take(self.value(a).len());
-        let (va, vb) = (self.value(a), self.value(bias));
-        assert_eq!(vb.rows(), 1, "bias must be a row vector");
-        assert_eq!(va.cols(), vb.cols(), "bias width mismatch");
-        let mut out = Tensor::from_pool_uninit(va.rows(), va.cols(), buf);
-        let rows = va.data().iter().zip(vb.data().iter().cycle());
-        for (o, (&x, &b)) in out.data_mut().iter_mut().zip(rows) {
-            *o = x + b;
-        }
-        self.push(out, Op::AddRow(a, bias))
     }
 
     /// `alpha * a`.
@@ -1088,23 +1055,6 @@ fn accumulate(
                 add(grads, *b, gb, pool);
             }
             return;
-        }
-        Op::AddRow(a, bias) => {
-            let gb = col_sums(pool, &g);
-            add(grads, *a, g, pool);
-            return add(grads, *bias, gb, pool);
-        }
-        Op::Matmul(a, b) => {
-            let (va, vb) = (value(nodes, *a), value(nodes, *b));
-            if wants(*a) {
-                let ga = times_transposed(pool, &g, vb.data(), vb.rows());
-                add(grads, *a, ga, pool);
-            }
-            if wants(*b) {
-                let mut gb = pool.uninit(va.cols(), g.cols());
-                va.matmul_tn_into(&g, &mut gb);
-                add(grads, *b, gb, pool);
-            }
         }
         Op::Linear { x, w, b, elu } => {
             let vw = value(nodes, *w);
@@ -1609,18 +1559,6 @@ fn weight_blocks(
     })
 }
 
-/// Column sums of `g` as a `[1, cols]` tensor (bias gradients).
-fn col_sums(pool: &mut BufPool, g: &Tensor) -> Tensor {
-    let mut out = pool.zeroed(1, g.cols());
-    for r in 0..g.rows() {
-        let row = g.row(r);
-        for (o, &v) in out.data_mut().iter_mut().zip(row.iter()) {
-            *o += v;
-        }
-    }
-    out
-}
-
 /// Where [`dense_adjoint`] puts an input block's adjoint.
 enum Dest {
     /// Added, row block by row block, into the adjoint the block's
@@ -2039,21 +1977,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backward_through_matmul_chain() {
-        // f = sum(A * B); df/dA = 1 * B^T rows, df/dB = A^T * 1
-        let mut tape = Tape::new();
-        let a = tape.leaf(Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]));
-        let b = tape.leaf(Tensor::from_vec(2, 2, vec![5., 6., 7., 8.]));
-        let c = tape.matmul(a, b);
-        let s = tape.sum(c);
-        let g = tape.backward(s);
-        // dA[i,k] = sum_j B[k,j]
-        assert_eq!(g.get(a).unwrap().data(), &[11., 15., 11., 15.]);
-        // dB[k,j] = sum_i A[i,k]
-        assert_eq!(g.get(b).unwrap().data(), &[4., 4., 6., 6.]);
-    }
-
-    #[test]
     fn gather_then_scatter_gradients() {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(3, 1, vec![1., 2., 3.]));
@@ -2156,7 +2079,7 @@ mod tests {
 
     /// One graph reading its input `x` and target `t` through every op
     /// that skips constant parents — `gather_concat`, `linear_elu`,
-    /// `matmul`, `sub` — recorded with the two as leaves or as constants.
+    /// `linear`, `sub` — recorded with the two as leaves or as constants.
     /// Returns the bits of the loss and of the parameter gradients, and the
     /// gradients of `x` / `t`.
     fn input_graph(constant: bool) -> (Vec<Vec<u64>>, [Option<Tensor>; 2]) {
@@ -2173,17 +2096,18 @@ mod tests {
         }));
         let b1 = tape.leaf(Tensor::from_fn(1, 4, |_, c| 0.1 * c as f64 - 0.2));
         let w2 = tape.leaf(Tensor::from_fn(3, 4, |r, c| ((r + c) as f64 * 0.19).sin()));
+        let b2 = tape.leaf(Tensor::from_fn(1, 4, |_, c| 0.3 - 0.05 * c as f64));
         let idx = Arc::new(vec![5usize, 0, 3, 3, 1, 2]);
         let cat = tape.gather_concat(&[(x, Some(idx)), (x, None)]);
         let h = tape.linear_elu(cat, w1, b1);
-        let m = tape.matmul(x, w2);
+        let m = tape.linear(x, w2, b2);
         let hm = tape.add(h, m);
         let d = tape.sub(hm, t);
         let loss = tape.weighted_sq_sum(d, Arc::new(vec![1.0; 6]));
         let mut grads = tape.backward(loss);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
         let mut out = vec![bits(tape.value(loss))];
-        out.extend([w1, b1, w2].map(|p| bits(grads.get(p).expect("parameter gradient"))));
+        out.extend([w1, b1, w2, b2].map(|p| bits(grads.get(p).expect("parameter gradient"))));
         (out, [grads.take(x), grads.take(t)])
     }
 
@@ -2212,17 +2136,19 @@ mod tests {
         let s = fused.sum(y);
         let gf = fused.backward(s);
 
-        let mut split = Tape::new();
-        let (x2, w2, b2) = (split.leaf(xv), split.leaf(wv), split.leaf(bv));
-        let mm = split.matmul(x2, w2);
-        let y2 = split.add_row(mm, b2);
-        let s2 = split.sum(y2);
-        let gs = split.backward(s2);
-
-        assert!(fused.value(y).max_rel_diff(split.value(y2)) < 1e-15);
-        for (a, b) in [(x, x2), (w, w2), (b, b2)] {
-            assert_eq!(gf.get(a).unwrap().data(), gs.get(b).unwrap().data());
+        // `d sum / d y` is all ones: `dx = 1 w^T`, `dw = x^T 1`, `db` = rows.
+        let mut want = xv.matmul(&wv);
+        for r in 0..want.rows() {
+            for c in 0..want.cols() {
+                want.set(r, c, want.get(r, c) + bv.get(0, c));
+            }
         }
+        let ones = Tensor::full(5, 4, 1.0);
+        assert!(fused.value(y).max_rel_diff(&want) < 1e-15);
+        let dx = ones.matmul(&wv.transpose());
+        assert!(gf.get(x).unwrap().max_rel_diff(&dx) < 1e-15);
+        assert!(gf.get(w).unwrap().max_rel_diff(&xv.matmul_tn(&ones)) < 1e-15);
+        assert_eq!(gf.get(b).unwrap().data(), &[5.0; 4]);
     }
 
     /// The backward of an edge MLP — `gather_linear` over `[x[src] |

@@ -147,11 +147,13 @@ proptest! {
     fn backward_does_not_mutate_values(
         x in tensor_strategy(3, 3),
         y in tensor_strategy(3, 3),
+        b in tensor_strategy(1, 3),
     ) {
         let mut tape = Tape::new();
         let xv = tape.leaf(x.clone());
         let yv = tape.leaf(y.clone());
-        let m = tape.matmul(xv, yv);
+        let bv = tape.leaf(b.clone());
+        let m = tape.linear(xv, yv, bv);
         let e = tape.elu(m);
         let s = tape.sum(e);
         let before = tape.value(e).clone();
