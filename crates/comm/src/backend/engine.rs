@@ -49,7 +49,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::fault::{ArmedFault, FaultPlan, RankFailure};
-use crate::knob::CGNN_FAULT_HEARTBEAT_MS;
 use crate::stats::RankStats;
 
 /// Frame kinds. `Hello` belongs to the stream rendezvous, before a world
@@ -117,33 +116,18 @@ pub(crate) trait Park: Send + Sync {
 
 /// Condvar-with-heartbeat parking for worlds with real concurrency: a
 /// parked rank is woken by the next arrival, and at the latest after one
-/// heartbeat so a death its carrier could not announce is still noticed.
-pub(crate) struct Heartbeat(Duration);
+/// [`HEARTBEAT`] so a death its carrier could not announce is still
+/// noticed.
+pub(crate) struct Heartbeat;
 
-impl Heartbeat {
-    /// The liveness probe period from [`CGNN_FAULT_HEARTBEAT_MS`]
-    /// (default 25 ms).
-    ///
-    /// # Panics
-    ///
-    /// On a knob value that is not a non-negative integer (see
-    /// [`EnvKnob::usize_or`](crate::knob::EnvKnob::usize_or)).
-    pub(crate) fn from_env() -> Arc<dyn Park> {
-        Arc::new(Heartbeat(heartbeat(CGNN_FAULT_HEARTBEAT_MS.usize_or(25))))
-    }
-}
-
-/// The heartbeat period for a knob value of `ms`: at least 1 ms, so a
-/// zero never turns the park into a spin.
-fn heartbeat(ms: usize) -> Duration {
-    Duration::from_millis(ms.max(1) as u64)
-}
+/// How often a parked rank re-checks the peer table for dead peers.
+const HEARTBEAT: Duration = Duration::from_millis(25);
 
 impl Park for Heartbeat {
     fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
         let (arrivals, _) = mailbox
             .cv
-            .wait_timeout(arrivals, self.0)
+            .wait_timeout(arrivals, HEARTBEAT)
             .unwrap_or_else(PoisonError::into_inner);
         arrivals
     }
@@ -617,13 +601,5 @@ mod tests {
         q.deliver((2, vec![2.0]));
         assert_eq!(q.claim(b), Some((2, vec![2.0])));
         assert_eq!(q.claim(a), Some((1, vec![1.0])));
-    }
-
-    #[test]
-    fn heartbeat_defaults_and_floors() {
-        // `Heartbeat::from_env` reads an unset knob as 25.
-        assert_eq!(heartbeat(25), Duration::from_millis(25));
-        assert_eq!(heartbeat(0), Duration::from_millis(1));
-        assert_eq!(heartbeat(40), Duration::from_millis(40));
     }
 }

@@ -15,6 +15,8 @@
 //! computes all reductions rank-ordered from gathered contributions, and
 //! at world size one that gathering is the identity everywhere.
 
+use std::sync::Arc;
+
 use crate::backend::engine::{Engine, Heartbeat, Mailbox};
 use crate::comm::Comm;
 use crate::fault::FaultPlan;
@@ -37,7 +39,7 @@ impl LoopbackBackend {
     /// entry point for persistent trainers that live outside an SPMD
     /// launch.
     pub fn comm() -> Comm {
-        let mailbox = Mailbox::new(0, 1, Heartbeat::from_env());
+        let mailbox = Mailbox::new(0, 1, Arc::new(Heartbeat));
         Comm::new(Engine::new("loopback", mailbox, None, &FaultPlan::new(), 0))
     }
 }

@@ -422,7 +422,7 @@ where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
 {
-    let mailbox = Mailbox::new(rank, conns.len(), Heartbeat::from_env());
+    let mailbox = Mailbox::new(rank, conns.len(), Arc::new(Heartbeat));
     #[expect(
         clippy::expect_used,
         reason = "a carrier whose threads cannot start is a world that cannot come up, which `launch` documents"

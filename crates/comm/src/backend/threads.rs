@@ -3,12 +3,13 @@
 //!
 //! The world is the shared `engine` over its in-memory carrier
 //! with heartbeat parking: a blocked rank sleeps on its mailbox condvar,
-//! is woken by the next arrival, and at the latest every
-//! `CGNN_FAULT_HEARTBEAT_MS` (default 25 ms) re-checks the peer table, so
-//! a rank that dies — killed by fault injection, or unwinding from a
-//! genuine panic — or that finished without sending what a peer waits for
-//! aborts the waiter with [`RankFailure`](crate::RankFailure)`::PeerDead`
-//! instead of hanging it.
+//! is woken by the next arrival, and at the latest every 25 ms re-checks
+//! the peer table, so a rank that dies — killed by fault injection, or
+//! unwinding from a genuine panic — or that finished without sending what
+//! a peer waits for aborts the waiter with
+//! [`RankFailure`](crate::RankFailure)`::PeerDead` instead of hanging it.
+
+use std::sync::Arc;
 
 use crate::backend::engine::{Engine, Heartbeat};
 use crate::backend::run_ranks;
@@ -22,6 +23,6 @@ where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
 {
-    let world = Engine::memory_world(size, "threads", Heartbeat::from_env(), plan, attempt);
+    let world = Engine::memory_world(size, "threads", Arc::new(Heartbeat), plan, attempt);
     run_ranks(world, f)
 }

@@ -217,12 +217,7 @@ impl Comm {
     /// If `src` is not a rank of this world, or the next message's tag is
     /// not `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> Vec<f64> {
-        assert!(src < self.size(), "recv from invalid rank {src}");
-        let seq = self.engine.irecv(src);
-        let (got_tag, data) = self.engine.take(src, seq);
-        self.check_tag(src, tag, got_tag);
-        self.count_recv(&data);
-        data
+        self.irecv(src, tag).wait()
     }
 
     /// Begin a non-blocking send: the payload is handed to the transport

@@ -115,17 +115,6 @@ pub const CGNN_SOCKET_ADDR: EnvKnob = EnvKnob {
           listens; required for manual multi-machine launches.",
 };
 
-/// Liveness-probe heartbeat of the comm engine's heartbeat park policy
-/// (threads, proc, socket): how often a blocked collective/receive
-/// re-checks the peer table.
-pub const CGNN_FAULT_HEARTBEAT_MS: EnvKnob = EnvKnob {
-    name: "CGNN_FAULT_HEARTBEAT_MS",
-    default: "25",
-    doc: "Comm liveness heartbeat (ms): how often a rank blocked in a \
-          collective or receive re-checks for dead peers (threads, proc \
-          and socket transports).",
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

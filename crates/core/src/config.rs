@@ -22,8 +22,7 @@
 //! knob), and the table records the common case.
 
 pub use cgnn_comm::knob::{
-    EnvKnob, CGNN_BACKEND, CGNN_FAULT_HEARTBEAT_MS, CGNN_PROC_DIR, CGNN_PROC_SEQ, CGNN_RANK,
-    CGNN_SOCKET_ADDR, CGNN_WORLD,
+    EnvKnob, CGNN_BACKEND, CGNN_PROC_DIR, CGNN_PROC_SEQ, CGNN_RANK, CGNN_SOCKET_ADDR, CGNN_WORLD,
 };
 
 /// Epoch/iteration count used by the examples and figure binaries.
@@ -139,7 +138,6 @@ pub const KNOBS: &[&EnvKnob] = &[
     &CGNN_SERVE_CKPT_DIR,
     &CGNN_SERVE_MODEL,
     &CGNN_SERVE_ELEMS,
-    &CGNN_FAULT_HEARTBEAT_MS,
     &CGNN_FAULT_MAX_RETRIES,
     &CGNN_FAULT_SEED,
 ];

@@ -91,9 +91,9 @@ pub fn consistent_mse(
 /// Plain (inconsistent) per-rank MSE — what naive distributed data parallel
 /// training would compute (paper Eq. 5 evaluated locally). Used to
 /// demonstrate the violation of Eq. 2.
-pub fn local_mse(tape: &mut Tape, pred: VarId, target: &Tensor) -> VarId {
+pub fn local_mse(tape: &mut Tape, pred: VarId, target: &Arc<Tensor>) -> VarId {
     let (n, fy) = target.shape();
-    let t = tape.constant_copy(target);
+    let t = tape.shared_constant(Arc::clone(target));
     let diff = tape.sub(pred, t);
     let w = Arc::new(vec![1.0; n]);
     let s = tape.weighted_sq_sum(diff, w);
@@ -174,7 +174,7 @@ mod tests {
             let g = &graphs[comm.rank()];
             let mut tape = Tape::new();
             let p = tape.leaf(Tensor::from_fn(g.n_local(), fy, |r, c| pred(g.gids[r], c)));
-            let t = Tensor::from_fn(g.n_local(), fy, |r, c| targ(g.gids[r], c));
+            let t = Arc::new(Tensor::from_fn(g.n_local(), fy, |r, c| targ(g.gids[r], c)));
             let l = local_mse(&mut tape, p, &t);
             tape.value(l).item()
         });
@@ -200,10 +200,10 @@ mod tests {
             let p = tape.leaf(Tensor::zeros(n, 3));
             consistent_mse(&mut tape, p, &target, &g, &inv, comm);
             let shared = tape.held_len();
-            // `consistent_mse` with the target recorded by `constant_copy`.
+            // `consistent_mse` with the target copied onto the tape.
             let mut tape = Tape::new();
             let p = tape.leaf(Tensor::zeros(n, 3));
-            let t = tape.constant_copy(&target);
+            let t = tape.leaf_copy(&target);
             let diff = tape.sub(p, t);
             let s_r = tape.weighted_sq_sum(diff, Arc::clone(&inv));
             let s = all_reduce_scalar(&mut tape, s_r, comm);

@@ -156,6 +156,8 @@ fn build_rank_graph(mesh: &BoxMesh, partition: &Partition, rank: usize) -> Local
     }
     gids.sort_unstable();
     gids.dedup();
+    // The graph keeps the list: no slots for the duplicates it had.
+    gids.shrink_to_fit();
 
     let pos: Vec<[f64; 3]> = gids.iter().map(|&g| mesh.node_pos(g)).collect();
 
@@ -687,6 +689,19 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), mesh.num_global_nodes());
+    }
+
+    /// A graph's gid list holds its nodes and no slot more: the duplicate
+    /// gids of shared element faces are gone with their capacity.
+    #[test]
+    fn gids_hold_no_spare_capacity() {
+        let mesh = BoxMesh::new((4, 4, 4), 2, (1.0, 1.0, 1.0), false);
+        let part = Partition::new(&mesh, 3, Strategy::Rcb);
+        let mut graphs = build_distributed_graph(&mesh, &part);
+        graphs.push(build_global_graph(&mesh));
+        for g in &graphs {
+            assert_eq!(g.gids.capacity(), g.gids.len(), "rank {}", g.rank);
+        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Session {
             .checkpoint_policy()
             .cloned()
             .ok_or(ElasticError::NoCheckpointPolicy)?;
-        let mut current = self.shallow_clone();
+        let mut current = self.clone();
         let mut recoveries: Vec<RecoveryEvent> = Vec::new();
         loop {
             match current.try_run(|h| h.train_epochs(epochs)) {

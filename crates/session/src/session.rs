@@ -30,6 +30,11 @@ use crate::handle::{RankDataset, RankHandle};
 /// same seeded state — or, for a session produced by [`Session::restore`],
 /// from a saved checkpoint — which is what makes builder sessions
 /// reproduce hand-wired loss trajectories bit for bit.
+///
+/// A clone is a cheap structural copy: it shares the mesh and the
+/// per-rank graphs and keeps the recipe (exchange, backend, config, seed,
+/// lr, dataset, checkpoints).
+#[derive(Clone)]
 pub struct Session {
     mesh: Arc<BoxMesh>,
     partition: Option<Partition>,
@@ -190,7 +195,7 @@ impl Session {
     pub fn with_exchange(&self, mode: HaloExchangeMode) -> Session {
         Session {
             exchange: mode,
-            ..self.shallow_clone()
+            ..self.clone()
         }
     }
 
@@ -201,7 +206,7 @@ impl Session {
     pub fn with_backend(&self, backend: Backend) -> Session {
         Session {
             backend,
-            ..self.shallow_clone()
+            ..self.clone()
         }
     }
 
@@ -222,29 +227,8 @@ impl Session {
         ConsistentGnn::check_checkpoint(self.config, &params, &opt)?;
         Ok(Session {
             checkpoint: Some(Arc::new((params, opt))),
-            ..self.shallow_clone()
+            ..self.clone()
         })
-    }
-
-    /// Cheap structural copy: shares mesh/partition/graphs, keeps the
-    /// recipe (exchange, backend, config, seed, lr, dataset, checkpoints).
-    pub(crate) fn shallow_clone(&self) -> Session {
-        Session {
-            mesh: Arc::clone(&self.mesh),
-            partition: self.partition.clone(),
-            graphs: self.graphs.clone(),
-            strategy: self.strategy,
-            exchange: self.exchange,
-            backend: self.backend,
-            config: self.config,
-            seed: self.seed,
-            lr: self.lr,
-            checkpoint: self.checkpoint.clone(),
-            dataset: self.dataset.clone(),
-            ckpt_policy: self.ckpt_policy.clone(),
-            fault_plan: self.fault_plan.clone(),
-            attempt: self.attempt,
-        }
     }
 
     /// A sibling session decomposed for a different world size: the mesh
@@ -263,7 +247,7 @@ impl Session {
         Ok(Session {
             partition,
             graphs,
-            ..self.shallow_clone()
+            ..self.clone()
         })
     }
 

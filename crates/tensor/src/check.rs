@@ -233,7 +233,7 @@ mod tests {
             let mut tape = Tape::new();
             let bound = p.bind(&mut tape);
             let x = bound.var(crate::nn::ParamId(0));
-            let g = tape.gather_rows(x, idx_src.clone());
+            let g = tape.gather_concat(&[(x, Some(idx_src.clone()))]);
             let a = tape.scatter_add_rows_scaled(g, w.clone(), idx_dst.clone(), 3);
             let sq = tape.mul(a, a);
             let s = tape.sum(sq);
@@ -243,7 +243,7 @@ mod tests {
         let mut tape = Tape::new();
         let bound = params.bind(&mut tape);
         let x = bound.var(crate::nn::ParamId(0));
-        let g = tape.gather_rows(x, idx_src.clone());
+        let g = tape.gather_concat(&[(x, Some(idx_src.clone()))]);
         let a = tape.scatter_add_rows_scaled(g, w.clone(), idx_dst.clone(), 3);
         let sq = tape.mul(a, a);
         let s = tape.sum(sq);

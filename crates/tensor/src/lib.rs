@@ -31,4 +31,4 @@ pub use nn::{BoundParams, Linear, Mlp, ParamId, ParamSet};
 pub use optim::{Adam, AdamState};
 pub use serialize::{load_checkpoint, restore_into, save_checkpoint};
 pub use tape::{CustomOp, Gradients, Tape, VarId};
-pub use tensor::Tensor;
+pub use tensor::{elu, Tensor};

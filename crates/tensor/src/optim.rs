@@ -183,7 +183,7 @@ mod tests {
             let g = quadratic_grads(&params);
             opt.step(&mut params, &g);
         }
-        assert!(params.tensors()[0].max_abs() < 1e-3);
+        assert!(params.tensors()[0].data().iter().all(|v| v.abs() < 1e-3));
     }
 
     #[test]

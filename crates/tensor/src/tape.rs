@@ -47,7 +47,7 @@
 //!
 //! A step holds each tensor once. Nothing is copied only to be read:
 //! - a layer over a concatenation reads its input as column blocks
-//!   ([`Tape::linear_blocks`]), so the concatenation is never stored;
+//!   ([`Tape::linear_elu_blocks`]), so the concatenation is never stored;
 //! - an input the caller already holds is shared, not copied
 //!   ([`Tape::shared_constant`]): it is never put into the pool and never
 //!   released.
@@ -63,6 +63,10 @@
 //! Each of these performs the same operations in the same order as the
 //! form that stores the copy, so every value and gradient keeps its bits.
 //!
+//! Each op has one recording path: ELU is only a fused store-time
+//! post-op, a row gather is a one-part [`Tape::gather_concat`], and an
+//! input that takes no gradient is a [`Tape::shared_constant`].
+//!
 //! ## Forward-only recordings
 //!
 //! A recording that no backward pass will follow ([`Tape::forward_only`]:
@@ -76,9 +80,7 @@
 
 use std::sync::Arc;
 
-use crate::tensor::{
-    elu_scalar, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor,
-};
+use crate::tensor::{elu, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor};
 
 /// Handle to a variable on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,11 +130,9 @@ impl Blocks {
 pub(crate) enum Op {
     /// Input / parameter: no parents.
     Leaf,
-    /// Input that takes no gradient: no parents, and no adjoint is ever
-    /// computed for it (see [`Tape::constant_copy`]).
-    Constant,
-    /// A [`Op::Constant`] the tape shares instead of copying (see
-    /// [`Tape::shared_constant`]); its node's own value is empty.
+    /// Input that takes no gradient, read where its owner keeps it (see
+    /// [`Tape::shared_constant`]): no parents, no adjoint is ever computed
+    /// for it, and its node's own value is empty.
     Shared(Arc<Tensor>),
     /// `C[i, :] = b[0, :] + [X_0[i, :] | X_1[i, :] | ...] * W`, optionally
     /// passed through ELU at store time — the fused linear(+activation)
@@ -162,15 +162,9 @@ pub(crate) enum Op {
         w: VarId,
         b: VarId,
     },
-    /// `C[i] = A[idx[i]]`
-    GatherRows(VarId, Arc<Vec<usize>>, usize),
-    /// `C[idx[i]] += A[i]`, C has `out_rows` rows.
-    ScatterAddRows(VarId, Arc<Vec<usize>>),
     /// `C[idx[i]] += w[i] * A[i]` with constant weights, without a scaled
-    /// copy of `A`.
-    ScatterAddScaled(VarId, Arc<Vec<f64>>, Arc<Vec<usize>>),
-    /// ELU activation (alpha = 1).
-    Elu(VarId),
+    /// copy of `A`; `C[idx[i]] += A[i]` without weights.
+    ScatterAdd(VarId, Option<Arc<Vec<f64>>>, Arc<Vec<usize>>),
     /// Row-wise layer normalization with learned gain/bias, plus the
     /// residual `res` when there is one: `C = LN(x) + res`.
     LayerNorm {
@@ -197,11 +191,6 @@ pub(crate) enum Op {
 pub(crate) struct Node {
     pub value: Tensor,
     pub op: Op,
-}
-
-/// Takes no adjoint: a [`Op::Constant`] or an [`Op::Shared`] one.
-fn is_constant(op: &Op) -> bool {
-    matches!(op, Op::Constant | Op::Shared(_))
 }
 
 /// Recycled `f64` buffers, bucketed by length: a training step replays the
@@ -357,7 +346,7 @@ impl Tape {
             "release_except with an active row mask (its window is still open)"
         );
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let interior = !(matches!(node.op, Op::Leaf | Op::Released) || is_constant(&node.op));
+            let interior = !matches!(node.op, Op::Leaf | Op::Shared(_) | Op::Released);
             if interior && !keep.contains(&VarId(i)) {
                 let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
                 self.pool.put(value.into_vec());
@@ -367,9 +356,9 @@ impl Tape {
     }
 
     /// Enter **row-masked recording**: until [`Tape::end_row_mask`], the
-    /// row-separable ops ([`Tape::linear`] and its relatives, [`Tape::elu`],
-    /// [`Tape::layer_norm`], [`Tape::layer_norm_add`],
-    /// [`Tape::gather_concat`]) compute their values
+    /// row-separable ops ([`Tape::linear`], [`Tape::linear_elu`],
+    /// [`Tape::linear_elu_blocks`], [`Tape::layer_norm`],
+    /// [`Tape::layer_norm_add`], [`Tape::gather_concat`]) compute their values
     /// only for the given output rows; the remaining rows hold stale
     /// buffer contents until the closing backfill overwrites them.
     ///
@@ -538,21 +527,14 @@ impl Tape {
         self.push(v, Op::Leaf)
     }
 
-    /// [`Tape::leaf_copy`] for an input nothing differentiates against
-    /// (features, a loss target): [`Tape::backward`] computes no adjoint
-    /// for it — the ops that read it skip that product — so its
-    /// [`Gradients::get`] is `None`. Every other gradient is bit-equal to
-    /// the one the same pass gives with the input recorded as a leaf.
-    pub fn constant_copy(&mut self, t: &Tensor) -> VarId {
-        let v = self.pool.copy_of(t);
-        self.push(v, Op::Constant)
-    }
-
-    /// [`Tape::constant_copy`] without the copy: the tape reads `t` where
-    /// its owner keeps it (a training sample's features, a request's
-    /// input) until the next [`Tape::reset`]. The tensor is never put into
-    /// the pool and never released, and every value and gradient has the
-    /// bits of the copied constant's.
+    /// Record an input nothing differentiates against (features, a loss
+    /// target), read where its owner keeps it (a training sample's
+    /// features, a request's input) until the next [`Tape::reset`]: it is
+    /// never copied, never put into the pool and never released.
+    /// [`Tape::backward`] computes no adjoint for it — the ops that read it
+    /// skip that product — so its [`Gradients::get`] is `None`. Every other
+    /// value and gradient is bit-equal to the one the same pass gives with
+    /// the input recorded as a leaf.
     pub fn shared_constant(&mut self, t: Arc<Tensor>) -> VarId {
         self.push(Tensor::zeros(0, 0), Op::Shared(t))
     }
@@ -571,26 +553,17 @@ impl Tape {
         self.linear_impl(&[x], w, b, true)
     }
 
-    /// [`Tape::linear`] over the column blocks `x` of its input,
-    /// `[x_0 | x_1 | ...] * w + b`, with the concatenation never stored:
-    /// each row block of the input is assembled in an L1-sized scratch and
-    /// multiplied there, and each block's adjoint goes to its own variable.
-    /// The value and every gradient have the bits of
-    /// [`Tape::gather_concat`] (no indices) then [`Tape::linear`].
+    /// [`Tape::linear_elu`] over the column blocks `x` of its input,
+    /// `elu([x_0 | x_1 | ...] * w + b)`, with the concatenation never
+    /// stored: each row block of the input is assembled in an L1-sized
+    /// scratch and multiplied there, and each block's adjoint goes to its
+    /// own variable. The value and every gradient have the bits of
+    /// [`Tape::gather_concat`] (no indices) then [`Tape::linear_elu`].
     /// Row-separable, so it may be recorded under a row mask.
     ///
     /// # Panics
     /// If `x` is empty, its blocks differ in row count, their widths do not
     /// sum to `w`'s rows, or `b` is not `[1, w.cols]`.
-    pub fn linear_blocks(&mut self, x: &[VarId], w: VarId, b: VarId) -> VarId {
-        self.linear_impl(x, w, b, false)
-    }
-
-    /// [`Tape::linear_blocks`] with ELU at store time: the bits of
-    /// [`Tape::gather_concat`] then [`Tape::linear_elu`].
-    ///
-    /// # Panics
-    /// As [`Tape::linear_blocks`].
     pub fn linear_elu_blocks(&mut self, x: &[VarId], w: VarId, b: VarId) -> VarId {
         self.linear_impl(x, w, b, true)
     }
@@ -762,7 +735,7 @@ impl Tape {
                 }
             }
             for o in chunk.iter_mut() {
-                *o = elu_scalar(*o);
+                *o = elu(*o);
             }
         }
         for (prod, _) in gathered {
@@ -797,25 +770,13 @@ impl Tape {
         (rows, meta)
     }
 
-    /// `out[i] = a[idx[i]]`.
-    pub fn gather_rows(&mut self, a: VarId, idx: Arc<Vec<usize>>) -> VarId {
-        self.assert_unmasked("gather_rows");
-        let buf = self.pool.take(idx.len() * self.value(a).cols());
-        let va = self.value(a);
-        let src_rows = va.rows();
-        let mut out = Tensor::from_pool_uninit(idx.len(), va.cols(), buf);
-        va.gather_rows_into(&idx, &mut out);
-        self.push(out, Op::GatherRows(a, idx, src_rows))
-    }
-
-    /// `out[idx[i]] += a[i]` with `out_rows` output rows.
+    /// `out[idx[i]] += a[i]` with `out_rows` output rows: the op of
+    /// [`Tape::scatter_add_rows_scaled`] without weights.
     pub fn scatter_add_rows(&mut self, a: VarId, idx: Arc<Vec<usize>>, out_rows: usize) -> VarId {
         self.assert_unmasked("scatter_add_rows");
-        let buf = self.pool.take(out_rows * self.value(a).cols());
-        let va = self.value(a);
-        let mut out = Tensor::from_pool_uninit(out_rows, va.cols(), buf);
-        va.scatter_add_rows_into(&idx, &mut out);
-        self.push(out, Op::ScatterAddRows(a, idx))
+        let mut out = self.pool.uninit(out_rows, self.value(a).cols());
+        self.value(a).scatter_add_rows_into(&idx, &mut out);
+        self.push(out, Op::ScatterAdd(a, None, idx))
     }
 
     /// `out[idx[i]] += weights[i] * a[i]` with `out_rows` output rows: each
@@ -831,17 +792,10 @@ impl Tape {
         out_rows: usize,
     ) -> VarId {
         self.assert_unmasked("scatter_add_rows_scaled");
-        let buf = self.pool.take(out_rows * self.value(a).cols());
-        let va = self.value(a);
-        let mut out = Tensor::from_pool_uninit(out_rows, va.cols(), buf);
-        va.scatter_add_rows_scaled_into(&weights, &idx, &mut out);
-        self.push(out, Op::ScatterAddScaled(a, weights, idx))
-    }
-
-    /// ELU activation with alpha = 1.
-    pub fn elu(&mut self, a: VarId) -> VarId {
-        let (rows, cols) = self.value(a).shape();
-        self.record_rows(rows, cols, Op::Elu(a))
+        let mut out = self.pool.uninit(out_rows, self.value(a).cols());
+        self.value(a)
+            .scatter_add_rows_scaled_into(&weights, &idx, &mut out);
+        self.push(out, Op::ScatterAdd(a, Some(weights), idx))
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta` (`[1, F]`).
@@ -934,7 +888,7 @@ impl Tape {
     /// Run reverse-mode accumulation from scalar variable `root`.
     ///
     /// The adjoint of `root` is seeded with 1. Returns the gradients of
-    /// the participating leaves ([`Tape::constant_copy`] inputs take none).
+    /// the participating leaves ([`Tape::shared_constant`] inputs take none).
     /// An interior adjoint lives only from its first contribution until
     /// its node has been propagated, then goes back to the buffer pool, so
     /// the next scratch tensor of its length reuses it. Gradient tensors
@@ -1009,7 +963,7 @@ fn accumulate(
 ) {
     // Constants take no adjoint: the ops below skip the products that
     // would only feed one, and `add` drops whatever else reaches one.
-    let wants = |id: VarId| !is_constant(&nodes[id.0].op);
+    let wants = |id: VarId| !matches!(nodes[id.0].op, Op::Shared(_));
     let add = |grads: &mut [Option<Tensor>], id: VarId, contrib: Tensor, pool: &mut BufPool| {
         match &mut grads[id.0] {
             _ if !wants(id) => pool.put(contrib.into_vec()),
@@ -1043,7 +997,7 @@ fn accumulate(
     // bits as it would from two copies. Every other op only reads `g`, or
     // writes a parent's adjoint over it and passes it on.
     match &node.op {
-        Op::Leaf | Op::Constant | Op::Shared(_) | Op::Released => {}
+        Op::Leaf | Op::Shared(_) | Op::Released => {}
         Op::Add(a, b) => {
             add(grads, *a, pool.copy_of(&g), pool);
             return add(grads, *b, g, pool);
@@ -1196,34 +1150,13 @@ fn accumulate(
             }
             return;
         }
-        Op::GatherRows(a, idx, src_rows) => {
-            let mut contrib = pool.uninit(*src_rows, g.cols());
-            g.scatter_add_rows_into(idx, &mut contrib);
-            add(grads, *a, contrib, pool);
-        }
-        Op::ScatterAddRows(a, idx) => {
-            if wants(*a) {
-                add_gathered_rows(grads, pool, *a, &g, idx, |_, v| v);
-            }
-        }
-        Op::ScatterAddScaled(a, w, idx) => {
-            if wants(*a) {
-                add_gathered_rows(grads, pool, *a, &g, idx, |i, v| w[i] * v);
-            }
-        }
-        Op::Elu(a) => {
-            // d/du elu(u) = exp(u) for u < 0, and the forward already
-            // computed y = exp(u) - 1 (y < 0 iff u < 0), so the backward
-            // reuses y + 1 instead of a second exp evaluation.
-            let ga = zip_map(pool, &g, &node.value, |x, y| {
-                if y < 0.0 {
-                    x * (y + 1.0)
-                } else {
-                    x
-                }
-            });
-            add(grads, *a, ga, pool);
-        }
+        // One closure per case, so the weighted adjoint has no
+        // per-element branch on the weights.
+        Op::ScatterAdd(a, w, idx) => match w {
+            _ if !wants(*a) => {}
+            Some(w) => add_gathered_rows(grads, pool, *a, &g, idx, |i, v| w[i] * v),
+            None => add_gathered_rows(grads, pool, *a, &g, idx, |_, v| v),
+        },
         Op::LayerNorm {
             x,
             res,
@@ -1355,7 +1288,6 @@ enum RowKernel<'a> {
         /// read in place.
         rows: Option<Tensor>,
     },
-    Elu(&'a [f64]),
     LayerNorm {
         x: &'a [f64],
         res: Option<&'a [f64]>,
@@ -1388,7 +1320,6 @@ impl<'a> RowKernel<'a> {
                     rows: (!x.rest.is_empty()).then(|| pool.uninit(block, k)),
                 }
             }
-            Op::Elu(a) => RowKernel::Elu(val(a).data()),
             Op::LayerNorm {
                 x,
                 res,
@@ -1419,7 +1350,6 @@ impl<'a> RowKernel<'a> {
     /// Compute output rows `first_row..first_row + nrows` into `chunk`
     /// (those rows of the `cols`-wide output, row-major).
     fn run(&mut self, chunk: &mut [f64], cols: usize, first_row: usize, nrows: usize) {
-        let span = first_row * cols..(first_row + nrows) * cols;
         match self {
             RowKernel::Linear {
                 nodes,
@@ -1458,11 +1388,6 @@ impl<'a> RowKernel<'a> {
                     gemm_rows(a, w, out, 0, nr, k, cols, Some(bias), *elu);
                 }
             }
-            RowKernel::Elu(src) => {
-                for (o, &u) in chunk.iter_mut().zip(&src[span]) {
-                    *o = crate::tensor::elu_scalar(u);
-                }
-            }
             RowKernel::LayerNorm {
                 x,
                 res,
@@ -1471,6 +1396,7 @@ impl<'a> RowKernel<'a> {
                 eps,
             } => {
                 let Some(res) = res else {
+                    let span = first_row * cols..(first_row + nrows) * cols;
                     return layer_norm_forward(&x[span], gamma, beta, *eps, chunk, cols);
                 };
                 // `+ res` rounds separately, as a following `add` would: a
@@ -1611,7 +1537,7 @@ impl<'a> AdjointPlan<'a> {
     ) -> InputBlock<'a> {
         let x = value(self.nodes, id);
         let (k, h) = (x.cols(), self.h);
-        let adjoint = (!is_constant(&self.nodes[id.0].op)).then(|| {
+        let adjoint = (!matches!(self.nodes[id.0].op, Op::Shared(_))).then(|| {
             let mut wt = pool.uninit(h, k);
             transpose(&self.w[w_rows.clone()], k, h, wt.data_mut());
             let existing = if may_add { grads[id.0].take() } else { None };
@@ -1981,7 +1907,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(3, 1, vec![1., 2., 3.]));
         let idx = Arc::new(vec![0usize, 0, 2]);
-        let gth = tape.gather_rows(x, idx.clone());
+        let gth = tape.gather_concat(&[(x, Some(idx))]);
         let sct = tape.scatter_add_rows(gth, Arc::new(vec![1usize, 1, 0]), 2);
         let s = tape.sum(sct);
         let g = tape.backward(s);
@@ -2026,7 +1952,7 @@ mod tests {
         }
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(3, 2, vec![1., -2., 3., 0.5, -1., 2.]));
-        let h = tape.elu(x);
+        let h = tape.scale(x, 0.5);
         let v = tape.value(h).clone();
         let y = tape.custom(vec![h], v, Box::new(Shrink));
         let s = tape.sum(y);
@@ -2054,12 +1980,11 @@ mod tests {
             ((r + 2 * c) as f64 * 0.29).cos()
         }));
         let b = tape.leaf(Tensor::from_fn(1, 5, |_, c| 0.1 * c as f64 - 0.2));
-        let u = tape.linear(x, w, b);
-        let h = tape.elu(u);
+        let h = tape.linear_elu(x, w, b);
         let sq = tape.mul(h, h);
         let s = tape.sum(sq);
         let grads = tape.backward(s);
-        for interior in [u, h, sq, s] {
+        for interior in [h, sq, s] {
             assert!(grads.get(interior).is_none(), "interior adjoint kept");
         }
         for leaf in [x, w, b] {
@@ -2087,7 +2012,10 @@ mod tests {
         let xv = Tensor::from_fn(6, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
         let tv = Tensor::from_fn(6, 4, |r, c| ((r + 5 * c) as f64 * 0.23).cos());
         let (x, t) = if constant {
-            (tape.constant_copy(&xv), tape.constant_copy(&tv))
+            (
+                tape.shared_constant(Arc::new(xv)),
+                tape.shared_constant(Arc::new(tv)),
+            )
         } else {
             (tape.leaf_copy(&xv), tape.leaf_copy(&tv))
         };
@@ -2213,8 +2141,8 @@ mod tests {
 
         let mut split = Tape::new();
         let (x2, e2) = (split.leaf(xv), split.leaf(ev));
-        let xi = split.gather_rows(x2, Arc::clone(&src));
-        let xj = split.gather_rows(x2, Arc::clone(&dst));
+        let xi = split.gather_concat(&[(x2, Some(Arc::clone(&src)))]);
+        let xj = split.gather_concat(&[(x2, Some(Arc::clone(&dst)))]);
         let cat2 = split.gather_concat(&[(xi, None), (xj, None), (e2, None)]);
         let sq2 = split.mul(cat2, cat2);
         let s2 = split.sum(sq2);
@@ -2243,7 +2171,7 @@ mod tests {
             let out = if fused {
                 tape.scatter_add_rows_scaled(a, Arc::clone(&weights), Arc::clone(&idx), 7)
             } else {
-                let rows = tape.constant_copy(&Tensor::from_fn(9, 3, |r, _| weights[r]));
+                let rows = tape.shared_constant(Arc::new(Tensor::from_fn(9, 3, |r, _| weights[r])));
                 let scaled = tape.mul(a, rows);
                 tape.scatter_add_rows(scaled, Arc::clone(&idx), 7)
             };
@@ -2265,23 +2193,25 @@ mod tests {
         assert!(fused.0[3..6].iter().all(|&b| b == 0), "row 1 is zero");
     }
 
-    /// `x -> linear -> elu -> elu`, then every interior value but the
-    /// last released (which does something on a forward-only recording).
-    fn released_chain(forward_only: bool) -> (Tape, [VarId; 4]) {
+    /// `x -> linear -> linear_elu -> linear_elu` (one weight), then every
+    /// interior value but the last released (which does something on a
+    /// forward-only recording).
+    fn released_chain(forward_only: bool) -> (Tape, [VarId; 5]) {
         let mut tape = Tape::new();
         if forward_only {
             tape.forward_only();
         }
-        let x = tape.constant_copy(&Tensor::from_fn(5, 3, |r, c| (r + c) as f64 * 0.3 - 1.0));
-        let w = tape.leaf(Tensor::from_fn(3, 4, |r, c| {
+        let xv = Tensor::from_fn(5, 4, |r, c| (r + c) as f64 * 0.3 - 1.0);
+        let x = tape.shared_constant(Arc::new(xv));
+        let w = tape.leaf(Tensor::from_fn(4, 4, |r, c| {
             ((r * 4 + c) as f64 * 0.7).cos()
         }));
         let b = tape.leaf(Tensor::zeros(1, 4));
         let u = tape.linear(x, w, b);
-        let h = tape.elu(u);
-        let y = tape.elu(h);
+        let h = tape.linear_elu(u, w, b);
+        let y = tape.linear_elu(h, w, b);
         tape.release_except(&[y]);
-        (tape, [x, w, u, y])
+        (tape, [x, w, b, u, y])
     }
 
     /// The release hands the buffers back for the next op of their length,
@@ -2289,7 +2219,7 @@ mod tests {
     /// training recording.
     #[test]
     fn release_returns_interior_values_on_forward_only_recordings() {
-        let (mut trained, [x, w, u, y]) = released_chain(false);
+        let (mut trained, [x, w, b, u, y]) = released_chain(false);
         let (mut released, _) = released_chain(true);
         assert_eq!(trained.pooled_len(), 0);
         assert_eq!(released.pooled_len(), 2 * 5 * 4);
@@ -2297,9 +2227,9 @@ mod tests {
             assert_eq!(released.value(id).data(), trained.value(id).data());
         }
         assert_eq!(trained.value(u).len(), 5 * 4);
-        let again = released.elu(y);
+        let again = released.linear_elu(y, w, b);
         assert_eq!(released.pooled_len(), 5 * 4, "released buffer not reused");
-        let fresh = trained.elu(y);
+        let fresh = trained.linear_elu(y, w, b);
         assert_eq!(released.value(again).data(), trained.value(fresh).data());
         // The mark ends at the reset: the next recording may run backward.
         released.reset();
@@ -2311,7 +2241,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tape value 3 was released by Tape::release_except")]
     fn reading_a_released_value_panics() {
-        let (tape, [_, _, u, _]) = released_chain(true);
+        let (tape, [.., u, _]) = released_chain(true);
         tape.value(u);
     }
 
@@ -2331,8 +2261,7 @@ mod tests {
             }));
             let w = tape.leaf(Tensor::from_fn(4, 4, |r, c| ((r + c) as f64 * 0.21).cos()));
             let b = tape.leaf(Tensor::zeros(1, 4));
-            let h = tape.linear(x, w, b);
-            let h = tape.elu(h);
+            let h = tape.linear_elu(x, w, b);
             let sq = tape.mul(h, h);
             let s = tape.sum(sq);
             let out = tape.value(h).data().to_vec();

@@ -6,7 +6,7 @@
 //! autodiff tape simple and the hot loops free of shape-polymorphism.
 //!
 //! The dominant kernels come in two forms: an allocating convenience
-//! (`matmul`, `gather_rows`, ...) and a `*_into` variant writing into a
+//! (`matmul`, `scatter_add_rows`, ...) and a `*_into` variant writing into a
 //! caller-provided tensor, which is what the [`crate::Tape`] workspace uses
 //! to recycle buffers across training steps. Every kernel writes each
 //! output row from that row's inputs alone and sums in serial order, so a
@@ -205,11 +205,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Maximum absolute entry (0 for empty tensors).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
     /// Matrix product `self * rhs` (`[m,k] x [k,n] -> [m,n]`).
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         let mut out = Tensor::from_pool_uninit(self.rows, rhs.cols, Vec::new());
@@ -298,19 +293,8 @@ impl Tensor {
     /// Gather rows: `out[i] = self[idx[i]]`.
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
         let mut out = Tensor::from_pool_uninit(idx.len(), self.cols, Vec::new());
-        self.gather_rows_into(idx, &mut out);
+        self.gather_rows_with(idx, &mut out, |_, o_row, src| o_row.copy_from_slice(src));
         out
-    }
-
-    /// [`Tensor::gather_rows`] writing into `out` (must be `[idx.len(), cols]`).
-    pub fn gather_rows_into(&self, idx: &[usize], out: &mut Tensor) {
-        // Element loop, not copy_from_slice: a per-row memcpy call
-        // dominates these narrow (~8-wide) copies.
-        self.gather_rows_with(idx, out, |_, o_row, src| {
-            for (o, &v) in o_row.iter_mut().zip(src) {
-                *o = v;
-            }
-        });
     }
 
     /// Fill row `i` of `out` (`[idx.len(), cols]`) by `row(i, out_row,
@@ -324,7 +308,7 @@ impl Tensor {
         assert_eq!(
             out.shape(),
             (idx.len(), self.cols),
-            "gather_rows_into output shape"
+            "gather_rows output shape"
         );
         let cols = self.cols;
         for (i, &src) in idx.iter().enumerate() {
@@ -424,11 +408,12 @@ pub(crate) fn nan_max(m: f64, e: f64) -> f64 {
     }
 }
 
-/// ELU with alpha = 1: the store-time post-op of the fused linear kernel
-/// and the body of the unfused [`crate::Tape::elu`] — the one definition
-/// behind the fused, unfused, masked and backfill paths.
+/// ELU with alpha = 1: the store-time post-op of the fused linear kernels
+/// ([`crate::Tape::linear_elu`] and its relatives, masked and backfilled
+/// too) — the one definition of the activation, and the reference the
+/// tests hold those kernels to.
 #[inline(always)]
-pub(crate) fn elu_scalar(x: f64) -> f64 {
+pub fn elu(x: f64) -> f64 {
     if x < 0.0 {
         exp_nonpos(x) - 1.0
     } else {
@@ -523,7 +508,7 @@ pub(crate) fn gemm_rows(
         }
         if elu {
             for v in chunk[..nrows * n].iter_mut() {
-                *v = elu_scalar(*v);
+                *v = crate::elu(*v);
             }
         }
         return;
@@ -592,7 +577,7 @@ fn gemm_tile_4x8(
         let o = &mut chunk[(i0 + r) * n + j0..(i0 + r) * n + j0 + 8];
         if elu {
             for (ov, &av) in o.iter_mut().zip(acc_row.iter()) {
-                *ov = elu_scalar(av);
+                *ov = crate::elu(av);
             }
         } else {
             o.copy_from_slice(acc_row);
@@ -762,7 +747,7 @@ fn gemm_row_generic(
     }
     if elu {
         for o in o_row.iter_mut() {
-            *o = elu_scalar(*o);
+            *o = crate::elu(*o);
         }
     }
 }
@@ -830,8 +815,8 @@ mod tests {
         for x in [-708.000_000_1, -709.0, -745.2, -1e300, f64::NEG_INFINITY] {
             assert_eq!(exp_nonpos(x), floor, "x={x}");
         }
-        assert_eq!(elu_scalar(f64::NEG_INFINITY), floor - 1.0);
-        assert!(elu_scalar(f64::NAN).is_nan());
+        assert_eq!(elu(f64::NEG_INFINITY), floor - 1.0);
+        assert!(elu(f64::NAN).is_nan());
     }
 
     #[test]

@@ -49,10 +49,11 @@ proptest! {
         prop_assert!(a.matmul_tn(&c).max_rel_diff(&a.transpose().matmul(&c)) < 1e-12);
     }
 
-    /// ELU through the tape (the in-crate `exp` underneath): the identity,
-    /// bit for bit, on non-negative inputs (either zero included); within
-    /// `[-1, 0]` and within 2 ULP of `exp` (an absolute `2^-52` after the
-    /// `- 1`) of libm's value on negative ones, however far out.
+    /// ELU, the fused kernels' post-op (the in-crate `exp` underneath):
+    /// the identity, bit for bit, on non-negative inputs (either zero
+    /// included); within `[-1, 0]` and within 2 ULP of `exp` (an absolute
+    /// `2^-52` after the `- 1`) of libm's value on negative ones, however
+    /// far out.
     #[test]
     fn elu_is_bounded_and_exact_where_linear(
         body in proptest::collection::vec(-50.0f64..50.0, 24),
@@ -60,10 +61,7 @@ proptest! {
     ) {
         let edges = [0.0, -0.0, -1e-300, -708.0, -709.0, -1e300, f64::NEG_INFINITY, f64::MAX];
         let xs: Vec<f64> = body.into_iter().chain(tail).chain(edges).collect();
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(5, 8, xs.clone()));
-        let y = tape.elu(x);
-        for (&x, &y) in xs.iter().zip(tape.value(y).data()) {
+        for (x, y) in xs.iter().map(|&x| (x, cgnn_tensor::elu(x))) {
             if x >= 0.0 {
                 prop_assert_eq!(y.to_bits(), x.to_bits(), "elu({}) = {}", x, y);
             } else {
@@ -153,8 +151,7 @@ proptest! {
         let xv = tape.leaf(x.clone());
         let yv = tape.leaf(y.clone());
         let bv = tape.leaf(b.clone());
-        let m = tape.linear(xv, yv, bv);
-        let e = tape.elu(m);
+        let e = tape.linear_elu(xv, yv, bv);
         let s = tape.sum(e);
         let before = tape.value(e).clone();
         let _ = tape.backward(s);
@@ -216,7 +213,7 @@ impl EdgeLayer {
             let cat = tape.gather_concat(&parts);
             tape.linear_elu(cat, w, b)
         };
-        let up = tape.constant_copy(&self.up);
+        let up = tape.shared_constant(Arc::new(self.up.clone()));
         let weighted = tape.mul(y, up);
         let loss = tape.sum(weighted);
         let grads = tape.backward(loss);

@@ -25,7 +25,8 @@ fn noise(seed: u64, count: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Record `gather_concat → linear_elu → linear → layer_norm → elu` over
+/// Record `gather_concat → linear_elu → linear → layer_norm →
+/// linear_elu_blocks` (over `[layer norm | first layer]`) on
 /// `edges` gathered rows of an `[nodes, width]` source, reduce it to a
 /// scalar and run backward. With `mask = Some((rows, complement))` the
 /// chain is recorded under `begin_row_mask(rows)` and closed with
@@ -48,6 +49,7 @@ fn row_chain(
     let (w1, b1) = (leaf(3 * width, hidden, 2), leaf(1, hidden, 3));
     let (w2, b2) = (leaf(hidden, hidden, 4), leaf(1, hidden, 5));
     let (gamma, beta) = (leaf(1, hidden, 6), leaf(1, hidden, 7));
+    let (w3, b3) = (leaf(2 * hidden, hidden, 9), leaf(1, hidden, 10));
     let index = |stride: usize| Arc::new((0..edges).map(|i| (i * stride + 1) % nodes).collect());
     if let Some((rows, _)) = mask {
         tape.begin_row_mask(Arc::new(rows.to_vec()));
@@ -56,14 +58,14 @@ fn row_chain(
     let h1 = tape.linear_elu(cat, w1, b1);
     let h2 = tape.linear(h1, w2, b2);
     let ln = tape.layer_norm(h2, gamma, beta, 1e-5);
-    let out = tape.elu(ln);
+    let out = tape.linear_elu_blocks(&[ln, h1], w3, b3);
     if let Some((_, complement)) = mask {
         tape.end_row_mask(complement);
     }
     let loss = tape.weighted_sq_sum(out, Arc::new(noise(seed + 8, edges)));
     let grads = tape.backward(loss);
-    let vars: [VarId; 14] = [
-        x, e, w1, b1, w2, b2, gamma, beta, cat, h1, h2, ln, out, loss,
+    let vars: [VarId; 16] = [
+        x, e, w1, b1, w2, b2, gamma, beta, w3, b3, cat, h1, h2, ln, out, loss,
     ];
     vars.iter()
         .map(|&v| {
@@ -211,7 +213,7 @@ fn taped_layer_norm(
     let xv = tape.leaf_copy(x);
     let g = tape.leaf(Tensor::from_vec(1, cols, gamma.to_vec()));
     let b = tape.leaf(Tensor::from_vec(1, cols, beta.to_vec()));
-    let u = tape.constant_copy(up);
+    let u = tape.shared_constant(Arc::new(up.clone()));
     if let Some((rows, _)) = mask {
         tape.begin_row_mask(Arc::new(rows.to_vec()));
     }
@@ -259,68 +261,10 @@ fn layer_norm_is_the_one_row_kernel_bit_for_bit() {
     }
 }
 
-/// One hidden layer three ways — fused `linear_elu`, `linear` then `elu`,
-/// and the fused op filled under a row mask and backfilled — reduced to a
-/// scalar and differentiated. Returns the activation and the gradients of
-/// `x`, `w`, `b`, plus (unfused only) the adjoint of the pre-activation.
-fn hidden_layer(
-    (rows, in_dim, out_dim): (usize, usize, usize),
-    route: &str,
-) -> (Vec<Vec<f64>>, Option<Tensor>) {
-    let mut tape = Tape::new();
-    let x = tape.leaf(Tensor::from_vec(rows, in_dim, noise(1, rows * in_dim)));
-    let w = tape.leaf(Tensor::from_vec(
-        in_dim,
-        out_dim,
-        noise(2, in_dim * out_dim),
-    ));
-    let b = tape.leaf(Tensor::from_vec(1, out_dim, noise(3, out_dim)));
-    let (pre, h) = match route {
-        "fused" => (None, tape.linear_elu(x, w, b)),
-        "unfused" => {
-            let u = tape.linear(x, w, b);
-            (Some(u), tape.elu(u))
-        }
-        "masked" => {
-            let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
-            tape.begin_row_mask(Arc::new(mask));
-            let h = tape.linear_elu(x, w, b);
-            tape.end_row_mask(&rest);
-            (None, h)
-        }
-        #[expect(
-            clippy::panic,
-            reason = "test helper: an unknown route is a bug in the test table"
-        )]
-        other => panic!("unknown route {other}"),
-    };
-    let loss = tape.weighted_sq_sum(h, Arc::new(noise(4, rows)));
-    let grads = tape.backward(loss);
-    let mut out = vec![tape.value(h).data().to_vec()];
-    out.extend([x, w, b].map(|v| grads.get(v).expect("leaf gradient").data().to_vec()));
-    (
-        out,
-        pre.map(|u| pre_activation_adjoint(tape.value(u).clone())),
-    )
-}
-
-/// The adjoint of `hidden_layer`'s pre-activation `u`: the backward pass
-/// keeps only leaf adjoints, so `u`'s value is recorded as a leaf on a
-/// second tape and run through the same `elu` and loss.
-fn pre_activation_adjoint(u: Tensor) -> Tensor {
-    let rows = u.rows();
-    let mut tape = Tape::new();
-    let leaf = tape.leaf(u);
-    let h = tape.elu(leaf);
-    let loss = tape.weighted_sq_sum(h, Arc::new(noise(4, rows)));
-    let mut grads = tape.backward(loss);
-    grads.take(leaf).expect("pre-activation adjoint")
-}
-
-/// `linear_elu` ≡ `linear` → `elu` ≡ masked fill + backfill, values and
-/// every gradient bit-equal, over shapes with and without tile remainders;
-/// and the fused adjoint prologue's bias gradient is the row-ordered
-/// column sum of the separately computed `elu'`-scaled adjoint.
+/// `linear_elu` against [`naive_dense`], whole and filled under a row
+/// mask and backfilled, values and every gradient bit-equal, over shapes
+/// with and without tile remainders — the bias gradient among them, the
+/// row-ordered column sum of the `elu'`-scaled adjoint ([`elu_scaled`]).
 #[test]
 fn linear_elu_routes_agree_bit_for_bit() {
     let shapes = [
@@ -332,21 +276,17 @@ fn linear_elu_routes_agree_bit_for_bit() {
         (130, 4, 16),
         (67, 32, 32),
     ];
-    for shape in shapes {
-        let (fused, _) = hidden_layer(shape, "fused");
-        let (unfused, pre_adjoint) = hidden_layer(shape, "unfused");
-        let (masked, _) = hidden_layer(shape, "masked");
-        assert!(fused == unfused, "fused vs unfused, {shape:?}");
-        assert!(fused == masked, "fused vs masked, {shape:?}");
-
-        let scaled = pre_adjoint.expect("unfused route returns it");
-        let mut sums = vec![0.0; shape.2];
-        for r in 0..scaled.rows() {
-            for (s, &v) in sums.iter_mut().zip(scaled.row(r)) {
-                *s += v;
-            }
-        }
-        assert!(fused[3] == sums, "bias gradient, {shape:?}");
+    for (rows, k, n) in shapes {
+        let x = Tensor::from_vec(rows, k, noise(1, rows * k));
+        let w = Tensor::from_vec(k, n, noise(2, k * n));
+        let b = Tensor::from_vec(1, n, noise(3, n));
+        let up = Tensor::from_vec(rows, n, noise(4, rows * n));
+        let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
+        let want = naive_dense(&x, &w, &b, &up, true);
+        let whole = taped_dense(&x, &w, &b, &up, true, None);
+        let masked = taped_dense(&x, &w, &b, &up, true, Some((&mask, &rest)));
+        assert!(whole == want, "whole, {:?}", (rows, k, n));
+        assert!(masked == want, "masked, {:?}", (rows, k, n));
     }
 }
 
@@ -416,7 +356,7 @@ fn taped_gather_linear(
 /// bit (against [`naive_gather_linear`]), so its row blocks cannot change
 /// it: widths on and off the `4 x 8` tile, edge counts on every side of a
 /// forward block ([`adjoint_block`] of its `3h`-wide input), `x` as two
-/// gathered parts; its store-time ELU is the unfused `elu`'s.
+/// gathered parts; its store-time ELU is [`cgnn_tensor::elu`].
 #[test]
 fn gather_linear_is_its_documented_order_bit_for_bit() {
     for h in [3, 8, 12, 32] {
@@ -438,19 +378,8 @@ fn gather_linear_is_its_documented_order_bit_for_bit() {
                 (&x, Some(dst.as_slice())),
                 (&e, None),
             ];
-            let mut tape = Tape::new();
-            let pre = tape.leaf(Tensor::from_vec(
-                edges,
-                h,
-                naive_gather_linear(&parts, &w, &b),
-            ));
-            let want = tape.elu(pre);
-            let want: Vec<u64> = tape
-                .value(want)
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
+            let pre = naive_gather_linear(&parts, &w, &b);
+            let want = bits(elu_of(Tensor::from_vec(edges, h, pre)).data());
             let got = taped_gather_linear(&x, &e, [&src, &dst], &w, &b);
             assert!(got[0] == want, "h={h} nodes={nodes} edges={edges}: values");
         }
@@ -481,12 +410,12 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// `elu` of every element, as the tape's unfused `elu` computes it.
-fn elu_of(t: Tensor) -> Tensor {
-    let mut tape = Tape::new();
-    let u = tape.leaf(t);
-    let y = tape.elu(u);
-    tape.value(y).clone()
+/// [`cgnn_tensor::elu`] of every element.
+fn elu_of(mut t: Tensor) -> Tensor {
+    for v in t.data_mut() {
+        *v = cgnn_tensor::elu(*v);
+    }
+    t
 }
 
 /// The adjoint reaching a layer's pre-activation from the upstream `up`:
@@ -539,17 +468,31 @@ fn naive_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Ve
     ]
 }
 
-/// [`naive_dense`]'s outputs from the tape: `linear` or `linear_elu`, then
+/// [`naive_dense`]'s outputs from the tape: `linear` or `linear_elu`,
+/// optionally recorded under `begin_row_mask(mask)` and backfilled, then
 /// `sum(y ⊙ up)` so that the adjoint reaching `y` is exactly `up`.
-fn taped_dense(x: &Tensor, w: &Tensor, b: &Tensor, up: &Tensor, elu: bool) -> Vec<Vec<u64>> {
+fn taped_dense(
+    x: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+    up: &Tensor,
+    elu: bool,
+    mask: Option<(&[usize], &[usize])>,
+) -> Vec<Vec<u64>> {
     let mut tape = Tape::new();
     let [xv, wv, bv] = [x, w, b].map(|t| tape.leaf_copy(t));
-    let u = tape.constant_copy(up);
+    let u = tape.shared_constant(Arc::new(up.clone()));
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
     let y = if elu {
         tape.linear_elu(xv, wv, bv)
     } else {
         tape.linear(xv, wv, bv)
     };
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
     let yu = tape.mul(y, u);
     let loss = tape.sum(yu);
     let grads = tape.backward(loss);
@@ -576,7 +519,7 @@ fn gemm_is_the_serial_order_sum_bit_for_bit() {
                 let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
                 for elu in [false, true] {
                     let want = naive_dense(&x, &w, &b, &up, elu);
-                    let got = taped_dense(&x, &w, &b, &up, elu);
+                    let got = taped_dense(&x, &w, &b, &up, elu, None);
                     assert!(got == want, "rows={rows} k={k} n={n} elu={elu}");
                 }
             }
@@ -613,7 +556,7 @@ fn gemm_is_the_serial_order_sum_bit_for_bit() {
     let idx = Arc::new(idx);
     let mut tape = Tape::new();
     let [ev, xv, wv, bv] = [&e, &x, &w, &b].map(|t| tape.leaf_copy(t));
-    let u = tape.constant_copy(&up);
+    let u = tape.shared_constant(Arc::new(up));
     let y = tape.gather_linear(&[(ev, None), (xv, Some(idx))], wv, bv);
     let yu = tape.mul(y, u);
     let loss = tape.sum(yu);
@@ -638,7 +581,7 @@ fn taped_layer_norm_add(
     let [xv, rv] = [x, res].map(|t| tape.leaf_copy(t));
     let g = tape.leaf(Tensor::from_vec(1, cols, gamma.to_vec()));
     let b = tape.leaf(Tensor::from_vec(1, cols, beta.to_vec()));
-    let u = tape.constant_copy(up);
+    let u = tape.shared_constant(Arc::new(up.clone()));
     if let Some((rows, _)) = mask {
         tape.begin_row_mask(Arc::new(rows.to_vec()));
     }
@@ -718,7 +661,7 @@ fn linear_adjoint_row_blocks_are_the_serial_order_sum() {
             let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
             for elu in [false, true] {
                 let want = naive_dense(&x, &w, &b, &up, elu);
-                let got = taped_dense(&x, &w, &b, &up, elu);
+                let got = taped_dense(&x, &w, &b, &up, elu, None);
                 assert!(got == want, "rows={rows} k={k} n={n} elu={elu}");
             }
         }
@@ -794,7 +737,7 @@ fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
 
             let mut tape = Tape::new();
             let [xv, ev, wv, bv] = [&x, &e, &w, &b].map(|t| tape.leaf_copy(t));
-            let u = tape.constant_copy(&up);
+            let u = tape.shared_constant(Arc::new(up));
             let parts = [
                 (xv, Some(Arc::new(src))),
                 (xv, Some(Arc::new(dst))),
@@ -811,16 +754,15 @@ fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
     }
 }
 
-/// `[a | x] * w + b` (ELU or not) for `(rows, a's width, x's width, h)`:
-/// recorded as `linear_blocks` over the two blocks or as `gather_concat`
-/// then `linear`, whole or under a row mask with its backfill. `x` is read
+/// `elu([a | x] * w + b)` for `(rows, a's width, x's width, h)`: recorded
+/// as `linear_elu_blocks` over the two blocks or as `gather_concat` then
+/// `linear_elu`, whole or under a row mask with its backfill. `x` is read
 /// again by a loss term recorded after the layer, so its adjoint already
 /// exists when the layer's block reaches it (the in-place add), while
 /// `a`'s does not; with `same`, both blocks are `x`. Returns the bits of
 /// the value and of the gradients of `a`, `x`, `w` and `b`.
 fn column_block_layer(
     (rows, ka, kx, h): (usize, usize, usize, usize),
-    elu: bool,
     blocks: bool,
     mask: Option<(&[usize], &[usize])>,
     same: bool,
@@ -836,17 +778,11 @@ fn column_block_layer(
     if let Some((rows, _)) = mask {
         tape.begin_row_mask(Arc::new(rows.to_vec()));
     }
-    let y = match (blocks, elu) {
-        (true, true) => tape.linear_elu_blocks(&[a, x], w, b),
-        (true, false) => tape.linear_blocks(&[a, x], w, b),
-        (false, _) => {
-            let cat = tape.gather_concat(&[(a, None), (x, None)]);
-            if elu {
-                tape.linear_elu(cat, w, b)
-            } else {
-                tape.linear(cat, w, b)
-            }
-        }
+    let y = if blocks {
+        tape.linear_elu_blocks(&[a, x], w, b)
+    } else {
+        let cat = tape.gather_concat(&[(a, None), (x, None)]);
+        tape.linear_elu(cat, w, b)
     };
     if let Some((_, complement)) = mask {
         tape.end_row_mask(complement);
@@ -860,8 +796,8 @@ fn column_block_layer(
     out
 }
 
-/// The column-block linear is `gather_concat` then `linear` /
-/// `linear_elu`, bit for bit, in the value and in the gradients of both
+/// The column-block linear is `gather_concat` then `linear_elu`, bit for
+/// bit, in the value and in the gradients of both
 /// blocks, the weight and the bias: whole and under a row mask with its
 /// backfill, at block widths 1, 3, 8 and 32 and zero, with a block as wide
 /// as the output (whose adjoint is written over the output's) and not,
@@ -883,12 +819,12 @@ fn linear_blocks_are_concat_then_linear_bit_for_bit() {
     for (ka, kx, h) in widths {
         for rows in [0, 1, 5, 37, 133, 301] {
             let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
-            for (elu, same) in [(true, false), (false, false), (true, true)] {
+            for same in [false, true] {
                 let shape = (rows, ka, kx, h);
-                let want = column_block_layer(shape, elu, false, None, same);
-                let whole = column_block_layer(shape, elu, true, None, same);
-                let masked = column_block_layer(shape, elu, true, Some((&mask, &rest)), same);
-                let what = format!("rows={rows} ka={ka} kx={kx} h={h} elu={elu} same={same}");
+                let want = column_block_layer(shape, false, None, same);
+                let whole = column_block_layer(shape, true, None, same);
+                let masked = column_block_layer(shape, true, Some((&mask, &rest)), same);
+                let what = format!("rows={rows} ka={ka} kx={kx} h={h} same={same}");
                 assert!(whole == want, "{what}: whole");
                 assert!(masked == want, "{what}: masked");
             }

@@ -60,6 +60,10 @@ struct CellOut {
     tail: Vec<f64>,
     /// World-summed `[sends, recvs, send_bytes, recv_bytes]` of the tail.
     traffic: [u64; 4],
+    /// Per rank, over the tail's steps after its first (warm) one:
+    /// all-reduces, and `[messages, bytes]` of the halo exchanges, counted
+    /// and as `HaloContext::traffic_per_exchange` predicts them.
+    per_step: Vec<(u64, [u64; 2], [u64; 2])>,
 }
 
 /// One equivalence cell: two launches on `backend` under whatever
@@ -95,36 +99,60 @@ fn run_cell(mode: HaloExchangeMode, backend: Backend, dir: &Path) -> CellOut {
     let ckpt_bytes = std::fs::read(&path).expect("read checkpoint back");
 
     // Launch 2: restore and train K more, measuring p2p traffic symmetry
-    // inside the SPMD region (each rank contributes its counters to an
-    // all-gather so rank 0 can report world totals).
+    // and the traffic of the steps after the first inside the SPMD region
+    // (each rank contributes its counters to an all-gather so rank 0 can
+    // report them all).
     let tails = session.restore(&path).expect("restore").run(|h| {
         let data = h.autoencode_data(&field, 0.0);
         h.traffic_reset();
-        let hist = h.train(&data, K);
+        let mut hist = h.train(&data, 1);
+        let warm = h.traffic();
+        hist.extend(h.train(&data, K - 1));
         let t = h.traffic();
-        let gathered = h.comm().all_gather(vec![
-            t.sends as f64,
-            t.recvs as f64,
-            t.send_bytes as f64,
-            t.recv_bytes as f64,
-        ]);
+        let peers = h.size() as u64 - 1;
+        let halo = |s: &StatsSnapshot| {
+            let messages = s.a2a_messages + s.sends + s.all_gathers * peers;
+            [messages, s.a2a_bytes + s.send_bytes + s.all_gather_bytes]
+        };
+        let config = h.trainer().model.config;
+        let exchanges = (2 * config.n_mp_layers * (K - 1)) as u64;
+        let predicted = h
+            .trainer()
+            .ctx
+            .traffic_per_exchange(h.graph(), config.hidden);
+        let counts = [
+            t.sends,
+            t.recvs,
+            t.send_bytes,
+            t.recv_bytes,
+            t.all_reduces - warm.all_reduces,
+            halo(&t)[0] - halo(&warm)[0],
+            halo(&t)[1] - halo(&warm)[1],
+            exchanges * predicted.messages,
+            exchanges * predicted.bytes,
+        ];
+        let gathered = h.comm().all_gather(counts.map(|c| c as f64).to_vec());
         let mut totals = [0u64; 4];
+        let mut per_step = Vec::new();
         for buf in gathered {
-            for (slot, v) in totals.iter_mut().zip(buf) {
-                *slot += v as u64;
+            let c: Vec<u64> = buf.into_iter().map(|v| v as u64).collect();
+            for (slot, v) in totals.iter_mut().zip(&c) {
+                *slot += v;
             }
+            per_step.push((c[4], [c[5], c[6]], [c[7], c[8]]));
         }
-        (hist, totals)
+        (hist, totals, per_step)
     });
-    for (rank, (tail, _)) in tails.iter().enumerate().skip(1) {
+    for (rank, (tail, ..)) in tails.iter().enumerate().skip(1) {
         assert_eq!(tail, &tails[0].0, "rank {rank} tail diverged from rank 0");
     }
-    let (tail, traffic) = tails.into_iter().next().expect("rank 0 result");
+    let (tail, traffic, per_step) = tails.into_iter().next().expect("rank 0 result");
     CellOut {
         head: heads.into_iter().next().expect("rank 0 result"),
         ckpt_bytes,
         tail,
         traffic,
+        per_step,
     }
 }
 
@@ -189,6 +217,10 @@ fn backend_worker_entry() {
 /// for every consistent halo-exchange mode, and the cross-process
 /// transports' point-to-point traffic is exactly symmetric (every posted
 /// send was drained by a matching receive; nothing lost on the wire).
+/// On every transport, each warm step of every rank issues exactly two
+/// all-reduces (the loss's and the gradients') and the halo messages and
+/// bytes predicted for two exchanges per message-passing layer (forward
+/// and backward).
 #[test]
 fn all_backends_bit_identical_for_all_consistent_modes() {
     let dir = std::env::temp_dir().join(format!("cgnn-equiv-{}", std::process::id()));
@@ -230,10 +262,16 @@ fn all_backends_bit_identical_for_all_consistent_modes() {
             );
         }
         for (backend, out) in &outs {
+            let b = backend.label();
+            for (rank, (all_reduces, halo, predicted)) in out.per_step.iter().enumerate() {
+                let what = format!("mode {mode}, backend {b}, rank {rank}");
+                assert_eq!(*all_reduces, 2 * (K as u64 - 1), "{what}: all-reduces");
+                assert!(predicted[1] > 0, "{what}: halo check is vacuous");
+                assert_eq!(halo, predicted, "{what}: halo [messages, bytes]");
+            }
             if backend.is_in_process() {
                 continue;
             }
-            let b = backend.label();
             let [sends, recvs, send_bytes, recv_bytes] = out.traffic;
             assert_eq!(sends, recvs, "mode {mode}, backend {b}: sends != recvs");
             assert_eq!(

@@ -105,8 +105,8 @@ impl Run {
 fn loss_and_gradient(trainer: &Trainer, data: &RankData) -> (Tensor, f64, Vec<f64>) {
     let mut tape = Tape::new();
     let bound = trainer.params.bind(&mut tape);
-    let x = tape.constant_copy(&data.x);
-    let e = tape.constant_copy(&data.e);
+    let x = tape.shared_constant(Arc::clone(&data.x));
+    let e = tape.shared_constant(Arc::clone(&data.e));
     let ctx = &trainer.ctx;
     let y = trainer
         .model
