@@ -17,10 +17,13 @@
 //! # Ordering and matching
 //!
 //! A carrier delivers each peer's frames in send order. Collectives need
-//! no extra synchronization: the `k`-th gather (or all-to-all) frame
-//! popped from a peer's queue belongs to the `k`-th gather this rank
-//! performs, and barriers are generation-stamped. Point-to-point matching
-//! is [`PostQueue`]: post `k` claims arrival `k`.
+//! no extra synchronization: barrier, all-gather and all-to-all are one
+//! labelled round ([`Engine::round`]) — post one frame to every peer, pop
+//! one from every peer's collective queue — so the `k`-th collective frame
+//! popped from a peer belongs to the `k`-th collective this rank performs,
+//! and a label that differs from this rank's own is a diverged schedule,
+//! failed loudly as a `collective mismatch`. Point-to-point matching is
+//! [`PostQueue`]: post `k` claims arrival `k`.
 //!
 //! # Liveness
 //!
@@ -43,23 +46,20 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::fault::{ArmedFault, FaultPlan, RankFailure};
-use crate::stats::RankStats;
+use crate::stats::StatsSnapshot;
 
 /// Frame kinds. `Hello` belongs to the stream rendezvous, before a world
 /// exists; the engine routes the rest.
 pub(crate) const KIND_HELLO: u8 = 0;
 pub(crate) const KIND_P2P: u8 = 1;
-pub(crate) const KIND_GATHER: u8 = 2;
-pub(crate) const KIND_A2A: u8 = 3;
-pub(crate) const KIND_BARRIER: u8 = 4;
-pub(crate) const KIND_DEAD: u8 = 5;
-pub(crate) const KIND_BYE: u8 = 6;
+pub(crate) const KIND_COLLECTIVE: u8 = 2;
+pub(crate) const KIND_DEAD: u8 = 3;
+pub(crate) const KIND_BYE: u8 = 4;
 
 /// Message on a point-to-point channel: `(tag, payload)`.
 pub(crate) type P2pMsg = (u32, Vec<f64>);
@@ -70,9 +70,9 @@ pub(crate) type P2pMsg = (u32, Vec<f64>);
 pub(crate) struct Frame {
     pub kind: u8,
     pub src: u32,
-    /// P2p tag, barrier generation, or dead-rank id, depending on `kind`.
+    /// P2p tag or dead-rank id, depending on `kind`.
     pub tag: u64,
-    /// Collective label (`Gather`) or rendezvous address payload (`Hello`).
+    /// Collective label or rendezvous address payload (`Hello`).
     pub label: Cow<'static, str>,
     pub data: Vec<f64>,
 }
@@ -180,11 +180,9 @@ enum PeerStatus {
 
 /// Everything one peer has sent this rank and this rank has not consumed.
 pub(crate) struct PeerState {
-    gathers: VecDeque<(Cow<'static, str>, Vec<f64>)>,
-    a2as: VecDeque<Vec<f64>>,
+    /// Collective frames in arrival order: `(label, payload)`.
+    collectives: VecDeque<(Cow<'static, str>, Vec<f64>)>,
     posts: PostQueue,
-    /// Highest barrier generation heard from this peer.
-    barrier_gen: u64,
     status: PeerStatus,
 }
 
@@ -210,10 +208,8 @@ impl Mailbox {
             peers: Mutex::new(
                 (0..size)
                     .map(|_| PeerState {
-                        gathers: VecDeque::new(),
-                        a2as: VecDeque::new(),
+                        collectives: VecDeque::new(),
                         posts: PostQueue::default(),
-                        barrier_gen: 0,
                         status: PeerStatus::Alive,
                     })
                     .collect(),
@@ -236,9 +232,7 @@ impl Mailbox {
         let mut g = self.lock();
         match frame.kind {
             KIND_P2P => g[peer].posts.deliver((frame.tag as u32, frame.data)),
-            KIND_GATHER => g[peer].gathers.push_back((frame.label, frame.data)),
-            KIND_A2A => g[peer].a2as.push_back(frame.data),
-            KIND_BARRIER => g[peer].barrier_gen = g[peer].barrier_gen.max(frame.tag),
+            KIND_COLLECTIVE => g[peer].collectives.push_back((frame.label, frame.data)),
             KIND_DEAD => {
                 let d = frame.tag as usize;
                 if d < self.size && d != self.rank {
@@ -329,9 +323,9 @@ pub(crate) struct Engine {
     mailbox: Arc<Mailbox>,
     /// `None` in a world of one rank (nothing ever leaves it).
     carrier: Option<Arc<dyn Carrier>>,
-    /// This rank's own barrier generation counter.
-    barrier_gen: AtomicU64,
-    stats: RankStats,
+    /// Traffic counters; only the rank's own thread locks them, so the
+    /// lock is never contended.
+    stats: Mutex<StatsSnapshot>,
     /// The kill the launch's plan scripts for this rank, if any.
     fault: Option<ArmedFault>,
 }
@@ -351,8 +345,7 @@ impl Engine {
             label,
             mailbox,
             carrier,
-            barrier_gen: AtomicU64::new(0),
-            stats: RankStats::default(),
+            stats: Mutex::default(),
             fault,
         })
     }
@@ -442,76 +435,66 @@ impl Engine {
         self.label
     }
 
-    pub(crate) fn stats(&self) -> &RankStats {
-        &self.stats
+    /// This rank's traffic counters.
+    pub(crate) fn stats(&self) -> MutexGuard<'_, StatsSnapshot> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One collective round, the body of every collective: post
+    /// `payload(p)` to each peer `p` under `label`, then hand each peer's
+    /// frame to `take(p, payload)`, in rank order. Empty payloads still
+    /// travel, so every rank pops exactly one frame per peer per round.
+    ///
+    /// # Panics
+    ///
+    /// With `collective mismatch` when a peer's frame carries another
+    /// label: the ranks' collective schedules have diverged.
+    fn round(
+        &self,
+        label: &'static str,
+        mut payload: impl FnMut(usize) -> Vec<f64>,
+        mut take: impl FnMut(usize, Vec<f64>),
+    ) {
+        self.strike();
+        for p in self.others() {
+            self.post(p, KIND_COLLECTIVE, 0, label, payload(p), None);
+        }
+        let me = self.mailbox.rank;
+        for p in self.others() {
+            let (got, buf) = self
+                .mailbox
+                .wait_on(&[p], |peers| peers[p].collectives.pop_front());
+            assert_eq!(
+                got, label,
+                "collective mismatch: rank {me} is in `{label}` while rank {p} sent `{got}`"
+            );
+            take(p, buf);
+        }
     }
 
     /// Block until every rank has entered the barrier.
     pub(crate) fn barrier(&self) {
-        self.strike();
-        let gen = self.barrier_gen.fetch_add(1, Ordering::Relaxed) + 1;
-        for p in self.others() {
-            self.post(p, KIND_BARRIER, gen, "", Vec::new(), None);
-        }
-        for p in self.others() {
-            self.mailbox
-                .wait_on(&[p], |peers| (peers[p].barrier_gen >= gen).then_some(()));
-        }
+        self.round("barrier", |_| Vec::new(), |_, _| {});
     }
 
     /// Gather every rank's `data`, indexed by rank. `label` names the
-    /// collective: ranks in differently labeled gathers have diverged
-    /// schedules and fail loudly.
+    /// collective, so ranks in differently labelled gathers fail loudly.
     pub(crate) fn all_gather(&self, label: &'static str, data: Vec<f64>) -> Vec<Vec<f64>> {
-        self.strike();
-        for p in self.others() {
-            self.post(p, KIND_GATHER, 0, label, data.clone(), None);
-        }
-        let me = self.mailbox.rank;
-        let mut all: Vec<Vec<f64>> = (0..self.mailbox.size)
-            .map(|p| {
-                if p == me {
-                    return Vec::new();
-                }
-                let (got, buf) = self
-                    .mailbox
-                    .wait_on(&[p], |peers| peers[p].gathers.pop_front());
-                assert_eq!(
-                    got, label,
-                    "collective mismatch: rank {me} is in `{label}` while rank {p} sent `{got}`"
-                );
-                buf
-            })
-            .collect();
-        all[me] = data;
+        let mut all = vec![Vec::new(); self.mailbox.size];
+        self.round(label, |_| data.clone(), |p, buf| all[p] = buf);
+        all[self.mailbox.rank] = data;
         all
     }
 
     /// Exchange `send[dst]` buffers; returns `recv[src]`.
-    pub(crate) fn all_to_all(&self, send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        self.strike();
-        let me = self.mailbox.rank;
-        let mut mine = Vec::new();
-        for (dst, buf) in send.into_iter().enumerate() {
-            if dst == me {
-                mine = buf;
-            } else {
-                // Empty buffers still travel: the exchange is lockstep, so
-                // every rank pops exactly one frame per peer per call.
-                self.post(dst, KIND_A2A, 0, "", buf, None);
-            }
-        }
-        let mut recv: Vec<Vec<f64>> = (0..self.mailbox.size)
-            .map(|p| {
-                if p == me {
-                    Vec::new()
-                } else {
-                    self.mailbox
-                        .wait_on(&[p], |peers| peers[p].a2as.pop_front())
-                }
-            })
-            .collect();
-        recv[me] = mine;
+    pub(crate) fn all_to_all(&self, mut send: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+        let mut recv = vec![Vec::new(); self.mailbox.size];
+        self.round(
+            "all_to_all",
+            |p| std::mem::take(&mut send[p]),
+            |p, buf| recv[p] = buf,
+        );
+        recv[self.mailbox.rank] = std::mem::take(&mut send[self.mailbox.rank]);
         recv
     }
 

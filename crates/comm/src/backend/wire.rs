@@ -13,14 +13,13 @@
 //!
 //! # Wire format
 //!
-//! Every frame is `CGNW` magic, a kind byte, `src` (u32 LE), `tag`
-//! (u64 LE; the p2p tag, barrier generation, or dead-rank id), a
-//! length-prefixed UTF-8 label (collective label or rendezvous address
-//! table), a length-prefixed LE `f64` payload, and a trailing FNV-1a-64
-//! digest over everything before it — the same hashing discipline as the
-//! `CGNC` checkpoint container in `cgnn-tensor::serialize`, so a
-//! truncated or corrupted stream fails loudly instead of deserializing
-//! garbage.
+//! Every frame is `CGNW` magic, a kind byte, `src` (u32 LE), `tag` (u64
+//! LE; the p2p tag or dead-rank id), a length-prefixed UTF-8 label
+//! (collective label or rendezvous address table), a length-prefixed LE
+//! `f64` payload, and a trailing FNV-1a-64 digest over everything before
+//! it — the same hashing discipline as the `CGNC` checkpoint container in
+//! `cgnn-tensor::serialize`, so a truncated or corrupted stream fails
+//! loudly instead of deserializing garbage.
 //!
 //! # Liveness
 //!
@@ -344,12 +343,12 @@ fn writer_loop(mailbox: &Mailbox, peer: usize, w: Box<dyn Write + Send>, rx: Rec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::engine::{KIND_GATHER, KIND_P2P};
+    use crate::backend::engine::{KIND_COLLECTIVE, KIND_P2P};
 
     #[test]
     fn frame_round_trips_bit_exactly() {
         let frame = Frame {
-            kind: KIND_GATHER,
+            kind: KIND_COLLECTIVE,
             src: 3,
             tag: 42,
             label: "all_reduce_sum".into(),

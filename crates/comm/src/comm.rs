@@ -6,13 +6,12 @@
 //! transport primitives. Swapping transports therefore cannot change
 //! arithmetic: every backend is bit-identical by construction.
 
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use crate::backend::engine::Engine;
 use crate::backend::Backend;
-use crate::stats::{RankStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 
 /// Per-rank communicator handle. Cloneable; clones refer to the same world
 /// and the same rank (so they can be captured by autodiff backward
@@ -74,10 +73,6 @@ impl Comm {
         self.engine.size()
     }
 
-    fn stats(&self) -> &RankStats {
-        self.engine.stats()
-    }
-
     /// Liveness probe, write side: declare this rank dead to the world,
     /// so peers blocked in collectives or receives on it abort with
     /// [`RankFailure::PeerDead`](crate::RankFailure::PeerDead) instead of
@@ -94,7 +89,7 @@ impl Comm {
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
-        self.stats().barriers.fetch_add(1, Ordering::Relaxed);
+        self.engine.stats().barriers += 1;
         self.engine.barrier();
     }
 
@@ -107,22 +102,7 @@ impl Comm {
     /// # Panics
     /// If the ranks' buffers differ in length.
     pub fn all_reduce_sum(&self, buf: &mut [f64]) {
-        let parts = self.engine.all_gather("all_reduce_sum", buf.to_vec());
-        self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
-        self.stats()
-            .all_reduce_bytes
-            .fetch_add(std::mem::size_of_val(buf) as u64, Ordering::Relaxed);
-        buf.fill(0.0);
-        for part in &parts {
-            assert_eq!(
-                part.len(),
-                buf.len(),
-                "all_reduce_sum length mismatch across ranks"
-            );
-            for (b, &p) in buf.iter_mut().zip(part.iter()) {
-                *b += p;
-            }
-        }
+        self.all_reduce("all_reduce_sum", buf, 0.0, |b, p| b + p);
     }
 
     /// All-reduce a single scalar (sum).
@@ -137,20 +117,33 @@ impl Comm {
     /// # Panics
     /// If the ranks' buffers differ in length.
     pub fn all_reduce_max(&self, buf: &mut [f64]) {
-        let parts = self.engine.all_gather("all_reduce_max", buf.to_vec());
-        self.stats().all_reduces.fetch_add(1, Ordering::Relaxed);
-        self.stats()
-            .all_reduce_bytes
-            .fetch_add(std::mem::size_of_val(buf) as u64, Ordering::Relaxed);
-        buf.fill(f64::NEG_INFINITY);
+        self.all_reduce("all_reduce_max", buf, f64::NEG_INFINITY, f64::max);
+    }
+
+    /// The body of both all-reduces: gather every rank's `buf` under
+    /// `label`, then fold the parts into `buf` in rank order, from
+    /// `identity`, with `op`.
+    fn all_reduce(
+        &self,
+        label: &'static str,
+        buf: &mut [f64],
+        identity: f64,
+        op: impl Fn(f64, f64) -> f64,
+    ) {
+        let parts = self.engine.all_gather(label, buf.to_vec());
+        let mut st = self.engine.stats();
+        st.all_reduces += 1;
+        st.all_reduce_bytes += std::mem::size_of_val(buf) as u64;
+        drop(st);
+        buf.fill(identity);
         for part in &parts {
             assert_eq!(
                 part.len(),
                 buf.len(),
-                "all_reduce_max length mismatch across ranks"
+                "{label} length mismatch across ranks"
             );
-            for (b, &p) in buf.iter_mut().zip(part.iter()) {
-                *b = b.max(p);
+            for (b, &p) in buf.iter_mut().zip(part) {
+                *b = op(*b, p);
             }
         }
     }
@@ -163,12 +156,10 @@ impl Comm {
     /// backing [`Comm::all_reduce_sum`] are charged as all-reduce bytes
     /// instead and do not hit these counters).
     pub fn all_gather(&self, data: Vec<f64>) -> Vec<Vec<f64>> {
-        let st = self.stats();
-        st.all_gathers.fetch_add(1, Ordering::Relaxed);
-        st.all_gather_bytes.fetch_add(
-            (data.len() * std::mem::size_of::<f64>()) as u64 * (self.size() as u64 - 1),
-            Ordering::Relaxed,
-        );
+        let mut st = self.engine.stats();
+        st.all_gathers += 1;
+        st.all_gather_bytes += std::mem::size_of_val(&data[..]) as u64 * (self.size() as u64 - 1);
+        drop(st);
         self.engine.all_gather("all_gather", data)
     }
 
@@ -185,17 +176,15 @@ impl Comm {
             self.size(),
             "all_to_all needs one buffer per rank"
         );
-        let st = self.stats();
-        st.all_to_alls.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.engine.stats();
+        st.all_to_alls += 1;
         for (dst, buf) in send.iter().enumerate() {
             if dst != self.rank() && !buf.is_empty() {
-                st.a2a_messages.fetch_add(1, Ordering::Relaxed);
-                st.a2a_bytes.fetch_add(
-                    (buf.len() * std::mem::size_of::<f64>()) as u64,
-                    Ordering::Relaxed,
-                );
+                st.a2a_messages += 1;
+                st.a2a_bytes += std::mem::size_of_val(&buf[..]) as u64;
             }
         }
+        drop(st);
         self.engine.all_to_all(send)
     }
 
@@ -253,17 +242,15 @@ impl Comm {
     }
 
     fn count_send(&self, data: &[f64]) {
-        let st = self.stats();
-        st.sends.fetch_add(1, Ordering::Relaxed);
-        st.send_bytes
-            .fetch_add(std::mem::size_of_val(data) as u64, Ordering::Relaxed);
+        let mut st = self.engine.stats();
+        st.sends += 1;
+        st.send_bytes += std::mem::size_of_val(data) as u64;
     }
 
     fn count_recv(&self, data: &[f64]) {
-        let st = self.stats();
-        st.recvs.fetch_add(1, Ordering::Relaxed);
-        st.recv_bytes
-            .fetch_add(std::mem::size_of_val(data) as u64, Ordering::Relaxed);
+        let mut st = self.engine.stats();
+        st.recvs += 1;
+        st.recv_bytes += std::mem::size_of_val(data) as u64;
     }
 
     fn check_tag(&self, src: usize, want: u32, got: u32) {
@@ -277,12 +264,12 @@ impl Comm {
 
     /// Snapshot this rank's traffic counters.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats().snapshot()
+        *self.engine.stats()
     }
 
     /// Reset this rank's traffic counters.
     pub fn stats_reset(&self) {
-        self.stats().reset()
+        *self.engine.stats() = StatsSnapshot::default();
     }
 }
 

@@ -104,29 +104,45 @@ fn conformance(backend: Backend) {
     assert_eq!(out[0], vec![6.0, 20.0, -1.0], "{backend}");
 
     // 2. A diverged collective schedule fails loudly on its labels
-    //    instead of exchanging garbage.
-    let payload = unwind_of(|| {
-        backend.launch(WORLD, |comm| {
-            if comm.rank() == 0 {
-                comm.all_gather(vec![1.0]);
-            } else {
-                comm.all_reduce_scalar(1.0);
-            }
+    //    instead of exchanging garbage or hanging, whichever two
+    //    collectives diverged: rank 0 runs the first, its peers the second.
+    let all_to_all = |comm: &Comm| {
+        comm.all_to_all(vec![Vec::new(); comm.size()]);
+    };
+    let all_gather = |comm: &Comm| {
+        comm.all_gather(vec![1.0]);
+    };
+    let diverged: [(&str, fn(&Comm), fn(&Comm)); 3] = [
+        ("all_gather/all_reduce", all_gather, |comm| {
+            comm.all_reduce_scalar(1.0);
+        }),
+        ("barrier/all_to_all", Comm::barrier, all_to_all),
+        ("all_to_all/all_gather", all_to_all, all_gather),
+    ];
+    for (pairing, first, rest) in diverged {
+        let payload = unwind_of(|| {
+            backend.launch(WORLD, |comm| {
+                if comm.rank() == 0 {
+                    first(comm);
+                } else {
+                    rest(comm);
+                }
+            });
         });
-    });
-    #[expect(
-        clippy::panic,
-        reason = "test body shared by #[test] fns: a non-string payload fails the test"
-    )]
-    let message = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&'static str>().copied())
-        .unwrap_or_else(|| panic!("{backend}: label mismatch must be a plain panic"));
-    assert!(
-        message.contains("collective mismatch"),
-        "{backend}: {message}"
-    );
+        #[expect(
+            clippy::panic,
+            reason = "test body shared by #[test] fns: a non-string payload fails the test"
+        )]
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&'static str>().copied())
+            .unwrap_or_else(|| panic!("{backend} {pairing}: label mismatch must be a plain panic"));
+        assert!(
+            message.contains("collective mismatch"),
+            "{backend} {pairing}: {message}"
+        );
+    }
 
     // 3. A receive from a rank that already finished its program can
     //    never complete: the peer's `Bye` aborts the wait, typed.

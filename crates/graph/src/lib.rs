@@ -22,6 +22,6 @@ pub use features::{
 };
 pub use local_graph::{HaloPlan, LocalGraph};
 pub use stats::{
-    analytic_block_profiles, analytic_block_stats, exact_profile, exact_stats, summarize,
-    RankGraphStats, RankProfile, StatsSummary,
+    analytic_block_profiles, analytic_block_stats, exact_stats, summarize, RankGraphStats,
+    RankProfile, StatsSummary,
 };

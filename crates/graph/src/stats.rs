@@ -68,20 +68,6 @@ pub struct RankProfile {
     pub shared_per_neighbor: Vec<(usize, usize)>,
 }
 
-/// Exact per-neighbour profile of a built [`LocalGraph`].
-pub fn exact_profile(g: &LocalGraph) -> RankProfile {
-    RankProfile {
-        stats: exact_stats(g),
-        shared_per_neighbor: g
-            .halo
-            .neighbors
-            .iter()
-            .zip(&g.halo.send_ids)
-            .map(|(&s, ids)| (s, ids.len()))
-            .collect(),
-    }
-}
-
 /// Closed-form per-rank statistics for a structured block partition of a
 /// [`BoxMesh`]. Exact — validated against [`exact_stats`] of built graphs in
 /// tests — but O(R * 27) instead of O(total nodes), so it handles the

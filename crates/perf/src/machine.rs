@@ -100,15 +100,6 @@ impl MachineModel {
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         a / self.ranks_per_node == b / self.ranks_per_node
     }
-
-    /// Point-to-point message time between ranks `a` and `b`.
-    pub fn p2p_time(&self, a: usize, b: usize, bytes: f64, n_nodes: usize) -> f64 {
-        if self.same_node(a, b) {
-            self.intra_latency + bytes / self.intra_bw
-        } else {
-            self.inter_latency + bytes / self.effective_inter_bw(n_nodes)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,12 +133,5 @@ mod tests {
         let b256 = m.effective_inter_bw(256);
         assert!(b256 < b1);
         assert!(b256 > 0.5 * b1, "contention model too aggressive");
-    }
-
-    #[test]
-    fn intra_node_messages_are_cheaper() {
-        let m = MachineModel::frontier();
-        let bytes = 1e6;
-        assert!(m.p2p_time(0, 1, bytes, 256) < m.p2p_time(0, 9, bytes, 256));
     }
 }

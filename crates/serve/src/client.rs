@@ -12,7 +12,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::http::read_line;
+use crate::http::{read_body, read_line};
 
 /// One parsed response.
 #[derive(Debug)]
@@ -89,7 +89,14 @@ impl HttpClient {
     }
 
     /// Read the next response off the connection (see
-    /// [`HttpClient::send_request`]).
+    /// [`HttpClient::send_request`]). The body is read as its bytes arrive,
+    /// up to [`MAX_BODY`](crate::http::MAX_BODY).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a malformed status line, header or
+    /// `Content-Length`, or a length above `MAX_BODY`; any I/O error of
+    /// the connection.
     pub fn read_response(&mut self) -> io::Result<ClientResponse> {
         let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let status_line = read_line(&mut self.reader)?
@@ -112,17 +119,49 @@ impl HttpClient {
                 .ok_or_else(|| invalid("malformed response header"))?;
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
-        let len: usize = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        let mut body = vec![0u8; len];
-        std::io::Read::read_exact(&mut self.reader, &mut body)?;
+        let body = read_body(&mut self.reader, &headers)?;
         Ok(ClientResponse {
             status,
             headers,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Answer one request on a fresh listener with `head` and hang up.
+    fn fake_server(head: &'static str) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = conn.read(&mut request);
+            conn.write_all(head.as_bytes()).unwrap();
+        });
+        (addr, server)
+    }
+
+    /// A server's `Content-Length` is not trusted: one past `MAX_BODY` or
+    /// one that is not a number fails the response, allocating nothing.
+    #[test]
+    fn a_bad_content_length_is_invalid_data() {
+        for head in [
+            "HTTP/1.1 200 OK\r\nContent-Length: 1152921504606846976\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nxyz",
+        ] {
+            let (addr, server) = fake_server(head);
+            let err = HttpClient::connect(addr)
+                .unwrap()
+                .request("GET", "/health", &[])
+                .unwrap_err();
+            server.join().unwrap();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{head:?}: {err}");
+        }
     }
 }

@@ -183,11 +183,11 @@ impl ControlPlane {
                     slept = Duration::ZERO;
                     match plane.reload() {
                         Ok(out) if out.reloaded => {
-                            stats.reloads_applied.fetch_add(1, Ordering::Relaxed);
+                            stats.update(|s| s.reloads_applied += 1);
                         }
                         Ok(_) => {}
                         Err(_) => {
-                            stats.reload_errors.fetch_add(1, Ordering::Relaxed);
+                            stats.update(|s| s.reload_errors += 1);
                         }
                     }
                 }

@@ -150,12 +150,30 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<ReadOutcome> {
             .ok_or_else(|| invalid("malformed header"))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    let body = read_body(r, &headers)?;
+    Ok(ReadOutcome::Request(Request {
+        method,
+        path,
+        headers,
+        body,
+    }))
+}
+
+/// Read the body a message's `Content-Length` header announces (none
+/// without one), as its bytes arrive: a request and a response are framed
+/// alike.
+///
+/// # Errors
+///
+/// `InvalidData` for a malformed length or one above [`MAX_BODY`],
+/// `UnexpectedEof` when the stream ends before the body does.
+pub(crate) fn read_body(r: &mut impl BufRead, headers: &[(String, String)]) -> io::Result<Vec<u8>> {
     let len: usize = match headers.iter().find(|(n, _)| n == "content-length") {
         Some((_, v)) => v.parse().map_err(|_| invalid("malformed content-length"))?,
         None => 0,
     };
     if len > MAX_BODY {
-        return Err(invalid("request body too large"));
+        return Err(invalid("body too large"));
     }
     let mut body = Vec::with_capacity(len.min(BODY_CHUNK));
     r.take(len as u64).read_to_end(&mut body)?;
@@ -165,12 +183,7 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<ReadOutcome> {
             "connection closed mid-body",
         ));
     }
-    Ok(ReadOutcome::Request(Request {
-        method,
-        path,
-        headers,
-        body,
-    }))
+    Ok(body)
 }
 
 /// One response to serialize.

@@ -14,9 +14,9 @@
 //!   watches a checkpoint directory, validates new checkpoints against
 //!   the served architecture, and hot-swaps them in *between* passes so
 //!   in-flight requests are never torn across a reload;
-//! * **telemetry** ([`stats`]) — lock-free counters and fixed-bucket
-//!   histograms (latency and its queue / forward parts) folded into JSON
-//!   at `/metrics`, on the same snapshot pattern as [`cgnn_comm::stats`].
+//! * **telemetry** ([`stats`]) — counters and fixed-bucket histograms
+//!   (latency and its queue / forward parts) kept as one snapshot and
+//!   rendered as JSON at `/metrics`, the pattern of [`cgnn_comm::stats`].
 //!
 //! The HTTP layer ([`http`]) is a hand-rolled subset over [`std::net`]
 //! (this workspace has no network registry, so no hyper/tokio): a

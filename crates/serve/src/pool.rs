@@ -25,7 +25,7 @@ use cgnn_core::{GnnConfig, HaloContext, RankData, Trainer};
 use cgnn_graph::LocalGraph;
 
 use crate::control::ControlShared;
-use crate::stats::ServeStats;
+use crate::stats::{record_us, ServeStats};
 
 /// One queued inference request.
 #[derive(Debug)]
@@ -159,7 +159,7 @@ fn replica_loop(
             .recv_timeout(IDLE_TICK);
         match claimed {
             Ok(job) => {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                stats.update(|s| s.queue_depth -= 1);
                 serve_pass(&trainer, &graph, &stats, job, model_step);
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -181,7 +181,8 @@ fn serve_pass(
     model_step: u64,
 ) {
     let claimed = Instant::now();
-    stats.record_queue_us((claimed - job.enqueued).as_micros() as u64);
+    let queued_us = (claimed - job.enqueued).as_micros() as u64;
+    stats.update(|s| record_us(&mut s.queue_hist, queued_us));
     let expect_rows = graph.n_local() * cgnn_graph::NODE_FEATS;
     // Malformed frames were already rejected by the HTTP layer; a length
     // mismatch here means the caller bypassed it, so answer an error
@@ -192,11 +193,12 @@ fn serve_pass(
             job.x.len()
         ))
     } else {
-        stats.record_batch();
+        stats.update(|s| s.batches += 1);
         let y = trainer.predict(&RankData::for_inference(Arc::clone(graph), job.x));
         // Recorded ahead of the send, so that whoever has the reply also
         // finds it counted.
-        stats.record_forward_us(claimed.elapsed().as_micros() as u64);
+        let forward_us = claimed.elapsed().as_micros() as u64;
+        stats.update(|s| record_us(&mut s.forward_hist, forward_us));
         Ok(y.into_vec())
     };
     // A dropped receiver means the client disconnected mid-flight; nothing

@@ -35,7 +35,7 @@ use cgnn_mesh::BoxMesh;
 use crate::control::{ControlPlane, ControlShared};
 use crate::http::{self, ReadOutcome, Request, Response};
 use crate::pool::{PredictJob, PredictReply, ReplicaPool};
-use crate::stats::ServeStats;
+use crate::stats::{record_us, ServeStats};
 
 /// Complete serving configuration. [`ServeConfig::from_env`] reads every
 /// field from the registered `CGNN_SERVE_*` knobs; tests and benches
@@ -497,13 +497,16 @@ fn finish_predict(router: &Router, reply: PredictReply, enqueued: Instant) -> Re
     let stats = &router.stats;
     match reply.result {
         Ok(y) => {
-            stats.predict_ok.fetch_add(1, Ordering::Relaxed);
-            stats.record_latency_us(enqueued.elapsed().as_micros() as u64);
+            let us = enqueued.elapsed().as_micros() as u64;
+            stats.update(|s| {
+                s.predict_ok += 1;
+                record_us(&mut s.lat_hist, us);
+            });
             Response::octets(200, http::encode_f64(&y))
                 .with_header("X-Model-Step", reply.model_step.to_string())
         }
         Err(msg) => {
-            stats.bad_request.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.bad_request += 1);
             Response::json(400, format!("{{ \"error\": \"{msg}\" }}\n"))
         }
     }
@@ -511,7 +514,7 @@ fn finish_predict(router: &Router, reply: PredictReply, enqueued: Instant) -> Re
 
 /// The replica pool disappeared mid-flight (hard shutdown).
 fn pool_gone(router: &Router) -> Response {
-    router.stats.predict_failed.fetch_add(1, Ordering::Relaxed);
+    router.stats.update(|s| s.predict_failed += 1);
     Response::json(500, "{ \"error\": \"replica pool gone\" }\n".to_string())
 }
 
@@ -519,7 +522,7 @@ fn route(router: &Router, req: &Request) -> Pending {
     let stats = &router.stats;
     let resp = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
-            stats.health.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.health += 1);
             let draining = router.shared.draining.load(Ordering::Acquire);
             Response::json(
                 200,
@@ -527,20 +530,20 @@ fn route(router: &Router, req: &Request) -> Pending {
             )
         }
         ("GET", "/info") => {
-            stats.info.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.info += 1);
             info_response(router)
         }
         ("GET", "/metrics") => {
-            stats.metrics.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.metrics += 1);
             Response::json(200, stats.snapshot().to_json())
         }
         ("POST", "/predict") => return predict(router, req),
         ("POST", "/admin/reload") => {
-            stats.admin_reload.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.admin_reload += 1);
             match router.control.reload() {
                 Ok(out) => {
                     if out.reloaded {
-                        stats.reloads_applied.fetch_add(1, Ordering::Relaxed);
+                        stats.update(|s| s.reloads_applied += 1);
                     }
                     Response::json(
                         200,
@@ -551,22 +554,22 @@ fn route(router: &Router, req: &Request) -> Pending {
                     )
                 }
                 Err(e) => {
-                    stats.reload_errors.fetch_add(1, Ordering::Relaxed);
+                    stats.update(|s| s.reload_errors += 1);
                     Response::json(500, format!("{{ \"error\": \"{e}\" }}\n"))
                 }
             }
         }
         ("POST", "/admin/drain") => {
-            stats.admin_drain.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.admin_drain += 1);
             router.shared.draining.store(true, Ordering::Release);
             Response::json(200, "{ \"draining\": true }\n".to_string())
         }
         (_, "/health" | "/info" | "/metrics" | "/predict" | "/admin/reload" | "/admin/drain") => {
-            stats.not_found.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.not_found += 1);
             Response::json(405, "{ \"error\": \"method not allowed\" }\n".to_string())
         }
         _ => {
-            stats.not_found.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.not_found += 1);
             Response::json(404, "{ \"error\": \"no such endpoint\" }\n".to_string())
         }
     };
@@ -614,7 +617,7 @@ fn info_response(router: &Router) -> Response {
 fn predict(router: &Router, req: &Request) -> Pending {
     let stats = &router.stats;
     if router.shared.draining.load(Ordering::Acquire) {
-        stats.predict_rejected.fetch_add(1, Ordering::Relaxed);
+        stats.update(|s| s.predict_rejected += 1);
         return Pending::Ready(
             Response::json(503, "{ \"error\": \"draining\" }\n".to_string())
                 .with_header("Retry-After", "1".to_string()),
@@ -624,7 +627,7 @@ fn predict(router: &Router, req: &Request) -> Pending {
     let x = match http::decode_f64(&req.body) {
         Some(x) if x.len() == expect => x,
         _ => {
-            stats.bad_request.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| s.bad_request += 1);
             return Pending::Ready(Response::json(
                 400,
                 format!(
@@ -641,12 +644,14 @@ fn predict(router: &Router, req: &Request) -> Pending {
         enqueued,
         resp: resp_tx,
     };
-    stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+    stats.update(|s| s.queue_depth += 1);
     match router.pool_tx.try_send(job) {
         Ok(()) => Pending::InFlight(resp_rx, enqueued),
         Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-            stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            stats.predict_rejected.fetch_add(1, Ordering::Relaxed);
+            stats.update(|s| {
+                s.queue_depth -= 1;
+                s.predict_rejected += 1;
+            });
             Pending::Ready(
                 Response::json(503, "{ \"error\": \"queue full\" }\n".to_string())
                     .with_header("Retry-After", "1".to_string()),

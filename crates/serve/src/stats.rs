@@ -1,12 +1,14 @@
-//! Serving telemetry on the [`cgnn_comm::stats`] pattern: lock-free atomic
-//! counters updated on the request path, folded into a plain-old-data
-//! [`ServeSnapshot`] on demand (the `/metrics` endpoint).
+//! Serving telemetry on the [`cgnn_comm::stats`] pattern: the counters
+//! are kept once, as a plain-old-data [`ServeSnapshot`] behind one mutex
+//! ([`ServeStats`]), updated on the request path through one closure and
+//! copied out on demand (the `/metrics` endpoint).
 //!
 //! Everything here is allocation-free on the hot path: times land in
 //! **fixed-width histograms** (power-of-two microsecond buckets), so
-//! recording a request is a handful of relaxed atomic increments. Percentiles are
-//! computed from the histogram only when a snapshot is taken, and are
-//! upper bounds (the top edge of the bucket holding the requested rank).
+//! recording a request is a handful of increments under a lock held for
+//! nothing else. Percentiles are computed from the histogram only when a
+//! snapshot is read, and are upper bounds (the top edge of the bucket
+//! holding the requested rank).
 //!
 //! A served request's time is recorded whole and in its two parts:
 //! `latency_us` (enqueue → reply taken up by the connection's writer),
@@ -15,148 +17,49 @@
 //! has beyond their sum is the reply waiting its turn in the connection's
 //! response order.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Number of power-of-two time buckets: bucket `i` counts requests whose
 /// time in microseconds lies in `[2^i, 2^(i+1))`; the top bucket absorbs
 /// everything slower (`2^31` µs is over half an hour).
 pub const LAT_BUCKETS: usize = 32;
 
-/// A live power-of-two microsecond histogram.
-type TimeHist = [AtomicU64; LAT_BUCKETS];
-
-fn record_us(hist: &TimeHist, us: u64) {
+/// Count one time of `us` microseconds in a power-of-two histogram.
+pub(crate) fn record_us(hist: &mut [u64; LAT_BUCKETS], us: u64) {
     let bucket = (63 - us.max(1).leading_zeros() as usize).min(LAT_BUCKETS - 1);
-    hist[bucket].fetch_add(1, Ordering::Relaxed);
+    hist[bucket] += 1;
 }
 
-fn load_hist(hist: &TimeHist) -> [u64; LAT_BUCKETS] {
-    std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
-}
-
-fn new_hist() -> TimeHist {
-    std::array::from_fn(|_| AtomicU64::new(0))
-}
-
-/// Lock-free serving counters shared by the HTTP workers, the replica
-/// pool, and the control plane. One instance per server.
-#[derive(Debug)]
-pub struct ServeStats {
-    /// `/predict` requests answered `200` with a prediction.
-    pub predict_ok: AtomicU64,
-    /// `/predict` requests rejected `503` (queue full or draining).
-    pub predict_rejected: AtomicU64,
-    /// `/predict` requests failed `500` (replica pool gone mid-flight).
-    pub predict_failed: AtomicU64,
-    /// Requests answered `400` (malformed body or frame).
-    pub bad_request: AtomicU64,
-    /// Requests answered `404`/`405`.
-    pub not_found: AtomicU64,
-    /// `/health` hits.
-    pub health: AtomicU64,
-    /// `/info` hits.
-    pub info: AtomicU64,
-    /// `/metrics` hits.
-    pub metrics: AtomicU64,
-    /// `/admin/reload` hits.
-    pub admin_reload: AtomicU64,
-    /// Checkpoint reloads that actually swapped parameters in (admin- or
-    /// watcher-triggered).
-    pub reloads_applied: AtomicU64,
-    /// Checkpoint reload attempts that failed (unreadable or mismatched
-    /// checkpoint); the previous parameters keep serving.
-    pub reload_errors: AtomicU64,
-    /// `/admin/drain` hits.
-    pub admin_drain: AtomicU64,
-    /// Requests currently enqueued for the replica pool (gauge).
-    pub queue_depth: AtomicU64,
-    /// Forward passes executed by the replica pool, one per request.
-    pub batches: AtomicU64,
-    lat_hist: TimeHist,
-    queue_hist: TimeHist,
-    forward_hist: TimeHist,
-}
-
-impl Default for ServeStats {
-    fn default() -> Self {
-        ServeStats {
-            predict_ok: AtomicU64::new(0),
-            predict_rejected: AtomicU64::new(0),
-            predict_failed: AtomicU64::new(0),
-            bad_request: AtomicU64::new(0),
-            not_found: AtomicU64::new(0),
-            health: AtomicU64::new(0),
-            info: AtomicU64::new(0),
-            metrics: AtomicU64::new(0),
-            admin_reload: AtomicU64::new(0),
-            reloads_applied: AtomicU64::new(0),
-            reload_errors: AtomicU64::new(0),
-            admin_drain: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            lat_hist: new_hist(),
-            queue_hist: new_hist(),
-            forward_hist: new_hist(),
-        }
-    }
-}
+/// The serving counters shared by the HTTP workers, the replica pool, and
+/// the control plane. One instance per server.
+#[derive(Debug, Default)]
+pub struct ServeStats(Mutex<ServeSnapshot>);
 
 impl ServeStats {
-    /// Record one executed forward pass.
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+    /// Apply `f` to the live counters.
+    pub fn update(&self, f: impl FnOnce(&mut ServeSnapshot)) {
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
-    /// Record one served `/predict` latency (enqueue to reply) in µs.
-    pub fn record_latency_us(&self, us: u64) {
-        record_us(&self.lat_hist, us);
-    }
-
-    /// Record how long one request sat queued (enqueue to claimed) in µs.
-    pub fn record_queue_us(&self, us: u64) {
-        record_us(&self.queue_hist, us);
-    }
-
-    /// Record one request's share of a replica's time (claimed to reply
-    /// sent) in µs.
-    pub fn record_forward_us(&self, us: u64) {
-        record_us(&self.forward_hist, us);
-    }
-
-    /// Fold the live counters into a plain-old-data snapshot.
+    /// Copy the live counters out.
     pub fn snapshot(&self) -> ServeSnapshot {
-        ServeSnapshot {
-            predict_ok: self.predict_ok.load(Ordering::Relaxed),
-            predict_rejected: self.predict_rejected.load(Ordering::Relaxed),
-            predict_failed: self.predict_failed.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            health: self.health.load(Ordering::Relaxed),
-            info: self.info.load(Ordering::Relaxed),
-            metrics: self.metrics.load(Ordering::Relaxed),
-            admin_reload: self.admin_reload.load(Ordering::Relaxed),
-            reloads_applied: self.reloads_applied.load(Ordering::Relaxed),
-            reload_errors: self.reload_errors.load(Ordering::Relaxed),
-            admin_drain: self.admin_drain.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            lat_hist: load_hist(&self.lat_hist),
-            queue_hist: load_hist(&self.queue_hist),
-            forward_hist: load_hist(&self.forward_hist),
-        }
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
-/// Plain-old-data fold of [`ServeStats`] at one instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The serving counters at one instant ([`ServeStats::snapshot`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
-    /// `/predict` requests answered `200`.
+    /// `/predict` requests answered `200` with a prediction.
     pub predict_ok: u64,
-    /// `/predict` requests rejected `503`.
+    /// `/predict` requests rejected `503` (queue full or draining).
     pub predict_rejected: u64,
-    /// `/predict` requests failed `500`.
+    /// `/predict` requests failed `500` (replica pool gone mid-flight).
     pub predict_failed: u64,
-    /// Requests answered `400`.
+    /// Requests answered `400` (malformed body or frame).
     pub bad_request: u64,
     /// Requests answered `404`/`405`.
     pub not_found: u64,
@@ -168,15 +71,17 @@ pub struct ServeSnapshot {
     pub metrics: u64,
     /// `/admin/reload` hits.
     pub admin_reload: u64,
-    /// Reloads that swapped parameters in.
+    /// Checkpoint reloads that actually swapped parameters in (admin- or
+    /// watcher-triggered).
     pub reloads_applied: u64,
-    /// Reload attempts that failed.
+    /// Checkpoint reload attempts that failed (unreadable or mismatched
+    /// checkpoint); the previous parameters keep serving.
     pub reload_errors: u64,
     /// `/admin/drain` hits.
     pub admin_drain: u64,
-    /// Requests enqueued at snapshot time.
+    /// Requests currently enqueued for the replica pool (gauge).
     pub queue_depth: u64,
-    /// Forward passes executed, one per request.
+    /// Forward passes executed by the replica pool, one per request.
     pub batches: u64,
     /// `lat_hist[i]` = requests with latency in `[2^i, 2^(i+1))` µs.
     pub lat_hist: [u64; LAT_BUCKETS],
@@ -286,16 +191,17 @@ mod tests {
     #[test]
     fn histograms_bucket_and_quantile() {
         let s = ServeStats::default();
-        for _ in 0..90 {
-            s.record_latency_us(10); // bucket [8, 16)
-        }
-        for _ in 0..10 {
-            s.record_latency_us(1000); // bucket [512, 1024)
-        }
-        s.record_queue_us(3); // bucket [2, 4)
-        s.record_forward_us(5000); // bucket [4096, 8192)
-        s.record_batch();
-        s.record_batch();
+        s.update(|s| {
+            for _ in 0..90 {
+                record_us(&mut s.lat_hist, 10); // bucket [8, 16)
+            }
+            for _ in 0..10 {
+                record_us(&mut s.lat_hist, 1000); // bucket [512, 1024)
+            }
+            record_us(&mut s.queue_hist, 3); // bucket [2, 4)
+            record_us(&mut s.forward_hist, 5000); // bucket [4096, 8192)
+            s.batches += 2;
+        });
         let snap = s.snapshot();
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.latency_quantile_us(0.50), 15);

@@ -189,7 +189,7 @@ impl SessionBuilder {
     /// rank's reduced distributed graph (or the global R = 1 graph).
     pub fn build(self) -> Result<Session, SessionError> {
         let mesh = self.mesh.ok_or(SessionError::MissingMesh)?;
-        let (partition, graphs) = decompose(&mesh, self.ranks, self.strategy)?;
+        let decomposition = decompose(&mesh, self.ranks, self.strategy)?;
         if let Some(ds) = &self.dataset {
             if ds.n_nodes() != mesh.num_global_nodes() {
                 return Err(SessionError::DatasetMeshMismatch {
@@ -200,8 +200,7 @@ impl SessionBuilder {
         }
         Ok(Session::assembled(
             Arc::new(mesh),
-            partition,
-            graphs,
+            decomposition,
             self.strategy,
             self.exchange,
             self.backend.unwrap_or_else(Backend::from_env),

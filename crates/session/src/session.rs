@@ -32,13 +32,12 @@ use crate::handle::{RankDataset, RankHandle};
 /// reproduce hand-wired loss trajectories bit for bit.
 ///
 /// A clone is a cheap structural copy: it shares the mesh and the
-/// per-rank graphs and keeps the recipe (exchange, backend, config, seed,
-/// lr, dataset, checkpoints).
+/// decomposition (partition and per-rank graphs) and keeps the recipe
+/// (exchange, backend, config, seed, lr, dataset, checkpoints).
 #[derive(Clone)]
 pub struct Session {
     mesh: Arc<BoxMesh>,
-    partition: Option<Partition>,
-    graphs: Vec<Arc<LocalGraph>>,
+    decomposition: Arc<Decomposition>,
     /// The decomposition rule the partition came from, kept so the
     /// session can re-partition for a different world size
     /// ([`Session::resized`], the elastic recovery path).
@@ -66,6 +65,13 @@ pub struct Session {
     pub(crate) attempt: u32,
 }
 
+/// The mesh's split into ranks: the element partition (`None` for
+/// un-partitioned R = 1) and every rank's graph, in rank order.
+pub(crate) struct Decomposition {
+    partition: Option<Partition>,
+    graphs: Vec<Arc<LocalGraph>>,
+}
+
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -91,8 +97,7 @@ impl Session {
 
     pub(crate) fn assembled(
         mesh: Arc<BoxMesh>,
-        partition: Option<Partition>,
-        graphs: Vec<Arc<LocalGraph>>,
+        decomposition: Arc<Decomposition>,
         strategy: Strategy,
         exchange: HaloExchangeMode,
         backend: Backend,
@@ -105,8 +110,7 @@ impl Session {
     ) -> Self {
         Session {
             mesh,
-            partition,
-            graphs,
+            decomposition,
             strategy,
             exchange,
             backend,
@@ -123,7 +127,7 @@ impl Session {
 
     /// Number of SPMD ranks this session drives.
     pub fn ranks(&self) -> usize {
-        self.graphs.len()
+        self.decomposition.graphs.len()
     }
 
     /// The mesh everything was derived from.
@@ -133,17 +137,17 @@ impl Session {
 
     /// The element decomposition (`None` for un-partitioned R = 1).
     pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref()
+        self.decomposition.partition.as_ref()
     }
 
     /// Rank `rank`'s reduced distributed graph.
     pub fn graph(&self, rank: usize) -> &Arc<LocalGraph> {
-        &self.graphs[rank]
+        &self.decomposition.graphs[rank]
     }
 
     /// All per-rank graphs, in rank order.
     pub fn graphs(&self) -> &[Arc<LocalGraph>] {
-        &self.graphs
+        &self.decomposition.graphs
     }
 
     /// The model configuration each rank trains.
@@ -243,10 +247,8 @@ impl Session {
     /// bit-identical), so a restored checkpoint remains valid across a
     /// resize — only the data decomposition changes.
     pub fn resized(&self, ranks: usize) -> Result<Session, SessionError> {
-        let (partition, graphs) = decompose(&self.mesh, ranks, self.strategy)?;
         Ok(Session {
-            partition,
-            graphs,
+            decomposition: decompose(&self.mesh, ranks, self.strategy)?,
             ..self.clone()
         })
     }
@@ -267,7 +269,7 @@ impl Session {
         F: Fn(&mut RankHandle) -> T + Sync,
     {
         let spmd = |comm: &cgnn_comm::Comm| {
-            let graph = Arc::clone(&self.graphs[comm.rank()]);
+            let graph = Arc::clone(self.graph(comm.rank()));
             let ctx = HaloContext::new(comm.clone(), &graph, self.exchange);
             let mut trainer = Trainer::new(self.config, self.seed, self.lr, ctx);
             if let Some(ckpt) = &self.checkpoint {
@@ -362,7 +364,7 @@ pub(crate) fn decompose(
     mesh: &BoxMesh,
     ranks: usize,
     strategy: Strategy,
-) -> Result<(Option<Partition>, Vec<Arc<LocalGraph>>), SessionError> {
+) -> Result<Arc<Decomposition>, SessionError> {
     if ranks == 0 {
         return Err(SessionError::ZeroRanks);
     }
@@ -372,15 +374,17 @@ pub(crate) fn decompose(
             elements: mesh.num_elements(),
         });
     }
-    if ranks == 1 {
-        return Ok((None, vec![Arc::new(build_global_graph(mesh))]));
-    }
-    let part = Partition::new(mesh, ranks, strategy);
-    let graphs = build_distributed_graph(mesh, &part)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    Ok((Some(part), graphs))
+    let (partition, graphs) = if ranks == 1 {
+        (None, vec![Arc::new(build_global_graph(mesh))])
+    } else {
+        let part = Partition::new(mesh, ranks, strategy);
+        let graphs = build_distributed_graph(mesh, &part)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        (Some(part), graphs)
+    };
+    Ok(Arc::new(Decomposition { partition, graphs }))
 }
 
 #[cfg(test)]
@@ -448,6 +452,27 @@ mod tests {
                 assert_eq!(a.halo.neighbors, b.halo.neighbors, "R={ranks}: neighbours");
                 assert_eq!(a.halo.send_ids, b.halo.send_ids, "R={ranks}: halo plan");
             }
+        }
+    }
+
+    /// A sibling is a structural copy: it shares the partition (and with
+    /// it every rank's graph) instead of copying it.
+    #[test]
+    fn siblings_share_the_decomposition() {
+        let s = Session::builder()
+            .mesh(mesh())
+            .partition(Strategy::Slab)
+            .ranks(2)
+            .build()
+            .unwrap();
+        let part = s.partition().unwrap();
+        for sibling in [
+            s.with_exchange(HaloExchangeMode::SendRecv),
+            s.with_backend(Backend::Serial),
+            s.clone(),
+        ] {
+            assert!(std::ptr::eq(sibling.partition().unwrap(), part));
+            assert!(Arc::ptr_eq(sibling.graph(1), s.graph(1)));
         }
     }
 
