@@ -449,7 +449,7 @@ impl Engine {
     ///
     /// With `collective mismatch` when a peer's frame carries another
     /// label: the ranks' collective schedules have diverged.
-    fn round(
+    pub(crate) fn round(
         &self,
         label: &'static str,
         mut payload: impl FnMut(usize) -> Vec<f64>,

@@ -12,8 +12,8 @@
 //!
 //! Arithmetic over a loopback world is bit-identical to a launched
 //! single-rank world of any other backend: the [`Comm`] layer
-//! computes all reductions rank-ordered from gathered contributions, and
-//! at world size one that gathering is the identity everywhere.
+//! folds all reductions rank-ordered from the identity, and at world size
+//! one the only contribution is the rank's own.
 
 use std::sync::Arc;
 

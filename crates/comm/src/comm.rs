@@ -112,17 +112,21 @@ impl Comm {
         buf[0]
     }
 
-    /// Deterministic all-reduce (max).
+    /// Deterministic all-reduce (max). A NaN on any rank is the result
+    /// on every rank.
     ///
     /// # Panics
     /// If the ranks' buffers differ in length.
     pub fn all_reduce_max(&self, buf: &mut [f64]) {
-        self.all_reduce("all_reduce_max", buf, f64::NEG_INFINITY, f64::max);
+        self.all_reduce("all_reduce_max", buf, f64::NEG_INFINITY, nan_max);
     }
 
-    /// The body of both all-reduces: gather every rank's `buf` under
-    /// `label`, then fold the parts into `buf` in rank order, from
-    /// `identity`, with `op`.
+    /// The body of both all-reduces, in place: send `buf` to every peer
+    /// under `label`, then fold every rank's part into `buf` in rank
+    /// order, from `identity`, with `op`. The parts of lower ranks fold
+    /// into the first of them, which then folds into `buf`, the rank's own
+    /// part; each higher rank's part folds into `buf` after it. So the only
+    /// copy of `buf` is each peer's payload, and at one rank there is none.
     fn all_reduce(
         &self,
         label: &'static str,
@@ -130,21 +134,38 @@ impl Comm {
         identity: f64,
         op: impl Fn(f64, f64) -> f64,
     ) {
-        let parts = self.engine.all_gather(label, buf.to_vec());
+        let me = self.rank();
+        let mut parts = vec![Vec::new(); self.size()];
+        self.engine
+            .round(label, |_| buf.to_vec(), |p, part| parts[p] = part);
         let mut st = self.engine.stats();
         st.all_reduces += 1;
         st.all_reduce_bytes += std::mem::size_of_val(buf) as u64;
         drop(st);
-        buf.fill(identity);
-        for part in &parts {
+        for (p, part) in parts.iter().enumerate().filter(|&(p, _)| p != me) {
             assert_eq!(
                 part.len(),
                 buf.len(),
-                "{label} length mismatch across ranks"
+                "{label} length mismatch across ranks: rank {p} sent {}, rank {me} holds {}",
+                part.len(),
+                buf.len()
             );
-            for (b, &p) in buf.iter_mut().zip(part) {
-                *b = op(*b, p);
+        }
+        let (below, above) = parts.split_at_mut(me);
+        match below.split_first_mut() {
+            Some((acc, rest)) => {
+                acc.iter_mut().for_each(|a| *a = op(identity, *a));
+                for part in rest.iter() {
+                    fold(acc, part, &op);
+                }
+                for (b, &a) in buf.iter_mut().zip(acc.iter()) {
+                    *b = op(a, *b);
+                }
             }
+            None => buf.iter_mut().for_each(|b| *b = op(identity, *b)),
+        }
+        for part in &above[1..] {
+            fold(buf, part, &op);
         }
     }
 
@@ -152,9 +173,9 @@ impl Comm {
     /// on all ranks. Contributions may have different lengths per rank.
     ///
     /// Traffic accounting: the contribution is replicated to every other
-    /// rank, so `len * 8 * (R - 1)` bytes are charged (the internal gathers
-    /// backing [`Comm::all_reduce_sum`] are charged as all-reduce bytes
-    /// instead and do not hit these counters).
+    /// rank, so `len * 8 * (R - 1)` bytes are charged (the all-reduces,
+    /// which send the same way, are charged as all-reduce bytes instead and
+    /// do not hit these counters).
     pub fn all_gather(&self, data: Vec<f64>) -> Vec<Vec<f64>> {
         let mut st = self.engine.stats();
         st.all_gathers += 1;
@@ -273,6 +294,23 @@ impl Comm {
     }
 }
 
+/// `acc[i] = op(acc[i], part[i])` for every `i`.
+fn fold(acc: &mut [f64], part: &[f64], op: impl Fn(f64, f64) -> f64) {
+    for (a, &p) in acc.iter_mut().zip(part) {
+        *a = op(*a, p);
+    }
+}
+
+/// `f64::max` that propagates NaN: `f64::max(m, NaN)` is `m`, so a rank's
+/// NaN would vanish from the reduced result.
+fn nan_max(m: f64, e: f64) -> f64 {
+    if e.is_nan() || e > m {
+        e
+    } else {
+        m
+    }
+}
+
 /// Wait-able handle to an in-flight non-blocking send (see
 /// [`Comm::isend`]).
 pub struct SendRequest(Receiver<()>);
@@ -361,6 +399,31 @@ mod tests {
             v
         }) {
             assert_eq!(out[0], vec![0.0, 3.0]);
+        }
+    }
+
+    /// `f64::max` drops a NaN operand; the max all-reduce must not, on
+    /// whichever rank the NaN is (first, inside, last) and whichever side
+    /// of the larger values it meets.
+    #[test]
+    fn all_reduce_max_propagates_a_nan_on_one_rank() {
+        const R: usize = 4;
+        for nan_rank in 0..R {
+            for out in on_every_backend(R, |comm| {
+                let r = comm.rank() as f64;
+                let mut v = vec![r, -r, 1e300 * r];
+                if comm.rank() == nan_rank {
+                    v[1] = f64::NAN;
+                }
+                comm.all_reduce_max(&mut v);
+                v
+            }) {
+                for v in &out {
+                    assert_eq!(v[0], 3.0, "NaN on rank {nan_rank}");
+                    assert!(v[1].is_nan(), "NaN on rank {nan_rank}: {v:?}");
+                    assert_eq!(v[2], 3e300, "NaN on rank {nan_rank}");
+                }
+            }
         }
     }
 

@@ -45,9 +45,9 @@
 //! detect a death within a heartbeat instead of hanging — see the
 //! [`fault`] module docs.
 //!
-//! Because reductions are computed rank-ordered in the [`Comm`] layer from
-//! gathered contributions, *all* worlds produce bit-identical arithmetic;
-//! they differ only in scheduling.
+//! Because reductions are folded rank-ordered in the [`Comm`] layer from
+//! every rank's contribution, *all* worlds produce bit-identical
+//! arithmetic; they differ only in scheduling.
 
 #![warn(missing_docs)]
 

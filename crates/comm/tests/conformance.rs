@@ -3,10 +3,13 @@
 //! All four worlds are the same matching engine under a different carrier
 //! and park policy, so one function states the contract once — healthy
 //! traffic, a diverged collective schedule, a receive from a rank that
-//! already finished, and the liveness probe — and each `#[test]` only
-//! picks the [`Backend`]. The cross-process tests pin their own name as
-//! the re-exec argv (via `reexec_scope`), so child ranks re-run exactly
-//! that test, replay the launches before theirs, and join.
+//! already finished, the liveness probe, and the in-place all-reduces
+//! held to their gather-then-fold oracle on generated payloads at
+//! R = 1..=4 — and each `#[test]` only picks the [`Backend`] (the
+//! loopback world, which is not launched, runs the property at R = 1).
+//! The cross-process tests pin their own name as the re-exec argv (via
+//! `reexec_scope`), so child ranks re-run exactly that test, replay the
+//! launches before theirs, and join.
 
 #![expect(
     clippy::expect_used,
@@ -17,7 +20,7 @@ use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
-use cgnn_comm::{reexec_scope, Backend, Comm, RankFailure};
+use cgnn_comm::{reexec_scope, Backend, Comm, LoopbackBackend, RankFailure};
 
 const WORLD: usize = 3;
 
@@ -31,6 +34,14 @@ fn healthy(comm: &Comm) -> Vec<f64> {
 
     let sum = comm.all_reduce_scalar(r + 1.0);
     assert_eq!(sum, 6.0, "1 + 2 + 3 across the world");
+    // A NaN on one rank is the max on every rank.
+    let mut max = [r, if rank == 1 { f64::NAN } else { -r }];
+    comm.all_reduce_max(&mut max);
+    assert_eq!(max[0], 2.0);
+    assert!(
+        max[1].is_nan(),
+        "rank 1's NaN vanished from the max: {max:?}"
+    );
     comm.barrier();
 
     let gathered = comm.all_gather(vec![r, r * 10.0]);
@@ -83,6 +94,118 @@ fn healthy(comm: &Comm) -> Vec<f64> {
         gathered[2][1],
         received[prev].first().copied().unwrap_or(-1.0),
     ]
+}
+
+/// SplitMix64: the property's payloads follow from the case number and
+/// the rank alone, so every transport and every re-exec'd rank draws the
+/// same ones.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A payload value, weighted towards the ones a fold can get wrong:
+    /// signed zeros, subnormals, infinities, and (`nan`) NaNs of either
+    /// sign; the rest are ordinary values of mixed sign and scale.
+    fn value(&mut self, nan: bool) -> f64 {
+        let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+        match self.below(if nan { 7 } else { 6 }) {
+            0 => sign * 0.0,
+            1 => sign * f64::from_bits(1 + self.below(1 << 52)),
+            2 => sign * f64::MIN_POSITIVE,
+            3 => sign * f64::INFINITY,
+            4 | 5 => sign * (self.below(1 << 20) as f64) * 2f64.powi(self.below(80) as i32 - 40),
+            _ => sign * f64::NAN,
+        }
+    }
+}
+
+/// The all-reduce body before it worked in place, kept as the oracle:
+/// gather every rank's buffer, then fold the parts into a buffer filled
+/// with `identity`, in rank order, with `op`.
+fn gather_then_fold(
+    comm: &Comm,
+    buf: &[f64],
+    identity: f64,
+    op: impl Fn(f64, f64) -> f64,
+) -> Vec<f64> {
+    let parts = comm.all_gather(buf.to_vec());
+    let mut out = vec![identity; buf.len()];
+    for part in &parts {
+        for (o, &p) in out.iter_mut().zip(part) {
+            *o = op(*o, p);
+        }
+    }
+    out
+}
+
+/// The max that keeps a NaN, as the max all-reduce folds.
+fn nan_max(m: f64, e: f64) -> f64 {
+    if e.is_nan() || e > m {
+        e
+    } else {
+        m
+    }
+}
+
+const REDUCE_CASES: u64 = 24;
+
+/// The property: on generated payloads, `all_reduce_sum` and
+/// `all_reduce_max` (NaNs drawn for max only) are bit-equal to
+/// [`gather_then_fold`] on every rank. A column is shared by every rank
+/// with probability 1/3, so every rank sometimes holds the same special
+/// value, −0.0 above all: folded from the identity `0.0 + -0.0` is `+0.0`,
+/// so a fold that starts from the rank's own part instead fails here.
+fn reduce_in_place(comm: &Comm) {
+    let (rank, size) = (comm.rank(), comm.size());
+    for case in 0..REDUCE_CASES {
+        let mut shared = Draw(case);
+        let mut own = Draw(case ^ ((rank as u64 + 1) << 32));
+        let len = shared.below(40) as usize;
+        let sum = |a: f64, b: f64| a + b;
+        let ops: [(&str, bool, f64, fn(f64, f64) -> f64, fn(&Comm, &mut [f64])); 2] = [
+            ("sum", false, 0.0, sum, Comm::all_reduce_sum),
+            (
+                "max",
+                true,
+                f64::NEG_INFINITY,
+                nan_max,
+                Comm::all_reduce_max,
+            ),
+        ];
+        for (name, nan, identity, op, reduce) in ops {
+            let buf: Vec<f64> = (0..len)
+                .map(|_| {
+                    let (s, o) = (shared.value(nan), own.value(nan));
+                    if shared.below(3) == 0 {
+                        s
+                    } else {
+                        o
+                    }
+                })
+                .collect();
+            let want = gather_then_fold(comm, &buf, identity, op);
+            let mut got = buf.clone();
+            reduce(comm, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{} R={size} rank {rank} case {case} {name}: {buf:?} reduced to {got:?}, want {want:?}",
+                comm.backend_label()
+            );
+        }
+    }
 }
 
 fn unwind_of(f: impl FnOnce()) -> Box<dyn Any + Send> {
@@ -180,6 +303,11 @@ fn conformance(backend: Backend) {
             std::thread::sleep(Duration::from_millis(1));
         }
     });
+
+    // 5. The in-place all-reduces against their gather-then-fold oracle.
+    for size in 1..=4 {
+        backend.launch(size, reduce_in_place);
+    }
 }
 
 fn worker_args(test_name: &str) -> [String; 4] {
@@ -189,6 +317,11 @@ fn worker_args(test_name: &str) -> [String; 4] {
         "--test-threads=1".to_string(),
         "--quiet".to_string(),
     ]
+}
+
+#[test]
+fn loopback_reduces_in_place() {
+    reduce_in_place(&LoopbackBackend::comm());
 }
 
 #[test]

@@ -3,19 +3,21 @@
 //! Each rank's tape produces the partial gradient of the consistent loss
 //! (the `1/(N_eff F_y) * dS_r/dtheta` term — see [`crate::loss`]); summing
 //! the partials across ranks yields the exact R=1 gradient (paper Eq. 3).
-//! Gradients are flattened into a single fused buffer before the all-reduce,
-//! like PyTorch DDP's gradient buckets, and that buffer is what the
-//! optimizer reads ([`cgnn_tensor::Adam::step`]).
+//! The tape writes the parameter gradients straight into one flat bucket
+//! ([`cgnn_tensor::Gradients::take_bucket`]), like PyTorch DDP's gradient
+//! buckets with gradients as bucket views; that buffer is all-reduced in
+//! place and is what the optimizer reads ([`cgnn_tensor::Adam::step`]),
+//! before it goes back to the tape for the next step.
 
 use cgnn_comm::Comm;
 use cgnn_tensor::nn::{BoundParams, ParamId, ParamSet};
 use cgnn_tensor::Gradients;
 
-/// Flatten one tape's parameter gradients into a single fused buffer in
-/// registration order (zeros for parameters the loss did not touch), so
-/// mini-batch training ([`Trainer::step_batch`](crate::Trainer::step_batch))
-/// can accumulate several backward passes before issuing **one**
-/// all-reduce per optimizer step.
+/// Copy one tape's parameter gradients into a new flat buffer in
+/// registration order (zeros for parameters the loss did not touch): for a
+/// tape `params` was bound to once since its reset, a copy of the bucket
+/// that [`Trainer::step_batch`](crate::Trainer::step_batch) takes without
+/// one ([`Gradients::take_bucket`]).
 pub fn flatten_local_gradients(
     params: &ParamSet,
     bound: &BoundParams,
@@ -23,10 +25,10 @@ pub fn flatten_local_gradients(
 ) -> Vec<f64> {
     let mut flat = Vec::with_capacity(params.num_scalars());
     for (i, t) in params.tensors().iter().enumerate() {
-        match grads.get(bound.var(ParamId(i))) {
+        match grads.param(bound.var(ParamId(i))) {
             Some(g) => {
-                debug_assert_eq!(g.shape(), t.shape(), "gradient shape mismatch");
-                flat.extend_from_slice(g.data());
+                debug_assert_eq!(g.len(), t.len(), "gradient shape mismatch");
+                flat.extend_from_slice(g);
             }
             None => flat.extend(std::iter::repeat_n(0.0, t.len())),
         }
@@ -34,9 +36,10 @@ pub fn flatten_local_gradients(
     flat
 }
 
-/// Sum-all-reduce a flattened gradient buffer (as produced by
-/// [`flatten_local_gradients`]) in place and return it. The reduction is
-/// deterministic (rank-ordered), so replicas stay bit-identical.
+/// Sum-all-reduce a flat gradient buffer (a bucket, or the copy
+/// [`flatten_local_gradients`] makes) in place and return it, no copy. The
+/// reduction is deterministic (rank-ordered), so replicas stay
+/// bit-identical.
 ///
 /// # Panics
 /// If `flat.len()` is not `params.num_scalars()`.

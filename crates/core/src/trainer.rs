@@ -7,7 +7,7 @@ use cgnn_graph::{edge_features, node_velocity_features, LocalGraph, EDGE_FEATS, 
 use cgnn_mesh::TaylorGreen;
 use cgnn_tensor::{Adam, BoundParams, Tape, Tensor, VarId};
 
-use crate::ddp::{flatten_local_gradients, reduce_flat_gradients};
+use crate::ddp::reduce_flat_gradients;
 use crate::exchange::HaloContext;
 use crate::loss::consistent_mse;
 use crate::model::{ConsistentGnn, GnnConfig};
@@ -85,6 +85,9 @@ pub struct Trainer {
     /// because evaluation entry points take `&self`; each rank owns its
     /// trainer, so the borrow is never contended.
     tape: std::cell::RefCell<Tape>,
+    /// The last step's gradient bucket, as `(address, capacity)`.
+    #[cfg(test)]
+    last_bucket: (usize, usize),
 }
 
 impl Trainer {
@@ -98,6 +101,8 @@ impl Trainer {
             opt: Adam::new(lr),
             ctx,
             tape: std::cell::RefCell::new(Tape::new()),
+            #[cfg(test)]
+            last_bucket: (0, 0),
         }
     }
 
@@ -206,6 +211,11 @@ impl Trainer {
     /// guarantees. A single-sample batch is bit-identical to
     /// [`Trainer::step`].
     ///
+    /// The first sample's gradient bucket is the step's flat gradient: the
+    /// later samples' are added into it, it is all-reduced in place, Adam
+    /// reads it, and it goes back to the tape, so a steady-state step
+    /// copies no gradient and allocates no flat buffer.
+    ///
     /// # Panics
     /// If `batch` is empty.
     pub fn step_batch(&mut self, batch: &[&RankData]) -> f64 {
@@ -221,17 +231,22 @@ impl Trainer {
             let bound = self.params.bind(&mut tape);
             let l = self.loss_graph(&mut tape, &bound, data);
             loss_sum += tape.value(l).item();
-            let grads = tape.backward(l);
-            let flat = flatten_local_gradients(&self.params, &bound, &grads);
+            let mut grads = tape.backward(l);
+            // The tape's one binding since its reset: the bucket is laid
+            // out as `flatten_local_gradients` would copy it.
+            let bucket = grads.take_bucket();
             tape.recycle(grads);
             if flat_sum.is_empty() {
-                flat_sum = flat;
+                flat_sum = bucket;
             } else {
-                for (a, g) in flat_sum.iter_mut().zip(flat) {
+                for (a, g) in flat_sum.iter_mut().zip(&bucket) {
                     *a += g;
                 }
+                tape.recycle_bucket(bucket);
             }
         }
+        // Adam updates the parameters in place once the tape lets go.
+        tape.release_params();
         self.tape = std::cell::RefCell::new(tape);
         if batch.len() > 1 {
             let inv = 1.0 / batch.len() as f64;
@@ -241,6 +256,11 @@ impl Trainer {
         }
         let reduced = reduce_flat_gradients(&self.params, flat_sum, &self.ctx.comm);
         self.opt.step(&mut self.params, &reduced);
+        #[cfg(test)]
+        {
+            self.last_bucket = (reduced.as_ptr() as usize, reduced.capacity());
+        }
+        self.tape.get_mut().recycle_bucket(reduced);
         loss_sum / batch.len() as f64
     }
 
@@ -488,6 +508,41 @@ mod tests {
                     l.to_bits(),
                     "{what}: eval_loss {eval} vs {l}"
                 );
+            });
+        }
+    }
+
+    /// In the steady state a step reuses the one gradient bucket the last
+    /// step gave back: after warm-up, consecutive steps reduce and update
+    /// from the same buffer (same address and capacity), and the parked
+    /// workspace does not change, with a prediction between steps.
+    #[test]
+    fn steps_reuse_one_gradient_bucket() {
+        let mesh = BoxMesh::tgv_cube(2, 2);
+        let field = TaylorGreen::new(0.01);
+        let graphs = build_distributed_graph(&mesh, &Partition::new(&mesh, 2, Strategy::Slab));
+        for world in [1, 2] {
+            World::run(world, |comm| {
+                let g = if world == 1 {
+                    Arc::new(build_global_graph(&mesh))
+                } else {
+                    Arc::new(graphs[comm.rank()].clone())
+                };
+                let ctx = HaloContext::new(comm.clone(), &g, HaloExchangeMode::NeighborAllToAll);
+                let mut trainer = Trainer::new(GnnConfig::small(), 9, 1e-3, ctx);
+                let data = RankData::tgv_autoencode(g, &field, 0.0);
+                trainer.step(&data);
+                trainer.predict(&data);
+                trainer.step(&data);
+                let (bucket, pooled) = (trainer.last_bucket, trainer.pooled_len());
+                assert!(bucket.1 >= trainer.params.num_scalars());
+                for step in 3..8 {
+                    trainer.predict(&data);
+                    trainer.step(&data);
+                    let what = format!("R={world} rank {} step {step}", comm.rank());
+                    assert_eq!(trainer.last_bucket, bucket, "{what}: bucket");
+                    assert_eq!(trainer.pooled_len(), pooled, "{what}: pooled");
+                }
             });
         }
     }

@@ -17,11 +17,17 @@ pub struct ParamId(pub usize);
 /// Owns all trainable tensors of a model.
 ///
 /// Modules hold [`ParamId`]s; before each forward pass the set is bound to a
-/// fresh tape with [`ParamSet::bind`], which registers every parameter as a
-/// leaf and returns the `VarId` mapping.
+/// fresh tape with [`ParamSet::bind`], which registers every parameter on
+/// it and returns the `VarId` mapping.
+///
+/// The tensors are shared with every tape they are bound to, which reads
+/// them where the set keeps them. Writing a parameter ([`ParamSet::get_mut`],
+/// [`ParamSet::tensors_mut`], [`ParamSet::register`]) is copy-on-write: in
+/// place once no tape holds them ([`Tape::reset`], [`Tape::release_params`]),
+/// onto a fresh copy otherwise, so a recording keeps the values it read.
 #[derive(Debug, Default)]
 pub struct ParamSet {
-    tensors: Vec<Tensor>,
+    tensors: Arc<Vec<Tensor>>,
     names: Vec<String>,
 }
 
@@ -32,7 +38,7 @@ impl ParamSet {
 
     /// Register a parameter tensor under a diagnostic name.
     pub fn register(&mut self, name: impl Into<String>, t: Tensor) -> ParamId {
-        self.tensors.push(t);
+        Arc::make_mut(&mut self.tensors).push(t);
         self.names.push(name.into());
         ParamId(self.tensors.len() - 1)
     }
@@ -56,7 +62,7 @@ impl ParamSet {
     }
 
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.tensors[id.0]
+        &mut Arc::make_mut(&mut self.tensors)[id.0]
     }
 
     pub fn name(&self, id: ParamId) -> &str {
@@ -68,21 +74,32 @@ impl ParamSet {
     }
 
     pub fn tensors_mut(&mut self) -> &mut [Tensor] {
-        &mut self.tensors
+        Arc::make_mut(&mut self.tensors).as_mut_slice()
     }
 
-    /// Register every parameter on `tape` as a leaf; returns the binding.
-    /// Parameter values are copied into the tape's recycled buffers, so
-    /// re-binding on a [`Tape::reset`] tape allocates nothing.
+    /// Register every parameter on `tape`, in registration order; returns
+    /// the binding. Nothing is copied: the tape reads each parameter where
+    /// this set keeps it, as [`Tape::shared_constant`] reads an input, but
+    /// a parameter takes a gradient. [`Tape::backward`] writes the
+    /// gradients into the tape's bucket, one slice per parameter in binding
+    /// order, so on a tape bound once since its reset the bucket is laid
+    /// out as [`ParamSet::flatten`] lays out the parameters
+    /// ([`Gradients::take_bucket`](crate::Gradients::take_bucket)).
+    ///
+    /// The tape holds the parameters until its next [`Tape::reset`] or
+    /// [`Tape::release_params`]; an update before then copies them first
+    /// (see [`ParamSet`]).
     pub fn bind(&self, tape: &mut Tape) -> BoundParams {
-        let ids = self.tensors.iter().map(|t| tape.leaf_copy(t)).collect();
+        let ids = (0..self.tensors.len())
+            .map(|i| tape.param(&self.tensors, i))
+            .collect();
         BoundParams { ids }
     }
 
     /// Flatten all parameters into a single vector (for checksums/tests).
     pub fn flatten(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_scalars());
-        for t in &self.tensors {
+        for t in self.tensors.iter() {
             out.extend_from_slice(t.data());
         }
         out

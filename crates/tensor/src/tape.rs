@@ -67,6 +67,22 @@
 //! post-op, a row gather is a one-part [`Tape::gather_concat`], and an
 //! input that takes no gradient is a [`Tape::shared_constant`].
 //!
+//! ## The gradient bucket
+//!
+//! Parameters are not copied onto the tape either:
+//! [`ParamSet::bind`](crate::ParamSet::bind) registers each one where its
+//! set keeps it, as a shared constant is read, but it takes a gradient.
+//! The parameters' adjoints are not tensors of their own. Each has a slice
+//! of one flat buffer, the **bucket**, in binding order: its first
+//! contribution is written there and later ones are added in order, and a
+//! parameter the loss never reached reads zero. That is the flat gradient
+//! a data-parallel step all-reduces, so nothing is gathered from per-tensor
+//! gradients. A weight gradient accumulates in its slice directly. The
+//! tape keeps its buckets apart from the pool: one is drawn per backward
+//! and comes back with the other gradients ([`Tape::recycle`]), or on its
+//! own once the caller is done with it ([`Gradients::take_bucket`],
+//! [`Tape::recycle_bucket`]), so a steady-state step reuses one bucket.
+//!
 //! ## Forward-only recordings
 //!
 //! A recording that no backward pass will follow ([`Tape::forward_only`]:
@@ -78,6 +94,8 @@
 //! released: reading it, or calling [`Tape::backward`] on a forward-only
 //! recording, panics.
 
+use std::cell::OnceCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::tensor::{elu, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor};
@@ -134,6 +152,15 @@ pub(crate) enum Op {
     /// [`Tape::shared_constant`]): no parents, no adjoint is ever computed
     /// for it, and its node's own value is empty.
     Shared(Arc<Tensor>),
+    /// Parameter `index` of a parameter set, read where the set keeps it
+    /// (see [`ParamSet::bind`](crate::ParamSet::bind)): no parents, its
+    /// node's own value is empty, and its adjoint accumulates in the
+    /// bucket slice of the tape's bound parameter `slot`.
+    Param {
+        store: Arc<Vec<Tensor>>,
+        index: usize,
+        slot: usize,
+    },
     /// `C[i, :] = b[0, :] + [X_0[i, :] | X_1[i, :] | ...] * W`, optionally
     /// passed through ELU at store time — the fused linear(+activation)
     /// layer over the column blocks of its input.
@@ -250,6 +277,12 @@ impl BufPool {
         t.copy_into(&mut out);
         out
     }
+
+    /// Number of `f64`s parked for reuse.
+    fn parked(&self) -> usize {
+        let parked = |(len, bucket): (&usize, &Bucket)| len * bucket.free.len();
+        self.by_len.iter().map(parked).sum()
+    }
 }
 
 /// Active row-masked recording region (see [`Tape::begin_row_mask`]).
@@ -272,28 +305,141 @@ struct RowMask {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: BufPool,
+    /// Gradient buckets, kept apart from the workspace pool: as many as
+    /// were out at once (one per sample of a mini-batch), parked between
+    /// steps.
+    buckets: BufPool,
     mask: Option<RowMask>,
     /// Set by [`Tape::forward_only`] until the next [`Tape::reset`].
     forward_only: bool,
+    /// The parameters bound since the last reset, in binding order: the
+    /// bucket's layout.
+    slots: Vec<Slot>,
+}
+
+/// A bound parameter's slice of the gradient bucket.
+#[derive(Clone)]
+struct Slot {
+    var: VarId,
+    at: usize,
+    rows: usize,
+    cols: usize,
+    /// A contribution has been written (set during [`Tape::backward`]).
+    reached: bool,
+}
+
+impl Slot {
+    fn range(&self) -> Range<usize> {
+        self.at..self.at + self.rows * self.cols
+    }
 }
 
 /// Gradients produced by [`Tape::backward`], indexed by [`VarId`]: one
 /// per participating leaf; every interior adjoint was released during
-/// the pass.
+/// the pass. The gradients of bound parameters sit in the bucket (see the
+/// module docs), flat in binding order.
 pub struct Gradients {
-    grads: Vec<Option<Tensor>>,
+    held: Vec<Option<Tensor>>,
+    bucket: Vec<f64>,
+    slots: Vec<Slot>,
+    /// The parameters' gradients as tensors, per slot, copied out of the
+    /// bucket by the first [`Gradients::get`] that asks for one.
+    views: OnceCell<Vec<Option<Tensor>>>,
 }
 
 impl Gradients {
     /// Gradient of the loss w.r.t. variable `id`, if it participated and
-    /// is a leaf.
+    /// is a leaf. A bound parameter's is a copy of its bucket slice, made
+    /// (for every parameter at once) the first time one is asked for;
+    /// [`Gradients::param`] reads the slice itself.
     pub fn get(&self, id: VarId) -> Option<&Tensor> {
-        self.grads.get(id.0).and_then(|g| g.as_ref())
+        match self.slot(id) {
+            Some(i) => {
+                let views = (0..self.slots.len()).map(|s| self.param_tensor(s));
+                self.views.get_or_init(|| views.collect())[i].as_ref()
+            }
+            None => self.held.get(id.0).and_then(Option::as_ref),
+        }
     }
 
-    /// Remove and return the gradient for `id`.
+    /// Remove and return the gradient for `id` (a copy of a bound
+    /// parameter's, which stays in the bucket).
     pub fn take(&mut self, id: VarId) -> Option<Tensor> {
-        self.grads.get_mut(id.0).and_then(|g| g.take())
+        match self.slot(id) {
+            Some(i) => self.param_tensor(i),
+            None => self.held.get_mut(id.0).and_then(Option::take),
+        }
+    }
+
+    /// The gradient of bound parameter `id`, where it sits in the bucket:
+    /// `None` if the loss did not reach it, `id` is not a bound parameter,
+    /// or the bucket was taken.
+    pub fn param(&self, id: VarId) -> Option<&[f64]> {
+        let s = &self.slots[self.slot(id)?];
+        (s.reached && !self.bucket.is_empty()).then(|| &self.bucket[s.range()])
+    }
+
+    /// Move the bucket out, without a copy: every bound parameter's
+    /// gradient, flat in binding order, zero where the loss did not reach
+    /// it. Give it back with [`Tape::recycle_bucket`] once consumed.
+    /// Parameters read no gradient here afterwards.
+    pub fn take_bucket(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.bucket)
+    }
+
+    fn slot(&self, id: VarId) -> Option<usize> {
+        self.slots.binary_search_by_key(&id.0, |s| s.var.0).ok()
+    }
+
+    fn param_tensor(&self, slot: usize) -> Option<Tensor> {
+        let s = &self.slots[slot];
+        let g = self.param(s.var)?;
+        Some(Tensor::from_vec(s.rows, s.cols, g.to_vec()))
+    }
+
+    /// Where the weight gradient of a dense op on weight `w` (`[rows,
+    /// cols]`) accumulates, zeroed: `w`'s bucket slice itself if `w` is a
+    /// bound parameter the loss reaches here first, else a scratch tensor
+    /// to add to its adjoint once complete. Either way the gradient has
+    /// the same bits.
+    fn weight_grad(
+        &mut self,
+        nodes: &[Node],
+        pool: &mut BufPool,
+        w: VarId,
+        rows: usize,
+        cols: usize,
+    ) -> WeightGrad {
+        if let Op::Param { slot, .. } = nodes[w.0].op {
+            let s = &mut self.slots[slot];
+            if !s.reached {
+                s.reached = true;
+                self.bucket[s.range()].fill(0.0);
+                return WeightGrad::Slice(s.range());
+            }
+        }
+        WeightGrad::Scratch(pool.zeroed(rows, cols))
+    }
+
+    /// Add one contribution to bound parameter `slot`'s gradient: the
+    /// first is written, later ones are added, in order — the bits of
+    /// summing the contributions into a tensor of its own.
+    fn add_to_param(&mut self, slot: usize, contrib: &[f64]) {
+        let s = &mut self.slots[slot];
+        let dst = &mut self.bucket[s.range()];
+        assert_eq!(
+            dst.len(),
+            contrib.len(),
+            "parameter gradient shape mismatch"
+        );
+        if s.reached {
+            for (d, &v) in dst.iter_mut().zip(contrib) {
+                *d += v;
+            }
+        } else {
+            dst.copy_from_slice(contrib);
+            s.reached = true;
+        }
     }
 }
 
@@ -308,8 +454,10 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             pool: BufPool::default(),
+            buckets: BufPool::default(),
             mask: None,
             forward_only: false,
+            slots: Vec::new(),
         }
     }
 
@@ -346,7 +494,10 @@ impl Tape {
             "release_except with an active row mask (its window is still open)"
         );
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            let interior = !matches!(node.op, Op::Leaf | Op::Shared(_) | Op::Released);
+            let interior = !matches!(
+                node.op,
+                Op::Leaf | Op::Shared(_) | Op::Param { .. } | Op::Released
+            );
             if interior && !keep.contains(&VarId(i)) {
                 let value = std::mem::replace(&mut node.value, Tensor::zeros(0, 0));
                 self.pool.put(value.into_vec());
@@ -436,18 +587,43 @@ impl Tape {
     /// output), so a reset tape replays bit-identically to a fresh one.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            if !matches!(node.op, Op::Released | Op::Shared(_)) {
+            if !matches!(node.op, Op::Released | Op::Shared(_) | Op::Param { .. }) {
                 self.pool.put(node.value.into_vec());
             }
         }
+        self.slots.clear();
         self.forward_only = false;
     }
 
-    /// Return gradient tensors to the workspace pool (the natural follow-up
-    /// to [`Tape::backward`] once the gradients have been consumed).
+    /// Return gradient tensors to the workspace pool and, unless it was
+    /// taken, the bucket to the tape's buckets (the natural follow-up to
+    /// [`Tape::backward`] once the gradients have been consumed).
     pub fn recycle(&mut self, grads: Gradients) {
-        for g in grads.grads.into_iter().flatten() {
+        for g in grads.held.into_iter().flatten() {
             self.pool.put(g.into_vec());
+        }
+        self.recycle_bucket(grads.bucket);
+    }
+
+    /// Give a bucket taken with [`Gradients::take_bucket`] back to the
+    /// tape, where the next [`Tape::backward`] of the same binding draws it
+    /// again: in the steady state every step reuses one bucket. Like the
+    /// pool, the tape keeps only as many buckets of a length as it handed
+    /// out.
+    pub fn recycle_bucket(&mut self, bucket: Vec<f64>) {
+        self.buckets.put(bucket);
+    }
+
+    /// Drop the tape's references to the parameters bound since its reset,
+    /// so that their [`ParamSet`](crate::ParamSet) updates them in place
+    /// rather than copying them on write. The gradients already taken are
+    /// unaffected; reading a released parameter's value panics, as reading
+    /// any released value does.
+    pub fn release_params(&mut self) {
+        for node in &mut self.nodes {
+            if matches!(node.op, Op::Param { .. }) {
+                node.op = Op::Released;
+            }
         }
     }
 
@@ -476,19 +652,20 @@ impl Tape {
 
     /// Number of `f64`s parked in the workspace pool, i.e. held for reuse
     /// and not part of any recorded value or outstanding gradient. Flat
-    /// from step to step once the pool has seen one full step.
+    /// from step to step once the pool has seen one full step. A parked
+    /// gradient bucket is not in the pool ([`Tape::held_len`] counts it).
     pub fn pooled_len(&self) -> usize {
-        let parked = |(len, bucket): (&usize, &Bucket)| len * bucket.free.len();
-        self.pool.by_len.iter().map(parked).sum()
+        self.pool.parked()
     }
 
     /// Number of `f64`s this tape holds: every recorded value not
-    /// released, plus [`Tape::pooled_len`]. On a fresh tape, at the end of
-    /// a recording, this is the recording's working set. A
-    /// [`Tape::shared_constant`] is its owner's, not the tape's.
+    /// released, plus [`Tape::pooled_len`], plus its parked gradient
+    /// buckets. On a fresh tape, at the end of a recording, this is the
+    /// recording's working set. A [`Tape::shared_constant`] or a bound
+    /// parameter is its owner's, not the tape's.
     pub fn held_len(&self) -> usize {
         let values: usize = self.nodes.iter().map(|n| n.value.len()).sum();
-        values + self.pooled_len()
+        values + self.pooled_len() + self.buckets.parked()
     }
 
     /// Mutable access to a recorded value — the completion hook of the
@@ -498,12 +675,13 @@ impl Tape {
     /// affected rows.
     ///
     /// # Panics
-    /// If the value was released, or is a [`Tape::shared_constant`].
+    /// If the value was released, or is a [`Tape::shared_constant`] or a
+    /// bound parameter.
     pub fn value_mut(&mut self, id: VarId) -> &mut Tensor {
         assert_live(&self.nodes, id);
         assert!(
-            !matches!(self.nodes[id.0].op, Op::Shared(_)),
-            "tape value {} is a shared constant and cannot be mutated",
+            !matches!(self.nodes[id.0].op, Op::Shared(_) | Op::Param { .. }),
+            "tape value {} is shared with its owner and cannot be mutated",
             id.0
         );
         &mut self.nodes[id.0].value
@@ -537,6 +715,26 @@ impl Tape {
     /// the input recorded as a leaf.
     pub fn shared_constant(&mut self, t: Arc<Tensor>) -> VarId {
         self.push(Tensor::zeros(0, 0), Op::Shared(t))
+    }
+
+    /// Record parameter `index` of `store` where the store keeps it, with
+    /// the next slice of the gradient bucket (the body of
+    /// [`ParamSet::bind`](crate::ParamSet::bind)).
+    pub(crate) fn param(&mut self, store: &Arc<Vec<Tensor>>, index: usize) -> VarId {
+        let t = &store[index];
+        self.slots.push(Slot {
+            var: VarId(self.nodes.len()),
+            at: self.slots.last().map_or(0, |s| s.range().end),
+            rows: t.rows(),
+            cols: t.cols(),
+            reached: false,
+        });
+        let op = Op::Param {
+            store: Arc::clone(store),
+            index,
+            slot: self.slots.len() - 1,
+        };
+        self.push(Tensor::zeros(0, 0), op)
     }
 
     /// Fused linear layer `x * w + b` (`b` is a `[1, out]` row broadcast
@@ -888,11 +1086,12 @@ impl Tape {
     /// Run reverse-mode accumulation from scalar variable `root`.
     ///
     /// The adjoint of `root` is seeded with 1. Returns the gradients of
-    /// the participating leaves ([`Tape::shared_constant`] inputs take none).
-    /// An interior adjoint lives only from its first contribution until
-    /// its node has been propagated, then goes back to the buffer pool, so
-    /// the next scratch tensor of its length reuses it. Gradient tensors
-    /// draw from the tape's buffer pool; hand them back with
+    /// the participating leaves ([`Tape::shared_constant`] inputs take none),
+    /// the bound parameters' in the bucket. An interior adjoint lives only
+    /// from its first contribution until its node has been propagated,
+    /// then goes back to the buffer pool, so the next scratch tensor of
+    /// its length reuses it. Gradient tensors draw from the tape's buffer
+    /// pool and the bucket from its buckets; hand them back with
     /// [`Tape::recycle`] once consumed to keep steady-state steps
     /// allocation-free.
     ///
@@ -913,22 +1112,38 @@ impl Tape {
             (1, 1),
             "backward root must be a scalar"
         );
-        let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[root.0] = Some(self.pool.scalar(1.0));
+        let len = self.slots.last().map_or(0, |s| s.range().end);
+        let mut bucket = self.buckets.take(len);
+        bucket.resize(len, 0.0);
+        let mut grads = Gradients {
+            held: (0..self.nodes.len()).map(|_| None).collect(),
+            bucket,
+            slots: self.slots.clone(),
+            views: OnceCell::new(),
+        };
+        grads.held[root.0] = Some(self.pool.scalar(1.0));
 
         let Tape { nodes, pool, .. } = self;
         let nodes: &[Node] = nodes;
         for (i, node) in nodes.iter().enumerate().rev() {
-            let Some(g) = grads[i].take() else {
+            let Some(g) = grads.held[i].take() else {
                 continue;
             };
-            if matches!(node.op, Op::Leaf) {
-                grads[i] = Some(g);
-            } else {
-                accumulate(nodes, pool, &mut grads, node, g);
+            match node.op {
+                Op::Leaf => grads.held[i] = Some(g),
+                Op::Param { slot, .. } => {
+                    grads.add_to_param(slot, g.data());
+                    pool.put(g.into_vec());
+                }
+                _ => accumulate(nodes, pool, &mut grads, node, g),
             }
         }
-        Gradients { grads }
+        // A parameter the loss never reached reads zero.
+        let Gradients { bucket, slots, .. } = &mut grads;
+        for s in slots.iter().filter(|s| !s.reached) {
+            bucket[s.range()].fill(0.0);
+        }
+        grads
     }
 }
 
@@ -938,6 +1153,7 @@ fn value(nodes: &[Node], id: VarId) -> &Tensor {
     assert_live(nodes, id);
     match &nodes[id.0].op {
         Op::Shared(t) => t,
+        Op::Param { store, index, .. } => &store[*index],
         _ => &nodes[id.0].value,
     }
 }
@@ -957,27 +1173,27 @@ fn assert_live(nodes: &[Node], id: VarId) {
 fn accumulate(
     nodes: &[Node],
     pool: &mut BufPool,
-    grads: &mut [Option<Tensor>],
+    grads: &mut Gradients,
     node: &Node,
     mut g: Tensor,
 ) {
     // Constants take no adjoint: the ops below skip the products that
     // would only feed one, and `add` drops whatever else reaches one.
+    // A bound parameter's contribution goes into its bucket slice.
     let wants = |id: VarId| !matches!(nodes[id.0].op, Op::Shared(_));
-    let add = |grads: &mut [Option<Tensor>], id: VarId, contrib: Tensor, pool: &mut BufPool| {
-        match &mut grads[id.0] {
-            _ if !wants(id) => pool.put(contrib.into_vec()),
-            Some(acc) => {
-                acc.add_assign(&contrib);
-                pool.put(contrib.into_vec());
-            }
-            slot @ None => *slot = Some(contrib),
+    let add = |grads: &mut Gradients, id: VarId, contrib: Tensor, pool: &mut BufPool| {
+        match (&nodes[id.0].op, &mut grads.held[id.0]) {
+            (Op::Shared(_), _) => {}
+            (Op::Param { slot, .. }, _) => grads.add_to_param(*slot, contrib.data()),
+            (_, Some(acc)) => acc.add_assign(&contrib),
+            (_, slot @ None) => return *slot = Some(contrib),
         }
+        pool.put(contrib.into_vec());
     };
     // A dense layer's input block, once its adjoint has streamed: the
     // adjoint goes to the block's variable (`g` itself if it was written
     // over it), the block's `wᵀ` back to the pool.
-    let finish = |grads: &mut [Option<Tensor>],
+    let finish = |grads: &mut Gradients,
                   id: VarId,
                   adjoint: Option<(Tensor, Dest)>,
                   g: &mut Option<Tensor>,
@@ -997,7 +1213,7 @@ fn accumulate(
     // bits as it would from two copies. Every other op only reads `g`, or
     // writes a parent's adjoint over it and passes it on.
     match &node.op {
-        Op::Leaf | Op::Shared(_) | Op::Released => {}
+        Op::Leaf | Op::Shared(_) | Op::Param { .. } | Op::Released => {}
         Op::Add(a, b) => {
             add(grads, *a, pool.copy_of(&g), pool);
             return add(grads, *b, g, pool);
@@ -1013,7 +1229,7 @@ fn accumulate(
         Op::Linear { x, w, b, elu } => {
             let vw = value(nodes, *w);
             let (rows, h) = g.shape();
-            let mut gw = pool.zeroed(vw.rows(), h);
+            let mut gw = grads.weight_grad(nodes, pool, *w, vw.rows(), h);
             let mut plan = AdjointPlan {
                 nodes,
                 w: vw.data(),
@@ -1023,11 +1239,11 @@ fn accumulate(
             };
             // The blocks own consecutive row blocks of `w`, in order.
             let mut row = 0;
-            let mut block = |id: VarId, grads: &mut [Option<Tensor>], pool: &mut BufPool| {
+            let mut block = |id: VarId, grads: &mut Gradients, pool: &mut BufPool| {
                 let k = value(nodes, id).cols();
                 let w_rows = row * h..(row + k) * h;
                 row += k;
-                plan.block(grads, pool, id, w_rows, true)
+                plan.block(&mut grads.held, pool, id, w_rows, true)
             };
             let mut one: [InputBlock; 1];
             let mut many: Vec<InputBlock>;
@@ -1039,12 +1255,14 @@ fn accumulate(
                 &mut many
             };
             let y = elu.then_some(&node.value);
-            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data_mut(), |_, _, _| {});
+            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data(grads), |_, _, _| {});
             let mut g = Some(g);
             for blk in blocks {
                 finish(grads, blk.id, blk.adjoint.take(), &mut g, pool);
             }
-            add(grads, *w, gw, pool);
+            if let WeightGrad::Scratch(gw) = gw {
+                add(grads, *w, gw, pool);
+            }
             add(grads, *b, gb, pool);
             if let Some(g) = g {
                 pool.put(g.into_vec());
@@ -1089,7 +1307,7 @@ fn accumulate(
             let vw = value(nodes, *w);
             let (rows, h) = g.shape();
             // Every part owns its own row block of the one weight gradient.
-            let mut gw = pool.zeroed(vw.rows(), h);
+            let mut gw = grads.weight_grad(nodes, pool, *w, vw.rows(), h);
             // The streamed part (if any) takes its adjoint row block by row
             // block, as `linear` does — added into its source's adjoint
             // unless an earlier part adds to that source first; a gathered
@@ -1108,7 +1326,7 @@ fn accumulate(
                 .find(|(_, (p, _))| p.idx.is_none())
                 .map(|(i, (p, w_rows))| {
                     let may_add = parts[..i].iter().all(|q| q.src != p.src);
-                    plan.block(grads, pool, p.src, w_rows, may_add)
+                    plan.block(&mut grads.held, pool, p.src, w_rows, may_add)
                 });
             let mut sums: Vec<Option<Tensor>> = parts
                 .iter()
@@ -1119,7 +1337,7 @@ fn accumulate(
                 .collect();
             let y = Some(&node.value);
             let blocks = streamed.as_mut_slice();
-            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data_mut(), |r0, nr, t| {
+            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data(grads), |r0, nr, t| {
                 for (p, s) in parts.iter().zip(sums.iter_mut()) {
                     if let (Some(idx), Some(s)) = (&p.idx, s) {
                         scatter_add_block(t, &idx[r0..r0 + nr], s);
@@ -1139,11 +1357,13 @@ fn accumulate(
                     let gx = times_transposed(pool, &s, &vw.data()[block.clone()], p.cols);
                     add(grads, p.src, gx, pool);
                 }
-                let gwp = &mut gw.data_mut()[block];
+                let gwp = &mut gw.data(grads)[block];
                 gemm_tn(x.data(), s.data(), gwp, x.rows(), p.cols, h);
                 pool.put(s.into_vec());
             }
-            add(grads, *w, gw, pool);
+            if let WeightGrad::Scratch(gw) = gw {
+                add(grads, *w, gw, pool);
+            }
             add(grads, *b, gb, pool);
             if let Some(g) = g {
                 pool.put(g.into_vec());
@@ -1152,11 +1372,17 @@ fn accumulate(
         }
         // One closure per case, so the weighted adjoint has no
         // per-element branch on the weights.
-        Op::ScatterAdd(a, w, idx) => match w {
-            _ if !wants(*a) => {}
-            Some(w) => add_gathered_rows(grads, pool, *a, &g, idx, |i, v| w[i] * v),
-            None => add_gathered_rows(grads, pool, *a, &g, idx, |_, v| v),
-        },
+        Op::ScatterAdd(a, w, idx) => {
+            let acc = grads.held[a.0].as_mut();
+            let fresh = match w {
+                _ if !wants(*a) => None,
+                Some(w) => add_gathered_rows(acc, pool, &g, idx, |i, v| w[i] * v),
+                None => add_gathered_rows(acc, pool, &g, idx, |_, v| v),
+            };
+            if let Some(contrib) = fresh {
+                add(grads, *a, contrib, pool);
+            }
+        }
         Op::LayerNorm {
             x,
             res,
@@ -1239,32 +1465,35 @@ fn accumulate(
     pool.put(g.into_vec());
 }
 
-/// Add the rows of `g` gathered by `idx`, row `i` mapped by `f(i, value)`
-/// elementwise, to `a`'s adjoint: in place into the adjoint `a` already
-/// has, or as a fresh one. Each element is `acc + f(i, v)`, the bits of
-/// adding the materialized contribution.
+/// The rows of `g` gathered by `idx`, row `i` mapped by `f(i, value)`
+/// elementwise, as an adjoint contribution: added in place into `acc`,
+/// the adjoint its variable already holds, or returned as a fresh tensor.
+/// Each element is `acc + f(i, v)`, the bits of adding the materialized
+/// contribution.
 fn add_gathered_rows(
-    grads: &mut [Option<Tensor>],
+    acc: Option<&mut Tensor>,
     pool: &mut BufPool,
-    a: VarId,
     g: &Tensor,
     idx: &[usize],
     f: impl Fn(usize, f64) -> f64,
-) {
-    match &mut grads[a.0] {
-        Some(acc) => g.gather_rows_with(idx, acc, |i, o_row, src| {
-            for (o, &v) in o_row.iter_mut().zip(src) {
-                *o += f(i, v);
-            }
-        }),
-        slot @ None => {
+) -> Option<Tensor> {
+    match acc {
+        Some(acc) => {
+            g.gather_rows_with(idx, acc, |i, o_row, src| {
+                for (o, &v) in o_row.iter_mut().zip(src) {
+                    *o += f(i, v);
+                }
+            });
+            None
+        }
+        None => {
             let mut contrib = pool.uninit(idx.len(), g.cols());
             g.gather_rows_with(idx, &mut contrib, |i, o_row, src| {
                 for (o, &v) in o_row.iter_mut().zip(src) {
                     *o = f(i, v);
                 }
             });
-            *slot = Some(contrib);
+            Some(contrib)
         }
     }
 }
@@ -1483,6 +1712,24 @@ fn weight_blocks(
         *row += p.cols;
         Some((p, block))
     })
+}
+
+/// Where a dense op's weight gradient accumulates
+/// ([`Gradients::weight_grad`]).
+enum WeightGrad {
+    /// The weight's bucket slice.
+    Slice(Range<usize>),
+    /// A scratch tensor, added to the weight's adjoint once complete.
+    Scratch(Tensor),
+}
+
+impl WeightGrad {
+    fn data<'a>(&'a mut self, grads: &'a mut Gradients) -> &'a mut [f64] {
+        match self {
+            WeightGrad::Slice(range) => &mut grads.bucket[range.clone()],
+            WeightGrad::Scratch(t) => t.data_mut(),
+        }
+    }
 }
 
 /// Where [`dense_adjoint`] puts an input block's adjoint.
@@ -1901,6 +2148,7 @@ fn zip_map(pool: &mut BufPool, a: &Tensor, b: &Tensor, f: impl Fn(f64, f64) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::ParamSet;
 
     #[test]
     fn gather_then_scatter_gradients() {
@@ -2251,6 +2499,138 @@ mod tests {
         let (mut tape, [.., y]) = released_chain(true);
         let s = tape.sum(y);
         tape.backward(s);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One graph recorded twice, its parameters bound from a `ParamSet` or
+    /// copied onto the tape as leaves: the loss and every gradient have
+    /// the same bits, and the bucket is the leaf gradients in registration
+    /// order. `w` and `b` are read by two linears and `b` again by
+    /// `gather_linear` (later contributions add into the bucket slice the
+    /// first wrote), `w2` by `gather_linear` alone, gamma and beta by the
+    /// layer norm, and `unused` by nothing: its slice reads zero.
+    #[test]
+    fn bound_parameters_take_the_bits_of_leaf_gradients() {
+        let wave = |k: usize| move |r: usize, c: usize| ((r * 5 + c + k) as f64 * 0.37).sin();
+        let mut params = ParamSet::new();
+        for (name, rows, cols) in [
+            ("w", 3, 3),
+            ("b", 1, 3),
+            ("w2", 6, 3),
+            ("unused", 2, 2),
+            ("gamma", 1, 3),
+            ("beta", 1, 3),
+        ] {
+            let k = params.len();
+            params.register(name, Tensor::from_fn(rows, cols, wave(k)));
+        }
+        let x = Arc::new(Tensor::from_fn(5, 3, wave(9)));
+        let src = Arc::new(vec![4usize, 0, 2, 2, 1, 3, 0]);
+        let dst = Arc::new(vec![0usize, 1, 1, 4, 3, 2, 2]);
+        let record = |tape: &mut Tape, p: &[VarId]| {
+            let xv = tape.shared_constant(Arc::clone(&x));
+            let h = tape.linear_elu(xv, p[0], p[1]);
+            let h = tape.linear(h, p[0], p[1]);
+            let parts = [(h, Some(Arc::clone(&src))), (xv, Some(Arc::clone(&dst)))];
+            let e = tape.gather_linear(&parts, p[2], p[1]);
+            let n = tape.layer_norm(e, p[4], p[5], 1e-5);
+            let sq = tape.mul(n, n);
+            tape.sum(sq)
+        };
+        let mut bound_tape = Tape::new();
+        let bound = params.bind(&mut bound_tape);
+        let l = record(&mut bound_tape, bound.vars());
+        let mut leaf_tape = Tape::new();
+        let leaves: Vec<VarId> = params
+            .tensors()
+            .iter()
+            .map(|t| leaf_tape.leaf_copy(t))
+            .collect();
+        let l2 = record(&mut leaf_tape, &leaves);
+        // Binding copied nothing onto the tape.
+        assert_eq!(
+            leaf_tape.held_len() - bound_tape.held_len(),
+            params.num_scalars()
+        );
+
+        let mut grads = bound_tape.backward(l);
+        let want = leaf_tape.backward(l2);
+        assert_eq!(
+            bound_tape.value(l).item().to_bits(),
+            leaf_tape.value(l2).item().to_bits()
+        );
+        let mut flat = Vec::new();
+        for (i, t) in params.tensors().iter().enumerate() {
+            let (got, leaf) = (grads.get(bound.vars()[i]), want.get(leaves[i]));
+            assert_eq!(
+                got.map(|g| bits(g.data())),
+                leaf.map(|g| bits(g.data())),
+                "{i}"
+            );
+            assert_eq!(grads.param(bound.vars()[i]), leaf.map(Tensor::data), "{i}");
+            match leaf {
+                Some(g) => flat.extend_from_slice(g.data()),
+                None => flat.extend(std::iter::repeat_n(0.0, t.len())),
+            }
+        }
+        assert!(grads.get(bound.vars()[3]).is_none(), "unused parameter");
+        assert_eq!(bits(&grads.take_bucket()), bits(&flat));
+    }
+
+    /// Writing a parameter while a tape reads it leaves the tape's value
+    /// alone (copy on write); once the tape lets go, it is written in
+    /// place.
+    #[test]
+    fn bound_parameters_are_copied_only_on_a_write_under_a_tape() {
+        let mut params = ParamSet::new();
+        let w = params.register("w", Tensor::from_vec(1, 2, vec![1.0, 2.0]));
+        let mut tape = Tape::new();
+        let bound = params.bind(&mut tape);
+        let shared = params.get(w).data().as_ptr();
+        params.get_mut(w).data_mut()[0] = 5.0;
+        assert_ne!(
+            params.get(w).data().as_ptr(),
+            shared,
+            "written under the tape"
+        );
+        assert_eq!(tape.value(bound.var(w)).data(), &[1.0, 2.0]);
+
+        for release in [Tape::reset, Tape::release_params] {
+            params.bind(&mut tape);
+            release(&mut tape);
+            let owned = params.get(w).data().as_ptr();
+            params.get_mut(w).data_mut()[1] += 1.0;
+            assert_eq!(params.get(w).data().as_ptr(), owned, "copied after release");
+        }
+        assert_eq!(params.get(w).data(), &[5.0, 4.0]);
+    }
+
+    /// A bucket given back to the tape is the one the next backward of the
+    /// same binding hands out: same address, same capacity.
+    #[test]
+    fn a_recycled_bucket_is_drawn_again() {
+        let mut params = ParamSet::new();
+        params.register("w", Tensor::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1));
+        params.register("b", Tensor::zeros(1, 3));
+        let mut tape = Tape::new();
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            tape.reset();
+            let bound = params.bind(&mut tape);
+            let x = tape.leaf(Tensor::from_fn(6, 4, |r, c| ((r * 4 + c) as f64).cos()));
+            let y = tape.linear_elu(x, bound.vars()[0], bound.vars()[1]);
+            let s = tape.sum(y);
+            let mut grads = tape.backward(s);
+            let bucket = grads.take_bucket();
+            assert_eq!(bucket.len(), params.num_scalars());
+            seen.push((bucket.as_ptr(), bucket.capacity()));
+            tape.recycle(grads);
+            tape.recycle_bucket(bucket);
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
     }
 
     #[test]
