@@ -62,8 +62,8 @@ fn main() {
          - beyond the paper: Coal-AG (one fused all-gather per exchange)\n\
            tracks N-A2A at small rank counts but collapses like a ring —\n\
            its replicated buffers price the latency/bandwidth trade\n\
-         - beyond the paper: Ovl-SR (non-blocking isend/irecv, posted before\n\
-           waiting) dominates blocking N-A2A — the machine model's overlap\n\
+         - beyond the paper: Ovl-SR (every send and non-blocking irecv posted\n\
+           before waiting) dominates blocking N-A2A — the machine model's overlap\n\
            fraction of its transfer time hides behind the node MLP"
     );
     write_json("fig8", &Json::Arr(out));

@@ -8,8 +8,10 @@
 //!
 //! * a [`Carrier`] — "hand this [`Frame`] to peer `p`". In memory that is
 //!   a direct `dispatch` into the destination rank's mailbox; across
-//!   processes it is the writer/reader threads of the `wire` module over
-//!   a `UnixStream` or `TcpStream`. A world of one rank has no carrier.
+//!   processes it is the `wire` module's stream carrier over a
+//!   `UnixStream` or `TcpStream`: the posting thread writes the frame,
+//!   and one reader thread per peer decodes arrivals. A world of one
+//!   rank has no carrier.
 //! * a [`Park`] policy — what a rank does while a wait cannot complete:
 //!   sleep on the mailbox condvar for at most one heartbeat
 //!   ([`Heartbeat`]), or yield the serial scheduler's baton.
@@ -24,6 +26,24 @@
 //! and a label that differs from this rank's own is a diverged schedule,
 //! failed loudly as a `collective mismatch`. Point-to-point matching is
 //! [`PostQueue`]: post `k` claims arrival `k`.
+//!
+//! # Sends do not wait on the peer's program
+//!
+//! Every post — a send, a collective round's frames, `Bye`, `Dead` —
+//! hands its frame to the carrier on the posting thread. In memory that
+//! is one `dispatch`. Over a stream the posting thread writes the frame
+//! itself and blocks while the peer's socket buffer is full, yet it
+//! cannot deadlock, for two reasons:
+//!
+//! * a send can wait only for the peer's reader thread, and that thread
+//!   never waits on its rank's program: it reads, decodes, and takes the
+//!   mailbox lock for one `dispatch`;
+//! * no post runs while the mailbox lock is held, so a rank blocked in a
+//!   send never holds the lock its own reader needs to drain what the
+//!   peer is sending it meanwhile.
+//!
+//! So ranks may post every send before any receive (the Send-Recv and
+//! Ovl-SR exchanges do), however large the frames.
 //!
 //! # Liveness
 //!
@@ -46,7 +66,6 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -92,10 +111,9 @@ impl Frame {
 
 /// How frames reach a peer's mailbox.
 pub(crate) trait Carrier: Send + Sync {
-    /// Hand `frame` to rank `dst` without blocking; frames to one peer
-    /// arrive in the order they were handed over. `done`, when given, is
-    /// dropped once the payload has left this rank (or never will).
-    fn deliver(&self, dst: usize, frame: Frame, done: Option<SendDone>);
+    /// Hand `frame` to rank `dst` without waiting on `dst`'s program;
+    /// frames to one peer arrive in the order they were handed over.
+    fn deliver(&self, dst: usize, frame: Frame);
 }
 
 /// What a rank does while a wait on its mailbox cannot complete.
@@ -303,15 +321,11 @@ impl Mailbox {
     }
 }
 
-/// Completion token of a non-blocking send: the carrier drops it once the
-/// payload has left this rank, which disconnects the send's receiver.
-pub(crate) type SendDone = Sender<()>;
-
 /// The in-memory carrier: every rank's mailbox is one `Arc` away.
 struct Memory(Vec<Arc<Mailbox>>);
 
 impl Carrier for Memory {
-    fn deliver(&self, dst: usize, frame: Frame, _done: Option<SendDone>) {
+    fn deliver(&self, dst: usize, frame: Frame) {
         self.0[dst].dispatch(frame.src as usize, frame);
     }
 }
@@ -376,15 +390,7 @@ impl Engine {
         clippy::expect_used,
         reason = "only peers are posted to, and a one-rank world has none; `# Panics` says so"
     )]
-    fn post(
-        &self,
-        dst: usize,
-        kind: u8,
-        tag: u64,
-        label: &'static str,
-        data: Vec<f64>,
-        done: Option<SendDone>,
-    ) {
+    fn post(&self, dst: usize, kind: u8, tag: u64, label: &'static str, data: Vec<f64>) {
         let frame = Frame {
             kind,
             src: self.mailbox.rank as u32,
@@ -395,7 +401,7 @@ impl Engine {
         self.carrier
             .as_ref()
             .expect("no peers in a single-rank world")
-            .deliver(dst, frame, done);
+            .deliver(dst, frame);
     }
 
     fn others(&self) -> impl Iterator<Item = usize> + '_ {
@@ -457,7 +463,7 @@ impl Engine {
     ) {
         self.strike();
         for p in self.others() {
-            self.post(p, KIND_COLLECTIVE, 0, label, payload(p), None);
+            self.post(p, KIND_COLLECTIVE, 0, label, payload(p));
         }
         let me = self.mailbox.rank;
         for p in self.others() {
@@ -498,21 +504,10 @@ impl Engine {
         recv
     }
 
-    /// Buffered point-to-point send; never blocks.
+    /// Point-to-point send; returns without waiting on `dst`'s program.
     pub(crate) fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
         self.strike();
-        self.post(dst, KIND_P2P, tag as u64, "", data, None);
-    }
-
-    /// Begin a non-blocking send. The returned receiver disconnects once
-    /// the carrier drops the send's [`SendDone`]: at once over the
-    /// in-memory carrier, after the writer thread has handed the frame to
-    /// the OS over a stream.
-    pub(crate) fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> Receiver<()> {
-        self.strike();
-        let (done, gone) = channel();
-        self.post(dst, KIND_P2P, tag as u64, "", data, Some(done));
-        gone
+        self.post(dst, KIND_P2P, tag as u64, "", data);
     }
 
     /// Post a receive for the next unmatched message from `src`; returns
@@ -545,7 +540,7 @@ impl Engine {
             self.mark_dead();
         } else {
             for p in self.others() {
-                self.post(p, KIND_BYE, 0, "", Vec::new(), None);
+                self.post(p, KIND_BYE, 0, "", Vec::new());
             }
         }
         self.mailbox.park.rank_finished(self.mailbox.rank);
@@ -556,7 +551,7 @@ impl Engine {
         // This rank's own slot in its own table holds its own status.
         self.mailbox.lock()[self.mailbox.rank].status = PeerStatus::Dead;
         for p in self.others() {
-            self.post(p, KIND_DEAD, self.mailbox.rank as u64, "", Vec::new(), None);
+            self.post(p, KIND_DEAD, self.mailbox.rank as u64, "", Vec::new());
         }
     }
 

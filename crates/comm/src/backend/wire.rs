@@ -5,11 +5,13 @@
 //! [`Backend::Socket`](crate::Backend::Socket) (TCP) reduce to the same
 //! shape once the `proc` module's handshake has produced a full mesh of
 //! connections.
-//! [`StreamCarrier`] runs that mesh for the `engine` module: a per-peer
-//! writer thread drains an unbounded job queue (so `send` stays
-//! buffered-and-non-blocking even when OS socket buffers fill), and a
-//! per-peer reader thread decodes frames and `dispatch`es them into this
-//! rank's mailbox. Matching, collectives and liveness are the engine's.
+//! [`StreamCarrier`] runs that mesh for the `engine` module with one
+//! thread per peer: a reader that decodes frames and `dispatch`es them
+//! into this rank's mailbox. A frame is written to the peer's stream on
+//! the thread that posts it, under a per-peer lock; when the socket
+//! buffer is full the write waits for the peer's reader, which never
+//! waits on its rank's program (see the `engine` module docs). Matching,
+//! collectives and liveness are the engine's.
 //!
 //! # Wire format
 //!
@@ -30,11 +32,10 @@
 //! which marks the peer dead.
 
 use std::io::{self, Read, Write};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::backend::engine::{Carrier, Frame, Mailbox, SendDone, KIND_BYE};
+use crate::backend::engine::{Carrier, Frame, Mailbox, KIND_BYE};
 
 /// FNV-1a-64 offset basis (the `CGNC` checkpoint-container discipline).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -206,27 +207,22 @@ impl Conn {
     }
 }
 
-enum WriteJob {
-    Frame(Frame, Option<SendDone>),
-    Shutdown,
-}
-
-/// One rank's end of an established full mesh: owns the reader and writer
-/// threads until [`StreamCarrier::teardown`].
+/// One rank's end of an established full mesh: writes each frame on the
+/// thread that posts it, and owns one reader thread per peer until
+/// [`StreamCarrier::teardown`].
 pub(crate) struct StreamCarrier {
-    writers: Vec<Option<Sender<WriteJob>>>,
-    /// `(writer, reader)` thread handles, taken by teardown.
-    threads: Mutex<(
-        Vec<std::thread::JoinHandle<()>>,
-        Vec<std::thread::JoinHandle<()>>,
-    )>,
+    mailbox: Arc<Mailbox>,
+    /// Per peer, the write half of its link, under the lock every send to
+    /// it takes; `None` at this rank and once a write to the peer failed.
+    writers: Vec<Mutex<Option<Box<dyn Write + Send>>>>,
+    /// Reader thread handles, taken by teardown.
+    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     conns: Vec<Option<Conn>>,
 }
 
 impl StreamCarrier {
     /// Wire an established mesh (`conns[p]` for every peer `p`, `None` at
-    /// this rank) to `mailbox`: spawns one reader and one writer thread
-    /// per peer.
+    /// this rank) to `mailbox`: spawns one reader thread per peer.
     pub(crate) fn start(
         mailbox: &Arc<Mailbox>,
         conns: Vec<Option<Conn>>,
@@ -236,48 +232,37 @@ impl StreamCarrier {
             .map(|c| c.as_ref().map(Conn::split).transpose())
             .collect::<io::Result<Vec<_>>>()?;
         let mut writers = Vec::with_capacity(conns.len());
-        let mut writer_threads = Vec::new();
-        let mut reader_threads = Vec::new();
+        let mut readers = Vec::new();
         for (p, half) in halves.into_iter().enumerate() {
             let Some((reader, writer)) = half else {
-                writers.push(None);
+                writers.push(Mutex::new(None));
                 continue;
             };
             assert_ne!(p, mailbox.rank(), "no connection to self");
-            let (tx, rx) = channel();
-            writers.push(Some(tx));
+            writers.push(Mutex::new(Some(writer)));
             let mb = Arc::clone(mailbox);
-            reader_threads.push(std::thread::spawn(move || reader_loop(&mb, p, reader)));
-            let mb = Arc::clone(mailbox);
-            writer_threads.push(std::thread::spawn(move || writer_loop(&mb, p, writer, rx)));
+            readers.push(std::thread::spawn(move || reader_loop(&mb, p, reader)));
         }
         Ok(Arc::new(StreamCarrier {
+            mailbox: Arc::clone(mailbox),
             writers,
-            threads: Mutex::new((writer_threads, reader_threads)),
+            readers: Mutex::new(readers),
             conns,
         }))
     }
 
-    /// Flush and stop the writer threads, close the connections, and join
-    /// the readers. Called by the launcher after the rank closure (and
-    /// its finish hook) has run; the world is unusable afterwards.
+    /// Close the connections and join the readers. Called by the launcher
+    /// after the rank closure (and its finish hook, whose `Bye` or `Dead`
+    /// frames are written by then) has run; the world is unusable
+    /// afterwards.
     pub(crate) fn teardown(&self) {
-        for tx in self.writers.iter().flatten() {
-            let _ = tx.send(WriteJob::Shutdown);
-        }
-        let (writers, readers) =
-            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
-        // Join the writers first: that guarantees every queued frame
-        // (Bye / Dead included) is flushed to the wire before the
-        // sockets close under the peers' readers.
-        for t in writers {
-            let _ = t.join();
-        }
         // Closing both directions unblocks any reader parked in read()
         // on a peer that never hangs up.
         for conn in self.conns.iter().flatten() {
             conn.shutdown();
         }
+        let readers =
+            std::mem::take(&mut *self.readers.lock().unwrap_or_else(PoisonError::into_inner));
         for t in readers {
             let _ = t.join();
         }
@@ -285,20 +270,25 @@ impl StreamCarrier {
 }
 
 impl Carrier for StreamCarrier {
-    /// Queue a frame to `dst`. Never blocks: the writer thread owns the
-    /// actual socket write.
-    #[expect(
-        clippy::expect_used,
-        reason = "the engine posts only to peers, and their writers live until teardown"
-    )]
-    fn deliver(&self, dst: usize, frame: Frame, done: Option<SendDone>) {
-        let tx = self.writers[dst]
-            .as_ref()
-            .expect("posting to self or to a torn-down world");
-        // A writer that is already gone (teardown raced a late send)
-        // hands the job back: the payload cannot leave, and dropping it
-        // with its token means nobody hangs on it either.
-        let _ = tx.send(WriteJob::Frame(frame, done));
+    /// Write a frame to `dst`'s stream on the calling thread. It waits at
+    /// most for `dst`'s reader thread to drain the socket. The first
+    /// failed write drops the peer's writer and reports the link as hung
+    /// up; later frames to that peer go nowhere.
+    fn deliver(&self, dst: usize, frame: Frame) {
+        assert_ne!(
+            dst,
+            self.mailbox.rank(),
+            "a stream carrier has no link to self"
+        );
+        let mut writer = self.writers[dst]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some(w) = writer.as_mut() else { return };
+        if write_frame(w, &frame).is_err() {
+            *writer = None;
+            drop(writer);
+            self.mailbox.hangup(dst, false);
+        }
     }
 }
 
@@ -327,23 +317,11 @@ fn reader_loop(mailbox: &Mailbox, peer: usize, r: Box<dyn Read + Send>) {
     }
 }
 
-fn writer_loop(mailbox: &Mailbox, peer: usize, w: Box<dyn Write + Send>, rx: Receiver<WriteJob>) {
-    let mut w = io::BufWriter::new(w);
-    while let Ok(WriteJob::Frame(frame, done)) = rx.recv() {
-        let res = write_frame(&mut w, &frame).and_then(|_| w.flush());
-        drop(done);
-        if res.is_err() {
-            // Returning drops the queue, and with it the token of every
-            // send still waiting in it.
-            return mailbox.hangup(peer, false);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::engine::{KIND_COLLECTIVE, KIND_P2P};
+    use crate::backend::engine::{Engine, Heartbeat, KIND_COLLECTIVE, KIND_P2P};
+    use crate::fault::FaultPlan;
 
     #[test]
     fn frame_round_trips_bit_exactly() {
@@ -427,5 +405,34 @@ mod tests {
         let err = read_frame(&mut r).expect_err("a truncated payload must not decode");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(r.largest <= PAYLOAD_CHUNK, "asked for {} bytes", r.largest);
+    }
+
+    /// A failed write kills the link once: the first frame to a peer that
+    /// stopped reading marks it dead and drops its writer, and a later
+    /// frame to it returns at once, without an error or a panic.
+    #[test]
+    fn a_failed_write_kills_the_link_once() {
+        let (near, far) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        // The far end stops reading but stays open, so only a write can
+        // fail: this rank's reader stays parked instead of seeing EOF.
+        far.shutdown(std::net::Shutdown::Read)
+            .expect("shut the far reads");
+        let mailbox = Mailbox::new(0, 2, Arc::new(Heartbeat));
+        let carrier =
+            StreamCarrier::start(&mailbox, vec![None, Some(Conn::Uds(near))]).expect("carrier");
+        let engine = Engine::new("proc", mailbox, None, &FaultPlan::new(), 0);
+        assert!(engine.dead_ranks().is_empty(), "the link starts alive");
+
+        carrier.deliver(1, Frame::control(KIND_P2P, 0, 0));
+        assert_eq!(
+            engine.dead_ranks(),
+            vec![1],
+            "the failed write kills the peer"
+        );
+        assert!(carrier.writers[1].lock().expect("writer lock").is_none());
+
+        carrier.deliver(1, Frame::control(KIND_P2P, 0, 1));
+        assert_eq!(engine.dead_ranks(), vec![1]);
+        carrier.teardown();
     }
 }

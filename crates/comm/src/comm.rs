@@ -5,8 +5,13 @@
 //! and tag checking live here — once — while the engine supplies raw
 //! transport primitives. Swapping transports therefore cannot change
 //! arithmetic: every backend is bit-identical by construction.
+//!
+//! There is one send, [`Comm::send`]: it hands the payload to the
+//! transport and returns without waiting on the receiving rank's
+//! program, so posting every send before any receive (Send-Recv,
+//! Ovl-SR) cannot deadlock. Receives come blocking ([`Comm::recv`]) or
+//! split ([`Comm::irecv`] and [`RecvRequest::wait`]).
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use crate::backend::engine::Engine;
@@ -209,7 +214,10 @@ impl Comm {
         self.engine.all_to_all(send)
     }
 
-    /// Point-to-point send (buffered, never blocks).
+    /// Point-to-point send. Returns without waiting on `dst`'s program:
+    /// in memory the payload lands in `dst`'s mailbox at once; over a
+    /// stream it is written on this thread, which waits at most for
+    /// `dst`'s reader thread to drain the socket.
     ///
     /// # Panics
     /// If `dst` is not a rank of this world.
@@ -228,19 +236,6 @@ impl Comm {
     /// not `tag`.
     pub fn recv(&self, src: usize, tag: u32) -> Vec<f64> {
         self.irecv(src, tag).wait()
-    }
-
-    /// Begin a non-blocking send: the payload is handed to the transport
-    /// and a wait-able [`SendRequest`] is returned. In memory the request
-    /// completes at once; over a stream it completes once the writer
-    /// thread has handed the frame to the OS.
-    ///
-    /// # Panics
-    /// If `dst` is not a rank of this world.
-    pub fn isend(&self, dst: usize, tag: u32, data: Vec<f64>) -> SendRequest {
-        assert!(dst < self.size(), "isend to invalid rank {dst}");
-        self.count_send(&data);
-        SendRequest(self.engine.isend(dst, tag, data))
     }
 
     /// Post a non-blocking receive for the next unmatched message from
@@ -308,19 +303,6 @@ fn nan_max(m: f64, e: f64) -> f64 {
         e
     } else {
         m
-    }
-}
-
-/// Wait-able handle to an in-flight non-blocking send (see
-/// [`Comm::isend`]).
-pub struct SendRequest(Receiver<()>);
-
-impl SendRequest {
-    /// Block until the transport owns the payload.
-    pub fn wait(self) {
-        // Nothing is ever sent: this returns when the carrier drops the
-        // send's completion token.
-        let _ = self.0.recv();
     }
 }
 
@@ -507,15 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn isend_irecv_ring_completes() {
+    fn send_irecv_ring_completes() {
         for out in on_every_backend(5, |comm| {
             let next = (comm.rank() + 1) % 5;
             let prev = (comm.rank() + 4) % 5;
-            let send = comm.isend(next, 3, vec![comm.rank() as f64; 4]);
+            comm.send(next, 3, vec![comm.rank() as f64; 4]);
             let recv = comm.irecv(prev, 3);
-            let got = recv.wait();
-            send.wait();
-            got
+            recv.wait()
         }) {
             for (rank, v) in out.iter().enumerate() {
                 assert_eq!(v, &vec![((rank + 4) % 5) as f64; 4]);

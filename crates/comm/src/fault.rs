@@ -292,7 +292,7 @@ mod tests {
     }
 
     /// One of every comm op on a 2-rank world: barrier, both all-reduces,
-    /// all-gather, all-to-all, send, isend/wait and irecv/wait.
+    /// all-gather, all-to-all, two sends, recv and irecv/wait.
     fn mixed_sequence(comm: &Comm) -> StatsSnapshot {
         let other = 1 - comm.rank();
         comm.barrier();
@@ -301,7 +301,7 @@ mod tests {
         comm.all_gather(vec![1.0]);
         comm.all_to_all(vec![vec![1.0]; 2]);
         comm.send(other, 1, vec![1.0]);
-        comm.isend(other, 2, vec![2.0]).wait();
+        comm.send(other, 2, vec![2.0]);
         comm.recv(other, 1);
         comm.irecv(other, 2).wait();
         comm.stats_snapshot()

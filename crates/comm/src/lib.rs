@@ -14,9 +14,11 @@
 //! * `all_reduce` (consistent loss Eq. 6 and DDP gradient reduction),
 //! * `all_to_all` with optionally-empty buffers (the A2A and Neighbor-A2A
 //!   halo exchange implementations),
-//! * point-to-point `send`/`recv` (the custom Send-Recv halo exchange),
-//! * non-blocking `isend`/`irecv` returning wait-able [`SendRequest`] /
-//!   [`RecvRequest`] handles (the overlapped halo exchange).
+//! * point-to-point `send`/`recv` (the custom Send-Recv halo exchange);
+//!   a send returns without waiting on the receiving rank's program,
+//! * non-blocking `irecv` returning a wait-able [`RecvRequest`] handle
+//!   (the overlapped halo exchange posts every send and receive before
+//!   it waits).
 //!
 //! Underneath, one matching engine serves every world: a per-rank
 //! mailbox with FIFO-per-peer arrival queues, a single blocking wait, and
@@ -60,6 +62,6 @@ pub mod stats;
 pub use backend::loopback::LoopbackBackend;
 pub use backend::proc::{reexec_scope, ReexecScope};
 pub use backend::Backend;
-pub use comm::{Comm, RecvRequest, SendRequest, World};
+pub use comm::{Comm, RecvRequest, World};
 pub use fault::{Fault, FaultPlan, RankFailure};
 pub use stats::StatsSnapshot;

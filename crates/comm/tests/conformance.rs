@@ -3,10 +3,11 @@
 //! All four worlds are the same matching engine under a different carrier
 //! and park policy, so one function states the contract once — healthy
 //! traffic, a diverged collective schedule, a receive from a rank that
-//! already finished, the liveness probe, and the in-place all-reduces
+//! already finished, the liveness probe, the in-place all-reduces
 //! held to their gather-then-fold oracle on generated payloads at
-//! R = 1..=4 — and each `#[test]` only picks the [`Backend`] (the
-//! loopback world, which is not launched, runs the property at R = 1).
+//! R = 1..=4, and oversized traffic both ways — and each `#[test]` only
+//! picks the [`Backend`] (the loopback world, which is not launched, runs
+//! the property at R = 1).
 //! The cross-process tests pin their own name as the re-exec argv (via
 //! `reexec_scope`), so child ranks re-run exactly that test, replay the
 //! launches before theirs, and join.
@@ -74,13 +75,12 @@ fn healthy(comm: &Comm) -> Vec<f64> {
     comm.stats_reset();
     let next = (rank + 1) % size;
     let prev = (rank + size - 1) % size;
-    let isend = comm.isend(next, 7, vec![r, 1.0]);
+    comm.send(next, 7, vec![r, 1.0]);
     comm.send(next, 8, vec![r, 2.0]);
     let first = comm.irecv(prev, 7);
     let second = comm.irecv(prev, 8);
     let tagged8 = second.wait();
     let tagged7 = first.wait();
-    isend.wait();
     assert_eq!(tagged7, vec![prev as f64, 1.0]);
     assert_eq!(tagged8, vec![prev as f64, 2.0]);
 
@@ -208,6 +208,51 @@ fn reduce_in_place(comm: &Comm) {
     }
 }
 
+/// Frames every rank sends each peer in [`oversized`]: at least two per
+/// direction, or a send made under the mailbox lock gets through.
+const BIG_FRAMES: usize = 4;
+/// Elements of one 2 MiB frame.
+const BIG_LEN: usize = (2 << 20) / 8;
+
+/// Frame `k` from `src` to `dst` in [`oversized`], `len` elements long,
+/// every element distinct.
+fn big_frame(src: usize, dst: usize, k: usize, len: usize) -> Vec<f64> {
+    let base = (((src * WORLD + dst) * (BIG_FRAMES + 1) + k) * len) as f64;
+    (0..len).map(|i| base + i as f64).collect()
+}
+
+/// Oversized traffic both ways: every rank sends each peer
+/// [`BIG_FRAMES`] frames of 2 MiB, far more than a socket buffers, before
+/// it receives any; then an all-to-all of 1 MiB per peer. A send that
+/// waited on the peer's program, or one posted while its rank holds the
+/// mailbox lock the peer's reader needs, hangs here.
+fn oversized(comm: &Comm) {
+    let (rank, size) = (comm.rank(), comm.size());
+    let peers = || (0..size).filter(move |&p| p != rank);
+    for dst in peers() {
+        for k in 0..BIG_FRAMES {
+            comm.send(dst, k as u32, big_frame(rank, dst, k, BIG_LEN));
+        }
+    }
+    for src in peers() {
+        for k in 0..BIG_FRAMES {
+            let got = comm.recv(src, k as u32);
+            let ok = got == big_frame(src, rank, k, BIG_LEN);
+            assert!(ok, "rank {rank}: frame {k} from {src} arrived changed");
+        }
+    }
+    let send = (0..size)
+        .map(|dst| big_frame(rank, dst, BIG_FRAMES, BIG_LEN / 2))
+        .collect();
+    for (src, got) in comm.all_to_all(send).into_iter().enumerate() {
+        let ok = got == big_frame(src, rank, BIG_FRAMES, BIG_LEN / 2);
+        assert!(
+            ok,
+            "rank {rank}: all_to_all part from {src} arrived changed"
+        );
+    }
+}
+
 fn unwind_of(f: impl FnOnce()) -> Box<dyn Any + Send> {
     std::panic::catch_unwind(AssertUnwindSafe(f)).expect_err("the world must unwind")
 }
@@ -308,6 +353,9 @@ fn conformance(backend: Backend) {
     for size in 1..=4 {
         backend.launch(size, reduce_in_place);
     }
+
+    // 6. Oversized traffic both ways.
+    backend.launch(WORLD, oversized);
 }
 
 fn worker_args(test_name: &str) -> [String; 4] {

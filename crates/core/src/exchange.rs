@@ -20,9 +20,11 @@
 //! * `Send-Recv` — explicit point-to-point messages: every send and
 //!   receive posted, then completed at once,
 //! * `Ovl-SR` — **new, beyond the paper**: the very same point-to-point
-//!   plan, split in two. [`HaloContext::begin`] posts every
-//!   `isend`/`irecv` and returns; the NMP layer runs the interior-node MLP
-//!   in the window before [`PendingExchange::finish`]. Send-Recv is this
+//!   plan, split in two. [`HaloContext::begin`] makes every `send` (a
+//!   send returns without waiting on the neighbour's program), posts
+//!   every `irecv` and returns; the NMP layer runs the interior-node MLP
+//!   in the window before [`PendingExchange::finish`] waits on the
+//!   receives. Send-Recv is this
 //!   plan with nothing in the window, so the two are bit-identical by
 //!   construction; `cgnn-perf` prices the hidden fraction of the transfer
 //!   time through the machine model's overlap fraction,
@@ -48,7 +50,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use cgnn_comm::{Comm, RecvRequest, SendRequest};
+use cgnn_comm::{Comm, RecvRequest};
 use cgnn_graph::LocalGraph;
 use cgnn_tensor::Tensor;
 
@@ -79,8 +81,8 @@ pub enum HaloExchangeMode {
     /// Fused-buffer exchange: all neighbour payloads coalesced into one
     /// buffer, shipped with a single all-gather collective.
     Coalesced,
-    /// Send-Recv rebuilt on non-blocking `isend`/`irecv`: all sends and
-    /// receives posted before any wait, exposing a compute-overlap window.
+    /// Send-Recv split in two: every send and non-blocking receive
+    /// posted before any wait, exposing a compute-overlap window.
     Overlapped,
 }
 
@@ -404,8 +406,8 @@ fn peer_offsets(comm: &Comm, graph: &LocalGraph) -> Arc<[usize]> {
         .collect()
 }
 
-/// An in-flight point-to-point halo exchange: every isend/irecv posted,
-/// none completed.
+/// An in-flight point-to-point halo exchange: every send made and every
+/// receive posted, none completed.
 ///
 /// Between construction ([`HaloContext::begin`]) and
 /// [`PendingExchange::finish`] lies the **overlap window** — the stretch
@@ -415,32 +417,27 @@ fn peer_offsets(comm: &Comm, graph: &LocalGraph) -> Arc<[usize]> {
 /// order — and therefore every bit of the result — is the same however
 /// long the window was.
 pub struct PendingExchange {
-    sends: Vec<SendRequest>,
     recvs: Vec<RecvRequest>,
 }
 
 impl PendingExchange {
-    /// Point-to-point transfer, first half: post every neighbour send
-    /// without blocking, then every receive before waiting on any.
+    /// Point-to-point transfer, first half: send to every neighbour (a
+    /// send never waits on the neighbour's program), then post every
+    /// receive before waiting on any.
     fn post(a: &Tensor, graph: &LocalGraph, comm: &Comm) -> PendingExchange {
-        let neighbors = graph.halo.neighbors.iter();
-        let sends = neighbors
-            .clone()
-            .enumerate()
-            .map(|(ni, &s)| comm.isend(s, HALO_TAG, pack(a, graph, ni..ni + 1, 0)))
-            .collect();
-        let recvs = neighbors.map(|&s| comm.irecv(s, HALO_TAG)).collect();
-        PendingExchange { sends, recvs }
+        let neighbors = &graph.halo.neighbors;
+        for (ni, &s) in neighbors.iter().enumerate() {
+            comm.send(s, HALO_TAG, pack(a, graph, ni..ni + 1, 0));
+        }
+        let recvs = neighbors.iter().map(|&s| comm.irecv(s, HALO_TAG)).collect();
+        PendingExchange { recvs }
     }
 
-    /// Wait for all receives (in posted neighbour order), accumulate them
-    /// into the shared rows of `out` (Eq. 4d), and drain the send handles.
-    /// Interior rows of `out` are untouched.
+    /// Wait for all receives (in posted neighbour order) and accumulate
+    /// them into the shared rows of `out` (Eq. 4d). Interior rows of `out`
+    /// are untouched.
     pub fn finish(self, out: &mut Tensor, graph: &LocalGraph) {
         let recvs: Vec<Vec<f64>> = self.recvs.into_iter().map(RecvRequest::wait).collect();
-        for send in self.sends {
-            send.wait();
-        }
         accumulate_halos(out, graph, |ni, _| recvs[ni].as_slice());
     }
 }

@@ -182,8 +182,8 @@ impl ConsistentMpLayer {
     /// ([`HaloContext::begin`], i.e. `Ovl-SR`), stages
     /// (3)–(5) are restructured for **true compute/communication overlap**:
     /// the node MLP of the *interior* rows (which the exchange cannot
-    /// touch) executes between posting the isends/irecvs and waiting on
-    /// them, and only the *boundary* rows wait for the halos. Every kernel
+    /// touch) executes between posting the sends/irecvs and waiting on
+    /// the receives, and only the *boundary* rows wait for the halos. Every kernel
     /// involved is row-local, so the reassembled output is bit-identical
     /// to the blocking Send-Recv schedule.
     pub fn forward(

@@ -117,9 +117,9 @@ pub fn neighbor_all_to_all_time(
 }
 
 /// Exposed (non-hidden) time of one overlapped neighbour exchange
-/// (`Ovl-SR`): the Send-Recv schedule rebuilt on non-blocking
-/// `isend`/`irecv`, with a fraction `overlap_fraction` of the *transfer*
-/// time hidden behind independent compute.
+/// (`Ovl-SR`): the Send-Recv schedule with every send and non-blocking
+/// receive posted before any wait, and a fraction `overlap_fraction` of
+/// the *transfer* time hidden behind independent compute.
 ///
 /// Posting costs cannot be hidden — the CPU/GPU still has to inject one
 /// message per neighbour plus the collective-entry overhead — so the model

@@ -86,8 +86,8 @@ fn main() {
          - A2A sends 7 buffers per exchange (everyone), N-A2A only to real neighbours\n\
          - Send-Recv shows up under `sends`; Coal-AG ships one fused all-gather\n\
            per exchange whose buffer is replicated to all ranks\n\
-         - Ovl-SR ships the same bytes as Send-Recv but through the non-blocking\n\
-           isend/irecv API (post all, wait later) — the schedule cgnn-perf prices\n\
+         - Ovl-SR ships the same bytes as Send-Recv but posts every send and\n\
+           non-blocking irecv before it waits — the schedule cgnn-perf prices\n\
            with a compute-overlap discount\n\
          - sends == recvs on every rank: traffic accounting is symmetric\n\
          - `predicted B` is 8x the per-exchange traffic the halo context\n\

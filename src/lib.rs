@@ -41,9 +41,7 @@ pub use cgnn_tensor as tensor;
 /// and epoch training, the mesh and field generators, partitioning, the
 /// halo exchange modes, the trainer, and the traffic counters.
 pub mod prelude {
-    pub use cgnn_comm::{
-        Backend, Comm, FaultPlan, RankFailure, RecvRequest, SendRequest, StatsSnapshot, World,
-    };
+    pub use cgnn_comm::{Backend, Comm, FaultPlan, RankFailure, RecvRequest, StatsSnapshot, World};
     pub use cgnn_core::{
         halo_exchange_apply, ConsistentGnn, EpochReport, EpochSchedule, ExchangeTraffic, GnnConfig,
         HaloContext, HaloExchangeMode, RankData, Trainer,
