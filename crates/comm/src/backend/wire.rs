@@ -18,10 +18,20 @@
 //! Every frame is `CGNW` magic, a kind byte, `src` (u32 LE), `tag` (u64
 //! LE; the p2p tag or dead-rank id), a length-prefixed UTF-8 label
 //! (collective label or rendezvous address table), a length-prefixed LE
-//! `f64` payload, and a trailing FNV-1a-64 digest over everything before
-//! it — the same hashing discipline as the `CGNC` checkpoint container in
-//! `cgnn-tensor::serialize`, so a truncated or corrupted stream fails
-//! loudly instead of deserializing garbage.
+//! `f64` payload, and a trailing 8-byte digest over everything before it,
+//! so a truncated or corrupted stream fails loudly instead of
+//! deserializing garbage.
+//!
+//! The digest is FNV-1a-64 over the bytes up to and including the payload
+//! count, as the `CGNC` checkpoint container hashes all of its bytes.
+//! The payload is hashed a word at a time: each `f64`'s 64 bits are
+//! xor-multiplied (FNV-1a with a word for a byte) into lane `i % 4` of
+//! four independent lanes, inside the loops that convert the payload to
+//! bytes and back, so hashing costs no pass of its own and four multiply
+//! chains run side by side instead of one per byte. The four lanes' bytes
+//! are then FNV-1a-folded into the header's state, in lane order. Each
+//! step of either hash is a bijection of its state, so any change confined
+//! to one byte, or one word, always changes the digest.
 //!
 //! # Liveness
 //!
@@ -48,9 +58,12 @@ const MAGIC: [u8; 4] = *b"CGNW";
 const MAX_FRAME_ELEMS: u64 = 1 << 26;
 /// Bound on label bytes.
 const MAX_LABEL_BYTES: u64 = 1 << 16;
-/// Payload bytes asked of the stream per read: the payload buffer grows
-/// with the bytes that arrived, never ahead of them from the length field.
+/// Payload bytes asked of the stream per read: the payload grows with
+/// the bytes that arrived, never ahead of them from the length field.
 const PAYLOAD_CHUNK: usize = 64 * 1024;
+// Every chunk but the last holds whole groups of four words, so a chunk
+// starts at lane 0.
+const _: () = assert!(PAYLOAD_CHUNK.is_multiple_of(32));
 
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -60,9 +73,26 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// Serialize one frame with its trailing digest.
-pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32 + frame.label.len() + frame.data.len() * 8);
+/// The payload's four digest lanes before its first word (see the module
+/// docs).
+const LANES: [u64; 4] = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+
+/// One word into one lane: FNV-1a with a 64-bit word for a byte.
+#[inline]
+fn fnv1a_word(lane: &mut u64, word: u64) {
+    *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+}
+
+/// The frame's digest: the lanes' bytes folded into the header's byte
+/// state.
+fn fold_lanes(state: u64, lanes: &[u64; 4]) -> u64 {
+    lanes.iter().fold(state, |s, l| fnv1a(s, &l.to_le_bytes()))
+}
+
+/// Serialize one frame with its trailing digest into `buf`, replacing
+/// what it held.
+fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
+    buf.clear();
     buf.extend_from_slice(&MAGIC);
     buf.push(frame.kind);
     buf.extend_from_slice(&frame.src.to_le_bytes());
@@ -70,11 +100,24 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf.extend_from_slice(&(frame.label.len() as u32).to_le_bytes());
     buf.extend_from_slice(frame.label.as_bytes());
     buf.extend_from_slice(&(frame.data.len() as u64).to_le_bytes());
-    for v in &frame.data {
-        buf.extend_from_slice(&v.to_le_bytes());
+    let state = fnv1a(FNV_OFFSET, buf);
+    let at = buf.len();
+    buf.resize(at + frame.data.len() * 8, 0);
+    let mut lanes = LANES;
+    for (words, out) in frame.data.chunks(4).zip(buf[at..].chunks_mut(32)) {
+        for ((lane, v), o) in lanes.iter_mut().zip(words).zip(out.chunks_exact_mut(8)) {
+            let word = v.to_bits();
+            fnv1a_word(lane, word);
+            o.copy_from_slice(&word.to_le_bytes());
+        }
     }
-    let digest = fnv1a(FNV_OFFSET, &buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
+    buf.extend_from_slice(&fold_lanes(state, &lanes).to_le_bytes());
+}
+
+/// Serialize one frame with its trailing digest.
+pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(frame, &mut buf);
     buf
 }
 
@@ -96,12 +139,28 @@ fn corrupt(what: &str) -> io::Error {
 /// Read one frame from a stream. `Ok(None)` is a clean EOF at a frame
 /// boundary; anything else that fails to parse or checksum is an error.
 fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
+    read_frame_with(r, &mut Vec::new())
+}
+
+/// [`read_frame`] with `chunk` as the payload's byte buffer, kept by the
+/// caller from frame to frame: each chunk of at most [`PAYLOAD_CHUNK`]
+/// bytes is read into it and converted (and hashed) into the frame's
+/// payload as it arrives.
+fn read_frame_with<R: Read>(r: &mut R, chunk: &mut Vec<u8>) -> io::Result<Option<Frame>> {
     let mut magic = [0u8; 4];
-    match r.read_exact(&mut magic) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    // Only an EOF before the first byte is at a frame boundary: one inside
+    // the magic is a truncated frame.
+    let first = loop {
+        match r.read(&mut magic) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut magic[first..])?;
     if magic != MAGIC {
         return Err(corrupt("bad magic"));
     }
@@ -126,20 +185,28 @@ fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
     if count > MAX_FRAME_ELEMS {
         return Err(corrupt("implausible payload length"));
     }
-    let len = count as usize * 8;
-    let mut payload = Vec::with_capacity(len.min(PAYLOAD_CHUNK));
-    while payload.len() < len {
-        let start = payload.len();
-        payload.resize(len.min(start + PAYLOAD_CHUNK), 0);
-        read_exact_hashed(r, &mut payload[start..], &mut state)?;
+    let count = count as usize;
+    let mut data = Vec::new();
+    let mut lanes = LANES;
+    while data.len() < count {
+        let n = (8 * (count - data.len())).min(PAYLOAD_CHUNK);
+        if chunk.len() < n {
+            chunk.resize(n, 0);
+        }
+        let bytes = &mut chunk[..n];
+        r.read_exact(bytes)?;
+        data.reserve(n / 8);
+        for group in bytes.chunks(32) {
+            for (lane, b) in lanes.iter_mut().zip(group.chunks_exact(8)) {
+                let word = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+                fnv1a_word(lane, word);
+                data.push(f64::from_bits(word));
+            }
+        }
     }
-    let data = payload
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect();
     let mut digest_bytes = [0u8; 8];
     r.read_exact(&mut digest_bytes)?;
-    if u64::from_le_bytes(digest_bytes) != state {
+    if u64::from_le_bytes(digest_bytes) != fold_lanes(state, &lanes) {
         return Err(corrupt("checksum mismatch"));
     }
     Ok(Some(Frame {
@@ -207,6 +274,13 @@ impl Conn {
     }
 }
 
+/// The write half of a peer link and the buffer each frame to the peer
+/// is encoded into, kept from frame to frame.
+struct Writer {
+    stream: Box<dyn Write + Send>,
+    frame: Vec<u8>,
+}
+
 /// One rank's end of an established full mesh: writes each frame on the
 /// thread that posts it, and owns one reader thread per peer until
 /// [`StreamCarrier::teardown`].
@@ -214,7 +288,7 @@ pub(crate) struct StreamCarrier {
     mailbox: Arc<Mailbox>,
     /// Per peer, the write half of its link, under the lock every send to
     /// it takes; `None` at this rank and once a write to the peer failed.
-    writers: Vec<Mutex<Option<Box<dyn Write + Send>>>>,
+    writers: Vec<Mutex<Option<Writer>>>,
     /// Reader thread handles, taken by teardown.
     readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     conns: Vec<Option<Conn>>,
@@ -239,7 +313,10 @@ impl StreamCarrier {
                 continue;
             };
             assert_ne!(p, mailbox.rank(), "no connection to self");
-            writers.push(Mutex::new(Some(writer)));
+            writers.push(Mutex::new(Some(Writer {
+                stream: writer,
+                frame: Vec::new(),
+            })));
             let mb = Arc::clone(mailbox);
             readers.push(std::thread::spawn(move || reader_loop(&mb, p, reader)));
         }
@@ -284,7 +361,8 @@ impl Carrier for StreamCarrier {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let Some(w) = writer.as_mut() else { return };
-        if write_frame(w, &frame).is_err() {
+        encode_into(&frame, &mut w.frame);
+        if w.stream.write_all(&w.frame).is_err() {
             *writer = None;
             drop(writer);
             self.mailbox.hangup(dst, false);
@@ -297,8 +375,9 @@ fn reader_loop(mailbox: &Mailbox, peer: usize, r: Box<dyn Read + Send>) {
     // one each. Only the carrier buffers: the handshake's unbuffered
     // `Conn::read` cannot have swallowed the first carrier frame.
     let mut r = io::BufReader::new(r);
+    let mut chunk = Vec::new();
     loop {
-        match read_frame(&mut r) {
+        match read_frame_with(&mut r, &mut chunk) {
             Ok(Some(frame)) => {
                 let bye = frame.kind == KIND_BYE;
                 mailbox.dispatch(peer, frame);
@@ -366,6 +445,56 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = read_frame(&mut &bytes[..]).expect_err("flipped bit must not decode");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A collective frame with a label and eleven payload words: two
+    /// whole lane groups and a ragged third.
+    fn labelled_frame() -> Frame {
+        Frame {
+            kind: KIND_COLLECTIVE,
+            src: 2,
+            tag: 9,
+            label: "all_reduce_sum".into(),
+            data: (0..11).map(|i| (i as f64 * 0.37).sin() * 1e3).collect(),
+        }
+    }
+
+    /// Every single-byte change of an encoded frame — each bit flipped, and
+    /// the whole byte inverted — and every truncation of it fails as an
+    /// error: none decodes to a frame. (An empty stream is a clean EOF.)
+    #[test]
+    fn every_byte_flip_and_truncation_fails() {
+        let bytes = encode_frame(&labelled_frame());
+        for at in 0..bytes.len() {
+            for flip in [1, 2, 4, 8, 16, 32, 64, 128, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] ^= flip;
+                let got = read_frame(&mut &bad[..]);
+                assert!(got.is_err(), "byte {at} ^ {flip:#x}: {got:?}");
+            }
+        }
+        for len in 1..bytes.len() {
+            let got = read_frame(&mut &bytes[..len]);
+            assert!(got.is_err(), "truncated to {len} bytes: {got:?}");
+        }
+    }
+
+    /// Swapping two payload words fails the digest, whether they sit in
+    /// neighbouring lanes or four apart in the same lane.
+    #[test]
+    fn swapped_payload_words_fail_the_digest() {
+        let frame = labelled_frame();
+        let bytes = encode_frame(&frame);
+        let payload_at = 4 + 1 + 4 + 8 + 4 + frame.label.len() + 8;
+        for (i, j) in [(0, 1), (3, 4), (9, 10), (0, 4), (2, 6), (6, 10)] {
+            let mut bad = bytes.clone();
+            let (wi, wj) = (payload_at + 8 * i, payload_at + 8 * j);
+            let word_i: [u8; 8] = bad[wi..wi + 8].try_into().expect("a word");
+            bad.copy_within(wj..wj + 8, wi);
+            bad[wj..wj + 8].copy_from_slice(&word_i);
+            let err = read_frame(&mut &bad[..]).expect_err("swapped words must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "words {i} and {j}");
+        }
     }
 
     #[test]

@@ -516,4 +516,75 @@ mod tests {
             });
         }
     }
+
+    /// What the overlap window's row mask costs at one `train_r2_wire`
+    /// rank: one layer's node-MLP forward (small model) on rank 0 of the
+    /// `(2,6,6)` slab partition, recorded whole and under the window's mask
+    /// (the interior rows, then the boundary backfill), alternately, 4 000
+    /// times each. Prints the medians for docs/PERFORMANCE.md; the two
+    /// recordings have the same bits.
+    #[test]
+    #[ignore = "probe: cargo test --release -p cgnn-core masked_node_mlp_cost -- --ignored --nocapture"]
+    fn masked_node_mlp_cost() {
+        use crate::model::GnnConfig;
+        let l = 2.0 * std::f64::consts::PI;
+        let mesh = BoxMesh::new((2, 6, 6), 2, (l, l, l), false);
+        let part = Partition::new(&mesh, 2, Strategy::Slab);
+        let graph = build_distributed_graph(&mesh, &part).swap_remove(0);
+        let config = GnnConfig::small();
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let layer = ConsistentMpLayer::new(
+            &mut params,
+            "mp",
+            config.hidden,
+            config.mlp_hidden,
+            &mut rng,
+        );
+        let (n, h) = (graph.n_local(), config.hidden);
+        let input = |k: f64| Arc::new(Tensor::from_fn(n, h, |r, c| ((r * h + c) as f64 * k).sin()));
+        let (a, x) = (input(0.37), input(0.61));
+        let mut tape = Tape::new();
+        let mut record = |masked: bool| {
+            tape.reset();
+            let bound = params.bind(&mut tape);
+            let (av, xv) = (
+                tape.shared_constant(Arc::clone(&a)),
+                tape.shared_constant(Arc::clone(&x)),
+            );
+            let t0 = std::time::Instant::now();
+            if masked {
+                tape.begin_row_mask(Arc::clone(&graph.interior_rows));
+            }
+            let y = layer
+                .node_mlp
+                .forward_blocks(&mut tape, &bound, &[av, xv], Some(xv));
+            if masked {
+                tape.end_row_mask(&graph.boundary_rows);
+            }
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            let bits: Vec<u64> = tape.value(y).data().iter().map(|v| v.to_bits()).collect();
+            (us, bits)
+        };
+        let mut times = [Vec::new(), Vec::new()];
+        let want = record(false).1;
+        for _ in 0..4000 {
+            for masked in [false, true] {
+                let (us, bits) = record(masked);
+                assert!(bits == want, "masked {masked}");
+                times[masked as usize].push(us);
+            }
+        }
+        let [whole, masked] = times.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        });
+        println!(
+            "{n} rows ({} interior, {} boundary), h = {h}: node-MLP forward {whole:.1} us \
+             whole, {masked:.1} us masked ({:.2}x)",
+            graph.interior_rows.len(),
+            graph.boundary_rows.len(),
+            masked / whole
+        );
+    }
 }

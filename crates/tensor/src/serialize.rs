@@ -13,7 +13,10 @@
 //!   state — step count u64, moment count u32, and the first/second moment
 //!   tensors (rows u64, cols u64, f64 data each), then a trailing
 //!   FNV-1a-64 checksum of every preceding byte. Restoring both makes a
-//!   resumed run **bit-identical** to the uninterrupted one.
+//!   resumed run **bit-identical** to the uninterrupted one. The checksum
+//!   stays byte-serial FNV-1a, unlike the word-lane digest of `cgnn-comm`'s
+//!   `CGNW` frames: these bytes are an on-disk format that saved
+//!   checkpoints already carry, and a save or load is off the step's path.
 //!
 //! Corruption is a *typed* failure, never a panic: a truncated file
 //! surfaces as `UnexpectedEof`, a flipped bit as a checksum mismatch

@@ -315,6 +315,11 @@ pub struct Tape {
     /// The parameters bound since the last reset, in binding order: the
     /// bucket's layout.
     slots: Vec<Slot>,
+    /// [`Tape::backward`]'s per-node adjoint slots (empty) and its copy of
+    /// the bucket layout, as [`Tape::recycle`] gave them back: cleared
+    /// between passes, not freed.
+    spare_held: Vec<Option<Tensor>>,
+    spare_slots: Vec<Slot>,
 }
 
 /// A bound parameter's slice of the gradient bucket.
@@ -458,6 +463,8 @@ impl Tape {
             mask: None,
             forward_only: false,
             slots: Vec::new(),
+            spare_held: Vec::new(),
+            spare_slots: Vec::new(),
         }
     }
 
@@ -548,7 +555,7 @@ impl Tape {
             let Node { value, op, .. } = &mut rest[0];
             let rows = value.rows();
             let mut kernel = RowKernel::of(before, op, rows, &mut self.pool);
-            kernel.fill(value, complement);
+            kernel.fill(value, complement, &mut self.pool);
             kernel.release(&mut self.pool);
         }
     }
@@ -565,7 +572,7 @@ impl Tape {
         let mut out = pool.uninit(rows, cols);
         let mut kernel = RowKernel::of(nodes, &op, rows, pool);
         match mask {
-            Some(mask) => kernel.fill(&mut out, &mask.rows),
+            Some(mask) => kernel.fill(&mut out, &mask.rows, pool),
             None => kernel.run(out.data_mut(), cols, 0, rows),
         }
         kernel.release(pool);
@@ -595,14 +602,23 @@ impl Tape {
         self.forward_only = false;
     }
 
-    /// Return gradient tensors to the workspace pool and, unless it was
-    /// taken, the bucket to the tape's buckets (the natural follow-up to
-    /// [`Tape::backward`] once the gradients have been consumed).
+    /// Return gradient tensors to the workspace pool, the pass's
+    /// bookkeeping to the tape and, unless it was taken, the bucket to the
+    /// tape's buckets (the natural follow-up to [`Tape::backward`] once the
+    /// gradients have been consumed).
     pub fn recycle(&mut self, grads: Gradients) {
-        for g in grads.held.into_iter().flatten() {
+        let Gradients {
+            mut held,
+            bucket,
+            slots,
+            ..
+        } = grads;
+        for g in held.drain(..).flatten() {
             self.pool.put(g.into_vec());
         }
-        self.recycle_bucket(grads.bucket);
+        self.spare_held = held;
+        self.spare_slots = slots;
+        self.recycle_bucket(bucket);
     }
 
     /// Give a bucket taken with [`Gradients::take_bucket`] back to the
@@ -1115,10 +1131,14 @@ impl Tape {
         let len = self.slots.last().map_or(0, |s| s.range().end);
         let mut bucket = self.buckets.take(len);
         bucket.resize(len, 0.0);
+        let mut held = std::mem::take(&mut self.spare_held);
+        held.resize_with(self.nodes.len(), || None);
+        let mut slots = std::mem::take(&mut self.spare_slots);
+        slots.clone_from(&self.slots);
         let mut grads = Gradients {
-            held: (0..self.nodes.len()).map(|_| None).collect(),
+            held,
             bucket,
-            slots: self.slots.clone(),
+            slots,
             views: OnceCell::new(),
         };
         grads.held[root.0] = Some(self.pool.scalar(1.0));
@@ -1502,7 +1522,8 @@ fn add_gathered_rows(
 /// recorded under a row mask — over its operands' raw buffers: it computes
 /// any contiguous range of output rows, each row from its own inputs
 /// alone. Full-tensor recording runs it once over all rows, masked
-/// recording once per run of the mask rows and of their complement.
+/// recording over packed blocks of the mask rows and of their complement
+/// ([`RowKernel::fill`]).
 enum RowKernel<'a> {
     Linear {
         nodes: &'a [Node],
@@ -1598,21 +1619,7 @@ impl<'a> RowKernel<'a> {
                 for r0 in (0..nrows).step_by(block) {
                     let nr = block.min(nrows - r0);
                     let a = &mut rows.data_mut()[..nr * k];
-                    let mut off = 0;
-                    for id in x.iter() {
-                        let t = value(nodes, id);
-                        let kb = t.cols();
-                        for i in 0..nr {
-                            let src = t.row(first_row + r0 + i);
-                            let dst = &mut a[i * k + off..i * k + off + kb];
-                            // Element loop, as in `gather_concat`: a
-                            // per-row memcpy call dominates narrow copies.
-                            for (o, &v) in dst.iter_mut().zip(src) {
-                                *o = v;
-                            }
-                        }
-                        off += kb;
-                    }
+                    assemble(nodes, x, k, a, |i| first_row + r0 + i);
                     let out = &mut chunk[r0 * cols..(r0 + nr) * cols];
                     gemm_rows(a, w, out, 0, nr, k, cols, Some(bias), *elu);
                 }
@@ -1661,22 +1668,82 @@ impl<'a> RowKernel<'a> {
         }
     }
 
-    /// Compute the listed rows of `value`, one [`RowKernel::run`] per
-    /// maximal run of consecutive row ids.
-    fn fill(&mut self, value: &mut Tensor, rows: &[usize]) {
+    /// Compute the listed rows of `value`, a packed block of
+    /// `tn_panel_rows` rows at a time: the block's input rows (every column
+    /// block of a linear, `x` of a layer norm) are gathered into pooled
+    /// scratch, the range kernel runs once over them as rows `0..n`, and
+    /// the output rows are scattered back (plus their `res` rows, for a
+    /// layer norm with a residual, rounded after the norm as in `run`). A
+    /// row's bits do not depend on its neighbours (rule 2), so they are the
+    /// full-tensor path's, while a mask without long runs keeps the 4-row
+    /// tiles and quads.
+    fn fill(&mut self, value: &mut Tensor, ids: &[usize], pool: &mut BufPool) {
         let cols = value.cols();
-        let mut i = 0;
-        while i < rows.len() {
-            let first = rows[i];
-            let mut end = first + 1;
-            i += 1;
-            while rows.get(i) == Some(&end) {
-                end += 1;
-                i += 1;
+        let (k, panel, res) = match self {
+            RowKernel::Linear { k, .. } => (*k, tn_panel_rows(*k, cols), None),
+            RowKernel::LayerNorm { res, .. } => (cols, tn_panel_rows(cols, cols), *res),
+            // Each row is its own sources' copy: nothing to pack.
+            RowKernel::GatherConcat(_) => {
+                for &r in ids {
+                    self.run(&mut value.data_mut()[r * cols..(r + 1) * cols], cols, r, 1);
+                }
+                return;
             }
-            let chunk = &mut value.data_mut()[first * cols..end * cols];
-            self.run(chunk, cols, first, end - first);
+        };
+        if ids.is_empty() || cols == 0 {
+            return;
         }
+        let block = panel.min(ids.len());
+        let mut input = match self {
+            // A column-block linear packs into its assembly scratch.
+            RowKernel::Linear { rows, .. } => rows.take(),
+            _ => None,
+        }
+        .unwrap_or_else(|| pool.uninit(block, k));
+        let mut out = pool.uninit(block, cols);
+        for ids in ids.chunks(block) {
+            let nr = ids.len();
+            let a = &mut input.data_mut()[..nr * k];
+            let o = &mut out.data_mut()[..nr * cols];
+            match self {
+                RowKernel::Linear {
+                    nodes,
+                    x,
+                    w,
+                    bias,
+                    elu,
+                    ..
+                } => {
+                    assemble(nodes, x, k, a, |i| ids[i]);
+                    gemm_rows(a, w, o, 0, nr, k, cols, Some(bias), *elu);
+                }
+                RowKernel::LayerNorm {
+                    x,
+                    gamma,
+                    beta,
+                    eps,
+                    ..
+                } => {
+                    copy_rows(x, cols, a, cols, 0, |i| ids[i]);
+                    layer_norm_forward(a, gamma, beta, *eps, o, cols);
+                }
+                RowKernel::GatherConcat(_) => unreachable!("gather_concat returned above"),
+            }
+            let data = value.data_mut();
+            for (&r, src) in ids.iter().zip(o.chunks_exact(cols)) {
+                let row = r * cols..(r + 1) * cols;
+                match res {
+                    Some(res) => {
+                        for ((d, &v), &x) in data[row.clone()].iter_mut().zip(src).zip(&res[row]) {
+                            *d = v + x;
+                        }
+                    }
+                    None => copy_row(&mut data[row], src),
+                }
+            }
+        }
+        pool.put(input.into_vec());
+        pool.put(out.into_vec());
     }
 
     /// Give the kernel's scratch back to the pool.
@@ -1684,6 +1751,42 @@ impl<'a> RowKernel<'a> {
         if let RowKernel::Linear { rows: Some(t), .. } = self {
             pool.put(t.into_vec());
         }
+    }
+}
+
+/// `to = from` for one narrow row. An element loop, as in
+/// `gather_concat`: a per-row memcpy call dominates narrow copies.
+#[inline]
+fn copy_row(to: &mut [f64], from: &[f64]) {
+    for (o, &v) in to.iter_mut().zip(from) {
+        *o = v;
+    }
+}
+
+/// Copy row `src_row(i)` of the `w`-wide `src` into columns
+/// `off..off + w` of row `i` of the `k`-wide `dst`, for every row of
+/// `dst`.
+fn copy_rows(
+    src: &[f64],
+    w: usize,
+    dst: &mut [f64],
+    k: usize,
+    off: usize,
+    src_row: impl Fn(usize) -> usize,
+) {
+    for i in 0..dst.len() / k.max(1) {
+        copy_row(&mut dst[i * k + off..][..w], &src[src_row(i) * w..][..w]);
+    }
+}
+
+/// Rows `src_row(i)` of `[x_0 | x_1 | ...]` into the `k`-wide `a`, one
+/// column block after another.
+fn assemble(nodes: &[Node], x: &Blocks, k: usize, a: &mut [f64], src_row: impl Fn(usize) -> usize) {
+    let mut off = 0;
+    for id in x.iter() {
+        let t = value(nodes, id);
+        copy_rows(t.data(), t.cols(), a, k, off, &src_row);
+        off += t.cols();
     }
 }
 
@@ -2627,6 +2730,38 @@ mod tests {
             let bucket = grads.take_bucket();
             assert_eq!(bucket.len(), params.num_scalars());
             seen.push((bucket.as_ptr(), bucket.capacity()));
+            tape.recycle(grads);
+            tape.recycle_bucket(bucket);
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
+    }
+
+    /// Backward's bookkeeping stays on the tape between passes, as the
+    /// bucket does: the per-node adjoint slots and the copy of the bucket
+    /// layout that `recycle` takes back are the ones the next backward
+    /// hands out, same address and capacity, over warm passes of a graph
+    /// with leaves, bound parameters and interior nodes.
+    #[test]
+    fn backward_bookkeeping_is_kept_between_passes() {
+        let mut params = ParamSet::new();
+        params.register("w", Tensor::from_fn(4, 3, |r, c| (r + c) as f64 * 0.1));
+        params.register("b", Tensor::zeros(1, 3));
+        let mut tape = Tape::new();
+        let mut seen = Vec::new();
+        for _ in 0..5 {
+            tape.reset();
+            let bound = params.bind(&mut tape);
+            let x = tape.leaf(Tensor::from_fn(6, 4, |r, c| ((r * 4 + c) as f64).cos()));
+            let y = tape.linear_elu(x, bound.vars()[0], bound.vars()[1]);
+            let s = tape.sum(y);
+            let mut grads = tape.backward(s);
+            assert!(grads.get(x).is_some(), "the leaf's gradient is held");
+            let (held, slots) = (&grads.held, &grads.slots);
+            seen.push([
+                (held.as_ptr() as usize, held.capacity()),
+                (slots.as_ptr() as usize, slots.capacity()),
+            ]);
+            let bucket = grads.take_bucket();
             tape.recycle(grads);
             tape.recycle_bucket(bucket);
         }

@@ -81,7 +81,7 @@ proptest! {
     /// Row-masked recording is the unmasked recording, bit for bit, in
     /// every node value and every gradient: the masked fill and the
     /// closing backfill run the same range kernel as the full-tensor path,
-    /// over the runs of an arbitrary row subset and of its complement.
+    /// over packed blocks of an arbitrary row subset and of its complement.
     #[test]
     fn masked_chain_is_bit_identical_to_unmasked(
         nodes in 1usize..40,
@@ -106,6 +106,88 @@ proptest! {
             let whole = row_chain(shape, seed, None);
             let masked = row_chain(shape, seed, Some((&rows, &complement)));
             prop_assert!(whole == masked, "{name} mask {rows:?}");
+        }
+    }
+}
+
+/// Record the node-MLP shape the overlap window masks at hidden width
+/// `width` over `rows` rows: `linear_elu_blocks` over `[a | x]`,
+/// `linear_elu`, `linear`, `layer_norm`, then `layer_norm_add` onto `x`;
+/// reduce it to a scalar and run backward. `mask` as in [`row_chain`].
+/// Returns every node's value and gradient.
+fn node_chain(
+    rows: usize,
+    width: usize,
+    seed: u64,
+    mask: Option<(&[usize], &[usize])>,
+) -> Vec<(Vec<f64>, Option<Vec<f64>>)> {
+    let mut tape = Tape::new();
+    let mut leaf = |rows: usize, cols: usize, salt: u64| {
+        tape.leaf(Tensor::from_vec(
+            rows,
+            cols,
+            noise(seed + salt, rows * cols),
+        ))
+    };
+    let (a, x) = (leaf(rows, width, 0), leaf(rows, width, 1));
+    let (w1, b1) = (leaf(2 * width, width, 2), leaf(1, width, 3));
+    let (w2, b2) = (leaf(width, width, 4), leaf(1, width, 5));
+    let (w3, b3) = (leaf(width, width, 6), leaf(1, width, 7));
+    let (g1, be1) = (leaf(1, width, 8), leaf(1, width, 9));
+    let (g2, be2) = (leaf(1, width, 10), leaf(1, width, 11));
+    if let Some((rows, _)) = mask {
+        tape.begin_row_mask(Arc::new(rows.to_vec()));
+    }
+    let h1 = tape.linear_elu_blocks(&[a, x], w1, b1);
+    let h2 = tape.linear_elu(h1, w2, b2);
+    let h3 = tape.linear(h2, w3, b3);
+    let ln = tape.layer_norm(h3, g1, be1, 1e-5);
+    let out = tape.layer_norm_add(ln, x, g2, be2, 1e-5);
+    if let Some((_, complement)) = mask {
+        tape.end_row_mask(complement);
+    }
+    let loss = tape.weighted_sq_sum(out, Arc::new(noise(seed + 12, rows)));
+    let grads = tape.backward(loss);
+    let vars = [
+        a, x, w1, b1, w2, b2, w3, b3, g1, be1, g2, be2, h1, h2, h3, ln, out, loss,
+    ];
+    vars.iter()
+        .map(|&v| {
+            let grad = grads.get(v).map(|g| g.data().to_vec());
+            (tape.value(v).data().to_vec(), grad)
+        })
+        .collect()
+}
+
+/// The masked fill packs its rows into blocks of `tn_panel_rows` rows
+/// (85 and 21 for the linears at widths 8 and 32, 128 and 32 for their
+/// layer norms) and runs the kernels' 4-row tiles and layer-norm quads
+/// over them: at both quad widths, on row counts up to several blocks,
+/// every value and gradient is the unmasked recording's, bit for bit —
+/// under the overlap window's stride-3 mask (one boundary row, then two
+/// interior rows) filled either way round, a single row, no rows, every
+/// row and a scattered half.
+#[test]
+fn packed_masked_fill_is_bit_identical_to_unmasked() {
+    for width in [8, 32] {
+        for rows in [1, 2, 5, 23, 131, 400] {
+            let seed = (rows * 64 + width) as u64;
+            let scatter = |r: usize| (r as u64 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+            let subsets: [(&str, &dyn Fn(usize) -> bool); 6] = [
+                ("ovl-sr interior", &|r| r % 3 != 0),
+                ("ovl-sr boundary", &|r| r % 3 == 0),
+                ("single row", &|r| r == rows / 2),
+                ("empty", &|_| false),
+                ("full", &|_| true),
+                ("random half", &|r| scatter(r) < 8),
+            ];
+            let whole = node_chain(rows, width, seed, None);
+            for (name, in_mask) in subsets {
+                let (mask, complement): (Vec<usize>, Vec<usize>) =
+                    (0..rows).partition(|&r| in_mask(r));
+                let masked = node_chain(rows, width, seed, Some((&mask, &complement)));
+                assert!(whole == masked, "{rows} rows, width {width}: {name} mask");
+            }
         }
     }
 }
