@@ -75,8 +75,8 @@ pub const CGNN_SERVE_QUEUE_CAP: EnvKnob = EnvKnob {
 pub const CGNN_SERVE_POLL_MS: EnvKnob = EnvKnob {
     name: "CGNN_SERVE_POLL_MS",
     default: "500",
-    doc: "`cgnn-serve` control-plane poll period (ms) for new \
-          checkpoints in `CGNN_SERVE_CKPT_DIR`.",
+    doc: "`cgnn-serve` control-plane poll period (ms, at least 1) for \
+          new checkpoints in `CGNN_SERVE_CKPT_DIR`.",
 };
 
 /// `cgnn-serve`: checkpoint directory watched for hot reload.

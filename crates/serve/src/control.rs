@@ -2,17 +2,19 @@
 //! checkpoint directory, and hot-swaps new parameters into the replica
 //! pool **between** forward passes.
 //!
-//! Publication is a generation-stamped `Arc<ParamSet>` slot: the control
-//! plane validates a candidate checkpoint against the served architecture
+//! Publication is one slot holding an `Arc<Published>`: the control plane
+//! validates a candidate checkpoint against the served architecture
 //! ([`ConsistentGnn::check_checkpoint`], as
-//! [`cgnn_session::Session::restore`] does), then
-//! atomically bumps the generation. Replicas compare generations between
-//! passes and install the new parameters before their next forward pass,
-//! so every individual request is served by exactly one parameter set —
-//! in-flight requests are never torn across a reload.
+//! [`cgnn_session::Session::restore`] does) and swaps the slot's `Arc`.
+//! A replica that claims a request and finds the slot changed installs the
+//! new parameters before that request's pass, so every individual request
+//! is served by exactly one parameter set — in-flight requests are never
+//! torn across a reload, and a request sent after a reload has answered is
+//! served by what it published.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -22,44 +24,18 @@ use cgnn_tensor::ParamSet;
 
 use crate::stats::ServeStats;
 
-/// State shared between the control plane, the HTTP workers, and the
-/// replica pool.
-pub struct ControlShared {
-    /// Bumped on every parameter publication; replicas install the
-    /// published set when their local generation falls behind.
-    pub generation: AtomicU64,
-    /// Training step of the published parameters (0 for seeded weights).
-    pub model_step: AtomicU64,
-    /// True once draining started: `/predict` refuses new work (`503`)
-    /// while queued requests finish.
-    pub draining: AtomicBool,
-    /// True once shutdown started: background threads exit their loops.
-    pub shutdown: AtomicBool,
-    params: Mutex<Arc<ParamSet>>,
+/// One published parameter set and where it came from.
+pub(crate) struct Published {
+    pub(crate) params: ParamSet,
+    /// Step of the checkpoint the parameters were loaded from; `None` for
+    /// the seeded weights, so that even a `step-0` checkpoint is loaded.
+    pub(crate) step: Option<u64>,
 }
 
-impl ControlShared {
-    fn new(initial: ParamSet) -> Self {
-        ControlShared {
-            generation: AtomicU64::new(1),
-            model_step: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            params: Mutex::new(Arc::new(initial)),
-        }
-    }
-
-    /// The currently published parameter set.
-    pub fn current_params(&self) -> Arc<ParamSet> {
-        Arc::clone(&self.params.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    fn publish(&self, params: ParamSet, step: u64) {
-        *self.params.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(params);
-        self.model_step.store(step, Ordering::Release);
-        // Bump last: a replica that observes the new generation is
-        // guaranteed to read the new slot and step.
-        self.generation.fetch_add(1, Ordering::Release);
+impl Published {
+    /// Training step served (0 for seeded weights).
+    pub(crate) fn model_step(&self) -> u64 {
+        self.step.unwrap_or(0)
     }
 }
 
@@ -72,14 +48,17 @@ pub struct ReloadOutcome {
     pub step: u64,
 }
 
-/// The control plane proper: architecture recipe + watched directory.
+/// The control plane proper: the published slot, the serving flags, and
+/// the architecture recipe + watched directory reloads check against.
 pub struct ControlPlane {
-    shared: Arc<ControlShared>,
+    published: Mutex<Arc<Published>>,
+    /// True once draining started: `/predict` refuses new work (`503`)
+    /// while queued requests finish.
+    pub(crate) draining: AtomicBool,
+    /// True once shutdown started: HTTP workers stop accepting.
+    pub(crate) shutdown: AtomicBool,
     config: GnnConfig,
     dir: Option<PathBuf>,
-    /// Step of the newest checkpoint already loaded from `dir`, so the
-    /// watcher is idempotent between training saves.
-    loaded_step: Mutex<Option<u64>>,
 }
 
 impl ControlPlane {
@@ -93,22 +72,28 @@ impl ControlPlane {
     pub fn new(config: GnnConfig, seed: u64, dir: Option<PathBuf>) -> std::io::Result<Self> {
         let (params, _) = ConsistentGnn::seeded(config, seed);
         let plane = ControlPlane {
-            shared: Arc::new(ControlShared::new(params)),
+            published: Mutex::new(Arc::new(Published { params, step: None })),
+            draining: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
             config,
             dir,
-            loaded_step: Mutex::new(None),
         };
         plane.reload()?;
         Ok(plane)
     }
 
-    /// Handle to the shared serving state.
-    pub fn shared(&self) -> Arc<ControlShared> {
-        Arc::clone(&self.shared)
+    /// The parameter set being served now.
+    pub(crate) fn published(&self) -> Arc<Published> {
+        Arc::clone(
+            &self
+                .published
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
     /// Scan the watched directory once and publish the newest checkpoint
-    /// if it is newer than what is being served. No-op without a watched
+    /// if it is not what is being served. No-op without a watched
     /// directory. Validation failures leave the served parameters
     /// untouched and return the error.
     ///
@@ -118,12 +103,12 @@ impl ControlPlane {
     /// is an error — the operator pointed at real checkpoints, so
     /// silently serving seeded weights would be corruption.
     pub fn reload(&self) -> std::io::Result<ReloadOutcome> {
-        let serving = ReloadOutcome {
+        let serving = |published: &Published| ReloadOutcome {
             reloaded: false,
-            step: self.shared.model_step.load(Ordering::Acquire),
+            step: published.model_step(),
         };
         let Some(dir) = &self.dir else {
-            return Ok(serving);
+            return Ok(serving(&self.published()));
         };
         let report = CheckpointPolicy::latest_report(dir)?;
         // Publish what the scan parsed: the file itself may be pruned by
@@ -135,7 +120,7 @@ impl ControlPlane {
                     format!("no valid checkpoint in {}: {corpse}", dir.display()),
                 ));
             }
-            return Ok(serving);
+            return Ok(serving(&self.published()));
         };
         let step = CheckpointPolicy::step_of(&path).ok_or_else(|| {
             std::io::Error::new(
@@ -143,44 +128,44 @@ impl ControlPlane {
                 format!("unparsable checkpoint name: {}", path.display()),
             )
         })?;
-        let mut loaded = self
-            .loaded_step
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if *loaded == Some(step) {
-            return Ok(serving);
+        let current = self.published();
+        if current.step == Some(step) {
+            return Ok(serving(&current));
         }
         ConsistentGnn::check_checkpoint(self.config, &params, &opt)?;
-        self.shared.publish(params, step);
-        *loaded = Some(step);
+        let mut slot = self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // A concurrent reload may have published this step meanwhile.
+        if slot.step == Some(step) {
+            return Ok(serving(&slot));
+        }
+        *slot = Arc::new(Published {
+            params,
+            step: Some(step),
+        });
         Ok(ReloadOutcome {
             reloaded: true,
             step,
         })
     }
 
-    /// Spawn the polling watcher thread: every `poll`, rescan the watched
-    /// directory and publish newer checkpoints, until shutdown. Reload
-    /// failures are counted in `stats.reload_errors` and the previous
-    /// parameters keep serving.
+    /// Spawn the watcher thread: every `poll`, rescan the watched
+    /// directory and publish newer checkpoints, until `stop` disconnects
+    /// (its sender is dropped). Reload failures are counted in
+    /// `stats.reload_errors` and the previous parameters keep serving.
     pub fn spawn_watcher(
         self: &Arc<Self>,
         poll: Duration,
         stats: Arc<ServeStats>,
+        stop: Receiver<()>,
     ) -> std::io::Result<std::thread::JoinHandle<()>> {
         let plane = Arc::clone(self);
         std::thread::Builder::new()
             .name("cgnn-serve-watch".to_string())
             .spawn(move || {
-                let tick = Duration::from_millis(25).min(poll);
-                let mut slept = Duration::ZERO;
-                while !plane.shared.shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    slept += tick;
-                    if slept < poll {
-                        continue;
-                    }
-                    slept = Duration::ZERO;
+                while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(poll) {
                     match plane.reload() {
                         Ok(out) if out.reloaded => {
                             stats.update(|s| s.reloads_applied += 1);
@@ -209,10 +194,15 @@ mod tests {
     fn empty_dir_serves_seeded_weights() {
         let dir = tmp_dir("empty");
         let plane = ControlPlane::new(GnnConfig::small(), 7, Some(dir.clone())).expect("startup");
+        let seeded = plane.published();
+        assert_eq!(seeded.step, None);
         let out = plane.reload().expect("reload");
         assert!(!out.reloaded);
         assert_eq!(out.step, 0);
-        assert_eq!(plane.shared().generation.load(Ordering::Acquire), 1);
+        assert!(
+            Arc::ptr_eq(&seeded, &plane.published()),
+            "an empty scan must not republish"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -233,9 +223,11 @@ mod tests {
 
         let plane = ControlPlane::new(GnnConfig::small(), 7, Some(dir.clone())).expect("startup");
         // Startup already consumed step 3.
-        assert_eq!(plane.shared().model_step.load(Ordering::Acquire), 3);
+        let at_start = plane.published();
+        assert_eq!(at_start.step, Some(3));
         let again = plane.reload().expect("reload");
         assert!(!again.reloaded, "same checkpoint must not republish");
+        assert!(Arc::ptr_eq(&at_start, &plane.published()));
 
         cgnn_tensor::save_checkpoint(
             &trainer.params,
@@ -246,7 +238,10 @@ mod tests {
         let newer = plane.reload().expect("reload");
         assert!(newer.reloaded);
         assert_eq!(newer.step, 5);
-        assert_eq!(plane.shared().generation.load(Ordering::Acquire), 3);
+        let at_5 = plane.published();
+        assert_eq!(at_5.step, Some(5));
+        assert!(!plane.reload().expect("reload").reloaded);
+        assert!(Arc::ptr_eq(&at_5, &plane.published()));
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -50,27 +50,17 @@ impl Request {
     }
 }
 
-/// Outcome of one read attempt on a keep-alive connection.
+/// Outcome of one read on a keep-alive connection.
 #[derive(Debug)]
 pub enum ReadOutcome {
     /// A complete request was framed.
     Request(Request),
     /// The peer closed the connection cleanly between requests.
     Closed,
-    /// The read timed out with **no bytes consumed** — the connection is
-    /// idle and still valid; the caller may poll shutdown flags and retry.
-    Idle,
 }
 
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 /// Read one CRLF- (or LF-) terminated line of at most [`MAX_LINE`] bytes;
@@ -103,30 +93,20 @@ pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // A timeout after consuming part of a line leaves the stream
-            // in an unknown framing state: report it as corruption, not
-            // as an idle poll.
-            Err(e) if is_timeout(&e) && !buf.is_empty() => {
-                return Err(invalid("timed out mid-line"));
-            }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// Frame one request off a keep-alive connection.
-///
-/// A timeout **before any byte of the next request** is reported as
-/// [`ReadOutcome::Idle`] so servers can poll shutdown flags between
-/// requests; a timeout mid-request is an error (the connection is in an
-/// unknown framing state and must be closed).
+/// Frame one request off a keep-alive connection, waiting as long as its
+/// bytes take to arrive: the server sets no read timeout, and ends a
+/// parked read by shutting the connection's read half, which reads as
+/// [`ReadOutcome::Closed`] between requests and as an error inside one.
 pub fn read_request(r: &mut impl BufRead) -> io::Result<ReadOutcome> {
-    let line = match read_line(r) {
-        Ok(None) => return Ok(ReadOutcome::Closed),
-        Ok(Some(l)) if l.is_empty() => return Err(invalid("empty request line")),
-        Ok(Some(l)) => l,
-        Err(e) if is_timeout(&e) => return Ok(ReadOutcome::Idle),
-        Err(e) => return Err(e),
+    let line = match read_line(r)? {
+        None => return Ok(ReadOutcome::Closed),
+        Some(l) if l.is_empty() => return Err(invalid("empty request line")),
+        Some(l) => l,
     };
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {

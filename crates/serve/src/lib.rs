@@ -19,10 +19,12 @@
 //!   rendered as JSON at `/metrics`, the pattern of [`cgnn_comm::stats`].
 //!
 //! The HTTP layer ([`http`]) is a hand-rolled subset over [`std::net`]
-//! (this workspace has no network registry, so no hyper/tokio): a
-//! thread-per-acceptor feeding a fixed worker pool over keep-alive,
-//! pipelined connections, each read and written by its own thread so a
-//! request is admitted when it arrives. `/predict` frames are raw little-endian `f64` matrices —
+//! (this workspace has no network registry, so no hyper/tokio): a fixed
+//! pool of workers, each accepting on its own clone of the listener and
+//! serving keep-alive, pipelined connections, each read and written by its
+//! own thread so a request is admitted when it arrives. No serving thread
+//! wakes on a timer: each waits on the connection, queue or signal it
+//! serves. `/predict` frames are raw little-endian `f64` matrices —
 //! binary in, binary out — so served predictions can be compared
 //! bit-for-bit against in-process inference.
 //!
@@ -40,7 +42,7 @@ pub mod server;
 pub mod stats;
 
 pub use client::{ClientResponse, HttpClient};
-pub use control::{ControlPlane, ControlShared, ReloadOutcome};
+pub use control::{ControlPlane, ReloadOutcome};
 pub use pool::{PredictJob, PredictReply, ReplicaPool};
 pub use server::{ServeConfig, Server};
 pub use stats::{ServeSnapshot, ServeStats};

@@ -9,22 +9,23 @@
 //! one [`Trainer::predict`] on the served graph and replies as the pass
 //! ends. Requests therefore pile up only while every replica is busy, and
 //! a claim is one request, so no replica hoards a queue another could be
-//! serving.
+//! serving. An idle replica is parked in the queue's `recv` and nowhere
+//! else: it installs the published parameters when it starts and, after
+//! that, when a request it claimed finds the control plane's slot changed.
 //!
 //! Backpressure is structural: the queue is a `sync_channel(queue_cap)`
 //! and the HTTP layer uses `try_send`, so a saturated pool answers `503`
 //! immediately instead of buffering unboundedly.
 
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cgnn_comm::LoopbackBackend;
 use cgnn_core::{GnnConfig, HaloContext, RankData, Trainer};
 use cgnn_graph::LocalGraph;
 
-use crate::control::ControlShared;
+use crate::control::{ControlPlane, Published};
 use crate::stats::{record_us, ServeStats};
 
 /// One queued inference request.
@@ -59,10 +60,6 @@ pub struct ReplicaPool {
     replicas: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// How long an idle replica waits on the queue before re-checking the
-/// published parameter generation.
-const IDLE_TICK: Duration = Duration::from_millis(50);
-
 impl ReplicaPool {
     /// Spawn `replicas` warm replicas draining a bounded queue of
     /// `queue_cap` requests. Zero replicas is a valid (test)
@@ -74,7 +71,7 @@ impl ReplicaPool {
     pub fn spawn(
         graph: Arc<LocalGraph>,
         config: GnnConfig,
-        shared: Arc<ControlShared>,
+        control: Arc<ControlPlane>,
         stats: Arc<ServeStats>,
         replicas: usize,
         queue_cap: usize,
@@ -85,12 +82,12 @@ impl ReplicaPool {
         let handles = (0..replicas)
             .map(|i| {
                 let graph = Arc::clone(&graph);
-                let shared = Arc::clone(&shared);
+                let control = Arc::clone(&control);
                 let stats = Arc::clone(&stats);
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("cgnn-serve-rep{i}"))
-                    .spawn(move || replica_loop(graph, config, shared, stats, rx))
+                    .spawn(move || replica_loop(graph, config, control, stats, rx))
             })
             .collect::<std::io::Result<_>>()?;
         Ok(ReplicaPool {
@@ -126,49 +123,43 @@ impl ReplicaPool {
 fn replica_loop(
     graph: Arc<LocalGraph>,
     config: GnnConfig,
-    shared: Arc<ControlShared>,
+    control: Arc<ControlPlane>,
     stats: Arc<ServeStats>,
     rx: Arc<Mutex<Receiver<PredictJob>>>,
 ) {
     let ctx = HaloContext::single(LoopbackBackend::comm());
     let mut trainer = Trainer::new(config, 0, 1e-3, ctx);
-    let mut generation = 0u64; // behind the initial publication: installs on entry
-    let mut model_step = 0u64;
+    let mut installed = control.published();
+    install(&mut trainer, &installed);
     loop {
-        // Install newly published parameters between passes — never
-        // mid-pass, so each request is served by exactly one parameter
-        // set.
-        let published = shared.generation.load(Ordering::Acquire);
-        if published != generation {
-            let params = shared.current_params();
-            #[expect(
-                clippy::expect_used,
-                reason = "the control plane checks every checkpoint against this architecture before it publishes one"
-            )]
-            cgnn_tensor::restore_into(&mut trainer.params, &params)
-                .expect("published parameters no longer match the served architecture");
-            generation = published;
-            model_step = shared.model_step.load(Ordering::Acquire);
+        // The queue lock is held only while claiming, never over a pass.
+        let claimed = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        // `Err` is only reported once the buffered queue is empty and
+        // every sender is gone (std mpsc drains stragglers first), so this
+        // is a clean graceful-drain exit: every accepted request was served.
+        let Ok(job) = claimed else {
+            return;
+        };
+        stats.update(|s| s.queue_depth -= 1);
+        // Install what is published now, before the pass and never mid-pass,
+        // so each request is served by exactly one parameter set and by the
+        // newest one published before it was claimed.
+        let published = control.published();
+        if !Arc::ptr_eq(&published, &installed) {
+            install(&mut trainer, &published);
+            installed = published;
         }
-
-        // Claim one request, waiting at most IDLE_TICK so the parameter
-        // generation stays fresh.
-        let claimed = rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv_timeout(IDLE_TICK);
-        match claimed {
-            Ok(job) => {
-                stats.update(|s| s.queue_depth -= 1);
-                serve_pass(&trainer, &graph, &stats, job, model_step);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            // `Disconnected` is only reported once the buffered queue is
-            // empty (std mpsc drains stragglers first), so this is a clean
-            // graceful-drain exit: every accepted request was served.
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+        serve_pass(&trainer, &graph, &stats, job, installed.model_step());
     }
+}
+
+fn install(trainer: &mut Trainer, published: &Published) {
+    #[expect(
+        clippy::expect_used,
+        reason = "the control plane checks every checkpoint against this architecture before it publishes one"
+    )]
+    cgnn_tensor::restore_into(&mut trainer.params, &published.params)
+        .expect("published parameters no longer match the served architecture");
 }
 
 /// Run one request as one forward pass on the served graph and send it

@@ -1,13 +1,21 @@
-//! The assembled inference server: acceptor + HTTP worker pool in front of
-//! the replica pool and control plane.
+//! The assembled inference server: HTTP workers in front of the replica
+//! pool and control plane.
 //!
 //! ```text
 //!             ┌──────────── control plane ────────────┐
 //!             │ checkpoint watcher → validate → swap  │
 //!             └───────────────┬───────────────────────┘
-//!   TCP accept → workers ─ bounded queue ─ replicas (one pass per request)
+//!   workers (each accepts) ─ bounded queue ─ replicas (one pass per request)
 //!             └── /health /info /metrics /admin/* ──→ telemetry
 //! ```
+//!
+//! Every thread waits on the event it serves, never on a timer: a worker
+//! blocks in `accept` on its own clone of the listener and then in reading
+//! its connection, which has no read timeout, so a client may pause
+//! anywhere in a request. [`Server::shutdown`] wakes them: it shuts the
+//! read half of each live connection (the reader sees end of stream, the
+//! writer still sends what is owed) and makes one no-op connection per
+//! worker for those parked in `accept`.
 //!
 //! Connections are served with HTTP/1.1 **pipelining**, each by a reader
 //! and a writer: the reader parses requests as their bytes arrive and
@@ -20,11 +28,12 @@
 //! See `docs/SERVING.md` for the architecture and the endpoint reference.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cgnn_core::config as knobs;
@@ -32,7 +41,7 @@ use cgnn_core::GnnConfig;
 use cgnn_graph::{build_global_graph, LocalGraph, NODE_FEATS};
 use cgnn_mesh::BoxMesh;
 
-use crate::control::{ControlPlane, ControlShared};
+use crate::control::ControlPlane;
 use crate::http::{self, ReadOutcome, Request, Response};
 use crate::pool::{PredictJob, PredictReply, ReplicaPool};
 use crate::stats::{record_us, ServeStats};
@@ -52,7 +61,7 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Bounded request-queue capacity.
     pub queue_cap: usize,
-    /// Checkpoint poll period in milliseconds.
+    /// Checkpoint poll period in milliseconds (at least 1).
     pub poll_ms: u64,
     /// Watched checkpoint directory (`None` serves seeded weights).
     pub ckpt_dir: Option<PathBuf>,
@@ -124,26 +133,30 @@ impl ServeConfig {
     }
 }
 
-/// The running server. Dropping the handle does **not** stop it; call
+/// The running server. Dropping the handle does **not** stop it serving,
+/// though it ends the checkpoint watcher, whose stop signal it holds; call
 /// [`Server::shutdown`] for a graceful stop or [`Server::join`] to serve
 /// until the process dies.
 pub struct Server {
     addr: SocketAddr,
     graph: Arc<LocalGraph>,
-    shared: Arc<ControlShared>,
     control: Arc<ControlPlane>,
     stats: Arc<ServeStats>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    watcher: Option<std::thread::JoinHandle<()>>,
+    /// Each HTTP worker and the slot holding a clone of the connection it
+    /// is serving, through which shutdown wakes its reader.
+    workers: Vec<(JoinHandle<()>, LiveConn)>,
+    /// The checkpoint watcher and the sender whose drop stops it.
+    watcher: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
     pool: Option<ReplicaPool>,
     config: ServeConfig,
 }
 
+/// The connection a worker is serving, if any.
+type LiveConn = Arc<Mutex<Option<TcpStream>>>;
+
 /// Everything one HTTP worker needs to route requests.
 struct Router {
     graph: Arc<LocalGraph>,
-    shared: Arc<ControlShared>,
     control: Arc<ControlPlane>,
     stats: Arc<ServeStats>,
     pool_tx: mpsc::SyncSender<PredictJob>,
@@ -153,16 +166,22 @@ struct Router {
 impl Server {
     /// Build the served graph, load/validate initial parameters, and
     /// start every thread. Returns once the listener is bound (the
-    /// actual address is [`Server::addr`]); a zero `elems` or `queue_cap`
-    /// is an [`InvalidInput`](std::io::ErrorKind::InvalidInput) error
-    /// naming the field. The address is bound before any thread starts,
-    /// and a later error stops every thread started before it returns.
+    /// actual address is [`Server::addr`]); a zero `elems`, `queue_cap` or
+    /// `poll_ms` is an [`InvalidInput`](std::io::ErrorKind::InvalidInput)
+    /// error naming the field. The address is bound before any thread
+    /// starts, and a later error stops every thread started before it
+    /// returns.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        for (field, knob, value) in [
-            ("elems", knobs::CGNN_SERVE_ELEMS, config.elems),
-            ("queue_cap", knobs::CGNN_SERVE_QUEUE_CAP, config.queue_cap),
+        for (field, knob, zero) in [
+            ("elems", knobs::CGNN_SERVE_ELEMS, config.elems == 0),
+            (
+                "queue_cap",
+                knobs::CGNN_SERVE_QUEUE_CAP,
+                config.queue_cap == 0,
+            ),
+            ("poll_ms", knobs::CGNN_SERVE_POLL_MS, config.poll_ms == 0),
         ] {
-            if value == 0 {
+            if zero {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
                     format!("{field} ({}) must be at least 1, got 0", knob.name),
@@ -186,11 +205,10 @@ impl Server {
             config.seed,
             config.ckpt_dir.clone(),
         )?);
-        let shared = control.shared();
         let pool = ReplicaPool::spawn(
             Arc::clone(&graph),
             config.model,
-            Arc::clone(&shared),
+            Arc::clone(&control),
             Arc::clone(&stats),
             config.replicas,
             config.queue_cap,
@@ -199,10 +217,8 @@ impl Server {
         let mut server = Server {
             addr,
             graph,
-            shared,
             control,
             stats,
-            acceptor: None,
             workers: Vec::new(),
             watcher: None,
             pool: Some(pool),
@@ -217,8 +233,9 @@ impl Server {
         }
     }
 
-    /// Start the checkpoint watcher (when a directory is watched), the
-    /// HTTP workers and the acceptor, recording each as it starts.
+    /// Start the checkpoint watcher (when a directory is watched) and the
+    /// HTTP workers, each accepting on its own clone of `listener`,
+    /// recording each as it starts.
     fn spawn_threads(
         &mut self,
         listener: TcpListener,
@@ -226,47 +243,28 @@ impl Server {
     ) -> std::io::Result<()> {
         if self.config.ckpt_dir.is_some() {
             let poll = Duration::from_millis(self.config.poll_ms);
-            self.watcher = Some(self.control.spawn_watcher(poll, Arc::clone(&self.stats))?);
+            let (stop_tx, stop_rx) = mpsc::channel();
+            let watcher = self
+                .control
+                .spawn_watcher(poll, Arc::clone(&self.stats), stop_rx)?;
+            self.watcher = Some((stop_tx, watcher));
         }
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
         for i in 0..self.config.http_workers.max(1) {
             let router = Router {
                 graph: Arc::clone(&self.graph),
-                shared: Arc::clone(&self.shared),
                 control: Arc::clone(&self.control),
                 stats: Arc::clone(&self.stats),
                 pool_tx: pool_tx.clone(),
                 config: self.config.clone(),
             };
-            let conn_rx = Arc::clone(&conn_rx);
-            self.workers.push(
-                std::thread::Builder::new()
-                    .name(format!("cgnn-serve-http{i}"))
-                    .spawn(move || worker_loop(router, conn_rx))?,
-            );
+            let listener = listener.try_clone()?;
+            let live = LiveConn::default();
+            let slot = Arc::clone(&live);
+            let worker = std::thread::Builder::new()
+                .name(format!("cgnn-serve-http{i}"))
+                .spawn(move || worker_loop(&router, &listener, &slot))?;
+            self.workers.push((worker, live));
         }
-        let shared = Arc::clone(&self.shared);
-        let acceptor = std::thread::Builder::new()
-            .name("cgnn-serve-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match stream {
-                        // A send error means the workers are gone,
-                        // which only happens during shutdown.
-                        Ok(s) => {
-                            if conn_tx.send(s).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-            })?;
-        self.acceptor = Some(acceptor);
         Ok(())
     }
 
@@ -291,34 +289,30 @@ impl Server {
         Arc::clone(&self.stats)
     }
 
-    /// Shared serving state (drain/shutdown flags, model generation).
-    pub fn shared(&self) -> Arc<ControlShared> {
-        Arc::clone(&self.shared)
-    }
-
     /// Trigger one synchronous control-plane reload scan (what
     /// `POST /admin/reload` does).
     pub fn reload(&self) -> std::io::Result<crate::control::ReloadOutcome> {
         self.control.reload()
     }
 
-    /// Block the calling thread until the acceptor exits (i.e. forever,
-    /// for a server that is never shut down).
+    /// Block the calling thread until the HTTP workers exit (i.e.
+    /// forever, for a server that is never shut down).
     ///
     /// # Panics
-    /// If the acceptor thread panicked.
+    /// If an HTTP worker thread panicked.
     #[expect(
         clippy::expect_used,
         reason = "a panicked server thread makes joining it panic, as `# Panics` says"
     )]
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("the acceptor thread panicked");
+        for (worker, _) in self.workers.drain(..) {
+            worker.join().expect("an HTTP worker thread panicked");
         }
     }
 
     /// Graceful shutdown: stop accepting, refuse new `/predict` work,
-    /// serve everything already queued, then join every thread.
+    /// answer every request already read, serve everything already
+    /// queued, then join every thread.
     ///
     /// # Panics
     /// If a server thread panicked.
@@ -327,49 +321,57 @@ impl Server {
         reason = "a panicked server thread makes joining it panic, as `# Panics` says"
     )]
     pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the acceptor with a no-op connection.
-        if let Ok(s) = TcpStream::connect(self.addr) {
-            drop(s);
+        self.control.draining.store(true, Ordering::Release);
+        self.control.shutdown.store(true, Ordering::Release);
+        // A reader parked on its connection sees end of stream; the write
+        // half stays open for the responses it owes. A worker that takes
+        // a connection after this sees the flag once it has filled its
+        // slot, so none is missed.
+        for (_, live) in &self.workers {
+            if let Some(conn) = &*live.lock().unwrap_or_else(PoisonError::into_inner) {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("the acceptor thread panicked");
+        // One no-op connection per worker wakes those parked in `accept`.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
-        // Drain and stop the replicas first: any worker blocked on a
+        // Drain and stop the replicas first: any writer blocked on a
         // reply either receives it (queued request) or observes the
         // reply channel disconnect (request dropped with the queue).
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
         }
-        for worker in self.workers.drain(..) {
+        for (worker, _) in self.workers.drain(..) {
             worker.join().expect("an HTTP worker thread panicked");
         }
-        if let Some(watcher) = self.watcher.take() {
+        if let Some((stop, watcher)) = self.watcher.take() {
+            drop(stop);
             watcher.join().expect("the checkpoint watcher panicked");
         }
     }
 }
 
-/// Per-connection read timeout: bounds how long a worker is blind to the
-/// shutdown flag while parked on an idle keep-alive connection.
-const READ_TICK: Duration = Duration::from_millis(200);
-
-fn worker_loop(router: Router, conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
-    loop {
-        if router.shared.shutdown.load(Ordering::Acquire) {
+/// Serve connections one at a time until shutdown, each as it is accepted
+/// on this worker's clone of the listener.
+fn worker_loop(router: &Router, listener: &TcpListener, live: &Mutex<Option<TcpStream>>) {
+    let shutdown = || router.control.shutdown.load(Ordering::Acquire);
+    while !shutdown() {
+        let Ok((stream, _)) = listener.accept() else {
+            continue;
+        };
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        *live.lock().unwrap_or_else(PoisonError::into_inner) = Some(peer);
+        // Checked after the slot is filled: either shutdown finds this
+        // connection there, or this sees its flag.
+        if shutdown() {
             return;
         }
-        let stream = {
-            let rx = conn_rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match rx.recv_timeout(READ_TICK) {
-                Ok(s) => s,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        };
         // Per-connection setup failures just drop the connection.
-        let _ = handle_connection(&router, stream);
+        let _ = handle_connection(router, stream);
+        *live.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 
@@ -402,7 +404,6 @@ type Owed = (Pending, bool);
 )]
 fn handle_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_TICK))?;
     let writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
     let (owed_tx, owed_rx) = mpsc::sync_channel::<Owed>(MAX_PIPELINE);
@@ -420,8 +421,8 @@ fn handle_connection(router: &Router, stream: TcpStream) -> std::io::Result<()> 
 /// The read side of a connection: parse each request as its bytes arrive,
 /// route it (which enqueues `/predict` work) and hand what it is owed to
 /// the writer. Returns — dropping `owed`, which lets the writer finish —
-/// when the peer closes or asks to, on a malformed request, on shutdown,
-/// or when the writer is gone.
+/// when the peer closes or asks to, on a malformed request, on shutdown
+/// (which ends the read half), or when the writer is gone.
 fn admit_requests(
     router: &Router,
     reader: &mut BufReader<TcpStream>,
@@ -431,13 +432,6 @@ fn admit_requests(
         let (pending, keep) = match http::read_request(reader) {
             Ok(ReadOutcome::Request(req)) => (route(router, &req), !req.wants_close()),
             Ok(ReadOutcome::Closed) => return,
-            // READ_TICK elapsed with nothing to read.
-            Ok(ReadOutcome::Idle) => {
-                if router.shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
             Err(e) => {
                 let resp = Response::json(400, format!("{{ \"error\": \"{e}\" }}\n"));
                 (Pending::Ready(resp), false)
@@ -523,7 +517,7 @@ fn route(router: &Router, req: &Request) -> Pending {
     let resp = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             stats.update(|s| s.health += 1);
-            let draining = router.shared.draining.load(Ordering::Acquire);
+            let draining = router.control.draining.load(Ordering::Acquire);
             Response::json(
                 200,
                 format!("{{ \"ok\": true, \"draining\": {draining} }}\n"),
@@ -561,7 +555,7 @@ fn route(router: &Router, req: &Request) -> Pending {
         }
         ("POST", "/admin/drain") => {
             stats.update(|s| s.admin_drain += 1);
-            router.shared.draining.store(true, Ordering::Release);
+            router.control.draining.store(true, Ordering::Release);
             Response::json(200, "{ \"draining\": true }\n".to_string())
         }
         (_, "/health" | "/info" | "/metrics" | "/predict" | "/admin/reload" | "/admin/drain") => {
@@ -578,6 +572,7 @@ fn route(router: &Router, req: &Request) -> Pending {
 
 fn info_response(router: &Router) -> Response {
     let g = &router.graph;
+    let step = router.control.published().model_step();
     let body = format!(
         concat!(
             "{{\n",
@@ -592,7 +587,7 @@ fn info_response(router: &Router) -> Response {
             "}}\n",
         ),
         router.config.model_name,
-        router.shared.model_step.load(Ordering::Acquire),
+        step,
         router.config.elems,
         g.n_local(),
         g.n_edges(),
@@ -605,10 +600,7 @@ fn info_response(router: &Router) -> Response {
     Response::json(200, body)
         .with_header("X-N-Nodes", router.graph.n_local().to_string())
         .with_header("X-Node-Feats", NODE_FEATS.to_string())
-        .with_header(
-            "X-Model-Step",
-            router.shared.model_step.load(Ordering::Acquire).to_string(),
-        )
+        .with_header("X-Model-Step", step.to_string())
 }
 
 /// Validate and enqueue a `/predict` request. Acceptance is decided here
@@ -616,7 +608,7 @@ fn info_response(router: &Router) -> Response {
 /// later, in request order, at the connection's writer.
 fn predict(router: &Router, req: &Request) -> Pending {
     let stats = &router.stats;
-    if router.shared.draining.load(Ordering::Acquire) {
+    if router.control.draining.load(Ordering::Acquire) {
         stats.update(|s| s.predict_rejected += 1);
         return Pending::Ready(
             Response::json(503, "{ \"error\": \"draining\" }\n".to_string())

@@ -1,13 +1,16 @@
 //! End-to-end tests of the serving plane over real TCP: bit-identity of
 //! served predictions at one request per pass, hot checkpoint reload under
-//! concurrent load, queue-overflow backpressure, admission on arrival, and
-//! startup refusing an invalid configuration.
+//! concurrent load, a synchronous reload read back on the same connection,
+//! queue-overflow backpressure, admission on arrival, clients whose bytes
+//! pause mid-request, and startup refusing an invalid configuration.
 
 #![expect(
     clippy::expect_used,
     reason = "a failed setup step fails the test, and its message names the step"
 )]
 
+use std::io::{BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +22,7 @@ use cgnn_comm::LoopbackBackend;
 use cgnn_core::{GnnConfig, HaloContext, RankData, Trainer};
 use cgnn_graph::build_global_graph;
 use cgnn_mesh::{BoxMesh, TaylorGreen};
-use cgnn_serve::http::{decode_f64, encode_f64};
+use cgnn_serve::http::{decode_f64, encode_f64, read_line};
 use cgnn_serve::{HttpClient, ServeConfig, Server};
 use cgnn_session::CheckpointPolicy;
 
@@ -153,7 +156,15 @@ fn invalid_config_is_an_error_naming_the_field() {
         queue_cap: 0,
         ..test_config()
     };
-    for (config, field) in [(zero_elems, "elems"), (zero_queue, "queue_cap")] {
+    let zero_poll = ServeConfig {
+        poll_ms: 0,
+        ..test_config()
+    };
+    for (config, field) in [
+        (zero_elems, "elems"),
+        (zero_queue, "queue_cap"),
+        (zero_poll, "poll_ms"),
+    ] {
         let Err(err) = Server::start(config) else {
             panic!("a zero {field} must not start");
         };
@@ -286,6 +297,137 @@ fn hot_reload_swaps_parameters_without_dropping_requests() {
 
     server.shutdown();
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_synchronous_reload_is_read_your_writes() {
+    let dir = std::env::temp_dir().join(format!("cgnn_serve_ryw_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let policy = CheckpointPolicy::every(1, &dir);
+    let (mut trainer, graph) = reference_trainer_on(7, ELEMS);
+    let samples = sample_inputs(&graph, 1);
+    let body = encode_f64(samples[0].x.data());
+
+    let server = Server::start(ServeConfig {
+        ckpt_dir: Some(dir.clone()),
+        // Only the synchronous /admin/reload publishes.
+        poll_ms: 60_000,
+        ..test_config()
+    })
+    .expect("server start");
+    let mut client =
+        HttpClient::connect_retry(server.addr(), Duration::from_secs(5)).expect("connect");
+    for step in 1..=20 {
+        trainer.step(&samples[0]);
+        cgnn_tensor::save_checkpoint(
+            &trainer.params,
+            &trainer.opt.state(),
+            policy.path_for_step(step),
+        )
+        .expect("save");
+        let expected = trainer.predict(&samples[0]).into_vec();
+
+        let reload = client
+            .request("POST", "/admin/reload", &[])
+            .expect("reload");
+        assert_eq!(reload.status, 200);
+        let reload_body = String::from_utf8(reload.body).expect("utf8");
+        assert!(
+            reload_body.contains("\"reloaded\": true")
+                && reload_body.contains(&format!("\"step\": {step}")),
+            "reload response: {reload_body}"
+        );
+        // The reload has answered, so the next request is served by what
+        // it published.
+        let resp = client.request("POST", "/predict", &body).expect("predict");
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            resp.header("x-model-step"),
+            Some(step.to_string().as_str()),
+            "a /predict after the reload to step {step} was served stale"
+        );
+        let served = decode_f64(&resp.body).expect("f64 frame");
+        assert_eq!(served, expected, "step-{step} weights must serve");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Write `parts` to a fresh connection to `addr` with `pause` between
+/// them, then read one response: its status, its `X-Model-Step` header
+/// and its body.
+fn slow_request(
+    addr: std::net::SocketAddr,
+    parts: &[&[u8]],
+    pause: Duration,
+) -> (String, Option<String>, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(pause);
+        }
+        // A server that gave up on the request has answered and closed:
+        // read what it said.
+        if stream.write_all(part).is_err() {
+            break;
+        }
+    }
+    let mut reader = BufReader::new(stream);
+    let status = read_line(&mut reader)
+        .expect("status line")
+        .expect("a response");
+    let (mut len, mut step) = (0, None);
+    while let Some(line) = read_line(&mut reader).expect("header line") {
+        if line.is_empty() {
+            break;
+        }
+        let (name, value) = line.split_once(':').expect("a header");
+        match name.to_ascii_lowercase().as_str() {
+            "content-length" => len = value.trim().parse().expect("a length"),
+            "x-model-step" => step = Some(value.trim().to_string()),
+            _ => {}
+        }
+    }
+    let mut body = vec![0; len];
+    reader.read_exact(&mut body).expect("body");
+    (status, step, body)
+}
+
+#[test]
+fn slow_clients_are_served() {
+    let server = Server::start(test_config()).expect("server start");
+    let (trainer, graph) = reference_trainer_on(server.config().seed, ELEMS);
+    let sample = &sample_inputs(&graph, 1)[0];
+    let expected = trainer.predict(sample).into_vec();
+    let pause = Duration::from_millis(400);
+
+    // Header lines 400 ms apart.
+    let (status, _, _) = slow_request(
+        server.addr(),
+        &[
+            b"GET /health HTTP/1.1\r\n",
+            b"Host: cgnn-serve\r\n",
+            b"\r\n",
+        ],
+        pause,
+    );
+    assert!(status.starts_with("HTTP/1.1 200"), "slow headers: {status}");
+
+    // A body 400 ms behind its headers.
+    let body = encode_f64(sample.x.data());
+    let head = format!(
+        "POST /predict HTTP/1.1\r\nHost: cgnn-serve\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let (status, step, served) = slow_request(server.addr(), &[head.as_bytes(), &body], pause);
+    assert!(status.starts_with("HTTP/1.1 200"), "slow body: {status}");
+    assert_eq!(step.as_deref(), Some("0"), "seeded weights");
+    let served = decode_f64(&served).expect("f64 frame");
+    assert_eq!(served.len(), expected.len());
+    for (a, b) in served.iter().zip(&expected) {
+        assert_eq!(a.to_bits(), b.to_bits(), "served prediction diverged");
+    }
+    server.shutdown();
 }
 
 #[test]
