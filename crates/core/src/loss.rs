@@ -34,8 +34,8 @@ impl CustomOp for AllReduceSumOp {
         "all_reduce_sum"
     }
 
-    fn backward(&self, grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-        vec![Some(grad_out)]
+    fn backward(&self, grad_out: Tensor, _input: &Tensor) -> Option<Tensor> {
+        Some(grad_out)
     }
 }
 
@@ -44,7 +44,7 @@ pub fn all_reduce_scalar(tape: &mut Tape, v: VarId, comm: &Comm) -> VarId {
     let global = comm.all_reduce_scalar(tape.value(v).item());
     let mut value = tape.value_copy(v);
     value.data_mut()[0] = global;
-    tape.custom(vec![v], value, Box::new(AllReduceSumOp))
+    tape.custom(v, value, Box::new(AllReduceSumOp))
 }
 
 /// Consistent MSE between prediction `pred` (`[n_local, F_y]` on the tape)

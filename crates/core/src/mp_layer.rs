@@ -70,9 +70,9 @@ impl CustomOp for HaloSyncOp {
 
     /// The exchange runs in place on the adjoint, which moves on as the
     /// input's.
-    fn backward(&self, mut grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
+    fn backward(&self, mut grad_out: Tensor, _input: &Tensor) -> Option<Tensor> {
         self.ctx.exchange(&mut grad_out, &self.graph);
-        vec![Some(grad_out)]
+        Some(grad_out)
     }
 }
 
@@ -105,7 +105,7 @@ fn halo_sync_then(
     }
     let value = tape.value_copy(a);
     let a_star = tape.custom(
-        vec![a],
+        a,
         value,
         Box::new(HaloSyncOp {
             graph: Arc::clone(graph),

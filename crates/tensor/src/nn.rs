@@ -90,10 +90,14 @@ impl ParamSet {
     /// [`Tape::release_params`]; an update before then copies them first
     /// (see [`ParamSet`]).
     pub fn bind(&self, tape: &mut Tape) -> BoundParams {
-        let ids = (0..self.tensors.len())
-            .map(|i| tape.param(&self.tensors, i))
-            .collect();
-        BoundParams { ids }
+        let first = tape.len();
+        for i in 0..self.tensors.len() {
+            tape.param(&self.tensors, i);
+        }
+        BoundParams {
+            first,
+            len: self.tensors.len(),
+        }
     }
 
     /// Flatten all parameters into a single vector (for checksums/tests).
@@ -106,18 +110,25 @@ impl ParamSet {
     }
 }
 
-/// Per-pass mapping from [`ParamId`] to tape [`VarId`].
+/// Per-pass mapping from [`ParamId`] to tape [`VarId`]: [`ParamSet::bind`]
+/// records the parameters consecutively, so the binding is the range of
+/// their variables and parameter `i` is the `i`-th.
 pub struct BoundParams {
-    ids: Vec<VarId>,
+    first: usize,
+    len: usize,
 }
 
 impl BoundParams {
+    /// # Panics
+    /// If `id` is not a parameter of the bound set.
     pub fn var(&self, id: ParamId) -> VarId {
-        self.ids[id.0]
+        assert!(id.0 < self.len, "parameter {} is not bound", id.0);
+        VarId(self.first + id.0)
     }
 
-    pub fn vars(&self) -> &[VarId] {
-        &self.ids
+    /// Every bound parameter's variable, in binding order, as a fresh list.
+    pub fn vars(&self) -> Vec<VarId> {
+        (self.first..self.first + self.len).map(VarId).collect()
     }
 }
 

@@ -35,9 +35,9 @@
 //!
 //! Nothing is stored that only one fused neighbour would read. A residual
 //! add is folded into the layer norm before it ([`Tape::layer_norm_add`]),
-//! so the layer norm's output is never a tensor of its own. The adjoints
-//! of [`Tape::linear`] / [`Tape::linear_elu`] and [`Tape::gather_linear`]
-//! stream their rows one L1-sized block at a time: a block's `elu'`-scaled
+//! so the layer norm's output is never a tensor of its own. The adjoint
+//! of a dense layer ([`Tape::linear`] and its siblings below) streams its
+//! rows one L1-sized block at a time: a block's `elu'`-scaled
 //! adjoint feeds the bias sums, its rows of the input adjoint and its
 //! share of the weight gradient before the next block is read, so the
 //! scaled `[rows, h]` adjoint is never stored whole. Every sum keeps its
@@ -46,8 +46,10 @@
 //! ## Held once
 //!
 //! A step holds each tensor once. Nothing is copied only to be read:
-//! - a layer over a concatenation reads its input as column blocks
-//!   ([`Tape::linear_elu_blocks`]), so the concatenation is never stored;
+//! - a layer over a concatenation reads its input as column blocks, each
+//!   streamed or gathered ([`Tape::linear_elu_blocks`],
+//!   [`Tape::gather_linear`]), so the concatenation is never stored, and
+//!   the op holds its list of blocks inline;
 //! - an input the caller already holds is shared, not copied
 //!   ([`Tape::shared_constant`]): it is never put into the pool and never
 //!   released.
@@ -63,9 +65,13 @@
 //! Each of these performs the same operations in the same order as the
 //! form that stores the copy, so every value and gradient keeps its bits.
 //!
-//! Each op has one recording path: ELU is only a fused store-time
-//! post-op, a row gather is a one-part [`Tape::gather_concat`], and an
-//! input that takes no gradient is a [`Tape::shared_constant`].
+//! Each op has one recording path. Every dense layer is one op over at
+//! most three column blocks, with one forward kernel and one adjoint:
+//! [`Tape::linear`], [`Tape::linear_elu`], [`Tape::linear_elu_blocks`] and
+//! [`Tape::gather_linear`] record its special cases. ELU is only its fused
+//! post-op, a row gather is a one-part [`Tape::gather_concat`], an input
+//! that takes no gradient is a [`Tape::shared_constant`], and a
+//! [`CustomOp`] has one input.
 //!
 //! ## The gradient bucket
 //!
@@ -104,44 +110,58 @@ use crate::tensor::{elu, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpo
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(pub(crate) usize);
 
-/// A user-defined differentiable operation.
+/// A user-defined differentiable operation of one input.
 ///
 /// `backward` receives the adjoint of the op output plus the recorded input
-/// values, and returns one adjoint per input (or `None` for inputs that do
-/// not need gradients). Implementations may perform communication; all ranks
-/// replay their tapes in the same order, so collective calls match up.
+/// value, and returns the input's adjoint (or `None` if it needs no
+/// gradient). Implementations may perform communication; all ranks replay
+/// their tapes in the same order, so collective calls match up.
 pub trait CustomOp: Send {
     /// Human-readable op name for debugging.
     fn name(&self) -> &'static str;
 
-    /// Compute input adjoints given the output adjoint. `grad_out` is the
-    /// op's to keep: an op whose input adjoint is a function of it alone
-    /// may compute that in place and return the same tensor, which the
-    /// tape then takes back into its pool instead of a fresh one.
-    fn backward(&self, grad_out: Tensor, inputs: &[&Tensor]) -> Vec<Option<Tensor>>;
+    /// Compute the input's adjoint given the output adjoint. `grad_out` is
+    /// the op's to keep: an op whose input adjoint is a function of it
+    /// alone may compute that in place and return the same tensor, which
+    /// the tape then takes back into its pool instead of a fresh one.
+    fn backward(&self, grad_out: Tensor, input: &Tensor) -> Option<Tensor>;
 }
 
-/// One input of a fused gather-concatenate (see [`Tape::gather_concat`])
-/// or gather-linear ([`Tape::gather_linear`]): a source variable and,
-/// optionally, the row indices to gather from it (`None` streams the
-/// source's rows through directly).
+/// One column block of a fused gather-concatenate (see
+/// [`Tape::gather_concat`]) or of a dense layer's input ([`Op::Dense`]): a
+/// source variable and, optionally, the row indices to gather from it
+/// (`None` streams the source's rows through directly).
 pub(crate) struct GatherPart {
     src: VarId,
     idx: Option<Arc<Vec<usize>>>,
     cols: usize,
 }
 
-/// The input of an [`Op::Linear`]: its column blocks `[x_0 | x_1 | ...]`,
-/// in order. The first is held inline, so a one-block input (every layer
-/// but one that reads a concatenation) allocates nothing.
-pub(crate) struct Blocks {
-    first: VarId,
-    rest: Vec<VarId>,
+/// The most column blocks one dense layer reads: the edge update's
+/// `[x_i | x_j | e_ij]`.
+const MAX_PARTS: usize = 3;
+
+/// The column blocks `[x_0 | x_1 | ...]` of an [`Op::Dense`] input, in
+/// order, held inline: recording a dense layer allocates nothing.
+pub(crate) struct Parts {
+    len: usize,
+    list: [GatherPart; MAX_PARTS],
 }
 
-impl Blocks {
-    fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
-        std::iter::once(self.first).chain(self.rest.iter().copied())
+impl Parts {
+    /// Where the parts without indices sit in the list (one run, as
+    /// [`Tape::gather_linear`] checks).
+    fn streamed(&self) -> Range<usize> {
+        let first = self.iter().position(|p| p.idx.is_none()).unwrap_or(0);
+        first..first + self.iter().filter(|p| p.idx.is_none()).count()
+    }
+}
+
+impl std::ops::Deref for Parts {
+    type Target = [GatherPart];
+
+    fn deref(&self) -> &[GatherPart] {
+        &self.list[..self.len]
     }
 }
 
@@ -161,11 +181,13 @@ pub(crate) enum Op {
         index: usize,
         slot: usize,
     },
-    /// `C[i, :] = b[0, :] + [X_0[i, :] | X_1[i, :] | ...] * W`, optionally
-    /// passed through ELU at store time — the fused linear(+activation)
-    /// layer over the column blocks of its input.
-    Linear {
-        x: Blocks,
+    /// The fused dense layer over the column blocks of its input,
+    /// `C[i, :] = act(b[0, :] + [P_0[i_0, :] | P_1[i_1, :] | ...] * W)`,
+    /// `i_p` row `i` of a streamed part or `idx_p[i]` of a gathered one,
+    /// `act` ELU or the identity. Its streamed parts are
+    /// consecutive; see [`Tape::gather_linear`] for the summation order.
+    Dense {
+        parts: Parts,
         w: VarId,
         b: VarId,
         elu: bool,
@@ -181,14 +203,6 @@ pub(crate) enum Op {
     /// Fused gather + column concatenation:
     /// `C[i, :] = [P0[idx0[i]] | P1[idx1[i]] | ...]` (`None` index = row i).
     GatherConcat(Vec<GatherPart>),
-    /// [`Op::Linear`] over the [`Op::GatherConcat`] of `parts`, without the
-    /// concatenation: `C[i, :] = b + sum_p P_p[idx_p[i], :] * W_p`, `W_p` the
-    /// row block of `w` part `p` owns; ELU at store time.
-    GatherLinear {
-        parts: Vec<GatherPart>,
-        w: VarId,
-        b: VarId,
-    },
     /// `C[idx[i]] += w[i] * A[i]` with constant weights, without a scaled
     /// copy of `A`; `C[idx[i]] += A[i]` without weights.
     ScatterAdd(VarId, Option<Arc<Vec<f64>>>, Arc<Vec<usize>>),
@@ -206,10 +220,7 @@ pub(crate) enum Op {
     /// `c = sum_ij A[i,j]` (scalar).
     Sum(VarId),
     /// User-defined op (e.g. halo exchange, all-reduce).
-    Custom {
-        inputs: Vec<VarId>,
-        op: Box<dyn CustomOp>,
-    },
+    Custom { input: VarId, op: Box<dyn CustomOp> },
     /// An interior value [`Tape::release_except`] gave back to the pool;
     /// its node holds an empty tensor.
     Released,
@@ -757,14 +768,14 @@ impl Tape {
     /// over rows): one kernel, one output tensor, instead of a matmul
     /// followed by a broadcast add.
     pub fn linear(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
-        self.linear_impl(&[x], w, b, false)
+        self.dense([(x, None)].into_iter(), w, b, false)
     }
 
     /// [`Tape::linear`] with ELU (alpha = 1) applied as the kernel's
     /// store-time post-op: `elu(x * w + b)` as **one** op and one tensor —
     /// the hidden-layer body of every MLP in the model.
     pub fn linear_elu(&mut self, x: VarId, w: VarId, b: VarId) -> VarId {
-        self.linear_impl(&[x], w, b, true)
+        self.dense([(x, None)].into_iter(), w, b, true)
     }
 
     /// [`Tape::linear_elu`] over the column blocks `x` of its input,
@@ -776,38 +787,11 @@ impl Tape {
     /// Row-separable, so it may be recorded under a row mask.
     ///
     /// # Panics
-    /// If `x` is empty, its blocks differ in row count, their widths do not
-    /// sum to `w`'s rows, or `b` is not `[1, w.cols]`.
+    /// If `x` is empty or has more than three blocks, its blocks differ in
+    /// row count, their widths do not sum to `w`'s rows, or `b` is not
+    /// `[1, w.cols]`.
     pub fn linear_elu_blocks(&mut self, x: &[VarId], w: VarId, b: VarId) -> VarId {
-        self.linear_impl(x, w, b, true)
-    }
-
-    fn linear_impl(&mut self, x: &[VarId], w: VarId, b: VarId, elu: bool) -> VarId {
-        assert!(!x.is_empty(), "linear needs at least one input block");
-        let (first, rest) = (x[0], &x[1..]);
-        let rows = self.value(first).rows();
-        let mut in_dim = 0;
-        for &block in x {
-            let v = self.value(block);
-            assert_eq!(v.rows(), rows, "linear input blocks differ in rows");
-            in_dim += v.cols();
-        }
-        let (vw, vb) = (self.value(w), self.value(b));
-        assert_eq!(
-            in_dim,
-            vw.rows(),
-            "linear inner dims: {}x{} * {}x{}",
-            rows,
-            in_dim,
-            vw.rows(),
-            vw.cols()
-        );
-        assert_eq!(vb.shape(), (1, vw.cols()), "linear bias shape");
-        let x = Blocks {
-            first,
-            rest: rest.to_vec(),
-        };
-        self.record_rows(rows, vw.cols(), Op::Linear { x, w, b, elu })
+        self.dense(x.iter().map(|&id| (id, None)), w, b, true)
     }
 
     /// `a + b` elementwise.
@@ -869,8 +853,16 @@ impl Tape {
     /// `(variable, None)` to stream the variable's rows through directly.
     /// All gathered index lists must share one length; `None` parts must
     /// have exactly that many rows.
+    ///
+    /// # Panics
+    /// If `parts` is empty, or on a row or index count that differs.
     pub fn gather_concat(&mut self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> VarId {
-        let (rows, meta) = self.gather_parts(parts);
+        assert!(!parts.is_empty(), "gather_concat needs at least one part");
+        let rows = self.part_rows(&parts[0]);
+        let meta: Vec<GatherPart> = parts
+            .iter()
+            .map(|part| self.gather_part(rows, part.clone()))
+            .collect();
         let cols = meta.iter().map(|p| p.cols).sum();
         self.record_rows(rows, cols, Op::GatherConcat(meta))
     }
@@ -885,103 +877,89 @@ impl Tape {
     /// wide.
     ///
     /// Each output element is summed in one fixed order: the bias, then
-    /// the terms of the (at most one) part without indices, in the order of
-    /// [`Tape::linear`]'s tile kernel, then the gathered products in part
-    /// order, then ELU — so the row blocking changes no bit. Each block of
-    /// `tn_panel_rows(in, h)` rows takes those three passes while it is in
-    /// L1. The result equals `linear_elu(gather_concat(parts), ..)` to
-    /// rounding, not bit for bit.
+    /// the terms of the parts without indices (consecutive in `parts`), in
+    /// the order of [`Tape::linear_elu_blocks`]'s tile kernel, then the
+    /// gathered products in part order, then ELU — so the row blocking
+    /// changes no bit. Each block of `tn_panel_rows(in, h)` rows takes
+    /// those three passes while it is in L1. The result equals
+    /// `linear_elu(gather_concat(parts), ..)` to rounding, not bit for bit.
+    /// With no gathered part it is [`Tape::linear_elu_blocks`].
     ///
     /// # Panics
-    /// Under a row mask; if more than one part has no indices; if the
-    /// parts' widths do not sum to `w`'s rows, or `b` is not `[1, w.cols]`;
-    /// on the shape checks of [`Tape::gather_concat`].
+    /// Under a row mask when a part is gathered; if there are more than
+    /// three parts, or the parts without indices are not consecutive; if
+    /// the parts' widths do not sum to `w`'s rows, or `b` is not
+    /// `[1, w.cols]`; on the shape checks of [`Tape::gather_concat`].
     pub fn gather_linear(
         &mut self,
         parts: &[(VarId, Option<Arc<Vec<usize>>>)],
         w: VarId,
         b: VarId,
     ) -> VarId {
-        self.assert_unmasked("gather_linear");
-        let (rows, meta) = self.gather_parts(parts);
-        let Tape { nodes, pool, .. } = self;
-        let (vw, bias) = (value(nodes, w), value(nodes, b).data());
-        let h = vw.cols();
-        let in_dim: usize = meta.iter().map(|p| p.cols).sum();
-        assert_eq!(
-            in_dim,
-            vw.rows(),
-            "gather_linear: parts {in_dim} wide, w has {} rows",
-            vw.rows()
-        );
-        assert_eq!(bias.len(), h, "gather_linear bias shape");
-        assert!(
-            meta.iter().filter(|p| p.idx.is_none()).count() <= 1,
-            "gather_linear takes at most one part without indices"
-        );
-        let (sx, sw, sk) = match weight_blocks(&meta, h).find(|(p, _)| p.idx.is_none()) {
-            Some((p, block)) => (value(nodes, p.src).data(), &vw.data()[block], p.cols),
-            None => (&[][..], &[][..], 0),
-        };
-        // `x_p * W_p` over the source rows of every gathered part.
-        let gathered: Vec<(Tensor, &[usize])> = weight_blocks(&meta, h)
-            .filter_map(|(p, block)| {
-                let idx = p.idx.as_deref()?;
-                let x = value(nodes, p.src);
-                let mut prod = pool.uninit(x.rows(), h);
-                let (w_p, out) = (&vw.data()[block], prod.data_mut());
-                gemm_rows(x.data(), w_p, out, 0, x.rows(), p.cols, h, None, false);
-                Some((prod, idx.as_slice()))
-            })
-            .collect();
-        let mut out = pool.uninit(rows, h);
-        let block = tn_panel_rows(in_dim, h);
-        for r0 in (0..rows).step_by(block) {
-            let nr = block.min(rows - r0);
-            let chunk = &mut out.data_mut()[r0 * h..(r0 + nr) * h];
-            gemm_rows(sx, sw, chunk, r0, nr, sk, h, Some(bias), false);
-            for (prod, idx) in &gathered {
-                for (i, &src) in idx[r0..r0 + nr].iter().enumerate() {
-                    let o_row = &mut chunk[i * h..(i + 1) * h];
-                    for (o, &v) in o_row.iter_mut().zip(prod.row(src)) {
-                        *o += v;
-                    }
-                }
-            }
-            for o in chunk.iter_mut() {
-                *o = elu(*o);
-            }
-        }
-        for (prod, _) in gathered {
-            pool.put(prod.into_vec());
-        }
-        self.push(out, Op::GatherLinear { parts: meta, w, b })
+        self.dense(parts.iter().cloned(), w, b, true)
     }
 
-    /// Validate the parts of a [`Tape::gather_concat`] /
-    /// [`Tape::gather_linear`] and return the output row count with the
-    /// recorded part list.
-    fn gather_parts(&self, parts: &[(VarId, Option<Arc<Vec<usize>>>)]) -> (usize, Vec<GatherPart>) {
-        assert!(!parts.is_empty(), "gather_concat needs at least one part");
-        let rows = match &parts[0] {
-            (_, Some(ix)) => ix.len(),
-            (p, None) => self.value(*p).rows(),
-        };
-        let meta = parts
-            .iter()
-            .map(|(p, idx)| {
-                match idx {
-                    Some(ix) => assert_eq!(ix.len(), rows, "gather_concat index length mismatch"),
-                    None => assert_eq!(self.value(*p).rows(), rows, "gather_concat row mismatch"),
-                }
-                GatherPart {
-                    src: *p,
-                    idx: idx.clone(),
-                    cols: self.value(*p).cols(),
-                }
-            })
-            .collect();
-        (rows, meta)
+    /// Record the [`Op::Dense`] layer over `parts`, after the shape checks
+    /// of its recorders.
+    fn dense(
+        &mut self,
+        parts: impl ExactSizeIterator<Item = (VarId, Option<Arc<Vec<usize>>>)>,
+        w: VarId,
+        b: VarId,
+        elu: bool,
+    ) -> VarId {
+        let len = parts.len();
+        assert!(
+            (1..=MAX_PARTS).contains(&len),
+            "a dense layer reads 1 to {MAX_PARTS} column blocks, got {len}"
+        );
+        let mut parts = parts.peekable();
+        let rows = parts.peek().map_or(0, |p| self.part_rows(p));
+        let list = std::array::from_fn(|_| match parts.next() {
+            Some(part) => self.gather_part(rows, part),
+            None => GatherPart {
+                src: VarId(0),
+                idx: None,
+                cols: 0,
+            },
+        });
+        let parts = Parts { len, list };
+        let streamed = parts.streamed();
+        assert!(
+            parts[streamed.clone()].iter().all(|p| p.idx.is_none()),
+            "a dense layer's parts without indices must be consecutive"
+        );
+        if streamed.len() < len {
+            self.assert_unmasked("gather_linear");
+        }
+        let in_dim: usize = parts.iter().map(|p| p.cols).sum();
+        let (vw, vb) = (self.value(w), self.value(b));
+        let (k, h) = vw.shape();
+        assert_eq!(in_dim, k, "dense inner dims: {rows}x{in_dim} * {k}x{h}");
+        assert_eq!(vb.shape(), (1, h), "dense bias shape");
+        self.record_rows(rows, h, Op::Dense { parts, w, b, elu })
+    }
+
+    /// The output row count of a gather whose first part is `(p, idx)`:
+    /// its index count, or `p`'s rows if it has no indices.
+    fn part_rows(&self, (p, idx): &(VarId, Option<Arc<Vec<usize>>>)) -> usize {
+        idx.as_ref()
+            .map_or_else(|| self.value(*p).rows(), |ix| ix.len())
+    }
+
+    /// Validate one part of a gather or dense layer with `rows` output
+    /// rows and return it as recorded.
+    fn gather_part(&self, rows: usize, (src, idx): (VarId, Option<Arc<Vec<usize>>>)) -> GatherPart {
+        let v = self.value(src);
+        match &idx {
+            Some(ix) => assert_eq!(ix.len(), rows, "gather_concat index length mismatch"),
+            None => assert_eq!(v.rows(), rows, "gather_concat row mismatch"),
+        }
+        GatherPart {
+            src,
+            idx,
+            cols: v.cols(),
+        }
     }
 
     /// `out[idx[i]] += a[i]` with `out_rows` output rows: the op of
@@ -1092,11 +1070,12 @@ impl Tape {
         self.push(out, Op::Sum(a))
     }
 
-    /// Record a user-defined differentiable op with an already-computed
-    /// forward value (the caller performs the forward communication).
-    pub fn custom(&mut self, inputs: Vec<VarId>, value: Tensor, op: Box<dyn CustomOp>) -> VarId {
+    /// Record a user-defined differentiable op of `input` with an
+    /// already-computed forward value (the caller performs the forward
+    /// communication).
+    pub fn custom(&mut self, input: VarId, value: Tensor, op: Box<dyn CustomOp>) -> VarId {
         self.assert_unmasked("custom");
-        self.push(value, Op::Custom { inputs, op })
+        self.push(value, Op::Custom { input, op })
     }
 
     /// Run reverse-mode accumulation from scalar variable `root`.
@@ -1210,24 +1189,6 @@ fn accumulate(
         }
         pool.put(contrib.into_vec());
     };
-    // A dense layer's input block, once its adjoint has streamed: the
-    // adjoint goes to the block's variable (`g` itself if it was written
-    // over it), the block's `wᵀ` back to the pool.
-    let finish = |grads: &mut Gradients,
-                  id: VarId,
-                  adjoint: Option<(Tensor, Dest)>,
-                  g: &mut Option<Tensor>,
-                  pool: &mut BufPool| {
-        let Some((wt, dest)) = adjoint else { return };
-        pool.put(wt.into_vec());
-        let contrib = match dest {
-            Dest::Add(t) | Dest::Fresh(t) => Some(t),
-            Dest::OverG => g.take(),
-        };
-        if let Some(c) = contrib {
-            add(grads, id, c, pool);
-        }
-    };
     // Pass-through adjoints: the last parent takes `g` itself. The `add`s
     // keep their order, so a parent reached twice (`x + x`) sums the same
     // bits as it would from two copies. Every other op only reads `g`, or
@@ -1243,49 +1204,6 @@ fn accumulate(
             add(grads, *a, g, pool);
             if let Some(gb) = neg {
                 add(grads, *b, gb, pool);
-            }
-            return;
-        }
-        Op::Linear { x, w, b, elu } => {
-            let vw = value(nodes, *w);
-            let (rows, h) = g.shape();
-            let mut gw = grads.weight_grad(nodes, pool, *w, vw.rows(), h);
-            let mut plan = AdjointPlan {
-                nodes,
-                w: vw.data(),
-                rows,
-                h,
-                g_free: true,
-            };
-            // The blocks own consecutive row blocks of `w`, in order.
-            let mut row = 0;
-            let mut block = |id: VarId, grads: &mut Gradients, pool: &mut BufPool| {
-                let k = value(nodes, id).cols();
-                let w_rows = row * h..(row + k) * h;
-                row += k;
-                plan.block(&mut grads.held, pool, id, w_rows, true)
-            };
-            let mut one: [InputBlock; 1];
-            let mut many: Vec<InputBlock>;
-            let blocks: &mut [InputBlock] = if x.rest.is_empty() {
-                one = [block(x.first, grads, pool)];
-                &mut one
-            } else {
-                many = x.iter().map(|id| block(id, grads, pool)).collect();
-                &mut many
-            };
-            let y = elu.then_some(&node.value);
-            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data(grads), |_, _, _| {});
-            let mut g = Some(g);
-            for blk in blocks {
-                finish(grads, blk.id, blk.adjoint.take(), &mut g, pool);
-            }
-            if let WeightGrad::Scratch(gw) = gw {
-                add(grads, *w, gw, pool);
-            }
-            add(grads, *b, gb, pool);
-            if let Some(g) = g {
-                pool.put(g.into_vec());
             }
             return;
         }
@@ -1323,53 +1241,73 @@ fn accumulate(
                 off += w;
             }
         }
-        Op::GatherLinear { parts, w, b } => {
+        Op::Dense { parts, w, b, elu } => {
             let vw = value(nodes, *w);
             let (rows, h) = g.shape();
             // Every part owns its own row block of the one weight gradient.
             let mut gw = grads.weight_grad(nodes, pool, *w, vw.rows(), h);
-            // The streamed part (if any) takes its adjoint row block by row
-            // block, as `linear` does — added into its source's adjoint
-            // unless an earlier part adds to that source first; a gathered
-            // part's `S`, the adjoint `t` summed back onto the source rows
-            // it was gathered from, accumulates block by block in edge
-            // order.
-            let mut plan = AdjointPlan {
-                nodes,
-                w: vw.data(),
-                rows,
-                h,
-                g_free: true,
-            };
-            let mut streamed = weight_blocks(parts, h)
-                .enumerate()
-                .find(|(_, (p, _))| p.idx.is_none())
-                .map(|(i, (p, w_rows))| {
+            // A gathered part's `S`, the adjoint `t` summed back onto the
+            // source rows it was gathered from, accumulates block by block
+            // in row order. A streamed part takes its adjoint row block by
+            // row block, with its `wᵀ`, into the adjoint its source already
+            // has unless an earlier part adds to that source first; else
+            // over `g`, if it is as wide and no other part took `g`; else
+            // into a fresh tensor. A constant takes none.
+            let mut streamed: [Option<InputBlock>; MAX_PARTS] = Default::default();
+            let mut sums: [Option<Tensor>; MAX_PARTS] = Default::default();
+            let mut g_free = true;
+            for (i, (p, w_rows)) in weight_blocks(parts, h).enumerate() {
+                if p.idx.is_some() {
+                    sums[i] = Some(pool.zeroed(value(nodes, p.src).rows(), h));
+                    continue;
+                }
+                let (x, k) = (value(nodes, p.src).data(), p.cols);
+                let adjoint = wants(p.src).then(|| {
+                    let mut wt = pool.uninit(h, k);
+                    transpose(&vw.data()[w_rows.clone()], k, h, wt.data_mut());
                     let may_add = parts[..i].iter().all(|q| q.src != p.src);
-                    plan.block(&mut grads.held, pool, p.src, w_rows, may_add)
+                    let dest = match may_add.then(|| grads.held[p.src.0].take()).flatten() {
+                        Some(acc) => Dest::Add(acc),
+                        None if k == h && g_free => {
+                            g_free = false;
+                            Dest::OverG
+                        }
+                        None => Dest::Fresh(pool.uninit(rows, k)),
+                    };
+                    (wt, dest)
                 });
-            let mut sums: Vec<Option<Tensor>> = parts
-                .iter()
-                .map(|p| {
-                    let src_rows = value(nodes, p.src).rows();
-                    p.idx.as_ref().map(|_| pool.zeroed(src_rows, h))
-                })
-                .collect();
-            let y = Some(&node.value);
-            let blocks = streamed.as_mut_slice();
-            let gb = dense_adjoint(pool, &mut g, y, blocks, gw.data(grads), |r0, nr, t| {
+                streamed[i] = Some(InputBlock {
+                    x,
+                    k,
+                    w_rows,
+                    adjoint,
+                });
+            }
+            let scatter = |r0: usize, nr: usize, t: &[f64]| {
                 for (p, s) in parts.iter().zip(sums.iter_mut()) {
                     if let (Some(idx), Some(s)) = (&p.idx, s) {
                         scatter_add_block(t, &idx[r0..r0 + nr], s);
                     }
                 }
-            });
+            };
+            let y = elu.then_some(&node.value);
+            let gb = dense_adjoint(pool, &mut g, y, &mut streamed, gw.data(grads), scatter);
+            // The parts finish in order.
             let mut g = Some(g);
-            for ((p, block), s) in weight_blocks(parts, h).zip(sums) {
-                let Some(s) = s else {
-                    if let Some(blk) = streamed.take() {
-                        finish(grads, blk.id, blk.adjoint, &mut g, pool);
+            for (i, (p, block)) in weight_blocks(parts, h).enumerate() {
+                // A streamed part's adjoint goes to its source (`g` itself
+                // if it was written over `g`), its `wᵀ` back to the pool.
+                if let Some((wt, dest)) = streamed[i].take().and_then(|b| b.adjoint) {
+                    pool.put(wt.into_vec());
+                    let contrib = match dest {
+                        Dest::Add(t) | Dest::Fresh(t) => Some(t),
+                        Dest::OverG => g.take(),
+                    };
+                    if let Some(c) = contrib {
+                        add(grads, p.src, c, pool);
                     }
+                }
+                let Some(s) = sums[i].take() else {
                     continue;
                 };
                 let x = value(nodes, p.src);
@@ -1458,26 +1396,17 @@ fn accumulate(
             contrib.data_mut().fill(s);
             add(grads, *a, contrib, pool);
         }
-        Op::Custom { inputs, op } => {
-            let vals: Vec<&Tensor> = inputs.iter().map(|&i| value(nodes, i)).collect();
+        Op::Custom { input, op } => {
+            let v = value(nodes, *input);
             // The op takes `g`: one that works in place hands it back.
-            let contribs = op.backward(g, &vals);
-            assert_eq!(
-                contribs.len(),
-                inputs.len(),
-                "custom op {} returned wrong gradient count",
-                op.name()
-            );
-            for ((id, c), v) in inputs.iter().zip(contribs).zip(vals) {
-                if let Some(c) = c {
-                    assert_eq!(
-                        c.shape(),
-                        v.shape(),
-                        "custom op {} returned an adjoint of the wrong shape",
-                        op.name()
-                    );
-                    add(grads, *id, c, pool);
-                }
+            if let Some(c) = op.backward(g, v) {
+                assert_eq!(
+                    c.shape(),
+                    v.shape(),
+                    "custom op {} returned an adjoint of the wrong shape",
+                    op.name()
+                );
+                add(grads, *input, c, pool);
             }
             return;
         }
@@ -1524,19 +1453,31 @@ fn add_gathered_rows(
 /// alone. Full-tensor recording runs it once over all rows, masked
 /// recording over packed blocks of the mask rows and of their complement
 /// ([`RowKernel::fill`]).
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one kernel lives on the stack per recorded op; boxing it would allocate per op"
+)]
 enum RowKernel<'a> {
-    Linear {
+    /// An [`Op::Dense`]. Only one without gathered parts is row-separable
+    /// (its recorder refuses the others under a row mask).
+    Dense {
         nodes: &'a [Node],
-        x: &'a Blocks,
-        /// The width of the whole input.
+        /// The streamed parts, consecutive in the part list.
+        streamed: &'a [GatherPart],
+        /// The streamed parts' width, and their rows of the weight.
         k: usize,
         w: &'a [f64],
         bias: &'a [f64],
         elu: bool,
-        /// For an input of several blocks: rows of `[x_0 | x_1 | ...]`,
-        /// assembled one L1-sized block of rows at a time. One block is
-        /// read in place.
+        /// For several streamed parts: rows of their concatenation,
+        /// assembled one L1-sized block of rows at a time. One is read in
+        /// place.
         rows: Option<Tensor>,
+        /// Each gathered part's `x_p * W_p` over its source rows, with its
+        /// indices, in part order.
+        gathered: [Option<(Tensor, &'a [usize])>; MAX_PARTS],
+        /// The width of the whole input.
+        in_dim: usize,
     },
     LayerNorm {
         x: &'a [f64],
@@ -1557,17 +1498,35 @@ impl<'a> RowKernel<'a> {
     fn of(nodes: &'a [Node], op: &'a Op, rows: usize, pool: &mut BufPool) -> Self {
         let val = |id: &VarId| value(nodes, *id);
         match op {
-            Op::Linear { x, w, b, elu } => {
-                let (k, h) = val(w).shape();
-                let block = tn_panel_rows(k, h).min(rows);
-                RowKernel::Linear {
+            Op::Dense { parts, w, b, elu } => {
+                let (in_dim, h) = val(w).shape();
+                let streamed = parts.streamed();
+                let w_row = h * parts[..streamed.start]
+                    .iter()
+                    .map(|p| p.cols)
+                    .sum::<usize>();
+                let streamed = &parts[streamed];
+                let k = streamed.iter().map(|p| p.cols).sum();
+                let gathered = std::array::from_fn(|i| {
+                    let (p, block) = weight_blocks(parts, h).nth(i)?;
+                    let idx = p.idx.as_deref()?;
+                    let x = val(&p.src);
+                    let mut prod = pool.uninit(x.rows(), h);
+                    let (w_p, out) = (&val(w).data()[block], prod.data_mut());
+                    gemm_rows(x.data(), w_p, out, 0, x.rows(), p.cols, h, None, false);
+                    Some((prod, idx.as_slice()))
+                });
+                let block = tn_panel_rows(in_dim, h).min(rows);
+                RowKernel::Dense {
                     nodes,
-                    x,
+                    streamed,
                     k,
-                    w: val(w).data(),
+                    w: &val(w).data()[w_row..w_row + k * h],
                     bias: val(b).data(),
                     elu: *elu,
-                    rows: (!x.rest.is_empty()).then(|| pool.uninit(block, k)),
+                    rows: (streamed.len() > 1).then(|| pool.uninit(block, k)),
+                    gathered,
+                    in_dim,
                 }
             }
             Op::LayerNorm {
@@ -1601,27 +1560,53 @@ impl<'a> RowKernel<'a> {
     /// (those rows of the `cols`-wide output, row-major).
     fn run(&mut self, chunk: &mut [f64], cols: usize, first_row: usize, nrows: usize) {
         match self {
-            RowKernel::Linear {
+            RowKernel::Dense {
                 nodes,
-                x,
+                streamed,
                 k,
                 w,
                 bias,
-                elu,
+                elu: act,
                 rows,
+                gathered,
+                in_dim,
             } => {
                 let k = *k;
-                let Some(rows) = rows else {
-                    let x = value(nodes, x.first).data();
-                    return gemm_rows(x, w, chunk, first_row, nrows, k, cols, Some(bias), *elu);
+                let x = streamed
+                    .first()
+                    .map_or(&[][..], |p| value(nodes, p.src).data());
+                let any_gathered = gathered.iter().any(Option::is_some);
+                // Gathered products are added after the streamed parts'
+                // tiles, then ELU; without any, ELU is a store-time post-op.
+                let store_elu = *act && !any_gathered;
+                let block = match rows.is_none() && !any_gathered {
+                    true => nrows,
+                    false => tn_panel_rows(*in_dim, cols),
                 };
-                let block = rows.rows().max(1);
-                for r0 in (0..nrows).step_by(block) {
-                    let nr = block.min(nrows - r0);
-                    let a = &mut rows.data_mut()[..nr * k];
-                    assemble(nodes, x, k, a, |i| first_row + r0 + i);
+                for r0 in (0..nrows).step_by(block.max(1)) {
+                    let (nr, r) = (block.min(nrows - r0), first_row + r0);
                     let out = &mut chunk[r0 * cols..(r0 + nr) * cols];
-                    gemm_rows(a, w, out, 0, nr, k, cols, Some(bias), *elu);
+                    let (a, row) = match rows.as_mut() {
+                        Some(a) => {
+                            let a = &mut a.data_mut()[..nr * k];
+                            assemble(nodes, streamed, k, a, |i| r + i);
+                            (&*a, 0)
+                        }
+                        None => (x, r),
+                    };
+                    gemm_rows(a, w, out, row, nr, k, cols, Some(*bias), store_elu);
+                    for (prod, idx) in gathered.iter().flatten() {
+                        // `max(1)`: a zero-width output has no rows to add to.
+                        let o_rows = out.chunks_exact_mut(cols.max(1));
+                        for (o_row, &src) in o_rows.zip(&idx[r..r + nr]) {
+                            for (o, &v) in o_row.iter_mut().zip(prod.row(src)) {
+                                *o += v;
+                            }
+                        }
+                    }
+                    if *act && any_gathered {
+                        out.iter_mut().for_each(|o| *o = elu(*o));
+                    }
                 }
             }
             RowKernel::LayerNorm {
@@ -1680,7 +1665,7 @@ impl<'a> RowKernel<'a> {
     fn fill(&mut self, value: &mut Tensor, ids: &[usize], pool: &mut BufPool) {
         let cols = value.cols();
         let (k, panel, res) = match self {
-            RowKernel::Linear { k, .. } => (*k, tn_panel_rows(*k, cols), None),
+            RowKernel::Dense { k, .. } => (*k, tn_panel_rows(*k, cols), None),
             RowKernel::LayerNorm { res, .. } => (cols, tn_panel_rows(cols, cols), *res),
             // Each row is its own sources' copy: nothing to pack.
             RowKernel::GatherConcat(_) => {
@@ -1696,7 +1681,7 @@ impl<'a> RowKernel<'a> {
         let block = panel.min(ids.len());
         let mut input = match self {
             // A column-block linear packs into its assembly scratch.
-            RowKernel::Linear { rows, .. } => rows.take(),
+            RowKernel::Dense { rows, .. } => rows.take(),
             _ => None,
         }
         .unwrap_or_else(|| pool.uninit(block, k));
@@ -1706,15 +1691,15 @@ impl<'a> RowKernel<'a> {
             let a = &mut input.data_mut()[..nr * k];
             let o = &mut out.data_mut()[..nr * cols];
             match self {
-                RowKernel::Linear {
+                RowKernel::Dense {
                     nodes,
-                    x,
+                    streamed,
                     w,
                     bias,
                     elu,
                     ..
                 } => {
-                    assemble(nodes, x, k, a, |i| ids[i]);
+                    assemble(nodes, streamed, k, a, |i| ids[i]);
                     gemm_rows(a, w, o, 0, nr, k, cols, Some(bias), *elu);
                 }
                 RowKernel::LayerNorm {
@@ -1748,8 +1733,11 @@ impl<'a> RowKernel<'a> {
 
     /// Give the kernel's scratch back to the pool.
     fn release(self, pool: &mut BufPool) {
-        if let RowKernel::Linear { rows: Some(t), .. } = self {
-            pool.put(t.into_vec());
+        if let RowKernel::Dense { rows, gathered, .. } = self {
+            let prods = gathered.into_iter().flatten().map(|(t, _)| t);
+            for t in rows.into_iter().chain(prods) {
+                pool.put(t.into_vec());
+            }
         }
     }
 }
@@ -1781,10 +1769,16 @@ fn copy_rows(
 
 /// Rows `src_row(i)` of `[x_0 | x_1 | ...]` into the `k`-wide `a`, one
 /// column block after another.
-fn assemble(nodes: &[Node], x: &Blocks, k: usize, a: &mut [f64], src_row: impl Fn(usize) -> usize) {
+fn assemble(
+    nodes: &[Node],
+    x: &[GatherPart],
+    k: usize,
+    a: &mut [f64],
+    src_row: impl Fn(usize) -> usize,
+) {
     let mut off = 0;
-    for id in x.iter() {
-        let t = value(nodes, id);
+    for p in x {
+        let t = value(nodes, p.src);
         copy_rows(t.data(), t.cols(), a, k, off, &src_row);
         off += t.cols();
     }
@@ -1849,7 +1843,6 @@ enum Dest {
 /// One column block of a dense layer's input, as [`dense_adjoint`]
 /// streams its adjoint.
 struct InputBlock<'a> {
-    id: VarId,
     /// The block's `[rows, k]` values.
     x: &'a [f64],
     k: usize,
@@ -1859,56 +1852,6 @@ struct InputBlock<'a> {
     /// The block's `wᵀ` and its adjoint's destination; `None` for a
     /// constant.
     adjoint: Option<(Tensor, Dest)>,
-}
-
-/// The [`InputBlock`]s of one dense layer's backward, for its `[rows, h]`
-/// output adjoint `g` and its `[.., h]` weight `w`.
-struct AdjointPlan<'a> {
-    nodes: &'a [Node],
-    w: &'a [f64],
-    rows: usize,
-    h: usize,
-    /// No block writes over `g` yet.
-    g_free: bool,
-}
-
-impl<'a> AdjointPlan<'a> {
-    /// Block `id`, owning `w_rows` of `w`. A block that takes an adjoint
-    /// gets its `wᵀ` and a destination: the adjoint its variable already
-    /// has (if `may_add`); else `g`, if the block is as wide and no other
-    /// block took it; else a fresh tensor.
-    fn block(
-        &mut self,
-        grads: &mut [Option<Tensor>],
-        pool: &mut BufPool,
-        id: VarId,
-        w_rows: std::ops::Range<usize>,
-        may_add: bool,
-    ) -> InputBlock<'a> {
-        let x = value(self.nodes, id);
-        let (k, h) = (x.cols(), self.h);
-        let adjoint = (!matches!(self.nodes[id.0].op, Op::Shared(_))).then(|| {
-            let mut wt = pool.uninit(h, k);
-            transpose(&self.w[w_rows.clone()], k, h, wt.data_mut());
-            let existing = if may_add { grads[id.0].take() } else { None };
-            let dest = match existing {
-                Some(acc) => Dest::Add(acc),
-                None if k == h && self.g_free => {
-                    self.g_free = false;
-                    Dest::OverG
-                }
-                None => Dest::Fresh(pool.uninit(self.rows, k)),
-            };
-            (wt, dest)
-        });
-        InputBlock {
-            id,
-            x: x.data(),
-            k,
-            w_rows,
-            adjoint,
-        }
-    }
 }
 
 /// The adjoint of a dense layer `y = act([x_0 | x_1 | ...] * w + b)`
@@ -1927,17 +1870,19 @@ fn dense_adjoint(
     pool: &mut BufPool,
     g: &mut Tensor,
     y: Option<&Tensor>,
-    blocks: &mut [InputBlock],
+    blocks: &mut [Option<InputBlock>],
     gw: &mut [f64],
     mut each: impl FnMut(usize, usize, &[f64]),
 ) -> Tensor {
     let (rows, h) = g.shape();
-    let block = tn_panel_rows(blocks.iter().map(|b| b.k).sum(), h).min(rows);
+    let block = tn_panel_rows(blocks.iter().flatten().map(|b| b.k).sum(), h).min(rows);
     let over_g = blocks
         .iter()
+        .flatten()
         .any(|b| matches!(b.adjoint, Some((_, Dest::OverG))));
     let add_k = blocks
         .iter()
+        .flatten()
         .filter(|b| matches!(b.adjoint, Some((_, Dest::Add(_)))))
         .map(|b| b.k)
         .max();
@@ -1974,7 +1919,7 @@ fn dense_adjoint(
                 *s += v;
             }
         }
-        for b in blocks.iter_mut() {
+        for b in blocks.iter_mut().flatten() {
             let rows_k = r0 * b.k..(r0 + nr) * b.k;
             if let Some((wt, dest)) = b.adjoint.as_mut().filter(|_| b.k > 0) {
                 let (wt, k) = (wt.data(), b.k);
@@ -2273,14 +2218,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "identity"
             }
-            fn backward(&self, grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-                vec![Some(grad_out)]
+            fn backward(&self, grad_out: Tensor, _input: &Tensor) -> Option<Tensor> {
+                Some(grad_out)
             }
         }
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(1, 3, vec![1., -2., 3.]));
         let v = tape.value(x).clone();
-        let y = tape.custom(vec![x], v, Box::new(Identity));
+        let y = tape.custom(x, v, Box::new(Identity));
         let sq = tape.mul(y, y);
         let s = tape.sum(sq);
         let g = tape.backward(s);
@@ -2297,15 +2242,15 @@ mod tests {
             fn name(&self) -> &'static str {
                 "shrink"
             }
-            fn backward(&self, _grad_out: Tensor, _inputs: &[&Tensor]) -> Vec<Option<Tensor>> {
-                vec![Some(Tensor::zeros(1, 1))]
+            fn backward(&self, _grad_out: Tensor, _input: &Tensor) -> Option<Tensor> {
+                Some(Tensor::zeros(1, 1))
             }
         }
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(3, 2, vec![1., -2., 3., 0.5, -1., 2.]));
         let h = tape.scale(x, 0.5);
         let v = tape.value(h).clone();
-        let y = tape.custom(vec![h], v, Box::new(Shrink));
+        let y = tape.custom(h, v, Box::new(Shrink));
         let s = tape.sum(y);
         tape.backward(s);
     }
@@ -2645,7 +2590,7 @@ mod tests {
         };
         let mut bound_tape = Tape::new();
         let bound = params.bind(&mut bound_tape);
-        let l = record(&mut bound_tape, bound.vars());
+        let l = record(&mut bound_tape, &bound.vars());
         let mut leaf_tape = Tape::new();
         let leaves: Vec<VarId> = params
             .tensors()

@@ -408,29 +408,45 @@ fn naive_gather_linear(parts: &[(&Tensor, Option<&[usize]>)], w: &Tensor, b: &Te
     out
 }
 
-/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)`
-/// recorded as `gather_linear` under a weighted-square loss. Returns the
-/// bits of its value and of the gradients of `x`, `e`, `w` and `b`.
+/// Where the streamed part `e` of an edge-update input layer sits among
+/// its two gathered parts `x[src]`, `x[dst]`, and whether it is a
+/// [`Tape::shared_constant`]: last (the model's layout), first, between,
+/// and between as a constant.
+const STREAMED_AT: [(usize, bool); 4] = [(2, false), (0, false), (1, false), (1, true)];
+
+/// The two gathered parts `[x[src], x[dst]]` with `e` inserted at `at`.
+fn edge_parts<T>(gathered: [T; 2], e: T, at: usize) -> Vec<T> {
+    let mut parts = Vec::from(gathered);
+    parts.insert(at, e);
+    parts
+}
+
+/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)`, `e`
+/// placed by `(at, shared)` (see [`STREAMED_AT`]), recorded as
+/// `gather_linear` under a weighted-square loss. Returns the bits of its
+/// value and of the gradients of `x`, `e` (unless shared), `w` and `b`.
 fn taped_gather_linear(
     x: &Tensor,
     e: &Tensor,
     idx: [&Arc<Vec<usize>>; 2],
     w: &Tensor,
     b: &Tensor,
+    (at, shared): (usize, bool),
 ) -> Vec<Vec<u64>> {
     let mut tape = Tape::new();
-    let [xv, ev, wv, bv] = [x, e, w, b].map(|t| tape.leaf_copy(t));
-    let parts = [
-        (xv, Some(Arc::clone(idx[0]))),
-        (xv, Some(Arc::clone(idx[1]))),
-        (ev, None),
-    ];
+    let [xv, wv, bv] = [x, w, b].map(|t| tape.leaf_copy(t));
+    let ev = match shared {
+        true => tape.shared_constant(Arc::new(e.clone())),
+        false => tape.leaf_copy(e),
+    };
+    let parts = edge_parts(idx.map(|ix| (xv, Some(Arc::clone(ix)))), (ev, None), at);
     let y = tape.gather_linear(&parts, wv, bv);
     let loss = tape.weighted_sq_sum(y, Arc::new(noise(5, e.rows())));
     let grads = tape.backward(loss);
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
     let mut out: Vec<Vec<u64>> = vec![bits(tape.value(y))];
-    out.extend([xv, ev, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient"))));
+    let learned = [xv, ev, wv, bv].into_iter().filter(|&v| !shared || v != ev);
+    out.extend(learned.map(|v| bits(grads.get(v).expect("leaf gradient"))));
     out
 }
 
@@ -438,7 +454,8 @@ fn taped_gather_linear(
 /// bit (against [`naive_gather_linear`]), so its row blocks cannot change
 /// it: widths on and off the `4 x 8` tile, edge counts on every side of a
 /// forward block ([`adjoint_block`] of its `3h`-wide input), `x` as two
-/// gathered parts; its store-time ELU is [`cgnn_tensor::elu`].
+/// gathered parts, the streamed `e` at each place of [`STREAMED_AT`]; its
+/// ELU is [`cgnn_tensor::elu`].
 #[test]
 fn gather_linear_is_its_documented_order_bit_for_bit() {
     for h in [3, 8, 12, 32] {
@@ -455,15 +472,15 @@ fn gather_linear_is_its_documented_order_bit_for_bit() {
                     .map(|i| (edges - i) * 3 % nodes)
                     .collect::<Vec<_>>(),
             );
-            let parts = [
-                (&x, Some(src.as_slice())),
-                (&x, Some(dst.as_slice())),
-                (&e, None),
-            ];
-            let pre = naive_gather_linear(&parts, &w, &b);
-            let want = bits(elu_of(Tensor::from_vec(edges, h, pre)).data());
-            let got = taped_gather_linear(&x, &e, [&src, &dst], &w, &b);
-            assert!(got[0] == want, "h={h} nodes={nodes} edges={edges}: values");
+            for layout in STREAMED_AT {
+                let idx = [src.as_slice(), dst.as_slice()].map(Some);
+                let parts = edge_parts(idx.map(|ix| (&x, ix)), (&e, None), layout.0);
+                let pre = naive_gather_linear(&parts, &w, &b);
+                let want = bits(elu_of(Tensor::from_vec(edges, h, pre)).data());
+                let got = taped_gather_linear(&x, &e, [&src, &dst], &w, &b, layout);
+                let what = format!("h={h} nodes={nodes} edges={edges} {layout:?}");
+                assert!(got[0] == want, "{what}: values");
+            }
         }
     }
 }
@@ -750,12 +767,13 @@ fn linear_adjoint_row_blocks_are_the_serial_order_sum() {
     }
 }
 
-/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)` by the
-/// definition: [`naive_gather_linear`]'s value; `t = up ⊙ elu'`; each
-/// gathered part's `S` the rows of `t` summed onto their sources in edge
-/// order; `dx = S_src * W_srcᵀ + S_dst * W_dstᵀ`, `de = t * W_eᵀ`, the row
-/// blocks of `dw` `xᵀ S_src`, `xᵀ S_dst`, `eᵀ t`, and `db` the row-ordered
-/// column sums of `t`. Returns the bits of `y`, `dx`, `de`, `dw` and `db`.
+/// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)`, `e`
+/// inserted at `at`, by the definition: [`naive_gather_linear`]'s value;
+/// `t = up ⊙ elu'`; each gathered part's `S` the rows of `t` summed onto
+/// their sources in edge order; `dx = S_src * W_srcᵀ + S_dst * W_dstᵀ`,
+/// `de = t * W_eᵀ`, the row blocks of `dw` (`xᵀ S_src`, `xᵀ S_dst`, `eᵀ
+/// t`) in part order, and `db` the row-ordered column sums of `t`. Returns
+/// the bits of `y`, `dx`, `de`, `dw` and `db`.
 fn naive_edge_layer(
     x: &Tensor,
     e: &Tensor,
@@ -763,9 +781,18 @@ fn naive_edge_layer(
     w: &Tensor,
     b: &Tensor,
     up: &Tensor,
+    at: usize,
 ) -> Vec<Vec<u64>> {
     let (kx, ke, h) = (x.cols(), e.cols(), w.cols());
-    let parts = [(x, Some(idx[0])), (x, Some(idx[1])), (e, None)];
+    let parts = edge_parts(idx.map(|ix| (x, Some(ix))), (e, None), at);
+    // The parts' widths in part order, and each one's first row of `w`.
+    let rows = edge_parts([kx, kx], ke, at);
+    let first = |p: usize| rows[..p].iter().sum::<usize>();
+    let (src, dst) = match at {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    };
     let pre = naive_gather_linear(&parts, w, b);
     let y = elu_of(Tensor::from_vec(e.rows(), h, pre));
     let t = elu_scaled(up, &y, true);
@@ -778,21 +805,20 @@ fn naive_edge_layer(
         }
         s
     });
-    let dx_src = naive_times_rows_t(&sums[0], w, 0, kx);
-    let dx_dst = naive_times_rows_t(&sums[1], w, kx, kx);
+    let dx_src = naive_times_rows_t(&sums[0], w, first(src), kx);
+    let dx_dst = naive_times_rows_t(&sums[1], w, first(dst), kx);
     let dx: Vec<f64> = dx_src
         .data()
         .iter()
         .zip(dx_dst.data())
         .map(|(a, b)| a + b)
         .collect();
-    let mut dw = naive_tn(x, &sums[0]);
-    dw.extend(naive_tn(x, &sums[1]));
-    dw.extend(naive_tn(e, &t));
+    let [dw_src, dw_dst] = sums.each_ref().map(|s| naive_tn(x, s));
+    let dw = edge_parts([dw_src, dw_dst], naive_tn(e, &t), at).concat();
     vec![
         bits(y.data()),
         bits(&dx),
-        bits(naive_times_rows_t(&t, w, 2 * kx, ke).data()),
+        bits(naive_times_rows_t(&t, w, first(at), ke).data()),
         bits(&dw),
         bits(&naive_col_sums(&t)),
     ]
@@ -800,11 +826,22 @@ fn naive_edge_layer(
 
 /// The row-blocked adjoint of `gather_linear` is the serial-order sum, bit
 /// for bit (against [`naive_edge_layer`]): edge counts on every side of a
-/// block of the streamed part, widths on and off the `4 x 8` tile, and
-/// parts zero columns wide (`in_dim = 0` when both are).
+/// block of the streamed part, widths on and off the `4 x 8` tile, parts
+/// zero columns wide (`in_dim = 0` when both are), a streamed part as wide
+/// as the output (its adjoint written over the output's), and the
+/// streamed part at each place of [`STREAMED_AT`].
 #[test]
 fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
-    for (kx, ke, h) in [(0, 0, 8), (3, 0, 3), (0, 4, 8), (8, 8, 8), (5, 3, 12)] {
+    let widths = [
+        (0, 0, 8),
+        (3, 0, 3),
+        (0, 4, 8),
+        (8, 8, 8),
+        (5, 3, 12),
+        (2, 12, 12),
+        (3, 2, 0),
+    ];
+    for (kx, ke, h) in widths {
         for edges in block_row_counts(adjoint_block(ke, h)) {
             let nodes = 1 + edges / 3;
             let seed = (edges * 1000 + kx * 100 + ke * 10 + h) as u64;
@@ -813,57 +850,87 @@ fn gather_linear_adjoint_row_blocks_are_the_serial_order_sum() {
             let w = Tensor::from_vec(2 * kx + ke, h, noise(seed + 2, (2 * kx + ke) * h));
             let b = Tensor::from_vec(1, h, noise(seed + 3, h));
             let up = Tensor::from_vec(edges, h, noise(seed + 4, edges * h));
-            let src: Vec<usize> = (0..edges).map(|i| (i * 7 + 2) % nodes).collect();
-            let dst: Vec<usize> = (0..edges).map(|i| (edges - i) * 3 % nodes).collect();
-            let want = naive_edge_layer(&x, &e, [&src, &dst], &w, &b, &up);
-
-            let mut tape = Tape::new();
-            let [xv, ev, wv, bv] = [&x, &e, &w, &b].map(|t| tape.leaf_copy(t));
-            let u = tape.shared_constant(Arc::new(up));
-            let parts = [
-                (xv, Some(Arc::new(src))),
-                (xv, Some(Arc::new(dst))),
-                (ev, None),
-            ];
-            let y = tape.gather_linear(&parts, wv, bv);
-            let yu = tape.mul(y, u);
-            let loss = tape.sum(yu);
-            let grads = tape.backward(loss);
-            let mut got = vec![bits(tape.value(y).data())];
-            got.extend([xv, ev, wv, bv].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
-            assert!(got == want, "kx={kx} ke={ke} h={h} edges={edges}");
+            let src: Arc<Vec<usize>> = Arc::new((0..edges).map(|i| (i * 7 + 2) % nodes).collect());
+            let dst: Arc<Vec<usize>> =
+                Arc::new((0..edges).map(|i| (edges - i) * 3 % nodes).collect());
+            for (at, shared) in STREAMED_AT {
+                let mut want = naive_edge_layer(&x, &e, [&src, &dst], &w, &b, &up, at);
+                let mut tape = Tape::new();
+                let [xv, wv, bv] = [&x, &w, &b].map(|t| tape.leaf_copy(t));
+                let ev = match shared {
+                    true => tape.shared_constant(Arc::new(e.clone())),
+                    false => tape.leaf_copy(&e),
+                };
+                let u = tape.shared_constant(Arc::new(up.clone()));
+                let idx = [&src, &dst].map(|ix| (xv, Some(Arc::clone(ix))));
+                let parts = edge_parts(idx, (ev, None), at);
+                let y = tape.gather_linear(&parts, wv, bv);
+                let yu = tape.mul(y, u);
+                let loss = tape.sum(yu);
+                let grads = tape.backward(loss);
+                let mut got = vec![bits(tape.value(y).data())];
+                let learned = [xv, ev, wv, bv].into_iter().filter(|&v| !shared || v != ev);
+                got.extend(learned.map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+                if shared {
+                    want.remove(2);
+                }
+                let what = format!("kx={kx} ke={ke} h={h} edges={edges} at={at} shared={shared}");
+                assert!(got == want, "{what}");
+            }
         }
     }
 }
 
-/// `elu([a | x] * w + b)` for `(rows, a's width, x's width, h)`: recorded
-/// as `linear_elu_blocks` over the two blocks or as `gather_concat` then
-/// `linear_elu`, whole or under a row mask with its backfill. `x` is read
-/// again by a loss term recorded after the layer, so its adjoint already
-/// exists when the layer's block reaches it (the in-place add), while
-/// `a`'s does not; with `same`, both blocks are `x`. Returns the bits of
-/// the value and of the gradients of `a`, `x`, `w` and `b`.
+/// The column blocks a [`column_block_layer`] reads.
+#[derive(Clone, Copy, Debug)]
+enum Blocks {
+    /// `[a | x]`.
+    Pair,
+    /// `[x | x]`: two blocks of one source.
+    Twice,
+    /// `[a | x]`, `a` a [`Tape::shared_constant`].
+    Constant,
+    /// `[a | x | a]`: three blocks, `a` twice.
+    Three,
+}
+
+/// `elu([a | x] * w + b)` for `(rows, a's width, x's width, h)`, over the
+/// blocks of `layout`: recorded as `linear_elu_blocks` over the blocks or
+/// as `gather_concat` then `linear_elu`, whole or under a row mask with its
+/// backfill. `x` is read again by a loss term recorded after the layer, so
+/// its adjoint already exists when the layer's block reaches it (the
+/// in-place add), while `a`'s does not. Returns the bits of the value and
+/// of the gradients of `a` (unless shared), `x`, `w` and `b`.
 fn column_block_layer(
     (rows, ka, kx, h): (usize, usize, usize, usize),
     blocks: bool,
     mask: Option<(&[usize], &[usize])>,
-    same: bool,
+    layout: Blocks,
 ) -> Vec<Vec<u64>> {
     let seed = (rows * 10_000 + ka * 100 + kx + h * 7) as u64;
     let mut tape = Tape::new();
-    let a = tape.leaf(Tensor::from_vec(rows, ka, noise(seed, rows * ka)));
+    let av = Tensor::from_vec(rows, ka, noise(seed, rows * ka));
+    let a = match layout {
+        Blocks::Constant => tape.shared_constant(Arc::new(av)),
+        _ => tape.leaf(av),
+    };
     let x = tape.leaf(Tensor::from_vec(rows, kx, noise(seed + 1, rows * kx)));
-    let a = if same { x } else { a };
-    let k = tape.value(a).cols() + kx;
+    let ids = match layout {
+        Blocks::Pair | Blocks::Constant => vec![a, x],
+        Blocks::Twice => vec![x, x],
+        Blocks::Three => vec![a, x, a],
+    };
+    let k = ids.iter().map(|&v| tape.value(v).cols()).sum();
     let w = tape.leaf(Tensor::from_vec(k, h, noise(seed + 2, k * h)));
     let b = tape.leaf(Tensor::from_vec(1, h, noise(seed + 3, h)));
     if let Some((rows, _)) = mask {
         tape.begin_row_mask(Arc::new(rows.to_vec()));
     }
     let y = if blocks {
-        tape.linear_elu_blocks(&[a, x], w, b)
+        tape.linear_elu_blocks(&ids, w, b)
     } else {
-        let cat = tape.gather_concat(&[(a, None), (x, None)]);
+        let parts: Vec<_> = ids.iter().map(|&v| (v, None)).collect();
+        let cat = tape.gather_concat(&parts);
         tape.linear_elu(cat, w, b)
     };
     if let Some((_, complement)) = mask {
@@ -874,17 +941,25 @@ fn column_block_layer(
     let loss = tape.add(ly, lx);
     let grads = tape.backward(loss);
     let mut out = vec![bits(tape.value(y).data())];
-    out.extend([a, x, w, b].map(|v| bits(grads.get(v).expect("leaf gradient").data())));
+    let learned = match layout {
+        Blocks::Pair | Blocks::Three => vec![a, x, w, b],
+        Blocks::Twice | Blocks::Constant => vec![x, w, b],
+    };
+    out.extend(
+        learned
+            .into_iter()
+            .map(|v| bits(grads.get(v).expect("leaf gradient").data())),
+    );
     out
 }
 
 /// The column-block linear is `gather_concat` then `linear_elu`, bit for
-/// bit, in the value and in the gradients of both
+/// bit, in the value and in the gradients of the
 /// blocks, the weight and the bias: whole and under a row mask with its
 /// backfill, at block widths 1, 3, 8 and 32 and zero, with a block as wide
 /// as the output (whose adjoint is written over the output's) and not,
-/// with both blocks one variable, and at row counts across the assembly
-/// blocks.
+/// with both blocks one variable, a constant block, three blocks, and at
+/// row counts across the assembly blocks.
 #[test]
 fn linear_blocks_are_concat_then_linear_bit_for_bit() {
     let widths = [
@@ -901,12 +976,12 @@ fn linear_blocks_are_concat_then_linear_bit_for_bit() {
     for (ka, kx, h) in widths {
         for rows in [0, 1, 5, 37, 133, 301] {
             let (mask, rest): (Vec<usize>, Vec<usize>) = (0..rows).partition(|r| r % 3 != 1);
-            for same in [false, true] {
+            for layout in [Blocks::Pair, Blocks::Twice, Blocks::Constant, Blocks::Three] {
                 let shape = (rows, ka, kx, h);
-                let want = column_block_layer(shape, false, None, same);
-                let whole = column_block_layer(shape, true, None, same);
-                let masked = column_block_layer(shape, true, Some((&mask, &rest)), same);
-                let what = format!("rows={rows} ka={ka} kx={kx} h={h} same={same}");
+                let want = column_block_layer(shape, false, None, layout);
+                let whole = column_block_layer(shape, true, None, layout);
+                let masked = column_block_layer(shape, true, Some((&mask, &rest)), layout);
+                let what = format!("rows={rows} ka={ka} kx={kx} h={h} {layout:?}");
                 assert!(whole == want, "{what}: whole");
                 assert!(masked == want, "{what}: masked");
             }
