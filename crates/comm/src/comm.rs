@@ -12,6 +12,7 @@
 //! Ovl-SR) cannot deadlock. Receives come blocking ([`Comm::recv`]) or
 //! split ([`Comm::irecv`] and [`RecvRequest::wait`]).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::backend::engine::Engine;
@@ -128,10 +129,13 @@ impl Comm {
 
     /// The body of both all-reduces, in place: send `buf` to every peer
     /// under `label`, then fold every rank's part into `buf` in rank
-    /// order, from `identity`, with `op`. The parts of lower ranks fold
-    /// into the first of them, which then folds into `buf`, the rank's own
-    /// part; each higher rank's part folds into `buf` after it. So the only
-    /// copy of `buf` is each peer's payload, and at one rank there is none.
+    /// order, from `identity`, with `op`. The round hands the parts over in
+    /// rank order, and each is folded as it arrives: the parts of lower
+    /// ranks into the first of them, which then folds into `buf`, the
+    /// rank's own part; each higher rank's part into `buf` after it. So the
+    /// only copy of `buf` is each peer's payload, nothing else is
+    /// allocated, and at one rank the round only counts the op against
+    /// the fault plan.
     fn all_reduce(
         &self,
         label: &'static str,
@@ -139,38 +143,47 @@ impl Comm {
         identity: f64,
         op: impl Fn(f64, f64) -> f64,
     ) {
-        let me = self.rank();
-        let mut parts = vec![Vec::new(); self.size()];
-        self.engine
-            .round(label, |_| buf.to_vec(), |p, part| parts[p] = part);
+        let (me, len, bytes) = (self.rank(), buf.len(), std::mem::size_of_val(buf));
+        // The payload closure reads `buf` while the fold writes it; the
+        // round posts every payload before it takes the first part.
+        let buf = RefCell::new(buf);
+        // The lower ranks' fold, until it goes into `buf`.
+        let mut below: Option<Vec<f64>> = None;
+        let mut merged = false;
+        let merge = |buf: &mut [f64], below: Option<Vec<f64>>| match below {
+            Some(acc) => buf.iter_mut().zip(&acc).for_each(|(b, &a)| *b = op(a, *b)),
+            None => buf.iter_mut().for_each(|b| *b = op(identity, *b)),
+        };
+        self.engine.round(
+            label,
+            |_| buf.borrow().to_vec(),
+            |p, mut part| {
+                assert_eq!(
+                    part.len(),
+                    len,
+                    "{label} length mismatch across ranks: rank {p} sent {}, rank {me} holds {len}",
+                    part.len(),
+                );
+                if p > me {
+                    let mut buf = buf.borrow_mut();
+                    if !std::mem::replace(&mut merged, true) {
+                        merge(&mut buf, below.take());
+                    }
+                    fold(&mut buf, &part, &op);
+                } else if let Some(acc) = below.as_mut() {
+                    fold(acc, &part, &op);
+                } else {
+                    part.iter_mut().for_each(|a| *a = op(identity, *a));
+                    below = Some(part);
+                }
+            },
+        );
         let mut st = self.engine.stats();
         st.all_reduces += 1;
-        st.all_reduce_bytes += std::mem::size_of_val(buf) as u64;
+        st.all_reduce_bytes += bytes as u64;
         drop(st);
-        for (p, part) in parts.iter().enumerate().filter(|&(p, _)| p != me) {
-            assert_eq!(
-                part.len(),
-                buf.len(),
-                "{label} length mismatch across ranks: rank {p} sent {}, rank {me} holds {}",
-                part.len(),
-                buf.len()
-            );
-        }
-        let (below, above) = parts.split_at_mut(me);
-        match below.split_first_mut() {
-            Some((acc, rest)) => {
-                acc.iter_mut().for_each(|a| *a = op(identity, *a));
-                for part in rest.iter() {
-                    fold(acc, part, &op);
-                }
-                for (b, &a) in buf.iter_mut().zip(acc.iter()) {
-                    *b = op(a, *b);
-                }
-            }
-            None => buf.iter_mut().for_each(|b| *b = op(identity, *b)),
-        }
-        for part in &above[1..] {
-            fold(buf, part, &op);
+        if !merged {
+            merge(buf.into_inner(), below);
         }
     }
 

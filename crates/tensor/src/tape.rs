@@ -104,7 +104,10 @@ use std::cell::OnceCell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::tensor::{elu, gemm_rows, gemm_tn, gemm_tn_acc, tn_panel_rows, transpose, Tensor};
+use crate::tensor::{
+    elu, gather_rows_by, gemm_rows, gemm_tn, gemm_tn_acc, scatter_rows_by, tn_panel_rows,
+    transpose, Tensor,
+};
 
 /// Handle to a variable on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1334,7 +1337,12 @@ fn accumulate(
             let acc = grads.held[a.0].as_mut();
             let fresh = match w {
                 _ if !wants(*a) => None,
-                Some(w) => add_gathered_rows(acc, pool, &g, idx, |i, v| w[i] * v),
+                Some(w) => {
+                    // As long as `idx`, as the forward checked: no bounds
+                    // check per row on `w[i]`.
+                    let w = &w[..idx.len()];
+                    add_gathered_rows(acc, pool, &g, idx, |i, v| w[i] * v)
+                }
                 None => add_gathered_rows(acc, pool, &g, idx, |_, v| v),
             };
             if let Some(contrib) = fresh {
@@ -1353,7 +1361,6 @@ fn accumulate(
             let mut gx = pool.uninit(rows, cols);
             let mut ggamma = pool.zeroed(1, cols);
             let mut gbeta = pool.zeroed(1, cols);
-            let mut xhat = pool.uninit(4, cols);
             layer_norm_adjoint(
                 vx.data(),
                 g.data(),
@@ -1362,9 +1369,7 @@ fn accumulate(
                 gx.data_mut(),
                 ggamma.data_mut(),
                 gbeta.data_mut(),
-                xhat.data_mut(),
             );
-            pool.put(xhat.into_vec());
             // `+ res` passes the adjoint through: `res` takes `g` itself
             // now that the layer norm's adjoint has read it, and before
             // `x` takes its own, as the separate `add` gave it.
@@ -1596,13 +1601,12 @@ impl<'a> RowKernel<'a> {
                     };
                     gemm_rows(a, w, out, row, nr, k, cols, Some(*bias), store_elu);
                     for (prod, idx) in gathered.iter().flatten() {
-                        // `max(1)`: a zero-width output has no rows to add to.
-                        let o_rows = out.chunks_exact_mut(cols.max(1));
-                        for (o_row, &src) in o_rows.zip(&idx[r..r + nr]) {
-                            for (o, &v) in o_row.iter_mut().zip(prod.row(src)) {
+                        let (src, shape) = (prod.data(), prod.shape());
+                        gather_rows_by(src, &idx[r..r + nr], out, shape, |_, o_row, v| {
+                            for (o, &v) in o_row.iter_mut().zip(v) {
                                 *o += v;
                             }
-                        }
+                        });
                     }
                     if *act && any_gathered {
                         out.iter_mut().for_each(|o| *o = elu(*o));
@@ -1616,22 +1620,11 @@ impl<'a> RowKernel<'a> {
                 beta,
                 eps,
             } => {
-                let Some(res) = res else {
-                    let span = first_row * cols..(first_row + nrows) * cols;
-                    return layer_norm_forward(&x[span], gamma, beta, *eps, chunk, cols);
-                };
-                // `+ res` rounds separately, as a following `add` would: a
-                // second pass over each L1-sized block the norm has written.
-                let block = tn_panel_rows(cols, cols);
-                for r0 in (0..nrows).step_by(block) {
-                    let nr = block.min(nrows - r0);
-                    let span = (first_row + r0) * cols..(first_row + r0 + nr) * cols;
-                    let out = &mut chunk[r0 * cols..(r0 + nr) * cols];
-                    layer_norm_forward(&x[span.clone()], gamma, beta, *eps, out, cols);
-                    for (o, &r) in out.iter_mut().zip(&res[span]) {
-                        *o += r;
-                    }
-                }
+                // `+ res` rounds separately, as a following `add` would:
+                // each row adds it to the norm once that is rounded.
+                let span = first_row * cols..(first_row + nrows) * cols;
+                let res = res.map(|r| &r[span.clone()]);
+                layer_norm_forward(&x[span], res, gamma, beta, *eps, chunk, cols);
             }
             RowKernel::GatherConcat(parts) => {
                 for i in 0..nrows {
@@ -1710,7 +1703,7 @@ impl<'a> RowKernel<'a> {
                     ..
                 } => {
                     copy_rows(x, cols, a, cols, 0, |i| ids[i]);
-                    layer_norm_forward(a, gamma, beta, *eps, o, cols);
+                    layer_norm_forward(a, None, gamma, beta, *eps, o, cols);
                 }
                 RowKernel::GatherConcat(_) => unreachable!("gather_concat returned above"),
             }
@@ -1914,11 +1907,7 @@ fn dense_adjoint(
             }
             None => (&g.data()[span], None),
         };
-        for i in 0..nr {
-            for (s, &v) in gb.data_mut().iter_mut().zip(&t[i * h..(i + 1) * h]) {
-                *s += v;
-            }
-        }
+        add_rows(gb.data_mut(), t);
         for b in blocks.iter_mut().flatten() {
             let rows_k = r0 * b.k..(r0 + nr) * b.k;
             if let Some((wt, dest)) = b.adjoint.as_mut().filter(|_| b.k > 0) {
@@ -1958,25 +1947,61 @@ fn dense_adjoint(
     gb
 }
 
-/// `s[idx[i]] += t[i]` for the rows of the block `t`, in row order.
-fn scatter_add_block(t: &[f64], idx: &[usize], s: &mut Tensor) {
-    let h = s.cols();
-    for (i, &dst) in idx.iter().enumerate() {
-        for (o, &v) in s.row_mut(dst).iter_mut().zip(&t[i * h..(i + 1) * h]) {
-            *o += v;
+/// Add the rows of the `sum.len()`-wide block `t` to `sum`, in row order.
+/// Eight columns at a time are summed over the whole block in registers,
+/// so a row's adds wait on the previous row's adds, not on a store and a
+/// reload of `sum`; the ragged columns past the last eight go one at a
+/// time.
+fn add_rows(sum: &mut [f64], t: &[f64]) {
+    let h = sum.len();
+    if h == 0 {
+        return;
+    }
+    let (wide, rest) = sum.as_chunks_mut::<8>();
+    for (j, acc) in wide.iter_mut().enumerate() {
+        let mut s = *acc;
+        for row in t.chunks_exact(h) {
+            let v = &row.as_chunks::<8>().0[j];
+            for c in 0..8 {
+                s[c] += v[c];
+            }
+        }
+        *acc = s;
+    }
+    let done = 8 * wide.len();
+    for row in t.chunks_exact(h) {
+        for (s, &v) in rest.iter_mut().zip(&row[done..]) {
+            *s += v;
         }
     }
 }
 
+/// `s[idx[i]] += t[i]` for the rows of the block `t`, in row order.
+fn scatter_add_block(t: &[f64], idx: &[usize], s: &mut Tensor) {
+    let shape = s.shape();
+    scatter_rows_by(t, idx, s.data_mut(), shape, |_, o, v| {
+        for (o, &v) in o.iter_mut().zip(v) {
+            *o += v;
+        }
+    });
+}
+
+/// Rows layer norm takes in lockstep at the models' hidden widths: four
+/// `f64` lanes are one AVX2 vector. Eight measured no faster at width 8
+/// (the adjoint the same, the forward slower).
+const LANES: usize = 4;
+
 /// Layer norm's forward over a band of whole rows: `out` gets
 /// `gamma * (x - mean) * inv + beta` for the same rows of `x` (`cols`
-/// wide). At the widths with a constant-shaped block (8 and 32: the
-/// model's hidden widths) rows go four at a time, the
-/// rest one at a time; either way a row's bits are those of the one-row
-/// path ([`layer_norm_lanes`] with one lane), so grouping, row blocks and
-/// masking change none of them.
+/// wide), plus the row of `res` if given, added once the norm is rounded,
+/// as a following `add` would. At the models' hidden widths (8 and 32)
+/// rows go in groups of [`LANES`], the rows as lanes
+/// ([`layer_norm_forward_groups`]); the rows left over and other widths go
+/// one at a time ([`row_moments`]). A row's bits are the same either way,
+/// so grouping, row blocks and masking change none of them.
 fn layer_norm_forward(
     x: &[f64],
+    res: Option<&[f64]>,
     gamma: &[f64],
     beta: &[f64],
     eps: f64,
@@ -1985,42 +2010,67 @@ fn layer_norm_forward(
 ) {
     let done = match cols {
         0 => return,
-        8 => layer_norm_forward_quads::<8>(x, gamma, beta, eps, out),
-        32 => layer_norm_forward_quads::<32>(x, gamma, beta, eps, out),
+        8 => layer_norm_forward_groups::<8>(x, res, gamma, beta, eps, out),
+        32 => layer_norm_forward_groups::<32>(x, res, gamma, beta, eps, out),
         _ => 0,
     };
     let rest = done * cols..;
-    for (xr, o) in x[rest.clone()]
+    for (r, (xr, o)) in x[rest.clone()]
         .chunks_exact(cols)
         .zip(out[rest].chunks_exact_mut(cols))
+        .enumerate()
     {
-        layer_norm_lanes([xr], gamma, beta, eps, [o]);
+        let (mean, inv) = row_moments(xr, eps);
+        for (o, ((&u, &ga), &be)) in o.iter_mut().zip(xr.iter().zip(gamma).zip(beta)) {
+            *o = ga * (u - mean) * inv + be;
+        }
+        if let Some(res) = res {
+            let res = &res[(done + r) * cols..][..cols];
+            o.iter_mut().zip(res).for_each(|(o, &v)| *o += v);
+        }
     }
 }
 
-/// The lockstep part of [`layer_norm_forward`] at width `W`: every whole
-/// quad of rows. Returns the number of rows done.
-fn layer_norm_forward_quads<const W: usize>(
+/// The grouped part of [`layer_norm_forward`] at width `W`: every whole
+/// group of `LANES` rows. Returns the number of rows done.
+fn layer_norm_forward_groups<const W: usize>(
     x: &[f64],
+    res: Option<&[f64]>,
     gamma: &[f64],
     beta: &[f64],
     eps: f64,
     out: &mut [f64],
 ) -> usize {
-    let quads = row_quads::<W>(x);
-    for (xs, os) in quads.iter().zip(row_quads_mut::<W>(out)) {
-        let xs = xs.each_ref().map(|r| r.as_slice());
-        let os = os.each_mut().map(|r| r.as_mut_slice());
-        layer_norm_lanes(xs, &gamma[..W], &beta[..W], eps, os);
+    let (gamma, beta) = (&gamma.as_chunks::<W>().0[0], &beta.as_chunks::<W>().0[0]);
+    let groups = row_groups::<W>(x);
+    let res = res.map(row_groups::<W>);
+    for (i, (xs, os)) in groups.iter().zip(row_groups_mut::<W>(out)).enumerate() {
+        let (mean, inv) = lane_moments(xs, eps);
+        for l in 0..LANES {
+            for c in 0..W {
+                os[l][c] = gamma[c] * (xs[l][c] - mean[l]) * inv[l] + beta[c];
+            }
+        }
+        if let Some(res) = res {
+            for (o, r) in os.as_flattened_mut().iter_mut().zip(res[i].as_flattened()) {
+                *o += r;
+            }
+        }
     }
-    4 * quads.len()
+    LANES * groups.len()
 }
 
 /// Layer norm's adjoint: `dx` into `gx` and, summed over rows in row
 /// order, `g * x̂` into `gg` and `g` into `gb` (the gamma and beta
-/// gradients, zeroed by the caller); `xhat` (four rows) is scratch. Rows
-/// are grouped as in [`layer_norm_forward`], and each row's `dx` is the
-/// one-row path's.
+/// gradients, zeroed by the caller). Rows are grouped as in
+/// [`layer_norm_forward`]. A row's two sums take its columns in order from
+/// `0.0`; then `x̂` and `dx̂` are computed again, row-major, for `dx` and
+/// the gamma/beta sums, by the same expressions, so they have the same
+/// bits and nothing is parked between the passes.
+///
+/// Kept out of line: inlined into [`accumulate`], the same code measured
+/// 1.7–1.8× slower on `[6 804, 8]`.
+#[inline(never)]
 fn layer_norm_adjoint(
     x: &[f64],
     g: &[f64],
@@ -2029,28 +2079,41 @@ fn layer_norm_adjoint(
     gx: &mut [f64],
     gg: &mut [f64],
     gb: &mut [f64],
-    xhat: &mut [f64],
 ) {
     let cols = gamma.len();
     let done = match cols {
         0 => return,
-        8 => layer_norm_adjoint_quads::<8>(x, g, gamma, eps, gx, gg, gb, xhat),
-        32 => layer_norm_adjoint_quads::<32>(x, g, gamma, eps, gx, gg, gb, xhat),
+        8 => layer_norm_adjoint_groups::<8>(x, g, gamma, eps, gx, gg, gb),
+        32 => layer_norm_adjoint_groups::<32>(x, g, gamma, eps, gx, gg, gb),
         _ => 0,
     };
+    let n = cols as f64;
     let rest = done * cols..;
     let rows = x[rest.clone()]
         .chunks_exact(cols)
         .zip(g[rest.clone()].chunks_exact(cols));
     for ((xr, gr), o) in rows.zip(gx[rest].chunks_exact_mut(cols)) {
-        let xh = &mut xhat[..cols];
-        layer_norm_adjoint_lanes([xr], [gr], gamma, eps, [o], gg, gb, [xh]);
+        let (mean, inv) = row_moments(xr, eps);
+        let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0, 0.0);
+        for c in 0..cols {
+            let (xh, dxhat) = ((xr[c] - mean) * inv, gr[c] * gamma[c]);
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += dxhat * xh;
+        }
+        for c in 0..cols {
+            let (xh, dxhat) = ((xr[c] - mean) * inv, gr[c] * gamma[c]);
+            gg[c] += gr[c] * xh;
+            gb[c] += gr[c];
+            o[c] = inv / n * (n * dxhat - sum_dxhat - xh * sum_dxhat_xhat);
+        }
     }
 }
 
-/// The lockstep part of [`layer_norm_adjoint`] at width `W`: every whole
-/// quad of rows, in order. Returns the number of rows done.
-fn layer_norm_adjoint_quads<const W: usize>(
+/// The grouped part of [`layer_norm_adjoint`] at width `W`: every whole
+/// group of `LANES` rows, in order. Each lane sums its own row's columns in
+/// order; the gamma and beta sums stay in registers for the whole op and
+/// take the rows in order. Returns the number of rows done.
+fn layer_norm_adjoint_groups<const W: usize>(
     x: &[f64],
     g: &[f64],
     gamma: &[f64],
@@ -2058,117 +2121,81 @@ fn layer_norm_adjoint_quads<const W: usize>(
     gx: &mut [f64],
     gg: &mut [f64],
     gb: &mut [f64],
-    xhat: &mut [f64],
 ) -> usize {
-    let quads = row_quads::<W>(x);
-    let rows = quads.iter().zip(row_quads::<W>(g));
-    let xhat = &mut row_quads_mut::<W>(xhat)[0];
-    for ((xs, gs), os) in rows.zip(row_quads_mut::<W>(gx)) {
-        let xs = xs.each_ref().map(|r| r.as_slice());
-        let gs = gs.each_ref().map(|r| r.as_slice());
-        let os = os.each_mut().map(|r| r.as_mut_slice());
-        let xh = xhat.each_mut().map(|r| r.as_mut_slice());
-        let (gg, gb) = (&mut gg[..W], &mut gb[..W]);
-        layer_norm_adjoint_lanes(xs, gs, &gamma[..W], eps, os, gg, gb, xh);
+    let gamma = &gamma.as_chunks::<W>().0[0];
+    let (gg, gb) = (
+        &mut gg.as_chunks_mut::<W>().0[0],
+        &mut gb.as_chunks_mut::<W>().0[0],
+    );
+    let (mut sum_g, mut sum_b) = (*gg, *gb);
+    let n = W as f64;
+    let groups = row_groups::<W>(x);
+    let rows = groups.iter().zip(row_groups::<W>(g));
+    for ((xs, gs), os) in rows.zip(row_groups_mut::<W>(gx)) {
+        let (mean, inv) = lane_moments(xs, eps);
+        let (mut sum_dxhat, mut sum_dxhat_xhat) = ([0.0; LANES], [0.0; LANES]);
+        for c in 0..W {
+            for l in 0..LANES {
+                let (xh, dxhat) = ((xs[l][c] - mean[l]) * inv[l], gs[l][c] * gamma[c]);
+                sum_dxhat[l] += dxhat;
+                sum_dxhat_xhat[l] += dxhat * xh;
+            }
+        }
+        for l in 0..LANES {
+            for c in 0..W {
+                let (xh, dxhat) = ((xs[l][c] - mean[l]) * inv[l], gs[l][c] * gamma[c]);
+                sum_g[c] += gs[l][c] * xh;
+                sum_b[c] += gs[l][c];
+                os[l][c] = inv[l] / n * (n * dxhat - sum_dxhat[l] - xh * sum_dxhat_xhat[l]);
+            }
+        }
     }
-    4 * quads.len()
+    (*gg, *gb) = (sum_g, sum_b);
+    LANES * groups.len()
 }
 
-/// The leading whole quads of `W`-wide rows of a row-major buffer.
-fn row_quads<const W: usize>(buf: &[f64]) -> &[[[f64; W]; 4]] {
-    buf.as_chunks::<W>().0.as_chunks::<4>().0
+/// The leading whole groups of [`LANES`] rows of a row-major `W`-wide
+/// buffer.
+fn row_groups<const W: usize>(buf: &[f64]) -> &[[[f64; W]; LANES]] {
+    buf.as_chunks::<W>().0.as_chunks::<LANES>().0
 }
 
-/// [`row_quads`], mutably.
-fn row_quads_mut<const W: usize>(buf: &mut [f64]) -> &mut [[[f64; W]; 4]] {
-    buf.as_chunks_mut::<W>().0.as_chunks_mut::<4>().0
+/// [`row_groups`], mutably.
+fn row_groups_mut<const W: usize>(buf: &mut [f64]) -> &mut [[[f64; W]; LANES]] {
+    buf.as_chunks_mut::<W>().0.as_chunks_mut::<LANES>().0
 }
 
-/// Mean and `1 / sqrt(var + eps)` of `L` equally long rows in lockstep.
-/// Each lane adds its own row's terms in column order starting from
-/// `-0.0` — the fold of `Iterator::<f64>::sum`, which is how a row alone
-/// (`L = 1`) is summed — so a lane's bits never depend on its neighbours,
-/// while the `L` dependency chains overlap instead of running back to back.
+/// Mean and `1 / sqrt(var + eps)` of one row. Both sums run in column
+/// order from `-0.0`, the fold of `Iterator::<f64>::sum`.
+fn row_moments(x: &[f64], eps: f64) -> (f64, f64) {
+    let n = x.len() as f64;
+    let mean = x.iter().sum::<f64>() / n;
+    let var = x.iter().map(|&u| (u - mean) * (u - mean)).sum::<f64>() / n;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// [`row_moments`] of `LANES` rows in lockstep, the rows as lanes: each lane
+/// adds its own row's terms in column order from `-0.0`, so a lane's bits
+/// are its row's alone, while the `LANES` dependency chains run side by side
+/// instead of back to back. The lanes read the rows where they are: a
+/// transposed `[[f64; LANES]; W]` copy of the group measured no faster.
 #[inline(always)]
-fn layer_norm_moments<const L: usize>(xs: &[&[f64]; L], eps: f64) -> ([f64; L], [f64; L]) {
-    let cols = xs[0].len();
-    let n = cols as f64;
-    let mut sum = [-0.0; L];
-    for c in 0..cols {
-        for l in 0..L {
+fn lane_moments<const W: usize>(xs: &[[f64; W]; LANES], eps: f64) -> ([f64; LANES], [f64; LANES]) {
+    let n = W as f64;
+    let mut sum = [-0.0; LANES];
+    for c in 0..W {
+        for l in 0..LANES {
             sum[l] += xs[l][c];
         }
     }
     let mean = sum.map(|s| s / n);
-    let mut sq = [-0.0; L];
-    for c in 0..cols {
-        for l in 0..L {
-            let d = xs[l][c] - mean[l];
-            sq[l] += d * d;
+    let mut sq = [-0.0; LANES];
+    for c in 0..W {
+        for l in 0..LANES {
+            sq[l] += (xs[l][c] - mean[l]) * (xs[l][c] - mean[l]);
         }
     }
     (mean, sq.map(|s| 1.0 / (s / n + eps).sqrt()))
-}
-
-/// Layer norm's forward on `L` rows in lockstep (see [`layer_norm_moments`]).
-#[inline(always)]
-fn layer_norm_lanes<const L: usize>(
-    xs: [&[f64]; L],
-    gamma: &[f64],
-    beta: &[f64],
-    eps: f64,
-    out: [&mut [f64]; L],
-) {
-    let (mean, inv) = layer_norm_moments(&xs, eps);
-    for (l, (xr, o)) in xs.iter().zip(out).enumerate() {
-        let terms = xr.iter().zip(gamma).zip(beta);
-        for (o, ((&u, &ga), &be)) in o.iter_mut().zip(terms) {
-            *o = ga * (u - mean[l]) * inv[l] + be;
-        }
-    }
-}
-
-/// Layer norm's adjoint on `L` rows in lockstep: each lane's two sums run
-/// in its own row's column order from `0.0`, and `gg` / `gb` take the
-/// lanes' terms in row order, column by column — the bits of the rows done
-/// one after another. `xhat` holds each row's `x̂` between the two passes.
-#[inline(always)]
-fn layer_norm_adjoint_lanes<const L: usize>(
-    xs: [&[f64]; L],
-    gs: [&[f64]; L],
-    gamma: &[f64],
-    eps: f64,
-    out: [&mut [f64]; L],
-    gg: &mut [f64],
-    gb: &mut [f64],
-    xhat: [&mut [f64]; L],
-) {
-    let (mean, inv) = layer_norm_moments(&xs, eps);
-    let cols = gamma.len();
-    let n = cols as f64;
-    // xhat = (x - mean) * inv ; dxhat = g * gamma
-    // dx = inv/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-    let mut sum_dxhat = [0.0; L];
-    let mut sum_dxhat_xhat = [0.0; L];
-    // `out` holds dxhat until the row's two sums are known.
-    for c in 0..cols {
-        for l in 0..L {
-            let xh = (xs[l][c] - mean[l]) * inv[l];
-            let dxhat = gs[l][c] * gamma[c];
-            sum_dxhat[l] += dxhat;
-            sum_dxhat_xhat[l] += dxhat * xh;
-            gg[c] += gs[l][c] * xh;
-            gb[c] += gs[l][c];
-            xhat[l][c] = xh;
-            out[l][c] = dxhat;
-        }
-    }
-    for l in 0..L {
-        for c in 0..cols {
-            let xh = xhat[l][c];
-            out[l][c] = inv[l] / n * (n * out[l][c] - sum_dxhat[l] - xh * sum_dxhat_xhat[l]);
-        }
-    }
 }
 
 /// Copy the column window `[off, off + w)` of `g` into `out` (`[rows, w]`).

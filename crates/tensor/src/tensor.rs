@@ -298,7 +298,7 @@ impl Tensor {
     }
 
     /// Fill row `i` of `out` (`[idx.len(), cols]`) by `row(i, out_row,
-    /// self[idx[i]])`.
+    /// self[idx[i]])` ([`gather_rows_by`]).
     pub(crate) fn gather_rows_with(
         &self,
         idx: &[usize],
@@ -310,15 +310,7 @@ impl Tensor {
             (idx.len(), self.cols),
             "gather_rows output shape"
         );
-        let cols = self.cols;
-        for (i, &src) in idx.iter().enumerate() {
-            debug_assert!(
-                src < self.rows,
-                "gather index {src} out of {} rows",
-                self.rows
-            );
-            row(i, &mut out.data[i * cols..(i + 1) * cols], self.row(src));
-        }
+        gather_rows_by(&self.data, idx, &mut out.data, self.shape(), row);
     }
 
     /// Scatter-add rows: `out[idx[i]] += self[i]`, with `out` having
@@ -350,6 +342,10 @@ impl Tensor {
         out: &mut Tensor,
     ) {
         assert_eq!(weights.len(), self.rows, "scatter weight length mismatch");
+        assert_eq!(idx.len(), self.rows, "scatter index length mismatch");
+        // As long as `idx` (just checked): the compiler then sees every
+        // `weights[i]` in bounds.
+        let weights = &weights[..idx.len()];
         self.scatter_rows_with(idx, out, |i, d, src| {
             let w = weights[i];
             for (o, &s) in d.iter_mut().zip(src) {
@@ -359,7 +355,7 @@ impl Tensor {
     }
 
     /// Zero `out` (`[out_rows, cols]`), then `add(i, out[idx[i]], self[i])`
-    /// for every row `i` in order.
+    /// for every row `i` in order ([`scatter_rows_by`]).
     fn scatter_rows_with(
         &self,
         idx: &[usize],
@@ -368,18 +364,9 @@ impl Tensor {
     ) {
         assert_eq!(idx.len(), self.rows, "scatter index length mismatch");
         assert_eq!(out.cols, self.cols, "scatter_add_rows_into column mismatch");
-        let cols = self.cols;
-        let out_rows = out.rows;
-        // Validate up front so a bad index fails by name, before `out` is
-        // touched.
-        assert!(
-            idx.iter().all(|&d| d < out_rows),
-            "scatter index out of {out_rows} rows"
-        );
+        let shape = out.shape();
         out.data.fill(0.0);
-        for (i, &dst) in idx.iter().enumerate() {
-            add(i, &mut out.data[dst * cols..(dst + 1) * cols], self.row(i));
-        }
+        scatter_rows_by(&self.data, idx, &mut out.data, shape, add);
     }
 
     /// Maximum relative difference against another tensor, where the
@@ -405,6 +392,107 @@ pub(crate) fn nan_max(m: f64, e: f64) -> f64 {
         e
     } else {
         m
+    }
+}
+
+/// `add(i, out[idx[i]], src[i])` for every `cols`-wide row `i` of `src`,
+/// in row order: each destination row takes its rows in input order. The
+/// indices are checked against `out_rows` first, so a bad one fails by
+/// name before any row is added. At width 8 (the small model's hidden
+/// width) rows are fixed-size arrays ([`scatter_fixed`]); at 32 the loop
+/// over run-time widths measured faster.
+pub(crate) fn scatter_rows_by(
+    src: &[f64],
+    idx: &[usize],
+    out: &mut [f64],
+    (out_rows, cols): (usize, usize),
+    add: impl Fn(usize, &mut [f64], &[f64]),
+) {
+    assert!(
+        idx.iter().all(|&d| d < out_rows),
+        "scatter index out of {out_rows} rows"
+    );
+    match cols {
+        8 => scatter_fixed::<8>(src, idx, out, add),
+        _ => {
+            for (i, &dst) in idx.iter().enumerate() {
+                add(
+                    i,
+                    &mut out[dst * cols..(dst + 1) * cols],
+                    &src[i * cols..(i + 1) * cols],
+                );
+            }
+        }
+    }
+}
+
+/// `row(i, out[i], src[idx[i]])` for every `cols`-wide row `i` of `out`,
+/// in row order; the indices are checked against `src_rows` first. At the
+/// models' hidden widths (8 and 32) rows are fixed-size arrays
+/// ([`gather_fixed`]).
+pub(crate) fn gather_rows_by(
+    src: &[f64],
+    idx: &[usize],
+    out: &mut [f64],
+    (src_rows, cols): (usize, usize),
+    row: impl Fn(usize, &mut [f64], &[f64]),
+) {
+    assert!(
+        idx.iter().all(|&s| s < src_rows),
+        "gather index out of {src_rows} rows"
+    );
+    match cols {
+        8 => gather_fixed::<8>(src, idx, out, row),
+        32 => gather_fixed::<32>(src, idx, out, row),
+        _ => {
+            for (i, &s) in idx.iter().enumerate() {
+                row(
+                    i,
+                    &mut out[i * cols..(i + 1) * cols],
+                    &src[s * cols..(s + 1) * cols],
+                );
+            }
+        }
+    }
+}
+
+/// [`scatter_rows_by`] over `W`-wide rows. An index is clamped to the last
+/// row, which leaves every checked index as it is and lets the compiler
+/// drop the per-row bounds check; `src` is cut to one row per index, so
+/// the loop runs over exactly `idx.len()` rows.
+#[inline(always)]
+fn scatter_fixed<const W: usize>(
+    src: &[f64],
+    idx: &[usize],
+    out: &mut [f64],
+    add: impl Fn(usize, &mut [f64], &[f64]),
+) {
+    let out = out.as_chunks_mut::<W>().0;
+    let Some(last) = out.len().checked_sub(1) else {
+        return;
+    };
+    let src = &src.as_chunks::<W>().0[..idx.len()];
+    for (i, (&dst, s)) in idx.iter().zip(src).enumerate() {
+        add(i, &mut out[dst.min(last)], s);
+    }
+}
+
+/// [`gather_rows_by`] over `W`-wide rows, indices clamped as in
+/// [`scatter_fixed`] and `out` cut to one row per index.
+#[inline(always)]
+fn gather_fixed<const W: usize>(
+    src: &[f64],
+    idx: &[usize],
+    out: &mut [f64],
+    row: impl Fn(usize, &mut [f64], &[f64]),
+) {
+    let src = src.as_chunks::<W>().0;
+    let Some(last) = src.len().checked_sub(1) else {
+        return;
+    };
+    let out = &mut out.as_chunks_mut::<W>().0[..idx.len()];
+    for (i, (&s, o)) in idx.iter().zip(out).enumerate() {
+        row(i, o, &src[s.min(last)]);
     }
 }
 
@@ -651,8 +739,8 @@ pub(crate) fn gemm_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: us
 /// row) stays within 16 KiB, half of the smallest L1 data cache in use. A
 /// pure function of the shape — and no function of it can change a bit.
 /// Every row block in this crate has this height: the tape's linear
-/// adjoints, its column-block assembly and its two forward kernels that
-/// pass over their output more than once.
+/// adjoints, its column-block assembly and its forward kernel that passes
+/// over its output more than once (a dense layer with gathered parts).
 pub(crate) fn tn_panel_rows(m: usize, n: usize) -> usize {
     (2048 / (m + n).max(1)).max(8)
 }

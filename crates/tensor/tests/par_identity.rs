@@ -310,19 +310,21 @@ fn taped_layer_norm(
     [tape.value(y).data().to_vec(), grad(xv), grad(g), grad(b)]
 }
 
-/// The layer-norm kernels — four rows in lockstep at widths 8 and 32,
-/// one at a time elsewhere and for the rows left over — are the one-row
-/// kernel bit for bit in values and in the x, gamma and beta gradients:
-/// whole and under two row masks with their backfills, over
-/// widths on and off the lockstep ones and row counts around a quad.
+/// The layer-norm kernels — four rows in lockstep at widths 8 and 32, each
+/// row a lane, the gamma and beta sums in registers; one row at a time
+/// elsewhere and for the rows left over — are the one-row kernel bit for
+/// bit in values and in the x, gamma and beta gradients: whole and under
+/// two row masks with their backfills, at every width 1–33 and row counts
+/// 0–17 (every remainder of the four-row group, up to four groups) and two
+/// larger.
 #[test]
 fn layer_norm_is_the_one_row_kernel_bit_for_bit() {
     let bits = |v: &[Vec<f64>; 4]| {
         v.each_ref()
             .map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
     };
-    for cols in [1, 3, 8, 12, 16, 32, 33] {
-        for rows in [0, 1, 3, 4, 5, 37, 133] {
+    for cols in 1..=33 {
+        for rows in (0..=17).chain([37, 133]) {
             let seed = (rows * 64 + cols) as u64;
             let x = Tensor::from_vec(rows, cols, noise(seed, rows * cols));
             let up = Tensor::from_vec(rows, cols, noise(seed + 1, rows * cols));
@@ -419,6 +421,95 @@ fn edge_parts<T>(gathered: [T; 2], e: T, at: usize) -> Vec<T> {
     let mut parts = Vec::from(gathered);
     parts.insert(at, e);
     parts
+}
+
+/// The bias gradient of the row-blocked dense adjoint is the row-ordered
+/// column sum of the (`elu'`-scaled) adjoint at every width 1–33: its sums
+/// run in registers eight columns at a time, the ragged columns one at a
+/// time, so every width has full groups, a remainder, or both. Row counts
+/// 0–17 and on every side of an adjoint block; `dx` and `dw` are held too
+/// ([`naive_dense`]).
+#[test]
+fn dense_bias_gradient_is_the_row_order_sum_at_every_width() {
+    let k = 3;
+    for n in 1..=33 {
+        for rows in (0..=17).chain(block_row_counts(adjoint_block(k, n))) {
+            let seed = (rows * 100 + n) as u64 + 31_000;
+            let x = Tensor::from_vec(rows, k, noise(seed, rows * k));
+            let w = Tensor::from_vec(k, n, noise(seed + 1, k * n));
+            let b = Tensor::from_vec(1, n, noise(seed + 2, n));
+            let up = Tensor::from_vec(rows, n, noise(seed + 3, rows * n));
+            for elu in [false, true] {
+                let want = naive_dense(&x, &w, &b, &up, elu);
+                let got = taped_dense(&x, &w, &b, &up, elu, None);
+                assert!(got == want, "rows={rows} n={n} elu={elu}");
+            }
+        }
+    }
+}
+
+/// `scatter_add_rows_scaled` (and the unweighted `scatter_add_rows`) by the
+/// definition: each destination row starts from zero and adds `w[i] *
+/// a[i]` in input order; `a`'s adjoint is `w[i] * up[idx[i]]`, added to the
+/// adjoint `a` already holds when a later op reads it too. At every width
+/// 1–33 (width 8 takes fixed-size rows), row counts 0–17 and two larger,
+/// with repeated destinations.
+#[test]
+fn scatter_add_rows_is_the_input_order_sum_bit_for_bit() {
+    for cols in 1..=33 {
+        for rows in (0..=17).chain([37, 133]) {
+            let nodes = 1 + rows / 3;
+            let seed = (rows * 64 + cols) as u64 + 9000;
+            let a = Tensor::from_vec(rows, cols, noise(seed, rows * cols));
+            let other = Tensor::from_vec(rows, cols, noise(seed + 1, rows * cols));
+            let up = Tensor::from_vec(nodes, cols, noise(seed + 2, nodes * cols));
+            let idx: Vec<usize> = (0..rows).map(|i| (i * 7 + 2) % nodes).collect();
+            for weighted in [false, true] {
+                let w = match weighted {
+                    true => noise(seed + 3, rows),
+                    false => vec![1.0; rows],
+                };
+                let scaled = |i: usize, v: f64| if weighted { w[i] * v } else { v };
+                let mut y = Tensor::zeros(nodes, cols);
+                for (i, &d) in idx.iter().enumerate() {
+                    for c in 0..cols {
+                        y.set(d, c, y.get(d, c) + scaled(i, a.get(i, c)));
+                    }
+                }
+                for read_again in [false, true] {
+                    let da = Tensor::from_fn(rows, cols, |i, c| {
+                        let g = scaled(i, up.get(idx[i], c));
+                        if read_again {
+                            other.get(i, c) + g
+                        } else {
+                            g
+                        }
+                    });
+                    let mut tape = Tape::new();
+                    let av = tape.leaf_copy(&a);
+                    let (ix, u) = (Arc::new(idx.clone()), Arc::new(up.clone()));
+                    let yv = match weighted {
+                        true => tape.scatter_add_rows_scaled(av, Arc::new(w.clone()), ix, nodes),
+                        false => tape.scatter_add_rows(av, ix, nodes),
+                    };
+                    let u = tape.shared_constant(u);
+                    let yu = tape.mul(yv, u);
+                    let mut loss = tape.sum(yu);
+                    if read_again {
+                        let o = tape.shared_constant(Arc::new(other.clone()));
+                        let ao = tape.mul(av, o);
+                        let s = tape.sum(ao);
+                        loss = tape.add(loss, s);
+                    }
+                    let grads = tape.backward(loss);
+                    let what = format!("{rows}x{cols} weighted={weighted} read_again={read_again}");
+                    assert_eq!(bits(tape.value(yv).data()), bits(y.data()), "{what}: value");
+                    let got = grads.get(av).expect("leaf gradient");
+                    assert_eq!(bits(got.data()), bits(da.data()), "{what}: adjoint");
+                }
+            }
+        }
+    }
 }
 
 /// The edge-update input layer `elu([x[src] | x[dst] | e] * w + b)`, `e`
@@ -700,13 +791,13 @@ fn taped_layer_norm_add(
 /// naive one-row layer norm: the value is the layer norm's, rounded, plus
 /// the residual; `x`, gamma and beta take the layer norm's adjoints and
 /// `res` the upstream adjoint itself — whole and under two row masks with
-/// their backfills, at widths on and off the four-row lockstep and row
-/// counts on every side of a forward block ([`adjoint_block`] of `cols`,
-/// `cols`).
+/// their backfills (whose packed blocks are [`adjoint_block`] of `cols`,
+/// `cols` rows high), at every width 1–33 and row counts 0–17 (around the
+/// four-row lockstep) and on every side of a block.
 #[test]
 fn layer_norm_add_is_layer_norm_then_add_bit_for_bit() {
-    for cols in [1, 3, 8, 12, 32] {
-        for rows in block_row_counts(adjoint_block(cols, cols)) {
+    for cols in 1..=33 {
+        for rows in (0..=17).chain(block_row_counts(adjoint_block(cols, cols))) {
             let seed = (rows * 64 + cols) as u64 + 5000;
             let t = |salt: u64| Tensor::from_vec(rows, cols, noise(seed + salt, rows * cols));
             let (x, res, up) = (t(0), t(1), t(4));
