@@ -13,8 +13,8 @@
 //!   and one reader thread per peer decodes arrivals. A world of one
 //!   rank has no carrier.
 //! * a [`Park`] policy — what a rank does while a wait cannot complete:
-//!   sleep on the mailbox condvar for at most one heartbeat
-//!   ([`Heartbeat`]), or yield the serial scheduler's baton.
+//!   sleep on the mailbox condvar until its mailbox changes ([`Sleep`]),
+//!   or yield the serial scheduler's baton.
 //!
 //! # Ordering and matching
 //!
@@ -56,6 +56,11 @@
 //! can never arrive (a diverged schedule). The session recovery loop
 //! catches that typed panic and rebuilds the world at the surviving size.
 //!
+//! A parked rank wakes only when its mailbox changes, and every status
+//! change notifies: [`Mailbox::dispatch`] (`Dead`, `Bye`) and
+//! [`Mailbox::hangup`] (a carrier's EOF, corrupt frame or failed write).
+//! Nothing yet bounds a wait on a peer that is alive but silent.
+//!
 //! # Fault injection
 //!
 //! A launch arms each rank's engine from its [`FaultPlan`]: the one kill
@@ -67,7 +72,6 @@
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::fault::{ArmedFault, FaultPlan, RankFailure};
 use crate::stats::StatsSnapshot;
@@ -119,8 +123,15 @@ pub(crate) trait Carrier: Send + Sync {
 /// What a rank does while a wait on its mailbox cannot complete.
 pub(crate) trait Park: Send + Sync {
     /// Suspend the rank owning `mailbox` until its arrivals may have
-    /// changed; takes the arrival lock and hands it back.
-    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a>;
+    /// changed; takes the arrival lock and hands it back. By default,
+    /// sleep on the mailbox condvar: an arrival, an announcement or a
+    /// hang-up wakes it, and nothing else does.
+    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
+        mailbox
+            .cv
+            .wait(arrivals)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// A wait completed.
     fn progressed(&self) {}
@@ -132,24 +143,11 @@ pub(crate) trait Park: Send + Sync {
     fn rank_finished(&self, _rank: usize) {}
 }
 
-/// Condvar-with-heartbeat parking for worlds with real concurrency: a
-/// parked rank is woken by the next arrival, and at the latest after one
-/// [`HEARTBEAT`] so a death its carrier could not announce is still
-/// noticed.
-pub(crate) struct Heartbeat;
+/// Parking for worlds with real concurrency: a parked rank sleeps on its
+/// mailbox condvar until the mailbox changes.
+pub(crate) struct Sleep;
 
-/// How often a parked rank re-checks the peer table for dead peers.
-const HEARTBEAT: Duration = Duration::from_millis(25);
-
-impl Park for Heartbeat {
-    fn park<'a>(&self, mailbox: &'a Mailbox, arrivals: Arrivals<'a>) -> Arrivals<'a> {
-        let (arrivals, _) = mailbox
-            .cv
-            .wait_timeout(arrivals, HEARTBEAT)
-            .unwrap_or_else(PoisonError::into_inner);
-        arrivals
-    }
-}
+impl Park for Sleep {}
 
 /// FIFO matcher between posted receives and arrived messages for one
 /// `(receiver, source)` pair: post seq `k` matches the `k`-th message to

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crate::backend::engine::{Engine, Heartbeat, Mailbox};
+use crate::backend::engine::{Engine, Mailbox, Sleep};
 use crate::comm::Comm;
 use crate::fault::FaultPlan;
 
@@ -39,7 +39,7 @@ impl LoopbackBackend {
     /// entry point for persistent trainers that live outside an SPMD
     /// launch.
     pub fn comm() -> Comm {
-        let mailbox = Mailbox::new(0, 1, Arc::new(Heartbeat));
+        let mailbox = Mailbox::new(0, 1, Arc::new(Sleep));
         Comm::new(Engine::new("loopback", mailbox, None, &FaultPlan::new(), 0))
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! | world | carrier | park policy | launch adds |
 //! |---|---|---|---|
-//! | [`Backend::Threads`] (default) | in-memory | heartbeat | one OS thread per rank, real concurrency (the paper's one-GPU-per-rank SPMD setup) |
+//! | [`Backend::Threads`] (default) | in-memory | sleep until the mailbox changes | one OS thread per rank, real concurrency (the paper's one-GPU-per-rank SPMD setup) |
 //! | [`Backend::Serial`] | in-memory | baton | deterministic round-robin scheduler with a deadlock supervisor: zero-concurrency reference semantics for debugging and CI |
-//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | heartbeat | re-exec of the binary, one OS *process* per rank, meshed through rank 0's address table: address-space isolation and real serialization cost |
-//! | [`Backend::Socket`] | `CGNW` frames over TCP | heartbeat | the same launch and the same handshake over TCP, so a world can span machines |
+//! | [`Backend::Proc`] | `CGNW` frames over Unix sockets | sleep until the mailbox changes | re-exec of the binary, one OS *process* per rank, meshed through rank 0's address table: address-space isolation and real serialization cost |
+//! | [`Backend::Socket`] | `CGNW` frames over TCP | sleep until the mailbox changes | the same launch and the same handshake over TCP, so a world can span machines |
 //! | [`LoopbackBackend`](loopback::LoopbackBackend) | none | never parks | a world of exactly one rank on the calling thread, for persistent single-rank trainers (the `cgnn-serve` replica pool, `sysbench`'s kernel probes) |
 //!
 //! The engine provides raw transport primitives only; traffic accounting

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::engine::{Engine, Frame, Heartbeat, Mailbox, KIND_HELLO};
+use crate::backend::engine::{Engine, Frame, Mailbox, Sleep, KIND_HELLO};
 use crate::backend::serial;
 use crate::backend::wire::{Conn, StreamCarrier};
 use crate::comm::Comm;
@@ -239,8 +239,8 @@ fn hello(src: usize, label: &str) -> Frame {
 
 /// Read one handshake frame from `conn` by `deadline`: a peer that
 /// connects and never writes is `TimedOut`, naming what was `waiting`.
-/// The timeout is cleared again, since an established link relies on the
-/// heartbeat instead.
+/// The timeout is cleared again: on an established link, the carrier's
+/// reader reports EOF or a corrupt frame as the peer's death.
 fn read_by(conn: &Conn, deadline: Instant, waiting: &str) -> io::Result<Option<Frame>> {
     let left = deadline.saturating_duration_since(Instant::now());
     // A zero timeout is an error, not an expired one.
@@ -422,7 +422,7 @@ where
     T: Send,
     F: Fn(&Comm) -> T + Sync,
 {
-    let mailbox = Mailbox::new(rank, conns.len(), Arc::new(Heartbeat));
+    let mailbox = Mailbox::new(rank, conns.len(), Arc::new(Sleep));
     #[expect(
         clippy::expect_used,
         reason = "a carrier whose threads cannot start is a world that cannot come up, which `launch` documents"

@@ -399,7 +399,7 @@ fn reader_loop(mailbox: &Mailbox, peer: usize, r: Box<dyn Read + Send>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::engine::{Engine, Heartbeat, KIND_COLLECTIVE, KIND_P2P};
+    use crate::backend::engine::{Engine, Sleep, KIND_COLLECTIVE, KIND_P2P};
     use crate::fault::FaultPlan;
 
     #[test]
@@ -546,7 +546,7 @@ mod tests {
         // fail: this rank's reader stays parked instead of seeing EOF.
         far.shutdown(std::net::Shutdown::Read)
             .expect("shut the far reads");
-        let mailbox = Mailbox::new(0, 2, Arc::new(Heartbeat));
+        let mailbox = Mailbox::new(0, 2, Arc::new(Sleep));
         let carrier =
             StreamCarrier::start(&mailbox, vec![None, Some(Conn::Uds(near))]).expect("carrier");
         let engine = Engine::new("proc", mailbox, None, &FaultPlan::new(), 0);

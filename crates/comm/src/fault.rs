@@ -25,7 +25,8 @@
 //!
 //! A killed rank declares itself dead through the liveness probe (see
 //! [`Comm::mark_dead`]) *before* unwinding, so peers abort with
-//! [`RankFailure::PeerDead`] within a heartbeat instead of hanging.
+//! [`RankFailure::PeerDead`] as soon as the announcement reaches them,
+//! instead of hanging.
 //!
 //! [`Backend::launch_with`]: crate::Backend::launch_with
 //! [`Comm::mark_dead`]: crate::Comm::mark_dead
@@ -396,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn peers_detect_death_within_heartbeat_instead_of_hanging() {
+    fn peers_detect_death_instead_of_hanging() {
         // No fault plan at all: a *genuine* panic on rank 0 must still
         // unblock rank 1's barrier via the liveness probe.
         let t0 = Instant::now();

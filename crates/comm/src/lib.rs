@@ -44,8 +44,8 @@
 //! from a deterministic, seeded [`FaultPlan`] (kill a rank at an exact
 //! comm op, the one failure a transport can have), and the engine's
 //! liveness probe ([`Comm::mark_dead`] / [`Comm::dead_ranks`]) lets peers
-//! detect a death within a heartbeat instead of hanging — see the
-//! [`fault`] module docs.
+//! detect a death instead of hanging: the announcement wakes them — see
+//! the [`fault`] module docs.
 //!
 //! Because reductions are folded rank-ordered in the [`Comm`] layer from
 //! every rank's contribution, *all* worlds produce bit-identical

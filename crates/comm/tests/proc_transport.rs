@@ -1,8 +1,9 @@
 //! Launcher tests for the cross-process backends: what only a world of
 //! real OS processes can show (typed failures crossing the process
-//! boundary, the size-1 shortcut). The transport contract itself —
-//! collectives, matching, liveness — is `tests/conformance.rs`, run over
-//! all four transports.
+//! boundary, a death only the carrier can announce, the size-1 shortcut),
+//! and that a parked rank sleeps rather than polls. The transport contract
+//! itself — collectives, matching, liveness — is `tests/conformance.rs`,
+//! run over all four transports.
 //!
 //! Each test pins its own name as the re-exec argv (via `reexec_scope`),
 //! so the child rank processes re-run *exactly this test*, reach the same
@@ -15,9 +16,12 @@
     reason = "a failed setup step fails the test, and its message names the step"
 )]
 
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
 use std::process::{Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use cgnn_comm::knob::{
     CGNN_BACKEND, CGNN_PROC_DIR, CGNN_PROC_SEQ, CGNN_RANK, CGNN_SOCKET_ADDR, CGNN_WORLD,
@@ -75,6 +79,119 @@ fn proc_child_kill_surfaces_typed_failure() {
             panic!("expected Killed{{rank:1,op:3}} across the process boundary, got {other:?}")
         }
     }
+}
+
+/// Run `f` on this thread, aborting the whole test process if it has not
+/// returned within `limit`: a launch that hangs on a liveness regression
+/// fails loudly instead of holding the suite.
+fn with_hang_guard<T>(limit: Duration, what: &str, f: impl FnOnce() -> T) -> T {
+    std::thread::scope(|s| {
+        // Dropped when `f` returns or unwinds, which disarms the guard.
+        let (done, finished) = mpsc::channel::<()>();
+        s.spawn(move || {
+            if finished.recv_timeout(limit) == Err(RecvTimeoutError::Timeout) {
+                // Straight to the descriptor: the harness captures `eprintln!`.
+                let _ = writeln!(
+                    io::stderr(),
+                    "{what}: still blocked after {limit:?}; aborting"
+                );
+                std::process::abort();
+            }
+        });
+        let out = f();
+        drop(done);
+        out
+    })
+}
+
+/// Rank 1 exits its process between two barriers, announcing nothing: no
+/// `Bye`, no `Dead`. Only rank 0's carrier sees it, as its link's EOF,
+/// and that hang-up alone must wake rank 0 out of the second barrier with
+/// a typed failure. The launch runs on the test's own thread, which holds
+/// the re-exec scope.
+fn carrier_only_death_fails_typed(backend: Backend, test_name: &str) {
+    let _scope = reexec_scope(worker_args(test_name));
+    let payload = with_hang_guard(Duration::from_secs(20), "a carrier-only death", || {
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            backend.launch(2, |comm| {
+                comm.barrier();
+                if comm.rank() == 1 {
+                    // Let rank 0 park in the second barrier first.
+                    std::thread::sleep(Duration::from_millis(100));
+                    std::process::exit(0);
+                }
+                comm.barrier();
+            });
+        }))
+    })
+    .expect_err("a rank whose process vanished must fail the launch");
+    assert_eq!(
+        RankFailure::from_payload(payload.as_ref()),
+        Some(&RankFailure::PeerDead {
+            rank: 0,
+            dead: vec![1]
+        }),
+        "{backend}"
+    );
+}
+
+#[test]
+fn carrier_only_death_fails_typed_proc() {
+    carrier_only_death_fails_typed(Backend::Proc, "carrier_only_death_fails_typed_proc");
+}
+
+#[test]
+fn carrier_only_death_fails_typed_socket() {
+    carrier_only_death_fails_typed(Backend::Socket, "carrier_only_death_fails_typed_socket");
+}
+
+/// This thread's voluntary context switches so far.
+#[cfg(target_os = "linux")]
+fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("read own status");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .expect("a voluntary_ctxt_switches line");
+    line.trim().parse().expect("a count")
+}
+
+/// Rank 0 blocks in `recv` while rank 1 sleeps 1 s and then sends: a
+/// parked rank sleeps until its mailbox changes, so the wait costs rank
+/// 0's thread a switch or two, not one per timer tick.
+#[cfg(target_os = "linux")]
+fn parked_rank_does_not_spin(backend: Backend) {
+    let out = backend.launch(2, |comm| {
+        if comm.rank() == 1 {
+            std::thread::sleep(Duration::from_secs(1));
+            comm.send(0, 3, vec![1.0]);
+            return 0;
+        }
+        let before = voluntary_switches();
+        assert_eq!(comm.recv(1, 3), vec![1.0]);
+        voluntary_switches() - before
+    });
+    assert!(out[0] <= 5, "{backend}: rank 0 switched {} times", out[0]);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn parked_rank_does_not_spin_threads() {
+    parked_rank_does_not_spin(Backend::Threads);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn parked_rank_does_not_spin_proc() {
+    let _scope = reexec_scope(worker_args("parked_rank_does_not_spin_proc"));
+    parked_rank_does_not_spin(Backend::Proc);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn parked_rank_does_not_spin_socket() {
+    let _scope = reexec_scope(worker_args("parked_rank_does_not_spin_socket"));
+    parked_rank_does_not_spin(Backend::Socket);
 }
 
 /// Rank-dependent traffic through a collective, a gather and a

@@ -13,7 +13,7 @@
 //!    `clippy.toml`) rejects a raw read anywhere else, so a read needs an
 //!    `EnvKnob` value rather than a bare string.
 //! 3. **One home per knob** — the knobs the comm launch machinery reads
-//!    (`CGNN_BACKEND`, the cross-process handshake, the heartbeat) are
+//!    (`CGNN_BACKEND`, the cross-process handshake) are
 //!    declared in `cgnn_comm::knob`, below this crate, and re-exported
 //!    here; the rest are declared in this module.
 //!
